@@ -3,8 +3,12 @@
 # linter (tools/lint/, zero unannotated findings), the test suite (plus
 # a multi-domain smoke pass — results must be bit-identical, see
 # lib/par/ — and a pass with a live stderr tracing sink, which must not
-# move any numeric either), and a smoke run of the benchmark harness
-# (sub-10-seconds; proves the harness itself still works, not
+# move any numeric either), the end-to-end benchmark's smoke run (every
+# workload at quarter size through a real `sider api`, with all its
+# correctness checks: bit-identical replay, converged updates, expected
+# statuses; after the tests, not beside them, because it keeps both CPUs
+# of a 2-vCPU machine busy), and a smoke run of the micro-benchmark
+# harness (sub-10-seconds; proves the harness itself still works, not
 # performance).
 
 .PHONY: all build check test lint lint-fixtures lint-sarif verify clean \
@@ -49,7 +53,8 @@ lint-sarif:
 verify:
 	dune build @check && $(MAKE) lint && dune runtest \
 	  && SIDER_DOMAINS=2 dune runtest --force \
-	  && SIDER_TRACE=stderr dune runtest --force && $(MAKE) bench-smoke \
+	  && SIDER_TRACE=stderr dune runtest --force \
+	  && dune build @bench/e2e/smoke && $(MAKE) bench-smoke \
 	  && $(MAKE) service-smoke
 
 # End-to-end smoke of the session service: boot it in-process with

@@ -64,11 +64,6 @@ type scenario = {
   run : smoke:bool -> run_result;
 }
 
-let time_of f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  (result, Unix.gettimeofday () -. t0)
-
 (* --- scenario building blocks -------------------------------------------- *)
 
 let clustered_constraints ds =
@@ -85,7 +80,7 @@ let micro_solver ~smoke =
   let ds = Sider_data.Synth.clustered ~seed:31 ~n ~d ~k () in
   let solver = Solver.create (Dataset.matrix ds) (clustered_constraints ds) in
   let report, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         Solver.solve ~max_sweeps:25 ~lambda_tol:0.0 ~param_tol:0.0 solver)
   in
   { wall; sweeps = report.Solver.sweeps; warm_sweeps = 0;
@@ -107,7 +102,7 @@ let quadratic_updates ~smoke =
   in
   let solver = Solver.create data constraints in
   let report, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         Solver.solve ~max_sweeps:10 ~lambda_tol:0.0 ~param_tol:0.0 solver)
   in
   { wall; sweeps = report.Solver.sweeps; warm_sweeps = 0;
@@ -123,7 +118,7 @@ let session_update_synthetic ~smoke =
   Session.add_cluster_constraint session
     (Dataset.class_indices ds (List.hd (Dataset.classes ds)));
   let report, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         Session.update_background ~time_cutoff:60.0 session)
   in
   let sweeps, warm_sweeps =
@@ -159,7 +154,7 @@ let session_update_warm_synthetic ~smoke =
      Session.add_two_d_constraint session (Dataset.class_indices ds c2)
    | _ -> ());
   let report, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         Session.update_background ~time_cutoff:60.0 session)
   in
   let sweeps, warm_sweeps =
@@ -184,7 +179,7 @@ let session_update_segmentation ~smoke =
      Session.add_cluster_constraint session (Dataset.class_indices ds cls)
    | [] -> ());
   let report, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         Session.update_background ~time_cutoff:60.0 session)
   in
   let sweeps, warm_sweeps =
@@ -203,7 +198,7 @@ let whiten_pca ~smoke =
   let solver = Solver.create (Dataset.matrix ds) (clustered_constraints ds) in
   ignore (Solver.solve ~time_cutoff:30.0 solver);
   let _, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         let y = Whiten.whiten solver in
         let fitted = Pca.fit y in
         ignore (Pca.top2 fitted))
@@ -219,7 +214,7 @@ let ica_projection ~smoke =
   ignore (Solver.solve ~time_cutoff:30.0 solver);
   let y = Whiten.whiten solver in
   let _, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         ignore (Fastica.fit (Sider_rand.Rng.create 17) y))
   in
   { wall; sweeps = 0; warm_sweeps = 0; classes = Solver.n_classes solver }
@@ -237,7 +232,7 @@ let ica_projection_warm ~smoke =
   let prep = Fastica.prepare y in
   let cold = Fastica.fit_prepared (Sider_rand.Rng.create 17) prep in
   let _, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         ignore
           (Fastica.fit_prepared ~w0:cold.Fastica.unmixing
              (Sider_rand.Rng.create 18) prep))
@@ -249,7 +244,7 @@ let ica_projection_warm ~smoke =
 let full_pipeline ~smoke:_ =
   let ds = Sider_data.Synth.three_d ~seed:2018 () in
   let result, wall =
-    time_of (fun () ->
+    Bench_common.time_of (fun () ->
         let session = Session.create ~seed:2018 ds in
         Session.add_margin_constraint session;
         let r1 = Session.update_background ~time_cutoff:30.0 session in
@@ -310,10 +305,10 @@ let obs_labels_overhead ~smoke =
         Obs.labeled_hist "serve.stage_s" [ ("stage", "solve") ]
       in
       let report, wall =
-        time_of (fun () ->
-            let t0 = Unix.gettimeofday () in
+        Bench_common.time_of (fun () ->
+            let t0 = Obs.now_ns () in
             let r = Session.update_background ~time_cutoff:60.0 session in
-            let dur = Unix.gettimeofday () -. t0 in
+            let dur = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9 in
             Obs.observe_into stage_solve dur;
             Obs.observe_labeled "serve.request_s"
               [ ("route", "update"); ("status", "200") ]

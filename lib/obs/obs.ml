@@ -94,17 +94,58 @@ let exit_fanout () =
   Atomic.set fanout_base 0;
   Atomic.set fanout_on false
 
-type hist_acc = { mutable values : float array; mutable len : int }
+(* A histogram keeps the newest [hist_window] samples for its quantiles
+   and running totals over every observation, so a long-lived service's
+   telemetry stays bounded however many solves it runs.  1024 is the
+   smallest power of two at which p99 has ten samples beyond it. *)
+let hist_window = 1024
+
+(* All floats, so OCaml stores the record flat and updating it allocates
+   nothing. *)
+type hist_totals = { mutable sum : float; mutable peak : float }
+
+type hist_acc = {
+  mutable values : float array;
+      (* grows by doubling from 16 slots up to [hist_window], then
+         observation [i] lives in slot [i mod hist_window] *)
+  mutable count : int;  (* observations ever recorded *)
+  totals : hist_totals;
+}
+
+let new_hist_acc slots =
+  { values = Array.make slots 0.0; count = 0;
+    totals = { sum = 0.0; peak = neg_infinity } }
+
+(* One observation: a slot store plus the running totals.  The only
+   allocation (growing the window) happens before anything changes. *)
+let hist_push h v =
+  let slots = Array.length h.values in
+  if h.count = slots && slots < hist_window then begin
+    let bigger = Array.make (2 * slots) 0.0 in
+    Array.blit h.values 0 bigger 0 slots;
+    h.values <- bigger
+  end;
+  h.values.(h.count mod hist_window) <- v;
+  h.count <- h.count + 1;
+  h.totals.sum <- h.totals.sum +. v;
+  if v > h.totals.peak then h.totals.peak <- v
 
 type instrument = I_counter of int ref | I_gauge of float ref | I_hist of hist_acc
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
-(* Time-series registry: named sequences of attribute rows (the solver's
-   per-sweep convergence records).  Rows are kept newest-first and
-   reversed on read. *)
-let series_tbl : (string, (string * value) list list ref) Hashtbl.t =
-  Hashtbl.create 8
+(* Time-series registry: named rings of attribute rows (the solver's
+   per-sweep convergence records) holding the newest [series_cap] rows
+   per name.  [written] counts every row ever added; row [i] lives in
+   slot [i mod series_cap], as in the flight recorder. *)
+let series_cap = 2048
+
+type series_ring = {
+  rows : (string * value) list array;
+  mutable written : int;
+}
+
+let series_tbl : (string, series_ring) Hashtbl.t = Hashtbl.create 8
 
 (* Distinct label sets materialized per labeled-metric base name (the
    per-family cardinality budget); guarded by [registry_m] like the
@@ -307,17 +348,11 @@ let hist_push_locked name v =
     | Some _ ->
       invalid_arg (Printf.sprintf "Obs: %S is not a histogram" name)
     | None ->
-      let h = { values = Array.make 16 0.0; len = 0 } in
+      let h = new_hist_acc 16 in
       Hashtbl.add registry name (I_hist h);
       h
   in
-  if h.len = Array.length h.values then begin
-    let bigger = Array.make (2 * h.len) 0.0 in
-    Array.blit h.values 0 bigger 0 h.len;
-    h.values <- bigger
-  end;
-  h.values.(h.len) <- v;
-  h.len <- h.len + 1
+  hist_push h v
 
 let observe name v =
   if !active then locked (fun () -> hist_push_locked name v)
@@ -447,9 +482,9 @@ let observe_labeled name labels v =
    under the layer's writer discipline: handles are only ever written
    from the controller domain (worker domains go through [observe]),
    and concurrent readers are either same-domain systhreads (serialized
-   by the runtime lock at safepoints, and every intermediate state of
-   the push below is a consistent prefix) or take a snapshot under the
-   registry mutex after the controller is quiescent. *)
+   by the runtime lock at safepoints, and [hist_push] reaches none
+   once it starts changing the accumulator) or take a snapshot under
+   the registry mutex after the controller is quiescent. *)
 
 type hist = {
   h_name : string;
@@ -457,7 +492,7 @@ type hist = {
   mutable h_gen : int;  (* generation [h_acc] was bound under; -1 = unbound *)
 }
 
-let hist_handle name = { h_name = name; h_acc = { values = [||]; len = 0 }; h_gen = -1 }
+let hist_handle name = { h_name = name; h_acc = new_hist_acc 0; h_gen = -1 }
 
 (* A preregistered handle on one labeled series.  The label set is
    fixed at handle creation, so a handle never consults the cardinality
@@ -481,7 +516,7 @@ let hist_rebind h =
              in
              Hashtbl.replace family_sets base (seen + 1)
            | None -> ());
-          let a = { values = Array.make 16 0.0; len = 0 } in
+          let a = new_hist_acc 16 in
           Hashtbl.add registry h.h_name (I_hist a);
           a
       in
@@ -491,14 +526,7 @@ let hist_rebind h =
 let observe_into h v =
   if !active then begin
     if h.h_gen <> !registry_gen then hist_rebind h;
-    let acc = h.h_acc in
-    if acc.len = Array.length acc.values then begin
-      let bigger = Array.make (Stdlib.max 16 (2 * acc.len)) 0.0 in
-      Array.blit acc.values 0 bigger 0 acc.len;
-      acc.values <- bigger
-    end;
-    acc.values.(acc.len) <- v;
-    acc.len <- acc.len + 1
+    hist_push h.h_acc v
   end
 
 (* --- series --------------------------------------------------------------- *)
@@ -506,14 +534,24 @@ let observe_into h v =
 let series_add name row =
   if !active then
     locked (fun () ->
-        match Hashtbl.find_opt series_tbl name with
-        | Some rows -> rows := row :: !rows
-        | None -> Hashtbl.add series_tbl name (ref [ row ]))
+        let r =
+          match Hashtbl.find_opt series_tbl name with
+          | Some r -> r
+          | None ->
+            let r = { rows = Array.make series_cap []; written = 0 } in
+            Hashtbl.add series_tbl name r;
+            r
+        in
+        r.rows.(r.written mod series_cap) <- row;
+        r.written <- r.written + 1)
 
 let series name =
   locked (fun () ->
       match Hashtbl.find_opt series_tbl name with
-      | Some rows -> List.rev !rows
+      | Some r ->
+        let first = Stdlib.max 0 (r.written - series_cap) in
+        List.init (r.written - first) (fun i ->
+            r.rows.((first + i) mod series_cap))
       | None -> [])
 
 let series_names () =
@@ -648,18 +686,18 @@ let metrics_snapshot () =
         | I_counter r -> Counter { name; total = !r }
         | I_gauge r -> Gauge { name; value = !r }
         | I_hist h ->
-          let sorted = Array.sub h.values 0 h.len in
+          let n = Stdlib.min h.count hist_window in
+          let sorted = Array.sub h.values 0 n in
           Array.sort compare sorted;
-          let sum = Array.fold_left ( +. ) 0.0 sorted in
           Histogram
             {
               name;
-              count = h.len;
-              sum;
-              p50 = quantile_sorted sorted h.len 0.5;
-              p95 = quantile_sorted sorted h.len 0.95;
-              p99 = quantile_sorted sorted h.len 0.99;
-              max = (if h.len = 0 then 0.0 else sorted.(h.len - 1));
+              count = h.count;
+              sum = h.totals.sum;
+              p50 = quantile_sorted sorted n 0.5;
+              p95 = quantile_sorted sorted n 0.95;
+              p99 = quantile_sorted sorted n 0.99;
+              max = (if h.count = 0 then 0.0 else h.totals.peak);
             }
       in
       m :: acc)

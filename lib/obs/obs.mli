@@ -49,13 +49,17 @@ type metric =
   | Gauge of { name : string; value : float }
   | Histogram of {
       name : string;
-      count : int;
-      sum : float;
-      p50 : float;      (** Type-7 (linear interpolation) quantiles. *)
+      count : int;      (** Every observation ever recorded. *)
+      sum : float;      (** Running total, in insertion order. *)
+      p50 : float;      (** Type-7 (linear interpolation) quantiles of the
+                            newest 1024 observations. *)
       p95 : float;
       p99 : float;
-      max : float;
+      max : float;      (** Largest observation ever recorded. *)
     }
+(** A histogram holds a fixed window of its newest 1024 samples plus
+    running totals, so its memory stays bounded in a long-lived process.
+    Up to 1024 observations, the quantiles cover every sample. *)
 
 type sink = {
   on_span : span -> unit;       (** Called when a span completes. *)
@@ -134,7 +138,9 @@ val gauge : string -> float -> unit
 (** Set a gauge to its latest value. *)
 
 val observe : string -> float -> unit
-(** Record one observation into a histogram. *)
+(** Record one observation into a histogram: it joins the window of the
+    newest 1024 samples (overwriting the oldest once the window is full)
+    and the running [count], [sum] and [max]. *)
 
 (** {2 Labeled metrics}
 
@@ -203,7 +209,8 @@ val labeled_hist : string -> (string * string) list -> hist
     path never re-encodes labels or consults the budget. *)
 
 val observe_into : hist -> float -> unit
-(** Record one observation through a handle (no-op while disabled). *)
+(** Record one observation through a handle, into the same window and
+    totals as {!observe} (no-op while disabled). *)
 
 val timed : ?attrs:(string * value) list -> hist:string -> string ->
   (unit -> 'a) -> 'a
@@ -212,13 +219,16 @@ val timed : ?attrs:(string * value) list -> hist:string -> string ->
     the two share a single pair of clock reads. *)
 
 val metrics_snapshot : unit -> metric list
-(** Current registry contents, sorted by name. *)
+(** Current registry contents, sorted by name.  A histogram's
+    [count]/[sum]/[max] cover every observation, its p50/p95/p99 the
+    newest 1024. *)
 
 val quantile_type7 : float array -> float -> float
 (** [quantile_type7 values p]: the type-7 (linear interpolation) quantile
     of the (unsorted) sample, the statistic {!metrics_snapshot} reports
-    as p50/p95.  Edge cases: an empty sample yields [0.0] (never NaN); a
-    single observation is its own quantile at every [p]. *)
+    as p50/p95/p99 over a histogram's window.  Edge cases: an empty
+    sample yields [0.0] (never NaN); a single observation is its own
+    quantile at every [p]. *)
 
 val flush : unit -> unit
 (** Drain buffered worker-domain spans, then emit {!metrics_snapshot} to
@@ -231,14 +241,16 @@ val reset : unit -> unit
 
 (** {1 Time series}
 
-    Named append-only sequences of attribute rows — the solver's
-    per-sweep convergence records ([solver.convergence]).  Recorded only
-    while {!enabled}; bounded by the producer (the solver's sweep cap). *)
+    Named sequences of attribute rows — the solver's per-sweep
+    convergence records ([solver.convergence]).  Recorded only while
+    {!enabled}.  Each name keeps only its newest 2048 rows, in a ring, so
+    a process that runs many solves holds a bounded series. *)
 
 val series_add : string -> (string * value) list -> unit
 
 val series : string -> (string * value) list list
-(** Rows in insertion order (empty when the series was never written). *)
+(** The newest (at most 2048) rows in insertion order (empty when the
+    series was never written). *)
 
 val series_names : unit -> string list
 

@@ -290,6 +290,82 @@ let test_hist_handle () =
         approx "sum after reset" 0.5 sum
       | None -> Alcotest.fail "handle did not rebind after reset")
 
+(* --- bounded telemetry memory --------------------------------------------- *)
+
+let hist_fields name metrics =
+  List.find_map
+    (function
+      | Obs.Histogram { name = n; count; sum; p50; p95; p99; max }
+        when n = name ->
+        Some (count, sum, p50, p95, p99, max)
+      | _ -> None)
+    metrics
+
+(* A histogram's quantiles cover its newest 1024 samples; count, sum and
+   max cover every observation.  The writes alternate between the
+   by-name path and a handle, which share one accumulator. *)
+let test_hist_window () =
+  let window = 1024 in
+  let n = (10 * window) + 7 in
+  let rng = Sider_rand.Rng.create 12 in
+  (* The largest value comes first, so it has left the window long
+     before the snapshot and only the running max still holds it. *)
+  let values =
+    Array.init n (fun i -> if i = 0 then 1e3 else Sider_rand.Rng.float rng)
+  in
+  with_recording (fun _ ->
+      let h = Obs.hist_handle "win.latency_s" in
+      Array.iteri
+        (fun i v ->
+          if i mod 2 = 0 then
+            (Obs.observe "win.latency_s" v [@sider.allow "obs-hygiene"])
+          else Obs.observe_into h v)
+        values;
+      match hist_fields "win.latency_s" (Obs.metrics_snapshot ()) with
+      | None -> Alcotest.fail "windowed histogram missing"
+      | Some (count, sum, p50, p95, p99, max) ->
+        Alcotest.(check int) "count covers every observation" n count;
+        let total = Array.fold_left ( +. ) 0.0 values in
+        approx ~eps:(1e-9 *. total) "sum covers every observation" total sum;
+        approx ~eps:0.0 "max covers every observation" 1e3 max;
+        let newest = Array.sub values (n - window) window in
+        List.iter
+          (fun (label, p, got) ->
+            approx ~eps:0.0 label (Obs.quantile_type7 newest p) got)
+          [ ("p50 of the newest 1024", 0.5, p50);
+            ("p95 of the newest 1024", 0.95, p95);
+            ("p99 of the newest 1024", 0.99, p99) ])
+
+(* A long-lived histogram must not grow the heap with its observation
+   count. *)
+let test_hist_memory_bounded () =
+  with_recording (fun _ ->
+      let h = Obs.hist_handle "win.heap_s" in
+      Obs.observe_into h 0.0;
+      let before = (Gc.quick_stat ()).Gc.heap_words in
+      for i = 1 to 2_000_000 do
+        Obs.observe_into h (float_of_int i)
+      done;
+      let grown = (Gc.quick_stat ()).Gc.heap_words - before in
+      if grown >= 256 * 1024 then
+        Alcotest.failf "2M observations grew the heap by %d words" grown)
+
+let test_series_cap () =
+  let cap = 2048 in
+  with_recording (fun _ ->
+      for i = 0 to cap + 99 do
+        Obs.series_add "win.series" [ ("i", Obs.Int i) ]
+      done;
+      let rows =
+        List.map
+          (function [ ("i", Obs.Int i) ] -> i | _ -> -1)
+          (Obs.series "win.series")
+      in
+      Alcotest.(check (list int))
+        "the newest 2048 rows, in insertion order"
+        (List.init cap (fun j -> j + 100))
+        rows)
+
 (* --- quantile edge cases -------------------------------------------------- *)
 
 let test_quantile_edges () =
@@ -555,6 +631,11 @@ let suite =
       test_labeled_cardinality;
     case "histogram handles merge with named observes and survive reset"
       test_hist_handle;
+    case "histogram quantiles cover the newest 1024, totals every sample"
+      test_hist_window;
+    case "2M histogram observations leave the heap size flat"
+      test_hist_memory_bounded;
+    case "a series keeps its newest 2048 rows" test_series_cap;
     case "disabled layer is inert" test_disabled_is_inert;
     case "json-lines round-trip through Sider_data.Json" test_json_roundtrip;
     case "flight recorder wraps around keeping the newest entries"
