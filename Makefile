@@ -115,13 +115,17 @@ bench:
 	  --scaling --baseline BENCH_pr8.json --baseline BENCH_pr4.json
 
 # Fast sanity pass over every scenario (reduced sizes, 1 run each),
-# checked to still cover the PR 8 warm-path scenarios and the PR 9
-# labeled-metrics scenario.
+# checked to still cover the warm-path scenarios, the labeled-metrics
+# scenario and the create-path scenarios named after the end-to-end
+# benchmark's per-layer metrics.
 bench-smoke:
 	dune exec bench/bench_regress.exe -- --smoke --out _artifacts/BENCH_smoke.json
 	grep -q session_update_warm_synthetic _artifacts/BENCH_smoke.json
 	grep -q ica_projection_warm _artifacts/BENCH_smoke.json
 	grep -q obs_labels_overhead _artifacts/BENCH_smoke.json
+	grep -q json_parse_create _artifacts/BENCH_smoke.json
+	grep -q json_serialise_projection _artifacts/BENCH_smoke.json
+	grep -q persist_journal_start _artifacts/BENCH_smoke.json
 
 # Re-measure and compare against the committed baseline; exits non-zero
 # when any scenario regresses by more than 25% wall time.

@@ -5,7 +5,9 @@
    Runs a fixed set of scenarios covering the pipeline's hot paths (micro
    solver sweeps, Table-II-style session updates — cold and warm-started
    — on synthetic and segmentation data, whiten+PCA, ICA cold and warm,
-   the full pipeline) and writes one JSON document per invocation:
+   the full pipeline, and the service's session-create path: JSON parse,
+   projection serialise, journal start) and writes one JSON document per
+   invocation:
 
      { "schema": "sider-bench/3", "label": "pr9", "smoke": false,
        "domains": 1, "ocaml_version": "...",
@@ -324,6 +326,49 @@ let obs_labels_overhead ~smoke =
       { wall; sweeps; warm_sweeps;
         classes = Solver.n_classes (Session.solver session) })
 
+(* The create path of the end-to-end benchmark's projection_reads
+   workload (n=1024, d=16, k=8; quarter size under --smoke), one layer at
+   a time under the names of its per-layer metrics. *)
+let reads_dataset ~smoke =
+  let n = if smoke then 256 else 1024 in
+  Sider_data.Synth.clustered ~seed:7919 ~n ~d:16 ~k:8 ()
+
+let no_solve wall = { wall; sweeps = 0; warm_sweeps = 0; classes = 0 }
+
+(* Parse a session-create body (about 329 KB at full size). *)
+let json_parse_create ~smoke =
+  let body =
+    Printf.sprintf {|{"dataset":%s,"method":"pca","seed":1}|}
+      (Json.to_string (Persist.dataset_to_json (reads_dataset ~smoke)))
+  in
+  let _, wall = Bench_common.time_of (fun () -> Json.of_string body) in
+  no_solve wall
+
+(* Serialise the projection of a margin-solved session (about 126 KB at
+   full size), the body of GET /sessions/:id/projection. *)
+let json_serialise_projection ~smoke =
+  let session = Session.create ~seed:1 (reads_dataset ~smoke) in
+  Session.add_margin_constraint session;
+  ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 session);
+  ignore (Session.recompute_view session);
+  let tree = Sider_serve.Service.projection_json session in
+  let _, wall = Bench_common.time_of (fun () -> Json.to_string tree) in
+  no_solve wall
+
+(* Start a session's journal: the checksummed header carrying the whole
+   dataset, written and fsynced to a fresh file in the temp directory. *)
+let persist_journal_start ~smoke =
+  let session = Session.create ~seed:1 (reads_dataset ~smoke) in
+  let path = Filename.temp_file "bench_journal" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let _, wall =
+        Bench_common.time_of (fun () ->
+            Persist.journal_close (Persist.journal_start path session))
+      in
+      no_solve wall)
+
 let scenarios =
   [ { name = "micro_solver_sweeps";
       descr = "25 bounded sweeps, margin+cluster constraints";
@@ -363,7 +408,16 @@ let scenarios =
       run = obs_overhead `Recorder };
     { name = "obs_labels_overhead";
       descr = "session update + per-request labeled writes, null sink";
-      run = obs_labels_overhead } ]
+      run = obs_labels_overhead };
+    { name = "json_parse_create";
+      descr = "parse a projection_reads session-create body";
+      run = json_parse_create };
+    { name = "json_serialise_projection";
+      descr = "serialise a projection_reads projection body";
+      run = json_serialise_projection };
+    { name = "persist_journal_start";
+      descr = "start a journal: checksummed dataset header, fsynced";
+      run = persist_journal_start } ]
 
 (* --- measurement ----------------------------------------------------------- *)
 

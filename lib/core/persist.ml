@@ -31,31 +31,37 @@ let parsing what f =
 
 (* FNV-1a 64-bit over the serialized payload: not cryptographic, but it
    reliably catches truncation, bit rot and hand editing, and needs no
-   dependencies.  Rendered as 16 hex digits. *)
+   dependencies.  Rendered as 16 hex digits.  The hash lives in a local
+   of the [for] loop, so it stays unboxed. *)
 let fnv64 s =
-  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !h
 
 (* Checksums are computed over the document serialized {e without} its
    [checksum] field; verification rebuilds that exact string from the
    parsed value, which is stable because the printer is deterministic
-   and parsing preserves object field order. *)
-let with_checksum fields =
-  let body = Json.Obj fields in
-  let sum = fnv64 (Json.to_string body) in
-  let rec insert = function
-    | ("version", v) :: rest ->
-      ("version", v) :: ("checksum", Json.String sum) :: rest
-    | kv :: rest -> kv :: insert rest
-    | [] -> [ ("checksum", Json.String sum) ]
-  in
-  Json.Obj (insert fields)
+   and parsing preserves object field order.
+
+   A document is written from one serialization: [head] (the [format]
+   and [version] fields) followed by [rest] is printed once, hashed, and
+   ["checksum":"…"] is spliced in right after [head] — the bytes a
+   printed tree with the checksum after [version] would have. *)
+let checksummed_text head rest =
+  let body = Json.to_string (Json.Obj (head @ rest)) in
+  let cut = String.length (Json.to_string (Json.Obj head)) - 1 in
+  let field = ",\"checksum\":\"" ^ fnv64 body ^ "\"" in
+  let n = String.length body and k = String.length field in
+  let out = Bytes.create (n + k) in
+  Bytes.blit_string body 0 out 0 cut;
+  Bytes.blit_string field 0 out cut k;
+  Bytes.blit_string body cut out (cut + k) (n - cut);
+  Bytes.unsafe_to_string out
 
 let verify_checksum ~what j =
   match j with
@@ -201,13 +207,17 @@ let creation_fields session =
     ("method", method_to_json method_);
     ("dataset", dataset_to_json (Session.dataset session)) ]
 
-let session_to_json session =
-  with_checksum
-    ([ ("format", Json.String "sider-session");
-       ("version", Json.Number (float_of_int format_version)) ]
-     @ creation_fields session
+let head format =
+  [ ("format", Json.String format);
+    ("version", Json.Number (float_of_int format_version)) ]
+
+let session_text session =
+  checksummed_text (head "sider-session")
+    (creation_fields session
      @ [ ("history",
           Json.List (List.map event_to_json (Session.history session))) ])
+
+let session_to_json session = Json.of_string (session_text session)
 
 let check_format ~what ~expected j =
   (match Json.member_opt "format" j with
@@ -286,8 +296,7 @@ let save_atomic path data =
   write_fsync tmp data;
   rename_into tmp path
 
-let save path session =
-  save_atomic path (Json.to_string (session_to_json session))
+let save path session = save_atomic path (session_text session)
 
 let read_file path =
   try
@@ -349,11 +358,8 @@ let snapshot_path path =
   else path ^ ".snapshot"
 
 let journal_header ?(base = 0) session =
-  with_checksum
-    ([ ("format", Json.String "sider-journal");
-       ("version", Json.Number (float_of_int format_version)) ]
-     @ (if base = 0 then []
-        else [ ("base", Json.Number (float_of_int base)) ])
+  checksummed_text (head "sider-journal")
+    ((if base = 0 then [] else [ ("base", Json.Number (float_of_int base)) ])
      @ creation_fields session)
 
 let journal_write j line =
@@ -381,7 +387,7 @@ let journal_start path session =
         (Unix.error_message err)
   in
   let j = { j_path = path; j_fd = Some fd; j_events = 0; j_base = 0 } in
-  journal_write j (Json.to_string (journal_header session));
+  journal_write j (journal_header session);
   List.iter (journal_append j) (Session.history session);
   j
 
@@ -565,13 +571,13 @@ let journal_compact j session =
   let snap = snapshot_path path in
   Fault.crash_compaction_at ~path ~point:0;
   let snap_tmp = snap ^ ".tmp" in
-  write_fsync snap_tmp (Json.to_string (session_to_json session));
+  write_fsync snap_tmp (session_text session);
   Fault.crash_compaction_at ~path ~point:1;
   rename_into snap_tmp snap;
   Fault.crash_compaction_at ~path ~point:2;
   let base = List.length (Session.history session) in
   let jrn_tmp = path ^ ".compact.tmp" in
-  write_fsync jrn_tmp (Json.to_string (journal_header ~base session) ^ "\n");
+  write_fsync jrn_tmp (journal_header ~base session ^ "\n");
   Fault.crash_compaction_at ~path ~point:3;
   (* From here the old descriptor must receive no further appends: close
      it before the rename publishes the fresh journal, and leave the

@@ -12,7 +12,8 @@
     are serialized with full precision.  Documents carry a [format]
     tag, a [version] number and (since version 2) an FNV-1a 64-bit
     [checksum] of the rest of the document, verified on load.  Version 1
-    files (no checksum) still load.
+    files (no checksum) still load.  A document is printed once: the
+    checksum is taken over that text and spliced in after [version].
 
     {b Error discipline:} malformed input is reported as a structured
     {!Sider_robust.Sider_error.t} — [Degenerate_data] for bad content
@@ -65,7 +66,8 @@ val replay_event : Session.t -> Json.t -> unit
     replay continues). *)
 
 val session_to_json : Session.t -> Json.t
-(** Current format version, with checksum. *)
+(** Current format version, with checksum: the text {!save} writes,
+    parsed back, so printing it gives those bytes again. *)
 
 val session_of_json : Json.t -> Session.t
 (** Rebuilds the session and replays its interaction log.  Raises

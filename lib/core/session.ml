@@ -57,8 +57,11 @@ let fresh_view t ?method_ () =
 
 let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
     ?(method_ = View.Pca) ds =
-  (* Non-finite values poison every downstream statistic; fail loudly with
-     the first offending cell instead. *)
+  (* Non-finite values poison every downstream statistic, and the
+     journal's JSON has no infinity or NaN to record them with; fail
+     loudly with the jitter or the first offending cell instead. *)
+  if not (Float.is_finite jitter) then
+    invalid_arg (Printf.sprintf "Session.create: non-finite jitter %g" jitter);
   let m = Dataset.matrix ds in
   let n, d = Mat.dims m in
   for i = 0 to n - 1 do

@@ -61,8 +61,9 @@ val create : ?seed:int -> ?standardize:bool -> ?jitter:float ->
     being informative once the background distribution has absorbed
     them.
 
-    Raises [Invalid_argument] if the data contains NaN or infinite
-    values (naming the first offending row/column). *)
+    Raises [Invalid_argument] if [jitter] is NaN or infinite, or if the
+    data contains NaN or infinite values (naming the first offending
+    row/column). *)
 
 val dataset : t -> Dataset.t
 (** The original dataset. *)

@@ -14,12 +14,17 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
+(** Compact one-line output.  A number prints as [Printf]'s [%.0f] when it
+    is an integer of magnitude below [1e15] and as [%.17g] otherwise, so
+    every finite float reads back bit for bit.  JSON has no infinity or
+    NaN: a non-finite number prints as [null]. *)
 
 exception Parse_error of string
 (** Carries a character-position-annotated message. *)
 
 val of_string : string -> t
-(** Raises {!Parse_error}. *)
+(** Raises {!Parse_error}.  A number literal too large for a float (say
+    [1e999]) reads as an infinity. *)
 
 (** Accessors: raise [Invalid_argument] on shape mismatch. *)
 

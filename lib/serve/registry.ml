@@ -215,8 +215,10 @@ let add t sess =
       (* The journal create+fsync runs under reg_lock deliberately: the
          capacity check, id reservation and journal truncation must be
          atomic, or a concurrent [add]/[recover] could reuse the id and
-         [journal_start] would truncate a live session's journal.  The
-         cost is bounded (empty journal + one header line); steady-state
+         [journal_start] would truncate a live session's journal.  It is
+         not cheap: the header line carries the whole dataset, so every
+         other lookup waits for one serialisation, checksum and fsync of
+         it, 10–13 ms at n=1024, d=16 on a 2-vCPU VM.  Steady-state
          appends happen under the entry lock only. *)
       Option.map
         (fun dir ->

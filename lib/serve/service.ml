@@ -342,9 +342,12 @@ let handle_update t ctx (req : Http.request) id ~deadline_at =
     Obs.count "serve.deadline_expired";
     raise
       (Reply (503, err_body "deadline-expired" "request deadline exhausted")));
-  let time_cutoff =
-    Float.min (opt_member j "time_cutoff" Json.to_float 10.0) remaining
-  in
+  let requested = opt_member j "time_cutoff" Json.to_float 10.0 in
+  (* The cutoff is journaled, and JSON has no infinity: a non-finite one
+     would be acknowledged and then fail recovery. *)
+  if not (Float.is_finite requested) then
+    bad "time_cutoff must be a finite number, got %g" requested;
+  let time_cutoff = Float.min requested remaining in
   let max_sweeps = Option.map Json.to_int (Json.member_opt "max_sweeps" j) in
   with_entry t id @@ fun entry ->
   let s = Registry.session ~trace:ctx.rc_trace entry in

@@ -5,7 +5,8 @@
 
     - [POST /sessions] — body [{"dataset": {...}, "seed"?, "standardize"?,
       "jitter"?, "method"?}] (dataset in the {!Sider_core.Persist}
-      snapshot schema).  201 with a session summary.
+      snapshot schema; a non-finite [jitter] is a 400).  201 with a
+      session summary.
     - [GET /sessions] — id list; [GET /sessions/:id] — summary.
     - [POST /sessions/:id/constraints] — body [{"type": "cluster" |
       "two_d" | "margin" | "one_cluster", "rows"?, "tag"?}].  Rows are
@@ -13,7 +14,10 @@
     - [POST /sessions/:id/update] — body [{"time_cutoff"?,
       "max_sweeps"?}]; re-solves the background distribution and
       returns the solver report.  The cutoff is clamped to the
-      request's remaining deadline.
+      request's remaining deadline; a cutoff that is not a finite
+      number (say [-1e999]) is a 400.  A report field with no finite
+      value (the step sizes of an update that ran no sweep) is
+      [null].
     - [POST /sessions/:id/view] — body [{"method": "pca" | "ica"}];
       recomputes the most-informative projection.
     - [GET /sessions/:id/projection] — current view: axis labels,
@@ -140,3 +144,8 @@ val recovery_failures : t -> (string * Sider_error.t) list
 val stop : t -> unit
 (** Graceful drain: stop accepting, finish every queued request, join
     all threads, close every journal.  Idempotent. *)
+
+val projection_json : Sider_core.Session.t -> Sider_data.Json.t
+(** The body of [GET /sessions/:id/projection]: the current view's
+    method, axis labels and scores, and every point with its paired
+    background sample. *)

@@ -255,6 +255,74 @@ let test_ica_kernel_bits () =
             Alcotest.failf "ica kernel bits drifted in %s" key)
         [ "gz_bits"; "eg_bits" ])
 
+(* --- on-disk compatibility --------------------------------------------------- *)
+
+(* Files an earlier build wrote, kept byte for byte to pin the format: a
+   journal compacted after 4 events (its header carries [base] 4 and its
+   sibling compat.snapshot holds those events), followed by 4 more event
+   lines; and compat_final.json, the snapshot that build saved of the
+   final state.  The dataset name, column names, labels and tags need
+   JSON escapes, and the data holds -0, integers either side of 1e15 and
+   subnormals.  Never regenerated, unlike the fixtures above. *)
+let test_compat_journal () =
+  let open Sider_core in
+  let dir = golden_dir () in
+  let journal = Filename.concat dir "compat.journal" in
+  let final = Filename.concat dir "compat_final.json" in
+  let error e = Alcotest.failf "%s" (Sider_robust.Sider_error.to_string e) in
+  let header =
+    Json.of_string (List.hd (String.split_on_char '\n' (read_file journal)))
+  in
+  check_true "the journal header records the compaction base"
+    (Json.member "base" header = Json.Number 4.0);
+  (match Persist.load_result (Persist.snapshot_path journal) with
+   | Ok snap ->
+     check_true "the sibling snapshot holds the 4 compacted events"
+       (List.length (Session.history snap) = 4)
+   | Error e -> error e);
+  let s =
+    match Persist.journal_load journal with
+    | Ok (s, applied) ->
+      check_true "8 events restored" (applied = 8);
+      s
+    | Error e -> error e
+  in
+  check_true "constraints" (Session.n_constraints s = 22);
+  Alcotest.(check (pair string string)) "axis labels"
+    ( "PCA1[0.074] = +0.80 (a \"quoted\" col) +0.58 (ctl\001\127 \195\169) \
+       +0.14 (back\\slash\ttab)",
+      "PCA2[0.012] = +0.79 (back\\slash\ttab) -0.44 (a \"quoted\" col) \
+       +0.43 (ctl\001\127 \195\169)" )
+    (Session.axis_labels s);
+  let sx, sy = Session.view_scores s in
+  check_close_vec "view scores" [| 0x1.2d3d632903ac8p-4; 0x1.792288688d08p-7 |]
+    [| sx; sy |];
+  (* Saved today, the replayed state gives the earlier build's bytes,
+     checksum included. *)
+  let path = Filename.temp_file "sider_compat" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Persist.save path s;
+      Alcotest.(check string) "final snapshot bytes" (read_file final)
+        (read_file path);
+      (match Persist.load_result final with
+       | Ok back ->
+         check_true "final snapshot replays"
+           (Session.history back = Session.history s)
+       | Error e -> error e);
+      (* The checksum is verified, not just present: one changed digit
+         of the data is refused. *)
+      let text = read_file final in
+      let at = String.length text - 200 in
+      let digit = String.index_from text at '3' in
+      write_file path
+        (String.mapi (fun i c -> if i = digit then '4' else c) text);
+      match Persist.load_result path with
+      | Error (Sider_robust.Sider_error.Degenerate_data _) -> ()
+      | Error e -> error e
+      | Ok _ -> Alcotest.fail "a corrupted snapshot loaded")
+
 let suite =
   [
     case "whitened Y matches the recorded fixture" test_whitened_y;
@@ -262,4 +330,6 @@ let suite =
     case "ICA projection matches the recorded fixture" test_ica_projection;
     case "fused ICA sweep is byte-identical to the unfused pipeline"
       test_ica_kernel_bits;
+    case "journal, snapshot and final state written by an earlier build"
+      test_compat_journal;
   ]

@@ -69,6 +69,103 @@ let prop_json_roundtrip =
   qcheck ~count:100 "json print/parse roundtrip" gen (fun j ->
       Json.of_string (Json.to_string j) = j)
 
+(* Messages and positions reach clients in 400 bodies; these were
+   recorded from the character-at-a-time parser the index-based one
+   replaced. *)
+let test_json_parse_error_messages () =
+  List.iter
+    (fun (input, expected) ->
+      match Json.of_string input with
+      | exception Json.Parse_error msg ->
+        Alcotest.(check string) (Printf.sprintf "error on %S" input) expected msg
+      | _ -> Alcotest.failf "expected a parse error on %S" input)
+    [ ("", "unexpected end of input at position 0");
+      ("   ", "unexpected end of input at position 3");
+      ("{", "expected '\"' at position 1");
+      ("[1,]", "expected number at position 3");
+      ("nul", "expected null at position 0");
+      ("\"abc", "unterminated string at position 4");
+      ("1 2", "trailing content at position 2");
+      ("{\"a\" 1}", "expected ':' at position 5");
+      ("{\"a\":1,}", "expected '\"' at position 7");
+      ("[1 2]", "expected ']' at position 3");
+      ("{1:2}", "expected '\"' at position 1");
+      ("]", "expected number at position 0");
+      ("-", "malformed number at position 1");
+      ("1e", "malformed number at position 2");
+      ("--1", "malformed number at position 3");
+      ("inf", "expected number at position 0");
+      ("\"jitter\":inf", "trailing content at position 8");
+      ("{\"jitter\":-inf}", "malformed number at position 11");
+      ("\"\\x\"", "bad escape at position 2");
+      ("\"\\u12\"", "bad \\u escape at position 3");
+      ("\"\\u12g4\"", "bad \\u escape at position 3");
+      ("\"abc\\", "bad escape at position 5");
+      ("tru", "expected true at position 0");
+      ("[true,fals]", "expected false at position 6");
+      ("{\"a\":[1,{\"b\":\"c\\\"\"}]", "expected '}' at position 20");
+      ("\"a\"\"b\"", "trailing content at position 3");
+      ("\000", "expected number at position 0");
+      ("[1,\n 2,\n x]", "expected number at position 9") ];
+  (* An overflowing literal still reads, as an infinity. *)
+  check_true "1e999 reads as infinity"
+    (Json.of_string {|["\u00e9", 1e999]|}
+     = Json.List [ Json.String "\xc3\xa9"; Json.Number Float.infinity ])
+
+let test_json_non_finite_prints_null () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string) (Printf.sprintf "%h" x) "null"
+        (Json.to_string (Json.Number x)))
+    [ Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan ];
+  let report =
+    Json.Obj
+      [ ("max_dlambda", Json.Number Float.infinity);
+        ("max_dparam", Json.Number Float.nan) ]
+  in
+  check_true "the printed object parses"
+    (Json.of_string (Json.to_string report)
+     = Json.Obj [ ("max_dlambda", Json.Null); ("max_dparam", Json.Null) ])
+
+(* Printing a number gives exactly the bytes [Printf] gave before the
+   printer called the C primitive directly, and reading them back gives
+   the same float, bit for bit. *)
+let printf_number x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
+let prop_json_number_bytes =
+  let specials =
+    [ 0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308;
+      2.2250738585072014e-308; 1e-310; 999999999999999.0;
+      -999999999999999.0; 999999999999999.5; 1e15; -1e15; 1e15 +. 2.0;
+      9007199254740993.0; 1.7976931348623157e308; -1.7976931348623157e308;
+      1e300; 1e-300; 0.1; 1e21; 1e22; 123456789012345678.0 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ map Int64.float_of_bits ui64;
+          oneofl specials;
+          map
+            (fun (k, neg) ->
+              let x = 1e15 +. float_of_int k in
+              if neg then -.x else x)
+            (pair (int_range (-4) 4) bool);
+          map2 ldexp (float_range (-1.0) 1.0) (int_range (-1074) 1024) ])
+  in
+  qcheck ~count:2000 "json numbers print as Printf did and read back exactly"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun x ->
+      let s = Json.to_string (Json.Number x) in
+      if not (Float.is_finite x) then s = "null"
+      else
+        s = printf_number x
+        &&
+        match Json.of_string s with
+        | Json.Number y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | _ -> false)
+
 (* --- Dataset persistence ------------------------------------------------------ *)
 
 let test_dataset_roundtrip () =
@@ -269,6 +366,123 @@ let with_temp_journal f =
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
+
+(* --- one-pass checksummed text against the tree it replaced -------------------- *)
+
+(* The checksummed tree as it was built before documents were printed
+   once: fields hashed byte by byte over their printed text without the
+   checksum, the checksum inserted after "version", the tree printed. *)
+let reference_fnv64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+let reference_checksummed ~format extra s =
+  let seed, standardize, jitter, method_ = Session.creation_args s in
+  let fields =
+    [ ("format", Json.String format); ("version", Json.Number 2.0) ]
+    @ extra
+    @ [ ("seed", Json.Number (float_of_int seed));
+        ("standardize", Json.Bool standardize);
+        ("jitter", Json.Number jitter);
+        ("method",
+         Json.String
+           (match method_ with
+            | Sider_projection.View.Pca -> "pca"
+            | Sider_projection.View.Ica -> "ica"));
+        ("dataset", Persist.dataset_to_json (Session.dataset s)) ]
+  in
+  let fields =
+    if format = "sider-session" then
+      fields
+      @ [ ("history",
+           Json.List (List.map Persist.event_to_json (Session.history s))) ]
+    else fields
+  in
+  let sum = reference_fnv64 (Json.to_string (Json.Obj fields)) in
+  let rec insert = function
+    | ("version", v) :: rest ->
+      ("version", v) :: ("checksum", Json.String sum) :: rest
+    | kv :: rest -> kv :: insert rest
+    | [] -> [ ("checksum", Json.String sum) ]
+  in
+  Json.to_string (Json.Obj (insert fields))
+
+(* Strings mixing characters JSON must escape with ones it copies. *)
+let awkward_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (oneofl
+           [ '"'; '\\'; '\n'; '\r'; '\t'; '\001'; '\031'; '\b'; '/'; 'a';
+             'Z'; ' '; '\xc3'; '\xa9'; '\127' ])
+      (int_range 0 8))
+
+let awkward_session =
+  QCheck.Gen.(
+    let* name = awkward_string in
+    let* columns = array_repeat 3 awkward_string in
+    let* class_a = awkward_string in
+    let* class_b = awkward_string in
+    let* tags = list_size (int_range 0 3) awkward_string in
+    let* seed = int_range 0 1000 in
+    let* jitter = oneofl [ 0.0; 1e-3; 2.5e-3; 0.1 ] in
+    let* cells =
+      array_repeat 24
+        (oneof
+           [ float_range (-10.0) 10.0;
+             oneofl [ -0.0; 1e15; 999999999999999.0; 5e-324; 1e-310; 1e20 ] ])
+    in
+    return (name, columns, (class_a, class_b), tags, seed, jitter, cells))
+
+let awkward_session_of (name, columns, (class_a, class_b), tags, seed, jitter, cells) =
+  (* Column names are made distinct by a prefix; every character the
+     generator drew is kept. *)
+  let columns = Array.mapi (fun i c -> string_of_int i ^ c) columns in
+  let m = Sider_linalg.Mat.init 8 3 (fun i j -> cells.((i * 3) + j)) in
+  let labels = Array.init 8 (fun i -> if i < 4 then class_a else class_b) in
+  let ds = Dataset.create ~name ~labels ~columns m in
+  let s = Session.create ~seed ~jitter ds in
+  List.iteri
+    (fun i tag ->
+      if i mod 2 = 0 then Session.add_cluster_constraint ~tag s [| 0; 1; 2 |]
+      else Session.add_two_d_constraint ~tag s [| 4; 5; 6; 7 |])
+    tags;
+  ignore (Session.update_background ~time_cutoff:0.5 ~max_sweeps:1 s);
+  s
+
+let prop_checksummed_text_matches_reference_tree =
+  qcheck ~count:40 "snapshot and journal headers equal the printed reference tree"
+    (QCheck.make awkward_session) (fun args ->
+      let s = awkward_session_of args in
+      with_temp_journal @@ fun path ->
+      let snap = Persist.snapshot_path path in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists snap then Sys.remove snap)
+        (fun () ->
+          let read p = In_channel.with_open_bin p In_channel.input_all in
+          let first_line p = List.hd (String.split_on_char '\n' (read p)) in
+          Persist.save snap s;
+          let saved = read snap in
+          let j = Persist.journal_start path s in
+          let header = first_line path in
+          (* Compaction rewrites both the snapshot and the header. *)
+          Persist.journal_compact j s;
+          Persist.journal_close j;
+          let compacted_snapshot = read snap in
+          let compacted = first_line path in
+          let base = List.length (Session.history s) in
+          saved = reference_checksummed ~format:"sider-session" [] s
+          && compacted_snapshot = saved
+          && header = reference_checksummed ~format:"sider-journal" [] s
+          && compacted
+             = reference_checksummed ~format:"sider-journal"
+                 [ ("base", Json.Number (float_of_int base)) ]
+                 s
+          && Json.to_string (Persist.session_to_json s) = saved))
 
 let test_journal_roundtrip () =
   let s = explored_session () in
@@ -697,6 +911,11 @@ let suite =
     case "json parsing" test_json_parse_basics;
     case "json unicode escape" test_json_parse_unicode_escape;
     case "json parse errors" test_json_parse_errors;
+    case "json parse error messages and positions"
+      test_json_parse_error_messages;
+    case "json non-finite numbers print as null"
+      test_json_non_finite_prints_null;
+    prop_json_number_bytes;
     case "json float fidelity" test_json_float_roundtrip;
     prop_json_roundtrip;
     case "dataset json roundtrip" test_dataset_roundtrip;
@@ -711,6 +930,7 @@ let suite =
     case "save is atomic" test_save_is_atomic;
     case "missing file is structured" test_load_missing_file_is_structured;
     prop_session_roundtrip_random_history;
+    prop_checksummed_text_matches_reference_tree;
     case "journal roundtrip" test_journal_roundtrip;
     case "journal append then load" test_journal_append_then_load;
     slow_case "journal truncation sweep" test_journal_truncation_sweep;

@@ -304,6 +304,59 @@ let test_crash_between_journal_and_ack () =
   check_true "journaled constraint recovered"
     (Json.to_int (Json.member "constraints" summary) > 0)
 
+(* JSON has no infinity, yet an overflowing literal such as 1e999 reads
+   as one.  A create or update carrying one must be refused before it
+   is journaled: acknowledged, it would be written as [inf], which the
+   restart cannot parse, and the session would be lost.  Every
+   acknowledged session recovers. *)
+let test_non_finite_inputs_refused () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir)
+  @@ fun () ->
+  let id =
+    with_service ~data_dir:dir @@ fun svc ->
+    let body = create_body () in
+    let body =
+      String.sub body 0 (String.length body - 1) ^ {|,"jitter":1e999}|}
+    in
+    status_is "infinite jitter" 400 (req svc ~body "POST" "/sessions");
+    let id = create_session svc in
+    status_is "infinite cutoff" 400
+      (req svc ~body:{|{"time_cutoff":-1e999}|} "POST"
+         ("/sessions/" ^ id ^ "/update"));
+    status_is "finite cutoff" 200
+      (req svc ~body:update_body "POST" ("/sessions/" ^ id ^ "/update"));
+    id
+  in
+  with_service ~data_dir:dir @@ fun svc2 ->
+  check_true "no recovery failures" (Service.recovery_failures svc2 = []);
+  check_true "one session recovered"
+    (Json.to_int (Json.member "count" (json_of (req svc2 "GET" "/sessions")))
+     = 1);
+  check_true "only the acknowledged update was journaled"
+    (Json.to_int
+       (Json.member "events" (json_of (req svc2 "GET" ("/sessions/" ^ id))))
+     = 1)
+
+(* An update that runs no sweep has no finite step sizes to report;
+   they print as null, so the 200 body is still JSON.  The cutoff is
+   negative because one of 0 still allows a sweep when the clock has not
+   ticked since the solve started. *)
+let test_zero_sweep_update_body_parses () =
+  with_service @@ fun svc ->
+  let id = create_session svc in
+  status_is "constraint" 200
+    (req svc ~body:cluster_body "POST" ("/sessions/" ^ id ^ "/constraints"));
+  let r =
+    req svc ~body:{|{"time_cutoff":-1}|} "POST" ("/sessions/" ^ id ^ "/update")
+  in
+  status_is "zero-sweep update" 200 r;
+  let report = json_of r in
+  check_true "no sweeps" (Json.to_int (Json.member "sweeps" report) = 0);
+  check_true "step sizes are null"
+    (Json.member "max_dlambda" report = Json.Null
+     && Json.member "max_dparam" report = Json.Null)
+
 let test_corrupt_journal_quarantined () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir)
@@ -1099,6 +1152,10 @@ let suite =
     case "journal append failure maps to 503" test_journal_fail_append_maps_to_503;
     case "restart recovers journaled sessions" test_restart_recovers_sessions;
     slow_case "crash between journal and ack" test_crash_between_journal_and_ack;
+    case "non-finite jitter and cutoff are refused"
+      test_non_finite_inputs_refused;
+    case "zero-sweep update answers valid json"
+      test_zero_sweep_update_body_parses;
     case "corrupt journal is quarantined" test_corrupt_journal_quarantined;
     slow_case "concurrent tenants stay coherent" test_concurrent_tenants;
     case "keep-alive serves sequential requests"
