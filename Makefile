@@ -36,19 +36,17 @@ lint-fixtures:
 	dune build @lint-fixtures
 
 # Same scan as `make lint`, plus a SARIF 2.1.0 report for code-scanning
-# UIs (CI uploads it via codeql-action/upload-sarif).  The SARIF file is
-# written and validated even when findings fail the scan, and the scan's
-# own exit status is preserved.
+# UIs (CI uploads it via codeql-action/upload-sarif, which checks the
+# file itself; the emitter's bytes are pinned by the fixture suite's
+# SARIF golden).  The SARIF file is written even when findings fail the
+# scan, and the target exits with the scan's own status.
 lint-sarif:
-	dune build @check tools/lint/sider_lint.exe tools/lint/sarif_check.exe
+	dune build @check tools/lint/sider_lint.exe
 	mkdir -p _artifacts
 	cd _build/default && \
 	  ./tools/lint/sider_lint.exe \
 	    --sarif ../../_artifacts/sider-lint.sarif \
-	    lib bin bench test examples; \
-	  st=$$?; \
-	  ./tools/lint/sarif_check.exe ../../_artifacts/sider-lint.sarif \
-	    && exit $$st
+	    lib bin bench test examples
 
 verify:
 	dune build @check && $(MAKE) lint && dune runtest \
@@ -68,7 +66,10 @@ verify:
 # The run writes the structured JSON access log next to the flight
 # dumps; the final leg pulls a trace id back out of it and greps the
 # whole _artifacts/flight/ directory with `doctor --trace`, proving the
-# id round-trips from generator to log to the correlation tool.
+# id round-trips from generator to log to the correlation tool.  Last,
+# one `sider serve` round on an ephemeral port must exit 0 after
+# printing its /metrics banner (the command starts and stops a session
+# service around its feedback loop).
 # stderr — including any crash-forensics flight-recorder dumps — lands
 # in _artifacts/flight/, which CI uploads as an artifact on failure.
 service-smoke:
@@ -90,6 +91,11 @@ service-smoke:
 	      _artifacts/flight/service-smoke-access.jsonl | head -n 1)"; \
 	[ -n "$$T" ] || { echo "service-smoke: empty access log" >&2; exit 1; }; \
 	dune exec bin/sider_cli.exe -- doctor --trace "$$T" _artifacts/flight
+	out="$$(dune exec bin/sider_cli.exe -- serve three_d --metrics-port 0 \
+	        --rounds 1 2>> _artifacts/flight/service-smoke.stderr)" \
+	  || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '^serving http://127\.0\.0\.1:[0-9][0-9]*/metrics '
 
 # Full service load benchmark: 1000 analysts through the journaled
 # session service over keep-alive connections, with TTL eviction and

@@ -592,12 +592,15 @@ let serve_cmd =
        active; a null sink turns recording on without trace output
        (unless --trace-json / SIDER_TRACE already installed one). *)
     if not (Obs.enabled ()) then Obs.set_sink (Some Obs.null_sink);
-    let server = Sider_serve.Serve.start ~port () in
-    Fun.protect ~finally:(fun () -> Sider_serve.Serve.stop server)
+    let svc =
+      Sider_serve.Service.start
+        ~config:{ Sider_serve.Service.default_config with port } ()
+    in
+    Fun.protect ~finally:(fun () -> Sider_serve.Service.stop svc)
     @@ fun () ->
     Printf.printf
       "serving http://127.0.0.1:%d/metrics (liveness on /healthz)\n%!"
-      (Sider_serve.Serve.port server);
+      (Sider_serve.Service.port svc);
     print_endline (Dataset.describe ds);
     let round = ref 0 in
     while rounds = 0 || !round < rounds do

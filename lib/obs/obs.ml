@@ -70,29 +70,48 @@ let controller : int ref = ref (Domain.self () :> int)
 
 let is_controller () = (Domain.self () :> int) = !controller
 
-(* Per-domain span stacks: each domain pushes and pops frames on its own
-   stack, so bodies fanned out by [Sider_par] can open spans freely. *)
-let dls_stack : frame list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* Per-thread span stacks, keyed by [Thread.id] (unique across domains).
+   The service's request workers are systhreads sharing one domain, so a
+   per-domain stack would nest one request's spans under another's.  A
+   thread's entry is dropped once its stack empties, so the table only
+   holds threads with a span open.  [stacks_m] is a leaf lock. *)
+let stacks : (int, frame list ref) Hashtbl.t = Hashtbl.create 16
 
-let own_stack () = Domain.DLS.get dls_stack
+let stacks_m = Mutex.create ()
 
-(* Depth offset for spans opened on worker domains (or inside parallel
-   bodies on the controller): the controller's open-span depth at the
-   moment the fan-out engaged, maintained by [Sider_par].  [fanout_on]
-   additionally marks controller-run chunk bodies so their spans are
-   tagged with a domain id exactly like worker-run ones. *)
-let fanout_base = Atomic.make 0
+let self_id () = Thread.id (Thread.self ())
 
-let fanout_on = Atomic.make false
+let find_stack id =
+  Mutex.lock stacks_m [@sider.lock "obs_stacks_m"];
+  let s = Hashtbl.find_opt stacks id in
+  Mutex.unlock stacks_m;
+  s
 
-let enter_fanout ~depth =
-  Atomic.set fanout_base (Stdlib.max 0 depth);
-  Atomic.set fanout_on true
+let open_stack id =
+  Mutex.lock stacks_m [@sider.lock "obs_stacks_m"];
+  let s =
+    match Hashtbl.find_opt stacks id with
+    | Some s -> s
+    | None ->
+      let s = ref [] in
+      Hashtbl.add stacks id s;
+      s
+  in
+  Mutex.unlock stacks_m;
+  s
 
-let exit_fanout () =
-  Atomic.set fanout_base 0;
-  Atomic.set fanout_on false
+(* Forget [id]'s emptied stack, unless [clear_stacks] already has. *)
+let drop_stack id s =
+  Mutex.lock stacks_m [@sider.lock "obs_stacks_m"];
+  (match Hashtbl.find_opt stacks id with
+   | Some s' when s' == s -> Hashtbl.remove stacks id
+   | _ -> ());
+  Mutex.unlock stacks_m
+
+let clear_stacks () =
+  Mutex.lock stacks_m [@sider.lock "obs_stacks_m"];
+  Hashtbl.reset stacks;
+  Mutex.unlock stacks_m
 
 (* A histogram keeps the newest [hist_window] samples for its quantiles
    and running totals over every observation, so a long-lived service's
@@ -168,36 +187,6 @@ let locked f =
   | exception e ->
     Mutex.unlock registry_m;
     raise e
-
-(* Completed spans from worker domains, buffered until the controller
-   next emits (so sink callbacks stay single-threaded) and bounded so a
-   sink-less stretch cannot leak memory. *)
-let pending_max = 8192
-
-let pending : span list ref = ref []  (* newest first *)
-
-let pending_len = ref 0
-
-let pending_dropped = ref 0
-
-let pending_m = Mutex.create ()
-
-let push_pending sp =
-  Mutex.lock pending_m [@sider.lock "obs_pending_m"];
-  if !pending_len >= pending_max then incr pending_dropped
-  else begin
-    pending := sp :: !pending;
-    incr pending_len
-  end;
-  Mutex.unlock pending_m
-
-let take_pending () =
-  Mutex.lock pending_m [@sider.lock "obs_pending_m"];
-  let spans = List.rev !pending in
-  pending := [];
-  pending_len := 0;
-  Mutex.unlock pending_m;
-  spans
 
 (* --- flight recorder ------------------------------------------------------ *)
 
@@ -277,12 +266,8 @@ let set_flight_auto_dump dest = fr_auto_dest := dest
 (* --- sink installation ---------------------------------------------------- *)
 
 let set_sink s =
-  (own_stack ()) := [];
+  clear_stacks ();
   controller := (Domain.self () :> int);
-  Mutex.lock pending_m [@sider.lock "obs_pending_m"];
-  pending := [];
-  pending_len := 0;
-  Mutex.unlock pending_m;
   current_sink := s;
   refresh_active ()
 
@@ -290,7 +275,8 @@ let enabled () = !active
 
 let sink_installed () = !current_sink <> None
 
-let current_depth () = List.length !(own_stack ())
+let current_depth () =
+  match find_stack (self_id ()) with Some s -> List.length !s | None -> 0
 
 (* Bumped (under the registry mutex) every time the registry is cleared,
    so preregistered instrument handles notice and rebind lazily. *)
@@ -302,12 +288,7 @@ let reset () =
       Hashtbl.reset series_tbl;
       Hashtbl.reset family_sets;
       incr registry_gen);
-  (own_stack ()) := [];
-  Mutex.lock pending_m [@sider.lock "obs_pending_m"];
-  pending := [];
-  pending_len := 0;
-  pending_dropped := 0;
-  Mutex.unlock pending_m
+  clear_stacks ()
 
 (* --- metrics -------------------------------------------------------------- *)
 
@@ -573,53 +554,39 @@ let sample_gc () =
 (* --- spans ---------------------------------------------------------------- *)
 
 let span_attr k v =
-  match !(own_stack ()) with
-  | fr :: _ -> fr.f_attrs <- (k, v) :: fr.f_attrs
-  | [] -> ()
+  match find_stack (self_id ()) with
+  | Some { contents = fr :: _ } -> fr.f_attrs <- (k, v) :: fr.f_attrs
+  | _ -> ()
 
-(* Emit a completed span.  Controller spans go straight to the sink
-   (after draining any buffered worker spans, so children stitched in
-   from other domains appear before their logical parent closes);
-   worker spans are buffered.  Everything lands in the flight recorder
-   ring when it is on. *)
-let complete_span ~worker sp =
+(* Emit a completed span: into the flight recorder when it is on, and to
+   the sink only on the controller domain, so sink callbacks never run
+   on a worker domain. *)
+let complete_span sp =
   if !fr_on then fr_record (F_span sp);
   match !current_sink with
-  | None -> ()
-  | Some sink ->
-    if worker then push_pending sp
-    else begin
-      (* Unlocked length probe: workers only push while the controller is
-         blocked inside [Par.run_job], and the pool mutex handover there
-         orders their pushes before this read, so a zero here is exact —
-         the common single-domain case skips the drain mutex entirely. *)
-      if !pending_len > 0 then List.iter sink.on_span (take_pending ());
-      sink.on_span sp;
-      if sp.depth = 0 then sample_gc ()
-    end
+  | Some sink when is_controller () ->
+    sink.on_span sp;
+    if sp.depth = 0 then sample_gc ()
+  | _ -> ()
 
 (* Close [fr]: pop down to (and including) its frame — anything above it
    means the body leaked open spans; close them implicitly rather than
    corrupt the stack — then time, optionally feed [hist], and emit. *)
-let finish_span ~stack ~worker ~in_fanout ~hist fr =
+let finish_span ~id ~stack ~hist fr =
   let rec pop = function
     | top :: rest -> if top == fr then stack := rest else pop rest
     | [] -> stack := []
   in
   pop !stack;
+  (match !stack with [] -> drop_stack id stack | _ :: _ -> ());
   let dur = Int64.sub (now_ns ()) fr.f_start in
   let dur = if Int64.compare dur 0L < 0 then 0L else dur in
   (match hist with
    | None -> ()
    | Some h -> observe h (Int64.to_float dur /. 1e9));
-  let attrs = List.rev fr.f_attrs in
-  let attrs =
-    if in_fanout then attrs @ [ ("domain", Int (Domain.self () :> int)) ]
-    else attrs
-  in
-  complete_span ~worker
+  complete_span
     { name = fr.f_name; depth = fr.f_depth; start_ns = fr.f_start;
-      dur_ns = dur; attrs }
+      dur_ns = dur; attrs = List.rev fr.f_attrs }
 
 (* Shared body of [with_span] / [timed]: one clock read on open, one on
    close (the histogram sample reuses the span's own duration), and a
@@ -627,24 +594,22 @@ let finish_span ~stack ~worker ~in_fanout ~hist fr =
    constraint update, so closure and exception-wrapper allocations are
    worth avoiding. *)
 let with_span_core ~attrs ~hist name f =
-  let stack = own_stack () in
-  let worker = not (is_controller ()) in
-  let in_fanout = worker || Atomic.get fanout_on in
-  let base = if in_fanout then Atomic.get fanout_base else 0 in
+  let id = self_id () in
+  let stack = open_stack id in
   let fr =
     { f_name = name;
-      f_depth = base + List.length !stack;
+      f_depth = List.length !stack;
       f_start = now_ns ();
       f_attrs = List.rev attrs }
   in
   stack := fr :: !stack;
   match f () with
   | v ->
-    finish_span ~stack ~worker ~in_fanout ~hist fr;
+    finish_span ~id ~stack ~hist fr;
     v
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    finish_span ~stack ~worker ~in_fanout ~hist fr;
+    finish_span ~id ~stack ~hist fr;
     Printexc.raise_with_backtrace e bt
 
 let with_span ?(attrs = []) name f =
@@ -712,9 +677,7 @@ let metrics_snapshot () =
 let flush () =
   match !current_sink with
   | None -> ()
-  | Some sink ->
-    List.iter sink.on_span (take_pending ());
-    sink.on_metrics (metrics_snapshot ())
+  | Some sink -> sink.on_metrics (metrics_snapshot ())
 
 (* --- sinks ---------------------------------------------------------------- *)
 

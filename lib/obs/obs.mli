@@ -1,7 +1,8 @@
 (** Observability: spans, counters, gauges, histograms, time series, a
     flight recorder and pluggable sinks.
 
-    Zero external dependencies (only [unix] for the clock).  The layer is
+    Zero external dependencies (only [unix] for the clock and
+    [threads.posix] for per-thread span stacks).  The layer is
     *off by default*: with neither a sink installed nor the flight
     recorder enabled, every entry point reduces to a single [ref] read,
     no clock is consulted and no allocation beyond argument evaluation
@@ -9,7 +10,7 @@
     identical to uninstrumented ones (the determinism test in
     [test/test_obs.ml] asserts this for the solver, at 1 and 2 domains).
 
-    Spans form a thread-of-execution stack: [with_span] pushes a frame,
+    Spans form a per-thread stack: [with_span] pushes a frame,
     runs the body and emits a completed {!span} to the sink on exit
     (normal or exceptional).  Metrics accumulate in a global registry and
     are emitted as a {!metric} snapshot by {!flush}.
@@ -19,18 +20,17 @@
     non-decreasing, so span durations are never negative even across
     system clock steps.
 
-    {2 Domains}
+    {2 Threads and domains}
 
-    Every entry point is safe from any domain.  The metrics and series
-    registries are protected by a mutex; the clock clamp and the flight
-    recorder are lock-free.  Spans use {e per-domain} stacks
-    ([Domain.DLS]), so bodies fanned out by [Sider_par] may call
-    {!with_span} / {!timed} freely.  The sink's callbacks only ever run
-    on the {e controller} domain (the one that called {!set_sink}):
-    spans completed on worker domains are buffered and stitched into the
-    controller's output — tagged with a [domain] attribute carrying the
-    worker's domain id, and offset to the fan-out point's depth — the
-    next time the controller emits a span, or at {!flush}. *)
+    Every entry point is safe from any thread on any domain.  The
+    metrics and series registries are protected by a mutex; the clock
+    clamp and the flight recorder are lock-free.  Each thread keeps its
+    own span stack, so the spans of requests that systhreads of one
+    domain serve concurrently nest only under their own thread's open
+    spans.  The sink's callbacks only ever run on the {e controller}
+    domain (the one that called {!set_sink}): a span completed on any
+    other domain, say inside a body fanned out by [Sider_par], goes to
+    the flight recorder only. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 (** Attribute values attached to spans. *)
@@ -40,8 +40,7 @@ type span = {
   depth : int;          (** 0 for a root span. *)
   start_ns : int64;     (** Nanoseconds since the clock epoch. *)
   dur_ns : int64;       (** Non-negative duration. *)
-  attrs : (string * value) list;  (** Insertion order.  Spans completed
-      inside a [Sider_par] fan-out carry a trailing [("domain", Int id)]. *)
+  attrs : (string * value) list;  (** Insertion order. *)
 }
 
 type metric =
@@ -97,9 +96,9 @@ val recording_sink : unit -> recording
 
 val set_sink : sink option -> unit
 (** [set_sink None] uninstalls the sink (with the flight recorder also
-    off, this disables the layer — the default).  The calling domain
-    becomes the controller: the only domain on which the sink's
-    callbacks run. *)
+    off, this disables the layer — the default).  Clears every thread's
+    span stack.  The calling domain becomes the controller: the only
+    domain on which the sink's callbacks run. *)
 
 val enabled : unit -> bool
 (** True when a sink is installed {e or} the flight recorder is on —
@@ -117,14 +116,15 @@ val install_from_env : unit -> unit
 
 val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** Runs the body inside a named span.  Disabled: exactly [f ()].  Safe
-    from any domain, including inside [Sider_par.Par] parallel bodies. *)
+    from any thread or domain; off the controller domain the completed
+    span goes to the flight recorder only. *)
 
 val span_attr : string -> value -> unit
-(** Attach an attribute to the calling domain's innermost open span
+(** Attach an attribute to the calling thread's innermost open span
     (no-op when disabled or outside any span). *)
 
 val current_depth : unit -> int
-(** Number of open spans on the calling domain (0 when disabled). *)
+(** Number of open spans on the calling thread (0 when disabled). *)
 
 (** {1 Metrics} *)
 
@@ -231,13 +231,13 @@ val quantile_type7 : float array -> float -> float
     quantile at every [p]. *)
 
 val flush : unit -> unit
-(** Drain buffered worker-domain spans, then emit {!metrics_snapshot} to
-    the sink (the registry keeps accumulating). *)
+(** Emit {!metrics_snapshot} to the sink (the registry keeps
+    accumulating). *)
 
 val reset : unit -> unit
-(** Clear the metrics/series registries, the calling domain's span stack
-    and the worker-span buffer (tests).  The flight recorder is cleared
-    separately by {!flight_reset}. *)
+(** Clear the metrics/series registries and every thread's span stack
+    (tests).  The flight recorder is cleared separately by
+    {!flight_reset}. *)
 
 (** {1 Time series}
 
@@ -311,16 +311,6 @@ val flight_auto_dump : ?trace:string -> reason:string -> unit -> unit
 
 val flight_reset : unit -> unit
 (** Clear the ring (tests). *)
-
-(** {1 Fan-out stitching (used by [Sider_par])} *)
-
-val enter_fanout : depth:int -> unit
-(** Mark the start of a parallel fan-out whose bodies may open spans:
-    [depth] (the controller's {!current_depth}) becomes the depth offset
-    for spans opened inside the fan-out, and such spans are tagged with
-    the executing domain's id. *)
-
-val exit_fanout : unit -> unit
 
 (** {1 Clock} *)
 

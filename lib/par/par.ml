@@ -236,12 +236,7 @@ let run_job ~chunks run_chunk =
     chunk_wall_sum = Atomic.make 0L;
     chunk_wall_max = Atomic.make 0L;
   } in
-  if obs then begin
-    Obs.count "par.tasks_queued";
-    (* Body spans opened on any domain stitch in under the submitter's
-       current open span, tagged with the executing domain's id. *)
-    Obs.enter_fanout ~depth:(Obs.current_depth ())
-  end;
+  if obs then Obs.count "par.tasks_queued";
   Mutex.lock pool.m [@sider.lock "pool_m"];
   pool.busy <- true;
   pool.job <- Some j;
@@ -257,7 +252,6 @@ let run_job ~chunks run_chunk =
   pool.busy <- false;
   Mutex.unlock pool.m;
   if obs then begin
-    Obs.exit_fanout ();
     let size = List.length pool.workers + 1 in
     Obs.gauge "par.pool_utilization"
       (float_of_int (Atomic.get j.participants)

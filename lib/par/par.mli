@@ -46,10 +46,9 @@
     [par.chunk_wall_s] histogram and, on completion, sets the
     [par.pool_utilization] gauge (fraction of pool domains that ran at
     least one chunk) and the [par.chunk_imbalance] gauge (slowest chunk
-    over the mean chunk; 1.0 = perfectly balanced).  Since [Obs] keeps a
-    span stack per domain, parallel bodies may open spans freely: spans
-    completed inside a fan-out are stitched under the submitter's open
-    span and tagged with the executing domain's id. *)
+    over the mean chunk; 1.0 = perfectly balanced).  A span that a
+    parallel body completes on a worker domain goes to the flight
+    recorder only, not to the sink (see {!Sider_obs.Obs}). *)
 
 val domain_count : unit -> int
 (** Current pool size (total domains including the caller's). *)

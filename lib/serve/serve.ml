@@ -175,147 +175,3 @@ let parse_sample line =
        | Some v ->
          let name, labels = Obs.split_labeled composed in
          Some (name, labels, v))
-
-(* ------------------------------------------------------------------ *)
-(* The HTTP/1.1 server: one listening socket, one accept-loop thread,
-   one request per connection. *)
-
-type t = {
-  sock : Unix.file_descr;
-  bound_port : int;
-  mutable stopping : bool;   (* set before closing [sock] *)
-  mutable thread : Thread.t option;
-}
-
-let write_all fd s =
-  let n = String.length s in
-  let sent = ref 0 in
-  (try
-     while !sent < n do
-       sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-     done
-   with Unix.Unix_error _ -> ())
-
-let respond fd ~status ~content_type body =
-  write_all fd
-    (Printf.sprintf
-       "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
-        Connection: close\r\n\r\n%s"
-       status content_type (String.length body) body)
-
-(* Read until the request line is complete (first CRLF) or the client
-   stops sending; we never need the headers, so the rest of the request
-   is simply discarded when the connection closes.  A client that
-   connects and then goes silent must not wedge the accept loop: the
-   receive timeout set by [handle] turns the blocked [read] into
-   [EAGAIN], which we surface as [`Timeout] so the caller can answer
-   408. *)
-let read_request_line fd =
-  let buf = Bytes.create 1024 in
-  let acc = Buffer.create 256 in
-  let rec go () =
-    if Buffer.length acc > 8192 then `None
-    else
-      match Unix.read fd buf 0 (Bytes.length buf) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-        -> `Timeout
-      | 0 | (exception Unix.Unix_error _) ->
-        if Buffer.length acc = 0 then `None else `Line (Buffer.contents acc)
-      | n ->
-        Buffer.add_subbytes acc buf 0 n;
-        let s = Buffer.contents acc in
-        (match String.index_opt s '\n' with
-         | Some i -> `Line (String.sub s 0 i)
-         | None -> go ())
-  in
-  match go () with
-  | `None -> `None
-  | `Timeout -> `Timeout
-  | `Line line ->
-    let line =
-      match String.index_opt line '\r' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    (match String.split_on_char ' ' line with
-     | meth :: path :: _ -> `Request (meth, path)
-     | _ -> `None)
-
-let handle fd =
-  (* Slow-client hardening: a connection that never sends a complete
-     request line is answered 408 after [read_timeout_s] instead of
-     blocking the (single) accept loop forever. *)
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-       Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
-  (match read_request_line fd with
-   | `None -> ()
-   | `Timeout ->
-     respond fd ~status:"408 Request Timeout"
-       ~content_type:"text/plain; charset=utf-8" "request timeout\n"
-   | `Request (meth, path) ->
-     if meth <> "GET" then
-       respond fd ~status:"405 Method Not Allowed"
-         ~content_type:"text/plain; charset=utf-8" "method not allowed\n"
-     else
-       (* Ignore any query string: scrapers sometimes append one. *)
-       let path =
-         match String.index_opt path '?' with
-         | Some i -> String.sub path 0 i
-         | None -> path
-       in
-       match path with
-       | "/metrics" ->
-         respond fd ~status:"200 OK"
-           ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-           (exposition (Obs.metrics_snapshot ()))
-       | "/healthz" ->
-         respond fd ~status:"200 OK"
-           ~content_type:"text/plain; charset=utf-8" "ok\n"
-       | _ ->
-         respond fd ~status:"404 Not Found"
-           ~content_type:"text/plain; charset=utf-8" "not found\n");
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let continue_ = ref true in
-  while !continue_ do
-    match Unix.accept t.sock with
-    | fd, _ -> handle fd
-    | exception Unix.Unix_error _ ->
-      (* [stop] closed the listener (EBADF/EINVAL), or a transient accept
-         failure; only the former ends the loop. *)
-      if t.stopping then continue_ := false else Thread.yield ()
-  done
-
-let start ?(addr = "127.0.0.1") ~port () =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string addr, port));
-     Unix.listen sock 16
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
-  in
-  let t = { sock; bound_port; stopping = false; thread = None } in
-  t.thread <- Some (Thread.create accept_loop t);
-  t
-
-let port t = t.bound_port
-
-let stop t =
-  if not t.stopping then begin
-    t.stopping <- true;
-    (* Closing the listener makes the blocked [accept] fail, which the
-       loop reads as shutdown. *)
-    (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.sock with Unix.Unix_error _ -> ());
-    match t.thread with
-    | Some th -> t.thread <- None; Thread.join th
-    | None -> ()
-  end

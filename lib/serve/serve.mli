@@ -1,24 +1,7 @@
-(** Metrics exposition service: a minimal, zero-dependency HTTP/1.1
-    endpoint serving the {!Sider_obs.Obs} metrics registry in the
-    Prometheus text exposition format (version 0.0.4).
-
-    The server is deliberately tiny — [Unix] sockets plus one
-    [threads.posix] accept loop, no external HTTP library — because it
-    serves exactly two read-only routes:
-
-    - [GET /metrics]: the current {!Sider_obs.Obs.metrics_snapshot},
-      rendered by {!exposition};
-    - [GET /healthz]: ["ok\n"], for liveness probes.
-
-    Any other path answers 404; any other method answers 405.  Every
-    response carries [Connection: close] and the connection is closed
-    after one exchange — scrapers open a fresh connection per scrape,
-    which keeps the loop single-threaded and free of keep-alive state.
-
-    Requests are handled serially on the accept-loop thread, so a scrape
-    never races another scrape; the registry itself is mutex-protected
-    inside [Obs], so scrapes are also safe against concurrent
-    instrumentation from the solver domains.
+(** Prometheus text exposition (format version 0.0.4) of the
+    {!Sider_obs.Obs} metrics registry: the renderer behind {!Service}'s
+    [GET /metrics], and the sample-line parser `sider top` scrapes
+    with.
 
     {2 Exposition mapping}
 
@@ -32,14 +15,7 @@
       [sider_<name>] with [quantile="0.5"], [quantile="0.95"] and
       [quantile="0.99"] sample lines plus [sider_<name>_sum] /
       [sider_<name>_count], and a companion gauge [sider_<name>_max]
-      (the exposition format has no native max for summaries).
-
-    A client that connects and never completes a request line is
-    answered [408 Request Timeout] after a 5 s receive timeout instead
-    of wedging the accept loop. *)
-
-type t
-(** A running server (listening socket + accept-loop thread). *)
+      (the exposition format has no native max for summaries). *)
 
 val mangle : string -> string
 (** Instrument name → Prometheus metric name: [sider_] prefix, every
@@ -60,17 +36,3 @@ val parse_sample :
     [(mangled_name, labels, value)] with label values unescaped.
     Comments, blank lines and malformed input yield [None].  Used by
     `sider top` and the scrape tests. *)
-
-val start : ?addr:string -> port:int -> unit -> t
-(** [start ~port ()] binds [addr] (default ["127.0.0.1"]) at [port] and
-    begins serving on a background thread.  [port = 0] binds an
-    ephemeral port — read it back with {!port} (tests do this to avoid
-    collisions).  Raises [Unix.Unix_error] if the bind fails (port in
-    use, privileged port, …). *)
-
-val port : t -> int
-(** The actual bound port ([getsockname]), useful after [start ~port:0]. *)
-
-val stop : t -> unit
-(** Close the listening socket and join the accept-loop thread.  A
-    request already in flight is finished first.  Idempotent. *)

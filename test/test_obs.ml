@@ -80,6 +80,48 @@ let test_span_attrs () =
           (List.map fst s.Obs.attrs = [ "a"; "b" ])
       | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans))
 
+(* Two systhreads on one domain, as the service's request workers run:
+   A opens a span and waits, B opens one, A opens and closes a child
+   and then its own span, B closes last.  Each thread's spans nest
+   under its own open spans only, and closing A's spans leaves B's
+   frame open. *)
+let test_thread_span_stacks () =
+  with_recording (fun r ->
+      let b_opened = Semaphore.Binary.make false in
+      let a_closed = Semaphore.Binary.make false in
+      let b_depth_after_a = ref (-1) in
+      let b = ref None in
+      Obs.with_span "a.outer" (fun () ->
+          b :=
+            Some
+              (Thread.create
+                 (fun () ->
+                   Obs.with_span "b.req" (fun () ->
+                       Semaphore.Binary.release b_opened;
+                       Semaphore.Binary.acquire a_closed;
+                       b_depth_after_a := Obs.current_depth ()))
+                 ());
+          Semaphore.Binary.acquire b_opened;
+          Obs.with_span "a.inner" (fun () -> ()));
+      let a_depth = Obs.current_depth () in
+      Semaphore.Binary.release a_closed;
+      Option.iter Thread.join !b;
+      let depth name =
+        match List.find_opt (fun s -> s.Obs.name = name) (r.Obs.spans ()) with
+        | Some s -> s.Obs.depth
+        | None -> Alcotest.failf "span %s not emitted" name
+      in
+      Alcotest.(check int) "a.outer is a root" 0 (depth "a.outer");
+      Alcotest.(check int) "a.inner nests under a.outer only" 1
+        (depth "a.inner");
+      Alcotest.(check int) "b.req is a root on its own thread" 0
+        (depth "b.req");
+      Alcotest.(check int) "A's stack is empty after its spans close" 0
+        a_depth;
+      Alcotest.(check int) "closing A's spans keeps B's frame open" 1
+        !b_depth_after_a;
+      Alcotest.(check int) "no span left open" 0 (Obs.current_depth ()))
+
 (* --- metrics -------------------------------------------------------------- *)
 
 let find_hist name metrics =
@@ -509,34 +551,33 @@ let test_flight_dump_on_degradation () =
            (fun l -> l <> "" && entry_field "name" l = Some "session.degradation")
            (String.split_on_char '\n' content)))
 
-(* --- domain-safe spans ---------------------------------------------------- *)
+(* --- spans off the controller domain -------------------------------------- *)
 
-let test_worker_spans_stitched () =
-  with_recording (fun r ->
-      Sider_par.Par.set_domains 2;
-      Fun.protect ~finally:(fun () -> Sider_par.Par.set_domains 1)
-      @@ fun () ->
-      Obs.with_span "fanout-root" (fun () ->
-          Sider_par.Par.parallel_for ~min:1 ~chunk:64 ~n:1024 (fun i ->
-              if i mod 256 = 0 then
-                Obs.with_span "body" (fun () -> ())));
-      Obs.flush ();
-      let spans = r.Obs.spans () in
-      let bodies = List.filter (fun s -> s.Obs.name = "body") spans in
-      Alcotest.(check int) "every body span emitted exactly once" 4
-        (List.length bodies);
-      List.iter
-        (fun (s : Obs.span) ->
-          (match List.assoc_opt "domain" s.Obs.attrs with
-           | Some (Obs.Int id) ->
-             check_true "domain id non-negative" (id >= 0)
-           | _ -> Alcotest.fail "body span missing its domain attribute");
-          check_true "body spans stitch under the submitter's open span"
-            (s.Obs.depth >= 1))
-        bodies;
-      check_true "root span emitted"
-        (List.exists (fun s -> s.Obs.name = "fanout-root") spans);
-      Alcotest.(check int) "no span leaked open" 0 (Obs.current_depth ()))
+(* Sink callbacks run on the controller domain only: a span completed on
+   another domain (a body fanned out by [Sider_par], say) lands in the
+   flight recorder and never reaches the sink. *)
+let test_off_controller_spans () =
+  let r = Obs.recording_sink () in
+  with_flight (fun () ->
+      Obs.set_sink (Some r.Obs.rec_sink);
+      let worker_depth =
+        Obs.with_span "controller.root" (fun () ->
+            Domain.join
+              (Domain.spawn (fun () ->
+                   Obs.with_span "worker.body" Obs.current_depth)))
+      in
+      Obs.set_sink None;
+      Alcotest.(check (list string)) "the sink sees controller spans only"
+        [ "controller.root" ]
+        (List.map (fun s -> s.Obs.name) (r.Obs.spans ()));
+      Alcotest.(check int) "the worker's span opens on its own thread's stack"
+        1 worker_depth;
+      let recorded =
+        List.filter_map (entry_field "name") (Obs.flight_entries ())
+      in
+      Alcotest.(check (list string)) "the recorder holds both"
+        [ "worker.body"; "controller.root" ] recorded;
+      Alcotest.(check int) "no span left open" 0 (Obs.current_depth ()))
 
 (* --- determinism ---------------------------------------------------------- *)
 
@@ -602,7 +643,7 @@ let test_solver_determinism () =
   check_identical_params "instrumented vs disabled" s1 s3
 
 (* The guarantee must also hold across domain counts with a live sink:
-   worker-span buffering and par telemetry are timing-side only. *)
+   par telemetry is timing-side only. *)
 let test_solver_determinism_multicore () =
   Obs.set_sink None;
   let s1, r1 = solve_once () in
@@ -644,8 +685,9 @@ let suite =
       test_flight_concurrent_writers;
     case "flight recorder auto-dumps on a session error"
       test_flight_dump_on_degradation;
-    case "worker spans stitch under the submitter with domain tags"
-      test_worker_spans_stitched;
+    case "each thread nests spans on its own stack" test_thread_span_stacks;
+    case "off-controller spans reach the flight recorder only"
+      test_off_controller_spans;
     case "solver is bit-deterministic with and without sinks"
       test_solver_determinism;
     case "solver is bit-deterministic across domain counts with a sink"

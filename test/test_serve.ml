@@ -1,10 +1,11 @@
-(* Metrics exposition endpoint: the Prometheus text rendering grammar,
-   and a live raw-socket scrape against an ephemeral-port server fed by a
-   real solver session (counters must move between scrapes). *)
+(* Metrics exposition: the Prometheus text rendering grammar, and a live
+   scrape of an ephemeral-port session service fed by a real solver
+   session (counters must move between scrapes). *)
 
 open Test_helpers
 open Sider_obs
 module Serve = Sider_serve.Serve
+module Service = Sider_serve.Service
 
 (* --- exposition grammar --------------------------------------------------- *)
 
@@ -156,41 +157,9 @@ let check_exposition_grammar body =
 (* --- live server ---------------------------------------------------------- *)
 
 let http_request ?(meth = "GET") port path =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let req =
-    Printf.sprintf "%s %s HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-      meth path
-  in
-  ignore (Unix.write_substring sock req 0 (String.length req));
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read sock chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n -> Buffer.add_subbytes buf chunk 0 n; drain ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ()
-  in
-  drain ();
-  let resp = Buffer.contents buf in
-  let status =
-    match String.split_on_char ' ' resp with
-    | _ :: code :: _ -> int_of_string_opt code |> Option.value ~default:0
-    | _ -> 0
-  in
-  let body =
-    let rec find i =
-      if i + 3 >= String.length resp then String.length resp
-      else if String.sub resp i 4 = "\r\n\r\n" then i + 4
-      else find (i + 1)
-    in
-    let b = find 0 in
-    String.sub resp b (String.length resp - b)
-  in
-  (status, body)
+  match Sider_serve.Http.request ~meth ~port path with
+  | Ok r -> (r.Sider_serve.Http.status, r.Sider_serve.Http.r_body)
+  | Error e -> Alcotest.failf "%s %s: %s" meth path e
 
 let counter_value body name =
   String.split_on_char '\n' body
@@ -227,9 +196,9 @@ let test_live_scrape () =
   Obs.observe_labeled "serve.request_s"
     [ ("route", "update"); ("status", "200") ]
     0.05;
-  let server = Serve.start ~port:0 () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
-  let port = Serve.port server in
+  let server = Service.start () in
+  Fun.protect ~finally:(fun () -> Service.stop server) @@ fun () ->
+  let port = Service.port server in
   check_true "ephemeral port assigned" (port > 0);
   let status, body = http_request port "/metrics" in
   Alcotest.(check int) "/metrics answers 200" 200 status;
@@ -285,12 +254,12 @@ let test_live_scrape () =
   Alcotest.(check int) "non-GET answers 405" 405 status
 
 let test_stop_idempotent () =
-  let server = Serve.start ~port:0 () in
-  Serve.stop server;
-  Serve.stop server;
+  let server = Service.start () in
+  Service.stop server;
+  Service.stop server;
   (* The port is released: a fresh server can start immediately. *)
-  let server2 = Serve.start ~port:0 () in
-  Serve.stop server2
+  let server2 = Service.start () in
+  Service.stop server2
 
 let suite =
   [
