@@ -5,8 +5,11 @@
      dune exec bench/main.exe -- -l      list experiments
 
    Environment:
-     SIDER_BENCH_RUNS   repetitions per Table II cell (default 3)
-     SIDER_BENCH_FULL   "1" to include the slow d=128 Table II column *)
+     SIDER_BENCH_RUNS   repetitions per Table II cell (default 1)
+     SIDER_BENCH_FULL   "1" to include the slow d=128 Table II column
+     SIDER_TRACE        "stderr" prints every span (each FastICA fit with
+                        its iteration count and convergence) and, at exit,
+                        the counters; as for sider *)
 
 let experiments =
   [ "fig2", "3-D introduction example (Fig. 2)", Exp_fig2.run;
@@ -37,6 +40,8 @@ let run_one id =
     exit 1
 
 let () =
+  Sider_obs.Obs.install_from_env ();
+  at_exit Sider_obs.Obs.flush;
   let args = Array.to_list Sys.argv in
   match args with
   | _ :: "-l" :: _ -> list_experiments ()

@@ -1,7 +1,10 @@
-(** Symmetric eigendecomposition via the cyclic Jacobi method.
+(** Symmetric eigendecomposition: Householder reduction to tridiagonal
+    form followed by the implicit QL method with Wilkinson shifts (the
+    EISPACK [tred2]/[tql2] pair).
 
     This powers the whitening transform (Eq. 14 of the paper), PCA on
-    whitened data, and the per-cluster SVD used by cluster constraints. *)
+    whitened data, the per-cluster SVD used by cluster constraints, and
+    FastICA's symmetric decorrelation on every fixed-point iteration. *)
 
 type decomposition = {
   values : Vec.t;      (** Eigenvalues in decreasing order. *)
@@ -9,11 +12,17 @@ type decomposition = {
                            the order of [values]. *)
 }
 
-val symmetric : ?max_sweeps:int -> ?eps:float -> Mat.t -> decomposition
+val symmetric : Mat.t -> decomposition
 (** [symmetric a] decomposes the symmetric matrix [a] as
-    [a = V diag(values) Vᵀ].  Off-diagonal asymmetry up to [1e-9] is
-    tolerated (the matrix is symmetrized first); larger asymmetry raises
-    [Invalid_argument]. *)
+    [a = V diag(values) Vᵀ].  It works on [(a + aᵀ)/2], so an absolute
+    asymmetry [|a.(i,j) − a.(j,i)|] up to [1e-6] is tolerated; larger
+    asymmetry raises [Invalid_argument], as does a non-square [a].
+
+    Eigenvalues come in decreasing order.  Each eigenvector is signed so
+    that its largest-magnitude entry is positive (the lowest index wins
+    ties), so an eigenvector of a simple eigenvalue is unique, not just
+    unique up to sign.  Input with a non-finite entry returns without
+    raising or looping; the result is then meaningless. *)
 
 val reconstruct : decomposition -> Mat.t
 (** [V diag(values) Vᵀ]. *)

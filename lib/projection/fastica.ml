@@ -23,8 +23,7 @@ type prep = {
 
 (* Symmetric decorrelation: W ← (W Wᵀ)^{-1/2} W. *)
 let sym_decorrelate w =
-  let wwt = Mat.matmul_nt w w in
-  let dec = Eigen.symmetric (Mat.symmetrize wwt) in
+  let dec = Eigen.symmetric (Mat.matmul_nt w w) in
   Mat.matmul (Eigen.power dec (-0.5)) w
 
 let prepare_impl ?n_components ?(rank_tol = 1e-9) m =

@@ -101,22 +101,121 @@ let test_eigen_not_symmetric () =
     (Invalid_argument "Eigen.symmetric: matrix is not symmetric") (fun () ->
       ignore (Eigen.symmetric a))
 
-let prop_eigen_reconstruct =
-  qcheck ~count:30 "eigen reconstruction (random symmetric)"
-    QCheck.(int_range 1 8)
-    (fun d ->
-      let a = random_sym rng d in
-      Mat.approx_equal ~eps:1e-7 a (Eigen.reconstruct (Eigen.symmetric a)))
+(* Inputs for the two eigen properties: plain random symmetric
+   matrices, Q·diag(1,1,2,2,…)·Qᵀ (every eigenvalue repeated), a graded
+   spectrum from 1e-8 to 1e2, the zero matrix, diagonal matrices with
+   tied small-integer entries, and SPD matrices; sizes up to 64, the top
+   of FastICA's m = 12–64. *)
+let random_orthogonal d =
+  (* Modified Gram–Schmidt on a Gaussian matrix. *)
+  let q = Sider_rand.Sampler.normal_mat rng d d in
+  let col_dot j k =
+    let acc = ref 0.0 in
+    for i = 0 to d - 1 do
+      acc := !acc +. (Mat.get q i j *. Mat.get q i k)
+    done;
+    !acc
+  in
+  for j = 0 to d - 1 do
+    for k = 0 to j - 1 do
+      let p = col_dot j k in
+      for i = 0 to d - 1 do
+        Mat.set q i j (Mat.get q i j -. (p *. Mat.get q i k))
+      done
+    done;
+    let norm = sqrt (col_dot j j) in
+    for i = 0 to d - 1 do
+      Mat.set q i j (Mat.get q i j /. norm)
+    done
+  done;
+  q
 
+let with_spectrum spectrum =
+  let q = random_orthogonal (Array.length spectrum) in
+  Mat.symmetrize (Mat.matmul (Mat.matmul q (Mat.diag spectrum)) (Mat.transpose q))
+
+let eigen_input (kind, d) =
+  match kind with
+  | `Random -> random_sym rng d
+  | `Repeated -> with_spectrum (Array.init d (fun i -> float_of_int (1 + (i / 2))))
+  | `Graded ->
+    with_spectrum
+      (Array.init d (fun i ->
+           let t = if d = 1 then 1.0 else float_of_int i /. float_of_int (d - 1) in
+           10.0 ** (-8.0 +. (10.0 *. t))))
+  | `Zero -> Mat.create d d
+  | `Diagonal ->
+    Mat.diag
+      (Array.map (fun x -> Float.round (2.0 *. x))
+         (Sider_rand.Sampler.normal_vec rng d))
+  | `Spd -> random_spd rng d
+
+let eigen_case_gen =
+  let kinds = [ `Random; `Repeated; `Graded; `Zero; `Diagonal; `Spd ] in
+  let name = function
+    | `Random -> "random" | `Repeated -> "repeated" | `Graded -> "graded"
+    | `Zero -> "zero" | `Diagonal -> "diagonal" | `Spd -> "spd"
+  in
+  QCheck.(
+    pair (make ~print:name (Gen.oneofl kinds)) (int_range 1 64))
+
+(* ‖A − VΛVᵀ‖_F ≤ 1e-12·n·max(1, ‖A‖_F) and ‖VᵀV − I‖_F ≤ 1e-12·n; for
+   positive-definite inputs, P = A^(-1/2) whitens: ‖PAP − I‖_F stays
+   within 1e-12·n times the condition number. *)
+let prop_eigen_reconstruct =
+  qcheck ~count:60 "eigen reconstruction (random symmetric)" eigen_case_gen
+    (fun ((kind, d) as case) ->
+      let a = eigen_input case in
+      let fd = float_of_int d in
+      let dec = Eigen.symmetric a in
+      let v = dec.Eigen.vectors in
+      let recon = Mat.frobenius (Mat.sub a (Eigen.reconstruct dec)) in
+      let ortho = Mat.frobenius (Mat.sub (Mat.matmul_tn v v) (Mat.identity d)) in
+      let whitens =
+        match kind with
+        | `Repeated | `Graded | `Spd ->
+          let p = Eigen.power dec (-0.5) in
+          let pap = Mat.matmul (Mat.matmul p a) p in
+          let cond = dec.Eigen.values.(0) /. dec.Eigen.values.(d - 1) in
+          Mat.frobenius (Mat.sub pap (Mat.identity d)) <= 1e-12 *. fd *. cond
+        | `Random | `Zero | `Diagonal -> true
+      in
+      recon <= 1e-12 *. fd *. Float.max 1.0 (Mat.frobenius a)
+      && ortho <= 1e-12 *. fd
+      && whitens)
+
+(* Decreasing eigenvalues, and each eigenvector signed so that its
+   largest-magnitude entry is positive, the lowest index winning ties. *)
 let prop_eigen_values_sorted =
-  qcheck ~count:30 "eigenvalues sorted decreasing" QCheck.(int_range 2 8)
-    (fun d ->
-      let { Eigen.values; _ } = Eigen.symmetric (random_sym rng d) in
-      let ok = ref true in
+  qcheck ~count:60 "eigenvalues sorted decreasing" eigen_case_gen
+    (fun case ->
+      let { Eigen.values; vectors } = Eigen.symmetric (eigen_input case) in
+      let d = Array.length values in
+      let sorted = ref true and signed = ref true in
       for i = 0 to d - 2 do
-        if values.(i) < values.(i + 1) -. 1e-12 then ok := false
+        if values.(i) < values.(i + 1) then sorted := false
       done;
-      !ok)
+      for j = 0 to d - 1 do
+        let lead = ref 0 in
+        for i = 1 to d - 1 do
+          if Float.abs (Mat.get vectors i j) > Float.abs (Mat.get vectors !lead j)
+          then lead := i
+        done;
+        if not (Mat.get vectors !lead j > 0.0) then signed := false
+      done;
+      !sorted && !signed)
+
+let test_eigen_non_finite () =
+  (* A NaN or an infinity anywhere: the call returns, without raising or
+     looping. *)
+  List.iter
+    (fun (i, j, x) ->
+      let a = random_sym rng 12 in
+      Mat.set a i j x;
+      Mat.set a j i x;
+      ignore (Eigen.symmetric a))
+    [ (3, 7, Float.nan); (5, 5, Float.nan); (0, 11, Float.infinity);
+      (11, 11, Float.neg_infinity) ]
 
 (* --- SVD ------------------------------------------------------------------ *)
 
@@ -247,4 +346,5 @@ let suite =
     case "woodbury negative lambda" test_woodbury_negative_lambda;
     prop_lu_solve_random;
     prop_woodbury_random;
+    case "eigen returns on non-finite input" test_eigen_non_finite;
   ]

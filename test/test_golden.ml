@@ -123,23 +123,27 @@ let canonical_sign v =
 
 (* --- the fixed-seed pipeline ---------------------------------------------- *)
 
-let fixture_whitened =
-  (* Computed once: the three fixtures share the solve + whitening. *)
-  lazy
-    (let ds = Synth.clustered ~seed:11 ~n:120 ~d:6 ~k:3 () in
-     let data = Dataset.matrix ds in
-     let constraints =
-       Constr.margin data
-       @ List.concat_map
-           (fun cls ->
-             Constr.cluster ~data ~rows:(Dataset.class_indices ds cls) ())
-           (Dataset.classes ds)
-     in
-     let solver = Solver.create data constraints in
-     let report = Solver.solve ~max_sweeps:60 solver in
-     check_true "fixture solver produced a finite state"
-       (report.Solver.sweeps > 0);
-     Whiten.whiten solver)
+(* The fixed-seed dataset whitened against a background that knows its
+   column margins and, with [~clusters:true], its three clusters. *)
+let whiten_fixture ~clusters =
+  let ds = Synth.clustered ~seed:11 ~n:120 ~d:6 ~k:3 () in
+  let data = Dataset.matrix ds in
+  let constraints =
+    Constr.margin data
+    @
+    if clusters then
+      List.concat_map
+        (fun cls -> Constr.cluster ~data ~rows:(Dataset.class_indices ds cls) ())
+        (Dataset.classes ds)
+    else []
+  in
+  let solver = Solver.create data constraints in
+  let report = Solver.solve ~max_sweeps:60 solver in
+  check_true "fixture solver produced a finite state" (report.Solver.sweeps > 0);
+  Whiten.whiten solver
+
+(* Computed once: the whitened-Y and PCA fixtures share it. *)
+let fixture_whitened = lazy (whiten_fixture ~clusters:true)
 
 let run_fixture ~file ~compute ~check =
   let path = Filename.concat (golden_dir ()) file in
@@ -192,22 +196,23 @@ let test_ica_projection () =
   (* Pinned to the reference kernel: its results are bit-identical on
      every CPU and domain count, so the fixture never needs per-machine
      variants.  (The SIMD kernel is deterministic too, but its tanh
-     differs from libm by ~1e-15, and this fixture's whitened data is
-     near-structureless — the fixed point is chaotic, so kernels diverge
-     to different, equally valid, trajectories.  SIMD correctness is
-     pinned by test_projection's closeness tests and test_par's
-     cross-domain bit-stability instead.) *)
+     differs from libm by ~1e-15, and FastICA's tol = 1e-4 resolves the
+     directions only to about 3e-3, far coarser than this file's 1e-6.
+     SIMD correctness is pinned by test_projection's closeness tests and
+     test_par's cross-domain bit-stability instead.) *)
   Ica_kernel.set_mode Ica_kernel.Force_reference;
   Fun.protect ~finally:(fun () -> Ica_kernel.set_mode Ica_kernel.Auto)
   @@ fun () ->
   run_fixture ~file:"ica.json"
     ~compute:(fun () ->
-      let y = Lazy.force fixture_whitened in
-      (* Seed and restart budget chosen so FastICA converges on this
-         fixture; the result is still fully deterministic. *)
+      (* Margin-only whitening: the three clusters are still unexplained,
+         so there is a distinguished pair and seed 1's first fit
+         converges.  Against the fully constrained background every
+         |score| sits inside the null spread and no fit converges, so the
+         view would pin whichever restart happened to. *)
+      let y = whiten_fixture ~clusters:false in
       let view =
-        View.of_whitened ~rng:(Sider_rand.Rng.create 1) ~ica_restarts:8
-          ~method_:View.Ica y
+        View.of_whitened ~rng:(Sider_rand.Rng.create 1) ~method_:View.Ica y
       in
       check_true "fixture ICA did not degrade" (view.View.degraded = None);
       axes_to_json ~score_key:"scores"
@@ -220,11 +225,13 @@ let test_ica_projection () =
    reference kernel's gz/eg must match both the unfused three-pass
    pipeline (live, every run) and the recorded fixture (cross-version).
    The whole suite re-runs under SIDER_DOMAINS=2, which re-checks this
-   fixture at two domains. *)
+   fixture at two domains.  The input is seeded standard-normal data of
+   the whitened fixture's shape, so the pin covers the sweep alone, not
+   the solver, eigensolver and whitening upstream of it. *)
 let test_ica_kernel_bits () =
   run_fixture ~file:"ica_kernel_bits.json"
     ~compute:(fun () ->
-      let y = Lazy.force fixture_whitened in
+      let y = Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create 11) 120 6 in
       let _, m = Mat.dims y in
       let w = Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create 2) m m in
       let gz_u, eg_u = Test_projection.unfused_sweep y w in
