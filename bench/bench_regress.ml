@@ -32,6 +32,11 @@
    same invocation (exit 1 otherwise) — the deterministic check behind
    PR 8's incremental-solve claim.
 
+   Every run, smoke included, also checks the JSON codec on the data its
+   two scenarios time: json_parse_create's parsed body must re-print to
+   its exact bytes, and json_serialise_projection's text must parse back
+   to the same floats, bit for bit (exit 1 otherwise).
+
    Options:
      --out PATH        output path (default BENCH_pr9.json)
      --baseline PATH   compare against a previous output; exit 1 when any
@@ -335,24 +340,48 @@ let reads_dataset ~smoke =
 
 let no_solve wall = { wall; sweeps = 0; warm_sweeps = 0; classes = 0 }
 
-(* Parse a session-create body (about 329 KB at full size). *)
+(* The two codec scenarios also check, outside the timed region, that
+   the codec is exact on the data they time; a failure exits 1. *)
+let codec_check name ok =
+  if not ok then begin
+    Printf.eprintf "bench_regress: %s: codec check FAILED\n%!" name;
+    exit 1
+  end
+
+(* Equal trees, numbers compared bit for bit. *)
+let rec same_tree a b =
+  match (a, b) with
+  | Json.Number x, Json.Number y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal same_tree xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && same_tree x y) xs ys
+  | _ -> a = b
+
+(* Parse a session-create body (about 329 KB at full size); re-printing
+   the tree must give back its exact bytes. *)
 let json_parse_create ~smoke =
   let body =
     Printf.sprintf {|{"dataset":%s,"method":"pca","seed":1}|}
       (Json.to_string (Persist.dataset_to_json (reads_dataset ~smoke)))
   in
-  let _, wall = Bench_common.time_of (fun () -> Json.of_string body) in
+  let tree, wall = Bench_common.time_of (fun () -> Json.of_string body) in
+  codec_check "json_parse_create: re-printed body differs"
+    (String.equal (Json.to_string tree) body);
   no_solve wall
 
 (* Serialise the projection of a margin-solved session (about 126 KB at
-   full size), the body of GET /sessions/:id/projection. *)
+   full size), the body of GET /sessions/:id/projection; the text must
+   parse back to the same floats, bit for bit. *)
 let json_serialise_projection ~smoke =
   let session = Session.create ~seed:1 (reads_dataset ~smoke) in
   Session.add_margin_constraint session;
   ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 session);
   ignore (Session.recompute_view session);
   let tree = Sider_serve.Service.projection_json session in
-  let _, wall = Bench_common.time_of (fun () -> Json.to_string tree) in
+  let text, wall = Bench_common.time_of (fun () -> Json.to_string tree) in
+  codec_check "json_serialise_projection: parsed projection differs"
+    (same_tree (Json.of_string text) tree);
   no_solve wall
 
 (* Start a session's journal: the checksummed header carrying the whole

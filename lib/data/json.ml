@@ -8,81 +8,300 @@ type t =
 
 exception Parse_error of string
 
-(* --- printing ------------------------------------------------------------- *)
+(* --- number text ------------------------------------------------------------ *)
 
-(* The C primitive behind [Printf]'s [%f], [%e] and [%g] conversions:
-   [Printf.sprintf "%.17g" x] is [format_float "%.17g" x], without
-   interpreting the format string on every call. *)
+(* A number prints as the C library's [%.17g] and parses as its [strtod]
+   (through [float_of_string_opt]).  The code below produces those bytes
+   and bits itself whenever one double-double product proves them, and
+   asks the C library otherwise; docs/ALGORITHMS.md §8 has the error
+   analysis behind the two tolerances. *)
+
+(* The C primitive behind [Printf]'s [%g]: [Printf.sprintf "%.17g" x] is
+   [format_float "%.17g" x]. *)
 external format_float : string -> float -> string = "caml_format_float"
+
+(* 10^q for [pow10_min] ≤ q ≤ [pow10_max] as the unevaluated sum
+   [pow10_hi.(i) +. pow10_lo.(i)], i = q - [pow10_min], with |lo| at most
+   half an ulp of hi.  Exact for 0 ≤ q ≤ 22.  The positive powers come
+   from repeated exact-product multiplication by 10, the negative ones
+   from a double-double reciprocal of the positive ones; the relative
+   error stays below 2^-96.  At |q| ≤ 290 every lo part is a normal
+   float, so none loses bits to underflow. *)
+let pow10_min = -290
+
+let pow10_max = 290
+
+let pow10_hi = Array.make (pow10_max - pow10_min + 1) 0.0
+
+let pow10_lo = Array.make (pow10_max - pow10_min + 1) 0.0
+
+let () =
+  let h = ref 1.0 and l = ref 0.0 in
+  for q = 0 to pow10_max do
+    pow10_hi.(q - pow10_min) <- !h;
+    pow10_lo.(q - pow10_min) <- !l;
+    let p = !h *. 10.0 in
+    let e = Float.fma !h 10.0 (-.p) +. (!l *. 10.0) in
+    let s = p +. e in
+    h := s;
+    l := e -. (s -. p)
+  done;
+  for q = 1 to -pow10_min do
+    let h = pow10_hi.(q - pow10_min) and l = pow10_lo.(q - pow10_min) in
+    (* 1/(h+l) = y + y·(1 - y·h - y·l) to double-double accuracy. *)
+    let y = 1.0 /. h in
+    let c = y *. (Float.fma (-.y) h 1.0 -. (y *. l)) in
+    let s = y +. c in
+    pow10_hi.(-q - pow10_min) <- s;
+    pow10_lo.(-q - pow10_min) <- c -. (s -. y)
+  done
+
+let p10_hi q = Array.unsafe_get pow10_hi (q - pow10_min)
+
+let p10_lo q = Array.unsafe_get pow10_lo (q - pow10_min)
+
+(* The biased binary exponent of a finite float. *)
+let biased_exponent x =
+  Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52) land 0x7ff
+
+(* --- output buffer ------------------------------------------------------------ *)
+
+(* A growable byte buffer the number printer writes into directly: it
+   reserves the exact length of a number, then fills it from both ends. *)
+type out = { mutable bytes : Bytes.t; mutable len : int }
+
+let grow o n =
+  let cap = ref (2 * Bytes.length o.bytes) in
+  while o.len + n > !cap do
+    cap := 2 * !cap
+  done;
+  let b = Bytes.create !cap in
+  Bytes.blit o.bytes 0 b 0 o.len;
+  o.bytes <- b
+
+let reserve o n = if o.len + n > Bytes.length o.bytes then grow o n
+
+let add_char o c =
+  reserve o 1;
+  Bytes.unsafe_set o.bytes o.len c;
+  o.len <- o.len + 1
+
+let add_substring o s pos n =
+  reserve o n;
+  Bytes.blit_string s pos o.bytes o.len n;
+  o.len <- o.len + n
+
+let add_string o s = add_substring o s 0 (String.length s)
+
+(* --- printing ------------------------------------------------------------- *)
 
 let hex_digits = "0123456789abcdef"
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
-let add_escape buf c =
+let add_escape o c =
   match c with
-  | '"' -> Buffer.add_string buf "\\\""
-  | '\\' -> Buffer.add_string buf "\\\\"
-  | '\n' -> Buffer.add_string buf "\\n"
-  | '\r' -> Buffer.add_string buf "\\r"
-  | '\t' -> Buffer.add_string buf "\\t"
+  | '"' -> add_string o "\\\""
+  | '\\' -> add_string o "\\\\"
+  | '\n' -> add_string o "\\n"
+  | '\r' -> add_string o "\\r"
+  | '\t' -> add_string o "\\t"
   | c ->
     (* Remaining control characters, always below 0x20. *)
-    Buffer.add_string buf "\\u00";
-    Buffer.add_char buf hex_digits.[Char.code c lsr 4];
-    Buffer.add_char buf hex_digits.[Char.code c land 15]
+    add_string o "\\u00";
+    add_char o hex_digits.[Char.code c lsr 4];
+    add_char o hex_digits.[Char.code c land 15]
 
 (* Runs of characters that need no escaping are copied whole, so a
-   clean string costs one [Buffer.add_substring]. *)
-let escape_into buf s =
-  Buffer.add_char buf '"';
+   clean string costs one blit. *)
+let escape_into o s =
+  add_char o '"';
   let start = ref 0 in
   String.iteri
     (fun i c ->
       if needs_escape c then begin
-        Buffer.add_substring buf s !start (i - !start);
-        add_escape buf c;
+        add_substring o s !start (i - !start);
+        add_escape o c;
         start := i + 1
       end)
     s;
-  Buffer.add_substring buf s !start (String.length s - !start);
-  Buffer.add_char buf '"'
+  add_substring o s !start (String.length s - !start);
+  add_char o '"'
 
-(* JSON has no infinity or NaN, so a non-finite number prints as
-   [null]. *)
-let number_to_string x =
-  if not (Float.is_finite x) then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then format_float "%.0f" x
-  else format_float "%.17g" x
+(* The number of decimal digits of [v], 0 ≤ v < 10^18. *)
+let decimal_length v =
+  let rec go n p = if v < p || n = 18 then n else go (n + 1) (p * 10) in
+  go 1 10
+
+let digit_pairs =
+  String.init 200 (fun i -> Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+(* Writes the [n] low decimal digits of [v] ending just before [stop],
+   two at a time, and returns the digits above them, [v / 10^n]. *)
+let rec write_digits b stop n v =
+  if n >= 2 then begin
+    let q = v / 100 in
+    let d = 2 * (v - (q * 100)) in
+    Bytes.unsafe_set b (stop - 1) (String.unsafe_get digit_pairs (d + 1));
+    Bytes.unsafe_set b (stop - 2) (String.unsafe_get digit_pairs d);
+    write_digits b (stop - 2) (n - 2) q
+  end
+  else if n = 1 then begin
+    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (v mod 10)));
+    v / 10
+  end
+  else v
+
+let ten16 = 10_000_000_000_000_000
+
+let ten17 = 100_000_000_000_000_000
+
+(* Prints [r · 10^(k-16)], 10^16 ≤ r < 10^17, as [%.17g] lays out its 17
+   significant digits: trailing zeros dropped, the point dropped with
+   them, and exponent notation when k < -4 or k ≥ 17. *)
+let add_digits17 o neg r k =
+  let r = ref r and nd = ref 17 in
+  while !r mod 10 = 0 do
+    r := !r / 10;
+    decr nd
+  done;
+  let r = !r and nd = !nd in
+  let sign = if neg then 1 else 0 in
+  if k < -4 || k >= 17 then begin
+    let ak = abs k in
+    let ed = if ak < 10 then 2 else decimal_length ak in
+    let frac = if nd > 1 then nd else 0 in
+    let n = sign + 1 + frac + 2 + ed in
+    reserve o n;
+    let b = o.bytes and p = o.len in
+    if neg then Bytes.unsafe_set b p '-';
+    ignore (write_digits b (p + n) ed ak);
+    Bytes.unsafe_set b (p + n - ed - 1) (if k < 0 then '-' else '+');
+    Bytes.unsafe_set b (p + n - ed - 2) 'e';
+    let lead = write_digits b (p + sign + 1 + nd) (nd - 1) r in
+    if nd > 1 then Bytes.unsafe_set b (p + sign + 1) '.';
+    Bytes.unsafe_set b (p + sign) (Char.unsafe_chr (48 + lead));
+    o.len <- p + n
+  end
+  else if k >= 0 then begin
+    let ip = k + 1 in
+    if nd <= ip then begin
+      (* No fraction: the stripped zeros were integer digits. *)
+      let n = sign + ip in
+      reserve o n;
+      let b = o.bytes and p = o.len in
+      if neg then Bytes.unsafe_set b p '-';
+      Bytes.fill b (p + sign + nd) (ip - nd) '0';
+      ignore (write_digits b (p + sign + nd) nd r);
+      o.len <- p + n
+    end
+    else begin
+      let n = sign + nd + 1 in
+      reserve o n;
+      let b = o.bytes and p = o.len in
+      if neg then Bytes.unsafe_set b p '-';
+      let fd = nd - ip in
+      let int_part = write_digits b (p + n) fd r in
+      Bytes.unsafe_set b (p + n - fd - 1) '.';
+      ignore (write_digits b (p + sign + ip) ip int_part);
+      o.len <- p + n
+    end
+  end
+  else begin
+    (* -4 ≤ k ≤ -1: "0." and -k-1 zeros before the digits. *)
+    let z = -k - 1 in
+    let n = sign + 2 + z + nd in
+    reserve o n;
+    let b = o.bytes and p = o.len in
+    if neg then Bytes.unsafe_set b p '-';
+    Bytes.unsafe_set b (p + sign) '0';
+    Bytes.unsafe_set b (p + sign + 1) '.';
+    Bytes.fill b (p + sign + 2) z '0';
+    ignore (write_digits b (p + n) nd r);
+    o.len <- p + n
+  end
+
+(* An integer 0 ≤ v < 10^15, prefixed by '-' when [neg] (so -0 keeps its
+   sign, as [%.17g] does). *)
+let add_int o neg v =
+  let nd = decimal_length v in
+  let n = if neg then nd + 1 else nd in
+  reserve o n;
+  if neg then Bytes.unsafe_set o.bytes o.len '-';
+  ignore (write_digits o.bytes (o.len + n) nd v);
+  o.len <- o.len + n
+
+(* Exactly [%.17g]'s bytes; JSON has no infinity or NaN, so a
+   non-finite number prints as [null].
+
+   Integers below 10^15 print through integer arithmetic.  Any other
+   magnitude a in [1e-270, 1e289) is scaled to D = a·10^(16-k), k =
+   ⌊log10 a⌋, by one double-double product: D = p + s where p, a float
+   at least 10^16, is an integer, so ⌊D⌋ and D's fraction come from s
+   alone.  The product's error is below 10^-11 (ALGORITHMS §8); when the
+   fraction lies within [tie_margin] of 1/2, the rounding could go either
+   way and the C library decides.  So do the few powers of ten whose
+   nearest float lies below them, for which the estimate of k is one
+   too large. *)
+let tie_margin = 1e-9
+
+let add_number o x =
+  if not (Float.is_finite x) then add_string o "null"
+  else begin
+    let a = Float.abs x in
+    let neg = x < 0.0 || (x = 0.0 && Float.sign_bit x) in
+    if a < 1e15 && Float.of_int (Float.to_int a) = a then
+      add_int o neg (Float.to_int a)
+    else if a < 1e-270 || a >= 1e289 then add_string o (format_float "%.17g" x)
+    else begin
+      let e2 = biased_exponent a - 1023 in
+      (* ⌊e2·log10 2⌋ for |e2| ≤ 1100; ⌊log10 a⌋ is k0 or k0 + 1. *)
+      let k0 = (e2 * 78913) asr 18 in
+      let k = if a >= p10_hi (k0 + 1) then k0 + 1 else k0 in
+      let th = p10_hi (16 - k) in
+      let p = a *. th in
+      let s = Float.fma a th (-.p) +. (a *. p10_lo (16 - k)) in
+      let fs = Float.to_int s in
+      let fs = if Float.of_int fs > s then fs - 1 else fs in
+      let frac = s -. Float.of_int fs in
+      let r = Float.to_int p + fs in
+      if p < 1e16 || r < ten16 || r >= ten17
+         || Float.abs (frac -. 0.5) <= tie_margin
+      then add_string o (format_float "%.17g" x)
+      else if frac < 0.5 then add_digits17 o neg r k
+      else if r + 1 = ten17 then add_digits17 o neg ten16 (k + 1)
+      else add_digits17 o neg (r + 1) k
+    end
+  end
 
 let to_string t =
-  let buf = Buffer.create 1024 in
+  let o = { bytes = Bytes.create 1024; len = 0 } in
   let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Number x -> Buffer.add_string buf (number_to_string x)
-    | String s -> escape_into buf s
+    | Null -> add_string o "null"
+    | Bool b -> add_string o (if b then "true" else "false")
+    | Number x -> add_number o x
+    | String s -> escape_into o s
     | List items ->
-      Buffer.add_char buf '[';
+      add_char o '[';
       List.iteri
         (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
+          if i > 0 then add_char o ',';
           go item)
         items;
-      Buffer.add_char buf ']'
+      add_char o ']'
     | Obj fields ->
-      Buffer.add_char buf '{';
+      add_char o '{';
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_into buf k;
-          Buffer.add_char buf ':';
+          if i > 0 then add_char o ',';
+          escape_into o k;
+          add_char o ':';
           go v)
         fields;
-      Buffer.add_char buf '}'
+      add_char o '}'
   in
   go t;
-  Buffer.contents buf
+  Bytes.sub_string o.bytes 0 o.len
 
 (* --- parsing ---------------------------------------------------------------- *)
 
@@ -92,6 +311,11 @@ type parser_state = { src : string; mutable pos : int }
 
 let fail st msg =
   raise (Parse_error (msg ^ " at position " ^ string_of_int st.pos))
+
+(* Deepest nesting of arrays and objects [of_string] accepts.  The repo
+   writes at most 4 levels; the bound keeps the parser's recursion, and
+   so its stack, small whatever a request body holds. *)
+let max_depth = 512
 
 (* [at st c]: the next character is [c]. *)
 let at st c = st.pos < String.length st.src && String.unsafe_get st.src st.pos = c
@@ -204,7 +428,12 @@ let is_num_char = function
   | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
   | _ -> false
 
-let parse_number st =
+let is_digit c = c >= '0' && c <= '9'
+
+(* The token is the longest run of number characters, read by
+   [float_of_string_opt]; that fixes which tokens are accepted
+   ([+1], [.5] and [1.] among them) and the bits each gives. *)
+let parse_number_token st =
   let src = st.src in
   let start = st.pos in
   let i = ref start in
@@ -217,7 +446,117 @@ let parse_number st =
   | Some f -> f
   | None -> fail st "malformed number"
 
-let rec parse_value st =
+(* Up to 18 significant digits fit an int exactly (10^18 < 2^62). *)
+let max_sig_digits = 18
+
+(* Relative bound on the error of the double-double product below,
+   with room to spare over the 2^-96 ALGORITHMS §8 derives. *)
+let product_margin = 0x1p-90
+
+(* A token -?d+(.d+)?([eE][+-]?d+)? with at most [max_sig_digits]
+   significant digits, read in place.  Returns nan, leaving [st.pos]
+   alone, when the token has another form or the result is not proved
+   equal to [float_of_string_opt]'s; see [parse_number]. *)
+let fast_number st =
+  let src = st.src in
+  let len = String.length src in
+  let i = ref st.pos in
+  let neg = !i < len && String.unsafe_get src !i = '-' in
+  if neg then incr i;
+  (* Significant digits accumulate in [m] (leading zeros skipped); each
+     fraction digit lowers the decimal exponent. *)
+  let m = ref 0 and nd = ref 0 and dexp = ref 0 and ok = ref true in
+  let int_start = !i in
+  while !i < len && is_digit (String.unsafe_get src !i) do
+    let d = Char.code (String.unsafe_get src !i) - 48 in
+    if !m > 0 || d > 0 then begin
+      if !nd < max_sig_digits then m := (!m * 10) + d else ok := false;
+      incr nd
+    end;
+    incr i
+  done;
+  if !i = int_start then ok := false;
+  if !ok && !i < len && String.unsafe_get src !i = '.' then begin
+    incr i;
+    let frac_start = !i in
+    while !i < len && is_digit (String.unsafe_get src !i) do
+      let d = Char.code (String.unsafe_get src !i) - 48 in
+      if !m > 0 || d > 0 then begin
+        if !nd < max_sig_digits then m := (!m * 10) + d else ok := false;
+        incr nd
+      end;
+      decr dexp;
+      incr i
+    done;
+    if !i = frac_start then ok := false
+  end;
+  if !ok && !i < len
+     && (let c = String.unsafe_get src !i in c = 'e' || c = 'E')
+  then begin
+    incr i;
+    let eneg = !i < len && String.unsafe_get src !i = '-' in
+    if !i < len && (eneg || String.unsafe_get src !i = '+') then incr i;
+    let exp_start = !i and ex = ref 0 in
+    while !i < len && is_digit (String.unsafe_get src !i) do
+      if !ex < 100_000 then
+        ex := (!ex * 10) + Char.code (String.unsafe_get src !i) - 48;
+      incr i
+    done;
+    if !i = exp_start || !ex >= 100_000 then ok := false;
+    dexp := if eneg then !dexp - !ex else !dexp + !ex
+  end;
+  if (not !ok) || (!i < len && is_num_char (String.unsafe_get src !i)) then
+    Float.nan
+  else begin
+    let m = !m and e10 = !dexp in
+    let v =
+      if m = 0 then 0.0
+      else if m < 1 lsl 53 && e10 >= -22 && e10 <= 22 then
+        (* Clinger's exact case: both operands are exact floats, so the
+           one rounding IEEE arithmetic does is the correct one. *)
+        if e10 >= 0 then Float.of_int m *. p10_hi e10
+        else Float.of_int m /. p10_hi (-e10)
+      else if e10 + !nd - 1 < -270 || e10 + !nd > 290 then Float.nan
+      else begin
+        (* m·10^e10 = hi + lo, then round: hi is the nearest float unless
+           |lo| is within the product's error of half the gap to hi's
+           neighbour on lo's side. *)
+        let mh = Float.of_int m in
+        let ml = Float.of_int (m - Float.to_int mh) in
+        let th = p10_hi e10 and tl = p10_lo e10 in
+        let p = mh *. th in
+        let s = Float.fma mh th (-.p) +. ((mh *. tl) +. (ml *. th)) in
+        let hi = p +. s in
+        let lo = s -. (hi -. p) in
+        let bits = Int64.bits_of_float hi in
+        let half =
+          Int64.float_of_bits
+            (Int64.shift_left (Int64.sub (Int64.shift_right_logical bits 52) 53L) 52)
+        in
+        let half =
+          if lo < 0.0 && Int64.equal (Int64.logand bits 0xF_FFFF_FFFF_FFFFL) 0L
+          then half *. 0.5
+          else half
+        in
+        if Float.abs (Float.abs lo -. half) <= hi *. product_margin then
+          Float.nan
+        else hi
+      end
+    in
+    if Float.is_nan v then v
+    else begin
+      st.pos <- !i;
+      if neg then -.v else v
+    end
+  end
+
+(* The fast reader when it can decide, [float_of_string_opt] on the
+   token otherwise: the same accepted tokens and the same bits. *)
+let parse_number st =
+  let v = fast_number st in
+  if Float.is_nan v then parse_number_token st else v
+
+let rec parse_value st depth =
   skip_ws st;
   if st.pos >= String.length st.src then fail st "unexpected end of input";
   match String.unsafe_get st.src st.pos with
@@ -225,6 +564,8 @@ let rec parse_value st =
   | 't' -> parse_literal st "true" (Bool true)
   | 'f' -> parse_literal st "false" (Bool false)
   | '"' -> String (parse_string_raw st)
+  | ('[' | '{') when depth = max_depth ->
+    fail st ("nesting deeper than " ^ string_of_int max_depth)
   | '[' ->
     st.pos <- st.pos + 1;
     skip_ws st;
@@ -233,11 +574,11 @@ let rec parse_value st =
       List []
     end
     else begin
-      let items = ref [ parse_value st ] in
+      let items = ref [ parse_value st (depth + 1) ] in
       skip_ws st;
       while at st ',' do
         st.pos <- st.pos + 1;
-        items := parse_value st :: !items;
+        items := parse_value st (depth + 1) :: !items;
         skip_ws st
       done;
       expect st ']';
@@ -256,7 +597,7 @@ let rec parse_value st =
         let k = parse_string_raw st in
         skip_ws st;
         expect st ':';
-        let v = parse_value st in
+        let v = parse_value st (depth + 1) in
         (k, v)
       in
       let fields = ref [ field () ] in
@@ -273,7 +614,7 @@ let rec parse_value st =
 
 let of_string src =
   let st = { src; pos = 0 } in
-  let v = parse_value st in
+  let v = parse_value st 0 in
   skip_ws st;
   if st.pos <> String.length src then fail st "trailing content";
   v
@@ -295,10 +636,15 @@ let to_float = function
   | Number x -> x
   | _ -> invalid_arg "Json.to_float: not a number"
 
+(* Beyond 2^53 a float no longer pins one integer, and [int_of_float]
+   of one beyond the native range is unspecified (1e19 gives 0 on
+   x86-64). *)
 let to_int j =
   let f = to_float j in
-  if Float.is_integer f then int_of_float f
-  else invalid_arg "Json.to_int: not an integer"
+  if not (Float.is_integer f) then invalid_arg "Json.to_int: not an integer"
+  else if Float.abs f > 0x1p53 then
+    invalid_arg "Json.to_int: integer out of range (|x| > 2^53)"
+  else int_of_float f
 
 let to_str = function
   | String s -> s

@@ -288,6 +288,11 @@ let handle_create t ctx (req : Http.request) =
     | Some d -> Persist.dataset_of_json d
     | None -> bad "missing required field \"dataset\""
   in
+  (* Checked before anything is journaled: smaller data has no 2-D view,
+     and a one-row session would be acknowledged and then fail replay. *)
+  let n = Dataset.n_rows ds and d = Dataset.n_cols ds in
+  if n < 2 || d < 2 then
+    bad "dataset must have at least 2 rows and 2 columns, got %d x %d" n d;
   let seed = opt_member j "seed" Json.to_int 42 in
   let standardize = opt_member j "standardize" Json.to_bool true in
   let jitter = opt_member j "jitter" Json.to_float 1e-3 in

@@ -310,6 +310,136 @@ let test_json_key_roundtrip =
       | Json.Obj [ (s', Json.Bool true) ] -> String.equal s s'
       | _ -> false)
 
+(* --- JSON number text ------------------------------------------------------ *)
+
+(* The codec prints numbers itself and reads them itself whenever it can
+   prove the result; the oracles here are the C library it must agree
+   with byte for byte ([%.17g]) and bit for bit ([float_of_string_opt],
+   which reads through [strtod]). *)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let printf_oracle x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
+
+(* [Json.of_string s] reads a bare number exactly as [float_of_string_opt]
+   does: the same floats, bit for bit, and the same rejections. *)
+let parses_like_libc s =
+  match (Json.of_string s, float_of_string_opt s) with
+  | Json.Number x, Some y -> same_bits x y
+  | _ -> false
+  | exception Json.Parse_error _ -> float_of_string_opt s = None
+
+(* Prints as [%.17g], and the printed text reads back as the C library
+   reads it, which is [x] itself. *)
+let prints_like_libc x =
+  let s = Json.to_string (Json.Number x) in
+  s = printf_oracle x
+  && ((not (Float.is_finite x)) || (parses_like_libc s && same_bits (float_of_string s) x))
+
+let test_json_numbers_random_bits =
+  qcheck ~count:100_000 "json numbers print as %.17g and read as strtod"
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(map Int64.float_of_bits ui64))
+    prints_like_libc
+
+let test_json_numbers_edge_values () =
+  let check x =
+    if not (prints_like_libc x) then
+      Alcotest.failf "%h: printed %s, %%.17g gives %s" x
+        (Json.to_string (Json.Number x)) (printf_oracle x)
+  in
+  let both x =
+    check x;
+    check (-.x)
+  in
+  for k = -330 to 310 do
+    let p = float_of_string (Printf.sprintf "1e%d" k) in
+    List.iter both [ Float.pred p; p; Float.succ p ]
+  done;
+  List.iter both
+    [ 0.0; 1e15 -. 1.0; 1e15 -. 0.5; 1e15; 1e15 +. 0.5; 1e15 +. 1.0;
+      1e15 +. 2.0; 0x1p53 -. 1.0; 0x1p53; 0x1p53 +. 2.0; 0x1p54 +. 4.0;
+      5e-324; 1e-320; Float.pred Float.min_float; Float.min_float;
+      Float.max_float; Float.pred Float.max_float; 0x1p-25; 0.1; 1e23 ];
+  check Float.infinity;
+  check Float.nan;
+  Alcotest.(check string) "-0 keeps its sign" "-0" (Json.to_string (Json.Number (-0.0)));
+  (* Rounding midpoints (2^53 + 1, 2^53 + 3, 2^54 + 2, 10^23); decimals
+     within 2^-36 ulp of a midpoint, found from continued fractions,
+     which the double-double product alone rounds the wrong way; the
+     lenient forms, signed zeros and overflows. *)
+  List.iter
+    (fun s -> if not (parses_like_libc s) then Alcotest.failf "reading %S" s)
+    [ "9007199254740993"; "9007199254740995"; "18014398509481986"; "1e23";
+      "-9007199254740993e-10"; "564798908373892837e25";
+      "558247174998851720e26"; "179732481403757045e27";
+      "150189545086375780e-80"; "249254610159347845e-80";
+      "120151636069100624e-79"; "+1"; ".5"; "1."; "-0"; "-0.0e5"; "00012";
+      "1e999"; "-1e-999"; "4.9406564584124654e-324"; "8.5e-400" ]
+
+(* Decimal text of every shape the reader might see: 1–25 digits with
+   leading zeros, a point anywhere (or none), exponents up to ±400 in
+   each spelling, and each sign. *)
+let decimal_text =
+  let open QCheck.Gen in
+  let digits = string_size ~gen:(map Char.chr (int_range 48 57)) (int_range 1 25) in
+  let point s =
+    map (fun p ->
+        match p with
+        | None -> s
+        | Some p ->
+          let p = p mod (String.length s + 1) in
+          String.sub s 0 p ^ "." ^ String.sub s p (String.length s - p))
+      (opt (int_bound 25))
+  in
+  let exponent =
+    oneof
+      [ return "";
+        map3
+          (fun e s x -> e ^ s ^ string_of_int x)
+          (oneofl [ "e"; "E" ]) (oneofl [ ""; "+"; "-" ]) (int_bound 400) ]
+  in
+  map3 (fun sign body e -> sign ^ body ^ e)
+    (oneofl [ ""; "-"; "+" ]) (digits >>= point) exponent
+
+let test_json_numbers_random_decimals =
+  qcheck ~count:20_000 "json reads decimal text as float_of_string_opt"
+    (QCheck.make ~print:Fun.id decimal_text)
+    parses_like_libc
+
+(* Beyond 2^53 a float no longer names one integer, and int_of_float of
+   1e19 is 0 on x86-64: such numbers are refused, not wrapped. *)
+let test_json_to_int_range () =
+  Alcotest.(check int) "2^53" (1 lsl 53) (Json.to_int (Json.Number 0x1p53));
+  Alcotest.(check int) "-2^53" (-(1 lsl 53)) (Json.to_int (Json.Number (-0x1p53)));
+  List.iter
+    (fun x ->
+      match Json.to_int (Json.Number x) with
+      | n -> Alcotest.failf "%g read as %d" x n
+      | exception Invalid_argument _ -> ())
+    [ 0x1p53 +. 2.0; 1e19; -1e19; 1e300; 0.5 ]
+
+(* Each level of nesting is one recursive call: past 512 the parser
+   stops with a parse error instead of growing the stack. *)
+let test_json_depth_bound () =
+  let nest n = String.make n '[' ^ String.make n ']' in
+  check_true "512 levels read" (Json.of_string (nest 512) <> Json.Null);
+  List.iter
+    (fun (label, text) ->
+      match Json.of_string text with
+      | exception Json.Parse_error msg ->
+        Alcotest.(check string) label "nesting deeper than 512 at position 512" msg
+      | _ -> Alcotest.failf "%s: accepted" label)
+    [ ("513 arrays", nest 513);
+      ("an object below 512 arrays", String.make 512 '[' ^ "{}");
+      ("unclosed megabyte", String.make (1 lsl 20) '[') ];
+  let obj = String.concat "" (List.init 600 (fun _ -> {|{"a":|})) in
+  match Json.of_string obj with
+  | exception Json.Parse_error msg ->
+    Alcotest.(check string) "nested objects"
+      "nesting deeper than 512 at position 2560" msg
+  | _ -> Alcotest.fail "nested objects accepted"
+
 let suite =
   [
     case "dataset basics" test_dataset_basic;
@@ -337,4 +467,10 @@ let suite =
     case "segmentation sky separation" test_segmentation_sky_far;
     test_json_string_roundtrip;
     test_json_key_roundtrip;
+    test_json_numbers_random_bits;
+    case "json numbers at powers of ten and edge values"
+      test_json_numbers_edge_values;
+    test_json_numbers_random_decimals;
+    case "json to_int refuses integers beyond 2^53" test_json_to_int_range;
+    case "json nesting depth is bounded" test_json_depth_bound;
   ]

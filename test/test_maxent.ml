@@ -236,17 +236,50 @@ let test_margin_constraints_satisfied () =
   check_true "converged" r.Solver.converged;
   check_true "all constraints met" (Solver.residual s < 1e-2)
 
-let test_margin_equals_standardization () =
-  (* After margin constraints the background matches each column's mean and
-     variance — i.e. the model of the standardized data. *)
-  let data = random_data 60 2 in
-  let s = Solver.create data (Constr.margin data) in
-  ignore (Solver.solve ~lambda_tol:1e-6 ~param_tol:1e-6 s);
-  let means = Mat.col_means data and vars = Mat.col_variances data in
-  let p = Solver.row_params s 0 in
-  approx_vec ~eps:1e-3 "bg mean = column means" means p.Gauss_params.mean;
-  approx ~eps:1e-2 "bg var 0" vars.(0) (Mat.get p.Gauss_params.sigma 0 0);
-  approx ~eps:1e-2 "bg var 1" vars.(1) (Mat.get p.Gauss_params.sigma 1 1)
+(* With margin constraints only, the MaxEnt background is the product of
+   one Gaussian per column with that column's mean and (1/n) variance:
+   the model of the standardized data, whatever the shape, scale or
+   offset of each column.  Tolerances are the fixed 60x2 case's, relative
+   to each column's spread. *)
+let test_margin_equals_standardization =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 8 80) (int_range 1 8) (int_bound 1_000_000)
+        (pair (float_range (-2.0) 2.0) (float_range (-100.0) 100.0)))
+  in
+  qcheck ~count:40 "margin equals standardization"
+    (QCheck.make
+       ~print:(fun (n, d, seed, (ls, off)) ->
+         Printf.sprintf "n=%d d=%d seed=%d log10 scale=%g offset=%g" n d seed ls off)
+       gen)
+    (fun (n, d, seed, (log_scale, offset)) ->
+      let r = Sider_rand.Rng.create seed in
+      (* Column j has spread 10^(log_scale·j/d) and offset offset·(j+1). *)
+      let z = Sider_rand.Sampler.normal_mat r n d in
+      let data =
+        Mat.init n d (fun i j ->
+            let scale = 10.0 ** (log_scale *. float_of_int j /. float_of_int d) in
+            (Mat.get z i j *. scale) +. (offset *. float_of_int (j + 1)))
+      in
+      let s = Solver.create data (Constr.margin data) in
+      ignore (Solver.solve ~lambda_tol:1e-6 ~param_tol:1e-6 s);
+      let means = Mat.col_means data and vars = Mat.col_variances data in
+      List.for_all
+        (fun row ->
+          let p = Solver.row_params s row in
+          let sigma = p.Gauss_params.sigma in
+          let ok = ref true in
+          for i = 0 to d - 1 do
+            let sd = sqrt vars.(i) in
+            if Float.abs (p.Gauss_params.mean.(i) -. means.(i)) > 1e-3 *. sd
+               || Float.abs (Mat.get sigma i i -. vars.(i)) > 1e-2 *. vars.(i)
+            then ok := false;
+            for j = 0 to d - 1 do
+              if i <> j && Mat.get sigma i j <> 0.0 then ok := false
+            done
+          done;
+          !ok)
+        [ 0; n - 1 ])
 
 let test_one_cluster_equals_covariance () =
   (* The 1-cluster constraint makes the background covariance equal the
@@ -546,7 +579,7 @@ let suite =
     case "Case B limits (Eq. 13)" test_case_b_limits;
     slow_case "Case B 1/tau convergence (Fig. 5b)" test_case_b_one_over_tau;
     case "margin constraints satisfied" test_margin_constraints_satisfied;
-    case "margin equals standardization" test_margin_equals_standardization;
+    test_margin_equals_standardization;
     case "1-cluster equals covariance" test_one_cluster_equals_covariance;
     case "cluster constraints satisfied" test_cluster_constraints_satisfied;
     case "expectation identity vs Monte-Carlo" test_expectation_identity;

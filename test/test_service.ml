@@ -134,6 +134,70 @@ let test_degenerate_dataset_maps_to_400 () =
   (* The worker survived. *)
   status_is "still alive" 200 (req svc "GET" "/healthz")
 
+(* Smaller data has no 2-D view.  A one-row session used to get a 201,
+   an update that could not converge and a journaled view that then
+   failed, and recovery skipped its journal; every such shape now gets
+   one 400 before anything is created or journaled. *)
+let test_tiny_datasets_refused () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir)
+  @@ fun () ->
+  with_service ~data_dir:dir @@ fun svc ->
+  List.iter
+    (fun (shape, columns, data, expected) ->
+      let body =
+        Printf.sprintf
+          {|{"dataset":{"name":"t","columns":%s,"labels":null,"data":%s}}|}
+          columns data
+      in
+      let r = req svc ~body "POST" "/sessions" in
+      status_is shape 400 r;
+      Alcotest.(check string) shape
+        ("dataset must have at least 2 rows and 2 columns, got " ^ expected)
+        (Json.to_str (Json.member "detail" (json_of r))))
+    [ ("zero rows", {|["a","b"]|}, "[]", "0 x 2");
+      ("one row", {|["a","b"]|}, "[[1,2]]", "1 x 2");
+      ("zero columns", "[]", "[[],[],[]]", "3 x 0");
+      ("one column", {|["a"]|}, "[[1],[2],[3]]", "3 x 1") ];
+  check_true "no session created"
+    (Json.to_int (Json.member "count" (json_of (req svc "GET" "/sessions"))) = 0);
+  check_true "nothing journaled" (Sys.readdir dir = [||])
+
+(* An integer beyond 2^53 used to wrap through int_of_float (1e19 read
+   as 0, so row 0 was constrained); now it is a 400 and nothing moves. *)
+let test_out_of_range_integers_refused () =
+  with_service @@ fun svc ->
+  let body =
+    Json.to_string
+      (Json.Obj
+         [ ("dataset", Persist.dataset_to_json (tiny_dataset ()));
+           ("seed", Json.Number 1e19) ])
+  in
+  status_is "seed 1e19" 400 (req svc ~body "POST" "/sessions");
+  let id = create_session svc in
+  let path = "/sessions/" ^ id in
+  status_is "row 1e19" 400
+    (req svc ~body:{|{"type":"cluster","rows":[1e19,2]}|} "POST"
+       (path ^ "/constraints"));
+  status_is "max_sweeps 1e19" 400
+    (req svc ~body:{|{"max_sweeps":1e19}|} "POST" (path ^ "/update"));
+  let summary = json_of (req svc "GET" path) in
+  check_true "no constraint added"
+    (Json.to_int (Json.member "constraints" summary) = 0);
+  check_true "no event recorded" (Json.to_int (Json.member "events" summary) = 0)
+
+(* A megabyte of '[' is a 400 from the depth bound, not a deep
+   recursion, and the one worker goes on serving. *)
+let test_deep_nesting_refused () =
+  let config = { Service.default_config with workers = 1 } in
+  with_service ~config @@ fun svc ->
+  let r = req svc ~body:(String.make (1 lsl 20) '[') "POST" "/sessions" in
+  status_is "deep nesting" 400 r;
+  Alcotest.(check string) "malformed-json" "malformed-json"
+    (Json.to_str (Json.member "error" (json_of r)));
+  status_is "still alive" 200 (req svc "GET" "/healthz");
+  ignore (create_session svc)
+
 (* --- overload handling ----------------------------------------------------------- *)
 
 let test_queue_full_sheds_429 () =
@@ -1144,6 +1208,9 @@ let suite =
     case "full interaction loop over http" test_lifecycle;
     case "validation and error mapping" test_error_mapping;
     case "degenerate dataset maps to client error" test_degenerate_dataset_maps_to_400;
+    case "datasets smaller than 2x2 are refused" test_tiny_datasets_refused;
+    case "integers beyond 2^53 are refused" test_out_of_range_integers_refused;
+    case "deeply nested body is refused" test_deep_nesting_refused;
     slow_case "queue overflow sheds 429" test_queue_full_sheds_429;
     case "deadline expiry sheds 503" test_deadline_expired_sheds_503;
     case "session capacity sheds 429" test_max_sessions_sheds_429;
