@@ -113,17 +113,17 @@ bench-service:
 	  --baseline BENCH_pr6.json --label pr7 --out BENCH_pr7.json
 
 # Full machine-readable benchmark run; rewrites the committed result,
-# including the domain-scaling table, the warm-update sweep gate and
-# the labeled-metrics overhead gate, and embeds the delta against the
+# including the domain-scaling table, the incremental-update sweep gate
+# and the labeled-metrics overhead gate, and embeds the delta against the
 # newest committed baseline with a scenario table (BENCH_pr8.json).
 bench:
 	dune exec bench/bench_regress.exe -- --out BENCH_pr9.json --label pr9 \
 	  --scaling --baseline BENCH_pr8.json --baseline BENCH_pr4.json
 
 # Fast sanity pass over every scenario (reduced sizes, 1 run each),
-# checked to still cover the warm-path scenarios, the labeled-metrics
-# scenario and the create-path scenarios named after the end-to-end
-# benchmark's per-layer metrics.
+# checked to still cover the incremental-update and warm-ICA scenarios,
+# the labeled-metrics scenario and the create-path scenarios named after
+# the end-to-end benchmark's per-layer metrics.
 bench-smoke:
 	dune exec bench/bench_regress.exe -- --smoke --out _artifacts/BENCH_smoke.json
 	grep -q session_update_warm_synthetic _artifacts/BENCH_smoke.json

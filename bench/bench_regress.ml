@@ -3,17 +3,16 @@
      dune exec bench/bench_regress.exe -- [options]
 
    Runs a fixed set of scenarios covering the pipeline's hot paths (micro
-   solver sweeps, Table-II-style session updates — cold and warm-started
-   — on synthetic and segmentation data, whiten+PCA, ICA cold and warm,
-   the full pipeline, and the service's session-create path: JSON parse,
-   projection serialise, journal start) and writes one JSON document per
-   invocation:
+   solver sweeps, Table-II-style session updates — a first solve and an
+   incremental one — on synthetic and segmentation data, whiten+PCA, ICA
+   cold and warm, the full pipeline, and the service's session-create
+   path: JSON parse, projection serialise, journal start) and writes one
+   JSON document per invocation:
 
      { "schema": "sider-bench/3", "label": "pr9", "smoke": false,
        "domains": 1, "ocaml_version": "...",
        "scenarios": [ { "name": ..., "wall_s": ..., "wall_min_s": ...,
-                        "sweeps": ..., "warm_sweeps": ...,
-                        "cold_sweeps": ..., "classes": ...,
+                        "sweeps": ..., "classes": ...,
                         "peak_heap_words": ..., "allocated_words": ...,
                         "runs": ... }, ... ],
        "scaling": [ { "name": ..., "domains": ..., "wall_s": ... } ] }
@@ -23,14 +22,15 @@
    count where a solver is involved, peak heap words ([Gc.stat] after
    the runs) and the median words allocated by a single run.  [wall_s]
    keeps its v1 meaning (the median), so a v1/v2 file works as --baseline
-   and a v3 file works as a baseline for older-era outputs; v3 only adds
-   the warm/cold sweep split of the solver report.
+   and a v3 file works as a baseline for older-era outputs.  Committed v3
+   files may also carry "warm_sweeps" and "cold_sweeps" keys; nothing
+   reads them.
 
-   A non-smoke run also enforces the warm-update gate: the
-   session_update_warm_synthetic scenario must converge in strictly
-   fewer sweeps than the cold session_update_synthetic measured in the
-   same invocation (exit 1 otherwise) — the deterministic check behind
-   PR 8's incremental-solve claim.
+   A non-smoke run also enforces the incremental-update gate: the
+   session_update_warm_synthetic scenario, an update that starts from
+   the parameters of the previous round, must converge in strictly
+   fewer sweeps than session_update_synthetic, a first solve, measured
+   in the same invocation (exit 1 otherwise).
 
    Every run, smoke included, also checks the JSON codec on the data its
    two scenarios time: json_parse_create's parsed body must re-print to
@@ -61,7 +61,6 @@ module Par = Sider_par.Par
 type run_result = {
   wall : float;
   sweeps : int;
-  warm_sweeps : int;   (* restricted warm-phase sweeps; 0 when cold *)
   classes : int;
 }
 
@@ -72,6 +71,8 @@ type scenario = {
 }
 
 (* --- scenario building blocks -------------------------------------------- *)
+
+let sweeps_of = function Ok r -> r.Solver.sweeps | Error _ -> 0
 
 let clustered_constraints ds =
   let data = Dataset.matrix ds in
@@ -90,8 +91,7 @@ let micro_solver ~smoke =
     Bench_common.time_of (fun () ->
         Solver.solve ~max_sweeps:25 ~lambda_tol:0.0 ~param_tol:0.0 solver)
   in
-  { wall; sweeps = report.Solver.sweeps; warm_sweeps = 0;
-    classes = Solver.n_classes solver }
+  { wall; sweeps = report.Solver.sweeps; classes = Solver.n_classes solver }
 
 (* Quadratic updates at moderate dimension: root finding + rank-1
    Woodbury, on overlapping row sets so classes refine. *)
@@ -112,8 +112,7 @@ let quadratic_updates ~smoke =
     Bench_common.time_of (fun () ->
         Solver.solve ~max_sweeps:10 ~lambda_tol:0.0 ~param_tol:0.0 solver)
   in
-  { wall; sweeps = report.Solver.sweeps; warm_sweeps = 0;
-    classes = Solver.n_classes solver }
+  { wall; sweeps = report.Solver.sweeps; classes = Solver.n_classes solver }
 
 (* Table-II-style end-to-end session update on synthetic clusters: the
    latency an analyst sees between marking a cluster and the next view. *)
@@ -128,23 +127,16 @@ let session_update_synthetic ~smoke =
     Bench_common.time_of (fun () ->
         Session.update_background ~time_cutoff:60.0 session)
   in
-  let sweeps, warm_sweeps =
-    match report with
-    | Ok r -> (r.Solver.sweeps, r.Solver.warm_sweeps)
-    | Error _ -> (0, 0)
-  in
-  { wall; sweeps; warm_sweeps;
+  { wall; sweeps = sweeps_of report;
     classes = Solver.n_classes (Session.solver session) }
 
-(* The warm counterpart of session_update_synthetic — and the scenario
-   behind PR 8's incremental-update claim.  Setup (untimed): the same
-   session, margin + first cluster, solved cold.  Timed: the paper's
-   canonical follow-up interaction — the analyst marks a cluster of
-   points in the current 2-D view — and the update behind it.  The
-   solve sees the old constraints already satisfied, runs restricted
-   warm sweeps over the new 2-D constraints, then a few full passes;
-   its total sweep count must sit strictly below the cold scenario's
-   (checked by the in-harness gate). *)
+(* The incremental counterpart of session_update_synthetic.  Setup
+   (untimed): the same session, margin + first cluster, solved from the
+   prior.  Timed: the paper's canonical follow-up interaction — the
+   analyst marks a cluster of points in the current 2-D view — and the
+   update behind it.  The solve starts from the previous optimum, which
+   already satisfies the old constraints, so its sweep count must sit
+   strictly below the first solve's (checked by the in-harness gate). *)
 let session_update_warm_synthetic ~smoke =
   let n, d, k = if smoke then (256, 8, 2) else (2048, 16, 4) in
   let ds = Sider_data.Synth.clustered ~seed:5 ~n ~d ~k () in
@@ -164,12 +156,7 @@ let session_update_warm_synthetic ~smoke =
     Bench_common.time_of (fun () ->
         Session.update_background ~time_cutoff:60.0 session)
   in
-  let sweeps, warm_sweeps =
-    match report with
-    | Ok r -> (r.Solver.sweeps, r.Solver.warm_sweeps)
-    | Error _ -> (0, 0)
-  in
-  { wall; sweeps; warm_sweeps;
+  { wall; sweeps = sweeps_of report;
     classes = Solver.n_classes (Session.solver session) }
 
 (* The same update on the (synthetic stand-in for the) UCI Image
@@ -189,12 +176,7 @@ let session_update_segmentation ~smoke =
     Bench_common.time_of (fun () ->
         Session.update_background ~time_cutoff:60.0 session)
   in
-  let sweeps, warm_sweeps =
-    match report with
-    | Ok r -> (r.Solver.sweeps, r.Solver.warm_sweeps)
-    | Error _ -> (0, 0)
-  in
-  { wall; sweeps; warm_sweeps;
+  { wall; sweeps = sweeps_of report;
     classes = Solver.n_classes (Session.solver session) }
 
 (* Whiten + PCA over a solved background: the per-interaction view cost
@@ -210,7 +192,7 @@ let whiten_pca ~smoke =
         let fitted = Pca.fit y in
         ignore (Pca.top2 fitted))
   in
-  { wall; sweeps = 0; warm_sweeps = 0; classes = Solver.n_classes solver }
+  { wall; sweeps = 0; classes = Solver.n_classes solver }
 
 (* FastICA on whitened data: the paper's ICA column (O(n d²)). *)
 let ica_projection ~smoke =
@@ -224,7 +206,7 @@ let ica_projection ~smoke =
     Bench_common.time_of (fun () ->
         ignore (Fastica.fit (Sider_rand.Rng.create 17) y))
   in
-  { wall; sweeps = 0; warm_sweeps = 0; classes = Solver.n_classes solver }
+  { wall; sweeps = 0; classes = Solver.n_classes solver }
 
 (* FastICA warmed by a previous unmixing matrix: prepare once, fit cold
    to get [unmixing], then time a fit seeded with it — the per-feedback
@@ -244,7 +226,7 @@ let ica_projection_warm ~smoke =
           (Fastica.fit_prepared ~w0:cold.Fastica.unmixing
              (Sider_rand.Rng.create 18) prep))
   in
-  { wall; sweeps = 0; warm_sweeps = 0; classes = Solver.n_classes solver }
+  { wall; sweeps = 0; classes = Solver.n_classes solver }
 
 (* Full pipeline on the paper's introduction data: session creation,
    two feedback rounds, view recomputation and the scatter readout. *)
@@ -261,12 +243,11 @@ let full_pipeline ~smoke:_ =
         let r2 = Session.update_background ~time_cutoff:30.0 session in
         ignore (Session.recompute_view session);
         ignore (Session.scatter session);
-        let sweeps_of = function Ok r -> r.Solver.sweeps | Error _ -> 0 in
         (sweeps_of r1 + sweeps_of r2,
          Solver.n_classes (Session.solver session)))
   in
   let sweeps, classes = result in
-  { wall; sweeps; warm_sweeps = 0; classes }
+  { wall; sweeps; classes }
 
 (* Observability overhead: the session_update_synthetic workload under
    the three telemetry states a deployment can be in.  The _off variant
@@ -323,12 +304,7 @@ let obs_labels_overhead ~smoke =
             Obs.count_labeled "serve.tenant_requests" [ ("tenant", "bench") ];
             r)
       in
-      let sweeps, warm_sweeps =
-        match report with
-        | Ok r -> (r.Solver.sweeps, r.Solver.warm_sweeps)
-        | Error _ -> (0, 0)
-      in
-      { wall; sweeps; warm_sweeps;
+      { wall; sweeps = sweeps_of report;
         classes = Solver.n_classes (Session.solver session) })
 
 (* The create path of the end-to-end benchmark's projection_reads
@@ -338,7 +314,7 @@ let reads_dataset ~smoke =
   let n = if smoke then 256 else 1024 in
   Sider_data.Synth.clustered ~seed:7919 ~n ~d:16 ~k:8 ()
 
-let no_solve wall = { wall; sweeps = 0; warm_sweeps = 0; classes = 0 }
+let no_solve wall = { wall; sweeps = 0; classes = 0 }
 
 (* The two codec scenarios also check, outside the timed region, that
    the codec is exact on the data they time; a failure exits 1. *)
@@ -409,7 +385,7 @@ let scenarios =
       descr = "Table-II-style session update, synthetic clusters";
       run = session_update_synthetic };
     { name = "session_update_warm_synthetic";
-      descr = "2-D view feedback on a solved session (warm start)";
+      descr = "2-D view feedback on a solved session (inherited optimum)";
       run = session_update_warm_synthetic };
     { name = "session_update_segmentation";
       descr = "session update on the segmentation stand-in";
@@ -455,7 +431,6 @@ type measured = {
   m_wall : float;          (* median over runs *)
   m_wall_min : float;      (* fastest run — least scheduler/GC noise *)
   m_sweeps : int;
-  m_warm_sweeps : int;     (* warm-phase share of m_sweeps (0 = cold) *)
   m_classes : int;
   m_peak_heap : int;       (* Gc top_heap_words after the runs *)
   m_alloc_words : int;     (* median words allocated by a single run *)
@@ -497,7 +472,6 @@ let measure ~smoke ~runs sc =
     m_wall = median walls;
     m_wall_min = Array.fold_left Float.min walls.(0) walls;
     m_sweeps = last.sweeps;
-    m_warm_sweeps = last.warm_sweeps;
     m_classes = last.classes;
     m_peak_heap = peak;
     m_alloc_words = median_int allocs;
@@ -508,8 +482,7 @@ let measure ~smoke ~runs sc =
 
 (* Schema v3 keeps [wall_s] as the median so v1/v2 consumers (and
    [baseline_walls] below, pointed at any version) read the same
-   statistic, and adds the warm/cold split of the solver's sweep count
-   on top of v2's minimum-wall and execution environment. *)
+   statistic, on top of v2's minimum-wall and execution environment. *)
 let to_json ~label ~smoke ~scaling measured =
   let scenario_json m =
     Json.Obj
@@ -517,9 +490,6 @@ let to_json ~label ~smoke ~scaling measured =
         ("wall_s", Json.Number m.m_wall);
         ("wall_min_s", Json.Number m.m_wall_min);
         ("sweeps", Json.Number (float_of_int m.m_sweeps));
-        ("warm_sweeps", Json.Number (float_of_int m.m_warm_sweeps));
-        ("cold_sweeps",
-         Json.Number (float_of_int (m.m_sweeps - m.m_warm_sweeps)));
         ("classes", Json.Number (float_of_int m.m_classes));
         ("peak_heap_words", Json.Number (float_of_int m.m_peak_heap));
         ("allocated_words", Json.Number (float_of_int m.m_alloc_words));
@@ -674,29 +644,27 @@ let () =
   in
   Bench_common.write_file !out (json ^ "\n");
   Printf.printf "  wrote %s\n%!" !out;
-  (* The warm-update gate (full runs only: smoke sizes converge in too
-     few sweeps to separate the phases meaningfully).  Deterministic —
-     sweep counts don't jitter with the scheduler. *)
+  (* The incremental-update gate (full runs only: smoke sizes converge
+     in too few sweeps to separate the two meaningfully).
+     Deterministic — sweep counts don't jitter with the scheduler. *)
   if not smoke then begin
     let find n = List.find_opt (fun m -> m.m_name = n) measured in
     match
       (find "session_update_synthetic", find "session_update_warm_synthetic")
     with
-    | Some cold, Some warm ->
-      if warm.m_sweeps >= cold.m_sweeps then begin
+    | Some first, Some incremental ->
+      if incremental.m_sweeps >= first.m_sweeps then begin
         Printf.eprintf
-          "bench_regress: warm-update gate FAILED: \
-           session_update_warm_synthetic took %d sweeps, cold took %d \
-           (warm must be strictly below)\n%!"
-          warm.m_sweeps cold.m_sweeps;
+          "bench_regress: incremental-update gate FAILED: \
+           session_update_warm_synthetic took %d sweeps, the first solve \
+           took %d (the incremental update must be strictly below)\n%!"
+          incremental.m_sweeps first.m_sweeps;
         exit 1
       end
       else
         Printf.printf
-          "  warm-update gate: %d sweeps (%d warm + %d full) < %d cold ok\n%!"
-          warm.m_sweeps warm.m_warm_sweeps
-          (warm.m_sweeps - warm.m_warm_sweeps)
-          cold.m_sweeps
+          "  incremental-update gate: %d sweeps < %d for a first solve ok\n%!"
+          incremental.m_sweeps first.m_sweeps
     | _ -> ()
   end;
   (* The labeled-metrics gate (full runs only): the per-request labeled

@@ -91,7 +91,7 @@ let access_log_t =
   let doc =
     "Write a structured JSON access log to $(docv): one line per \
      request with trace id, tenant, route, status, duration, queue \
-     wait, journal fsync time and the update's warm/cold sweep split."
+     wait, journal fsync time and the update's solver sweeps."
   in
   Arg.(value & opt (some string) None
        & info [ "access-log" ] ~docv:"FILE" ~doc)

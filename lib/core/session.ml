@@ -179,8 +179,7 @@ let validate_pending pending =
              "constraint has non-finite target, shift or direction"))
     pending
 
-let update_background ?trace ?(time_cutoff = 10.0) ?max_sweeps ?lambda_tol
-    ?param_tol t =
+let update_background ?trace ?(time_cutoff = 10.0) ?max_sweeps t =
   (* The end-to-end latency of this span (constraint registration +
      repartition + MaxEnt solve) is the paper's Table II interactivity
      metric, recorded into the [session.update_s] histogram.  [trace] is
@@ -210,23 +209,16 @@ let update_background ?trace ?(time_cutoff = 10.0) ?max_sweeps ?lambda_tol
   match
     Sider_error.protect (fun () ->
         validate_pending t.pending;
-        (* Warm handle off the pre-update solver: its constraint prefix
-           and multipliers survive [add_constraints] verbatim, so the
-           solve below only has to sweep the freshly added constraints
-           before the (now cheap) full-convergence passes.  The solver
-           rejects the handle and runs cold if the state doesn't match;
-           a rolled-back update discards it along with the solver. *)
-        let warm = Solver.warm_start t.solver in
+        (* The new solver inherits the pre-update optimum, so the solve
+           starts from it rather than from the prior. *)
         let solver = Solver.add_constraints t.solver t.pending in
         t.solver <- solver;
         t.pending <- [];
-        Solver.solve ~time_cutoff ?max_sweeps ?lambda_tol ?param_tol ~warm
-          solver)
+        Solver.solve ~time_cutoff ?max_sweeps solver)
   with
   | Ok report ->
     List.iter (degrade t) report.Solver.degradations;
     Obs.span_attr "outcome" (Obs.Str "ok");
-    Obs.span_attr "warm_sweeps" (Obs.Int report.Solver.warm_sweeps);
     Obs.span_attr "classes"
       (Obs.Int (Sider_maxent.Solver.n_classes t.solver));
     Ok report
@@ -241,9 +233,8 @@ let update_background ?trace ?(time_cutoff = 10.0) ?max_sweeps ?lambda_tol
     Obs.flight_auto_dump ?trace ~reason ();
     Error e
 
-let update_background_exn ?time_cutoff ?max_sweeps ?lambda_tol ?param_tol t =
-  match update_background ?time_cutoff ?max_sweeps ?lambda_tol ?param_tol t
-  with
+let update_background_exn ?time_cutoff ?max_sweeps t =
+  match update_background ?time_cutoff ?max_sweeps t with
   | Ok report -> report
   | Error e -> Sider_error.raise_ e
 

@@ -108,12 +108,12 @@ val add_one_cluster_constraint : t -> unit
 (** Full-data cluster constraint — overall covariance (2d constraints). *)
 
 val update_background : ?trace:string -> ?time_cutoff:float ->
-  ?max_sweeps:int -> ?lambda_tol:float -> ?param_tol:float -> t ->
-  (Solver.report, Sider_error.t) result
-(** Re-solve the MaxEnt problem with all queued constraints.  The default
-    [time_cutoff] is 10 s, the SIDER production default; the convergence
-    tolerances are adjustable as in the SIDER UI's convergence-parameter
-    panel.
+  ?max_sweeps:int -> t -> (Solver.report, Sider_error.t) result
+(** Re-solve the MaxEnt problem with all queued constraints, starting
+    from the current background's parameters ({!Solver.add_constraints}).
+    The default [time_cutoff] is 10 s, the SIDER production default;
+    [max_sweeps] caps the solve's sweeps (default: {!Solver.solve}'s).
+    The convergence tolerances are {!Solver.solve}'s defaults.
 
     [trace] (the driving request's trace id, when the session service
     runs the update) is attached to the update span and to any
@@ -134,8 +134,8 @@ val update_background : ?trace:string -> ?time_cutoff:float ->
     staying 1:1 (a replayed failure rolls back identically, so the
     reconstructed state is unaffected). *)
 
-val update_background_exn : ?time_cutoff:float -> ?max_sweeps:int ->
-  ?lambda_tol:float -> ?param_tol:float -> t -> Solver.report
+val update_background_exn : ?time_cutoff:float -> ?max_sweeps:int -> t ->
+  Solver.report
 (** {!update_background} unwrapped: raises [Sider_error.Error] on
     failure.  For scripts and benchmarks where failure is unexpected. *)
 

@@ -8,41 +8,23 @@ type t = {
   mutable mean : Vec.t;
   scratch_g : Vec.t;
   mutable scratch_sigma : Mat.t;
-  mutable chol_cache : Mat.t option;
 }
 
 let initial d =
   { theta1 = Vec.create d; sigma = Mat.identity d; mean = Vec.create d;
-    scratch_g = Vec.create d; scratch_sigma = Mat.create d d;
-    chol_cache = None }
+    scratch_g = Vec.create d; scratch_sigma = Mat.create d d }
 
 let copy t =
   let d = Array.length t.mean in
   { theta1 = Vec.copy t.theta1; sigma = Mat.copy t.sigma;
     mean = Vec.copy t.mean;
-    scratch_g = Vec.create d; scratch_sigma = Mat.create d d;
-    chol_cache = Option.map Mat.copy t.chol_cache }
+    scratch_g = Vec.create d; scratch_sigma = Mat.create d d }
 
-(* Linear updates leave Σ untouched (only θ₁ and m shift), so a cached
-   factor of Σ stays valid across them — the property the warm session
-   path exploits: a feedback round of purely linear refinements resamples
-   without refactorising any class. *)
 let apply_linear t ~lambda ~w =
   let g = t.scratch_g in
   Mat.mv_into ~dst:g t.sigma w;
   Vec.axpy lambda w t.theta1;
   Vec.axpy lambda g t.mean
-
-let chol t =
-  match t.chol_cache with
-  | Some c ->
-    Obs.count "gauss.chol.cached";
-    c
-  | None ->
-    let c = Chol.decompose_psd (Mat.symmetrize t.sigma) in
-    Obs.count "gauss.chol.factorize";
-    t.chol_cache <- Some c;
-    c
 
 (* A Σ that lost positive definiteness shows up on the diagonal first:
    a variance gone non-positive or non-finite.  This O(d) necessary
@@ -97,10 +79,6 @@ let counted outcome =
   outcome
 
 let apply_quadratic t ~lambda ~delta ~w =
-  (* Conservative invalidation: every quadratic branch either rewrites Σ
-     or may leave it swapped with scratch (`Frozen` restore), so the
-     cached factor is dropped up front rather than per-branch. *)
-  t.chol_cache <- None;
   let g = t.scratch_g in
   Mat.mv_into ~dst:g t.sigma w;
   let c = Vec.dot w g in

@@ -18,9 +18,6 @@ type t = {
   mutable scratch_sigma : Mat.t;
   (** Internal reusable pre-update [Σ] snapshot for Woodbury rollback;
       not part of the class state. *)
-  mutable chol_cache : Mat.t option;
-  (** Memoised Cholesky factor of [symmetrize Σ] (see {!chol}); [None]
-      whenever [Σ] may have changed since the last factorization. *)
 }
 
 val initial : int -> t
@@ -29,17 +26,7 @@ val initial : int -> t
 val copy : t -> t
 
 val apply_linear : t -> lambda:float -> w:Vec.t -> unit
-(** Add [λ w] to [θ₁]; [Σ] is unchanged and [m] shifts by [λ Σ w].  The
-    cached Cholesky factor (see {!chol}) stays valid — linear updates
-    never touch [Σ]. *)
-
-val chol : t -> Mat.t
-(** The PSD Cholesky factor of [symmetrize Σ], memoised in
-    {!chol_cache}: computed (O(d³)) on the first call and reused until a
-    quadratic update invalidates it.  This is the factor {!Solver.sample}
-    draws through; callers must not mutate the returned matrix.  Cache
-    traffic is observable as the [gauss.chol.cached] /
-    [gauss.chol.factorize] counters. *)
+(** Add [λ w] to [θ₁]; [Σ] is unchanged and [m] shifts by [λ Σ w]. *)
 
 val apply_quadratic :
   t -> lambda:float -> delta:float -> w:Vec.t ->

@@ -11,19 +11,21 @@ module Par = Sider_par.Par
    is small. *)
 let par_classes_min = 2
 
+(* Bound on a single multiplier change.  The root search reaches it only
+   when a constraint's target variance is exactly zero (the singular
+   optimum of Eq. 13). *)
+let lambda_cap = 1e7
+
+(* Sweeps a solve may roll back after a NaN scan before it stops at the
+   last finite state. *)
+let recovery_budget = 8
+
 type t = {
   data : Mat.t;
   constraints : Constr.t array;
   partition : Partition.t;
   classes : Gauss_params.t array;
   data_sd : float;
-  (* Cumulative applied multiplier per constraint, in constraint order.
-     Not needed by the update math itself (the multipliers' effect lives
-     in the class parameters) — it is the warm-start fingerprint: a
-     solver built by [add_constraints] inherits the prefix bit-for-bit,
-     which is how [solve ?warm] verifies it descends from the captured
-     state. *)
-  lambdas : float array;
   (* Per-constraint duration-histogram handle for the instrumented
      update path (per-kind names), built once so the per-update hot
      loop pays neither allocation nor a registry lookup when a sink or
@@ -39,13 +41,6 @@ type report = {
   max_dparam : float;
   elapsed : float;
   degradations : Sider_error.t list;
-  warm_sweeps : int;
-  cold_sweeps : int;
-}
-
-type warm = {
-  warm_tags : string array;
-  warm_lambdas : float array;
 }
 
 let overall_sd data =
@@ -71,7 +66,7 @@ let build data constraints init_params =
       constraints
   in
   { data; constraints; partition; classes; data_sd = overall_sd data;
-    lambdas = Array.make (Array.length constraints) 0.0; update_obs }
+    update_obs }
 
 let create data constraints =
   build data constraints (fun ~cls:_ ~representative:_ ~d ->
@@ -81,19 +76,9 @@ let add_constraints t extra =
   let all = Array.to_list t.constraints @ extra in
   (* New classes refine old ones: inherit the old parameters of any member
      row (all members shared one old class). *)
-  let t' =
-    build t.data all (fun ~cls:_ ~representative ~d:_ ->
-        Gauss_params.copy
-          t.classes.(Partition.class_of_row t.partition representative))
-  in
-  (* The old constraints keep their accumulated multipliers: together
-     with the inherited class parameters this is the full warm state. *)
-  Array.blit t.lambdas 0 t'.lambdas 0 (Array.length t.lambdas);
-  t'
-
-let warm_start t =
-  { warm_tags = Array.map (fun (c : Constr.t) -> c.Constr.tag) t.constraints;
-    warm_lambdas = Array.copy t.lambdas }
+  build t.data all (fun ~cls:_ ~representative ~d:_ ->
+      Gauss_params.copy
+        t.classes.(Partition.class_of_row t.partition representative))
 
 let data t = t.data
 
@@ -210,7 +195,7 @@ let update_linear t idx ~damp =
    strictly decreasing on (−1/max c, ∞) with range (0, ∞), so the root of
    v(λ) = v̂ is unique; we locate it by bracketed bisection with Newton
    acceleration. *)
-let update_quadratic t idx ~lambda_cap ~damp =
+let update_quadratic t idx ~damp =
   let constr = t.constraints.(idx) in
   let w = constr.Constr.w in
   let delta = constr.Constr.shift in
@@ -345,10 +330,10 @@ let restore_classes t snapshot =
    granularity and per-update durations go into per-kind histograms
    via preregistered handles with chained clock reads — see
    [solve_body]. *)
-let run_update t idx (constr : Constr.t) ~lambda_cap ~damp =
+let run_update t idx (constr : Constr.t) ~damp =
   match constr.Constr.kind with
   | Constr.Linear -> update_linear t idx ~damp
-  | Constr.Quadratic -> update_quadratic t idx ~lambda_cap ~damp
+  | Constr.Quadratic -> update_quadratic t idx ~damp
 
 (* Wall clock off the process-epoch monotonic base in lib/obs — the one
    sanctioned clock, so cutoff and [elapsed] agree with the telemetry
@@ -356,16 +341,10 @@ let run_update t idx (constr : Constr.t) ~lambda_cap ~damp =
    (CPU time used to multiply by the domain count). *)
 let now_s () = Int64.to_float (Obs.now_ns ()) *. 1e-9
 
-(* One phase of iterative scaling over the constraint subset [indices]
-   (the full set for a cold solve; only the fresh suffix for the warm
-   phase).  [sweep_offset] keeps sweep numbering — fault hooks, trace,
-   telemetry — continuous across phases.  [stop_on_degradation] makes
-   the warm phase bail out to the caller (which falls back to full
-   sweeps) on the first numerical fault instead of spending its own
-   recovery budget. *)
-let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
-    ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~lambda_cap
-    ~recovery_budget ~trace t =
+(* Iterative scaling: full sweeps over every constraint, starting from
+   whatever class parameters the solver holds (the prior for a fresh
+   solver, the inherited optimum after [add_constraints]). *)
+let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
   let start = now_s () in
   let sweeps = ref 0 and updates = ref 0 in
   let converged = ref false in
@@ -378,8 +357,7 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
     Obs.count "solver.degradation";
     Obs.flight_event ~name:"solver.degradation" ~detail:(Sider_error.to_string e);
     Obs.flight_auto_dump ~reason:(Sider_error.to_string e) ();
-    degradations := e :: !degradations;
-    if stop_on_degradation then stop := true
+    degradations := e :: !degradations
   in
   let cut_off () =
     match time_cutoff with
@@ -390,7 +368,7 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
         && not (cut_off ())
   do
     incr sweeps;
-    let abs_sweep = sweep_offset + !sweeps in
+    let sweep = !sweeps in
     (* Sweep-local telemetry baselines, read only when the layer is
        active: the convergence series reports per-sweep Woodbury
        fast/recompute deltas and per-sweep wall clock. *)
@@ -409,41 +387,37 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
         [@sider.allow "obs-hygiene"]
       else 0
     in
-    Obs.with_span "solver.sweep"
-      ~attrs:[ ("sweep", Obs.Int abs_sweep); ("phase", Obs.Str phase) ]
+    Obs.with_span "solver.sweep" ~attrs:[ ("sweep", Obs.Int sweep) ]
     @@ fun () ->
     (* Fault-injection hooks (no-ops unless a test armed them). *)
-    if Fault.should_fail_sweep ~sweep:abs_sweep then
+    if Fault.should_fail_sweep ~sweep then
       Sider_error.raise_
-        (Sider_error.solver_divergence ~sweep:abs_sweep
-           "injected sweep failure");
-    (match Fault.nan_class_for_sweep ~sweep:abs_sweep with
+        (Sider_error.solver_divergence ~sweep "injected sweep failure");
+    (match Fault.nan_class_for_sweep ~sweep with
      | Some cls when cls < Array.length t.classes ->
        t.classes.(cls).Gauss_params.mean.(0) <- Float.nan
      | _ -> ());
     (* Pre-sweep scan: parameters poisoned outside a sweep (injection,
-       corrupted warm start) are reset to the prior for that class —
+       corrupted inherited state) are reset to the prior for that class —
        the only finite state available before any snapshot exists. *)
     (match first_bad_class t with
      | Some cls ->
        let _, d = Mat.dims t.data in
        t.classes.(cls) <- Gauss_params.initial d;
        degrade
-         (Sider_error.nan_detected ~class_index:cls ~sweep:abs_sweep
+         (Sider_error.nan_detected ~class_index:cls ~sweep
             "non-finite class parameters at sweep start; class reset to \
              the prior")
      | None -> ());
     let snapshot = Array.map Gauss_params.copy t.classes in
-    let snapshot_lambdas = Array.copy t.lambdas in
     let max_dl = ref 0.0 and max_dp = ref 0.0 in
     (* Chained per-update timing: the end of update [i] is the start of
        update [i+1], so the instrumented loop pays one clock read and
        one handle push per update (the disabled loop pays nothing). *)
     let t_prev = ref (if obs then Obs.now_ns () else 0L) in
-    Array.iter
-      (fun idx ->
-        let constr = t.constraints.(idx) in
-        let dl, dp, faults = run_update t idx constr ~lambda_cap ~damp:!damp in
+    Array.iteri
+      (fun idx constr ->
+        let dl, dp, faults = run_update t idx constr ~damp:!damp in
         if obs then begin
           let now = Obs.now_ns () in
           Obs.observe_into t.update_obs.(idx)
@@ -451,12 +425,11 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
           t_prev := now
         end;
         incr updates;
-        t.lambdas.(idx) <- t.lambdas.(idx) +. dl;
         List.iter degrade faults;
         max_dl := Float.max !max_dl (Float.abs dl);
         max_dp := Float.max !max_dp dp)
-      indices;
-    (Obs.count ~by:(Array.length indices) "solver.updates")
+      t.constraints;
+    (Obs.count ~by:(Array.length t.constraints) "solver.updates")
     [@sider.allow "obs-hygiene"];
     (* Post-sweep scan: a sweep that produced NaN/Inf anywhere is rolled
        back wholesale and retried with a halved step, under a bounded
@@ -464,7 +437,6 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
     (match first_bad_class t with
      | Some cls ->
        restore_classes t snapshot;
-       Array.blit snapshot_lambdas 0 t.lambdas 0 (Array.length t.lambdas);
        Obs.count "solver.rollback" [@sider.allow "obs-hygiene"];
        if !recoveries_left > 0 then begin
          decr recoveries_left;
@@ -473,7 +445,7 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
          (* The rolled-back sweep is retried; don't let its (bogus)
             deltas trigger the convergence test. *)
          degrade
-           (Sider_error.nan_detected ~class_index:cls ~sweep:abs_sweep
+           (Sider_error.nan_detected ~class_index:cls ~sweep
               (Printf.sprintf
                  "non-finite parameters after sweep; rolled back, \
                   retrying with step %.3g"
@@ -481,7 +453,7 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
        end
        else begin
          degrade
-           (Sider_error.solver_divergence ~class_index:cls ~sweep:abs_sweep
+           (Sider_error.solver_divergence ~class_index:cls ~sweep
               (Printf.sprintf
                  "recovery budget (%d) exhausted; stopping at the last \
                   finite state"
@@ -498,8 +470,7 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
             state is untouched, so numerics stay bit-identical. *)
          let res_l, res_q = residual_by_kind t in
          Obs.series_add "solver.convergence"
-           [ ("sweep", Obs.Int abs_sweep);
-             ("phase", Obs.Str phase);
+           [ ("sweep", Obs.Int sweep);
              ("max_dlambda", Obs.Float !max_dl);
              ("max_dparam", Obs.Float !max_dp);
              ("residual_linear", Obs.Float res_l);
@@ -519,7 +490,7 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
                 (Int64.to_float (Int64.sub (Obs.now_ns ()) sweep_t0) /. 1e9)) ]
        end;
        (match trace with
-        | Some f -> f ~sweep:abs_sweep ~updates:!updates t
+        | Some f -> f ~sweep ~updates:!updates t
         | None -> ());
        (* A clean sweep earns the step size back (symmetric to the
           halving on failure, capped at the exact step). *)
@@ -535,96 +506,12 @@ let solve_body ~phase ~indices ~sweep_offset ~stop_on_degradation
     max_dparam = !last_dparam;
     elapsed = now_s () -. start;
     degradations = List.rev !degradations;
-    warm_sweeps = 0;
-    cold_sweeps = !sweeps;
   }
 
-(* A warm handle is honoured only when the current constraint array
-   provably extends the captured one: same tags in the same order over
-   the prefix, and bit-identical accumulated multipliers (inherited by
-   [add_constraints]).  Anything else — reordered constraints, a solver
-   that was re-solved since capture, a handle from another solver —
-   degrades to a cold solve rather than risking a phase-1 pass over the
-   wrong subset. *)
-let warm_new_indices t w =
-  let n_all = Array.length t.constraints in
-  let n_w = Array.length w.warm_tags in
-  if n_w > n_all || Array.length w.warm_lambdas <> n_w then `Invalid
-  else begin
-    let ok = ref true in
-    for i = 0 to n_w - 1 do
-      if
-        not (String.equal t.constraints.(i).Constr.tag w.warm_tags.(i))
-        || Int64.bits_of_float t.lambdas.(i)
-           <> Int64.bits_of_float w.warm_lambdas.(i)
-      then ok := false
-    done;
-    if not !ok then `Invalid
-    else if n_w = 0 || n_w = n_all then `Nothing_new
-    else `New (Array.init (n_all - n_w) (fun k -> n_w + k))
-  end
-
 let solve ?(max_sweeps = 1000) ?(lambda_tol = 1e-2) ?(param_tol = 1e-2)
-    ?time_cutoff ?(lambda_cap = 1e7) ?(recovery_budget = 8)
-    ?(warm_max_sweeps = 32) ?warm ?trace t =
-  let full = Array.init (Array.length t.constraints) (fun i -> i) in
-  let cold ~sweep_offset ~max_sweeps ~time_cutoff =
-    solve_body ~phase:"full" ~indices:full ~sweep_offset
-      ~stop_on_degradation:false ~max_sweeps ~lambda_tol ~param_tol
-      ~time_cutoff ~lambda_cap ~recovery_budget ~trace t
-  in
+    ?time_cutoff ?trace t =
   let run () =
-    match warm with
-    | None -> cold ~sweep_offset:0 ~max_sweeps ~time_cutoff
-    | Some w ->
-      (match warm_new_indices t w with
-       | `Invalid ->
-         Obs.count "solver.warm_rejected";
-         cold ~sweep_offset:0 ~max_sweeps ~time_cutoff
-       | `Nothing_new -> cold ~sweep_offset:0 ~max_sweeps ~time_cutoff
-       | `New fresh ->
-         (* Phase 1: restricted sweeps over only the fresh constraints.
-            The inherited state already satisfies the old ones, so the
-            expensive full passes start from a near-converged point.
-            Any numerical fault here aborts the phase — phase 2 *is*
-            the cold fallback, and it always runs to global
-            convergence, so correctness never depends on phase 1. *)
-         let r1 =
-           solve_body ~phase:"warm" ~indices:fresh ~sweep_offset:0
-             ~stop_on_degradation:true
-             ~max_sweeps:(min warm_max_sweeps max_sweeps) ~lambda_tol
-             ~param_tol ~time_cutoff ~lambda_cap ~recovery_budget ~trace t
-         in
-         if not (List.is_empty r1.degradations) then begin
-           Obs.count "solver.warm_fallback";
-           Obs.flight_event ~name:"solver.warm_fallback"
-             ~detail:
-               (Printf.sprintf
-                  "warm phase degraded after %d sweeps; falling back to \
-                   full cold sweeps"
-                  r1.sweeps)
-         end;
-         (* Phase 2: full sweeps to the usual global criterion, on
-            whatever budget phase 1 left. *)
-         let r2 =
-           cold ~sweep_offset:r1.sweeps
-             ~max_sweeps:(Stdlib.max 1 (max_sweeps - r1.sweeps))
-             ~time_cutoff:
-               (Option.map
-                  (fun b -> Float.max 0.0 (b -. r1.elapsed))
-                  time_cutoff)
-         in
-         {
-           sweeps = r1.sweeps + r2.sweeps;
-           updates = r1.updates + r2.updates;
-           converged = r2.converged;
-           max_dlambda = r2.max_dlambda;
-           max_dparam = r2.max_dparam;
-           elapsed = r1.elapsed +. r2.elapsed;
-           degradations = r1.degradations @ r2.degradations;
-           warm_sweeps = r1.sweeps;
-           cold_sweeps = r2.sweeps;
-         })
+    solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t
   in
   if not (Obs.enabled ()) then run ()
   else begin
@@ -633,12 +520,10 @@ let solve ?(max_sweeps = 1000) ?(lambda_tol = 1e-2) ?(param_tol = 1e-2)
       ~attrs:
         [ ("constraints", Obs.Int (Array.length t.constraints));
           ("classes", Obs.Int (Array.length t.classes));
-          ("rows", Obs.Int n);
-          ("warm", Obs.Bool (Option.is_some warm)) ]
+          ("rows", Obs.Int n) ]
       (fun () ->
         let report = run () in
         Obs.span_attr "sweeps" (Obs.Int report.sweeps);
-        Obs.span_attr "warm_sweeps" (Obs.Int report.warm_sweeps);
         Obs.span_attr "converged" (Obs.Bool report.converged);
         Obs.span_attr "degradations"
           (Obs.Int (List.length report.degradations));
@@ -676,9 +561,7 @@ let sample t rng =
   let out = Mat.create n d in
   Array.iteri
     (fun cls p ->
-      (* Factor reuse: classes untouched by quadratic updates since the
-         last draw sample through their cached Cholesky. *)
-      let chol = Gauss_params.chol p in
+      let chol = Chol.decompose_psd (Mat.symmetrize p.Gauss_params.sigma) in
       Array.iter
         (fun r ->
           Mat.set_row out r

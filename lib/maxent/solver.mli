@@ -32,22 +32,7 @@ type report = {
                               to a full recompute, sweeps rolled back
                               after a NaN scan, recovery-budget
                               exhaustion.  Empty on a clean solve. *)
-  warm_sweeps : int;      (** Restricted (new-constraints-only) sweeps of
-                              the warm phase; 0 on a cold solve. *)
-  cold_sweeps : int;      (** Full passes over the whole constraint set;
-                              [sweeps = warm_sweeps + cold_sweeps]. *)
 }
-
-type warm
-(** A warm-start handle: the constraint tags and accumulated multipliers
-    of a solved state.  Capture with {!warm_start}, extend the solver
-    with {!add_constraints}, then pass to {!solve} as [?warm]. *)
-
-val warm_start : t -> warm
-(** Capture the current solved state as a warm-start fingerprint.  Cheap
-    (two small array copies); typically taken right before
-    {!add_constraints} so the next {!solve} can treat the inherited
-    prefix as already converged. *)
 
 val create : Mat.t -> Constr.t list -> t
 (** A fresh solver whose background distribution is the prior [N(0, I)]
@@ -55,9 +40,12 @@ val create : Mat.t -> Constr.t list -> t
 
 val add_constraints : t -> Constr.t list -> t
 (** Extend the constraint set, *keeping* the current solved parameters as
-    a warm start (the new equivalence classes refine the old ones, so
-    every new class inherits its old class's parameters).  This is what
-    each SIDER iteration does when the user marks new clusters. *)
+    the starting point of the next {!solve} (the new equivalence classes
+    refine the old ones, so every new class inherits its old class's
+    parameters).  This is what each SIDER iteration does when the user
+    marks new clusters.  The optimum is unique (Lemma 1), so the next
+    solve reaches the same background as a solve from the prior, in
+    fewer sweeps. *)
 
 val data : t -> Mat.t
 
@@ -74,34 +62,20 @@ val row_params : t -> int -> Gauss_params.t
 (** Parameters governing a data row. *)
 
 val solve : ?max_sweeps:int -> ?lambda_tol:float -> ?param_tol:float ->
-  ?time_cutoff:float -> ?lambda_cap:float -> ?recovery_budget:int ->
-  ?warm_max_sweeps:int -> ?warm:warm ->
-  ?trace:(sweep:int -> updates:int -> t -> unit) -> t -> report
-(** Run iterative scaling until convergence.
-
-    With [?warm] (a handle captured by {!warm_start} before the solver
-    was extended), the solve runs in two phases.  Phase 1 sweeps only
-    the constraints added since the capture — the inherited class
-    parameters already satisfy the old ones — for at most
-    [warm_max_sweeps] (default 32) restricted sweeps.  Phase 2 then
-    runs ordinary full sweeps to the global criterion below, so the
-    result always meets the same contract as a cold solve.  Any
-    degradation during phase 1 aborts it immediately and falls back to
-    the full sweeps (counted as [solver.warm_fallback]); a handle that
-    does not match the solver's constraint prefix is rejected
-    ([solver.warm_rejected]) and the solve runs cold.  The report
-    splits [sweeps] into [warm_sweeps] and [cold_sweeps]; the
-    [solver.convergence] series tags each row with its [phase].
+  ?time_cutoff:float -> ?trace:(sweep:int -> updates:int -> t -> unit) ->
+  t -> report
+(** Run iterative scaling until convergence: full sweeps over every
+    constraint, from the parameters the solver holds, at most
+    [max_sweeps] (default 1000) of them.
 
     Every sweep is guarded: class parameters are scanned for NaN/Inf
     before and after the sweep.  A poisoned pre-sweep state resets the
     offending class to the prior; a sweep that *produces* non-finite
     parameters is rolled back to its snapshot and retried with a halved
-    step, up to [recovery_budget] (default 8) times in total, after which
-    the solver stops at the last finite state ([converged = false], a
-    [Solver_divergence] entry in [degradations]).  The solver therefore
-    never returns non-finite parameters and never raises on numerical
-    failure.
+    step, up to 8 times in total, after which the solver stops at the
+    last finite state ([converged = false], a [Solver_divergence] entry
+    in [degradations]).  The solver therefore never returns non-finite
+    parameters and never raises on numerical failure.
 
     Convergence follows the paper's criterion: the maximal absolute
     multiplier change in a sweep is below [lambda_tol] (default 1e-2), or
@@ -109,10 +83,10 @@ val solve : ?max_sweeps:int -> ?lambda_tol:float -> ?param_tol:float ->
     below [param_tol] (default 1e-2) times the standard deviation of the
     full data.  [time_cutoff] (wall-clock seconds, default none) reproduces the
     SIDER ~10 s cutoff that guards against the slow adversarial cases of
-    Fig. 5.  [lambda_cap] (default 1e7) bounds a single multiplier change;
-    it is reached only when a constraint's target variance is exactly
-    zero (singular optimum, Eq. 13).  [trace] is called after every sweep
-    — the Fig. 5b convergence curves are recorded through it. *)
+    Fig. 5.  A single multiplier change is bounded by 1e7, reached only
+    when a constraint's target variance is exactly zero (singular
+    optimum, Eq. 13).  [trace] is called after every sweep — the Fig. 5b
+    convergence curves are recorded through it. *)
 
 val expectation : t -> Constr.t -> float
 (** [E_p[f_c(X, I, w)]] under the current background distribution
@@ -138,10 +112,8 @@ val relative_entropy : t -> float
 
 val sample : t -> Rng.t -> Mat.t
 (** One dataset drawn from the background distribution: row [i] is drawn
-    from [N(m_i, Σ_i)].  Cholesky factors come from the per-class cache
-    ({!Gauss_params.chol}), so repeated draws between quadratic updates
-    — e.g. resampling after a purely linear warm update — reuse the
-    factorization instead of redoing the O(d³) decompose. *)
+    from [N(m_i, Σ_i)], through one PSD Cholesky factorization of
+    [symmetrize Σ] per class. *)
 
 val mean_matrix : t -> Mat.t
 (** The per-row means as an [n×d] matrix. *)

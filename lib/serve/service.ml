@@ -178,12 +178,14 @@ let session_summary ?trace (entry : Registry.entry) =
       ("degradations",
        Json.Number (float_of_int (List.length (Session.degradations s)))) ]
 
+(* [warm_sweeps] (0) and [cold_sweeps] (= [sweeps]) stay for clients
+   that parse them: every sweep is a full sweep. *)
 let report_json (r : Sider_maxent.Solver.report) =
   Json.Obj
     [ ("converged", Json.Bool r.converged);
       ("sweeps", Json.Number (float_of_int r.sweeps));
-      ("warm_sweeps", Json.Number (float_of_int r.warm_sweeps));
-      ("cold_sweeps", Json.Number (float_of_int r.cold_sweeps));
+      ("warm_sweeps", Json.Number 0.0);
+      ("cold_sweeps", Json.Number (float_of_int r.sweeps));
       ("updates", Json.Number (float_of_int r.updates));
       ("max_dlambda", Json.Number r.max_dlambda);
       ("max_dparam", Json.Number r.max_dparam);
@@ -234,13 +236,11 @@ type req_ctx = {
   rc_trace : string;
   mutable rc_tenant : string;  (* session id touched, "-" otherwise *)
   mutable rc_journal_ns : int64;  (* journal append+fsync time *)
-  mutable rc_warm : int;  (* warm sweeps of an update's solve *)
-  mutable rc_cold : int;
+  mutable rc_sweeps : int;  (* sweeps of an update's solve *)
 }
 
 let make_ctx trace =
-  { rc_trace = trace; rc_tenant = "-"; rc_journal_ns = 0L; rc_warm = 0;
-    rc_cold = 0 }
+  { rc_trace = trace; rc_tenant = "-"; rc_journal_ns = 0L; rc_sweeps = 0 }
 
 let ns_span t0 = Int64.sub (Obs.now_ns ()) t0
 
@@ -363,9 +363,7 @@ let handle_update t ctx (req : Http.request) id ~deadline_at =
   in
   Obs.observe_into stage_solve (Int64.to_float (ns_span t0) /. 1e9);
   (match result with
-   | Ok (r : Sider_maxent.Solver.report) ->
-     ctx.rc_warm <- r.warm_sweeps;
-     ctx.rc_cold <- r.cold_sweeps
+   | Ok (r : Sider_maxent.Solver.report) -> ctx.rc_sweeps <- r.sweeps
    | Error _ -> ());
   crash_poll req.path;
   Registry.maybe_compact t.registry entry;
@@ -518,13 +516,12 @@ let access_log_line t ctx ~route ~meth ~path ~status ~dur_s ~queue_s =
       Printf.sprintf
         "{\"ts\":%.6f,\"trace\":\"%s\",\"tenant\":\"%s\",\"route\":\"%s\",\
          \"method\":\"%s\",\"path\":\"%s\",\"status\":%d,\"dur_s\":%.6f,\
-         \"queue_s\":%.6f,\"journal_fsync_ns\":%Ld,\"warm_sweeps\":%d,\
-         \"cold_sweeps\":%d}\n"
+         \"queue_s\":%.6f,\"journal_fsync_ns\":%Ld,\"sweeps\":%d}\n"
         (now_s ())
         (Obs.json_escape ctx.rc_trace)
         (Obs.json_escape ctx.rc_tenant)
         (Obs.json_escape route) (Obs.json_escape meth) (Obs.json_escape path)
-        status dur_s queue_s ctx.rc_journal_ns ctx.rc_warm ctx.rc_cold
+        status dur_s queue_s ctx.rc_journal_ns ctx.rc_sweeps
     in
     (* Fun.protect, not a bare unlock: the Sys_error handler below only
        covers channel faults — anything else (Out_of_memory, a signal

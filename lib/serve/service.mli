@@ -13,11 +13,12 @@
       validated against the dataset before anything is journaled.
     - [POST /sessions/:id/update] — body [{"time_cutoff"?,
       "max_sweeps"?}]; re-solves the background distribution and
-      returns the solver report.  The cutoff is clamped to the
-      request's remaining deadline; a cutoff that is not a finite
-      number (say [-1e999]) is a 400.  A report field with no finite
-      value (the step sizes of an update that ran no sweep) is
-      [null].
+      returns the solver report.  Its [warm_sweeps] (always 0) and
+      [cold_sweeps] (equal to [sweeps]) keys are kept for existing
+      clients.  The cutoff is clamped to the request's remaining
+      deadline; a cutoff that is not a finite number (say [-1e999]) is
+      a 400.  A report field with no finite value (the step sizes of an
+      update that ran no sweep) is [null].
     - [POST /sessions/:id/view] — body [{"method": "pca" | "ica"}];
       recomputes the most-informative projection.
     - [GET /sessions/:id/projection] — current view: axis labels,
@@ -43,7 +44,7 @@
     four views of a slow or failed request.  With [access_log] set, one
     JSON line per completed response records trace id, tenant, route,
     status, duration, queue wait, journal fsync time and the update's
-    warm/cold sweep split.
+    solver sweeps.
 
     {2 Failure model}
 

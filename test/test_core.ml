@@ -98,6 +98,24 @@ let test_update_background_solves () =
   check_true "constraints registered"
     (Array.length (Sider_maxent.Solver.constraints (Session.solver s)) = 40)
 
+(* [max_sweeps] caps every update, the incremental ones included: each
+   fresh session solves its margins, then gets one cluster and an update
+   limited to [k] sweeps. *)
+let test_update_honours_max_sweeps () =
+  let ds = Synth.three_d () in
+  let cluster = Dataset.class_indices ds (List.hd (Dataset.classes ds)) in
+  List.iter
+    (fun k ->
+      let s = Session.create ds in
+      Session.add_margin_constraint s;
+      ignore (Session.update_background_exn s);
+      Session.add_cluster_constraint s cluster;
+      let r = Session.update_background_exn ~max_sweeps:k s in
+      check_true
+        (Printf.sprintf "max_sweeps %d: ran %d" k r.Sider_maxent.Solver.sweeps)
+        (r.Sider_maxent.Solver.sweeps <= k))
+    [ 1; 2; 3 ]
+
 let test_scores_drop_after_learning () =
   (* The Table-I effect: the leading ICA score decreases materially after
      the cluster structure is declared. *)
@@ -352,6 +370,7 @@ let suite =
     case "scatter pairs background" test_scatter_pairs_background;
     case "constraint counting" test_add_constraints_counts;
     case "update background solves" test_update_background_solves;
+    case "update honours max_sweeps" test_update_honours_max_sweeps;
     case "scores drop after learning" test_scores_drop_after_learning;
     case "recompute refreshes sample" test_recompute_view_refreshes_sample;
     case "set method" test_set_method;

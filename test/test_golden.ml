@@ -296,13 +296,13 @@ let test_compat_journal () =
   in
   check_true "constraints" (Session.n_constraints s = 22);
   Alcotest.(check (pair string string)) "axis labels"
-    ( "PCA1[0.074] = +0.80 (a \"quoted\" col) +0.58 (ctl\001\127 \195\169) \
-       +0.14 (back\\slash\ttab)",
-      "PCA2[0.012] = +0.79 (back\\slash\ttab) -0.44 (a \"quoted\" col) \
-       +0.43 (ctl\001\127 \195\169)" )
+    ( "PCA1[0.064] = +0.83 (a \"quoted\" col) +0.54 (ctl\001\127 \195\169) \
+       +0.16 (back\\slash\ttab)",
+      "PCA2[0.011] = +0.74 (back\\slash\ttab) +0.49 (ctl\001\127 \195\169) \
+       -0.46 (a \"quoted\" col)" )
     (Session.axis_labels s);
   let sx, sy = Session.view_scores s in
-  check_close_vec "view scores" [| 0x1.2d3d632903ac8p-4; 0x1.792288688d08p-7 |]
+  check_close_vec "view scores" [| 0x1.081dd4b10fe9p-4; 0x1.600823ce6bccp-7 |]
     [| sx; sy |];
   (* Saved today, the replayed state gives the earlier build's bytes,
      checksum included. *)

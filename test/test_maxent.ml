@@ -353,83 +353,6 @@ let test_add_constraints_warm_start () =
         (Solver.expectation s2 c))
     (Constr.margin data)
 
-let test_warm_solve_two_phase () =
-  let data = random_data 50 3 in
-  let s = Solver.create data (Constr.margin data) in
-  ignore (Solver.solve s);
-  let warm = Solver.warm_start s in
-  let s2 =
-    Solver.add_constraints s
-      (Constr.cluster ~data ~rows:(Array.init 10 Fun.id) ())
-  in
-  let r = Solver.solve ~warm s2 in
-  check_true "warm phase ran" (r.Solver.warm_sweeps > 0);
-  check_true "sweeps split"
-    (r.Solver.sweeps = r.Solver.warm_sweeps + r.Solver.cold_sweeps);
-  check_true "converged" r.Solver.converged;
-  check_true "system solves" (Solver.residual s2 < 5e-2)
-
-(* Counters only record while a sink is installed; leave the layer
-   disabled and empty afterwards. *)
-let with_obs f =
-  let module Obs = Sider_obs.Obs in
-  let r = Obs.recording_sink () in
-  Obs.reset ();
-  Obs.set_sink (Some r.Obs.rec_sink);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_sink None;
-      Obs.reset ())
-    f
-
-let test_warm_rejected_stale_handle () =
-  with_obs @@ fun () ->
-  let data = random_data 50 3 in
-  let s = Solver.create data (Constr.margin data) in
-  (* Handle captured *before* the solve: its multiplier fingerprint is
-     stale once the solve has run, so the solver must refuse it and run
-     cold rather than trust an unsolved prefix. *)
-  let stale = Solver.warm_start s in
-  ignore (Solver.solve s);
-  let s2 =
-    Solver.add_constraints s
-      (Constr.cluster ~data ~rows:(Array.init 10 Fun.id) ())
-  in
-  let rejected_before = Sider_obs.Obs.counter_value "solver.warm_rejected" in
-  let r = Solver.solve ~warm:stale s2 in
-  check_true "rejected counter bumped"
-    (Sider_obs.Obs.counter_value "solver.warm_rejected" = rejected_before + 1);
-  check_true "ran cold" (r.Solver.warm_sweeps = 0);
-  check_true "converged" r.Solver.converged;
-  check_true "system solves" (Solver.residual s2 < 5e-2)
-
-let test_chol_cache_counters () =
-  with_obs @@ fun () ->
-  let cached () = Sider_obs.Obs.counter_value "gauss.chol.cached" in
-  let factorized () = Sider_obs.Obs.counter_value "gauss.chol.factorize" in
-  let p = Gauss_params.initial 3 in
-  let c0, f0 = (cached (), factorized ()) in
-  ignore (Gauss_params.chol p);
-  ignore (Gauss_params.chol p);
-  check_true "first call factorizes, second hits the cache"
-    (factorized () = f0 + 1 && cached () = c0 + 1);
-  (* A linear update leaves Σ (hence the factor) untouched. *)
-  Gauss_params.apply_linear p ~lambda:0.5 ~w:[| 1.0; 0.0; 0.0 |];
-  ignore (Gauss_params.chol p);
-  check_true "linear update preserves the cache"
-    (factorized () = f0 + 1 && cached () = c0 + 2);
-  (* A quadratic update changes Σ and must invalidate. *)
-  ignore
-    (Gauss_params.apply_quadratic p ~lambda:0.2 ~delta:0.0
-       ~w:[| 0.0; 1.0; 0.0 |]);
-  ignore (Gauss_params.chol p);
-  check_true "quadratic update invalidates"
-    (factorized () = f0 + 2 && cached () = c0 + 2);
-  (* The copy carries the factor with it. *)
-  let q = Gauss_params.copy p in
-  ignore (Gauss_params.chol q);
-  check_true "copy inherits the cache" (cached () = c0 + 3)
-
 let test_no_constraints_prior () =
   let data = random_data 10 2 in
   let s = Solver.create data [] in
@@ -584,10 +507,6 @@ let suite =
     case "cluster constraints satisfied" test_cluster_constraints_satisfied;
     case "expectation identity vs Monte-Carlo" test_expectation_identity;
     case "warm start on added constraints" test_add_constraints_warm_start;
-    case "warm solve: two phases, same contract" test_warm_solve_two_phase;
-    case "warm solve: stale handle runs cold" test_warm_rejected_stale_handle;
-    case "chol cache: hit / linear-preserve / quadratic-invalidate"
-      test_chol_cache_counters;
     case "no constraints = prior" test_no_constraints_prior;
     case "time cutoff stops early" test_time_cutoff;
     case "background samples match means" test_sample_statistics;

@@ -195,20 +195,50 @@ let test_whiten_direction_preserving () =
   approx ~eps:1e-9 "y untouched" 0.0 (Mat.get y 0 1)
 
 let test_whiten_background_sample_spherical () =
-  (* Whitening a sample of the background itself must produce approximately
-     N(0, I) data — the definition of the transform. *)
-  let ds = Sider_data.Synth.clustered ~seed:21 ~n:300 ~d:3 ~k:2 () in
-  let data = Sider_data.Dataset.matrix ds in
-  let cs =
-    Constr.margin data
-    @ Constr.cluster ~data ~rows:(Sider_data.Dataset.class_indices ds "c0") ()
+  (* Whitening a sample of the background itself must give N(0, I) data
+     (Eq. 14): at a fixed seed, the pooled coordinates and each single
+     coordinate pass a KS test against Φ, every column mean is within
+     4/√n of 0 and the covariance is near I. *)
+  let module Ks = Sider_stats.Ks in
+  let pooled_p y = snd (Ks.test_gaussian (Array.copy y.Mat.a)) in
+  let solved ~seed ~n ~d ~k ~clusters =
+    let ds = Sider_data.Synth.clustered ~seed ~n ~d ~k () in
+    let data = Sider_data.Dataset.matrix ds in
+    let cs =
+      Constr.margin data
+      @ List.concat_map
+          (fun c ->
+            Constr.cluster ~data
+              ~rows:(Sider_data.Dataset.class_indices ds c) ())
+          (clusters ds)
+    in
+    let s = Solver.create data cs in
+    ignore (Solver.solve ~max_sweeps:2000 s);
+    s
   in
-  let s = Solver.create data cs in
-  ignore (Solver.solve ~max_sweeps:2000 s);
-  let sample = Solver.sample s (Sider_rand.Rng.create 22) in
-  let w = Whiten.whiten_matrix s sample in
-  let cov = Mat.covariance w in
-  approx_mat ~eps:0.25 "whitened sample ≈ spherical" (Mat.identity 3) cov
+  let check_spherical ~seed ~n ~d ~k ~clusters =
+    let s = solved ~seed ~n ~d ~k ~clusters in
+    let sample = Solver.sample s (Sider_rand.Rng.create (seed + 1)) in
+    let w = Whiten.whiten_matrix s sample in
+    let at what = Printf.sprintf "n=%d d=%d: %s" n d what in
+    check_true (at "pooled KS p > 0.01") (pooled_p w > 0.01);
+    for j = 0 to d - 1 do
+      check_true (at (Printf.sprintf "coordinate %d KS p > 1e-3" j))
+        (snd (Ks.test_gaussian (Mat.col w j)) > 1e-3)
+    done;
+    check_true (at "|mean| < 4/√n")
+      (Vec.norm_inf (Mat.col_means w) < 4.0 /. sqrt (float_of_int n));
+    approx_mat ~eps:0.25 (at "whitened sample ≈ spherical") (Mat.identity d)
+      (Mat.covariance w)
+  in
+  check_spherical ~seed:21 ~n:300 ~d:3 ~k:2 ~clusters:(fun _ -> [ "c0" ]);
+  check_spherical ~seed:23 ~n:600 ~d:6 ~k:3
+    ~clusters:Sider_data.Dataset.classes;
+  (* Negative control: the clustered data itself, whitened under a
+     margin-only background, is far from N(0, I). *)
+  let margin_only = solved ~seed:23 ~n:600 ~d:6 ~k:3 ~clusters:(fun _ -> []) in
+  check_true "clustered data under margins fails the pooled KS test"
+    (pooled_p (Whiten.whiten margin_only) < 0.01)
 
 let test_whiten_shape_check () =
   let data = Sider_rand.Sampler.normal_mat rng 10 2 in
