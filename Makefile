@@ -3,7 +3,9 @@
 # linter (tools/lint/, zero unannotated findings), the test suite (plus
 # a multi-domain smoke pass — results must be bit-identical, see
 # lib/par/ — and a pass with a live stderr tracing sink, which must not
-# move any numeric either), the end-to-end benchmark's smoke run (every
+# move any numeric either), the view-driven paper experiments Table I,
+# Fig. 2 and Fig. 9 (about 1 s; bench/main.exe exits 1 when Table I's
+# score-decay check fails), the end-to-end benchmark's smoke run (every
 # workload at quarter size through a real `sider api`, with all its
 # correctness checks: bit-identical replay, converged updates, expected
 # statuses; after the tests, not beside them, because it keeps both CPUs
@@ -52,6 +54,7 @@ verify:
 	dune build @check && $(MAKE) lint && dune runtest \
 	  && SIDER_DOMAINS=2 dune runtest --force \
 	  && SIDER_TRACE=stderr dune runtest --force \
+	  && dune exec bench/main.exe -- -e table1 fig2 fig9 \
 	  && dune build @bench/e2e/smoke && $(MAKE) bench-smoke \
 	  && $(MAKE) service-smoke
 

@@ -51,6 +51,14 @@ let note fmt = Printf.ksprintf (fun s -> Printf.printf "  %s\n%!" s) fmt
 let compare_line ~label ~paper ~ours =
   Printf.printf "  %-44s paper: %-14s ours: %s\n%!" label paper ours
 
+(* A comparison line whose verdict [ok] is printed after [ours]; a false
+   one makes bench/main.exe exit 1 once its experiments have run. *)
+let failed_checks = ref []
+
+let check_line ~label ~paper ~ours ok =
+  compare_line ~label ~paper ~ours:(Printf.sprintf "%s (%b)" ours ok);
+  if not ok then failed_checks := label :: !failed_checks
+
 (* Collect the garbage left over from scenario setup before starting the
    clock, so the wall number measures the scenario body rather than a
    minor/major collection it happened to inherit.  Matters most for the

@@ -85,11 +85,10 @@ let run () =
 
   subhead "shape checks";
   let top a = Float.abs a.(0) in
-  compare_line ~label:"score decay top|it0| > top|it1| > top|it2|"
+  check_line ~label:"score decay top|it0| > top|it1| > top|it2|"
     ~paper:"0.041 > 0.037 > 0.008"
-    ~ours:(Printf.sprintf "%.3f > %.3f > %.3f (%b)" (top sc0) (top sc1)
-             (top sc2)
-             (top sc0 > top sc1 && top sc1 > top sc2));
+    ~ours:(Printf.sprintf "%.3f > %.3f > %.3f" (top sc0) (top sc1) (top sc2))
+    (top sc0 > top sc1 && top sc1 > top sc2);
   let y = Whiten.whiten (Session.solver session) in
   let dev = Mat.frobenius (Mat.sub (Mat.covariance y) (Mat.identity 5)) in
   compare_line ~label:"final whitened cov deviation ||.||_F"

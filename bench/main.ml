@@ -4,6 +4,8 @@
      dune exec bench/main.exe -- -e ID   run one experiment
      dune exec bench/main.exe -- -l      list experiments
 
+   Exits 1 when a shape check an experiment makes is false.
+
    Environment:
      SIDER_BENCH_RUNS   repetitions per Table II cell (default 1)
      SIDER_BENCH_FULL   "1" to include the slow d=128 Table II column
@@ -43,14 +45,19 @@ let () =
   Sider_obs.Obs.install_from_env ();
   at_exit Sider_obs.Obs.flush;
   let args = Array.to_list Sys.argv in
-  match args with
-  | _ :: "-l" :: _ -> list_experiments ()
-  | _ :: "-e" :: ids -> List.iter run_one ids
-  | _ :: [] ->
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun (_, _, f) -> f ()) experiments;
-    Printf.printf "\nAll experiments finished in %.1f s.\n"
-      (Unix.gettimeofday () -. t0)
-  | _ ->
-    prerr_endline "usage: main.exe [-l | -e EXPERIMENT...]";
+  (match args with
+   | _ :: "-l" :: _ -> list_experiments ()
+   | _ :: "-e" :: ids -> List.iter run_one ids
+   | _ :: [] ->
+     let t0 = Unix.gettimeofday () in
+     List.iter (fun (_, _, f) -> f ()) experiments;
+     Printf.printf "\nAll experiments finished in %.1f s.\n"
+       (Unix.gettimeofday () -. t0)
+   | _ ->
+     prerr_endline "usage: main.exe [-l | -e EXPERIMENT...]";
+     exit 1);
+  match !Bench_common.failed_checks with
+  | [] -> ()
+  | failed ->
+    List.iter (Printf.eprintf "shape check failed: %s\n") (List.rev failed);
     exit 1

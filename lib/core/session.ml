@@ -55,6 +55,15 @@ let fresh_view t ?method_ () =
   (match view.View.unmixing with Some w -> t.ica_w <- Some w | None -> ());
   view
 
+let degrade t e =
+  t.degradations <- e :: t.degradations;
+  Obs.flight_event ~name:"session.degradation"
+    ~detail:(Sider_robust.Sider_error.to_string e)
+
+(* Every view the session shows, the create view included, records its
+   degradation (FastICA did not converge, or fell back to PCA). *)
+let degrade_view t = Option.iter (degrade t) t.view.View.degraded
+
 let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
     ?(method_ = View.Pca) ds =
   (* Non-finite values poison every downstream statistic, and the
@@ -93,10 +102,14 @@ let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
   let solver = Solver.create (Dataset.matrix std) [] in
   let view = View.of_solver ~rng:(Rng.split rng) ~method_ solver in
   let sample = Solver.sample solver rng in
-  { dataset = ds; std; rng; method_; solver; pending = []; tags = []; view;
-    sample; history = []; degradations = [];
-    ica_w = view.View.unmixing;
-    creation_args = (seed, standardize, jitter, method_) }
+  let t =
+    { dataset = ds; std; rng; method_; solver; pending = []; tags = []; view;
+      sample; history = []; degradations = [];
+      ica_w = view.View.unmixing;
+      creation_args = (seed, standardize, jitter, method_) }
+  in
+  degrade_view t;
+  t
 
 let record t e = t.history <- e :: t.history
 
@@ -157,11 +170,6 @@ let add_one_cluster_constraint t =
   t.pending <- t.pending @ Constr.one_cluster ~tag:"1-cluster" (data t)
 
 let degradations t = List.rev t.degradations
-
-let degrade t e =
-  t.degradations <- e :: t.degradations;
-  Obs.flight_event ~name:"session.degradation"
-    ~detail:(Sider_robust.Sider_error.to_string e)
 
 (* Queued constraints whose statistics are not finite would poison every
    multiplier they touch; catch them before they reach the solver. *)
@@ -245,9 +253,7 @@ let recompute_view ?method_ t =
   (match method_ with Some m -> t.method_ <- m | None -> ());
   record t (Viewed t.method_);
   t.view <- fresh_view t ();
-  (match t.view.View.degraded with
-   | Some e -> degrade t e
-   | None -> ());
+  degrade_view t;
   refresh_sample t;
   t.view
 

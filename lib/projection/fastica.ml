@@ -50,7 +50,7 @@ let prepare_impl ?n_components ?(rank_tol = 1e-9) m =
   else begin
     (* Internal whitening: z = D^{-1/2} Vᵀ (x − mean), per row.  Everything
        here depends only on the data, not the seed, so one [prep] serves
-       every seed-rotated restart. *)
+       every fit of the same data. *)
     let dproj = Mat.init d m_comp (fun i j ->
         Mat.get vectors i j /. sqrt values.(j))
     in

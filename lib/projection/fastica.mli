@@ -10,7 +10,8 @@
     The fit is split in two: {!prepare} does the seed-independent work
     (centering, covariance, whitening projection, the kernel-ready copy
     of z) and {!fit_prepared} runs the seed-dependent fixed point — so
-    seed-rotated restarts and warm refits pay the data passes once. *)
+    fits of the same data from different starts (a cold fit and a warm
+    refit from its unmixing) pay the data passes once. *)
 
 open Sider_linalg
 open Sider_rand
@@ -33,9 +34,9 @@ val prepare : ?n_components:int -> ?rank_tol:float -> Mat.t -> prep
 (** [prepare m] centers, whitens and binds the sweep kernel for the rows
     of [m].  Components whose internal-whitening eigenvalue is below
     [rank_tol] (default 1e-9) relative to the largest are dropped.
-    Bumps the [ica.prepare] counter — the restart-hoist regression test
-    pins that {!View.of_whitened} calls this once per view, not once per
-    restart.  Raises [Invalid_argument] on fewer than two rows. *)
+    Bumps the [ica.prepare] counter — the one-fit-per-view test pins
+    that {!View.of_whitened} calls this once per view.  Raises
+    [Invalid_argument] on fewer than two rows. *)
 
 val kernel_name : prep -> string
 (** ["simd"] or ["reference"] — which sweep kernel this prep will run

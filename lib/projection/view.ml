@@ -28,7 +28,7 @@ let pca_view ?degraded y =
     unmixing = None;
   }
 
-let of_whitened ?rng ?(ica_restarts = 2) ?ica_max_iter ?ica_w0 ~method_ y =
+let of_whitened ?rng ?ica_max_iter ?ica_w0 ~method_ y =
   let rng = match rng with Some r -> r | None -> Rng.create 42 in
   Obs.with_span "view.of_whitened"
     ~attrs:[ ("method", Obs.Str (method_name method_)) ]
@@ -36,33 +36,18 @@ let of_whitened ?rng ?(ica_restarts = 2) ?ica_max_iter ?ica_w0 ~method_ y =
   match method_ with
   | Pca -> pca_view y
   | Ica ->
-    (* FastICA is a fixed-point iteration from a random start: when it
-       fails to converge, re-drawing the start ("seed rotation" — the
-       rng stream simply advances) usually fixes it.  After the retry
-       budget, degrade to PCA and record why: a slightly less sharp view
-       beats killing the session. *)
-    let usable f =
-      let _, m = Mat.dims f.Fastica.directions in
-      m >= 2 && Kernels.finite_mat f.Fastica.directions
+    (* One FastICA fit.  A fit that does not converge has almost always
+       found no distinguished pair of directions (its top scores tie):
+       a result to show, not a fault to retry from another start, which
+       would only draw another arbitrary pair.  Its usable axes are kept
+       and the view is flagged degraded; with fewer than two finite
+       directions it degrades to PCA instead. *)
+    let fitted =
+      Fastica.fit_prepared ?w0:ica_w0 ?max_iter:ica_max_iter rng
+        (Fastica.prepare y)
     in
-    (* The seed-independent half of the fit (centering, covariance,
-       whitening projection, kernel buffers) is hoisted out of the
-       restart loop: every retry re-draws only the start matrix.  The
-       warm start [ica_w0] applies to the first attempt alone — if it
-       failed to converge, the retries should explore, not repeat it. *)
-    let prep = Fastica.prepare y in
-    let rec attempt k =
-      let w0 = if k = 0 then ica_w0 else None in
-      let fitted = Fastica.fit_prepared ?w0 ?max_iter:ica_max_iter rng prep in
-      if (fitted.Fastica.converged && usable fitted) || k >= ica_restarts
-      then (fitted, k)
-      else begin
-        Obs.count "view.ica_restart";
-        attempt (k + 1)
-      end
-    in
-    let fitted, restarts = attempt 0 in
-    if usable fitted then begin
+    let _, m = Mat.dims fitted.Fastica.directions in
+    if m >= 2 && Kernels.finite_mat fitted.Fastica.directions then begin
       let w1, w2 = Fastica.top2 fitted in
       let degraded =
         if fitted.Fastica.converged then None
@@ -70,9 +55,9 @@ let of_whitened ?rng ?(ica_restarts = 2) ?ica_max_iter ?ica_w0 ~method_ y =
           Some
             (Sider_error.non_convergence
                (Printf.sprintf
-                  "FastICA did not converge after %d restarts; using the \
+                  "FastICA did not converge in %d iterations; using the \
                    non-converged directions"
-                  restarts))
+                  fitted.Fastica.iterations))
       in
       {
         method_ = Ica;
@@ -87,15 +72,13 @@ let of_whitened ?rng ?(ica_restarts = 2) ?ica_max_iter ?ica_w0 ~method_ y =
       pca_view
         ~degraded:
           (Sider_error.non_convergence
-             (Printf.sprintf
-                "FastICA found fewer than two usable directions after %d \
-                 restarts; fell back to PCA"
-                restarts))
+             "FastICA found fewer than two usable directions; fell back \
+              to PCA")
         y
     end
 
-let of_solver ?rng ?ica_restarts ?ica_w0 ~method_ solver =
-  of_whitened ?rng ?ica_restarts ?ica_w0 ~method_ (Whiten.whiten solver)
+let of_solver ?rng ?ica_w0 ~method_ solver =
+  of_whitened ?rng ?ica_w0 ~method_ (Whiten.whiten solver)
 
 let project t m =
   let n, _ = Mat.dims m in

@@ -34,24 +34,25 @@ type t = {
           incremental background update. *)
 }
 
-val of_whitened : ?rng:Rng.t -> ?ica_restarts:int -> ?ica_max_iter:int ->
-  ?ica_w0:Mat.t -> method_:method_ -> Mat.t -> t
+val of_whitened : ?rng:Rng.t -> ?ica_max_iter:int -> ?ica_w0:Mat.t ->
+  method_:method_ -> Mat.t -> t
 (** Compute the most informative view of a whitened matrix.  [rng] seeds
     the FastICA initialisation (default: fixed seed 42).
 
-    The seed-independent half of the fit ({!Fastica.prepare}) runs once;
-    an ICA fit that does not converge is restarted with a fresh draw
-    from [rng] up to [ica_restarts] (default 2) additional times.  If it
-    still has not converged, the non-converged directions are used when
-    usable (≥ 2 finite directions) and the view is flagged [degraded];
-    when unusable, the view falls back to PCA with the degradation
-    recorded.  [ica_max_iter] is passed through to {!Fastica.fit_prepared}
-    (mainly for tests forcing non-convergence); [ica_w0] warm-starts the
-    {e first} attempt only.  Raises [Invalid_argument] when fewer than
-    two usable directions exist even for PCA (d < 2). *)
+    An ICA view runs one FastICA fit: from [ica_w0] when its shape
+    matches the prepared component count, otherwise from one start drawn
+    from [rng].  A fit that does not converge is not retried: it has
+    almost always found no distinguished pair (its top scores tie), and
+    another start would only draw another arbitrary pair.  Its
+    directions are used when usable (≥ 2 finite directions) and the
+    view is flagged [degraded]; when
+    unusable, the view falls back to PCA with the degradation recorded.
+    [ica_max_iter] is passed through to {!Fastica.fit_prepared} (mainly
+    for tests forcing non-convergence).  Raises [Invalid_argument] when
+    fewer than two usable directions exist even for PCA (d < 2). *)
 
-val of_solver : ?rng:Rng.t -> ?ica_restarts:int -> ?ica_w0:Mat.t ->
-  method_:method_ -> Solver.t -> t
+val of_solver : ?rng:Rng.t -> ?ica_w0:Mat.t -> method_:method_ ->
+  Solver.t -> t
 (** Whiten the solver's data with respect to its background distribution,
     then find the view — one full step of the paper's pipeline. *)
 

@@ -116,6 +116,40 @@ let test_update_honours_max_sweeps () =
         (r.Sider_maxent.Solver.sweeps <= k))
     [ 1; 2; 3 ]
 
+(* Every view the session shows records its degradation, the create
+   view included: after create and after each recompute, the newest
+   degradation is the current view's.  On this ica_explore-shaped data
+   the create view's FastICA fit does not converge. *)
+let test_records_view_degradations () =
+  let ds = Synth.clustered ~seed:1 ~n:512 ~d:12 ~k:6 () in
+  let s = Session.create ~seed:1 ~method_:View.Ica ds in
+  let check_view label before =
+    let after = Session.degradations s in
+    match (Session.current_view s).View.degraded with
+    | Some e ->
+      check_true (label ^ ": view degradation recorded last")
+        (List.length after = List.length before + 1
+         && List.nth after (List.length before) == e)
+    | None -> check_true (label ^ ": nothing recorded") (after = before)
+  in
+  check_true "create view degraded"
+    ((Session.current_view s).View.degraded <> None);
+  check_view "create" [];
+  let round label add =
+    add ();
+    ignore (Session.update_background_exn s);
+    let before = Session.degradations s in
+    ignore (Session.recompute_view s);
+    check_view label before
+  in
+  round "margin" (fun () -> Session.add_margin_constraint s);
+  List.iteri
+    (fun i c ->
+      if i < 2 then
+        round c (fun () ->
+            Session.add_cluster_constraint s (Dataset.class_indices ds c)))
+    (Dataset.classes ds)
+
 let test_scores_drop_after_learning () =
   (* The Table-I effect: the leading ICA score decreases materially after
      the cluster structure is declared. *)
@@ -371,6 +405,7 @@ let suite =
     case "constraint counting" test_add_constraints_counts;
     case "update background solves" test_update_background_solves;
     case "update honours max_sweeps" test_update_honours_max_sweeps;
+    case "session records view degradations" test_records_view_degradations;
     case "scores drop after learning" test_scores_drop_after_learning;
     case "recompute refreshes sample" test_recompute_view_refreshes_sample;
     case "set method" test_set_method;

@@ -209,7 +209,7 @@ let test_ica_projection () =
          so there is a distinguished pair and seed 1's first fit
          converges.  Against the fully constrained background every
          |score| sits inside the null spread and no fit converges, so the
-         view would pin whichever restart happened to. *)
+         view would pin an arbitrary non-converged pair. *)
       let y = whiten_fixture ~clusters:false in
       let view =
         View.of_whitened ~rng:(Sider_rand.Rng.create 1) ~method_:View.Ica y

@@ -381,39 +381,53 @@ let with_obs_recording f =
     ~finally:(fun () ->
       Sider_obs.Obs.set_sink None;
       Sider_obs.Obs.reset ())
-    f
+    (fun () -> f r)
 
-let test_ica_restarts_share_prepare () =
-  (* ica_max_iter:1 cannot converge on noise, so every extra unit of
-     restart budget is spent.  The seed-independent work — in particular
-     the n-sized [z = centered · dproj] product inside [Fastica.prepare]
-     — must run once per view no matter how many restarts fire, and each
-     restart may only add a handful of m×m-sized allocating products
-     (decorrelation of the fresh start). *)
-  let r = Sider_rand.Rng.create 99 in
-  let y = random_mat r 300 4 1.0 in
-  let run restarts =
-    with_obs_recording (fun () ->
+let test_ica_view_one_fit () =
+  (* An ICA view runs exactly one FastICA fit, on one prepare, whether
+     the fit converges or not: a fit that does not converge is shown
+     (flagged degraded), never retried from another start. *)
+  let traced_view ?ica_max_iter ?ica_w0 y =
+    with_obs_recording (fun r ->
         let v =
-          View.of_whitened ~rng:(Sider_rand.Rng.create 7)
-            ~ica_restarts:restarts ~ica_max_iter:1 ~method_:View.Ica y
+          View.of_whitened ~rng:(Sider_rand.Rng.create 7) ?ica_max_iter
+            ?ica_w0 ~method_:View.Ica y
         in
-        ignore v;
-        ( Sider_obs.Obs.counter_value "ica.prepare",
-          Sider_obs.Obs.counter_value "view.ica_restart",
-          Sider_obs.Obs.counter_value "mat.matmul_alloc" ))
+        let fits =
+          List.filter
+            (fun (sp : Sider_obs.Obs.span) -> sp.Sider_obs.Obs.name = "ica.fit")
+            (r.Sider_obs.Obs.spans ())
+        in
+        (v, fits, Sider_obs.Obs.counter_value "ica.prepare"))
   in
-  let prep0, restarts0, alloc0 = run 0 in
-  let prep2, restarts2, alloc2 = run 2 in
-  Alcotest.(check int) "prepare once without restarts" 1 prep0;
-  Alcotest.(check int) "prepare once with restarts" 1 prep2;
-  Alcotest.(check int) "restart budget spent" 2 (restarts2 - restarts0);
-  let per_restart = (alloc2 - alloc0) / 2 in
-  if per_restart > 8 then
-    Alcotest.failf
-      "restarts re-run data-sized products: %d allocating matmuls per \
-       restart (start: %d, with 2 restarts: %d)"
-      per_restart alloc0 alloc2
+  let finite = Array.for_all Float.is_finite in
+  (* One iteration cannot converge on noise. *)
+  let noise = random_mat (Sider_rand.Rng.create 99) 300 4 1.0 in
+  let v, fits, prepares = traced_view ~ica_max_iter:1 noise in
+  Alcotest.(check int) "non-converging view: one fit" 1 (List.length fits);
+  Alcotest.(check int) "non-converging view: one prepare" 1 prepares;
+  check_true "non-converging view is ICA" (v.View.method_ = View.Ica);
+  check_true "non-converging view is degraded" (v.View.degraded <> None);
+  check_true "non-converging axes finite"
+    (finite v.View.axis1.View.direction && finite v.View.axis2.View.direction);
+  (* A converged unmixing passed back as the start converges again. *)
+  let r = Sider_rand.Rng.create 91 in
+  let sources =
+    Mat.init 800 3 (fun _ j ->
+        if j = 0 then Sider_rand.Rng.float r -. 0.5
+        else Sider_rand.Sampler.normal r)
+  in
+  let cold = Fastica.fit (Sider_rand.Rng.create 3) sources in
+  check_true "cold fit converged" cold.Fastica.converged;
+  let v, fits, _ = traced_view ~ica_w0:cold.Fastica.unmixing sources in
+  Alcotest.(check int) "warm view: one fit" 1 (List.length fits);
+  check_true "warm fit converged"
+    (List.for_all
+       (fun (sp : Sider_obs.Obs.span) ->
+         List.assoc_opt "converged" sp.Sider_obs.Obs.attrs
+         = Some (Sider_obs.Obs.Bool true))
+       fits);
+  check_true "warm view not degraded" (v.View.degraded = None)
 
 let test_ica_warm_w0_roundtrip () =
   (* A converged unmixing matrix passed back as w0 must converge again,
@@ -486,6 +500,6 @@ let suite =
     case "ica kernel: fused reference is bit-identical to unfused pipeline"
       test_ica_kernel_reference_bit_identical;
     case "ica kernel: simd agrees with reference" test_ica_kernel_simd_close;
-    case "ica restarts share one prepare" test_ica_restarts_share_prepare;
+    case "ica view runs one fastica fit" test_ica_view_one_fit;
     case "ica warm w0 roundtrip" test_ica_warm_w0_roundtrip;
   ]

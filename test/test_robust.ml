@@ -221,7 +221,7 @@ let test_view_ica_fallback () =
   (* One FastICA iteration cannot converge: the view must still come back
      usable, flagged degraded (kept ICA axes or PCA fallback). *)
   let v =
-    Sider_projection.View.of_whitened ~rng ~ica_restarts:1 ~ica_max_iter:1
+    Sider_projection.View.of_whitened ~rng ~ica_max_iter:1
       ~method_:Sider_projection.View.Ica y
   in
   check_true "degradation recorded" (v.Sider_projection.View.degraded <> None);
