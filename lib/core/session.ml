@@ -93,10 +93,12 @@ let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
   let std =
     if jitter <= 0.0 then std
     else begin
-      let m = Dataset.matrix std in
-      let nrng = Rng.split rng in
-      Dataset.with_matrix std
-        (Mat.map (fun x -> x +. (jitter *. Sampler.normal nrng)) m)
+      (* Row-major draws, [x + jitter·z] per cell: journals on disk
+         replay to the same data only while both stay as they are. *)
+      let noise = Sampler.normal_mat (Rng.split rng) n d in
+      Mat.scale_into ~dst:noise jitter noise;
+      Mat.add_into ~dst:noise (Dataset.matrix std) noise;
+      Dataset.with_matrix std noise
     end
   in
   let solver = Solver.create (Dataset.matrix std) [] in

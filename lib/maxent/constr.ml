@@ -82,13 +82,41 @@ let quadratic ?(tag = "quad") ~data ~rows ~w () =
 
 let margin ?(tag = "margin") data =
   let n, d = Mat.dims data in
+  if n = 0 && d > 0 then
+    invalid_arg "Constr: empty row set" [@sider.allow "error-discipline"];
+  (* Column sums, then centred sums of squares, each in one row-major
+     pass.  Per column these are the folds [linear] and [quadratic] make
+     along [e_j], term for term in the same row order from 0.0:
+     [Mat.row_dot] against [e_j] returns x_rj up to the sign of a zero,
+     which neither a sum started at +0.0 nor a square can see.  So
+     targets and shifts are bit-identical to the per-column builders. *)
+  let a = data.Mat.a in
+  let sums = Vec.create d in
+  for r = 0 to n - 1 do
+    let off = r * d in
+    for j = 0 to d - 1 do
+      sums.(j) <- sums.(j) +. Array.unsafe_get a (off + j)
+    done
+  done;
+  let shifts = Vec.scale (1.0 /. float_of_int n) sums in
+  let squares = Vec.create d in
+  for r = 0 to n - 1 do
+    let off = r * d in
+    for j = 0 to d - 1 do
+      let p = Array.unsafe_get a (off + j) -. shifts.(j) in
+      squares.(j) <- squares.(j) +. (p *. p)
+    done
+  done;
+  (* One all-rows array serves every constraint: [rows] is never
+     written after construction. *)
   let rows = Array.init n Fun.id in
   List.concat
     (List.init d (fun j ->
          let w = Vec.basis d j in
          let tag = Printf.sprintf "%s:col%d" tag j in
-         [ linear ~tag ~data ~rows ~w ();
-           quadratic ~tag ~data ~rows ~w () ]))
+         [ { kind = Linear; rows; w; target = sums.(j); shift = 0.0; tag };
+           { kind = Quadratic; rows; w; target = squares.(j);
+             shift = shifts.(j); tag } ]))
 
 let cluster ?(tag = "cluster") ~data ~rows () =
   check_rows data rows;

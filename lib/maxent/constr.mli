@@ -30,7 +30,10 @@ val quadratic : ?tag:string -> data:Mat.t -> rows:int array -> w:Vec.t ->
 (** Fix [E[Σ_{i∈I} (wᵀ(x_i − m̂_I))²]] to its observed value. *)
 
 val margin : ?tag:string -> Mat.t -> t list
-(** Mean and variance of every column: 2d constraints over all rows. *)
+(** Mean and variance of every column: 2d constraints over all rows, the
+    {!linear} and {!quadratic} constraint along each basis vector in
+    column order, bit for bit.  All column statistics come from two
+    row-major passes, and the constraints share one rows array. *)
 
 val cluster : ?tag:string -> data:Mat.t -> rows:int array -> unit -> t list
 (** Mean and variance along every principal direction of the cluster's own

@@ -7,60 +7,85 @@ type t = {
 
 let of_constraints ~n constraints =
   if n <= 0 then invalid_arg "Partition.of_constraints: n must be positive" [@sider.allow "error-discipline"];
-  (* Signature of a row = the sorted list of constraint indices covering
-     it; rows with equal signatures form a class.  Constraint indices are
-     consed in increasing order, so lists compare consistently without
-     sorting. *)
-  let sigs = Array.make n [] in
-  Array.iteri
-    (fun c (constr : Constr.t) ->
-      Array.iter (fun r -> sigs.(r) <- c :: sigs.(r)) constr.Constr.rows)
+  (* Refine one class array constraint by constraint.  A class the
+     constraint covers only in part splits: its covered rows move to a
+     fresh id.  A class it covers whole keeps its id, so every id in use
+     names a non-empty class and ids stay below [n].  [hits.(k)] counts
+     the constraint's rows in class [k] until the class's first covered
+     row decides where they all go ([dest.(k)]) and resets it to 0. *)
+  let cls = Array.make n 0 in
+  let size = Array.make n 0 in
+  size.(0) <- n;
+  let hits = Array.make n 0 in
+  let dest = Array.make n 0 in
+  let next = ref 1 in
+  Array.iter
+    (fun (constr : Constr.t) ->
+      let rows = constr.Constr.rows in
+      for i = 0 to Array.length rows - 1 do
+        let k = cls.(rows.(i)) in
+        hits.(k) <- hits.(k) + 1
+      done;
+      for i = 0 to Array.length rows - 1 do
+        let r = rows.(i) in
+        let k = cls.(r) in
+        if hits.(k) > 0 then begin
+          if hits.(k) = size.(k) then dest.(k) <- k
+          else begin
+            dest.(k) <- !next;
+            size.(!next) <- hits.(k);
+            size.(k) <- size.(k) - hits.(k);
+            incr next
+          end;
+          hits.(k) <- 0
+        end;
+        cls.(r) <- dest.(k)
+      done)
     constraints;
-  let tbl : (int list, int) Hashtbl.t = Hashtbl.create 64 in
-  let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let class_of_row = Array.make n (-1) in
-  let next = ref 0 in
+  (* Splits leave both parts non-empty, so every id below [next] names
+     a class.  Renumber them by first row: rows share an id exactly when
+     the same constraints cover them, so this is the numbering a row scan
+     that gives each new covering set the next number assigns. *)
+  let n_classes = !next in
+  let renum = Array.make n_classes (-1) in
+  let fresh = ref 0 in
   for r = 0 to n - 1 do
-    let cls =
-      match Hashtbl.find_opt tbl sigs.(r) with
-      | Some c -> c
-      | None ->
-        let c = !next in
-        incr next;
-        Hashtbl.add tbl sigs.(r) c;
-        Hashtbl.add buckets c (ref []);
-        c
-    in
-    class_of_row.(r) <- cls;
-    let bucket = Hashtbl.find buckets cls in
-    bucket := r :: !bucket
+    let k = cls.(r) in
+    if renum.(k) < 0 then begin
+      renum.(k) <- !fresh;
+      incr fresh
+    end;
+    cls.(r) <- renum.(k)
   done;
-  let members =
-    Array.init !next (fun c ->
-        Array.of_list (List.rev !(Hashtbl.find buckets c)))
-  in
+  let members = Array.make n_classes [||] in
+  Array.iteri (fun k c -> members.(c) <- Array.make size.(k) 0) renum;
+  let filled = Array.make n_classes 0 in
+  for r = 0 to n - 1 do
+    let c = cls.(r) in
+    members.(c).(filled.(c)) <- r;
+    filled.(c) <- filled.(c) + 1
+  done;
+  (* A constraint's rows ascend (Constr.t keeps them sorted) and every
+     class it covers lies inside it whole, so a class is first met at its
+     own first row.  Classes are numbered by first row, so the classes
+     met for the first time come in ascending order: a row opens a new
+     class exactly when its class exceeds the last one listed. *)
   let per_constraint =
     Array.map
       (fun (constr : Constr.t) ->
-        (* Distinct classes of the constraint's rows with multiplicities;
-           the partition refines the row-set so multiplicity = class
-           size. *)
-        let counts = Hashtbl.create 16 in
-        Array.iter
-          (fun r ->
-            let c = class_of_row.(r) in
-            Hashtbl.replace counts c
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-          constr.Constr.rows;
-        (* Fold order is hash-layout order; the sort right after makes
-           the per-constraint class list canonical. *)
-        (Hashtbl.fold (fun c cnt acc -> (c, cnt) :: acc) counts []
-         [@sider.allow "determinism"])
-        |> List.sort compare
-        |> Array.of_list)
+        let rows = constr.Constr.rows in
+        let listed = ref [] and last = ref (-1) in
+        for i = 0 to Array.length rows - 1 do
+          let c = cls.(rows.(i)) in
+          if c > !last then begin
+            listed := (c, Array.length members.(c)) :: !listed;
+            last := c
+          end
+        done;
+        Array.of_list (List.rev !listed))
       constraints
   in
-  { n; class_of_row; members; per_constraint }
+  { n; class_of_row = cls; members; per_constraint }
 
 let n_rows t = t.n
 

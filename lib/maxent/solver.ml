@@ -559,14 +559,36 @@ let relative_entropy t =
 let sample t rng =
   let n, d = Mat.dims t.data in
   let out = Mat.create n d in
+  let oa = out.Mat.a in
   Array.iteri
     (fun cls p ->
       let chol = Chol.decompose_psd (Mat.symmetrize p.Gauss_params.sigma) in
-      Array.iter
-        (fun r ->
-          Mat.set_row out r
-            (Sampler.mvn rng ~mean:p.Gauss_params.mean ~chol))
-        (Partition.members t.partition cls))
+      let ca = chol.Mat.a and mean = p.Gauss_params.mean in
+      let rows = Partition.members t.partition cls in
+      (* The class's member rows, in ascending order, take consecutive
+         blocks of [d] draws: the draw order of one [Sampler.mvn] per
+         row.  Each output entry is [mean_i + Σ_j chol_ij z_j] with one
+         accumulator over ascending [j], the order of [Mat.mv], so the
+         rows are the bits [Sampler.mvn] gives.  The sum stops at the
+         diagonal: the factor's upper entries are exact zeros, and adding
+         ±0 never changes a sum started at +0.0. *)
+      let z = Array.create_float (Array.length rows * d) in
+      Rng.fill_normal rng z ~pos:0 ~len:(Array.length z);
+      Array.iteri
+        (fun k r ->
+          let zoff = k * d and roff = r * d in
+          for i = 0 to d - 1 do
+            let coff = i * d in
+            let acc = ref 0.0 in
+            for j = 0 to i do
+              acc :=
+                !acc
+                +. (Array.unsafe_get ca (coff + j)
+                    *. Array.unsafe_get z (zoff + j))
+            done;
+            Array.unsafe_set oa (roff + i) (Array.unsafe_get mean i +. !acc)
+          done)
+        rows)
     t.classes;
   out
 

@@ -113,7 +113,10 @@ val relative_entropy : t -> float
 val sample : t -> Rng.t -> Mat.t
 (** One dataset drawn from the background distribution: row [i] is drawn
     from [N(m_i, Σ_i)], through one PSD Cholesky factorization of
-    [symmetrize Σ] per class. *)
+    [symmetrize Σ] per class.  Each class takes one {!Rng.fill_normal} of
+    [size·d] variates, its member rows in ascending order, so the draws
+    and bits are those of one {!Sampler.mvn} per member row, classes in
+    order. *)
 
 val mean_matrix : t -> Mat.t
 (** The per-row means as an [n×d] matrix. *)

@@ -1,19 +1,21 @@
 open Sider_linalg
 
-let rec normal rng =
-  (* Polar Box-Muller, one variate per accepted pair (the partner is
-     discarded to keep the draw count data-independent per call site). *)
-  let u = (2.0 *. Rng.float rng) -. 1.0 in
-  let v = (2.0 *. Rng.float rng) -. 1.0 in
-  let s = (u *. u) +. (v *. v) in
-  if s >= 1.0 || s = 0.0 then normal rng
-  else u *. sqrt (-2.0 *. log s /. s)
+let normal rng =
+  let z = Array.create_float 1 in
+  Rng.fill_normal rng z ~pos:0 ~len:1;
+  z.(0)
 
 let gaussian rng ~mean ~sd = mean +. (sd *. normal rng)
 
-let normal_vec rng n = Array.init n (fun _ -> normal rng)
+let normal_vec rng n =
+  let v = Array.create_float n in
+  Rng.fill_normal rng v ~pos:0 ~len:n;
+  v
 
-let normal_mat rng r c = Mat.init r c (fun _ _ -> normal rng)
+let normal_mat rng r c =
+  let m = Mat.create r c in
+  Rng.fill_normal rng m.Mat.a ~pos:0 ~len:(r * c);
+  m
 
 let exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Sampler.exponential: rate must be > 0";

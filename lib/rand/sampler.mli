@@ -3,15 +3,20 @@
 open Sider_linalg
 
 val normal : Rng.t -> float
-(** Standard normal variate (polar Box-Muller; cached pairs are not used so
-    each draw consumes a fresh rejection loop and [split] streams stay
+(** Standard normal variate: one element of {!Rng.fill_normal}, the
+    library's one normal generator (polar Box–Muller, no cached partner,
+    so each draw runs a fresh rejection loop and [split] streams stay
     independent). *)
 
 val gaussian : Rng.t -> mean:float -> sd:float -> float
 
 val normal_vec : Rng.t -> int -> Vec.t
+(** [n] variates from one {!Rng.fill_normal}: the same values as [n]
+    calls of {!normal}, and nothing allocated beside the result. *)
 
 val normal_mat : Rng.t -> int -> int -> Mat.t
+(** An [r]×[c] matrix of variates drawn in row-major order by one
+    {!Rng.fill_normal}, the order of [r·c] calls of {!normal}. *)
 
 val exponential : Rng.t -> rate:float -> float
 
@@ -37,4 +42,4 @@ val sample_without_replacement : Rng.t -> int -> int -> int array
 
 val mvn : Rng.t -> mean:Vec.t -> chol:Mat.t -> Vec.t
 (** Multivariate normal variate given the lower Cholesky factor of the
-    covariance: [mean + chol · z]. *)
+    covariance: [mean + chol · z], with [z] from {!normal_vec}. *)

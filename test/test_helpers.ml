@@ -38,3 +38,26 @@ let random_spd rng d =
 let qcheck ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
+
+(* Reference normal generator for the bit-identity tests: the scalar
+   polar Box–Muller loop, one variate per call through [Rng.float], the
+   partner discarded.  [Rng.fill_normal] must give the same stream. *)
+let rec polar_normal rng =
+  let u = (2.0 *. Sider_rand.Rng.float rng) -. 1.0 in
+  let v = (2.0 *. Sider_rand.Rng.float rng) -. 1.0 in
+  let s = (u *. u) +. (v *. v) in
+  if s >= 1.0 || s = 0.0 then polar_normal rng
+  else u *. sqrt (-2.0 *. log s /. s)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Fails on the first entry whose bits differ. *)
+let check_bits msg expected got =
+  if Array.length expected <> Array.length got then
+    Alcotest.failf "%s: length %d, expected %d" msg (Array.length got)
+      (Array.length expected);
+  Array.iteri
+    (fun i e ->
+      if not (same_bits e got.(i)) then
+        Alcotest.failf "%s: entry %d is %h, expected %h" msg i got.(i) e)
+    expected

@@ -43,6 +43,43 @@ let test_margin_count () =
   let cs = Constr.margin data3 in
   approx "2d constraints" 4.0 (float_of_int (List.length cs))
 
+(* [Constr.margin] builds the same constraints, bit for bit, as one
+   [linear] and one [quadratic] per column along its basis vector.  The
+   columns hold exact zeros and a -0.0 around a zero mean, a constant,
+   offsets of +1e3 and -1e3, and plain noise. *)
+let test_margin_bits () =
+  let n = 41 and d = 5 in
+  let z = Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create 9) n d in
+  let data =
+    Mat.init n d (fun i j ->
+        match j with
+        | 0 -> [| 0.0; -0.0; 1.5; -1.5 |].(i mod 4)
+        | 1 -> 2.5
+        | 2 -> 1e3 +. Mat.get z i j
+        | 3 -> -1e3 +. (0.01 *. Mat.get z i j)
+        | _ -> 10.0 *. Mat.get z i j)
+  in
+  let rows = Array.init n Fun.id in
+  let expected =
+    List.concat
+      (List.init d (fun j ->
+           let w = Vec.basis d j and tag = Printf.sprintf "m:col%d" j in
+           [ Constr.linear ~tag ~data ~rows ~w ();
+             Constr.quadratic ~tag ~data ~rows ~w () ]))
+  in
+  let got = Constr.margin ~tag:"m" data in
+  Alcotest.(check int) "2d constraints" (2 * d) (List.length got);
+  List.iter2
+    (fun (e : Constr.t) (g : Constr.t) ->
+      check_true (e.Constr.tag ^ " kind") (e.Constr.kind = g.Constr.kind);
+      Alcotest.(check string) "tag" e.Constr.tag g.Constr.tag;
+      check_true (e.Constr.tag ^ " rows") (e.Constr.rows = g.Constr.rows);
+      check_bits (e.Constr.tag ^ " w") e.Constr.w g.Constr.w;
+      check_bits (e.Constr.tag ^ " target, shift")
+        [| e.Constr.target; e.Constr.shift |]
+        [| g.Constr.target; g.Constr.shift |])
+    expected got
+
 let test_cluster_count () =
   let cs = Constr.cluster ~data:data3 ~rows:[| 0; 1 |] () in
   approx "2d constraints" 4.0 (float_of_int (List.length cs));
@@ -102,6 +139,128 @@ let test_partition_counts_independent_of_n () =
   let c2 = Constr.linear ~data:big ~rows:[| 1; 2 |] ~w:[| 1.0; 0.0 |] () in
   let p = Partition.of_constraints ~n:1000 [| c1; c2 |] in
   approx "4 classes" 4.0 (float_of_int (Partition.n_classes p))
+
+(* Reference partition: the signature-hashing construction.  A row's
+   signature is the list of the constraints covering it; a row scan
+   gives each new signature the next class id.  [Partition] must agree
+   exactly, numbering included, since the solver's sweep order and bits
+   follow the class ids. *)
+let reference_partition ~n constraints =
+  let sigs = Array.make n [] in
+  Array.iteri
+    (fun c (constr : Constr.t) ->
+      Array.iter (fun r -> sigs.(r) <- c :: sigs.(r)) constr.Constr.rows)
+    constraints;
+  let tbl : (int list, int) Hashtbl.t = Hashtbl.create 64 in
+  let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  let class_of_row = Array.make n (-1) in
+  let next = ref 0 in
+  for r = 0 to n - 1 do
+    let cls =
+      match Hashtbl.find_opt tbl sigs.(r) with
+      | Some c -> c
+      | None ->
+        let c = !next in
+        incr next;
+        Hashtbl.add tbl sigs.(r) c;
+        Hashtbl.add buckets c (ref []);
+        c
+    in
+    class_of_row.(r) <- cls;
+    let bucket = Hashtbl.find buckets cls in
+    bucket := r :: !bucket
+  done;
+  let members =
+    Array.init !next (fun c ->
+        Array.of_list (List.rev !(Hashtbl.find buckets c)))
+  in
+  let per_constraint =
+    Array.map
+      (fun (constr : Constr.t) ->
+        let counts = Hashtbl.create 16 in
+        Array.iter
+          (fun r ->
+            let c = class_of_row.(r) in
+            Hashtbl.replace counts c
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
+          constr.Constr.rows;
+        (Hashtbl.fold (fun c cnt acc -> (c, cnt) :: acc) counts []
+         [@sider.allow "determinism"])
+        |> List.sort compare
+        |> Array.of_list)
+      constraints
+  in
+  (class_of_row, members, per_constraint)
+
+(* Constraint lists of margins and clusters whose row sets are ranges
+   (which overlap and nest), random sets, singletons, and repeats of an
+   earlier cluster's rows. *)
+let gen_partition_case =
+  QCheck.Gen.(
+    let* n = int_range 1 300 in
+    let row = int_bound (n - 1) in
+    let spec =
+      frequency
+        [ (1, return `Margin);
+          (3, map2 (fun a b -> `Range (Int.min a b, Int.max a b)) row row);
+          (2, map (fun l -> `Set l) (list_size (int_range 1 n) row));
+          (1, map (fun r -> `Single r) row);
+          (1, map (fun i -> `Repeat i) (int_bound 5)) ]
+    in
+    let* specs = list_size (int_range 0 6) spec in
+    let* seed = int_bound 1_000_000 in
+    return (n, specs, seed))
+
+let print_partition_case (n, specs, seed) =
+  let show = function
+    | `Margin -> "margin"
+    | `Range (a, b) -> Printf.sprintf "%d..%d" a b
+    | `Set l -> Printf.sprintf "set(%d rows)" (List.length l)
+    | `Single r -> Printf.sprintf "{%d}" r
+    | `Repeat i -> Printf.sprintf "repeat %d" i
+  in
+  Printf.sprintf "n=%d seed=%d [%s]" n seed
+    (String.concat "; " (List.map show specs))
+
+let prop_partition_matches_reference =
+  qcheck ~count:300 "partition: refinement equals signature hashing"
+    (QCheck.make ~print:print_partition_case gen_partition_case)
+    (fun (n, specs, seed) ->
+      let data =
+        Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create seed) n 2
+      in
+      let _, constraints =
+        List.fold_left
+          (fun (sets, acc) spec ->
+            let rows =
+              match spec with
+              | `Margin -> None
+              | `Range (a, b) -> Some (Array.init (b - a + 1) (fun i -> a + i))
+              | `Set l -> Some (Array.of_list l)
+              | `Single r -> Some [| r |]
+              | `Repeat i ->
+                if sets = [] then None
+                else Some (List.nth sets (i mod List.length sets))
+            in
+            match rows with
+            | None -> (sets, acc @ Constr.margin data)
+            | Some rows -> (rows :: sets, acc @ Constr.cluster ~data ~rows ()))
+          ([], []) specs
+      in
+      let constraints = Array.of_list constraints in
+      let p = Partition.of_constraints ~n constraints in
+      let class_of_row, members, per_constraint =
+        reference_partition ~n constraints
+      in
+      Partition.n_classes p = Array.length members
+      && Array.for_all Fun.id
+           (Array.init n (fun r -> Partition.class_of_row p r = class_of_row.(r)))
+      && Array.for_all Fun.id
+           (Array.mapi (fun c m -> Partition.members p c = m) members)
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun c g -> Partition.classes_of_constraint p c = g)
+              per_constraint))
 
 (* --- Gauss_params ----------------------------------------------------------- *)
 
@@ -390,6 +549,79 @@ let test_sample_statistics () =
     (Mat.col_means data)
     (Vec.scale (1.0 /. float_of_int k) acc)
 
+(* [Solver.sample] against one [mean + chol·z] per member row, classes
+   in order and rows ascending within a class, with [z] from the scalar
+   polar loop: same bits, same generator state after.  Two overlapping
+   cluster rounds on top of the margin split the rows into several
+   classes of different sizes. *)
+let test_sample_bits () =
+  let n = 60 and d = 4 in
+  let data = random_data n d in
+  let s = Solver.create data (Constr.margin data) in
+  ignore (Solver.solve s);
+  let s =
+    Solver.add_constraints s
+      (Constr.cluster ~data ~rows:(Array.init 20 (fun i -> 3 * i)) ()
+       @ Constr.cluster ~data ~rows:(Array.init 25 (fun i -> 30 + i)) ())
+  in
+  ignore (Solver.solve s);
+  check_true "several classes" (Solver.n_classes s >= 4);
+  let a = Sider_rand.Rng.create 5 and b = Sider_rand.Rng.create 5 in
+  let got = Solver.sample s a in
+  let expected = Mat.create n d in
+  for cls = 0 to Solver.n_classes s - 1 do
+    let p = Solver.class_params s cls in
+    let chol = Chol.decompose_psd (Mat.symmetrize p.Gauss_params.sigma) in
+    Array.iter
+      (fun r ->
+        let z = Array.init d (fun _ -> polar_normal b) in
+        Mat.set_row expected r (Vec.add p.Gauss_params.mean (Mat.mv chol z)))
+      (Partition.members (Solver.partition s) cls)
+  done;
+  check_bits "sample" expected.Mat.a got.Mat.a;
+  Alcotest.(check int64) "state after" (Sider_rand.Rng.uint64 b)
+    (Sider_rand.Rng.uint64 a)
+
+(* The first round of a session at the [projection_reads] benchmark
+   workload's shape (n=1024, d=16): the margin constraints, adding them
+   to the solver, the solve and a background sample allocate at most
+   4·n·d words, the same count on a second run.  Each window opens with
+   a minor collection: on OCaml 5.1 one inside the window inflates
+   [Gc.allocated_bytes]. *)
+let test_first_round_allocation () =
+  let data =
+    Sider_data.Dataset.matrix
+      (Sider_data.Dataset.standardized
+         (Sider_data.Synth.clustered ~seed:7919 ~n:1024 ~d:16 ~k:8 ()))
+  in
+  let n, d = Mat.dims data in
+  let words f =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    let after = Gc.allocated_bytes () in
+    (r, int_of_float ((after -. before) /. float_of_int (Sys.word_size / 8)))
+  in
+  let round () =
+    let empty = Solver.create data [] in
+    let cs, w_margin = words (fun () -> Constr.margin data) in
+    let s, w_add = words (fun () -> Solver.add_constraints empty cs) in
+    let _, w_solve = words (fun () -> Solver.solve s) in
+    let _, w_sample =
+      words (fun () -> Solver.sample s (Sider_rand.Rng.create 1))
+    in
+    [ w_margin; w_add; w_solve; w_sample ]
+  in
+  let first = round () in
+  let total = List.fold_left ( + ) 0 first in
+  if total > 4 * n * d then
+    Alcotest.failf
+      "first round allocated %d words (margin %d, add %d, solve %d, \
+       sample %d), over 4nd = %d"
+      total (List.nth first 0) (List.nth first 1) (List.nth first 2)
+      (List.nth first 3) (4 * n * d);
+  Alcotest.(check (list int)) "same count on a second run" first (round ())
+
 let test_mean_matrix () =
   let data = random_data 20 2 in
   let s = Solver.create data (Constr.margin data) in
@@ -489,10 +721,12 @@ let suite =
     case "margin builds 2d constraints" test_margin_count;
     case "cluster builds 2d orthonormal constraints" test_cluster_count;
     case "2-D builds 4 constraints" test_two_d_count;
+    case "margin equals per-column builders, bit for bit" test_margin_bits;
     case "partition: no constraints" test_partition_no_constraints;
     case "partition: refinement" test_partition_refinement;
     case "partition: shared class" test_partition_shared_class;
     case "partition: classes independent of n" test_partition_counts_independent_of_n;
+    prop_partition_matches_reference;
     case "initial parameters are the prior" test_initial_params;
     case "linear update" test_apply_linear;
     case "quadratic update matches direct inversion" test_apply_quadratic_matches_direct;
@@ -510,6 +744,8 @@ let suite =
     case "no constraints = prior" test_no_constraints_prior;
     case "time cutoff stops early" test_time_cutoff;
     case "background samples match means" test_sample_statistics;
+    case "sample equals per-row mean + chol·z, bit for bit" test_sample_bits;
+    case "first round allocates at most 4nd words" test_first_round_allocation;
     case "mean matrix" test_mean_matrix;
     case "relative entropy: zero at prior" test_relative_entropy_zero_prior;
     case "relative entropy: monotone in constraints" test_relative_entropy_monotone;

@@ -256,6 +256,59 @@ let prop_whiten_margin_standardizes =
       Array.for_all (fun m -> Float.abs m < 0.05) means
       && Array.for_all (fun v -> Float.abs (v -. 1.0) < 0.1) vars)
 
+(* Margin constraints act per column, so the background follows any map
+   x ↦ P·D·x + b that permutes columns (P) and rescales them (D diagonal,
+   non-singular, either sign): X' = X·Dᵀ·Pᵀ + 1bᵀ whitens to
+   Y·(P·sign D)ᵀ.  A general affine map mixes columns, which margin
+   constraints cannot see, so no such identity holds for it.  Solver
+   level: no standardization, no jitter. *)
+let prop_margin_whitening_follows_signed_scaling =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 8 80) (int_range 1 8) (int_bound 1_000_000))
+  in
+  qcheck ~count:100
+    "margin whitening follows column permutation, signed scale and offset"
+    (QCheck.make
+       ~print:(fun (n, d, seed) -> Printf.sprintf "n=%d d=%d seed=%d" n d seed)
+       gen)
+    (fun (n, d, seed) ->
+      let r = Sider_rand.Rng.create seed in
+      let x = Sider_rand.Sampler.normal_mat r n d in
+      (* Column j of X becomes column perm.(j) of X'. *)
+      let perm = Array.init d Fun.id in
+      Sider_rand.Sampler.shuffle r perm;
+      let scale =
+        Array.init d (fun _ ->
+            let m = 10.0 ** Sider_rand.Rng.uniform r (-2.0) 2.0 in
+            if Sider_rand.Rng.bool r then m else -.m)
+      in
+      let offset =
+        Array.init d (fun _ -> Sider_rand.Rng.uniform r (-800.0) 800.0)
+      in
+      let x' = Mat.create n d in
+      for i = 0 to n - 1 do
+        for j = 0 to d - 1 do
+          Mat.set x' i perm.(j)
+            ((scale.(j) *. Mat.get x i j) +. offset.(perm.(j)))
+        done
+      done;
+      let whiten m =
+        let s = Solver.create m (Constr.margin m) in
+        ignore (Solver.solve s);
+        Sider_projection.Whiten.whiten s
+      in
+      let y = whiten x and y' = whiten x' in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to d - 1 do
+          let expected = Float.copy_sign 1.0 scale.(j) *. Mat.get y i j in
+          if Float.abs (Mat.get y' i perm.(j) -. expected) > 1e-8 then
+            ok := false
+        done
+      done;
+      !ok)
+
 let prop_ellipse_polyline_on_boundary =
   qcheck ~count:40 "ellipse polyline points lie on the boundary"
     QCheck.(pair (float_range 0.1 5.0) (float_range 0.1 5.0))
@@ -495,6 +548,7 @@ let suite =
     prop_constraint_eval_matches_target;
     prop_csv_roundtrip;
     prop_whiten_margin_standardizes;
+    prop_margin_whitening_follows_signed_scaling;
     prop_ellipse_polyline_on_boundary;
     prop_rng_streams_diverge;
     prop_kmeans_assignment_valid;

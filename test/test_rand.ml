@@ -74,6 +74,44 @@ let test_normal_moments () =
   approx ~eps:0.05 "skewness 0" 0.0 (Sider_stats.Descriptive.skewness xs);
   approx ~eps:0.1 "kurtosis 0" 0.0 (Sider_stats.Descriptive.kurtosis xs)
 
+(* 10⁶ variates through calls of lengths 0 to 997 against the scalar
+   polar loop: same bits, and the generators end in the same state. *)
+let test_fill_normal_matches_polar () =
+  let a = Rng.create 31 and b = Rng.create 31 in
+  let total = 1_000_000 in
+  let got = Array.create_float total in
+  let pos = ref 0 and len = ref 0 in
+  while !pos < total do
+    let l = Int.min !len (total - !pos) in
+    Rng.fill_normal a got ~pos:!pos ~len:l;
+    pos := !pos + l;
+    len := ((!len * 31) + 7) mod 998
+  done;
+  check_bits "fill" (Array.init total (fun _ -> polar_normal b)) got;
+  Alcotest.(check int64) "state after" (Rng.uint64 b) (Rng.uint64 a);
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Rng.fill_normal: range out of bounds") (fun () ->
+      Rng.fill_normal a got ~pos:(total - 1) ~len:2)
+
+let test_samplers_match_polar () =
+  let a = Rng.create 32 and b = Rng.create 32 in
+  let reference k = Array.init k (fun _ -> polar_normal b) in
+  check_bits "normal" (reference 1) [| Sampler.normal a |];
+  check_bits "normal_vec" (reference 37) (Sampler.normal_vec a 37);
+  let m = Sampler.normal_mat a 9 7 in
+  check_bits "normal_mat, row-major" (reference 63) m.Mat.a;
+  let mean = [| 1.0; -2.0; 0.5 |] in
+  let chol =
+    Chol.decompose
+      (Mat.of_arrays
+         [| [| 2.0; 0.3; 0.1 |]; [| 0.3; 1.0; -0.2 |]; [| 0.1; -0.2; 0.5 |] |])
+  in
+  for _ = 1 to 50 do
+    let expected = Vec.add mean (Mat.mv chol (reference 3)) in
+    check_bits "mvn" expected (Sampler.mvn a ~mean ~chol)
+  done;
+  Alcotest.(check int64) "state after" (Rng.uint64 b) (Rng.uint64 a)
+
 let test_gaussian_params () =
   let rng = Rng.create 9 in
   let xs = Array.init 50_000 (fun _ -> Sampler.gaussian rng ~mean:3.0 ~sd:2.0) in
@@ -203,6 +241,8 @@ let suite =
     case "int bounds" test_int_bounds;
     case "int uniformity" test_int_uniform;
     case "normal moments" test_normal_moments;
+    case "fill_normal is the scalar polar stream" test_fill_normal_matches_polar;
+    case "normal samplers are the scalar polar stream" test_samplers_match_polar;
     case "gaussian with params" test_gaussian_params;
     case "exponential" test_exponential;
     case "poisson small lambda" test_poisson;
