@@ -402,8 +402,6 @@ let journal_close j =
        request-path syncs. *)
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let journal_path j = j.j_path
-
 let journal_events j = j.j_events
 
 let journal_base j = j.j_base

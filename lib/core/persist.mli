@@ -108,8 +108,6 @@ val journal_append : journal -> Session.event -> unit
 val journal_close : journal -> unit
 (** Flush and close.  Idempotent. *)
 
-val journal_path : journal -> string
-
 val journal_events : journal -> int
 (** Intact event lines in the journal file behind this handle: appends
     since the last {!journal_compact} plus any recovered lines.  The

@@ -348,6 +348,25 @@ let parse_literal st word value =
   end
   else fail st ("expected " ^ word)
 
+(* The four hex digits of a \u escape at [st.pos], and nothing else:
+   RFC 8259 has no sign, no [_] and no shorter form. *)
+let hex4 st =
+  let src = st.src in
+  if st.pos + 4 > String.length src then fail st "bad \\u escape";
+  let code = ref 0 in
+  for i = st.pos to st.pos + 3 do
+    let d =
+      match src.[i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail st "bad \\u escape"
+    in
+    code := (!code lsl 4) lor d
+  done;
+  st.pos <- st.pos + 4;
+  !code
+
 (* One escape sequence; [st.pos] is just past the backslash. *)
 let parse_escape st buf =
   let src = st.src in
@@ -367,23 +386,28 @@ let parse_escape st buf =
   | 'f' -> simple '\012'
   | 'u' ->
     st.pos <- st.pos + 1;
-    if st.pos + 4 > String.length src then fail st "bad \\u escape";
-    let hex = String.sub src st.pos 4 in
-    let code =
-      try int_of_string ("0x" ^ hex) with _ -> fail st "bad \\u escape"
+    let start = st.pos in
+    let unpaired () =
+      st.pos <- start;
+      fail st "bad \\u escape"
     in
-    st.pos <- st.pos + 4;
-    (* Encode the BMP code point as UTF-8. *)
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
+    let code = hex4 st in
+    let code =
+      if code >= 0xDC00 && code <= 0xDFFF then unpaired ()
+      else if code < 0xD800 || code > 0xDBFF then code
+      else if
+        st.pos + 2 <= String.length src
+        && src.[st.pos] = '\\' && src.[st.pos + 1] = 'u'
+      then begin
+        (* A high surrogate: the low half must follow at once. *)
+        st.pos <- st.pos + 2;
+        let low = hex4 st in
+        if low < 0xDC00 || low > 0xDFFF then unpaired ();
+        0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+      end
+      else unpaired ()
+    in
+    Buffer.add_utf_8_uchar buf (Uchar.of_int code)
   | _ -> fail st "bad escape"
 
 (* The index of the first '"' or '\\' in [src] at or after [i], or the

@@ -61,9 +61,6 @@ let of_arrays rows =
     init r c (fun i j -> rows.(i).(j))
   end
 
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.sub m.a (i * m.cols) m.cols)
-
 let copy m = { m with a = Array.copy m.a }
 
 let copy_into ~dst src =
@@ -151,8 +148,6 @@ let col m j = Array.init m.rows (fun i -> m.a.((i * m.cols) + j))
 let set_row m i v =
   if Array.length v <> m.cols then invalid_arg "Mat.set_row: bad length";
   Array.blit v 0 m.a (i * m.cols) m.cols
-
-let rows_list m = List.init m.rows (row m)
 
 let transpose m =
   let t = create m.cols m.rows in

@@ -31,8 +31,6 @@ val diagonal : t -> Vec.t
 val of_arrays : float array array -> t
 (** Rows given as arrays; all rows must have equal length. *)
 
-val to_arrays : t -> float array array
-
 val copy : t -> t
 
 val copy_into : dst:t -> t -> unit
@@ -58,8 +56,6 @@ val row_dot : t -> int -> Vec.t -> float
 val col : t -> int -> Vec.t
 
 val set_row : t -> int -> Vec.t -> unit
-
-val rows_list : t -> Vec.t list
 
 val transpose : t -> t
 

@@ -535,10 +535,6 @@ let series name =
             r.rows.((first + i) mod series_cap))
       | None -> [])
 
-let series_names () =
-  locked (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) series_tbl [])
-  |> List.sort compare
-
 (* --- GC telemetry --------------------------------------------------------- *)
 
 (* Sampled when a root span closes on the controller: cheap enough to be
@@ -815,13 +811,6 @@ let metric_to_json = function
        \"p50\":%s,\"p95\":%s,\"p99\":%s,\"max\":%s}"
       (json_escape name) count (json_float sum) (json_float p50)
       (json_float p95) (json_float p99) (json_float max)
-
-let series_point_to_json name row =
-  Printf.sprintf "{\"type\":\"series\",\"name\":\"%s\",\"point\":%s}"
-    (json_escape name) (json_attrs row)
-
-let series_to_json name =
-  List.map (series_point_to_json name) (series name)
 
 let json_sink emit =
   {

@@ -252,12 +252,6 @@ val series : string -> (string * value) list list
 (** The newest (at most 2048) rows in insertion order (empty when the
     series was never written). *)
 
-val series_names : unit -> string list
-
-val series_to_json : string -> string list
-(** One JSON object per row:
-    [{"type":"series","name":...,"point":{...}}]. *)
-
 (** {1 Flight recorder}
 
     A fixed-size lock-free ring buffer of the last N completed spans and

@@ -68,7 +68,11 @@ let pool = {
 
 let max_domains = 64
 
-let env_domains () =
+(* The pool size is the one setting the library reads from the
+   environment: it changes speed, never results (every fan-out is
+   bit-identical for any domain count), and the test suite's
+   multi-domain pass sets it for a whole run. *)
+let[@sider.allow "determinism"] env_domains () =
   match Sys.getenv_opt "SIDER_DOMAINS" with
   | None -> 1
   | Some s ->

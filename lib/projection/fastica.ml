@@ -63,11 +63,6 @@ let prepare ?n_components ?rank_tol m =
   Obs.count "ica.prepare";
   prepare_impl ?n_components ?rank_tol m
 
-let kernel_name prep =
-  match prep.kernel with
-  | Some k -> Ica_kernel.kernel_name k
-  | None -> Ica_kernel.default_name ()
-
 let fit_prepared_impl ?w0 ?(max_iter = 200) ?(tol = 1e-4) rng prep =
   let { n; d; m_comp; _ } = prep in
   match prep.kernel with
@@ -92,8 +87,8 @@ let fit_prepared_impl ?w0 ?(max_iter = 200) ?(tol = 1e-4) rng prep =
     let iterations = ref 0 and converged = ref false in
     while (not !converged) && !iterations < max_iter do
       incr iterations;
-      (* One fused pass: s = z wᵀ, g = tanh s, gz = gᵀz and the E[g']
-         sums together (see Ica_kernel).  The update is
+      (* One sweep: s = z wᵀ, g = tanh s, gz = gᵀz and the E[g'] sums
+         (see Ica_kernel).  The update is
          W_new = (gᵀ z)/n − diag(E[g']) W. *)
       Ica_kernel.sweep kernel ~w:!w ~gz ~eg:eg';
       let w_new =

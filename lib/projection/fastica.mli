@@ -38,10 +38,6 @@ val prepare : ?n_components:int -> ?rank_tol:float -> Mat.t -> prep
     that {!View.of_whitened} calls this once per view.  Raises
     [Invalid_argument] on fewer than two rows. *)
 
-val kernel_name : prep -> string
-(** ["simd"] or ["reference"] — which sweep kernel this prep will run
-    (see {!Ica_kernel}). *)
-
 val fit_prepared : ?w0:Mat.t -> ?max_iter:int -> ?tol:float ->
   Rng.t -> prep -> t
 (** [fit_prepared rng prep] runs the symmetric fixed point from a random

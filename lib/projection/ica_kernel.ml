@@ -1,7 +1,3 @@
-(* The [<> 0.0] zero-skips below intentionally mirror Mat's GEMM kernels
-   bit-for-bit (a NaN entry falls through to the arithmetic either way). *)
-[@@@sider.allow "float-equality"]
-
 open Sider_linalg
 module Par = Sider_par.Par
 
@@ -18,38 +14,19 @@ let simd_available =
   let probed = lazy (simd_available_stub ()) in
   fun () -> Lazy.force probed
 
+(* The C stubs bound their stack scratch at this many components. *)
 let max_simd_components = 64
 
-(* SIDER_ICA_KERNEL is read once: kernel choice must not change under a
-   running session (golden fixtures and the warm-ICA path both assume a
-   stable kernel for the process lifetime).  [set_mode] exists for tests
-   and benchmarks that need to pin a path within one process. *)
-let env_selected =
-  lazy
-    (match Sys.getenv_opt "SIDER_ICA_KERNEL" with
-    | Some "reference" -> `Reference
-    | Some "simd" when simd_available () -> `Simd
-    | Some "simd" -> `Reference
-    | _ -> if simd_available () then `Simd else `Reference)
+(* Set only by [with_portable], for the span of its callback. *)
+let pinned = ref false
 
-type mode = Auto | Force_reference | Force_simd
-
-let override = ref Auto
-
-let set_mode m = override := m
-
-let selected () =
-  match !override with
-  | Force_reference -> `Reference
-  | Force_simd when simd_available () -> `Simd
-  | Force_simd -> `Reference
-  | Auto -> Lazy.force env_selected
-
-let default_name () =
-  match selected () with `Simd -> "simd" | `Reference -> "reference"
+let with_portable f =
+  let saved = !pinned in
+  pinned := true;
+  Fun.protect ~finally:(fun () -> pinned := saved) f
 
 type path =
-  | Reference of { gbuf : float array }
+  | Portable of { g : Mat.t }  (* n × m: the scores, then tanh in place *)
   | Simd of {
       mpad : int;
       zpad : float array;   (* n × mpad, zero-padded columns *)
@@ -62,14 +39,11 @@ type t = { z : Mat.t; n : int; m : int; path : path }
    partials combine identically for every domain count. *)
 let simd_chunk = 256
 
-let create_reference z =
-  let n, m = Mat.dims z in
-  { z; n; m; path = Reference { gbuf = Array.make (Stdlib.max m 1) 0.0 } }
-
 let create z =
   let n, m = Mat.dims z in
-  match selected () with
-  | `Simd when m >= 1 && m <= max_simd_components && n >= 1 ->
+  if (not !pinned) && simd_available () && m >= 1
+     && m <= max_simd_components && n >= 1
+  then begin
     let mpad = if m <= 8 then 8 else 4 * ((m + 3) / 4) in
     let za = z.Mat.a in
     let zpad = Array.make (n * mpad) 0.0 in
@@ -77,47 +51,23 @@ let create z =
       Array.blit za (i * m) zpad (i * mpad) m
     done;
     { z; n; m; path = Simd { mpad; zpad; wt = Array.make (m * mpad) 0.0 } }
-  | _ -> create_reference z
+  end
+  else { z; n; m; path = Portable { g = Mat.create n m } }
 
-let kernel_name t =
-  match t.path with Simd _ -> "simd" | Reference _ -> "reference"
-
-(* Portable fused sweep.  Bit-identity with the unfused pipeline holds
-   because every destination slot sees the same chain of operations:
-   each s entry is a k-increasing dot with the [matmul_nt_into] skip on
-   zero z entries, tanh is the same direct libm call as [tanh_into], the
-   eg sums accumulate in increasing row order like Fastica's column-sum
-   pass, and each gz slot receives one read-modify-write per input row
-   in increasing i with the [matmul_tn_into] skip on zero g entries. *)
-let sweep_reference ~z ~w ~gz ~(eg : Vec.t) gbuf =
-  let n, m = Mat.dims z in
-  let za = z.Mat.a and wa = w.Mat.a and gza = gz.Mat.a in
-  Array.fill gza 0 (m * m) 0.0;
+(* The three-pass pipeline on Mat's kernels, each bit-identical for any
+   domain count: scores into [g], tanh over them in place, then gᵀz.
+   The E[g'] sums run serially in increasing row order. *)
+let sweep_portable t ~w ~gz ~(eg : Vec.t) g =
+  Mat.matmul_nt_into ~dst:g t.z w;
+  Mat.tanh_into ~dst:g g;
+  Mat.matmul_tn_into ~dst:gz g t.z;
+  let m = t.m and ga = g.Mat.a in
   Array.fill eg 0 m 0.0;
-  for i = 0 to n - 1 do
-    let zoff = i * m in
+  for i = 0 to t.n - 1 do
+    let off = i * m in
     for k = 0 to m - 1 do
-      let woff = k * m in
-      let acc = ref 0.0 in
-      for f = 0 to m - 1 do
-        let zif = Array.unsafe_get za (zoff + f) in
-        if zif <> 0.0 then
-          acc := !acc +. (zif *. Array.unsafe_get wa (woff + f))
-      done;
-      let g = tanh !acc in
-      Array.unsafe_set gbuf k g;
-      Array.unsafe_set eg k (Array.unsafe_get eg k +. (1.0 -. (g *. g)))
-    done;
-    for k = 0 to m - 1 do
-      let gik = Array.unsafe_get gbuf k in
-      if gik <> 0.0 then begin
-        let goff = k * m in
-        for f = 0 to m - 1 do
-          Array.unsafe_set gza (goff + f)
-            (Array.unsafe_get gza (goff + f)
-            +. (gik *. Array.unsafe_get za (zoff + f)))
-        done
-      end
+      let v = Array.unsafe_get ga (off + k) in
+      Array.unsafe_set eg k (Array.unsafe_get eg k +. (1.0 -. (v *. v)))
     done
   done
 
@@ -170,5 +120,5 @@ let sweep t ~w ~gz ~eg =
   if gr <> t.m || gc <> t.m || Array.length eg < t.m then
     invalid_arg "Ica_kernel.sweep: output dims" [@sider.allow "error-discipline"];
   match t.path with
-  | Reference { gbuf } -> sweep_reference ~z:t.z ~w ~gz ~eg gbuf
+  | Portable { g } -> sweep_portable t ~w ~gz ~eg g
   | Simd { mpad; zpad; wt } -> sweep_simd t ~w ~gz ~eg ~mpad ~zpad ~wt

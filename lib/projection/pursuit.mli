@@ -16,9 +16,6 @@ type index = Mat.t -> Vec.t -> float
 val abs_log_cosh : index
 (** |signed log-cosh negentropy proxy| (see {!Scores.log_cosh_score}). *)
 
-val variance_gain : index
-(** {!Scores.pca_gain} of the projected variance. *)
-
 val abs_kurtosis : index
 (** |excess kurtosis| of the projection — the classic PP index. *)
 

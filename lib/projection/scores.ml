@@ -21,8 +21,4 @@ let project m w =
   let n, _ = Mat.dims m in
   Array.init n (fun i -> Vec.dot (Mat.row m i) w)
 
-let direction_pca_gain m w =
-  let p = project m w in
-  pca_gain (Vec.variance p)
-
 let direction_log_cosh m w = log_cosh_score (project m w)

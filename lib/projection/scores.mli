@@ -20,9 +20,5 @@ val log_cosh_score : Vec.t -> float
     Zero in expectation for Gaussian input; matches the sign behaviour of
     the paper's Table I "ICA scores". *)
 
-val direction_pca_gain : Mat.t -> Vec.t -> float
-(** Variance of the rows of the (whitened) matrix along the unit
-    direction, scored by {!pca_gain}. *)
-
 val direction_log_cosh : Mat.t -> Vec.t -> float
 (** {!log_cosh_score} of the projection of the rows onto the direction. *)

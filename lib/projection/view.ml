@@ -86,9 +86,6 @@ let project t m =
       let r = Mat.row m i in
       (Vec.dot r t.axis1.direction, Vec.dot r t.axis2.direction))
 
-let project_vec t v =
-  (Vec.dot v t.axis1.direction, Vec.dot v t.axis2.direction)
-
 let axis_label ?top ~columns ~prefix axis =
   let d = Array.length axis.direction in
   if Array.length columns <> d then

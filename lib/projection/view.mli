@@ -59,8 +59,6 @@ val of_solver : ?rng:Rng.t -> ?ica_w0:Mat.t -> method_:method_ ->
 val project : t -> Mat.t -> (float * float) array
 (** Coordinates of each row of a matrix in the view. *)
 
-val project_vec : t -> Vec.t -> float * float
-
 val axis_label : ?top:int -> columns:string array -> prefix:string ->
   axis -> string
 (** Format an axis as the paper does: score in brackets, then the [top]

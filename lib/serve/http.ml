@@ -138,6 +138,14 @@ let split_head_lines head =
       | Some i -> String.sub l 0 i
       | None -> l)
 
+(* A Content-Length value (already trimmed by [parse_headers]): ASCII
+   digits only.  [int_of_string] alone would also read a sign, [_]
+   separators and the 0x/0o/0b/0u prefixes. *)
+let content_length_of v =
+  if v <> "" && String.for_all (fun c -> c >= '0' && c <= '9') v then
+    int_of_string_opt v
+  else None
+
 let connection_is_close headers =
   match List.assoc_opt "connection" headers with
   | Some v -> String.lowercase_ascii (String.trim v) = "close"
@@ -201,9 +209,9 @@ let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
                match List.assoc_opt "content-length" headers with
                | None -> Ok 0
                | Some v ->
-                 (match int_of_string_opt (String.trim v) with
-                  | Some n when n >= 0 -> Ok n
-                  | _ -> Error (Malformed ("bad content-length: " ^ v)))
+                 (match content_length_of v with
+                  | Some n -> Ok n
+                  | None -> Error (Malformed ("bad content-length: " ^ v)))
              in
              (match content_length with
               | Error e -> Error e
@@ -230,9 +238,6 @@ let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
                   (read_body ())))
         | _ -> Error (Malformed ("bad request line: " ^ request_line))))
 
-let read_request ?max_body fd =
-  Result.map fst (read_request_from ?max_body ~initial:"" fd)
-
 (* --- buffered per-connection reader ---------------------------------------- *)
 
 type reader = {
@@ -241,8 +246,6 @@ type reader = {
 }
 
 let reader fd = { r_fd = fd; r_pending = "" }
-
-let reader_fd r = r.r_fd
 
 let reader_has_pending r = r.r_pending <> ""
 
@@ -340,7 +343,7 @@ let read_response_from ~initial fd =
                  `Close,
                  "" ))
         | Some v ->
-          (match int_of_string_opt (String.trim v) with
+          (match content_length_of v with
            | None -> Error ("bad content-length: " ^ v)
            | Some len ->
              let rec read_body () =

@@ -52,15 +52,6 @@ val wants_close : request -> bool
 (** The client sent [Connection: close] — the server must not keep the
     connection alive after responding. *)
 
-val read_request :
-  ?max_body:int -> Unix.file_descr -> (request, read_error) result
-(** Read one full request from a connected socket (no cross-request
-    buffering — single-request connections only; the keep-alive loop
-    uses {!read_request_buffered}).  Bounded: at most 16 KiB of headers
-    and [max_body] (default 8 MiB) of body are ever buffered.  The
-    caller should set [SO_RCVTIMEO] on the socket so a stalled client
-    surfaces as [Timeout] rather than hanging a worker. *)
-
 val respond :
   ?headers:(string * string) list ->
   status:int ->
@@ -84,8 +75,6 @@ type reader
 
 val reader : Unix.file_descr -> reader
 
-val reader_fd : reader -> Unix.file_descr
-
 val reader_has_pending : reader -> bool
 (** Buffered bytes are already waiting — the next request (or part of
     it) arrived with the previous one, so the connection should be
@@ -93,8 +82,12 @@ val reader_has_pending : reader -> bool
 
 val read_request_buffered :
   ?max_body:int -> reader -> (request, read_error) result
-(** {!read_request} through the reader's buffer.  On error the buffer
-    is discarded (the connection is about to be closed). *)
+(** Read one full request, starting with the bytes a previous call left
+    in the reader's buffer.  Bounded: at most 16 KiB of headers and
+    [max_body] (default 8 MiB) of body are ever buffered.  The caller
+    should set [SO_RCVTIMEO] on the socket so a stalled client surfaces
+    as [Timeout] rather than hanging a worker.  On error the buffer is
+    discarded (the connection is about to be closed). *)
 
 (** {2 Client} *)
 

@@ -74,7 +74,3 @@ let standardize v =
   let sd = sqrt (Vec.variance ~mean v) in
   if Float.equal sd 0.0 then Array.map (fun x -> x -. mean) v
   else Array.map (fun x -> (x -. mean) /. sd) v
-
-let column_summaries m =
-  let _, d = Mat.dims m in
-  Array.init d (fun j -> summarize (Mat.col m j))

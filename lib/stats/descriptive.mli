@@ -33,5 +33,3 @@ val correlation : Vec.t -> Vec.t -> float
 val standardize : Vec.t -> Vec.t
 (** Zero mean, unit (population) variance; constant vectors are centered
     only. *)
-
-val column_summaries : Mat.t -> summary array

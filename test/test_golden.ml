@@ -15,13 +15,17 @@ open Sider_projection
 
 let tolerance = 1e-6
 
-let update_mode () = Sys.getenv_opt "GOLDEN_UPDATE" = Some "1"
+(* Rewriting the fixtures is a deliberate, whole-run choice made from
+   the shell, not a setting any test can pass in. *)
+let[@sider.allow "determinism"] update_mode () =
+  Sys.getenv_opt "GOLDEN_UPDATE" = Some "1"
 
 (* Updates must land in the source tree, not the _build sandbox, so the
    directory is located by probing for this file: `dune runtest` runs
    from _build/default/test (three levels below the root), `dune exec`
-   from wherever it was invoked.  GOLDEN_DIR overrides both. *)
-let golden_dir () =
+   from wherever it was invoked.  GOLDEN_DIR overrides both; where the
+   fixtures live is the caller's choice, as for GOLDEN_UPDATE. *)
+let[@sider.allow "determinism"] golden_dir () =
   match Sys.getenv_opt "GOLDEN_DIR" with
   | Some d -> d
   | None -> (
@@ -193,16 +197,14 @@ let test_pca_projection () =
       check_axes ~score_key:"gains" "PCA" expected actual)
 
 let test_ica_projection () =
-  (* Pinned to the reference kernel: its results are bit-identical on
+  (* Pinned to the portable kernel: its results are bit-identical on
      every CPU and domain count, so the fixture never needs per-machine
      variants.  (The SIMD kernel is deterministic too, but its tanh
      differs from libm by ~1e-15, and FastICA's tol = 1e-4 resolves the
      directions only to about 3e-3, far coarser than this file's 1e-6.
      SIMD correctness is pinned by test_projection's closeness tests and
      test_par's cross-domain bit-stability instead.) *)
-  Ica_kernel.set_mode Ica_kernel.Force_reference;
-  Fun.protect ~finally:(fun () -> Ica_kernel.set_mode Ica_kernel.Auto)
-  @@ fun () ->
+  Ica_kernel.with_portable @@ fun () ->
   run_fixture ~file:"ica.json"
     ~compute:(fun () ->
       (* Margin-only whitening: the three clusters are still unexplained,
@@ -221,8 +223,8 @@ let test_ica_projection () =
     ~check:(fun expected actual ->
       check_axes ~score_key:"scores" "ICA" expected actual)
 
-(* The fused-sweep byte-identity contract, pinned down to the bit: the
-   reference kernel's gz/eg must match both the unfused three-pass
+(* The sweep's byte-identity contract, pinned down to the bit: the
+   portable kernel's gz/eg must match both the three-pass
    pipeline (live, every run) and the recorded fixture (cross-version).
    The whole suite re-runs under SIDER_DOMAINS=2, which re-checks this
    fixture at two domains.  The input is seeded standard-normal data of
@@ -236,22 +238,23 @@ let test_ica_kernel_bits () =
       let w = Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create 2) m m in
       let gz_u, eg_u = Test_projection.unfused_sweep y w in
       let gz_f, eg_f =
-        Test_projection.kernel_sweep (Ica_kernel.create_reference y) y w
+        Test_projection.kernel_sweep (Test_projection.portable_kernel y) y w
       in
       let hex v = Printf.sprintf "%016Lx" (Int64.bits_of_float v) in
       let bits_of_arr a =
         Json.List (Array.to_list (Array.map (fun v -> Json.String (hex v)) a))
       in
-      check_true "fused gz bit-identical to unfused"
+      check_true "portable gz bit-identical to unfused"
         (Array.for_all2 Int64.equal
            (Array.map Int64.bits_of_float gz_u.Mat.a)
            (Array.map Int64.bits_of_float gz_f.Mat.a));
-      check_true "fused eg bit-identical to unfused"
+      check_true "portable eg bit-identical to unfused"
         (Array.for_all2 Int64.equal
            (Array.map Int64.bits_of_float eg_u)
            (Array.map Int64.bits_of_float eg_f));
       Json.Obj
-        [ ("kernel", Json.String "reference");
+        [ (* The tag the fixture was recorded under. *)
+          ("kernel", Json.String "reference");
           ("gz_bits", bits_of_arr gz_f.Mat.a);
           ("eg_bits", bits_of_arr eg_f) ])
     ~check:(fun expected actual ->

@@ -201,6 +201,30 @@ let test_ica_sweep_bits_stable () =
       check_bits_vec (Printf.sprintf "ica sweep eg domains=%d" d) eg1 eg)
     [ 2; 4 ]
 
+(* Above 64 components [create] takes the portable path on every CPU:
+   the path views of Table II's d=128 column run.  It must reproduce the
+   three-pass pipeline bit for bit at every pool size; the planted zeros
+   exercise the GEMM kernels' skip branches. *)
+let test_ica_wide_sweep_is_unfused () =
+  let n = 300 and m = 65 in
+  let r = Sider_rand.Rng.create 43 in
+  let z = Mat.init n m (fun _ _ -> Sider_rand.Sampler.normal r) in
+  Mat.set z 0 0 0.0;
+  Mat.set z 7 (m - 1) 0.0;
+  Mat.set z (n - 1) 31 0.0;
+  let w = Sider_rand.Sampler.normal_mat r m m in
+  let gz_u, eg_u = Test_projection.unfused_sweep z w in
+  List.iter
+    (fun d ->
+      let gz, eg =
+        with_domains d (fun () ->
+            Test_projection.kernel_sweep
+              (Sider_projection.Ica_kernel.create z) z w)
+      in
+      check_bits_mat (Printf.sprintf "wide sweep gz domains=%d" d) gz_u gz;
+      check_bits_vec (Printf.sprintf "wide sweep eg domains=%d" d) eg_u eg)
+    [ 1; 2; 4 ]
+
 let suite =
   [
     case "parallel_for covers every index once at 1/2/4 domains"
@@ -218,4 +242,6 @@ let suite =
       test_pipeline_bits_stable;
     case "ica sweep is bit-stable across domain counts"
       test_ica_sweep_bits_stable;
+    case "ica sweep above 64 components is the unfused pipeline"
+      test_ica_wide_sweep_is_unfused;
   ]

@@ -100,6 +100,14 @@ let test_json_parse_error_messages () =
       ("\"\\x\"", "bad escape at position 2");
       ("\"\\u12\"", "bad \\u escape at position 3");
       ("\"\\u12g4\"", "bad \\u escape at position 3");
+      ("\"\\u0_41\"", "bad \\u escape at position 3");
+      ("\"\\u1_2_\"", "bad \\u escape at position 3");
+      ("\"\\ud83d\"", "bad \\u escape at position 3");
+      ("\"\\ude00\"", "bad \\u escape at position 3");
+      ("\"\\ud83dx\"", "bad \\u escape at position 3");
+      ("\"\\ud83d\\u0041\"", "bad \\u escape at position 3");
+      ("\"\\ud83d\\ud83d\"", "bad \\u escape at position 3");
+      ("\"\\ud83d\\u12\"", "bad \\u escape at position 9");
       ("\"abc\\", "bad escape at position 5");
       ("tru", "expected true at position 0");
       ("[true,fals]", "expected false at position 6");
@@ -107,10 +115,13 @@ let test_json_parse_error_messages () =
       ("\"a\"\"b\"", "trailing content at position 3");
       ("\000", "expected number at position 0");
       ("[1,\n 2,\n x]", "expected number at position 9") ];
-  (* An overflowing literal still reads, as an infinity. *)
-  check_true "1e999 reads as infinity"
-    (Json.of_string {|["\u00e9", 1e999]|}
-     = Json.List [ Json.String "\xc3\xa9"; Json.Number Float.infinity ])
+  (* An overflowing literal still reads, as an infinity.  A \u escape
+     decodes to UTF-8, and a surrogate pair to one 4-byte code point. *)
+  check_true "1e999 reads as infinity, escapes as UTF-8"
+    (Json.of_string {|["\u00e9", 1e999, "\ud83d\ude00", "\u00C9\u0041"]|}
+     = Json.List
+         [ Json.String "\xc3\xa9"; Json.Number Float.infinity;
+           Json.String "\xf0\x9f\x98\x80"; Json.String "\xc3\x89A" ])
 
 let test_json_non_finite_prints_null () =
   List.iter

@@ -293,7 +293,8 @@ let test_axis_label_top () =
 let random_mat r n m scale =
   Mat.init n m (fun _ _ -> scale *. Sider_rand.Sampler.normal r)
 
-(* The pre-PR-8 pipeline the fused kernels replace: three full passes. *)
+(* The three-pass pipeline, spelled out here independently of
+   Ica_kernel: the portable path must match it bit for bit. *)
 let unfused_sweep z w =
   let n, m = Mat.dims z in
   let s = Mat.create n m and g = Mat.create n m in
@@ -318,6 +319,8 @@ let kernel_sweep kernel z w =
   Ica_kernel.sweep kernel ~w ~gz ~eg;
   (gz, eg)
 
+let portable_kernel z = Ica_kernel.with_portable (fun () -> Ica_kernel.create z)
+
 let kernel_shapes = [ (137, 5, 3); (256, 8, 4); (61, 3, 5); (700, 11, 6) ]
 
 let test_ica_kernel_reference_bit_identical () =
@@ -330,7 +333,7 @@ let test_ica_kernel_reference_bit_identical () =
       Mat.set z (n - 1) (m - 1) 0.0;
       let w = random_mat r m m 1.0 in
       let gz_u, eg_u = unfused_sweep z w in
-      let gz_f, eg_f = kernel_sweep (Ica_kernel.create_reference z) z w in
+      let gz_f, eg_f = kernel_sweep (portable_kernel z) z w in
       for k = 0 to m - 1 do
         if Int64.bits_of_float eg_u.(k) <> Int64.bits_of_float eg_f.(k) then
           Alcotest.failf "eg (n=%d m=%d k=%d): %h vs %h" n m k eg_u.(k)
@@ -354,7 +357,7 @@ let test_ica_kernel_simd_close () =
         let r = Sider_rand.Rng.create seed in
         let z = random_mat r n m 1.5 in
         let w = random_mat r m m 1.0 in
-        let gz_r, eg_r = kernel_sweep (Ica_kernel.create_reference z) z w in
+        let gz_r, eg_r = kernel_sweep (portable_kernel z) z w in
         let kernel = Ica_kernel.create z in
         let gz_s, eg_s = kernel_sweep kernel z w in
         (* Polynomial tanh at ~1e-15 relative error plus chunked partial

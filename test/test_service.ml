@@ -704,6 +704,79 @@ let test_stale_connection_post_not_retried () =
   | Ok r -> status_is "stale GET retried transparently" 200 r
   | Error e -> Alcotest.failf "stale GET: %s" e
 
+(* --- Content-Length spellings ------------------------------------------------------ *)
+
+(* Content-Length is ASCII digits only.  Each spelling below is one that
+   [int_of_string] reads as a number; the body is long enough for any
+   of those readings, so a server that accepted one would parse a body
+   and answer malformed-json instead. *)
+let odd_content_lengths = [ "0x10"; "1_0"; "+5"; "-5"; "0o17"; "0b11"; "0u5" ]
+
+let test_server_rejects_odd_content_length () =
+  with_service @@ fun svc ->
+  List.iter
+    (fun v ->
+      with_raw_socket svc @@ fun sock ->
+      write_string sock
+        (Printf.sprintf "POST /sessions HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s"
+           v (String.make 16 ' '));
+      match read_responses sock 1 with
+      | [ (status, text) ] ->
+        let rec body_at i =
+          if String.sub text i 4 = "\r\n\r\n" then i + 4 else body_at (i + 1)
+        in
+        let at = body_at 0 in
+        let body = String.sub text at (String.length text - at) in
+        Alcotest.(check int) ("status for " ^ v) 400 status;
+        Alcotest.(check string) ("error for " ^ v) "malformed-request"
+          (Json.to_str (Json.member "error" (Json.of_string body)))
+      | _ -> Alcotest.failf "no response for Content-Length %s" v)
+    odd_content_lengths;
+  status_is "still serving" 200 (req svc "GET" "/healthz")
+
+(* A loopback server that answers one request with [response], bytes as
+   given, for client paths a well-behaved service never takes. *)
+let with_canned_server response f =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close lsock with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "loopback socket has no port"
+  in
+  let serve () =
+    match Unix.select [ lsock ] [] [] 5.0 with
+    | [], _, _ -> ()
+    | _ ->
+      let c, _ = Unix.accept lsock in
+      Fun.protect ~finally:(fun () -> Unix.close c) @@ fun () ->
+      ignore (Unix.read c (Bytes.create 4096) 0 4096);
+      write_string c response;
+      Unix.shutdown c Unix.SHUTDOWN_SEND
+  in
+  let server = Thread.create serve () in
+  Fun.protect ~finally:(fun () -> Thread.join server) (fun () -> f port)
+
+let test_client_rejects_odd_content_length () =
+  List.iter
+    (fun v ->
+      with_canned_server
+        (Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s" v
+           (String.make 16 ' '))
+      @@ fun port ->
+      match Http.request ~timeout_s:5.0 ~meth:"GET" ~port "/healthz" with
+      | Error e ->
+        Alcotest.(check string) ("client error for " ^ v)
+          ("bad content-length: " ^ v) e
+      | Ok r ->
+        Alcotest.failf "Content-Length %s accepted with status %d" v
+          r.Http.status)
+    odd_content_lengths
+
 (* --- TTL eviction and rehydration -------------------------------------------------- *)
 
 let[@sider.allow "determinism"] wait_until ?(timeout_s = 5.0) pred =
@@ -1235,6 +1308,10 @@ let suite =
       test_torn_request_leaves_service_healthy;
     slow_case "stale connection: POST not auto-retried"
       test_stale_connection_post_not_retried;
+    case "server answers 400 to a non-digit Content-Length"
+      test_server_rejects_odd_content_length;
+    case "client refuses a non-digit Content-Length"
+      test_client_rejects_odd_content_length;
     slow_case "parked connections bounded below FD_SETSIZE"
       test_parked_connections_bounded;
     case "recover bounds resident sessions"

@@ -1,4 +1,4 @@
-(* Descriptive statistics, Gaussian utilities, Mvn, metrics, ellipses,
+(* Descriptive statistics, Gaussian utilities, metrics, ellipses,
    k-means. *)
 
 open Sider_linalg
@@ -75,48 +75,6 @@ let test_log_cosh_moment () =
 let test_chi2 () =
   approx ~eps:1e-9 "95% two dof" (-2.0 *. log 0.05) (Gaussian.chi2_quantile_2d 0.95);
   approx ~eps:1e-3 "5.991 textbook" 5.991 (Gaussian.chi2_quantile_2d 0.95)
-
-(* --- Mvn -------------------------------------------------------------------- *)
-
-let test_mvn_logpdf () =
-  let t = Mvn.standard 2 in
-  approx ~eps:1e-12 "standard at origin" (-.log (2.0 *. Float.pi))
-    (Mvn.log_pdf t [| 0.0; 0.0 |]);
-  approx ~eps:1e-12 "mahalanobis" 2.0 (Mvn.mahalanobis2 t [| 1.0; 1.0 |])
-
-let test_mvn_sample_cov () =
-  let rng = Sider_rand.Rng.create 5 in
-  let cov = Mat.of_arrays [| [| 1.0; 0.6 |]; [| 0.6; 2.0 |] |] in
-  let t = Mvn.create ~mean:[| 0.0; 3.0 |] ~cov in
-  let s = Mvn.sample_n t rng 40_000 in
-  let sample_cov = Mat.covariance s in
-  approx ~eps:0.05 "cov00" 1.0 (Mat.get sample_cov 0 0);
-  approx ~eps:0.05 "cov01" 0.6 (Mat.get sample_cov 0 1);
-  approx ~eps:0.1 "cov11" 2.0 (Mat.get sample_cov 1 1);
-  approx_vec ~eps:0.05 "mean" [| 0.0; 3.0 |] (Mat.col_means s)
-
-let test_mvn_singular () =
-  let cov = Mat.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |] in
-  let t = Mvn.create ~mean:[| 0.0; 0.0 |] ~cov in
-  let rng = Sider_rand.Rng.create 6 in
-  (* Sampling works on the degenerate support: x = y always. *)
-  for _ = 1 to 100 do
-    let v = Mvn.sample t rng in
-    approx ~eps:1e-9 "degenerate support" v.(0) v.(1)
-  done;
-  (* log_pdf refuses with a structured error... *)
-  (match Mvn.log_pdf_result t [| 0.0; 0.0 |] with
-   | Ok _ -> Alcotest.fail "expected Singular_covariance"
-   | Error e ->
-     check_true "structured error"
-       (Sider_robust.Sider_error.label e = "singular-covariance"));
-  (try
-     ignore (Mvn.log_pdf t [| 0.0; 0.0 |]);
-     Alcotest.fail "expected raise"
-   with Sider_robust.Sider_error.Error _ -> ());
-  (* ...while the regularized fallback stays finite everywhere. *)
-  check_true "regularized finite"
-    (Float.is_finite (Mvn.log_pdf_regularized t [| 0.0; 0.0 |]))
 
 (* --- Metrics ----------------------------------------------------------------- *)
 
@@ -250,9 +208,6 @@ let suite =
     case "gaussian quantile" test_quantile;
     case "log cosh moment" test_log_cosh_moment;
     case "chi-square 2 dof" test_chi2;
-    case "mvn log pdf" test_mvn_logpdf;
-    case "mvn sampling covariance" test_mvn_sample_cov;
-    case "mvn singular covariance" test_mvn_singular;
     case "jaccard" test_jaccard;
     case "jaccard to class" test_jaccard_to_class;
     case "precision and recall" test_precision_recall;

@@ -175,31 +175,6 @@ let test_pairplot_histograms () =
   check_true "histogram bars present"
     (count_sub with_h "<rect" > count_sub without "<rect")
 
-let test_parallel_coords () =
-  let m = Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create 7) 30 4 in
-  let svg = Parallel_coords.render ~columns:[| "a"; "b"; "c"; "d" |] m in
-  check_true "one polyline per row" (count_sub svg "<path" = 30);
-  check_true "one axis per column" (count_sub svg "<line" = 4);
-  check_true "labels" (has_sub svg ">c</text>");
-  Alcotest.check_raises "needs 2 columns"
-    (Invalid_argument "Parallel_coords.render: need at least 2 columns")
-    (fun () -> ignore (Parallel_coords.render (Mat.identity 1)))
-
-let test_parallel_coords_subsample () =
-  let m = Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create 8) 5000 2 in
-  let svg = Parallel_coords.render ~max_rows:50 m in
-  check_true "subsampled" (count_sub svg "<path" = 50)
-
-let test_parallel_coords_selection () =
-  let ds = Synth.three_d () in
-  let sess = Session.create ds in
-  let svg =
-    Parallel_coords.render_selection sess
-      ~selection:(Dataset.class_indices ds "A")
-  in
-  check_true "selection red" (has_sub svg "#d62728");
-  check_true "rest gray" (has_sub svg "#bbbbbb")
-
 let test_class_colors () =
   let colors = Pairplot.class_colors [| "a"; "b"; "a"; "c" |] in
   check_true "same class same color" (colors.(0) = colors.(2));
@@ -223,8 +198,5 @@ let suite =
     case "pairplot colors" test_pairplot_colors;
     case "pairplot selection" test_pairplot_selection;
     case "pairplot histogram diagonal" test_pairplot_histograms;
-    case "parallel coordinates" test_parallel_coords;
-    case "parallel coordinates subsampling" test_parallel_coords_subsample;
-    case "parallel coordinates selection" test_parallel_coords_selection;
     case "class colors" test_class_colors;
   ]

@@ -13,3 +13,5 @@ let hash_order_sum (h : (string, int) Hashtbl.t) =
   Hashtbl.fold (fun _ v acc -> v :: acc) h []
 
 let hash_order_visit (h : (string, int) Hashtbl.t) f = Hashtbl.iter f h
+
+let ambient_knob () = Sys.getenv_opt "SIDER_KNOB"

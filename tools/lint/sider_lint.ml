@@ -8,8 +8,8 @@
    typed ASTs that dune already emits and enforcing four rule families:
 
    - [determinism]      (R1) ambient-nondeterminism primitives (wall
-     clock, global PRNG, hash-order Hashtbl folds) are banned outside
-     lib/obs, lib/serve, bench/ and bin/.
+     clock, global PRNG, hash-order Hashtbl folds, environment reads)
+     are banned outside lib/obs, lib/serve, bench/ and bin/.
    - [domain-safety]    (R2) closures passed to Par.parallel_for{,_chunks}
      / parallel_reduce{,_chunks} must not write captured mutable state,
      unless it is Atomic, Mutex-guarded, Domain.DLS, or an array cell
@@ -295,6 +295,11 @@ let last2 s =
 (* R1: ambient clocks. *)
 let clock_idents = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
 
+(* R1: environment reads.  A variable read deep in the library is a
+   per-process knob no caller can see, which is how results come to
+   depend on where they ran. *)
+let env_idents = [ "Sys.getenv"; "Sys.getenv_opt" ]
+
 (* R1: the global-state PRNG.  [Random.State.*] with an explicit seed is
    deterministic and allowed; everything else under [Random.] draws from
    ambient global state. *)
@@ -468,6 +473,11 @@ let check_ident ~loc nm =
         (Printf.sprintf
            "ambient clock read '%s'; confine wall-clock access to lib/obs \
             (Obs.now_ns)" nm)
+    else if ends_with_any env_idents nm then
+      report ~loc ~rule:r_det
+        (Printf.sprintf
+           "environment read '%s'; take the setting as an argument from \
+            bin/ instead" nm)
     else if is_global_random nm then
       report ~loc ~rule:r_det
         (Printf.sprintf
@@ -2166,7 +2176,7 @@ let json_escape s =
 
 let rule_descriptions =
   [
-    (r_det, "Wall-clock / global-RNG use inside deterministic core code");
+    (r_det, "Wall-clock / global-RNG / environment use inside deterministic core code");
     (r_dom, "Domain-unsafe shared-state access inside a parallel region");
     (r_err, "Raw exception raised where Sider_error is required");
     (r_flt, "Float equality comparison in numeric code");
