@@ -5,7 +5,9 @@
 # lib/par/ — and a pass with a live stderr tracing sink, which must not
 # move any numeric either), the view-driven paper experiments Table I,
 # Fig. 2 and Fig. 9 (about 1 s; bench/main.exe exits 1 when Table I's
-# score-decay check fails), the end-to-end benchmark's smoke run (every
+# score-decay check fails), `sider convergence three_d` (its table must
+# hold exactly one row per sweep its two update lines report, numbered
+# from 1 in each update), the end-to-end benchmark's smoke run (every
 # workload at quarter size through a real `sider api`, with all its
 # correctness checks: bit-identical replay, converged updates, expected
 # statuses; after the tests, not beside them, because it keeps both CPUs
@@ -15,7 +17,7 @@
 
 .PHONY: all build check test lint lint-fixtures lint-sarif verify clean \
         bench bench-smoke bench-diff bench-scaling service-smoke \
-        bench-service
+        bench-service convergence-smoke
 
 all: build
 
@@ -55,8 +57,25 @@ verify:
 	  && SIDER_DOMAINS=2 dune runtest --force \
 	  && SIDER_TRACE=stderr dune runtest --force \
 	  && dune exec bench/main.exe -- -e table1 fig2 fig9 \
+	  && $(MAKE) convergence-smoke \
 	  && dune build @bench/e2e/smoke && $(MAKE) bench-smoke \
 	  && $(MAKE) service-smoke
+
+# `sider convergence three_d` prints one table row per completed sweep of
+# its two solves (margin, then 1-cluster).  Fails unless the table's
+# sweep column is exactly 1..a then 1..b for the a and b sweeps the two
+# update lines report.
+convergence-smoke:
+	out="$$(dune exec bin/sider_cli.exe -- convergence three_d)" \
+	  || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | awk ' \
+	  $$2 == "update:" { n++; for (i = 1; i <= $$3; i++) want = want " " i } \
+	  table { got = got " " $$1 } \
+	  $$1 == "sweep" && $$2 == "max|dl|" { table = 1 } \
+	  END { if (n != 2 || got != want) { \
+	    print "convergence-smoke: table sweeps [" got " ] for reported [" \
+	      want " ]" > "/dev/stderr"; exit 1 } }'
 
 # End-to-end smoke of the session service: boot it in-process with
 # write-ahead journaling on, the compaction threshold forced low (so

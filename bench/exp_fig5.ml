@@ -19,8 +19,9 @@ let trace_sigma11 solver ~sweeps =
   let out = ref [] in
   let _ =
     Solver.solve ~max_sweeps:sweeps ~lambda_tol:0.0 ~param_tol:0.0
-      ~trace:(fun ~sweep:_ ~updates:_ t ->
-        out := Mat.get (Solver.row_params t 0).Gauss_params.sigma 0 0 :: !out)
+      ~trace:(fun _ ->
+        out :=
+          Mat.get (Solver.row_params solver 0).Gauss_params.sigma 0 0 :: !out)
       solver
   in
   Array.of_list (List.rev !out)

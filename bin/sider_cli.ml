@@ -9,7 +9,7 @@
      export       generate a built-in dataset as CSV
      runtime      run a single OPTIM/ICA timing cell (Table II)
      trace        replay a session with the observability stderr sink on
-     convergence  plot the per-sweep solver convergence series
+     convergence  plot the solver's per-sweep convergence
      serve        run feedback rounds with a Prometheus /metrics endpoint
      api          run the multi-tenant session service (JSON API + WAL)
      load         drive concurrent analysts against the session API
@@ -494,82 +494,94 @@ let runtime_cmd =
 
 (* --- convergence ------------------------------------------------------------------ *)
 
-(* The solver records one row per sweep into the [solver.convergence]
-   series (multiplier/parameter deltas, per-kind residuals, Woodbury
-   fast-path counts, wall time) while the observability layer is active;
-   this command replays the canonical margin + 1-cluster session with a
-   null sink and renders that series. *)
+(* Replays the canonical margin + 1-cluster session: the two solves
+   [Session.update_background] would run ([Solver.add_constraints], then
+   [Solver.solve], on the session's solver and data), each with a
+   [trace] callback that takes the sweep's record and computes the
+   per-kind residuals.  The wall column is the time between callbacks,
+   the residual scan excluded. *)
 let convergence_cmd =
   let cutoff_t =
     Arg.(value & opt float 10.0 & info [ "time-cutoff" ] ~docv:"SECONDS"
            ~doc:"MaxEnt solver time cutoff per update.")
   in
   let run () dataset seed label_column cutoff =
+    let module Solver = Sider_maxent.Solver in
+    let module Constr = Sider_maxent.Constr in
     let ds = load_dataset ~seed ~label_column dataset in
     print_endline (Dataset.describe ds);
-    if not (Obs.enabled ()) then Obs.set_sink (Some Obs.null_sink);
     let session = Session.create ~seed ds in
-    let update label =
-      match Session.update_background ~time_cutoff:cutoff session with
+    let data = Session.data session in
+    let solver = ref (Session.solver session) in
+    (* (record, linear residual, quadratic residual, wall s), newest
+       first. *)
+    let rows = ref [] in
+    let now_s () = Int64.to_float (Obs.now_ns ()) *. 1e-9 in
+    let update label constraints =
+      let s = Solver.add_constraints !solver constraints in
+      let last = ref (now_s ()) in
+      let trace (r : Solver.sweep) =
+        let wall = now_s () -. !last in
+        let res_l, res_q = Solver.residual_by_kind s in
+        rows := (r, res_l, res_q, wall) :: !rows;
+        last := now_s ()
+      in
+      match
+        Sider_robust.Sider_error.protect (fun () ->
+            Solver.solve ~time_cutoff:cutoff ~trace s)
+      with
       | Ok r ->
-        Printf.printf "%s: %d sweeps, converged %b\n" label
-          r.Sider_maxent.Solver.sweeps r.Sider_maxent.Solver.converged
+        solver := s;
+        Printf.printf "%s: %d sweeps, converged %b\n" label r.Solver.sweeps
+          r.Solver.converged
       | Error e ->
         Printf.printf "%s: rolled back (%s)\n" label
           (Sider_robust.Sider_error.to_string e)
     in
-    Session.add_margin_constraint session;
-    update "margin update";
-    Session.add_one_cluster_constraint session;
-    update "1-cluster update";
-    match Obs.series "solver.convergence" with
-    | [] -> print_endline "no convergence series recorded"
+    update "margin update" (Constr.margin ~tag:"margin" data);
+    update "1-cluster update" (Constr.one_cluster ~tag:"1-cluster" data);
+    match List.rev !rows with
+    | [] -> print_endline "no sweeps recorded"
     | rows ->
-      let num key pt =
-        match List.assoc_opt key pt with
-        | Some (Obs.Float f) -> f
-        | Some (Obs.Int i) -> float_of_int i
-        | _ -> Float.nan
-      in
       (* The sweep column restarts at 1 for each update; the plot x-axis
          is the cumulative row index so both updates show in sequence. *)
-      let curve key =
+      let curve value =
         Array.of_list
           (List.mapi
-             (fun i pt ->
+             (fun i row ->
                (float_of_int (i + 1),
-                Float.log10 (Float.max 1e-16 (num key pt))))
+                Float.log10 (Float.max 1e-16 (value row))))
              rows)
       in
       print_string
         (Sider_viz.Ascii_plot.render ~width:72 ~height:18
            ~title:"solver convergence (log10, per recorded sweep)"
            ~xlabel:"sweep (cumulative over updates)" ~ylabel:"log10"
-           [ { Sider_viz.Ascii_plot.points = curve "max_dlambda";
+           [ { Sider_viz.Ascii_plot.points =
+                 curve (fun ((r : Solver.sweep), _, _, _) -> r.max_dlambda);
                glyph = 'L'; name = "L max|dlambda|" };
-             { Sider_viz.Ascii_plot.points = curve "max_dparam";
+             { Sider_viz.Ascii_plot.points =
+                 curve (fun ((r : Solver.sweep), _, _, _) -> r.max_dparam);
                glyph = 'p'; name = "p max dparam/sd" };
-             { Sider_viz.Ascii_plot.points = curve "residual_linear";
+             { Sider_viz.Ascii_plot.points = curve (fun (_, l, _, _) -> l);
                glyph = 'l'; name = "l residual linear" };
-             { Sider_viz.Ascii_plot.points = curve "residual_quadratic";
+             { Sider_viz.Ascii_plot.points = curve (fun (_, _, q, _) -> q);
                glyph = 'q'; name = "q residual quadratic" } ]);
       Printf.printf "%5s %12s %12s %12s %12s %6s %6s %9s\n" "sweep"
         "max|dl|" "max dparam" "res lin" "res quad" "wfast" "wrec"
         "wall s";
       List.iter
-        (fun pt ->
-          Printf.printf "%5.0f %12.4g %12.4g %12.4g %12.4g %6.0f %6.0f %9.2g\n"
-            (num "sweep" pt) (num "max_dlambda" pt) (num "max_dparam" pt)
-            (num "residual_linear" pt) (num "residual_quadratic" pt)
-            (num "woodbury_fast" pt) (num "woodbury_recompute" pt)
-            (num "wall_s" pt))
+        (fun ((r : Solver.sweep), res_l, res_q, wall) ->
+          Printf.printf "%5d %12.4g %12.4g %12.4g %12.4g %6d %6d %9.2g\n"
+            r.sweep r.max_dlambda r.max_dparam res_l res_q r.woodbury_fast
+            r.woodbury_recompute wall)
         rows
   in
   Cmd.v
     (Cmd.info "convergence"
        ~doc:"Replay a margin + 1-cluster feedback session and plot the \
-             solver's per-sweep convergence series (deltas, per-kind \
-             residuals, Woodbury fast-path counts).")
+             solver's per-sweep convergence (deltas, per-kind residuals, \
+             Woodbury fast-path counts).")
     Term.(const run $ obs_setup_t $ dataset_t $ seed_t $ label_column_t
           $ cutoff_t)
 

@@ -1,6 +1,5 @@
 open Sider_linalg
 open Sider_robust
-module Obs = Sider_obs.Obs
 
 type t = {
   mutable theta1 : Vec.t;
@@ -68,16 +67,6 @@ let recompute_full t ~lambda ~delta ~w ~sigma_prev =
        Mat.mv_into ~dst:t.mean t.sigma t.theta1;
        `Recomputed)
 
-(* Counts how often the O(d²) Woodbury fast path holds versus degrading
-   to the full O(d³) recompute (or freezing) — the ratio behind the
-   paper's Table II interactivity claim. *)
-let counted outcome =
-  (match outcome with
-   | `Sherman_morrison -> Obs.count "gauss.woodbury.fast"
-   | `Recomputed -> Obs.count "gauss.woodbury.recompute"
-   | `Frozen -> Obs.count "gauss.woodbury.frozen");
-  outcome
-
 let apply_quadratic t ~lambda ~delta ~w =
   let g = t.scratch_g in
   Mat.mv_into ~dst:g t.sigma w;
@@ -91,7 +80,7 @@ let apply_quadratic t ~lambda ~delta ~w =
        let the guarded full recompute decide (its jitter ladder can
        still produce a valid posterior for λ slightly past −1/c). *)
     Vec.axpy (lambda *. delta) w t.theta1;
-    counted (recompute_full t ~lambda ~delta ~w ~sigma_prev)
+    recompute_full t ~lambda ~delta ~w ~sigma_prev
   end
   else begin
     (* Σ ← Σ − (λ/denom) g gᵀ  (Sherman-Morrison). *)
@@ -102,13 +91,13 @@ let apply_quadratic t ~lambda ~delta ~w =
     Vec.axpy (lambda *. delta) w t.theta1;
     if diag_healthy t.sigma then begin
       Vec.axpy (lambda *. (delta -. d_old) /. denom) g t.mean;
-      counted `Sherman_morrison
+      `Sherman_morrison
     end
     else
       (* Positive definiteness lost to cancellation: fall back to the
          full recompute from the pre-update Σ (which also restores it on
          failure). *)
-      counted (recompute_full t ~lambda ~delta ~w ~sigma_prev)
+      recompute_full t ~lambda ~delta ~w ~sigma_prev
   end
 
 let proj_mean t w = Vec.dot w t.mean

@@ -42,7 +42,11 @@ val apply_quadratic :
       scratch in O(d³) through the jitter-laddered factorization;
     - [`Frozen] — even the full recompute failed; [Σ] keeps its
       pre-update value ([θ₁] still absorbs the multiplier, so the class
-      is effectively frozen for this update). *)
+      is effectively frozen for this update).
+
+    It records no telemetry: the solver tallies the outcomes per sweep
+    (the [Solver.sweep] record) and adds them to the
+    [gauss.woodbury.{fast,recompute,frozen}] counters. *)
 
 val proj_mean : t -> Vec.t -> float
 (** [wᵀ m]. *)

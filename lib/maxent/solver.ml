@@ -26,11 +26,16 @@ type t = {
   partition : Partition.t;
   classes : Gauss_params.t array;
   data_sd : float;
-  (* Per-constraint duration-histogram handle for the instrumented
-     update path (per-kind names), built once so the per-update hot
-     loop pays neither allocation nor a registry lookup when a sink or
-     the flight recorder is active. *)
-  update_obs : Obs.hist array;
+}
+
+type sweep = {
+  sweep : int;
+  updates : int;
+  max_dlambda : float;
+  max_dparam : float;
+  woodbury_fast : int;
+  woodbury_recompute : int;
+  woodbury_frozen : int;
 }
 
 type report = {
@@ -56,17 +61,7 @@ let build data constraints init_params =
     Array.init (Partition.n_classes partition) (fun c ->
         init_params ~cls:c ~representative:(Partition.members partition c).(0) ~d)
   in
-  let update_obs =
-    Array.map
-      (fun (c : Constr.t) ->
-        Obs.hist_handle
-          (match c.Constr.kind with
-           | Constr.Linear -> "solver.update.linear_s"
-           | Constr.Quadratic -> "solver.update.quadratic_s"))
-      constraints
-  in
-  { data; constraints; partition; classes; data_sd = overall_sd data;
-    update_obs }
+  { data; constraints; partition; classes; data_sd = overall_sd data }
 
 let create data constraints =
   build data constraints (fun ~cls:_ ~representative:_ ~d ->
@@ -153,6 +148,13 @@ let residual_by_kind t =
 
 (* --- one constraint update ---------------------------------------------- *)
 
+(* The Woodbury outcomes of one sweep's quadratic class applies. *)
+type tally = {
+  mutable fast : int;
+  mutable recompute : int;
+  mutable frozen : int;
+}
+
 (* Linear constraint (Eq. 9): the mean along w shifts by λ wᵀΣw per row,
    Σ unchanged, so λ = (v̂ − ṽ) / Σ_i wᵀΣ_i w.  [damp] scales the step
    (1.0 = the exact Eq. 9 step): the solver halves it while recovering
@@ -194,8 +196,9 @@ let update_linear t idx ~damp =
    with c = wᵀΣw and e = wᵀm frozen at their pre-update values.  v is
    strictly decreasing on (−1/max c, ∞) with range (0, ∞), so the root of
    v(λ) = v̂ is unique; we locate it by bracketed bisection with Newton
-   acceleration. *)
-let update_quadratic t idx ~damp =
+   acceleration.  The Woodbury outcome of each class apply is added to
+   [tally], the running counts of the sweep. *)
+let update_quadratic t idx ~damp ~tally =
   let constr = t.constraints.(idx) in
   let w = constr.Constr.w in
   let delta = constr.Constr.shift in
@@ -263,11 +266,13 @@ let update_quadratic t idx ~damp =
     let lambda = damp *. lambda in
     if Float.equal lambda 0.0 then (0.0, 0.0, [])
     else begin
-      (* Per-chunk partials are (max |Δparam|, reversed fault list); the
-         ordered tree combine prepends higher-index chunks, reproducing
-         exactly the reversed order the sequential fold built. *)
+      (* Per-chunk partials are (max |Δparam|, reversed fault list,
+         Woodbury fast/recompute/frozen counts); the ordered tree combine
+         prepends higher-index chunks, reproducing exactly the reversed
+         order the sequential fold built. *)
       let apply_range lo hi =
         let dp = ref 0.0 and faults = ref [] in
+        let fast = ref 0 and recompute = ref 0 and frozen = ref 0 in
         for i = lo to hi - 1 do
           let cls, _ = groups.(i) in
           let p = t.classes.(cls) in
@@ -276,8 +281,9 @@ let update_quadratic t idx ~damp =
           let dmean = lambda *. (delta -. es.(i)) *. cs.(i) /. denom in
           dp := Float.max !dp (Float.max (Float.abs dsd) (Float.abs dmean));
           match Gauss_params.apply_quadratic p ~lambda ~delta ~w with
-          | `Sherman_morrison -> ()
+          | `Sherman_morrison -> incr fast
           | `Recomputed ->
+            incr recompute;
             faults :=
               Sider_error.singular_covariance ~class_index:cls
                 ~constraint_tag:constr.Constr.tag
@@ -285,6 +291,7 @@ let update_quadratic t idx ~damp =
                  in full"
               :: !faults
           | `Frozen ->
+            incr frozen;
             faults :=
               Sider_error.singular_covariance ~class_index:cls
                 ~constraint_tag:constr.Constr.tag
@@ -292,15 +299,21 @@ let update_quadratic t idx ~damp =
                  frozen for this update"
               :: !faults
         done;
-        (!dp, !faults)
+        (!dp, !faults, !fast, !recompute, !frozen)
       in
       match
         Par.parallel_reduce_chunks ~chunk:1 ~min:par_classes_min
           ~label:"solver.apply_quadratic" ~n:k ~part:apply_range
-          ~combine:(fun (d1, f1) (d2, f2) -> (Float.max d1 d2, f2 @ f1)) ()
+          ~combine:(fun (d1, f1, a1, r1, z1) (d2, f2, a2, r2, z2) ->
+            (Float.max d1 d2, f2 @ f1, a1 + a2, r1 + r2, z1 + z2))
+          ()
       with
       | None -> (lambda, 0.0, [])
-      | Some (dparam, faults) -> (lambda, dparam, faults)
+      | Some (dparam, faults, fast, recompute, frozen) ->
+        tally.fast <- tally.fast + fast;
+        tally.recompute <- tally.recompute + recompute;
+        tally.frozen <- tally.frozen + frozen;
+        (lambda, dparam, faults)
     end
   end
 
@@ -324,16 +337,21 @@ let first_bad_class t =
 let restore_classes t snapshot =
   Array.iteri (fun cls p -> t.classes.(cls) <- Gauss_params.copy p) snapshot
 
-(* One constraint update.  Telemetry lives in the sweep loop, not here:
-   a span per constraint update (hundreds per solve, each ~10 µs of
-   useful work) costs more than it tells, so spans stop at sweep
-   granularity and per-update durations go into per-kind histograms
-   via preregistered handles with chained clock reads — see
-   [solve_body]. *)
-let run_update t idx (constr : Constr.t) ~damp =
+(* One constraint update.  It records no telemetry: a constraint update
+   is hundreds per solve, each ~10 µs of useful work, so the solver
+   records at sweep granularity only — see [solve_body]. *)
+let run_update t idx (constr : Constr.t) ~damp ~tally =
   match constr.Constr.kind with
   | Constr.Linear -> update_linear t idx ~damp
-  | Constr.Quadratic -> update_quadratic t idx ~damp
+  | Constr.Quadratic -> update_quadratic t idx ~damp ~tally
+
+(* A sweep's Woodbury outcomes into the [gauss.woodbury.*] counters, once
+   per sweep; a zero count leaves its counter untouched (and unmade). *)
+let count_woodbury tally =
+  if tally.fast > 0 then Obs.count ~by:tally.fast "gauss.woodbury.fast";
+  if tally.recompute > 0 then
+    Obs.count ~by:tally.recompute "gauss.woodbury.recompute";
+  if tally.frozen > 0 then Obs.count ~by:tally.frozen "gauss.woodbury.frozen"
 
 (* Wall clock off the process-epoch monotonic base in lib/obs — the one
    sanctioned clock, so cutoff and [elapsed] agree with the telemetry
@@ -369,24 +387,6 @@ let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
   do
     incr sweeps;
     let sweep = !sweeps in
-    (* Sweep-local telemetry baselines, read only when the layer is
-       active: the convergence series reports per-sweep Woodbury
-       fast/recompute deltas and per-sweep wall clock. *)
-    let obs = Obs.enabled () in
-    let sweep_t0 = if obs then Obs.now_ns () else 0L in
-    (* Counter snapshots are one registry lookup per *sweep* (not per
-       update) and only when the layer is on — the lookup cost is noise
-       next to the sweep it measures. *)
-    let wood_fast0 =
-      if obs then
-        Obs.counter_value "gauss.woodbury.fast" [@sider.allow "obs-hygiene"]
-      else 0
-    and wood_rec0 =
-      if obs then
-        Obs.counter_value "gauss.woodbury.recompute"
-        [@sider.allow "obs-hygiene"]
-      else 0
-    in
     Obs.with_span "solver.sweep" ~attrs:[ ("sweep", Obs.Int sweep) ]
     @@ fun () ->
     (* Fault-injection hooks (no-ops unless a test armed them). *)
@@ -411,19 +411,10 @@ let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
      | None -> ());
     let snapshot = Array.map Gauss_params.copy t.classes in
     let max_dl = ref 0.0 and max_dp = ref 0.0 in
-    (* Chained per-update timing: the end of update [i] is the start of
-       update [i+1], so the instrumented loop pays one clock read and
-       one handle push per update (the disabled loop pays nothing). *)
-    let t_prev = ref (if obs then Obs.now_ns () else 0L) in
+    let tally = { fast = 0; recompute = 0; frozen = 0 } in
     Array.iteri
       (fun idx constr ->
-        let dl, dp, faults = run_update t idx constr ~damp:!damp in
-        if obs then begin
-          let now = Obs.now_ns () in
-          Obs.observe_into t.update_obs.(idx)
-            (Int64.to_float (Int64.sub now !t_prev) /. 1e9);
-          t_prev := now
-        end;
+        let dl, dp, faults = run_update t idx constr ~damp:!damp ~tally in
         incr updates;
         List.iter degrade faults;
         max_dl := Float.max !max_dl (Float.abs dl);
@@ -431,6 +422,9 @@ let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
       t.constraints;
     (Obs.count ~by:(Array.length t.constraints) "solver.updates")
     [@sider.allow "obs-hygiene"];
+    (* Counted before the scan below: a rolled-back sweep's applies still
+       happened. *)
+    count_woodbury tally;
     (* Post-sweep scan: a sweep that produced NaN/Inf anywhere is rolled
        back wholesale and retried with a halved step, under a bounded
        budget.  On exhaustion the solver stops at the last good state. *)
@@ -463,34 +457,12 @@ let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
      | None ->
        last_dlambda := !max_dl;
        last_dparam := !max_dp;
-       if obs then begin
-         (* One convergence-series row per completed sweep: enough to
-            diagnose a stalling iterative-scaling run as a time series
-            (rendered by `sider convergence`).  Reads only — the solver
-            state is untouched, so numerics stay bit-identical. *)
-         let res_l, res_q = residual_by_kind t in
-         Obs.series_add "solver.convergence"
-           [ ("sweep", Obs.Int sweep);
-             ("max_dlambda", Obs.Float !max_dl);
-             ("max_dparam", Obs.Float !max_dp);
-             ("residual_linear", Obs.Float res_l);
-             ("residual_quadratic", Obs.Float res_q);
-             ("woodbury_fast",
-              Obs.Int
-                ((Obs.counter_value "gauss.woodbury.fast"
-                  [@sider.allow "obs-hygiene"])
-                 - wood_fast0));
-             ("woodbury_recompute",
-              Obs.Int
-                ((Obs.counter_value "gauss.woodbury.recompute"
-                  [@sider.allow "obs-hygiene"])
-                 - wood_rec0));
-             ("wall_s",
-              Obs.Float
-                (Int64.to_float (Int64.sub (Obs.now_ns ()) sweep_t0) /. 1e9)) ]
-       end;
        (match trace with
-        | Some f -> f ~sweep ~updates:!updates t
+        | Some f ->
+          f { sweep; updates = !updates; max_dlambda = !max_dl;
+              max_dparam = !max_dp; woodbury_fast = tally.fast;
+              woodbury_recompute = tally.recompute;
+              woodbury_frozen = tally.frozen }
         | None -> ());
        (* A clean sweep earns the step size back (symmetric to the
           halving on failure, capped at the exact step). *)

@@ -18,6 +18,22 @@ open Sider_robust
 
 type t
 
+type sweep = {
+  sweep : int;            (** 1-based number of the completed sweep. *)
+  updates : int;          (** Constraint updates so far in this solve,
+                              rolled-back sweeps included. *)
+  max_dlambda : float;    (** Largest multiplier change in the sweep. *)
+  max_dparam : float;     (** Largest projected mean / sd change in the
+                              sweep. *)
+  woodbury_fast : int;    (** Quadratic class applies in the sweep that
+                              took the O(d²) rank-1 path. *)
+  woodbury_recompute : int;
+                          (** Those that fell back to the full O(d³)
+                              recompute. *)
+  woodbury_frozen : int;  (** Those that froze their class. *)
+}
+(** The solver's per-sweep record, passed to {!solve}'s [trace]. *)
+
 type report = {
   sweeps : int;           (** Full passes over the constraint set. *)
   updates : int;          (** Individual constraint updates performed. *)
@@ -62,8 +78,7 @@ val row_params : t -> int -> Gauss_params.t
 (** Parameters governing a data row. *)
 
 val solve : ?max_sweeps:int -> ?lambda_tol:float -> ?param_tol:float ->
-  ?time_cutoff:float -> ?trace:(sweep:int -> updates:int -> t -> unit) ->
-  t -> report
+  ?time_cutoff:float -> ?trace:(sweep -> unit) -> t -> report
 (** Run iterative scaling until convergence: full sweeps over every
     constraint, from the parameters the solver holds, at most
     [max_sweeps] (default 1000) of them.
@@ -85,8 +100,17 @@ val solve : ?max_sweeps:int -> ?lambda_tol:float -> ?param_tol:float ->
     SIDER ~10 s cutoff that guards against the slow adversarial cases of
     Fig. 5.  A single multiplier change is bounded by 1e7, reached only
     when a constraint's target variance is exactly zero (singular
-    optimum, Eq. 13).  [trace] is called after every sweep — the Fig. 5b
-    convergence curves are recorded through it. *)
+    optimum, Eq. 13).
+
+    [trace] gets one {!sweep} record per completed sweep, after the
+    post-sweep scan and before the convergence test; a rolled-back sweep
+    gets none.  It is the solver's only per-sweep record: the Fig. 5b
+    curves and [sider convergence] read the solver state through it.
+    Telemetry stays at sweep granularity: a [solver.sweep] span, the
+    [solver.updates] counter and the sweep's Woodbury outcomes added to
+    the [gauss.woodbury.{fast,recompute,frozen}] counters (before the
+    post-sweep scan, so a rolled-back sweep's applies count too, and
+    only non-zero counts). *)
 
 val expectation : t -> Constr.t -> float
 (** [E_p[f_c(X, I, w)]] under the current background distribution
@@ -97,9 +121,10 @@ val residual : t -> float
     [max(1, |target|)]: a global feasibility measure used by tests. *)
 
 val residual_by_kind : t -> float * float
-(** {!residual} split into [(linear, quadratic)] worst cases — the
-    per-constraint-kind residual recorded into the [solver.convergence]
-    series each sweep (0 for a kind with no constraints). *)
+(** {!residual} split into [(linear, quadratic)] worst cases (0 for a
+    kind with no constraints).  One expectation per constraint per
+    class: [sider convergence] calls it from its [trace] callback; the
+    solver itself never does. *)
 
 val relative_entropy : t -> float
 (** [−S = E_p[log(p(X)/q(X))]]: the Kullback-Leibler divergence of the

@@ -153,29 +153,16 @@ type instrument = I_counter of int ref | I_gauge of float ref | I_hist of hist_a
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
-(* Time-series registry: named rings of attribute rows (the solver's
-   per-sweep convergence records) holding the newest [series_cap] rows
-   per name.  [written] counts every row ever added; row [i] lives in
-   slot [i mod series_cap], as in the flight recorder. *)
-let series_cap = 2048
-
-type series_ring = {
-  rows : (string * value) list array;
-  mutable written : int;
-}
-
-let series_tbl : (string, series_ring) Hashtbl.t = Hashtbl.create 8
-
 (* Distinct label sets materialized per labeled-metric base name (the
    per-family cardinality budget); guarded by [registry_m] like the
    registry itself. *)
 let family_sets : (string, int) Hashtbl.t = Hashtbl.create 16
 
-(* The metrics and series registries are shared across domains: bodies
-   fanned out by [Sider_par] bump counters (e.g. the Woodbury fast-path
-   counters) from worker domains.  Every registry access is taken under
-   this mutex once the [active] fast path has passed; with the layer off
-   nothing locks. *)
+(* The metrics registry is shared across threads and domains: the
+   service's request threads record concurrently, and [Sider_par]'s
+   workers observe [par.chunk_wall_s] from worker domains.  Every
+   registry access is taken under this mutex once the [active] fast path
+   has passed; with the layer off nothing locks. *)
 let registry_m = Mutex.create ()
 
 let locked f =
@@ -285,7 +272,6 @@ let registry_gen = ref 0
 let reset () =
   locked (fun () ->
       Hashtbl.reset registry;
-      Hashtbl.reset series_tbl;
       Hashtbl.reset family_sets;
       incr registry_gen);
   clear_stacks ()
@@ -509,31 +495,6 @@ let observe_into h v =
     if h.h_gen <> !registry_gen then hist_rebind h;
     hist_push h.h_acc v
   end
-
-(* --- series --------------------------------------------------------------- *)
-
-let series_add name row =
-  if !active then
-    locked (fun () ->
-        let r =
-          match Hashtbl.find_opt series_tbl name with
-          | Some r -> r
-          | None ->
-            let r = { rows = Array.make series_cap []; written = 0 } in
-            Hashtbl.add series_tbl name r;
-            r
-        in
-        r.rows.(r.written mod series_cap) <- row;
-        r.written <- r.written + 1)
-
-let series name =
-  locked (fun () ->
-      match Hashtbl.find_opt series_tbl name with
-      | Some r ->
-        let first = Stdlib.max 0 (r.written - series_cap) in
-        List.init (r.written - first) (fun i ->
-            r.rows.((first + i) mod series_cap))
-      | None -> [])
 
 (* --- GC telemetry --------------------------------------------------------- *)
 

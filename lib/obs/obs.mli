@@ -1,5 +1,5 @@
-(** Observability: spans, counters, gauges, histograms, time series, a
-    flight recorder and pluggable sinks.
+(** Observability: spans, counters, gauges, histograms, a flight
+    recorder and pluggable sinks.
 
     Zero external dependencies (only [unix] for the clock and
     [threads.posix] for per-thread span stacks).  The layer is
@@ -9,6 +9,11 @@
     happens, so instrumented code paths are numerically and behaviourally
     identical to uninstrumented ones (the determinism test in
     [test/test_obs.ml] asserts this for the solver, at 1 and 2 domains).
+    The [sider] CLI turns the flight recorder on for every subcommand,
+    so in the CLI and the session service the layer is on: what it
+    records is paid for on every request.  Per-iteration records of a
+    computation (the solver's sweeps) are not telemetry: they go through
+    the computation's own callback ([Solver.solve ~trace]).
 
     Spans form a per-thread stack: [with_span] pushes a frame,
     runs the body and emits a completed {!span} to the sink on exit
@@ -23,7 +28,7 @@
     {2 Threads and domains}
 
     Every entry point is safe from any thread on any domain.  The
-    metrics and series registries are protected by a mutex; the clock
+    metrics registry is protected by a mutex; the clock
     clamp and the flight recorder are lock-free.  Each thread keeps its
     own span stack, so the spans of requests that systhreads of one
     domain serve concurrently nest only under their own thread's open
@@ -235,22 +240,8 @@ val flush : unit -> unit
     accumulating). *)
 
 val reset : unit -> unit
-(** Clear the metrics/series registries and every thread's span stack
-    (tests).  The flight recorder is cleared separately by
-    {!flight_reset}. *)
-
-(** {1 Time series}
-
-    Named sequences of attribute rows — the solver's per-sweep
-    convergence records ([solver.convergence]).  Recorded only while
-    {!enabled}.  Each name keeps only its newest 2048 rows, in a ring, so
-    a process that runs many solves holds a bounded series. *)
-
-val series_add : string -> (string * value) list -> unit
-
-val series : string -> (string * value) list list
-(** The newest (at most 2048) rows in insertion order (empty when the
-    series was never written). *)
+(** Clear the metrics registry and every thread's span stack (tests).
+    The flight recorder is cleared separately by {!flight_reset}. *)
 
 (** {1 Flight recorder}
 

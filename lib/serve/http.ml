@@ -146,6 +146,23 @@ let content_length_of v =
     int_of_string_opt v
   else None
 
+(* The message's Content-Length: [Ok None] without the field.  Repeated
+   fields with identical values read as one value (RFC 9110 §8.6);
+   differing values are an error, as is a value that is not all digits,
+   a comma list included (RFC 9112 §6.3). *)
+let content_length headers =
+  match
+    List.filter_map
+      (fun (k, v) -> if k = "content-length" then Some v else None)
+      headers
+  with
+  | [] -> Ok None
+  | v :: rest when List.for_all (String.equal v) rest ->
+    (match content_length_of v with
+     | Some n -> Ok (Some n)
+     | None -> Error ("bad content-length: " ^ v))
+  | vs -> Error ("bad content-length: " ^ String.concat ", " vs)
+
 let connection_is_close headers =
   match List.assoc_opt "connection" headers with
   | Some v -> String.lowercase_ascii (String.trim v) = "close"
@@ -205,16 +222,10 @@ let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
                    String.sub target (i + 1) (String.length target - i - 1) )
                | None -> (target, "")
              in
-             let content_length =
-               match List.assoc_opt "content-length" headers with
-               | None -> Ok 0
-               | Some v ->
-                 (match content_length_of v with
-                  | Some n -> Ok n
-                  | None -> Error (Malformed ("bad content-length: " ^ v)))
-             in
-             (match content_length with
-              | Error e -> Error e
+             (match
+                Result.map (Option.value ~default:0) (content_length headers)
+              with
+              | Error m -> Error (Malformed m)
               | Ok len when len > max_body -> Error Too_large
               | Ok len ->
                 let body_start = head_end + 4 in
@@ -321,8 +332,9 @@ let read_response_from ~initial fd =
          | Error _ -> []
        in
        let body_start = head_end + 4 in
-       (match List.assoc_opt "content-length" r_headers with
-        | None ->
+       (match content_length r_headers with
+        | Error e -> Error e
+        | Ok None ->
           let rec drain () =
             match read_more () with
             | `More -> drain ()
@@ -342,32 +354,29 @@ let read_response_from ~initial fd =
                  },
                  `Close,
                  "" ))
-        | Some v ->
-          (match content_length_of v with
-           | None -> Error ("bad content-length: " ^ v)
-           | Some len ->
-             let rec read_body () =
-               if Buffer.length acc - body_start >= len then Ok ()
-               else (
-                 match read_more () with
-                 | `More -> read_body ()
-                 | `Timeout -> Error "timeout waiting for response"
-                 | `Err m -> Error m
-                 | `Eof -> Error "truncated response")
+        | Ok (Some len) ->
+          let rec read_body () =
+            if Buffer.length acc - body_start >= len then Ok ()
+            else (
+              match read_more () with
+              | `More -> read_body ()
+              | `Timeout -> Error "timeout waiting for response"
+              | `Err m -> Error m
+              | `Eof -> Error "truncated response")
+          in
+          (match read_body () with
+           | Error e -> Error e
+           | Ok () ->
+             let raw = Buffer.contents acc in
+             let r_body = String.sub raw body_start len in
+             let leftover =
+               String.sub raw (body_start + len)
+                 (String.length raw - body_start - len)
              in
-             (match read_body () with
-              | Error e -> Error e
-              | Ok () ->
-                let raw = Buffer.contents acc in
-                let r_body = String.sub raw body_start len in
-                let leftover =
-                  String.sub raw (body_start + len)
-                    (String.length raw - body_start - len)
-                in
-                let conn =
-                  if connection_is_close r_headers then `Close else `Keep
-                in
-                Ok ({ status; r_headers; r_body }, conn, leftover)))))
+             let conn =
+               if connection_is_close r_headers then `Close else `Keep
+             in
+             Ok ({ status; r_headers; r_body }, conn, leftover))))
 
 type client = {
   c_port : int;

@@ -357,9 +357,9 @@ let solve_case_b ?(sweeps = 1000) () =
   let trace = ref [] in
   let _ =
     Solver.solve ~max_sweeps:sweeps ~lambda_tol:0.0 ~param_tol:0.0
-      ~trace:(fun ~sweep:_ ~updates:_ t ->
+      ~trace:(fun _ ->
         trace :=
-          Mat.get (Solver.row_params t 0).Gauss_params.sigma 0 0 :: !trace)
+          Mat.get (Solver.row_params s 0).Gauss_params.sigma 0 0 :: !trace)
       s
   in
   (s, Array.of_list (List.rev !trace))
@@ -622,6 +622,174 @@ let test_first_round_allocation () =
       (List.nth first 3) (4 * n * d);
   Alcotest.(check (list int)) "same count on a second run" first (round ())
 
+(* --- Solver: the per-sweep record ------------------------------------------ *)
+
+module Obs = Sider_obs.Obs
+module Par = Sider_par.Par
+
+(* Run [f] with a recording sink, then put back the sink [SIDER_TRACE]
+   asks for (the suite also runs with a live stderr sink). *)
+let with_recording f =
+  let r = Obs.recording_sink () in
+  Obs.set_sink (Some r.Obs.rec_sink);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink None;
+      Obs.install_from_env ())
+    f
+
+let woodbury_counters () =
+  List.map Obs.counter_value
+    [ "gauss.woodbury.fast"; "gauss.woodbury.recompute";
+      "gauss.woodbury.frozen" ]
+
+let clustered_rounds () =
+  let ds = Sider_data.Synth.clustered ~seed:3 ~n:90 ~d:4 ~k:3 () in
+  let data = Sider_data.Dataset.matrix ds in
+  let s = Solver.create data (Constr.margin data) in
+  ignore (Solver.solve s);
+  Solver.add_constraints s
+    (Constr.cluster ~data
+       ~rows:(Sider_data.Dataset.class_indices ds "c0") ())
+
+(* One record per completed sweep, numbered from 1; the last one carries
+   the report's deltas, bit for bit; the Woodbury tallies add up to what
+   the counters gained. *)
+let test_trace_record () =
+  let s = clustered_rounds () in
+  let records = ref [] in
+  let before, report, after =
+    with_recording (fun () ->
+        let before = woodbury_counters () in
+        let report = Solver.solve ~trace:(fun r -> records := r :: !records) s in
+        (before, report, woodbury_counters ()))
+  in
+  let records = List.rev !records in
+  check_true "several sweeps" (report.Solver.sweeps > 2);
+  Alcotest.(check (list int)) "one record per sweep, numbered 1.."
+    (List.init report.Solver.sweeps (fun i -> i + 1))
+    (List.map (fun (r : Solver.sweep) -> r.sweep) records);
+  let last = List.nth records (List.length records - 1) in
+  check_bits "last max_dlambda" [| report.Solver.max_dlambda |]
+    [| last.max_dlambda |];
+  check_bits "last max_dparam" [| report.Solver.max_dparam |]
+    [| last.max_dparam |];
+  Alcotest.(check int) "last updates" report.Solver.updates last.updates;
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 records in
+  Alcotest.(check (list int)) "tallies = counter deltas"
+    (List.map2 ( - ) after before)
+    [ sum (fun (r : Solver.sweep) -> r.woodbury_fast);
+      sum (fun (r : Solver.sweep) -> r.woodbury_recompute);
+      sum (fun (r : Solver.sweep) -> r.woodbury_frozen) ];
+  check_true "fast applies counted" (sum (fun r -> r.woodbury_fast) > 0)
+
+(* A rolled-back sweep gets no record.  The NaN [Fault] injects at the
+   start of sweep 3 is reset by the pre-sweep scan; a second class,
+   poisoned by the callback after sweep 2, outlives that scan, so sweep
+   3's first attempt produces NaN and is rolled back, and its retry
+   resets that class too. *)
+let test_trace_skips_rolled_back_sweep () =
+  let module Fault = Sider_robust.Fault in
+  let s = clustered_rounds () in
+  check_true "two classes" (Solver.n_classes s >= 2);
+  Fault.reset ();
+  Fault.arm (Fault.Nan_in_class { sweep = 3; cls = 0 });
+  let numbers = ref [] in
+  let report, fired, rollbacks =
+    with_recording @@ fun () ->
+    Fun.protect ~finally:Fault.reset @@ fun () ->
+    let before = Obs.counter_value "solver.rollback" in
+    let report =
+      Solver.solve
+        ~trace:(fun r ->
+          numbers := r.Solver.sweep :: !numbers;
+          if r.Solver.sweep = 2 then
+            (Solver.class_params s 1).Gauss_params.mean.(0) <- Float.nan)
+        s
+    in
+    (report, Fault.fired (), Obs.counter_value "solver.rollback" - before)
+  in
+  Alcotest.(check int) "the injection fired" 1 (List.length fired);
+  Alcotest.(check int) "one sweep rolled back" 1 rollbacks;
+  check_true "converged" report.Solver.converged;
+  Alcotest.(check (list int)) "records for completed sweeps only"
+    (List.init report.Solver.sweeps (fun i -> i + 1))
+    (List.rev !numbers)
+
+(* Telemetry costs a service solve per sweep, not per update.  Run as
+   `sider api` runs (one domain, the flight recorder on, no sink), the
+   fifth-cluster round of an [ica_explore]-shaped session (margin and
+   four cluster rounds first, untimed) may allocate at most 256 words
+   per sweep more than the same round with the layer off.  Each window
+   is one sweep, from one record to the next (the solve's start and end
+   close the first and last), opened after a minor collection: a
+   collection inside a window inflates [Gc.allocated_bytes] on OCaml
+   5.1. *)
+let test_recorder_sweep_allocation () =
+  let module Session = Sider_core.Session in
+  let domains = Par.domain_count () in
+  let recorder = Obs.flight_recorder_enabled () in
+  let capacity = (Obs.flight_stats ()).Obs.fr_capacity in
+  Par.set_domains 1;
+  Obs.set_sink None;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_flight_recorder ~capacity recorder;
+      Obs.install_from_env ();
+      Par.set_domains domains)
+  @@ fun () ->
+  let ds = Sider_data.Synth.clustered ~seed:7919 ~n:512 ~d:12 ~k:6 () in
+  let session = Session.create ~seed:1 ds in
+  let rows c = Sider_data.Dataset.class_indices ds (Printf.sprintf "c%d" c) in
+  let round () =
+    match Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 session
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "round: %s" (Sider_robust.Sider_error.to_string e)
+  in
+  Session.add_margin_constraint session;
+  round ();
+  for c = 0 to 3 do
+    Session.add_cluster_constraint session (rows c);
+    round ()
+  done;
+  let fifth () =
+    Solver.add_constraints (Session.solver session)
+      (Constr.cluster ~data:(Session.data session) ~rows:(rows 4) ())
+  in
+  let word_bytes = float_of_int (Sys.word_size / 8) in
+  let measure s =
+    let words = ref 0 and opened = ref 0.0 in
+    let open_window () =
+      Gc.minor ();
+      opened := Gc.allocated_bytes ()
+    in
+    let close_window () =
+      words :=
+        !words + int_of_float ((Gc.allocated_bytes () -. !opened) /. word_bytes)
+    in
+    open_window ();
+    let report =
+      Solver.solve ~time_cutoff:60.0 ~max_sweeps:500
+        ~trace:(fun _ -> close_window (); open_window ())
+        s
+    in
+    close_window ();
+    (report, !words)
+  in
+  Obs.set_flight_recorder ~capacity false;
+  let off_report, off = measure (fifth ()) in
+  Obs.set_flight_recorder ~capacity:512 true;
+  let on_report, on = measure (fifth ()) in
+  let sweeps = off_report.Solver.sweeps in
+  Alcotest.(check int) "same sweeps" sweeps on_report.Solver.sweeps;
+  check_true "a long round" (sweeps > 100);
+  if on - off > 256 * sweeps then
+    Alcotest.failf
+      "recorder on allocated %d words over %d sweeps, %d more than off \
+       (%d per sweep, at most 256)"
+      on sweeps (on - off) ((on - off) / sweeps)
+
 let test_mean_matrix () =
   let data = random_data 20 2 in
   let s = Solver.create data (Constr.margin data) in
@@ -746,6 +914,10 @@ let suite =
     case "background samples match means" test_sample_statistics;
     case "sample equals per-row mean + chol·z, bit for bit" test_sample_bits;
     case "first round allocates at most 4nd words" test_first_round_allocation;
+    case "trace gets one record per completed sweep" test_trace_record;
+    case "trace skips a rolled-back sweep" test_trace_skips_rolled_back_sweep;
+    case "recorder on allocates at most 256 words per sweep more"
+      test_recorder_sweep_allocation;
     case "mean matrix" test_mean_matrix;
     case "relative entropy: zero at prior" test_relative_entropy_zero_prior;
     case "relative entropy: monotone in constraints" test_relative_entropy_monotone;

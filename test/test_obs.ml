@@ -392,22 +392,6 @@ let test_hist_memory_bounded () =
       if grown >= 256 * 1024 then
         Alcotest.failf "2M observations grew the heap by %d words" grown)
 
-let test_series_cap () =
-  let cap = 2048 in
-  with_recording (fun _ ->
-      for i = 0 to cap + 99 do
-        Obs.series_add "win.series" [ ("i", Obs.Int i) ]
-      done;
-      let rows =
-        List.map
-          (function [ ("i", Obs.Int i) ] -> i | _ -> -1)
-          (Obs.series "win.series")
-      in
-      Alcotest.(check (list int))
-        "the newest 2048 rows, in insertion order"
-        (List.init cap (fun j -> j + 100))
-        rows)
-
 (* --- quantile edge cases -------------------------------------------------- *)
 
 let test_quantile_edges () =
@@ -676,7 +660,6 @@ let suite =
       test_hist_window;
     case "2M histogram observations leave the heap size flat"
       test_hist_memory_bounded;
-    case "a series keeps its newest 2048 rows" test_series_cap;
     case "disabled layer is inert" test_disabled_is_inert;
     case "json-lines round-trip through Sider_data.Json" test_json_roundtrip;
     case "flight recorder wraps around keeping the newest entries"

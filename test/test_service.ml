@@ -777,6 +777,78 @@ let test_client_rejects_odd_content_length () =
           r.Http.status)
     odd_content_lengths
 
+(* Several Content-Length fields: differing values are a 400 before
+   anything is routed, and the connection closes (the body's extent is
+   unknown); identical values read as one.  Session creation is the
+   probe: a server that read the first field would parse a 2-byte body
+   and answer malformed-json. *)
+let test_server_rejects_differing_content_lengths () =
+  with_service @@ fun svc ->
+  let body = create_body () in
+  let len = String.length body in
+  let count () =
+    Json.to_int (Json.member "count" (json_of (req svc "GET" "/sessions")))
+  in
+  let post first second =
+    with_raw_socket svc @@ fun sock ->
+    write_string sock
+      (Printf.sprintf
+         "POST /sessions HTTP/1.1\r\nContent-Length: %d\r\n\
+          Content-Length: %d\r\n\r\n%s"
+         first second body);
+    match read_responses sock 1 with
+    | [ (status, text) ] ->
+      let at =
+        let rec body_at i =
+          if String.sub text i 4 = "\r\n\r\n" then i + 4 else body_at (i + 1)
+        in
+        body_at 0
+      in
+      let reply = Json.of_string (String.sub text at (String.length text - at)) in
+      let closed =
+        match Unix.read sock (Bytes.create 1) 0 1 with
+        | 0 -> true
+        | _ -> false
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+          false
+      in
+      (status, reply, closed)
+    | _ -> Alcotest.failf "no response for Content-Length %d, %d" first second
+  in
+  let before = count () in
+  let status, reply, closed = post 2 len in
+  Alcotest.(check int) "differing values: status" 400 status;
+  Alcotest.(check string) "differing values: error" "malformed-request"
+    (Json.to_str (Json.member "error" reply));
+  check_true "differing values: connection closed" closed;
+  Alcotest.(check int) "differing values: no session" before (count ());
+  let status, _, _ = post len len in
+  Alcotest.(check int) "identical values: status" 201 status;
+  Alcotest.(check int) "identical values: one session" (before + 1) (count ())
+
+let test_client_rejects_differing_content_lengths () =
+  let respond a b =
+    Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\
+                    Content-Length: %s\r\n\r\n%s"
+      a b (String.make 16 ' ')
+  in
+  (with_canned_server (respond "2" "16") @@ fun port ->
+   match Http.request ~timeout_s:5.0 ~meth:"GET" ~port "/healthz" with
+   | Error e ->
+     Alcotest.(check string) "client error" "bad content-length: 2, 16" e
+   | Ok r ->
+     Alcotest.failf "differing Content-Length accepted with status %d (%d \
+                     body bytes)"
+       r.Http.status (String.length r.Http.r_body));
+  with_canned_server (respond "16" "16") @@ fun port ->
+  match Http.request ~timeout_s:5.0 ~meth:"GET" ~port "/healthz" with
+  | Ok r ->
+    Alcotest.(check int) "identical values: body length" 16
+      (String.length r.Http.r_body)
+  | Error e -> Alcotest.failf "identical Content-Length refused: %s" e
+
 (* --- TTL eviction and rehydration -------------------------------------------------- *)
 
 let[@sider.allow "determinism"] wait_until ?(timeout_s = 5.0) pred =
@@ -1312,6 +1384,10 @@ let suite =
       test_server_rejects_odd_content_length;
     case "client refuses a non-digit Content-Length"
       test_client_rejects_odd_content_length;
+    case "server answers 400 to differing Content-Length fields"
+      test_server_rejects_differing_content_lengths;
+    case "client refuses differing Content-Length fields"
+      test_client_rejects_differing_content_lengths;
     slow_case "parked connections bounded below FD_SETSIZE"
       test_parked_connections_bounded;
     case "recover bounds resident sessions"
