@@ -33,36 +33,27 @@ let parsing what f =
    reliably catches truncation, bit rot and hand editing, and needs no
    dependencies.  Rendered as 16 hex digits.  The hash lives in a local
    of the [for] loop, so it stays unboxed. *)
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to String.length s - 1 do
+let fnv_offset = 0xcbf29ce484222325L
+
+let fnv64_bytes h b pos len =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
     h :=
       Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
         0x100000001b3L
   done;
-  Printf.sprintf "%016Lx" !h
+  !h
+
+let hex64 h = Printf.sprintf "%016Lx" h
+
+let fnv64 s =
+  hex64 (fnv64_bytes fnv_offset (Bytes.unsafe_of_string s) 0 (String.length s))
 
 (* Checksums are computed over the document serialized {e without} its
    [checksum] field; verification rebuilds that exact string from the
    parsed value, which is stable because the printer is deterministic
-   and parsing preserves object field order.
-
-   A document is written from one serialization: [head] (the [format]
-   and [version] fields) followed by [rest] is printed once, hashed, and
-   ["checksum":"…"] is spliced in right after [head] — the bytes a
-   printed tree with the checksum after [version] would have. *)
-let checksummed_text head rest =
-  let body = Json.to_string (Json.Obj (head @ rest)) in
-  let cut = String.length (Json.to_string (Json.Obj head)) - 1 in
-  let field = ",\"checksum\":\"" ^ fnv64 body ^ "\"" in
-  let n = String.length body and k = String.length field in
-  let out = Bytes.create (n + k) in
-  Bytes.blit_string body 0 out 0 cut;
-  Bytes.blit_string field 0 out cut k;
-  Bytes.blit_string body cut out (cut + k) (n - cut);
-  Bytes.unsafe_to_string out
-
+   and parsing preserves object field order. *)
 let verify_checksum ~what j =
   match j with
   | Json.Obj fields ->
@@ -100,32 +91,178 @@ let dataset_to_json ds =
       ("data",
        Json.List (List.init n (fun i -> Json.floats (Mat.row m i)))) ]
 
-let dataset_of_json j =
+(* A dataset as a decoder reads it, before anything is checked: the
+   small fields as trees, the first of each key kept (as [Json.member]
+   finds it), and the data rows straight into one row-major float array.
+   [validate] then refuses bad content with the error the tree accessors
+   always gave, whichever decoder filled it. *)
+type rows = {
+  mutable cells : float array;  (* the first [len] are the cells read *)
+  mutable len : int;
+  mutable ends : int array;  (* [len] at the end of each of the [n] rows *)
+  mutable n : int;
+  mutable bad_row : int;  (* first row that is not a list of numbers, or -1 *)
+  mutable bad_msg : string;
+}
+
+type fields = {
+  mutable is_object : bool;
+  mutable name : Json.t option;
+  mutable columns : Json.t option;
+  mutable labels : Json.t option;
+  mutable data : [ `Missing | `Not_list | `Rows of rows ];
+}
+
+let no_fields () =
+  { is_object = false; name = None; columns = None; labels = None;
+    data = `Missing }
+
+let no_rows () =
+  { cells = [||]; len = 0; ends = [||]; n = 0; bad_row = -1; bad_msg = "" }
+
+(* [a] with room for more than [used] entries, doubled when full. *)
+let room a used fill =
+  if used < Array.length a then a
+  else begin
+    let b = Array.make (max 256 (2 * used)) fill in
+    Array.blit a 0 b 0 used;
+    b
+  end
+
+(* Makes room for the next cell, whose index is then [r.len]. *)
+let reserve r = r.cells <- room r.cells r.len 0.0
+
+let cell_read r = r.len <- r.len + 1
+
+let bad r msg =
+  if r.bad_row < 0 then begin
+    r.bad_row <- r.n;
+    r.bad_msg <- msg
+  end
+
+let end_row r =
+  r.ends <- room r.ends r.n 0;
+  r.ends.(r.n) <- r.len;
+  r.n <- r.n + 1
+
+let not_a_list = "Json.to_list: not a list"
+
+let not_a_number = "Json.to_float: not a number"
+
+let validate f =
   parsing "dataset" @@ fun () ->
-  let name = Json.to_str (Json.member "name" j) in
-  let columns =
-    Json.to_list (Json.member "columns" j)
-    |> List.map Json.to_str
-    |> Array.of_list
-  in
+  if not f.is_object then invalid_arg "Json.member: not an object";
+  let required = function Some v -> v | None -> raise Not_found in
+  let strings j = Json.to_list j |> List.map Json.to_str |> Array.of_list in
+  let name = Json.to_str (required f.name) in
+  let columns = strings (required f.columns) in
   let labels =
-    match Json.member "labels" j with
+    match required f.labels with
     | Json.Null -> None
-    | l -> Some (Json.to_list l |> List.map Json.to_str |> Array.of_list)
+    | l -> Some (strings l)
   in
-  let rows = Json.to_list (Json.member "data" j) in
-  let n = List.length rows in
+  let r =
+    match f.data with
+    | `Missing -> raise Not_found
+    | `Not_list -> invalid_arg not_a_list
+    | `Rows r -> r
+  in
   let d = Array.length columns in
-  let m = Mat.create n d in
-  List.iteri
-    (fun i row ->
-      let cells = Json.to_floats row in
-      if Array.length cells <> d then
-        corrupt "dataset: row %d has %d cells, expected %d" i
-          (Array.length cells) d;
-      Mat.set_row m i cells)
-    rows;
-  Dataset.create ~name ?labels ~columns m
+  (* Row by row, as [Json.to_floats] then the width check met them. *)
+  for i = 0 to r.n - 1 do
+    if i = r.bad_row then invalid_arg r.bad_msg;
+    let width = r.ends.(i) - if i = 0 then 0 else r.ends.(i - 1) in
+    if width <> d then
+      corrupt "dataset: row %d has %d cells, expected %d" i width d
+  done;
+  let cells =
+    if r.len = Array.length r.cells then r.cells else Array.sub r.cells 0 r.len
+  in
+  Dataset.create ~name ?labels ~columns (Mat.of_array r.n d cells)
+
+let dataset_of_json j =
+  let f = no_fields () in
+  (match j with
+   | Json.Obj kvs ->
+     f.is_object <- true;
+     f.name <- List.assoc_opt "name" kvs;
+     f.columns <- List.assoc_opt "columns" kvs;
+     f.labels <- List.assoc_opt "labels" kvs;
+     f.data <-
+       (match List.assoc_opt "data" kvs with
+        | None -> `Missing
+        | Some (Json.List rows) ->
+          let r = no_rows () in
+          List.iter
+            (fun row ->
+              (match row with
+               | Json.List cells ->
+                 List.iter
+                   (function
+                     | Json.Number x ->
+                       reserve r;
+                       r.cells.(r.len) <- x;
+                       cell_read r
+                     | _ -> bad r not_a_number)
+                   cells
+               | _ -> bad r not_a_list);
+              end_row r)
+            rows;
+          `Rows r
+        | Some _ -> `Not_list)
+   | _ -> ());
+  validate f
+
+(* The [data] value at the cursor, each number read into place. *)
+let read_rows c =
+  match Json.peek c with
+  | `List ->
+    let r = no_rows () in
+    let cell () =
+      match Json.peek c with
+      | `Number ->
+        reserve r;
+        Json.read_number_into c r.cells r.len;
+        cell_read r
+      | _ ->
+        ignore (Json.read_value c);
+        bad r not_a_number
+    in
+    let row () =
+      (match Json.peek c with
+       | `List -> Json.read_array c cell
+       | _ ->
+         ignore (Json.read_value c);
+         bad r not_a_list);
+      end_row r
+    in
+    Json.read_array c row;
+    `Rows r
+  | _ ->
+    ignore (Json.read_value c);
+    `Not_list
+
+let read_dataset c =
+  let f = no_fields () in
+  (* A repeated key is read, for its syntax, and dropped. *)
+  let first slot =
+    let v = Json.read_value c in
+    if Option.is_none slot then Some v else slot
+  in
+  (match Json.peek c with
+   | `Obj ->
+     f.is_object <- true;
+     Json.read_object c (function
+       | "name" -> f.name <- first f.name
+       | "columns" -> f.columns <- first f.columns
+       | "labels" -> f.labels <- first f.labels
+       | "data" ->
+         (match f.data with
+          | `Missing -> f.data <- read_rows c
+          | `Not_list | `Rows _ -> ignore (Json.read_value c))
+       | _ -> ignore (Json.read_value c))
+   | _ -> ignore (Json.read_value c));
+  fun () -> validate f
 
 (* --- events ----------------------------------------------------------------- *)
 
@@ -199,25 +336,103 @@ let replay_event session j =
 
 let format_version = 2
 
-let creation_fields session =
-  let seed, standardize, jitter, method_ = Session.creation_args session in
-  [ ("seed", Json.Number (float_of_int seed));
-    ("standardize", Json.Bool standardize);
-    ("jitter", Json.Number jitter);
-    ("method", method_to_json method_);
-    ("dataset", dataset_to_json (Session.dataset session)) ]
+let write_strings w a =
+  Json.write_char w '[';
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Json.write_char w ',';
+      Json.write_string w x)
+    a;
+  Json.write_char w ']'
 
-let head format =
-  [ ("format", Json.String format);
-    ("version", Json.Number (float_of_int format_version)) ]
+(* The bytes of [dataset_to_json], printed from the matrix. *)
+let write_dataset w ds =
+  let m = Dataset.matrix ds in
+  let n, d = Mat.dims m in
+  Json.write_raw w "{\"name\":";
+  Json.write_string w (Dataset.name ds);
+  Json.write_raw w ",\"columns\":";
+  write_strings w (Dataset.columns ds);
+  Json.write_raw w ",\"labels\":";
+  (match Dataset.labels ds with
+   | None -> Json.write_raw w "null"
+   | Some l -> write_strings w l);
+  Json.write_raw w ",\"rows\":";
+  Json.write_number w (float_of_int n);
+  Json.write_raw w ",\"cols\":";
+  Json.write_number w (float_of_int d);
+  Json.write_raw w ",\"data\":[";
+  for i = 0 to n - 1 do
+    if i > 0 then Json.write_char w ',';
+    Json.write_floats w m.Mat.a (i * d) d
+  done;
+  Json.write_raw w "]}"
+
+(* The arguments [Session.create] is replayed from, as fields that
+   follow others in an object. *)
+let write_creation w session =
+  let seed, standardize, jitter, method_ = Session.creation_args session in
+  Json.write_raw w ",\"seed\":";
+  Json.write_number w (float_of_int seed);
+  Json.write_raw w
+    (if standardize then ",\"standardize\":true" else ",\"standardize\":false");
+  Json.write_raw w ",\"jitter\":";
+  Json.write_number w jitter;
+  Json.write_raw w ",\"method\":";
+  Json.write w (method_to_json method_);
+  Json.write_raw w ",\"dataset\":";
+  write_dataset w (Session.dataset session)
+
+(* Room for a dataset's text: at most 24 bytes a number (the longest
+   [%.17g]) plus its comma, 4 a row, and the strings; escapes beyond
+   that grow the writer. *)
+let text_size ds =
+  let n, d = Mat.dims (Dataset.matrix ds) in
+  let strings = Array.fold_left (fun k x -> k + String.length x + 3) 0 in
+  1024 + (25 * n * d) + (4 * n)
+  + String.length (Dataset.name ds)
+  + strings (Dataset.columns ds)
+  + Option.fold ~none:0 ~some:strings (Dataset.labels ds)
+
+(* A document printed once, straight into one writer: [format] and
+   [version], the checksum's gap, the fields [rest] writes, the closing
+   brace.  The checksum is FNV-1a over the bytes either side of the gap,
+   that is over the document without its [checksum] field, which is what
+   [verify_checksum] re-prints; its digits then fill the gap in place. *)
+let checksum_gap = ",\"checksum\":\"0000000000000000\""
+
+let checksummed ~size format rest =
+  let w = Json.writer size in
+  Json.write_raw w "{\"format\":";
+  Json.write_string w format;
+  Json.write_raw w ",\"version\":";
+  Json.write_number w (float_of_int format_version);
+  let gap = Json.length w in
+  Json.write_raw w checksum_gap;
+  rest w;
+  Json.write_char w '}';
+  let b = Json.bytes w and n = Json.length w in
+  let after = gap + String.length checksum_gap in
+  let h = fnv64_bytes (fnv64_bytes fnv_offset b 0 gap) b after (n - after) in
+  Bytes.blit_string (hex64 h) 0 b (after - 17) 16;
+  w
 
 let session_text session =
-  checksummed_text (head "sider-session")
-    (creation_fields session
-     @ [ ("history",
-          Json.List (List.map event_to_json (Session.history session))) ])
+  let history = Session.history session in
+  checksummed
+    ~size:(text_size (Session.dataset session) + (64 * List.length history))
+    "sider-session"
+    (fun w ->
+      write_creation w session;
+      Json.write_raw w ",\"history\":[";
+      List.iteri
+        (fun i e ->
+          if i > 0 then Json.write_char w ',';
+          Json.write w (event_to_json e))
+        history;
+      Json.write_char w ']')
 
-let session_to_json session = Json.of_string (session_text session)
+let session_to_json session = Json.of_string (Json.contents (session_text session))
 
 let check_format ~what ~expected j =
   (match Json.member_opt "format" j with
@@ -264,21 +479,22 @@ let session_of_json j =
 
 (* --- atomic file IO ---------------------------------------------------------- *)
 
-let write_all fd s =
-  let n = String.length s in
+(* The writer's text, in one [write] unless the kernel takes less. *)
+let write_all fd w =
+  let b = Json.bytes w and n = Json.length w in
   let sent = ref 0 in
   while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
+    sent := !sent + Unix.write fd b !sent (n - !sent)
   done
 
-(* Write [data] to [path] (truncating) and fsync before returning. *)
-let write_fsync path data =
+(* Write [w]'s text to [path] (truncating) and fsync before returning. *)
+let write_fsync path w =
   try
     let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        write_all fd data;
+        write_all fd w;
         Unix.fsync fd)
   with Unix.Unix_error (err, _, _) ->
     io_fail "Persist: write %s: %s" path (Unix.error_message err)
@@ -357,26 +573,39 @@ let snapshot_path path =
     Filename.chop_suffix path ".journal" ^ ".snapshot"
   else path ^ ".snapshot"
 
+(* The header line, its newline included. *)
 let journal_header ?(base = 0) session =
-  checksummed_text (head "sider-journal")
-    ((if base = 0 then [] else [ ("base", Json.Number (float_of_int base)) ])
-     @ creation_fields session)
+  let w =
+    checksummed ~size:(text_size (Session.dataset session)) "sider-journal"
+      (fun w ->
+        if base <> 0 then begin
+          Json.write_raw w ",\"base\":";
+          Json.write_number w (float_of_int base)
+        end;
+        write_creation w session)
+  in
+  Json.write_char w '\n';
+  w
 
-let journal_write j line =
+(* Appends [w]'s text, a whole line, and fsyncs. *)
+let journal_write j w =
   match j.j_fd with
   | None -> io_fail "Persist.journal %s: already closed" j.j_path
   | Some fd ->
     if Fault.journal_append_should_fail ~path:j.j_path then
       io_fail "Persist.journal %s: injected append failure" j.j_path;
     (try
-       write_all fd (line ^ "\n");
+       write_all fd w;
        Unix.fsync fd
      with Unix.Unix_error (err, _, _) ->
        io_fail "Persist.journal %s: append failed: %s" j.j_path
          (Unix.error_message err))
 
 let journal_append j event =
-  journal_write j (Json.to_string (event_to_json event));
+  let w = Json.writer 256 in
+  Json.write w (event_to_json event);
+  Json.write_char w '\n';
+  journal_write j w;
   j.j_events <- j.j_events + 1
 
 let journal_start path session =
@@ -575,7 +804,7 @@ let journal_compact j session =
   Fault.crash_compaction_at ~path ~point:2;
   let base = List.length (Session.history session) in
   let jrn_tmp = path ^ ".compact.tmp" in
-  write_fsync jrn_tmp (journal_header ~base session ^ "\n");
+  write_fsync jrn_tmp (journal_header ~base session);
   Fault.crash_compaction_at ~path ~point:3;
   (* From here the old descriptor must receive no further appends: close
      it before the rename publishes the fresh journal, and leave the

@@ -12,8 +12,10 @@
     are serialized with full precision.  Documents carry a [format]
     tag, a [version] number and (since version 2) an FNV-1a 64-bit
     [checksum] of the rest of the document, verified on load.  Version 1
-    files (no checksum) still load.  A document is printed once: the
-    checksum is taken over that text and spliced in after [version].
+    files (no checksum) still load.  A document is printed once, from
+    the session's matrix into one buffer with no tree built: the
+    checksum is taken over the bytes either side of a gap after
+    [version] and written into that gap.
 
     {b Error discipline:} malformed input is reported as a structured
     {!Sider_robust.Sider_error.t} — [Degenerate_data] for bad content
@@ -53,9 +55,23 @@ open Sider_data
 open Sider_robust
 
 val dataset_to_json : Dataset.t -> Json.t
+(** The dataset in the snapshot schema: [name], [columns], [labels]
+    ([null] without labels), [rows], [cols] and [data], one list of
+    numbers per row.  Journal headers and snapshots print these bytes
+    straight from the matrix, without building the tree. *)
 
 val dataset_of_json : Json.t -> Dataset.t
-(** Raises [Sider_error.Error] on malformed input. *)
+(** Raises [Sider_error.Error] on malformed input.  The first of a
+    repeated key counts; [rows] and [cols] are not read. *)
+
+val read_dataset : Json.cursor -> unit -> Dataset.t
+(** [read_dataset c] reads the dataset value at the cursor, its data
+    rows straight into one float array, and returns its validation.
+    Calling that gives the dataset {!dataset_of_json} gives for the same
+    value's tree, or raises the same error, since both share one
+    validation.  A syntax error raises [Json.Parse_error] from the read;
+    nothing is checked until the call, so a caller can read the rest of
+    its document first and let a later syntax error take precedence. *)
 
 val event_to_json : Session.event -> Json.t
 

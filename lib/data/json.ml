@@ -67,8 +67,19 @@ let biased_exponent x =
 (* --- output buffer ------------------------------------------------------------ *)
 
 (* A growable byte buffer the number printer writes into directly: it
-   reserves the exact length of a number, then fills it from both ends. *)
-type out = { mutable bytes : Bytes.t; mutable len : int }
+   reserves the exact length of a number, then fills it from both ends.
+   [to_string] prints a tree into one; [Persist] prints documents into
+   one without building the tree. *)
+type writer = { mutable bytes : Bytes.t; mutable len : int; num : float array }
+
+let writer capacity =
+  { bytes = Bytes.create (max 16 capacity); len = 0; num = [| 0.0 |] }
+
+let length o = o.len
+
+let bytes o = o.bytes
+
+let contents o = Bytes.sub_string o.bytes 0 o.len
 
 let grow o n =
   let cap = ref (2 * Bytes.length o.bytes) in
@@ -242,10 +253,14 @@ let add_int o neg v =
    fraction lies within [tie_margin] of 1/2, the rounding could go either
    way and the C library decides.  So do the few powers of ten whose
    nearest float lies below them, for which the estimate of k is one
-   too large. *)
+   too large.
+
+   The number is [src.(k)]: a float argument would be boxed, one read
+   from a float array is not, so printing a matrix allocates nothing. *)
 let tie_margin = 1e-9
 
-let add_number o x =
+let add_number_at o src k =
+  let x = Array.unsafe_get src k in
   if not (Float.is_finite x) then add_string o "null"
   else begin
     let a = Float.abs x in
@@ -274,12 +289,25 @@ let add_number o x =
     end
   end
 
-let to_string t =
-  let o = { bytes = Bytes.create 1024; len = 0 } in
+let write_number o x =
+  Array.unsafe_set o.num 0 x;
+  add_number_at o o.num 0
+
+let write_floats o a pos n =
+  if pos < 0 || n < 0 || pos > Array.length a - n then
+    invalid_arg "Json.write_floats: range out of bounds";
+  add_char o '[';
+  for k = pos to pos + n - 1 do
+    if k > pos then add_char o ',';
+    add_number_at o a k
+  done;
+  add_char o ']'
+
+let write o t =
   let rec go = function
     | Null -> add_string o "null"
     | Bool b -> add_string o (if b then "true" else "false")
-    | Number x -> add_number o x
+    | Number x -> write_number o x
     | String s -> escape_into o s
     | List items ->
       add_char o '[';
@@ -300,19 +328,37 @@ let to_string t =
         fields;
       add_char o '}'
   in
-  go t;
-  Bytes.sub_string o.bytes 0 o.len
+  go t
+
+let to_string t =
+  let o = writer 1024 in
+  write o t;
+  contents o
+
+let write_char = add_char
+
+let write_raw = add_string
+
+let write_string = escape_into
 
 (* --- parsing ---------------------------------------------------------------- *)
 
 (* Index-based: the parser reads [src] in place, allocating only the
-   values it returns. *)
-type parser_state = { src : string; mutable pos : int }
+   values it returns.  [depth] counts the arrays and objects open at
+   [pos]; [num] is where a number lands before [read_value] boxes it. *)
+type cursor = {
+  src : string;
+  mutable pos : int;
+  mutable depth : int;
+  num : float array;
+}
+
+let cursor src = { src; pos = 0; depth = 0; num = [| 0.0 |] }
 
 let fail st msg =
   raise (Parse_error (msg ^ " at position " ^ string_of_int st.pos))
 
-(* Deepest nesting of arrays and objects [of_string] accepts.  The repo
+(* Deepest nesting of arrays and objects a cursor accepts.  The repo
    writes at most 4 levels; the bound keeps the parser's recursion, and
    so its stack, small whatever a request body holds. *)
 let max_depth = 512
@@ -478,10 +524,12 @@ let max_sig_digits = 18
 let product_margin = 0x1p-90
 
 (* A token -?d+(.d+)?([eE][+-]?d+)? with at most [max_sig_digits]
-   significant digits, read in place.  Returns nan, leaving [st.pos]
-   alone, when the token has another form or the result is not proved
-   equal to [float_of_string_opt]'s; see [parse_number]. *)
-let fast_number st =
+   significant digits, read in place into [dst.(k)].  Returns false,
+   leaving [st.pos] and [dst] alone, when the token has another form or
+   the result is not proved equal to [float_of_string_opt]'s; see
+   [read_number_into].  Storing into a float array, not returning the
+   float, keeps it unboxed. *)
+let fast_number st dst k =
   let src = st.src in
   let len = String.length src in
   let i = ref st.pos in
@@ -530,7 +578,7 @@ let fast_number st =
     dexp := if eneg then !dexp - !ex else !dexp + !ex
   end;
   if (not !ok) || (!i < len && is_num_char (String.unsafe_get src !i)) then
-    Float.nan
+    false
   else begin
     let m = !m and e10 = !dexp in
     let v =
@@ -567,80 +615,141 @@ let fast_number st =
         else hi
       end
     in
-    if Float.is_nan v then v
+    if Float.is_nan v then false
     else begin
       st.pos <- !i;
-      if neg then -.v else v
+      Array.unsafe_set dst k (if neg then -.v else v);
+      true
     end
   end
 
-(* The fast reader when it can decide, [float_of_string_opt] on the
-   token otherwise: the same accepted tokens and the same bits. *)
-let parse_number st =
-  let v = fast_number st in
-  if Float.is_nan v then parse_number_token st else v
+(* --- cursor ------------------------------------------------------------------ *)
 
-let rec parse_value st depth =
+(* The one grammar: [peek], [start], [more], [key] and
+   [read_number_into] read every value, whether [read_value] (and so
+   [of_string]) builds a tree of it or a decoder reads it through
+   [read_array] and [read_object] without one.  So both give the same
+   messages at the same positions, and the same depth bound holds. *)
+
+let peek st =
   skip_ws st;
   if st.pos >= String.length st.src then fail st "unexpected end of input";
   match String.unsafe_get st.src st.pos with
-  | 'n' -> parse_literal st "null" Null
-  | 't' -> parse_literal st "true" (Bool true)
-  | 'f' -> parse_literal st "false" (Bool false)
-  | '"' -> String (parse_string_raw st)
-  | ('[' | '{') when depth = max_depth ->
-    fail st ("nesting deeper than " ^ string_of_int max_depth)
-  | '[' ->
+  | 'n' -> `Null
+  | 't' | 'f' -> `Bool
+  | '"' -> `String
+  | '[' -> `List
+  | '{' -> `Obj
+  | _ -> `Number
+
+(* Steps into the array or object at the cursor: true when an element
+   follows, false when it closes at once (it is then left). *)
+let start st opening closing =
+  skip_ws st;
+  if not (at st opening) then
+    if st.pos >= String.length st.src then fail st "unexpected end of input"
+    else fail st ("expected '" ^ Char.escaped opening ^ "'");
+  if st.depth = max_depth then
+    fail st ("nesting deeper than " ^ string_of_int max_depth);
+  st.pos <- st.pos + 1;
+  st.depth <- st.depth + 1;
+  skip_ws st;
+  if at st closing then begin
     st.pos <- st.pos + 1;
-    skip_ws st;
-    if at st ']' then begin
-      st.pos <- st.pos + 1;
-      List []
-    end
-    else begin
-      let items = ref [ parse_value st (depth + 1) ] in
-      skip_ws st;
-      while at st ',' do
-        st.pos <- st.pos + 1;
-        items := parse_value st (depth + 1) :: !items;
-        skip_ws st
-      done;
-      expect st ']';
-      List (List.rev !items)
-    end
-  | '{' ->
+    st.depth <- st.depth - 1;
+    false
+  end
+  else true
+
+(* After an element: true when another follows, false when the
+   container closes (it is then left). *)
+let more st closing =
+  skip_ws st;
+  if at st ',' then begin
     st.pos <- st.pos + 1;
-    skip_ws st;
-    if at st '}' then begin
-      st.pos <- st.pos + 1;
-      Obj []
-    end
-    else begin
-      let field () =
-        skip_ws st;
-        let k = parse_string_raw st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st (depth + 1) in
-        (k, v)
-      in
-      let fields = ref [ field () ] in
-      skip_ws st;
-      while at st ',' do
-        st.pos <- st.pos + 1;
-        fields := field () :: !fields;
-        skip_ws st
-      done;
-      expect st '}';
-      Obj (List.rev !fields)
-    end
-  | _ -> Number (parse_number st)
+    true
+  end
+  else begin
+    expect st closing;
+    st.depth <- st.depth - 1;
+    false
+  end
+
+(* A field's key and its colon. *)
+let key st =
+  skip_ws st;
+  let k = parse_string_raw st in
+  skip_ws st;
+  expect st ':';
+  k
+
+let read_array st element =
+  if start st '[' ']' then begin
+    element ();
+    while more st ']' do
+      element ()
+    done
+  end
+
+let read_object st field =
+  if start st '{' '}' then begin
+    field (key st);
+    while more st '}' do
+      field (key st)
+    done
+  end
+
+(* The fast reader when it can decide, [float_of_string_opt] on the
+   token otherwise: the same accepted tokens and the same bits.  The
+   token starts at [st.pos]. *)
+let number_at st dst k =
+  if not (fast_number st dst k) then dst.(k) <- parse_number_token st
+
+let read_number_into st dst k =
+  skip_ws st;
+  if st.pos >= String.length st.src then fail st "unexpected end of input";
+  number_at st dst k
+
+let rec read_value st =
+  match peek st with
+  | `Null -> parse_literal st "null" Null
+  | `Bool ->
+    if at st 't' then parse_literal st "true" (Bool true)
+    else parse_literal st "false" (Bool false)
+  | `String -> String (parse_string_raw st)
+  | `Number ->
+    number_at st st.num 0;
+    Number (Array.unsafe_get st.num 0)
+  | `List ->
+    (* [read_array]'s steps, without a closure per container. *)
+    let items = ref [] in
+    if start st '[' ']' then begin
+      items := [ read_value st ];
+      while more st ']' do
+        items := read_value st :: !items
+      done
+    end;
+    List (List.rev !items)
+  | `Obj ->
+    let fields = ref [] in
+    if start st '{' '}' then begin
+      let k = key st in
+      fields := [ (k, read_value st) ];
+      while more st '}' do
+        let k = key st in
+        fields := (k, read_value st) :: !fields
+      done
+    end;
+    Obj (List.rev !fields)
+
+let finish st =
+  skip_ws st;
+  if st.pos <> String.length st.src then fail st "trailing content"
 
 let of_string src =
-  let st = { src; pos = 0 } in
-  let v = parse_value st 0 in
-  skip_ws st;
-  if st.pos <> String.length src then fail st "trailing content";
+  let st = cursor src in
+  let v = read_value st in
+  finish st;
   v
 
 (* --- accessors ----------------------------------------------------------------- *)

@@ -48,6 +48,11 @@ let diagonal m =
   if m.rows <> m.cols then invalid_arg "Mat.diagonal: not square";
   Array.init m.rows (fun i -> m.a.((i * m.cols) + i))
 
+let of_array rows cols a =
+  if rows < 0 || cols < 0 || Array.length a <> rows * cols then
+    invalid_arg "Mat.of_array: length is not rows * cols";
+  { rows; cols; a }
+
 let of_arrays rows =
   let r = Array.length rows in
   if r = 0 then create 0 0

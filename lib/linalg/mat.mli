@@ -28,6 +28,11 @@ val diag : Vec.t -> t
 val diagonal : t -> Vec.t
 (** Extract the diagonal of a square matrix. *)
 
+val of_array : int -> int -> float array -> t
+(** [of_array r c a] is the [r]×[c] matrix whose rows lie one after
+    another in [a], sharing [a]: no copy is made.  Raises
+    [Invalid_argument] unless [a] has [r·c] entries. *)
+
 val of_arrays : float array array -> t
 (** Rows given as arrays; all rows must have equal length. *)
 

@@ -22,7 +22,14 @@ open Sider_linalg
 type injection =
   | Nan_in_class of { sweep : int; cls : int }
       (** At the start of sweep [sweep], poison class [cls]'s mean with a
-          NaN (exercises the solver's scan-rollback-retry path). *)
+          NaN.  This exercises the solver's pre-sweep scan, which resets
+          the poisoned class to the prior and records a degradation, so
+          the sweep runs on finite state.  It does not reach the
+          post-sweep rollback and retry on its own: those run only when
+          a sweep ends with a non-finite class.  The scan resets one
+          class a sweep, so the [maxent] test "trace skips a rolled-back
+          sweep" reaches the rollback by also poisoning a second class
+          from its trace callback. *)
   | Fail_sweep of { sweep : int }
       (** At the start of sweep [sweep], raise a structured
           solver-divergence error (exercises the session's

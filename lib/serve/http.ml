@@ -228,25 +228,35 @@ let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
               | Error m -> Error (Malformed m)
               | Ok len when len > max_body -> Error Too_large
               | Ok len ->
+                (* The body goes into one buffer of its length: the bytes
+                   already read past the head, then reads straight into
+                   the rest of it, never past its end. *)
                 let body_start = head_end + 4 in
-                let rec read_body () =
-                  if Buffer.length acc - body_start >= len then
-                    Ok (String.sub (Buffer.contents acc) body_start len)
-                  else (
-                    match read_more () with
-                    | `More -> read_body ()
-                    | `Timeout -> Error Timeout
-                    | `Eof -> Error Closed)
+                let have = min len (Buffer.length acc - body_start) in
+                let body = Bytes.create len in
+                Buffer.blit acc body_start body 0 have;
+                let rec read_body filled =
+                  if filled = len then Ok ()
+                  else
+                    match Unix.read fd body filled (len - filled) with
+                    | 0 -> Error Closed
+                    | k -> read_body (filled + k)
+                    | exception
+                        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+                      ->
+                      Error Timeout
+                    | exception Unix.Unix_error _ -> Error Closed
                 in
                 Result.map
-                  (fun body ->
-                    let total = body_start + len in
+                  (fun () ->
+                    let total = body_start + have in
                     let leftover =
-                      String.sub (Buffer.contents acc) total
-                        (Buffer.length acc - total)
+                      Buffer.sub acc total (Buffer.length acc - total)
                     in
-                    ({ meth; path; query; headers; body }, leftover))
-                  (read_body ())))
+                    ( { meth; path; query; headers;
+                        body = Bytes.unsafe_to_string body },
+                      leftover ))
+                  (read_body have)))
         | _ -> Error (Malformed ("bad request line: " ^ request_line))))
 
 (* --- buffered per-connection reader ---------------------------------------- *)

@@ -218,8 +218,9 @@ let add t sess =
          [journal_start] would truncate a live session's journal.  It is
          not cheap: the header line carries the whole dataset, so every
          other lookup waits for one serialisation, checksum and fsync of
-         it, 10–13 ms at n=1024, d=16 on a 2-vCPU VM.  Steady-state
-         appends happen under the entry lock only. *)
+         it, 3.6–4.2 ms at n=1024, d=16 on a 2-vCPU VM (medians of 7
+         in each of 5 runs).  Steady-state appends happen under the
+         entry lock only. *)
       Option.map
         (fun dir ->
           (Persist.journal_start (journal_file dir id) sess

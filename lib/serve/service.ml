@@ -281,11 +281,46 @@ let crash_poll path =
 let default_tag session prefix =
   Printf.sprintf "%s%d" prefix (List.length (Session.constraint_tags session) + 1)
 
-let handle_create t ctx (req : Http.request) =
-  let j = body_json req in
+type create = {
+  dataset : Dataset.t;
+  seed : int;
+  standardize : bool;
+  jitter : float;
+  method_ : View.method_;
+}
+
+(* The body is read once, with a cursor: the dataset's rows go straight
+   into one float array, the other fields, small, as trees (the first
+   of a repeated key counts, as [Json.member_opt] finds it).  Nothing is
+   checked until the whole body has parsed, so a syntax error anywhere
+   is the 400 [malformed-json] a tree parse gives; the checks then run
+   in the order they always have: the dataset, its size, then seed,
+   standardize, jitter and method. *)
+let decode_create body =
+  if String.trim body = "" then bad "missing required field \"dataset\"";
+  let c = Json.cursor body in
+  let dataset = ref None in
+  let seed = ref None and standardize = ref None in
+  let jitter = ref None and method_ = ref None in
+  let first slot =
+    let v = Json.read_value c in
+    if Option.is_none !slot then slot := Some v
+  in
+  (match Json.peek c with
+   | `Obj ->
+     Json.read_object c (function
+       | "dataset" when Option.is_none !dataset ->
+         dataset := Some (Persist.read_dataset c)
+       | "seed" -> first seed
+       | "standardize" -> first standardize
+       | "jitter" -> first jitter
+       | "method" -> first method_
+       | _ -> ignore (Json.read_value c))
+   | _ -> ignore (Json.read_value c));
+  Json.finish c;
   let ds =
-    match Json.member_opt "dataset" j with
-    | Some d -> Persist.dataset_of_json d
+    match !dataset with
+    | Some validate -> validate ()
     | None -> bad "missing required field \"dataset\""
   in
   (* Checked before anything is journaled: smaller data has no 2-D view,
@@ -293,11 +328,18 @@ let handle_create t ctx (req : Http.request) =
   let n = Dataset.n_rows ds and d = Dataset.n_cols ds in
   if n < 2 || d < 2 then
     bad "dataset must have at least 2 rows and 2 columns, got %d x %d" n d;
-  let seed = opt_member j "seed" Json.to_int 42 in
-  let standardize = opt_member j "standardize" Json.to_bool true in
-  let jitter = opt_member j "jitter" Json.to_float 1e-3 in
-  let method_ = method_of_name (opt_member j "method" Json.to_str "pca") in
-  let session = Session.create ~seed ~standardize ~jitter ~method_ ds in
+  let field slot conv default =
+    match !slot with Some v -> conv v | None -> default
+  in
+  let seed = field seed Json.to_int 42 in
+  let standardize = field standardize Json.to_bool true in
+  let jitter = field jitter Json.to_float 1e-3 in
+  let method_ = method_of_name (field method_ Json.to_str "pca") in
+  { dataset = ds; seed; standardize; jitter; method_ }
+
+let handle_create t ctx (req : Http.request) =
+  let { dataset; seed; standardize; jitter; method_ } = decode_create req.body in
+  let session = Session.create ~seed ~standardize ~jitter ~method_ dataset in
   match Registry.add t.registry session with
   | Error `Full ->
     Obs.count "serve.rejected_sessions_full";

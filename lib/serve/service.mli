@@ -146,6 +146,26 @@ val stop : t -> unit
 (** Graceful drain: stop accepting, finish every queued request, join
     all threads, close every journal.  Idempotent. *)
 
+type create = {
+  dataset : Sider_data.Dataset.t;
+  seed : int;
+  standardize : bool;
+  jitter : float;
+  method_ : Sider_projection.View.method_;
+}
+(** The arguments of [POST /sessions]. *)
+
+val decode_create : string -> create
+(** Decode a [POST /sessions] body without building its tree: the
+    dataset's rows are read straight into one float array
+    ({!Sider_core.Persist.read_dataset}).  A body the route accepts gives
+    the dataset {!Sider_core.Persist.dataset_of_json} gives for its
+    [dataset] member, bit for bit.  A refused body raises what the
+    route maps to its 400: [Json.Parse_error] for a syntax error
+    anywhere in the body, which takes precedence over every other check,
+    then the dataset's [Sider_error.Error], then the route's own
+    refusals in field order. *)
+
 val projection_json : Sider_core.Session.t -> Sider_data.Json.t
 (** The body of [GET /sessions/:id/projection]: the current view's
     method, axis labels and scores, and every point with its paired

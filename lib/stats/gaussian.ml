@@ -67,23 +67,10 @@ let quantile p =
         +. 1.0)
   end
 
-let log_cosh_moment =
-  (* Trapezoid integration of log cosh(x) * phi(x) on [-12, 12]; the
-     integrand decays like exp(-x²/2) so truncation error is negligible. *)
-  let n = 200_000 in
-  let lo = -12.0 and hi = 12.0 in
-  let h = (hi -. lo) /. float_of_int n in
-  let f x =
-    (* log cosh x computed stably for large |x|. *)
-    let ax = Float.abs x in
-    let lc = ax +. log1p (exp (-2.0 *. ax)) -. log 2.0 in
-    lc *. pdf x
-  in
-  let acc = ref (0.5 *. (f lo +. f hi)) in
-  for i = 1 to n - 1 do
-    acc := !acc +. f (lo +. (h *. float_of_int i))
-  done;
-  !acc *. h
+(* E[log cosh X], X ~ N(0, 1): the value, to the last bit, of a
+   200,000-point trapezoid over [-12, 12].  The quadrature itself lives
+   in test/test_stats.ml, which pins this literal to it. *)
+let log_cosh_moment = 0x1.7f8e8bc951928p-2
 
 let chi2_quantile_2d p =
   if p <= 0.0 || p >= 1.0 then

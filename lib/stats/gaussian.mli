@@ -17,8 +17,9 @@ val erf : float -> float
 val log_cosh_moment : float
 (** [E[log cosh X]] for [X ~ N(0,1)], the Gaussian reference value of the
     FastICA log-cosh contrast; paper Table I scores are measured relative
-    to it.  Precomputed by 200k-point Gauss-Hermite-free trapezoid
-    integration to 1e-12. *)
+    to it.  A literal: the bits a 200,000-point trapezoid over
+    [[-12, 12]] gives, which a test recomputes and compares bit for bit,
+    so no process spends its start-up integrating it. *)
 
 val chi2_quantile_2d : float -> float
 (** Quantile of the chi-square distribution with 2 degrees of freedom

@@ -35,6 +35,30 @@ let random_spd rng d =
   (* Add a ridge so the matrix is comfortably positive definite. *)
   Mat.add g (Mat.scale 0.1 (Mat.identity d))
 
+(* [f ()] and the words it allocated.  The window opens with a minor
+   collection: on OCaml 5.1 one inside the window inflates
+   [Gc.allocated_bytes]. *)
+let allocated_words f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  let after = Gc.allocated_bytes () in
+  (r, int_of_float ((after -. before) /. float_of_int (Sys.word_size / 8)))
+
+(* The first dataset of the projection_reads benchmark workload. *)
+let reads_dataset () = Sider_data.Synth.clustered ~seed:7919 ~n:1024 ~d:16 ~k:8 ()
+
+(* Runs [f] with [sink] as the telemetry sink ([None]: none), then puts
+   back the sink [SIDER_TRACE] names, as the suite started with it, so
+   the tests after this one run traced when the environment asks. *)
+let with_sink sink f =
+  Sider_obs.Obs.set_sink sink;
+  Fun.protect
+    ~finally:(fun () ->
+      Sider_obs.Obs.set_sink None;
+      Sider_obs.Obs.install_from_env ())
+    f
+
 let qcheck ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)

@@ -1,3 +1,15 @@
+(* Runs last: a test that swapped the sink must have put back the one
+   SIDER_TRACE names, or every suite after it ran untraced in the
+   traced test leg. *)
+let[@sider.allow "determinism"] env_sink () = Sys.getenv_opt "SIDER_TRACE"
+
+let test_env_sink_installed () =
+  match env_sink () with
+  | Some ("stderr" | "null") ->
+    Test_helpers.check_true "SIDER_TRACE's sink still installed"
+      (Sider_obs.Obs.sink_installed ())
+  | Some _ | None -> ()
+
 let () =
   (* Let `make verify` replay the whole suite with a live sink
      (SIDER_TRACE=stderr / null) — determinism tests must still pass. *)
@@ -24,4 +36,7 @@ let () =
       ("service", Test_service.suite);
       ("par", Test_par.suite);
       ("golden", Test_golden.suite);
+      ( "sink",
+        [ Test_helpers.case "SIDER_TRACE's sink outlives every suite"
+            test_env_sink_installed ] );
     ]

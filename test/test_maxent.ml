@@ -595,20 +595,13 @@ let test_first_round_allocation () =
          (Sider_data.Synth.clustered ~seed:7919 ~n:1024 ~d:16 ~k:8 ()))
   in
   let n, d = Mat.dims data in
-  let words f =
-    Gc.minor ();
-    let before = Gc.allocated_bytes () in
-    let r = f () in
-    let after = Gc.allocated_bytes () in
-    (r, int_of_float ((after -. before) /. float_of_int (Sys.word_size / 8)))
-  in
   let round () =
     let empty = Solver.create data [] in
-    let cs, w_margin = words (fun () -> Constr.margin data) in
-    let s, w_add = words (fun () -> Solver.add_constraints empty cs) in
-    let _, w_solve = words (fun () -> Solver.solve s) in
+    let cs, w_margin = allocated_words (fun () -> Constr.margin data) in
+    let s, w_add = allocated_words (fun () -> Solver.add_constraints empty cs) in
+    let _, w_solve = allocated_words (fun () -> Solver.solve s) in
     let _, w_sample =
-      words (fun () -> Solver.sample s (Sider_rand.Rng.create 1))
+      allocated_words (fun () -> Solver.sample s (Sider_rand.Rng.create 1))
     in
     [ w_margin; w_add; w_solve; w_sample ]
   in
@@ -627,16 +620,8 @@ let test_first_round_allocation () =
 module Obs = Sider_obs.Obs
 module Par = Sider_par.Par
 
-(* Run [f] with a recording sink, then put back the sink [SIDER_TRACE]
-   asks for (the suite also runs with a live stderr sink). *)
-let with_recording f =
-  let r = Obs.recording_sink () in
-  Obs.set_sink (Some r.Obs.rec_sink);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_sink None;
-      Obs.install_from_env ())
-    f
+(* Run [f] with a recording sink. *)
+let with_recording f = with_sink (Some (Obs.recording_sink ()).Obs.rec_sink) f
 
 let woodbury_counters () =
   List.map Obs.counter_value
@@ -731,11 +716,10 @@ let test_recorder_sweep_allocation () =
   let recorder = Obs.flight_recorder_enabled () in
   let capacity = (Obs.flight_stats ()).Obs.fr_capacity in
   Par.set_domains 1;
-  Obs.set_sink None;
+  with_sink None @@ fun () ->
   Fun.protect
     ~finally:(fun () ->
       Obs.set_flight_recorder ~capacity recorder;
-      Obs.install_from_env ();
       Par.set_domains domains)
   @@ fun () ->
   let ds = Sider_data.Synth.clustered ~seed:7919 ~n:512 ~d:12 ~k:6 () in

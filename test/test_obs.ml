@@ -8,16 +8,13 @@ open Sider_obs
 open Sider_data
 open Sider_maxent
 
-(* Every test leaves the global layer disabled and empty. *)
+(* Every test leaves the global layer empty, with the sink [SIDER_TRACE]
+   names. *)
 let with_recording f =
   let r = Obs.recording_sink () in
   Obs.reset ();
-  Obs.set_sink (Some r.Obs.rec_sink);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_sink None;
-      Obs.reset ())
-    (fun () -> f r)
+  Fun.protect ~finally:Obs.reset (fun () ->
+      with_sink (Some r.Obs.rec_sink) (fun () -> f r))
 
 (* --- span stack ----------------------------------------------------------- *)
 
@@ -169,7 +166,7 @@ let test_counters_gauges () =
       Alcotest.(check int) "two instruments" 2 (List.length metrics))
 
 let test_disabled_is_inert () =
-  Obs.set_sink None;
+  with_sink None @@ fun () ->
   Obs.reset ();
   let ran = ref false in
   let out = Obs.with_span "ignored" (fun () -> ran := true; 42) in
@@ -189,12 +186,8 @@ let test_json_roundtrip () =
   let lines = ref [] in
   let sink = Obs.json_sink (fun l -> lines := l :: !lines) in
   Obs.reset ();
-  Obs.set_sink (Some sink);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_sink None;
-      Obs.reset ())
-    (fun () ->
+  Fun.protect ~finally:Obs.reset @@ fun () ->
+  with_sink (Some sink) (fun () ->
       Obs.with_span "outer \"quoted\"\n"
         ~attrs:[ ("k", Obs.Str "v\twith\\escapes"); ("n", Obs.Int (-3));
                  ("f", Obs.Float 1.5e-7); ("b", Obs.Bool true) ]
@@ -434,7 +427,7 @@ let test_quantile_props =
 (* --- flight recorder ------------------------------------------------------ *)
 
 let with_flight ?(capacity = 64) f =
-  Obs.set_sink None;
+  with_sink None @@ fun () ->
   Obs.reset ();
   Obs.set_flight_recorder ~capacity true;
   Fun.protect
@@ -610,7 +603,7 @@ let check_identical_reports msg (a : Solver.report) (b : Solver.report) =
     b.Solver.max_dparam
 
 let test_solver_determinism () =
-  Obs.set_sink None;
+  with_sink None @@ fun () ->
   let s1, r1 = solve_once () in
   let s2, r2 = solve_once () in
   check_identical_reports "disabled twice" r1 r2;
@@ -629,7 +622,7 @@ let test_solver_determinism () =
 (* The guarantee must also hold across domain counts with a live sink:
    par telemetry is timing-side only. *)
 let test_solver_determinism_multicore () =
-  Obs.set_sink None;
+  with_sink None @@ fun () ->
   let s1, r1 = solve_once () in
   let s2, r2 =
     with_recording (fun _ ->

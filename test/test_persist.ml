@@ -495,6 +495,20 @@ let prop_checksummed_text_matches_reference_tree =
                  s
           && Json.to_string (Persist.session_to_json s) = saved))
 
+(* Starting a journal at the projection_reads benchmark's shape prints
+   the header straight from the matrix into one buffer sized for it:
+   at most 4·n·d words.  Printing it from a tree takes about 28·n·d. *)
+let test_journal_start_allocation () =
+  let ds = reads_dataset () in
+  let n = Dataset.n_rows ds and d = Dataset.n_cols ds in
+  let s = Session.create ~seed:1 ds in
+  with_temp_journal @@ fun path ->
+  let j, words = allocated_words (fun () -> Persist.journal_start path s) in
+  Persist.journal_close j;
+  if words > 4 * n * d then
+    Alcotest.failf "journal_start allocated %d words, over 4nd = %d" words
+      (4 * n * d)
+
 let test_journal_roundtrip () =
   let s = explored_session () in
   with_temp_journal @@ fun path ->
@@ -955,4 +969,6 @@ let suite =
       test_failed_update_keeps_journal_history_aligned;
     prop_journal_compaction_random_history;
     prop_journal_compaction_crash_random_history;
+    case "journal start allocates at most 4nd words"
+      test_journal_start_allocation;
   ]

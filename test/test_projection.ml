@@ -379,12 +379,8 @@ let test_ica_kernel_simd_close () =
 let with_obs_recording f =
   let r = Sider_obs.Obs.recording_sink () in
   Sider_obs.Obs.reset ();
-  Sider_obs.Obs.set_sink (Some r.Sider_obs.Obs.rec_sink);
-  Fun.protect
-    ~finally:(fun () ->
-      Sider_obs.Obs.set_sink None;
-      Sider_obs.Obs.reset ())
-    (fun () -> f r)
+  Fun.protect ~finally:Sider_obs.Obs.reset (fun () ->
+      with_sink (Some r.Sider_obs.Obs.rec_sink) (fun () -> f r))
 
 let test_ica_view_one_fit () =
   (* An ICA view runs exactly one FastICA fit, on one prepare, whether

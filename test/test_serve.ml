@@ -179,12 +179,8 @@ let run_update session =
 
 let test_live_scrape () =
   Obs.reset ();
-  Obs.set_sink (Some Obs.null_sink);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_sink None;
-      Obs.reset ())
-  @@ fun () ->
+  Fun.protect ~finally:Obs.reset @@ fun () ->
+  with_sink (Some Obs.null_sink) @@ fun () ->
   (* Real telemetry: a margin feedback round on synthetic data. *)
   let ds = Sider_data.Synth.clustered ~seed:11 ~n:120 ~d:5 ~k:2 () in
   let session = Sider_core.Session.create ~seed:11 ds in

@@ -198,6 +198,397 @@ let test_deep_nesting_refused () =
   status_is "still alive" 200 (req svc "GET" "/healthz");
   ignore (create_session svc)
 
+(* Decoding a create body at the projection_reads benchmark's shape
+   reads the rows straight into one float array: at most 5·n·d words.
+   Parsing the body to a tree and decoding that takes 12.9·n·d. *)
+let test_create_decode_allocation () =
+  let ds = reads_dataset () in
+  let n = Dataset.n_rows ds and d = Dataset.n_cols ds in
+  (* Built as bench/e2e/plan.ml builds a create body. *)
+  let body =
+    Printf.sprintf {|{"dataset":%s,"method":"pca","seed":1}|}
+      (Json.to_string (Persist.dataset_to_json ds))
+  in
+  let c, words = allocated_words (fun () -> Service.decode_create body) in
+  check_true "decoded the shape"
+    (Dataset.n_rows c.Service.dataset = n && Dataset.n_cols c.Service.dataset = d);
+  if words > 5 * n * d then
+    Alcotest.failf "decoding a create body allocated %d words, over 5nd = %d"
+      words (5 * n * d)
+
+(* --- create bodies: cursor decode against the tree ------------------------------ *)
+
+(* The create route as it was before bodies were read with a cursor:
+   the body parsed to a tree, the dataset decoded from it by the
+   accessors, then each check in turn, then [Session.create].  Returns
+   the status, error label and detail the route answered. *)
+let reference_dataset_of_json j =
+  let refuse msg = Sider_robust.Sider_error.(raise_ (degenerate_data msg)) in
+  try
+    let name = Json.to_str (Json.member "name" j) in
+    let columns =
+      Json.to_list (Json.member "columns" j) |> List.map Json.to_str
+      |> Array.of_list
+    in
+    let labels =
+      match Json.member "labels" j with
+      | Json.Null -> None
+      | l -> Some (Json.to_list l |> List.map Json.to_str |> Array.of_list)
+    in
+    let rows = Json.to_list (Json.member "data" j) in
+    let d = Array.length columns in
+    let m = Sider_linalg.Mat.create (List.length rows) d in
+    List.iteri
+      (fun i row ->
+        let cells = Json.to_floats row in
+        if Array.length cells <> d then
+          refuse
+            (Printf.sprintf "dataset: row %d has %d cells, expected %d" i
+               (Array.length cells) d);
+        Sider_linalg.Mat.set_row m i cells)
+      rows;
+    Dataset.create ~name ?labels ~columns m
+  with
+  | Failure msg | Invalid_argument msg -> refuse ("dataset: " ^ msg)
+  | Not_found -> refuse "dataset: required field missing"
+
+exception Refused of int * string * string
+
+let reference_create body =
+  let bad msg = raise (Refused (400, "bad-request", msg)) in
+  try
+    let j = if String.trim body = "" then Json.Obj [] else Json.of_string body in
+    let ds =
+      match Json.member_opt "dataset" j with
+      | Some d -> reference_dataset_of_json d
+      | None -> bad "missing required field \"dataset\""
+    in
+    let n = Dataset.n_rows ds and d = Dataset.n_cols ds in
+    if n < 2 || d < 2 then
+      bad
+        (Printf.sprintf
+           "dataset must have at least 2 rows and 2 columns, got %d x %d" n d);
+    let opt key conv default =
+      match Json.member_opt key j with Some v -> conv v | None -> default
+    in
+    let seed = opt "seed" Json.to_int 42 in
+    let standardize = opt "standardize" Json.to_bool true in
+    let jitter = opt "jitter" Json.to_float 1e-3 in
+    let method_ =
+      match opt "method" Json.to_str "pca" with
+      | "pca" -> Sider_projection.View.Pca
+      | "ica" -> Sider_projection.View.Ica
+      | other ->
+        bad
+          (Printf.sprintf
+             "unknown projection method %S (expected \"pca\" or \"ica\")"
+             other)
+    in
+    ignore (Session.create ~seed ~standardize ~jitter ~method_ ds);
+    Ok (ds, seed, standardize, jitter, method_)
+  with
+  | Refused (status, label, detail) -> Error (status, label, detail)
+  | Json.Parse_error m -> Error (400, "malformed-json", m)
+  | Sider_robust.Sider_error.Error e ->
+    let status =
+      match e with
+      | Sider_robust.Sider_error.Degenerate_data _ -> 400
+      | Sider_robust.Sider_error.Io_failure _ -> 503
+      | _ -> 422
+    in
+    Error
+      ( status,
+        Sider_robust.Sider_error.label e,
+        (Sider_robust.Sider_error.context_of e).Sider_robust.Sider_error.detail )
+  | Not_found -> Error (400, "bad-request", "missing required field")
+  | Invalid_argument m | Failure m -> Error (400, "bad-request", m)
+
+(* Random create bodies, as trees: small datasets with awkward strings
+   and numbers, then a few mutations from the list the cursor decoder
+   must refuse (or accept) as the tree path did. *)
+module Body_gen = struct
+  let pick st a = a.(Random.State.int st (Array.length a))
+
+  let awkward_string st =
+    String.concat ""
+      (List.init (Random.State.int st 5) (fun _ ->
+           pick st [| "a"; "Z"; " "; "\""; "\\"; "\n"; "\t"; "\001"; "/"; "\xc3\xa9" |]))
+
+  let number st =
+    match Random.State.int st 4 with
+    | 0 -> Random.State.float st 20.0 -. 10.0
+    | 1 -> float_of_int (Random.State.int st 2001 - 1000)
+    | 2 ->
+      pick st
+        [| -0.0; 0.0; 1e15; 999999999999999.0; 5e-324; 1e-310; 1e20; 0.1;
+           -1e-7; 123456.789 |]
+    | _ -> Random.State.float st 1.0
+
+  let junk st =
+    pick st
+      [| Json.Null; Json.Bool true; Json.String "1"; Json.List [ Json.Number 1.0 ];
+         Json.Obj []; Json.Number 1e19 |]
+
+  (* Mostly at least 2×2; one in eight sizes is smaller. *)
+  let size st k =
+    if Random.State.int st 8 = 0 then Random.State.int st 2
+    else 2 + Random.State.int st k
+
+  let dataset st =
+    let n = size st 5 in
+    let d = size st 3 in
+    let strings k =
+      Json.List
+        (List.init k (fun i -> Json.String (string_of_int i ^ awkward_string st)))
+    in
+    let labels =
+      if Random.State.bool st then Json.Null
+      else
+        Json.List
+          (List.init n (fun i ->
+               Json.String (if i mod 2 = 0 then "a" else awkward_string st)))
+    in
+    let row _ = Json.List (List.init d (fun _ -> Json.Number (number st))) in
+    Json.Obj
+      [ ("name", Json.String (awkward_string st)); ("columns", strings d);
+        ("labels", labels); ("rows", Json.Number (float_of_int n));
+        ("cols", Json.Number (float_of_int d));
+        ("data", Json.List (List.init n row)) ]
+
+  let body st =
+    let fields =
+      [ ("dataset", dataset st);
+        ("method", Json.String (pick st [| "pca"; "ica" |])) ]
+    in
+    let maybe odds field fields =
+      if Random.State.int st odds = 0 then fields @ [ field () ] else fields
+    in
+    fields
+    |> maybe 2 (fun () ->
+           ("seed", Json.Number (float_of_int (Random.State.int st 100))))
+    |> maybe 4 (fun () -> ("standardize", Json.Bool (Random.State.bool st)))
+    |> maybe 4 (fun () ->
+           ("jitter", Json.Number (pick st [| 0.0; 1e-3; 0.01 |])))
+    |> fun fields -> Json.Obj fields
+
+  let shuffle st l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    Array.to_list a
+
+  let map_nth st l f =
+    if l = [] then l
+    else
+      let k = Random.State.int st (List.length l) in
+      List.mapi (fun i x -> if i = k then f x else x) l
+
+  let remove_nth st l =
+    if l = [] then l
+    else
+      let k = Random.State.int st (List.length l) in
+      List.filteri (fun i _ -> i <> k) l
+
+  let insert st l x =
+    let k = Random.State.int st (List.length l + 1) in
+    List.filteri (fun i _ -> i < k) l @ (x :: List.filteri (fun i _ -> i >= k) l)
+
+  let on_top f = function Json.Obj top -> Json.Obj (f top) | j -> j
+
+  (* Applies [f] to the fields of the dataset object, when there is one. *)
+  let on_dataset f =
+    on_top
+      (List.map (function
+        | "dataset", Json.Obj ds -> ("dataset", Json.Obj (f ds))
+        | kv -> kv))
+
+  let on_rows f =
+    on_dataset
+      (List.map (function
+        | "data", Json.List rows -> ("data", Json.List (f rows))
+        | kv -> kv))
+
+  let on_a_row st f = on_rows (fun rows -> map_nth st rows f)
+
+  let on_cells f = function Json.List cells -> Json.List (f cells) | r -> r
+
+  (* A random field of [fields] with [value] of its value, if any. *)
+  let repeat st fields value =
+    match fields with
+    | [] -> []
+    | _ ->
+      let k, v = List.nth fields (Random.State.int st (List.length fields)) in
+      [ (k, value v) ]
+
+  let mutate st j =
+    match Random.State.int st 16 with
+    | 0 -> on_top (shuffle st) j
+    | 1 -> on_dataset (shuffle st) j
+    | 2 -> (* a repeated key, appended: the first counts *)
+      on_top (fun top -> top @ repeat st top (fun _ -> junk st)) j
+    | 3 ->
+      on_dataset
+        (fun ds ->
+          match repeat st ds (fun v -> if Random.State.bool st then v else junk st) with
+          | [] -> ds
+          | kv :: _ -> insert st ds kv)
+        j
+    | 4 -> on_top (fun top -> insert st top ("extra", junk st)) j
+    | 5 -> on_dataset (fun ds -> insert st ds ("extra", junk st)) j
+    | 6 -> (* a ragged row *)
+      on_a_row st
+        (on_cells (fun cells ->
+             if Random.State.bool st then Json.Number 1.0 :: cells
+             else remove_nth st cells))
+        j
+    | 7 -> (* a cell that is not a number *)
+      on_a_row st (on_cells (fun cells -> map_nth st cells (fun _ -> junk st))) j
+    | 8 -> on_a_row st (fun _ -> junk st) j
+    | 9 -> on_dataset (remove_nth st) j
+    | 10 -> on_top (remove_nth st) j
+    | 11 -> (* integers beyond 2^53, and other out-of-type scalars *)
+      let scalar =
+        pick st
+          [| Json.Number 1e19; Json.Number 9007199254740994.0;
+             Json.Number 1.5; Json.Number 1e999; Json.String "tsne"; Json.Null |]
+      in
+      let key = pick st [| "seed"; "standardize"; "jitter"; "method" |] in
+      on_top
+        (fun top -> List.filter (fun (k, _) -> k = "dataset") top @ [ (key, scalar) ])
+        j
+    | 12 -> (* one label short *)
+      on_dataset
+        (List.map (function
+          | "labels", Json.List (_ :: l) -> ("labels", Json.List l)
+          | kv -> kv))
+        j
+    | 13 ->
+      on_dataset
+        (List.map (fun (k, v) ->
+             if k = "data" || k = "columns" then (k, junk st) else (k, v)))
+        j
+    | 14 ->
+      on_top (List.map (fun (k, v) -> if k = "dataset" then (k, junk st) else (k, v))) j
+    | _ -> (* a non-finite cell *)
+      on_a_row st
+        (on_cells (fun cells ->
+             map_nth st cells (fun _ -> Json.Number (pick st [| 1e999; -1e999 |]))))
+        j
+
+  (* [Json.to_string]'s bytes, or the same tree with random whitespace
+     between its tokens. *)
+  let print st j =
+    if Random.State.bool st then Json.to_string j
+    else begin
+      let b = Buffer.create 256 in
+      let ws () =
+        if Random.State.int st 3 = 0 then
+          Buffer.add_string b (pick st [| " "; "\n"; "\t"; "\r\n  " |])
+      in
+      let rec go j =
+        ws ();
+        (match j with
+         | Json.List items ->
+           Buffer.add_char b '[';
+           List.iteri (fun i x -> if i > 0 then (ws (); Buffer.add_char b ','); go x) items;
+           ws ();
+           Buffer.add_char b ']'
+         | Json.Obj fields ->
+           Buffer.add_char b '{';
+           List.iteri
+             (fun i (k, v) ->
+               if i > 0 then (ws (); Buffer.add_char b ',');
+               ws ();
+               Buffer.add_string b (Json.to_string (Json.String k));
+               ws ();
+               Buffer.add_char b ':';
+               go v)
+             fields;
+           ws ();
+           Buffer.add_char b '}'
+         | scalar -> Buffer.add_string b (Json.to_string scalar));
+        ws ()
+      in
+      go j;
+      Buffer.contents b
+    end
+
+  (* A syntax error at the very end, after any semantic fault the
+     mutations planted. *)
+  let break_syntax st s =
+    let n = String.length s in
+    match Random.State.int st 4 with
+    | 0 -> String.sub s 0 (n - 1)
+    | 1 -> s ^ " x"
+    | 2 -> (match String.rindex_opt s '}' with Some i -> String.sub s 0 i ^ ",}" | None -> s ^ "{")
+    | _ -> (match String.rindex_opt s '}' with Some i -> String.sub s 0 i ^ "]" | None -> s ^ "]")
+
+  let generate st =
+    let j = ref (body st) in
+    for _ = 1 to Random.State.int st 4 do
+      j := mutate st !j
+    done;
+    let s = print st !j in
+    if Random.State.int st 5 = 0 then break_syntax st s else s
+end
+
+let same_dataset (a : Dataset.t) (b : Dataset.t) =
+  let cells ds = (Dataset.matrix ds).Sider_linalg.Mat.a in
+  Dataset.name a = Dataset.name b
+  && Dataset.columns a = Dataset.columns b
+  && Dataset.labels a = Dataset.labels b
+  && Sider_linalg.Mat.dims (Dataset.matrix a) = Sider_linalg.Mat.dims (Dataset.matrix b)
+  && Array.for_all2 same_bits (cells a) (cells b)
+
+(* Every body gets the status, error label and detail the tree path
+   gave, over HTTP; an accepted one decodes to the bits of
+   [Persist.dataset_of_json] on its tree, and to the same arguments. *)
+let test_create_decode_matches_tree () =
+  with_service @@ fun svc ->
+  let st = Random.State.make [| 2305 |] in
+  let tally = Hashtbl.create 8 in
+  for i = 1 to 400 do
+    let body = Body_gen.generate st in
+    let fail what = Alcotest.failf "body %d %S: %s" i body what in
+    let r = req svc ~body "POST" "/sessions" in
+    match reference_create body with
+    | Error (status, label, detail) ->
+      Hashtbl.replace tally label ();
+      let j = json_of r in
+      let got =
+        (r.Http.status, Json.to_str (Json.member "error" j),
+         Json.to_str (Json.member "detail" j))
+      in
+      if got <> (status, label, detail) then
+        let s, l, d = got in
+        fail
+          (Printf.sprintf "answered %d %s %S, the tree path %d %s %S" s l d
+             status label detail)
+    | Ok (ds, seed, standardize, jitter, method_) ->
+      Hashtbl.replace tally "accepted" ();
+      if r.Http.status <> 201 then
+        fail (Printf.sprintf "answered %d %s" r.Http.status r.Http.r_body);
+      let id = Json.to_str (Json.member "id" (json_of r)) in
+      status_is "delete" 204 (req svc "DELETE" ("/sessions/" ^ id));
+      let c = Service.decode_create body in
+      if not (same_dataset
+                (Persist.dataset_of_json (Json.member "dataset" (Json.of_string body)))
+                c.Service.dataset
+              && same_dataset ds c.Service.dataset)
+      then fail "decoded dataset differs";
+      if not (c.Service.seed = seed && c.Service.standardize = standardize
+              && same_bits c.Service.jitter jitter && c.Service.method_ = method_)
+      then fail "decoded arguments differ"
+  done;
+  (* The population reaches both outcomes and every refusal label. *)
+  List.iter
+    (fun k -> check_true ("some " ^ k) (Hashtbl.mem tally k))
+    [ "accepted"; "malformed-json"; "degenerate-data"; "bad-request" ]
+
 (* --- overload handling ----------------------------------------------------------- *)
 
 let test_queue_full_sheds_429 () =
@@ -1146,7 +1537,7 @@ let test_trace_links_all_surfaces () =
   let dump_oc = open_out dump_path in
   let rec_ = Obs.recording_sink () in
   Obs.reset ();
-  Obs.set_sink (Some rec_.Obs.rec_sink);
+  with_sink (Some rec_.Obs.rec_sink) @@ fun () ->
   Obs.set_flight_recorder ~capacity:256 true;
   Obs.set_flight_auto_dump (Some dump_oc);
   Fun.protect
@@ -1154,7 +1545,6 @@ let test_trace_links_all_surfaces () =
       Obs.set_flight_auto_dump None;
       Obs.set_flight_recorder false;
       Obs.flight_reset ();
-      Obs.set_sink None;
       Obs.reset ();
       close_out_noerr log_oc;
       close_out_noerr dump_oc;
@@ -1406,4 +1796,8 @@ let suite =
       test_slo_route_and_degraded_healthz;
     case "poisoned access log does not wedge requests"
       test_access_log_poisoned_channel;
+    case "create decode allocates at most 5nd words"
+      test_create_decode_allocation;
+    case "create decode refuses and accepts as the tree did"
+      test_create_decode_matches_tree;
   ]

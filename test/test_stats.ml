@@ -72,6 +72,30 @@ let test_log_cosh_moment () =
   approx ~eps:3e-3 "E log cosh" (!acc /. float_of_int n)
     Gaussian.log_cosh_moment
 
+(* The quadrature the literal was taken from: a 200,000-point trapezoid
+   of log cosh(x)·φ(x) over [-12, 12], where the integrand has decayed
+   below 1e-30.  Every ICA score, golden and paper artifact depends on
+   the constant's bits, so they must match exactly. *)
+let reference_log_cosh_moment () =
+  let n = 200_000 in
+  let lo = -12.0 and hi = 12.0 in
+  let h = (hi -. lo) /. float_of_int n in
+  let f x =
+    (* log cosh x computed stably for large |x|. *)
+    let ax = Float.abs x in
+    let lc = ax +. log1p (exp (-2.0 *. ax)) -. log 2.0 in
+    lc *. Gaussian.pdf x
+  in
+  let acc = ref (0.5 *. (f lo +. f hi)) in
+  for i = 1 to n - 1 do
+    acc := !acc +. f (lo +. (h *. float_of_int i))
+  done;
+  !acc *. h
+
+let test_log_cosh_moment_literal () =
+  check_bits "log cosh moment" [| reference_log_cosh_moment () |]
+    [| Gaussian.log_cosh_moment |]
+
 let test_chi2 () =
   approx ~eps:1e-9 "95% two dof" (-2.0 *. log 0.05) (Gaussian.chi2_quantile_2d 0.95);
   approx ~eps:1e-3 "5.991 textbook" 5.991 (Gaussian.chi2_quantile_2d 0.95)
@@ -220,4 +244,5 @@ let suite =
     case "kmeans invalid k" test_kmeans_invalid_k;
     case "silhouette" test_silhouette;
     case "choose_k finds 3" test_choose_k;
+    case "log cosh moment literal is the trapezoid's bits" test_log_cosh_moment_literal;
   ]
