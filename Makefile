@@ -5,7 +5,9 @@
 # lib/par/ — and a pass with a live stderr tracing sink, which must not
 # move any numeric either), the view-driven paper experiments Table I,
 # Fig. 2 and Fig. 9 (about 1 s; bench/main.exe exits 1 when Table I's
-# score-decay check fails), `sider convergence three_d` (its table must
+# score-decay check fails; then every tracked file they rewrite under
+# _artifacts/bench/ must come out byte for byte as committed, a check
+# skipped outside a git checkout), `sider convergence three_d` (its table must
 # hold exactly one row per sweep its two update lines report, numbered
 # from 1 in each update), the end-to-end benchmark's smoke run (every
 # workload at quarter size through a real `sider api`, with all its
@@ -17,7 +19,7 @@
 
 .PHONY: all build check test lint lint-fixtures lint-sarif verify clean \
         bench bench-smoke bench-diff bench-scaling service-smoke \
-        bench-service convergence-smoke
+        bench-service convergence-smoke artifacts-unchanged
 
 all: build
 
@@ -57,9 +59,21 @@ verify:
 	  && SIDER_DOMAINS=2 dune runtest --force \
 	  && SIDER_TRACE=stderr dune runtest --force \
 	  && dune exec bench/main.exe -- -e table1 fig2 fig9 \
+	  && $(MAKE) artifacts-unchanged \
 	  && $(MAKE) convergence-smoke \
 	  && dune build @bench/e2e/smoke && $(MAKE) bench-smoke \
 	  && $(MAKE) service-smoke
+
+# Fails when a tracked paper artifact under _artifacts/bench/ differs
+# from the index, as it does after `-e table1 fig2 fig9` when a change
+# moved a view.  Outside a git checkout (a source tarball) there is
+# nothing to compare against, so it says so and passes.
+artifacts-unchanged:
+	@if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then \
+	  git diff --exit-code --stat -- _artifacts/bench \
+	    || { echo "artifacts-unchanged: _artifacts/bench/ moved" >&2; \
+	         exit 1; }; \
+	else echo "artifacts-unchanged: not a git checkout, skipped"; fi
 
 # `sider convergence three_d` prints one table row per completed sweep of
 # its two solves (margin, then 1-cluster).  Fails unless the table's

@@ -15,10 +15,11 @@ type decomposition = { values : Vec.t; vectors : Mat.t }
    z.(c*n + r).  Every inner loop of both routines walks a column of V,
    so here they all walk contiguous memory, and eigenvector k ends as
    row k of [z].  This runs inside FastICA's symmetric decorrelation on
-   every fixed-point iteration, hence the raw array access. *)
+   every fixed-point iteration, hence the raw array access, typed
+   [float array] so that no read or write boxes its float. *)
 
-let[@inline] vget z n r c = Array.unsafe_get z ((c * n) + r)
-let[@inline] vset z n r c x = Array.unsafe_set z ((c * n) + r) x
+let[@inline] vget (z : float array) n r c = Array.unsafe_get z ((c * n) + r)
+let[@inline] vset (z : float array) n r c x = Array.unsafe_set z ((c * n) + r) x
 
 let tred2 ~n (z : float array) (d : float array) (e : float array) =
   for j = 0 to n - 1 do

@@ -119,7 +119,7 @@ let dot_range (a : float array) aoff (b : float array) boff len =
 (* [dst.(doff+k) <- dst.(doff+k) +. s *. src.(soff+k)] for [k < len],
    unrolled by four.  Each destination slot is read and written exactly
    once per call, so the accumulation order across calls is unchanged. *)
-let axpy_range (dst : float array) doff s (src : float array) soff len =
+let[@inline] axpy_range (dst : float array) doff s (src : float array) soff len =
   let k = ref 0 in
   while !k + 3 < len do
     let k0 = !k in
@@ -472,16 +472,31 @@ let trace m =
 
 let frobenius m = sqrt (Array.fold_left (fun s x -> s +. (x *. x)) 0.0 m.a)
 
+(* Loops over the flat arrays: through [init]'s closure, or [get],
+   every entry would be a boxed float. *)
 let symmetrize m =
   if m.rows <> m.cols then invalid_arg "Mat.symmetrize: not square";
-  init m.rows m.cols (fun i j -> 0.5 *. (get m i j +. get m j i))
+  let n = m.rows and ma = m.a in
+  let dst = create n n in
+  let za = dst.a in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Array.unsafe_set za ((i * n) + j)
+        (0.5 *. (Array.unsafe_get ma ((i * n) + j)
+                 +. Array.unsafe_get ma ((j * n) + i)))
+    done
+  done;
+  dst
 
 let is_symmetric ?(eps = 1e-9) m =
   m.rows = m.cols
-  && (let ok = ref true in
-      for i = 0 to m.rows - 1 do
-        for j = i + 1 to m.cols - 1 do
-          if Float.abs (get m i j -. get m j i) > eps then ok := false
+  && (let n = m.rows and ma = m.a in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if Float.abs (Array.unsafe_get ma ((i * n) + j)
+                        -. Array.unsafe_get ma ((j * n) + i)) > eps
+          then ok := false
         done
       done;
       !ok)

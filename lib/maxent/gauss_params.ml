@@ -19,6 +19,13 @@ let copy t =
     mean = Vec.copy t.mean;
     scratch_g = Vec.create d; scratch_sigma = Mat.create d d }
 
+(* [Mat.copy_into] checks the shapes, so it goes first. *)
+let copy_into ~dst t =
+  Mat.copy_into ~dst:dst.sigma t.sigma;
+  let d = Array.length t.mean in
+  Array.blit t.theta1 0 dst.theta1 0 d;
+  Array.blit t.mean 0 dst.mean 0 d
+
 let apply_linear t ~lambda ~w =
   let g = t.scratch_g in
   Mat.mv_into ~dst:g t.sigma w;

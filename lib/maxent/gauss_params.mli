@@ -25,6 +25,11 @@ val initial : int -> t
 
 val copy : t -> t
 
+val copy_into : dst:t -> t -> unit
+(** [copy_into ~dst t] overwrites [dst]'s [θ₁], [Σ] and [m] with
+    [t]'s, in [dst]'s own buffers.  Raises [Invalid_argument] when the
+    dimensions differ. *)
+
 val apply_linear : t -> lambda:float -> w:Vec.t -> unit
 (** Add [λ w] to [θ₁]; [Σ] is unchanged and [m] shifts by [λ Σ w]. *)
 

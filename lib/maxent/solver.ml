@@ -371,6 +371,9 @@ let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
   let recoveries_left = ref recovery_budget in
   let damp = ref 1.0 in
   let stop = ref false in
+  (* The rollback snapshot: allocated once per solve, refilled in place
+     at the start of every sweep. *)
+  let snapshot = Array.map Gauss_params.copy t.classes in
   let degrade e =
     Obs.count "solver.degradation";
     Obs.flight_event ~name:"solver.degradation" ~detail:(Sider_error.to_string e);
@@ -409,7 +412,9 @@ let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
             "non-finite class parameters at sweep start; class reset to \
              the prior")
      | None -> ());
-    let snapshot = Array.map Gauss_params.copy t.classes in
+    Array.iteri
+      (fun cls p -> Gauss_params.copy_into ~dst:snapshot.(cls) p)
+      t.classes;
     let max_dl = ref 0.0 and max_dp = ref 0.0 in
     let tally = { fast = 0; recompute = 0; frozen = 0 } in
     Array.iteri

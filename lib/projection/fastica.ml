@@ -84,29 +84,38 @@ let fit_prepared_impl ?w0 ?(max_iter = 200) ?(tol = 1e-4) rng prep =
         | _ -> sym_decorrelate (Sampler.normal_mat rng m_comp m_comp))
     in
     let gz = prep.gz and eg' = prep.eg in
+    let gza = gz.Mat.a in
     let iterations = ref 0 and converged = ref false in
     while (not !converged) && !iterations < max_iter do
       incr iterations;
       (* One sweep: s = z wᵀ, g = tanh s, gz = gᵀz and the E[g'] sums
          (see Ica_kernel).  The update is
-         W_new = (gᵀ z)/n − diag(E[g']) W. *)
+         W_new = (gᵀ z)/n − diag(E[g']) W, over the flat arrays so no
+         entry is boxed. *)
+      let wa = (!w).Mat.a in
       Ica_kernel.sweep kernel ~w:!w ~gz ~eg:eg';
-      let w_new =
-        Mat.init m_comp m_comp (fun k j ->
-            (Mat.get gz k j /. fn) -. (eg'.(k) /. fn *. Mat.get !w k j))
-      in
-      let w_new = sym_decorrelate w_new in
+      let raw = Mat.create m_comp m_comp in
+      let rawa = raw.Mat.a in
+      for k = 0 to m_comp - 1 do
+        let off = k * m_comp in
+        for j = 0 to m_comp - 1 do
+          Array.unsafe_set rawa (off + j)
+            ((Array.unsafe_get gza (off + j) /. fn)
+             -. (eg'.(k) /. fn *. Array.unsafe_get wa (off + j)))
+        done
+      done;
+      let w_new = sym_decorrelate raw in
       (* Convergence: every direction's inner product with its previous
          value is ±1. *)
       let delta = ref 0.0 in
-      let na = w_new.Mat.a and oa = (!w).Mat.a in
+      let na = w_new.Mat.a in
       for k = 0 to m_comp - 1 do
         let off = k * m_comp in
         let dot = ref 0.0 in
         for j = 0 to m_comp - 1 do
           dot := !dot
                  +. (Array.unsafe_get na (off + j)
-                     *. Array.unsafe_get oa (off + j))
+                     *. Array.unsafe_get wa (off + j))
         done;
         delta := Float.max !delta (Float.abs (Float.abs !dot -. 1.0))
       done;

@@ -31,6 +31,9 @@ type path =
       mpad : int;
       zpad : float array;   (* n × mpad, zero-padded columns *)
       wt : float array;     (* m × mpad: wt.(f*mpad + k) = w.(k,f) *)
+      parts : (float array * float array) array;
+      (* One (gᵀz, E[g']) partial per chunk, m × mpad and mpad: the
+         stubs overwrite them on every sweep. *)
     }
 
 type t = { z : Mat.t; n : int; m : int; path : path }
@@ -44,13 +47,18 @@ let create z =
   if (not !pinned) && simd_available () && m >= 1
      && m <= max_simd_components && n >= 1
   then begin
-    let mpad = if m <= 8 then 8 else 4 * ((m + 3) / 4) in
+    let mpad = 4 * ((m + 3) / 4) in
     let za = z.Mat.a in
     let zpad = Array.make (n * mpad) 0.0 in
     for i = 0 to n - 1 do
       Array.blit za (i * m) zpad (i * mpad) m
     done;
-    { z; n; m; path = Simd { mpad; zpad; wt = Array.make (m * mpad) 0.0 } }
+    let parts =
+      Array.init ((n + simd_chunk - 1) / simd_chunk) (fun _ ->
+          (Array.make (m * mpad) 0.0, Array.make mpad 0.0))
+    in
+    { z; n; m;
+      path = Simd { mpad; zpad; wt = Array.make (m * mpad) 0.0; parts } }
   end
   else { z; n; m; path = Portable { g = Mat.create n m } }
 
@@ -71,7 +79,7 @@ let sweep_portable t ~w ~gz ~(eg : Vec.t) g =
     done
   done
 
-let sweep_simd t ~w ~gz ~(eg : Vec.t) ~mpad ~zpad ~wt =
+let sweep_simd t ~w ~gz ~(eg : Vec.t) ~mpad ~zpad ~wt ~parts =
   let m = t.m in
   let wa = w.Mat.a in
   for f = 0 to m - 1 do
@@ -83,13 +91,14 @@ let sweep_simd t ~w ~gz ~(eg : Vec.t) ~mpad ~zpad ~wt =
   let res =
     Par.parallel_reduce_chunks ~chunk:simd_chunk ~label:"ica.sweep" ~n:t.n
       ~part:(fun lo hi ->
-        let gzp = Array.make (m * mpad) 0.0 in
-        let egp = Array.make mpad 0.0 in
+        let part = parts.(lo / simd_chunk) in
+        let gzp, egp = part in
         sweep_stub zpad wt gzp egp lo hi m mpad;
-        (gzp, egp))
-      ~combine:(fun (g1, e1) (g2, e2) ->
-        (* Partials flow through the ordered tree once each, so reusing
-           the left buffer is safe and saves an allocation per merge. *)
+        part)
+      ~combine:(fun ((g1, e1) as left) (g2, e2) ->
+        (* Partials flow through the ordered tree once each, so summing
+           into the left one is safe: the stubs overwrite it on the next
+           sweep. *)
         for i = 0 to (m * mpad) - 1 do
           Array.unsafe_set g1 i
             (Array.unsafe_get g1 i +. Array.unsafe_get g2 i)
@@ -98,7 +107,7 @@ let sweep_simd t ~w ~gz ~(eg : Vec.t) ~mpad ~zpad ~wt =
           Array.unsafe_set e1 i
             (Array.unsafe_get e1 i +. Array.unsafe_get e2 i)
         done;
-        (g1, e1))
+        left)
       ()
   in
   match res with
@@ -121,4 +130,5 @@ let sweep t ~w ~gz ~eg =
     invalid_arg "Ica_kernel.sweep: output dims" [@sider.allow "error-discipline"];
   match t.path with
   | Portable { g } -> sweep_portable t ~w ~gz ~eg g
-  | Simd { mpad; zpad; wt } -> sweep_simd t ~w ~gz ~eg ~mpad ~zpad ~wt
+  | Simd { mpad; zpad; wt; parts } ->
+    sweep_simd t ~w ~gz ~eg ~mpad ~zpad ~wt ~parts

@@ -12,13 +12,21 @@
     Two implementations sit behind {!sweep}:
 
     {ul
-    {- [simd] — AVX2+FMA C stubs that never materialise [s] or [g], with
-       a polynomial [tanh] (~1e-15 relative error).  Chosen by {!create}
-       when the CPU supports AVX2 and FMA and there are at most 64
-       components.  Deterministic — including across [SIDER_DOMAINS] —
-       because per-chunk partial sums are combined over a chunk grid
-       that depends only on [n] ({!Sider_par} discipline), but {e not}
-       bit-identical to the portable path.}
+    {- [simd] — AVX2+FMA C stubs that never materialise [s] or [g]
+       beyond a 32-row block, with a polynomial [tanh] (~1e-15 relative
+       error).  One register-tiled kernel serves every width: scores
+       four rows at a time, [tanh] down each column of the block, then
+       [gᵀz] in 4×8 register tiles over the block's rows.  Each output
+       entry gets the same fused operations in the same row order
+       whatever the tiling, and a test replays that arithmetic in OCaml
+       ([Float.fma] for each fused instruction) and compares bits at
+       every width from 1 to 64.  Chosen by {!create} when the CPU
+       supports AVX2 and FMA and there are at most 64 components.
+       Deterministic — including across [SIDER_DOMAINS] — because the
+       per-chunk partial sums (256 rows each, buffers allocated by
+       {!create}) are combined over a chunk grid that depends only on
+       [n] ({!Sider_par} discipline), but {e not} bit-identical to the
+       portable path.}
     {- [portable] — [Mat.matmul_nt_into], [Mat.tanh_into] and
        [Mat.matmul_tn_into] into one n×m buffer allocated by {!create},
        then the [eg] sums in increasing row order.  Bit-identical for any
@@ -32,8 +40,9 @@ open Sider_linalg
 
 type t
 (** Sweep state bound to one data matrix: the SIMD path keeps a padded
-    copy of [z], the portable path an n×m buffer, so building [t] once
-    per {!Fastica.prepare} and sweeping many times is the intended use. *)
+    copy of [z] and its per-chunk partials, the portable path an n×m
+    buffer, so building [t] once per {!Fastica.prepare} and sweeping
+    many times is the intended use. *)
 
 val simd_available : unit -> bool
 (** CPU supports AVX2 and FMA (probed once; false on non-x86-64). *)
@@ -50,4 +59,5 @@ val with_portable : (unit -> 'a) -> 'a
 
 val sweep : t -> w:Mat.t -> gz:Mat.t -> eg:Vec.t -> unit
 (** [sweep t ~w ~gz ~eg] overwrites [gz] (m×m) and [eg] (length m) with
-    the quantities above.  [w] must be m×m. *)
+    the quantities above.  [w] must be m×m.  On one domain it allocates
+    only the fan-out's few words, not its outputs. *)

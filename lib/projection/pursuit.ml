@@ -6,8 +6,7 @@ type index = Mat.t -> Vec.t -> float
 let abs_log_cosh m w = Float.abs (Scores.direction_log_cosh m w)
 
 let abs_kurtosis m w =
-  let p = Array.init (fst (Mat.dims m)) (fun i -> Vec.dot (Mat.row m i) w) in
-  Float.abs (Sider_stats.Descriptive.kurtosis p)
+  Float.abs (Sider_stats.Descriptive.kurtosis (Mat.mv m w))
 
 type result = {
   direction : Vec.t;

@@ -17,8 +17,6 @@ let log_cosh_score v =
   Array.iter (fun x -> acc := !acc +. log_cosh_stable x) s;
   (!acc /. float_of_int (Array.length s)) -. gaussian_log_cosh
 
-let project m w =
-  let n, _ = Mat.dims m in
-  Array.init n (fun i -> Vec.dot (Mat.row m i) w)
-
-let direction_log_cosh m w = log_cosh_score (project m w)
+(* [Mat.mv] sums each row's products in [Vec.dot]'s order without
+   copying the row. *)
+let direction_log_cosh m w = log_cosh_score (Mat.mv m w)

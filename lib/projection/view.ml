@@ -80,11 +80,12 @@ let of_whitened ?rng ?ica_max_iter ?ica_w0 ~method_ y =
 let of_solver ?rng ?ica_w0 ~method_ solver =
   of_whitened ?rng ?ica_w0 ~method_ (Whiten.whiten solver)
 
+(* [Mat.row_dot] adds the terms in [Vec.dot]'s order without copying
+   the row. *)
 let project t m =
   let n, _ = Mat.dims m in
   Array.init n (fun i ->
-      let r = Mat.row m i in
-      (Vec.dot r t.axis1.direction, Vec.dot r t.axis2.direction))
+      (Mat.row_dot m i t.axis1.direction, Mat.row_dot m i t.axis2.direction))
 
 let axis_label ?top ~columns ~prefix axis =
   let d = Array.length axis.direction in

@@ -863,6 +863,49 @@ let test_relative_entropy_closed_form () =
   (* Mean along w becomes 2 for both rows: KL = 2 rows x 2^2/2 = 4. *)
   approx ~eps:1e-6 "KL closed form" 4.0 (Solver.relative_entropy s)
 
+(* Words allocated straight into the major heap (blocks over 256 words,
+   such as a d×d matrix at d ≥ 16).  Exact whatever minor collections
+   run in between, unlike [Gc.allocated_bytes] on OCaml 5.1. *)
+let major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* At [solve_d24]'s shape (its first dataset, n=512, d=24) the first
+   cluster round's sweeps allocate no d×d matrix: the rollback snapshot
+   is taken once per solve and refilled in place.  Each window is one
+   sweep, from one record to the next; the first, which holds the
+   snapshot itself, is not counted. *)
+let test_sweep_major_allocation () =
+  let ds = Sider_data.Synth.clustered ~seed:7919 ~n:512 ~d:24 ~k:6 () in
+  let data = Sider_data.Dataset.matrix ds in
+  let _, d = Mat.dims data in
+  with_sink None @@ fun () ->
+  let s = Solver.create data (Constr.margin data) in
+  ignore (Solver.solve ~max_sweeps:500 s);
+  let s =
+    Solver.add_constraints s
+      (Constr.cluster ~data
+         ~rows:(Sider_data.Dataset.class_indices ds "c0") ())
+  in
+  let windows = ref [] and opened = ref (major_words ()) in
+  let report =
+    Solver.solve ~max_sweeps:500
+      ~trace:(fun _ ->
+        let now = major_words () in
+        windows := (now -. !opened) :: !windows;
+        opened := now)
+      s
+  in
+  Alcotest.(check int) "one window per sweep" report.Solver.sweeps
+    (List.length !windows);
+  check_true "several sweeps" (report.Solver.sweeps > 2);
+  List.iteri
+    (fun i w ->
+      if w >= float_of_int (d * d) then
+        Alcotest.failf "sweep %d allocated %.0f words outside the minor heap \
+                        (a %dx%d matrix is %d)" (i + 2) w d d (d * d))
+    (List.tl (List.rev !windows))
+
 let suite =
   [
     case "linear target" test_linear_target;
@@ -909,4 +952,6 @@ let suite =
     prop_linear_constraint_exact_after_one_update;
     prop_quadratic_constraint_exact_after_one_update;
     prop_sigma_stays_symmetric_psd;
+    case "sweeps at d=24 allocate no d x d matrix"
+      test_sweep_major_allocation;
   ]

@@ -180,26 +180,32 @@ let test_pipeline_bits_stable () =
 
 (* The SIMD ICA sweep combines per-chunk partials over a grid that is a
    pure function of n — so its output may differ from a serial sweep by
-   rounding, but never across pool sizes.  n chosen to span several
-   chunks plus a ragged tail. *)
+   rounding, but never across pool sizes.  n spans several chunks plus a
+   ragged tail, at widths that reach every tile shape of the kernel:
+   full and partial four-row and two-vector tiles, and the widest. *)
 let test_ica_sweep_bits_stable () =
-  let r = Sider_rand.Rng.create 41 in
-  let z = Mat.init 1100 7 (fun _ _ -> Sider_rand.Sampler.normal r) in
-  let w = Sider_rand.Sampler.normal_mat r 7 7 in
-  let sweep_at d =
-    with_domains d (fun () ->
-        let k = Sider_projection.Ica_kernel.create z in
-        let gz = Mat.create 7 7 and eg = Array.make 7 0.0 in
-        Sider_projection.Ica_kernel.sweep k ~w ~gz ~eg;
-        (gz, eg))
-  in
-  let gz1, eg1 = sweep_at 1 in
   List.iter
-    (fun d ->
-      let gz, eg = sweep_at d in
-      check_bits_mat (Printf.sprintf "ica sweep gz domains=%d" d) gz1 gz;
-      check_bits_vec (Printf.sprintf "ica sweep eg domains=%d" d) eg1 eg)
-    [ 2; 4 ]
+    (fun m ->
+      let r = Sider_rand.Rng.create (41 + m) in
+      let n = 1100 + m in
+      let z = Mat.init n m (fun _ _ -> Sider_rand.Sampler.normal r) in
+      let w = Sider_rand.Sampler.normal_mat r m m in
+      let sweep_at d =
+        with_domains d (fun () ->
+            let k = Sider_projection.Ica_kernel.create z in
+            let gz = Mat.create m m and eg = Array.make m 0.0 in
+            Sider_projection.Ica_kernel.sweep k ~w ~gz ~eg;
+            (gz, eg))
+      in
+      let gz1, eg1 = sweep_at 1 in
+      List.iter
+        (fun d ->
+          let gz, eg = sweep_at d in
+          let tag = Printf.sprintf "m=%d domains=%d" m d in
+          check_bits_mat ("ica sweep gz " ^ tag) gz1 gz;
+          check_bits_vec ("ica sweep eg " ^ tag) eg1 eg)
+        [ 2; 4 ])
+    [ 1; 7; 8; 9; 12; 16; 24; 33; 64 ]
 
 (* Above 64 components [create] takes the portable path on every CPU:
    the path views of Table II's d=128 column run.  It must reproduce the
@@ -225,6 +231,119 @@ let test_ica_wide_sweep_is_unfused () =
       check_bits_vec (Printf.sprintf "wide sweep eg domains=%d" d) eg_u eg)
     [ 1; 2; 4 ]
 
+(* --- a model of the AVX2 sweep ------------------------------------------- *)
+
+(* The arithmetic of [ica_simd_stubs.c], one lane at a time: each
+   [Float.fma] is one of the kernel's fused instructions, in the order
+   the kernel runs them.  [simd_model_tanh] is [tanh4]: the doubled
+   |x| clamped at 40 the way [_mm256_min_pd] clamps (the second operand
+   unless the first is smaller, so NaN becomes 40), the magic-number
+   round to k, the two-part ln 2 reduction, the degree-12 Horner
+   polynomial for e^r − 1, 2^k by exponent insertion, and the sign
+   put back by a bitwise or. *)
+let simd_model_magic = 6755399441055744.0 (* 2^52 + 2^51 *)
+
+let simd_model_coeffs =
+  [| 1.0 /. 479001600.0; 1.0 /. 39916800.0; 1.0 /. 3628800.0;
+     1.0 /. 362880.0; 1.0 /. 40320.0; 1.0 /. 5040.0; 1.0 /. 720.0;
+     1.0 /. 120.0; 1.0 /. 24.0; 1.0 /. 6.0; 0.5; 1.0 |]
+
+let simd_model_tanh x =
+  let sign = Int64.logand (Int64.bits_of_float x) Int64.min_int in
+  let a = Float.abs x *. 2.0 in
+  let y = if a < 40.0 then a else 40.0 in
+  let t = Float.fma y 1.4426950408889634074 simd_model_magic in
+  let kd = t -. simd_model_magic in
+  let r = Float.fma (-.kd) 6.93147180369123816490e-01 y in
+  let r = Float.fma (-.kd) 1.90821492927058770002e-10 r in
+  let p = ref simd_model_coeffs.(0) in
+  for i = 1 to 11 do
+    p := Float.fma !p r simd_model_coeffs.(i)
+  done;
+  let p = !p *. r in
+  let k =
+    Int64.sub (Int64.bits_of_float t) (Int64.bits_of_float simd_model_magic)
+  in
+  let twok = Int64.float_of_bits (Int64.shift_left (Int64.add k 1023L) 52) in
+  let em = Float.fma twok p (twok -. 1.0) in
+  let th = em /. (em +. 2.0) in
+  Int64.float_of_bits (Int64.logor (Int64.bits_of_float th) sign)
+
+(* One 256-row chunk, as the kernel sweeps it: per row the scores as an
+   FMA chain over the features in increasing order from zero, then
+   E[g'] += (1 − g²) with the 1 − g² fused, then every gᵀz entry
+   += g·z fused.  Rows go in increasing order. *)
+let simd_model_chunk z w lo hi =
+  let _, m = Mat.dims z in
+  let gz = Array.make (m * m) 0.0 and eg = Array.make m 0.0 in
+  let g = Array.make m 0.0 in
+  for i = lo to hi - 1 do
+    for k = 0 to m - 1 do
+      let s = ref 0.0 in
+      for f = 0 to m - 1 do
+        s := Float.fma (Mat.get z i f) (Mat.get w k f) !s
+      done;
+      g.(k) <- simd_model_tanh !s;
+      eg.(k) <- eg.(k) +. Float.fma (-.g.(k)) g.(k) 1.0
+    done;
+    for k = 0 to m - 1 do
+      for f = 0 to m - 1 do
+        gz.((k * m) + f) <- Float.fma g.(k) (Mat.get z i f) gz.((k * m) + f)
+      done
+    done
+  done;
+  (gz, eg)
+
+(* The chunk partials combine through [Par]'s ordered tree, each entry
+   by one plain addition, as [Ica_kernel] combines the kernel's. *)
+let simd_model_sweep z w =
+  let n, m = Mat.dims z in
+  let add a b = Array.iteri (fun i x -> a.(i) <- a.(i) +. x) b in
+  match
+    Par.parallel_reduce_chunks ~chunk:256 ~n
+      ~part:(fun lo hi -> simd_model_chunk z w lo hi)
+      ~combine:(fun (g1, e1) (g2, e2) -> add g1 g2; add e1 e2; (g1, e1))
+      ()
+  with
+  | Some (gz, eg) -> (Mat.of_array m m gz, eg)
+  | None -> (Mat.create m m, Array.make m 0.0)
+
+(* Every width the stubs take, at a ragged n over three chunks, with a
+   few inputs that reach tanh4's special cases: exact zeros, a score
+   past the clamp, and a NaN row (the clamp sends it to ±1).  One kernel
+   per width sweeps six times, at 1/2/4 domains and then again with a
+   second w, so partials it reuses from sweep to sweep must not carry
+   anything over. *)
+let test_ica_sweep_matches_model () =
+  if Sider_projection.Ica_kernel.simd_available () then
+    for m = 1 to 64 do
+      let n = 517 + (3 * m) in
+      let r = Sider_rand.Rng.create (1000 + m) in
+      let z = Mat.init n m (fun _ _ -> 1.5 *. Sider_rand.Sampler.normal r) in
+      let w1 = Sider_rand.Sampler.normal_mat r m m in
+      let w2 = Sider_rand.Sampler.normal_mat r m m in
+      Mat.set z 0 0 0.0;
+      Mat.set z (n - 1) (m - 1) 0.0;
+      Mat.set z 3 0 40.0;
+      Mat.set z 300 (m - 1) Float.nan;
+      let kernel = Sider_projection.Ica_kernel.create z in
+      List.iteri
+        (fun wi w ->
+          let gz_m, eg_m = simd_model_sweep z w in
+          List.iter
+            (fun d ->
+              let gz, eg =
+                with_domains d (fun () -> Test_projection.kernel_sweep kernel z w)
+              in
+              let tag =
+                Printf.sprintf "m=%d n=%d w%d domains=%d" m n (wi + 1) d
+              in
+              check_bits_mat ("model gz " ^ tag) gz_m gz;
+              check_bits_vec ("model eg " ^ tag) eg_m eg)
+            [ 1; 2; 4 ])
+        [ w1; w2 ]
+    done
+
 let suite =
   [
     case "parallel_for covers every index once at 1/2/4 domains"
@@ -244,4 +363,6 @@ let suite =
       test_ica_sweep_bits_stable;
     case "ica sweep above 64 components is the unfused pipeline"
       test_ica_wide_sweep_is_unfused;
+    case "ica sweep matches the model of its AVX2 arithmetic"
+      test_ica_sweep_matches_model;
   ]

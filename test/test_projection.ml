@@ -321,7 +321,9 @@ let kernel_sweep kernel z w =
 
 let portable_kernel z = Ica_kernel.with_portable (fun () -> Ica_kernel.create z)
 
-let kernel_shapes = [ (137, 5, 3); (256, 8, 4); (61, 3, 5); (700, 11, 6) ]
+let kernel_shapes =
+  [ (137, 5, 3); (256, 8, 4); (61, 3, 5); (700, 11, 6); (517, 12, 7);
+    (300, 16, 8); (777, 24, 9); (600, 33, 10); (530, 64, 11) ]
 
 let test_ica_kernel_reference_bit_identical () =
   List.iter
@@ -473,6 +475,72 @@ let test_view_of_solver_picks_structure () =
   check_true "axis1 loads on X3"
     (Float.abs v.View.axis1.View.direction.(2) > 0.95)
 
+(* The row projections read each row in place; a row copy and [Vec.dot]
+   (the formulation they replaced) must give the same bits, including
+   for planted zeros, infinities and NaN. *)
+let prop_projection_bits_as_row_copies =
+  let gen =
+    QCheck.(triple (int_range 1 40) (int_range 1 20) (int_range 0 1_000_000))
+  in
+  qcheck ~count:100 "projections read rows in place, same bits" gen
+    (fun (n, d, seed) ->
+      let r = Sider_rand.Rng.create seed in
+      let m = random_mat r n d 2.0 in
+      Mat.set m (Sider_rand.Rng.int r n) (Sider_rand.Rng.int r d) 0.0;
+      if seed mod 5 = 0 then
+        Mat.set m (Sider_rand.Rng.int r n) (Sider_rand.Rng.int r d) infinity;
+      if seed mod 7 = 0 then
+        Mat.set m (Sider_rand.Rng.int r n) (Sider_rand.Rng.int r d) Float.nan;
+      let w1 = Sider_rand.Sampler.normal_vec r d in
+      let w2 = Sider_rand.Sampler.normal_vec r d in
+      let v =
+        { View.method_ = View.Ica; axis1 = { View.direction = w1; score = 0.0 };
+          axis2 = { View.direction = w2; score = 0.0 }; degraded = None;
+          unmixing = None }
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let copied w = Array.init n (fun i -> Vec.dot (Mat.row m i) w) in
+      let x1 = copied w1 and x2 = copied w2 in
+      let pts = View.project v m in
+      Array.for_all Fun.id
+        (Array.init n (fun i -> same (fst pts.(i)) x1.(i) && same (snd pts.(i)) x2.(i)))
+      && same (Scores.direction_log_cosh m w1) (Scores.log_cosh_score x1))
+
+(* One FastICA iteration at [ica_explore]'s shape (n=512, m=12) allocates
+   at most 1,280 words: its six fresh 12×12 matrices (149 words each),
+   the eigendecomposition's short vectors and the kernels' [Par] fan-outs,
+   but no boxed float per matrix entry.  Counted as the difference between
+   fits of 200 and 100 iterations at [tol] 0 (neither stops early),
+   through [Gc.minor_words], which counts every minor allocation whatever
+   collections run in between, plus the words allocated straight into
+   the major heap. *)
+let test_ica_iteration_allocation () =
+  let module Par = Sider_par.Par in
+  let domains = Par.domain_count () in
+  Par.set_domains 1;
+  Fun.protect ~finally:(fun () -> Par.set_domains domains) @@ fun () ->
+  let x =
+    Sider_data.Dataset.matrix
+      (Sider_data.Synth.clustered ~seed:7919 ~n:512 ~d:12 ~k:6 ())
+  in
+  let prep = Fastica.prepare x in
+  let words iterations =
+    Gc.minor ();
+    let _, promoted0, major0 = Gc.counters () and minor0 = Gc.minor_words () in
+    let fitted =
+      Fastica.fit_prepared ~max_iter:iterations ~tol:0.0
+        (Sider_rand.Rng.create 5) prep
+    in
+    let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
+    Alcotest.(check int) "iterations" iterations fitted.Fastica.iterations;
+    Alcotest.(check int) "components" 12 (Array.length fitted.Fastica.scores);
+    (minor1 -. minor0) +. ((major1 -. promoted1) -. (major0 -. promoted0))
+  in
+  let per_iteration = (words 200 -. words 100) /. 100.0 in
+  if per_iteration > 1280.0 then
+    Alcotest.failf "one FastICA iteration allocated %.1f words, at most 1280"
+      per_iteration
+
 let suite =
   [
     case "pca gain" test_pca_gain;
@@ -501,4 +569,7 @@ let suite =
     case "ica kernel: simd agrees with reference" test_ica_kernel_simd_close;
     case "ica view runs one fastica fit" test_ica_view_one_fit;
     case "ica warm w0 roundtrip" test_ica_warm_w0_roundtrip;
+    prop_projection_bits_as_row_copies;
+    case "one fastica iteration allocates at most 1280 words"
+      test_ica_iteration_allocation;
   ]
