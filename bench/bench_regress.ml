@@ -325,16 +325,6 @@ let codec_check name ok =
     exit 1
   end
 
-(* Equal trees, numbers compared bit for bit. *)
-let rec same_tree a b =
-  match (a, b) with
-  | Json.Number x, Json.Number y ->
-    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Json.List xs, Json.List ys -> List.equal same_tree xs ys
-  | Json.Obj xs, Json.Obj ys ->
-    List.equal (fun (k, x) (l, y) -> String.equal k l && same_tree x y) xs ys
-  | _ -> a = b
-
 (* Decode a session-create body (about 329 KB at full size) as the
    service does, the rows read straight into one float array; the
    decoded dataset must re-print to the body's exact dataset bytes. *)
@@ -350,18 +340,37 @@ let json_parse_create ~smoke =
        dataset);
   no_solve wall
 
-(* Serialise the projection of a margin-solved session (about 126 KB at
-   full size), the body of GET /sessions/:id/projection; the text must
-   parse back to the same floats, bit for bit. *)
+(* Print the projection of a margin-solved session (about 126 KB at full
+   size), the body of GET /sessions/:id/projection, with the service's
+   printer into a warm writer, as a service worker prints it; the text
+   must parse back to [Session.scatter]'s points, floats bit for bit. *)
 let json_serialise_projection ~smoke =
   let session = Session.create ~seed:1 (reads_dataset ~smoke) in
   Session.add_margin_constraint session;
   ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 session);
   ignore (Session.recompute_view session);
-  let tree = Sider_serve.Service.projection_json session in
-  let text, wall = Bench_common.time_of (fun () -> Json.to_string tree) in
+  let scratch = Sider_serve.Service.scratch () and w = Json.writer 4096 in
+  let print () =
+    Json.clear w;
+    Sider_serve.Service.write_projection scratch w session
+  in
+  print ();
+  let (), wall = Bench_common.time_of print in
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let same_point p (q : Session.point) =
+    let num k = Json.to_float (Json.member k p) in
+    let bx, by = q.background in
+    Json.to_int (Json.member "i" p) = q.index
+    && same (num "x") q.x && same (num "y") q.y
+    && same (num "bx") bx && same (num "by") by
+    && Option.equal String.equal
+         (Option.map Json.to_str (Json.member_opt "label" p)) q.label
+  in
+  let points = Json.to_list (Json.member "points" (Json.of_string (Json.contents w))) in
+  let scatter = Array.to_list (Session.scatter session) in
   codec_check "json_serialise_projection: parsed projection differs"
-    (same_tree (Json.of_string text) tree);
+    (List.compare_lengths points scatter = 0
+     && List.for_all2 same_point points scatter);
   no_solve wall
 
 (* Start a session's journal: the checksummed header carrying the whole

@@ -281,6 +281,8 @@ let scatter t =
 
 let background_points t = View.project t.view t.sample
 
+let background_sample t = t.sample
+
 let axis_labels ?top t =
   let columns = Dataset.columns t.std in
   let name = View.method_name t.view.View.method_ in

@@ -153,10 +153,19 @@ val current_view : t -> View.t
 
 val scatter : t -> point array
 (** The current scatter plot: data coordinates, paired background-sample
-    coordinates, labels. *)
+    coordinates, labels.  Point [i]'s coordinates are the dot products
+    of row [i] of {!data} and of {!background_sample} with the view's
+    two axis directions, summed as {!Mat.row_dot} sums them.  The
+    service prints its projection responses from those matrices in the
+    same order ({!Mat.mv_into}), without building this array. *)
 
 val background_points : t -> (float * float) array
 (** Projections of the cached background sample. *)
+
+val background_sample : t -> Mat.t
+(** The cached background sample: one row per data row, the sample
+    paired with that row.  Drawn by {!create} and redrawn by
+    {!recompute_view}; not to be modified. *)
 
 val axis_labels : ?top:int -> t -> string * string
 (** Paper-style axis labels of the current view. *)

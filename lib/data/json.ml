@@ -60,22 +60,27 @@ let p10_hi q = Array.unsafe_get pow10_hi (q - pow10_min)
 
 let p10_lo q = Array.unsafe_get pow10_lo (q - pow10_min)
 
-(* The biased binary exponent of a finite float. *)
-let biased_exponent x =
+(* The biased binary exponent of a finite float.  Inlined, so that the
+   float is not boxed for the call. *)
+let[@inline] biased_exponent x =
   Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52) land 0x7ff
 
 (* --- output buffer ------------------------------------------------------------ *)
 
 (* A growable byte buffer the number printer writes into directly: it
    reserves the exact length of a number, then fills it from both ends.
-   [to_string] prints a tree into one; [Persist] prints documents into
-   one without building the tree. *)
+   [to_string] prints a tree into one; [Persist] prints documents, and
+   the service its responses, into one without building the tree. *)
 type writer = { mutable bytes : Bytes.t; mutable len : int; num : float array }
 
 let writer capacity =
   { bytes = Bytes.create (max 16 capacity); len = 0; num = [| 0.0 |] }
 
 let length o = o.len
+
+let capacity o = Bytes.length o.bytes
+
+let clear o = o.len <- 0
 
 let bytes o = o.bytes
 
@@ -124,25 +129,31 @@ let add_escape o c =
     add_char o hex_digits.[Char.code c land 15]
 
 (* Runs of characters that need no escaping are copied whole, so a
-   clean string costs one blit. *)
+   clean string costs one blit.  A loop, not [String.iteri], whose
+   closure and captured ref would allocate on every call. *)
 let escape_into o s =
   add_char o '"';
   let start = ref 0 in
-  String.iteri
-    (fun i c ->
-      if needs_escape c then begin
-        add_substring o s !start (i - !start);
-        add_escape o c;
-        start := i + 1
-      end)
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      add_substring o s !start (i - !start);
+      add_escape o c;
+      start := i + 1
+    end
+  done;
   add_substring o s !start (String.length s - !start);
   add_char o '"'
 
-(* The number of decimal digits of [v], 0 ≤ v < 10^18. *)
+(* The number of decimal digits of [v], 0 ≤ v < 10^18.  A loop: a local
+   function closing over [v] would allocate on every number. *)
 let decimal_length v =
-  let rec go n p = if v < p || n = 18 then n else go (n + 1) (p * 10) in
-  go 1 10
+  let n = ref 1 and p = ref 10 in
+  while v >= !p && !n < 18 do
+    incr n;
+    p := !p * 10
+  done;
+  !n
 
 let digit_pairs =
   String.init 200 (fun i -> Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
@@ -292,6 +303,18 @@ let add_number_at o src k =
 let write_number o x =
   Array.unsafe_set o.num 0 x;
   add_number_at o o.num 0
+
+let write_number_at o a k =
+  if k < 0 || k >= Array.length a then
+    invalid_arg "Json.write_number_at: index out of bounds";
+  add_number_at o a k
+
+(* [%.17g] prints an integer of magnitude below 10^15 as its decimal
+   digits, which [add_int] writes without boxing a float. *)
+let write_int o i =
+  if i > -1_000_000_000_000_000 && i < 1_000_000_000_000_000 then
+    add_int o (i < 0) (abs i)
+  else write_number o (float_of_int i)
 
 let write_floats o a pos n =
   if pos < 0 || n < 0 || pos > Array.length a - n then

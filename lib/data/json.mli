@@ -99,6 +99,14 @@ val write : writer -> t -> unit
 val write_number : writer -> float -> unit
 (** The bytes {!to_string} gives [Number x]. *)
 
+val write_number_at : writer -> float array -> int -> unit
+(** [write_number_at w a k] writes the bytes {!write_number} gives
+    [a.(k)], reading the float in place, so nothing is boxed. *)
+
+val write_int : writer -> int -> unit
+(** The bytes {!to_string} gives [Number (float_of_int i)], without
+    boxing a float. *)
+
 val write_floats : writer -> float array -> int -> int -> unit
 (** [write_floats w a pos n] writes the bytes {!to_string} gives
     [floats (Array.sub a pos n)], e.g. one row of a row-major matrix,
@@ -113,6 +121,12 @@ val write_raw : writer -> string -> unit
 val write_char : writer -> char -> unit
 
 val length : writer -> int
+
+val clear : writer -> unit
+(** Empty the writer, keeping its buffer for the next text. *)
+
+val capacity : writer -> int
+(** The size of the live buffer, in bytes. *)
 
 val bytes : writer -> Bytes.t
 (** The live buffer: its first {!length} bytes are the text written so

@@ -90,8 +90,9 @@ let get_row_into m i dst =
    four.  One accumulator, strictly increasing index — the addition order
    is exactly that of the plain loop, so results are bit-identical; the
    unrolling only amortizes the loop-bound checks (~20% on the d²-sized
-   kernels that dominate whitening and the solver). *)
-let dot_range (a : float array) aoff (b : float array) boff len =
+   kernels that dominate whitening and the solver).  Inlined, so that
+   the row loops of [mv_into] and [quad_form] box no float per row. *)
+let[@inline] dot_range (a : float array) aoff (b : float array) boff len =
   let acc = ref 0.0 in
   let j = ref 0 in
   while !j + 3 < len do

@@ -106,7 +106,14 @@ let normalize a =
   let n = norm2 a in
   if Float.equal n 0.0 then copy a else scale (1.0 /. n) a
 
-let sum a = Array.fold_left ( +. ) 0.0 a
+(* Loops, not [Array.fold_left] or [Array.iter] over a captured ref,
+   which box a float per element; the order of the additions is theirs. *)
+let sum a =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. Array.unsafe_get a i
+  done;
+  !acc
 
 let mean a =
   if Array.length a = 0 then invalid_arg "Vec.mean: empty vector";
@@ -116,7 +123,10 @@ let variance ?mean:m a =
   if Array.length a = 0 then invalid_arg "Vec.variance: empty vector";
   let mu = match m with Some m -> m | None -> mean a in
   let acc = ref 0.0 in
-  Array.iter (fun x -> let d = x -. mu in acc := !acc +. (d *. d)) a;
+  for i = 0 to Array.length a - 1 do
+    let d = Array.unsafe_get a i -. mu in
+    acc := !acc +. (d *. d)
+  done;
   !acc /. float_of_int (Array.length a)
 
 let min a = Array.fold_left Float.min a.(0) a

@@ -127,11 +127,16 @@ let fit_prepared_impl ?w0 ?(max_iter = 200) ?(tol = 1e-4) rng prep =
        normalized to unit length (norms computed once per column). *)
     let dirs = Mat.matmul_nt prep.dproj !w in      (* d × m_comp *)
     let norms = Array.init m_comp (fun j -> Vec.norm2 (Mat.col dirs j)) in
-    let dirs =
-      Mat.init d m_comp (fun i j ->
-          if Float.equal norms.(j) 0.0 then 0.0
-          else Mat.get dirs i j /. norms.(j))
-    in
+    (* Loops over the flat arrays, as in the sweep, so no entry is boxed. *)
+    let da = dirs.Mat.a in
+    for i = 0 to d - 1 do
+      for j = 0 to m_comp - 1 do
+        let k = (i * m_comp) + j in
+        Array.unsafe_set da k
+          (if Float.equal norms.(j) 0.0 then 0.0
+           else Array.unsafe_get da k /. norms.(j))
+      done
+    done;
     let scores =
       Array.init m_comp (fun j ->
           Scores.direction_log_cosh prep.src (Mat.col dirs j))
@@ -142,8 +147,16 @@ let fit_prepared_impl ?w0 ?(max_iter = 200) ?(tol = 1e-4) rng prep =
     Array.sort
       (fun i j -> compare (Float.abs scores.(j)) (Float.abs scores.(i)))
       perm;
+    let directions = Mat.create d m_comp in
+    let sorted = directions.Mat.a in
+    for i = 0 to d - 1 do
+      for j = 0 to m_comp - 1 do
+        Array.unsafe_set sorted ((i * m_comp) + j)
+          (Array.unsafe_get da ((i * m_comp) + perm.(j)))
+      done
+    done;
     {
-      directions = Mat.init d m_comp (fun i j -> Mat.get dirs i perm.(j));
+      directions;
       scores = Array.map (fun k -> scores.(k)) perm;
       iterations = !iterations;
       converged = !converged;

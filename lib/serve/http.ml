@@ -1,12 +1,14 @@
 (* Minimal HTTP/1.1 message layer shared by the metrics endpoint, the
    session service and the load generator: request parsing with hard
-   limits and receive-timeout awareness, response writing, and a small
-   blocking client.  Connections are persistent (keep-alive) on both
+   limits and receive-timeout awareness, responses framed in place in
+   the buffer their body was printed into, and a small blocking client.  Connections are persistent (keep-alive) on both
    sides: the server reads Content-Length-delimited requests in a loop
    through a buffered [reader] (so pipelined bytes are never lost
    between requests), and the [client] reuses one socket across
    requests until either side sends [Connection: close].  No external
    dependencies. *)
+
+module Json = Sider_data.Json
 
 let max_header_bytes = 16 * 1024
 
@@ -40,31 +42,97 @@ let reason = function
   | 503 -> "Service Unavailable"
   | _ -> "Status"
 
-let write_all fd s =
-  let n = String.length s in
-  let sent = ref 0 in
-  (try
-     while !sent < n do
-       sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-     done
-   with Unix.Unix_error _ -> ())
+(* [b.[pos .. pos+len-1]] to [fd]; false when a write fails (the peer
+   is gone, or [SO_SNDTIMEO] ran out). *)
+let write_all fd b pos len =
+  let rec go pos len =
+    len = 0
+    ||
+    match Unix.write fd b pos len with
+    | k -> go (pos + k) (len - k)
+    | exception Unix.Unix_error _ -> false
+  in
+  go pos len
 
-let respond ?(headers = []) ~status ?(content_type = "application/json")
-    ?(keep_alive = false) fd body =
-  let b = Buffer.create (256 + String.length body) in
-  Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
-  Buffer.add_string b (Printf.sprintf "Content-Type: %s\r\n" content_type);
-  Buffer.add_string b
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
-    headers;
-  Buffer.add_string b
-    (if keep_alive then "Connection: keep-alive\r\n\r\n"
-     else "Connection: close\r\n\r\n");
-  Buffer.add_string b body;
-  write_all fd (Buffer.contents b)
+(* --- responses --------------------------------------------------------------- *)
+
+(* A response is framed in the buffer its body was printed into.  The
+   body starts [gap] bytes in; the status line and headers are written
+   right-aligned into the end of the gap, and head and body go out with
+   one write from the head's first byte.  The longest head the service
+   sends is about 300 bytes: a 503's status line, the text content type,
+   a 128-byte trace id, [Retry-After] and the connection line. *)
+let gap = 512
+
+let gap_filler = String.make gap ' '
+
+let start_body w =
+  Json.clear w;
+  Json.write_raw w gap_filler
+
+let body_text w = Bytes.sub_string (Json.bytes w) gap (Json.length w - gap)
+
+(* The number of decimal digits of [v], 0 ≤ v < 10^18. *)
+let decimal_digits v =
+  let n = ref 1 and p = ref 10 in
+  while v >= !p && !n < 18 do
+    incr n;
+    p := !p * 10
+  done;
+  !n
+
+(* Writes [s] at [pos]; returns the position after it. *)
+let put b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* Writes the decimal digits of [v] ≥ 0 at [pos], as [%d] prints them. *)
+let put_int b pos v =
+  let n = decimal_digits v in
+  let rec go k v =
+    Bytes.unsafe_set b k (Char.unsafe_chr (48 + (v mod 10)));
+    if k > pos then go (k - 1) (v / 10)
+  in
+  go (pos + n - 1) v;
+  pos + n
+
+let respond ?(headers = []) ~status ~content_type ~keep_alive fd w =
+  let b = Json.bytes w and len = Json.length w in
+  let body = len - gap in
+  let reason = reason status in
+  let connection =
+    if keep_alive then "Connection: keep-alive\r\n\r\n"
+    else "Connection: close\r\n\r\n"
+  in
+  let head =
+    List.fold_left
+      (fun n (k, v) -> n + String.length k + String.length v + 4)
+      (String.length "HTTP/1.1 " + decimal_digits status + 1
+       + String.length reason + 2
+       + String.length "Content-Type: " + String.length content_type + 2
+       + String.length "Content-Length: " + decimal_digits body + 2
+       + String.length connection)
+      headers
+  in
+  if body < 0 || head > gap then
+    invalid_arg "Http.respond: no body started, or a head longer than the gap";
+  let start = gap - head in
+  let p = put b start "HTTP/1.1 " in
+  let p = put_int b p status in
+  let p = put b p " " in
+  let p = put b p reason in
+  let p = put b p "\r\nContent-Type: " in
+  let p = put b p content_type in
+  let p = put b p "\r\nContent-Length: " in
+  let p = put_int b p body in
+  let p = put b p "\r\n" in
+  let p =
+    List.fold_left
+      (fun p (k, v) -> put b (put b (put b (put b p k) ": ") v) "\r\n")
+      p headers
+  in
+  ignore (put b p connection);
+  write_all fd b start (len - start)
 
 (* --- trace context --------------------------------------------------------- *)
 
@@ -440,7 +508,7 @@ let send_request ~headers ?body ~meth fd path =
    | None -> ());
   Buffer.add_string b "\r\n";
   (match body with Some body -> Buffer.add_string b body | None -> ());
-  write_all fd (Buffer.contents b)
+  ignore (write_all fd (Buffer.to_bytes b) 0 (Buffer.length b))
 
 (* Methods safe to re-send automatically.  A reused connection that
    closes without a response usually means the server idle-closed it

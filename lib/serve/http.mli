@@ -1,6 +1,7 @@
 (** Minimal HTTP/1.1 message layer for the session service: request
-    parsing with hard limits, response writing, and a small blocking
-    client used by the tests and the load generator.
+    parsing with hard limits, responses framed in place in the buffer
+    their body was printed into, and a small blocking client used by
+    the tests and the load generator.
 
     The protocol subset is deliberately narrow — [Content-Length]
     bodies only, no chunked encoding — but connections are persistent:
@@ -52,18 +53,37 @@ val wants_close : request -> bool
 (** The client sent [Connection: close] — the server must not keep the
     connection alive after responding. *)
 
+(** {2 Responses}
+
+    A response is printed and sent from one {!Sider_data.Json.writer}:
+    {!start_body} empties it and reserves a fixed gap before the body,
+    the body is printed after the gap, and {!respond} writes the status
+    line and headers into the end of the gap and sends head and body
+    with one write.  Nothing is copied and no string is built. *)
+
+val start_body : Sider_data.Json.writer -> unit
+(** Empty the writer, keeping its buffer, and reserve the framing gap:
+    what is written next is the body. *)
+
+val body_text : Sider_data.Json.writer -> string
+(** A copy of the body written since {!start_body}. *)
+
 val respond :
   ?headers:(string * string) list ->
   status:int ->
-  ?content_type:string ->
-  ?keep_alive:bool ->
+  content_type:string ->
+  keep_alive:bool ->
   Unix.file_descr ->
-  string ->
-  unit
-(** Write a complete response ([Content-Length] always present;
-    [Connection: keep-alive] when [keep_alive] — default false —
-    else [Connection: close]).  Write errors are swallowed — the
-    client is gone and the connection is about to be closed anyway. *)
+  Sider_data.Json.writer ->
+  bool
+(** Frame the body written since {!start_body} and send the response:
+    the status line, [Content-Type], [Content-Length], [headers] in
+    order, then [Connection: keep-alive] or [Connection: close].
+    [false] when the write failed: the peer is gone or stopped reading,
+    and the connection must be closed, not served again.  Raises
+    [Invalid_argument] when no body was started or the head does not
+    fit the gap (512 bytes; the service's longest head, with a 128-byte
+    trace id, is about 300). *)
 
 (** {2 Buffered connection reader}
 

@@ -118,7 +118,23 @@ let recovery_failures t = t.recovery_failures
 (* --- responses ------------------------------------------------------------- *)
 
 exception Reply of int * string
-(* Early exit from a route handler with a finished (status, body). *)
+(* Early exit from a route handler with a finished (status, JSON body). *)
+
+(* The content types a route declares for its body. *)
+let json = "application/json"
+
+let plain = "text/plain; version=0.0.4"
+
+(* A route prints its body into the worker's buffer, after the framing
+   gap, and answers its status and content type: a small tree printed
+   as [Json.to_string] prints it, or a short string copied in. *)
+let tree w status j =
+  Json.write w j;
+  (status, json)
+
+let text w status content_type body =
+  Json.write_raw w body;
+  (status, content_type)
 
 let err_body label detail =
   Json.to_string
@@ -196,29 +212,94 @@ let report_json (r : Sider_maxent.Solver.report) =
             (fun e -> Json.String (Sider_error.to_string e))
             r.degradations)) ]
 
-let projection_json session =
+(* --- projection bodies -------------------------------------------------------- *)
+
+type scratch = {
+  mutable x : float array;
+  mutable y : float array;
+  mutable bx : float array;
+  mutable by : float array;
+}
+
+let scratch () = { x = [||]; y = [||]; bx = [||]; by = [||] }
+
+(* The fields [Json.to_string] would print for the tree of the view's
+   method, axis labels and scores and of every point, in that order:
+   the coordinates come from [Mat.mv_into], which sums each row as
+   [Session.scatter]'s [Mat.row_dot] does, into the scratch, and every
+   number is printed from there, so no float is boxed and no point
+   record, tree or string is built. *)
+let write_projection sc w session =
+  let data = Session.data session
+  and sample = Session.background_sample session in
+  let n, _ = Mat.dims data in
+  if Array.length sc.x <> n then begin
+    sc.x <- Array.create_float n;
+    sc.y <- Array.create_float n;
+    sc.bx <- Array.create_float n;
+    sc.by <- Array.create_float n
+  end;
+  let view = Session.current_view session in
+  let a1 = view.View.axis1.View.direction
+  and a2 = view.View.axis2.View.direction in
+  Mat.mv_into ~dst:sc.x data a1;
+  Mat.mv_into ~dst:sc.y data a2;
+  Mat.mv_into ~dst:sc.bx sample a1;
+  Mat.mv_into ~dst:sc.by sample a2;
   let xl, yl = Session.axis_labels session in
   let sx, sy = Session.view_scores session in
-  let points =
-    Session.scatter session |> Array.to_list
-    |> List.map (fun (p : Session.point) ->
-        let bx, by = p.background in
-        Json.Obj
-          (("i", Json.Number (float_of_int p.index))
-           :: ("x", Json.Number p.x)
-           :: ("y", Json.Number p.y)
-           :: ("bx", Json.Number bx)
-           :: ("by", Json.Number by)
-           ::
-           (match p.label with
-            | Some l -> [ ("label", Json.String l) ]
-            | None -> [])))
-  in
-  Json.Obj
-    [ ("method", Json.String (View.method_name (Session.method_ session)));
-      ("axis_labels", Json.List [ Json.String xl; Json.String yl ]);
-      ("scores", Json.List [ Json.Number sx; Json.Number sy ]);
-      ("points", Json.List points) ]
+  Json.write_raw w "{\"method\":";
+  Json.write_string w (View.method_name (Session.method_ session));
+  Json.write_raw w ",\"axis_labels\":[";
+  Json.write_string w xl;
+  Json.write_char w ',';
+  Json.write_string w yl;
+  Json.write_raw w "],\"scores\":[";
+  Json.write_number w sx;
+  Json.write_char w ',';
+  Json.write_number w sy;
+  Json.write_raw w "],\"points\":[";
+  let labels = Dataset.labels (Session.dataset session) in
+  for i = 0 to n - 1 do
+    Json.write_raw w (if i = 0 then "{\"i\":" else ",{\"i\":");
+    Json.write_int w i;
+    Json.write_raw w ",\"x\":";
+    Json.write_number_at w sc.x i;
+    Json.write_raw w ",\"y\":";
+    Json.write_number_at w sc.y i;
+    Json.write_raw w ",\"bx\":";
+    Json.write_number_at w sc.bx i;
+    Json.write_raw w ",\"by\":";
+    Json.write_number_at w sc.by i;
+    (match labels with
+     | Some l ->
+       Json.write_raw w ",\"label\":";
+       Json.write_string w l.(i)
+     | None -> ());
+    Json.write_char w '}'
+  done;
+  Json.write_raw w "]}"
+
+(* A worker's response buffer and projection scratch, kept for its whole
+   life, so a warm response allocates neither.  Between responses it
+   keeps at most [retained_bytes] of each: a larger response's buffer
+   or scratch is dropped right after it, and the next one grows a fresh
+   buffer from [initial_bytes].  A fixed constant, not an option: it
+   only bounds what an idle worker holds (a projection body is about
+   124 bytes a row, so 1 MiB keeps sessions up to about 8,000 rows
+   warm), and no load changes what the service sends. *)
+type out = { mutable w : Json.writer; mutable sc : scratch }
+
+let initial_bytes = 4096
+
+let retained_bytes = 1 lsl 20
+
+let out () = { w = Json.writer initial_bytes; sc = scratch () }
+
+let release out =
+  if Json.capacity out.w > retained_bytes then
+    out.w <- Json.writer initial_bytes;
+  if 4 * 8 * Array.length out.sc.x > retained_bytes then out.sc <- scratch ()
 
 (* --- request context -------------------------------------------------------- *)
 
@@ -337,7 +418,7 @@ let decode_create body =
   let method_ = method_of_name (field method_ Json.to_str "pca") in
   { dataset = ds; seed; standardize; jitter; method_ }
 
-let handle_create t ctx (req : Http.request) =
+let handle_create t ctx w (req : Http.request) =
   let { dataset; seed; standardize; jitter; method_ } = decode_create req.body in
   let session = Session.create ~seed ~standardize ~jitter ~method_ dataset in
   match Registry.add t.registry session with
@@ -348,9 +429,9 @@ let handle_create t ctx (req : Http.request) =
   | Ok entry ->
     ctx.rc_tenant <- entry.Registry.id;
     crash_poll req.path;
-    (201, Json.to_string (session_summary entry))
+    tree w 201 (session_summary entry)
 
-let handle_constraint t ctx (req : Http.request) id =
+let handle_constraint t ctx w (req : Http.request) id =
   let j = body_json req in
   let ctype = opt_member j "type" Json.to_str "cluster" in
   with_entry t id @@ fun entry ->
@@ -380,9 +461,9 @@ let handle_constraint t ctx (req : Http.request) id =
    | Session.Updated _ | Session.Viewed _ -> assert false);
   crash_poll req.path;
   Registry.maybe_compact t.registry entry;
-  (200, Json.to_string (session_summary entry))
+  tree w 200 (session_summary entry)
 
-let handle_update t ctx (req : Http.request) id ~deadline_at =
+let handle_update t ctx w (req : Http.request) id ~deadline_at =
   let j = body_json req in
   let remaining = deadline_at -. now_s () in
   if remaining <= 0.0 then (
@@ -410,10 +491,10 @@ let handle_update t ctx (req : Http.request) id ~deadline_at =
   crash_poll req.path;
   Registry.maybe_compact t.registry entry;
   match result with
-  | Ok report -> (200, Json.to_string (report_json report))
-  | Error e -> (status_of_error e, body_of_error e)
+  | Ok report -> tree w 200 (report_json report)
+  | Error e -> text w (status_of_error e) json (body_of_error e)
 
-let handle_view t ctx (req : Http.request) id =
+let handle_view t ctx out (req : Http.request) id =
   let j = body_json req in
   let m = method_of_name (opt_member j "method" Json.to_str "pca") in
   with_entry t id @@ fun entry ->
@@ -421,11 +502,11 @@ let handle_view t ctx (req : Http.request) id =
   journal_event ctx entry (Session.Viewed m);
   let t0 = Obs.now_ns () in
   ignore (Session.recompute_view ~method_:m s);
-  let body = Json.to_string (projection_json s) in
+  write_projection out.sc out.w s;
   Obs.observe_into stage_project (Int64.to_float (ns_span t0) /. 1e9);
   crash_poll req.path;
   Registry.maybe_compact t.registry entry;
-  (200, body)
+  (200, json)
 
 (* --- routing --------------------------------------------------------------- *)
 
@@ -464,87 +545,95 @@ let slo_burn_gauges t =
    | _ -> ());
   snap
 
-let route t ctx (req : Http.request) ~deadline_at =
+(* The body goes into [out.w], whose body [serve_one] has started. *)
+let route t ctx out (req : Http.request) ~deadline_at =
+  let w = out.w in
   match (req.meth, segments req.path) with
   | "GET", [ "healthz" ] ->
     if Slo.degraded t.slo then
-      (503, err_body "slo-degraded"
-         "error budget burning above threshold in both windows")
-    else (200, "ok\n")
-  | "GET", [ "slo" ] -> (200, Slo.snapshot_to_json (Slo.snapshot t.slo))
+      text w 503 json
+        (err_body "slo-degraded"
+           "error budget burning above threshold in both windows")
+    else text w 200 plain "ok\n"
+  | "GET", [ "slo" ] ->
+    text w 200 json (Slo.snapshot_to_json (Slo.snapshot t.slo))
   | "GET", [ "metrics" ] ->
     ignore (slo_burn_gauges t);
-    (200, Serve.exposition (Obs.metrics_snapshot ()))
-  | "POST", [ "sessions" ] -> handle_create t ctx req
+    text w 200 plain (Serve.exposition (Obs.metrics_snapshot ()))
+  | "POST", [ "sessions" ] -> handle_create t ctx w req
   | "GET", [ "sessions" ] ->
-    ( 200,
-      Json.to_string
-        (Json.Obj
-           [ ("count",
-              Json.Number (float_of_int (Registry.count t.registry)));
-             ("resident",
-              Json.Number
-                (float_of_int (Registry.resident_count t.registry)));
-             ("sessions",
-              Json.List
-                (List.map (fun id -> Json.String id) (Registry.ids t.registry)))
-           ]) )
+    tree w 200
+      (Json.Obj
+         [ ("count", Json.Number (float_of_int (Registry.count t.registry)));
+           ("resident",
+            Json.Number (float_of_int (Registry.resident_count t.registry)));
+           ("sessions",
+            Json.List
+              (List.map (fun id -> Json.String id) (Registry.ids t.registry)))
+         ])
   | "GET", [ "sessions"; id ] ->
     with_entry t id (fun entry ->
-        (200, Json.to_string (session_summary ~trace:ctx.rc_trace entry)))
+        tree w 200 (session_summary ~trace:ctx.rc_trace entry))
   | "DELETE", [ "sessions"; id ] ->
     (match Registry.remove t.registry id with
-     | Some _ -> (204, "")
-     | None -> (404, err_body "not-found" ("no session " ^ id)))
+     | Some _ -> (204, json)
+     | None -> text w 404 json (err_body "not-found" ("no session " ^ id)))
   | "POST", [ "sessions"; id; "constraints" ] ->
-    handle_constraint t ctx req id
+    handle_constraint t ctx w req id
   | "POST", [ "sessions"; id; "update" ] ->
-    handle_update t ctx req id ~deadline_at
-  | "POST", [ "sessions"; id; "view" ] -> handle_view t ctx req id
+    handle_update t ctx w req id ~deadline_at
+  | "POST", [ "sessions"; id; "view" ] -> handle_view t ctx out req id
   | "GET", [ "sessions"; id; "projection" ] ->
     with_entry t id (fun entry ->
         let s = Registry.session ~trace:ctx.rc_trace entry in
         let t0 = Obs.now_ns () in
-        let body = Json.to_string (projection_json s) in
+        write_projection out.sc w s;
         Obs.observe_into stage_project (Int64.to_float (ns_span t0) /. 1e9);
-        (200, body))
+        (200, json))
   | _, ("sessions" :: _ | [ "healthz" ] | [ "metrics" ] | [ "slo" ]) ->
-    (405, err_body "method-not-allowed" (req.meth ^ " " ^ req.path))
-  | _ -> (404, err_body "not-found" req.path)
+    text w 405 json (err_body "method-not-allowed" (req.meth ^ " " ^ req.path))
+  | _ -> text w 404 json (err_body "not-found" req.path)
 
-let dispatch t ctx (req : Http.request) ~deadline_at =
-  try route t ctx req ~deadline_at with
-  | Reply (status, body) -> (status, body)
-  | Sider_error.Error e -> (status_of_error e, body_of_error e)
-  | Json.Parse_error m -> (400, err_body "malformed-json" m)
-  | Not_found -> (400, err_body "bad-request" "missing required field")
-  | Invalid_argument m -> (400, err_body "bad-request" m)
-  | Failure m -> (400, err_body "bad-request" m)
+(* A route that raised may have printed part of its body: the error's
+   body starts over. *)
+let dispatch t ctx out (req : Http.request) ~deadline_at =
+  let error status body =
+    Http.start_body out.w;
+    text out.w status json body
+  in
+  try route t ctx out req ~deadline_at with
+  | Reply (status, body) -> error status body
+  | Sider_error.Error e -> error (status_of_error e) (body_of_error e)
+  | Json.Parse_error m -> error 400 (err_body "malformed-json" m)
+  | Not_found -> error 400 (err_body "bad-request" "missing required field")
+  | Invalid_argument m -> error 400 (err_body "bad-request" m)
+  | Failure m -> error 400 (err_body "bad-request" m)
 
 (* --- connection handling --------------------------------------------------- *)
 
-let respond_status ?(keep_alive = false) ?trace ?(flight_on_5xx = true) fd
-    status body =
+(* Frame and send the body in [w]; false when the write failed. *)
+let respond_status ?(keep_alive = false) ?trace ?(flight_on_5xx = true) w fd
+    (status, content_type) =
   let headers = if status = 429 || status = 503 then [ ("Retry-After", "1") ] else [] in
   let headers =
     match trace with
     | Some id -> (Http.trace_response_header, id) :: headers
     | None -> headers
   in
-  let content_type =
-    if status = 200 && (body = "ok\n" || String.length body > 0 && body.[0] = '#')
-    then "text/plain; version=0.0.4"
-    else "application/json"
-  in
   if status >= 500 then begin
     let tag = match trace with Some id -> id ^ " " | None -> "" in
     Obs.flight_event ~name:"serve.error"
-      ~detail:(Printf.sprintf "%s%d %s" tag status body);
+      ~detail:(Printf.sprintf "%s%d %s" tag status (Http.body_text w));
     if flight_on_5xx then
       Obs.flight_auto_dump ?trace
         ~reason:(Printf.sprintf "serve.5xx %d" status) ()
   end;
-  Http.respond ~headers ~status ~content_type ~keep_alive fd body
+  Http.respond ~headers ~status ~content_type ~keep_alive fd w
+
+(* A response whose body is a short JSON string, [err_body]'s. *)
+let respond_text ?trace w fd status body =
+  Http.start_body w;
+  ignore (respond_status ?trace w fd (text w status json body))
 
 (* One structured JSON line per completed response: everything needed
    to correlate a request with its span tree and any flight dump (the
@@ -591,10 +680,13 @@ let finish t ~t0 ~queue_s ~ctx ~route ~meth ~path ~status ~slo =
   if slo then Slo.record t.slo ~status ~dur_s;
   access_log_line t ctx ~route ~meth ~path ~status ~dur_s ~queue_s
 
-(* Serve one request from [conn]; [`Keep] means the connection stays
-   open for another request (the caller decides whether to serve it
-   now — pipelined bytes pending — or park it with the watcher). *)
-let serve_one t conn =
+(* Serve one request from [conn], its response printed and framed in
+   [out]; [`Keep] means the connection stays open for another request
+   (the caller decides whether to serve it now — pipelined bytes
+   pending — or park it with the watcher).  A response whose write
+   failed closes the connection: the peer is gone, and answering the
+   requests it pipelined would only write into a reset socket. *)
+let serve_one t out conn =
   Obs.count "serve.requests";
   let t0 = now_s () in
   let queue_s = Float.max 0.0 (t0 -. conn.c_enqueued_at) in
@@ -605,7 +697,7 @@ let serve_one t conn =
      client-side failures and stay out of the SLO windows. *)
   let early ~route ~status body =
     let trace = Http.fresh_trace_id () in
-    respond_status ~trace conn.c_fd status body;
+    respond_text ~trace out.w conn.c_fd status body;
     finish t ~t0 ~queue_s ~ctx:(make_ctx trace) ~route ~meth:"-" ~path:"-"
       ~status ~slo:(status >= 500)
   in
@@ -657,12 +749,13 @@ let serve_one t conn =
          let route = route_label req.Http.path in
          let ctx = make_ctx trace in
          ctx.rc_tenant <- tenant_of_path req.Http.path;
-         let status, body =
+         Http.start_body out.w;
+         let ((status, _) as reply) =
            Obs.with_span "serve.request"
              ~attrs:
                [ ("trace", Obs.Str trace); ("route", Obs.Str route) ]
            @@ fun () ->
-           let ((status, _) as r) = dispatch t ctx req ~deadline_at in
+           let ((status, _) as r) = dispatch t ctx out req ~deadline_at in
            Obs.span_attr "status" (Obs.Int status);
            r
          in
@@ -674,12 +767,15 @@ let serve_one t conn =
          in
          (* A degraded health check must not itself trigger a flight
             dump — probes poll it every few seconds. *)
-         respond_status ~keep_alive:keep ~trace
-           ~flight_on_5xx:(route <> "healthz") conn.c_fd status body;
+         let sent =
+           respond_status ~keep_alive:keep ~trace
+             ~flight_on_5xx:(route <> "healthz") out.w conn.c_fd reply
+         in
+         if not sent then Obs.count "serve.write_failures";
          finish t ~t0 ~queue_s ~ctx ~route ~meth:req.Http.meth
            ~path:req.Http.path ~status
            ~slo:(not (observability_route route));
-         if keep then `Keep else `Close))
+         if keep && sent then `Keep else `Close))
 
 (* --- threads --------------------------------------------------------------- *)
 
@@ -734,7 +830,7 @@ let enqueue_conn t conn =
   Condition.signal t.q_nonempty;
   Mutex.unlock t.q_lock
 
-let rec worker_loop t =
+let rec worker_loop t out =
   (* Fun.protect: Queue.pop raises Empty if the queue is drained behind
      our back — impossible today (pops happen under q_lock) but a bare
      unlock would turn that logic bug into a stuck service. *)
@@ -756,7 +852,9 @@ let rec worker_loop t =
        bytes waiting it is parked with the watcher so the worker frees
        up for other connections instead of blocking in [read]. *)
     let rec serve () =
-      match serve_one t conn with
+      let next = serve_one t out conn in
+      release out;
+      match next with
       | `Close -> close_quietly conn.c_fd
       | `Keep ->
         if Http.reader_has_pending conn.c_reader then (
@@ -772,11 +870,12 @@ let rec worker_loop t =
        close_quietly conn.c_fd
      | e ->
        (try
-          respond_status ~trace:(Http.fresh_trace_id ()) conn.c_fd 500
+          respond_text ~trace:(Http.fresh_trace_id ()) out.w conn.c_fd 500
             (err_body "internal-error" (Printexc.to_string e))
         with _ -> ());
+       release out;
        close_quietly conn.c_fd);
-    worker_loop t
+    worker_loop t out
 
 (* The idle watcher multiplexes every parked keep-alive connection over
    one [select]: a readable connection re-enters the worker queue at
@@ -868,10 +967,11 @@ let rec janitor_loop t =
     if not t.stopping then ignore (Registry.evict_idle t.registry ~ttl_s:ttl);
     janitor_loop t)
 
-let rec accept_loop t =
+(* [w]: the accept thread's own response buffer, for its 429s. *)
+let rec accept_loop t w =
   match Unix.accept t.sock with
   | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-  | exception Unix.Unix_error _ -> if t.stopping then () else accept_loop t
+  | exception Unix.Unix_error _ -> if t.stopping then () else accept_loop t w
   | fd, _ ->
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.read_timeout_s;
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.read_timeout_s;
@@ -893,12 +993,16 @@ let rec accept_loop t =
     in
     if not accepted then (
       Obs.count "serve.rejected_queue_full";
-      respond_status ~trace:(Http.fresh_trace_id ()) fd 429
+      respond_text ~trace:(Http.fresh_trace_id ()) w fd 429
         (err_body "overloaded" "request queue full");
       close_quietly fd);
-    if t.stopping then () else accept_loop t
+    if t.stopping then () else accept_loop t w
 
 let start ?(config = default_config) () =
+  (* A peer that resets its connection makes the next write to it raise
+     SIGPIPE, whose default action ends the process and every session
+     in it; ignored, the write fails with EPIPE instead. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let registry =
     Registry.create ?data_dir:config.data_dir
       ~max_sessions:config.max_sessions
@@ -942,11 +1046,12 @@ let start ?(config = default_config) () =
       janitor_thread = None }
   in
   t.worker_threads <-
-    List.init config.workers (fun _ -> Thread.create worker_loop t);
+    List.init config.workers (fun _ -> Thread.create (worker_loop t) (out ()));
   t.watcher_thread <- Some (Thread.create watcher_loop t);
   if config.session_ttl_s > 0.0 then
     t.janitor_thread <- Some (Thread.create janitor_loop t);
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  t.accept_thread <-
+    Some (Thread.create (accept_loop t) (Json.writer initial_bytes));
   t
 
 let stop t =

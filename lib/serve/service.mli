@@ -22,7 +22,8 @@
     - [POST /sessions/:id/view] — body [{"method": "pca" | "ica"}];
       recomputes the most-informative projection.
     - [GET /sessions/:id/projection] — current view: axis labels,
-      scores, every point with its paired background sample.
+      scores, every point with its paired background sample
+      ({!write_projection}).
     - [DELETE /sessions/:id] — 204; the journal file is deleted too.
     - [GET /metrics] — as in {!Serve}, plus the labeled service
       families ([serve.request_s{route,status}], [serve.stage_s{stage}]
@@ -61,8 +62,19 @@
       A failed update rolls the session back (see
       {!Sider_core.Session.update_background}) — the tenant survives.
     - Unexpected exceptions → [500]; the worker thread survives.
+    - A response whose write fails (the client reset the connection or
+      stopped reading past [read_timeout_s]) closes the connection;
+      requests the client pipelined behind it are not served.  {!start}
+      sets SIGPIPE to be ignored for the whole process, so a write to a
+      reset connection fails with [EPIPE] instead of ending the process
+      and every session in it.
 
     {2 Connections}
+
+    Each worker prints every response into one buffer of its own, kept
+    for the worker's life (up to 1 MiB between responses), and frames
+    it there ({!Http.respond}); the accept thread's 429s use a buffer
+    of their own.  Parked connections hold none.
 
     Connections are HTTP/1.1 keep-alive: a worker serves
     [Content-Length]-delimited requests in a loop, honouring a client's
@@ -131,8 +143,9 @@ type t
 
 val start : ?config:config -> unit -> t
 (** Bind, recover journaled sessions from [data_dir], spawn the worker
-    pool and the accept loop.  Raises [Unix.Unix_error] if the bind
-    fails. *)
+    pool and the accept loop.  Sets SIGPIPE to be ignored in the whole
+    process (see the failure model above).  Raises [Unix.Unix_error] if
+    the bind fails. *)
 
 val port : t -> int
 
@@ -166,7 +179,23 @@ val decode_create : string -> create
     then the dataset's [Sider_error.Error], then the route's own
     refusals in field order. *)
 
-val projection_json : Sider_core.Session.t -> Sider_data.Json.t
-(** The body of [GET /sessions/:id/projection]: the current view's
-    method, axis labels and scores, and every point with its paired
-    background sample. *)
+(** {2 Projection bodies} *)
+
+type scratch
+(** The coordinates a projection body is printed from: one array per
+    axis for the points and one for their background samples, kept
+    while the row count stays the same. *)
+
+val scratch : unit -> scratch
+
+val write_projection :
+  scratch -> Sider_data.Json.writer -> Sider_core.Session.t -> unit
+(** Print the body of [POST /sessions/:id/view] and [GET
+    /sessions/:id/projection] into the writer: the current view's
+    method, axis labels and scores, then every point with its index,
+    coordinates, paired background sample and label (when the dataset
+    has labels).  The coordinates are computed into the scratch as
+    {!Sider_core.Session.scatter} computes them, so the text is byte for
+    byte what [Json.to_string] prints for the tree of those fields.  No
+    tree, point array or string of the body is built: with a warm writer
+    and scratch, only the axis labels allocate. *)

@@ -69,8 +69,18 @@ let correlation x y =
   if Float.equal !sxx 0.0 || Float.equal !syy 0.0 then 0.0
   else !sxy /. sqrt (!sxx *. !syy)
 
+(* A loop, not [Array.map], whose closure boxes every entry. *)
 let standardize v =
   let mean = Vec.mean v in
   let sd = sqrt (Vec.variance ~mean v) in
-  if Float.equal sd 0.0 then Array.map (fun x -> x -. mean) v
-  else Array.map (fun x -> (x -. mean) /. sd) v
+  let n = Array.length v in
+  let out = Array.create_float n in
+  if Float.equal sd 0.0 then
+    for i = 0 to n - 1 do
+      Array.unsafe_set out i (Array.unsafe_get v i -. mean)
+    done
+  else
+    for i = 0 to n - 1 do
+      Array.unsafe_set out i ((Array.unsafe_get v i -. mean) /. sd)
+    done;
+  out

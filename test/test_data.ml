@@ -342,6 +342,31 @@ let test_json_numbers_random_bits =
        QCheck.Gen.(map Int64.float_of_bits ui64))
     prints_like_libc
 
+(* The writer's unboxed forms print what [to_string] prints: an integer
+   as [Number (float_of_int i)], on both sides of 10^15, and a float read
+   in place as [Number x]. *)
+let test_json_writer_unboxed_forms =
+  let edge =
+    [ 0; 1; -1; 999_999_999_999_999; -999_999_999_999_999;
+      1_000_000_000_000_000; -1_000_000_000_000_000; max_int; min_int ]
+  in
+  qcheck ~count:20_000 "json write_int and write_number_at print as to_string"
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (oneof
+              [ int; oneofl edge; int_range (-1000) 1000;
+                int_range (-2_000_000_000_000_000) 2_000_000_000_000_000 ])
+           (map Int64.float_of_bits ui64)))
+    (fun (i, x) ->
+      let w = Json.writer 16 in
+      Json.write_int w i;
+      let int_text = Json.contents w in
+      Json.clear w;
+      Json.write_number_at w [| 0.0; x |] 1;
+      String.equal int_text (Json.to_string (Json.Number (float_of_int i)))
+      && String.equal (Json.contents w) (Json.to_string (Json.Number x)))
+
 let test_json_numbers_edge_values () =
   let check x =
     if not (prints_like_libc x) then
@@ -468,6 +493,7 @@ let suite =
     test_json_string_roundtrip;
     test_json_key_roundtrip;
     test_json_numbers_random_bits;
+    test_json_writer_unboxed_forms;
     case "json numbers at powers of ten and edge values"
       test_json_numbers_edge_values;
     test_json_numbers_random_decimals;

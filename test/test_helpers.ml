@@ -35,15 +35,52 @@ let random_spd rng d =
   (* Add a ridge so the matrix is comfortably positive definite. *)
   Mat.add g (Mat.scale 0.1 (Mat.identity d))
 
-(* [f ()] and the words it allocated.  The window opens with a minor
-   collection: on OCaml 5.1 one inside the window inflates
-   [Gc.allocated_bytes]. *)
+(* Words this domain has allocated so far: every minor allocation
+   ([Gc.minor_words]) plus the blocks allocated straight into the major
+   heap ([major_words − promoted_words] of [Gc.counters]).  Both are exact
+   whatever collections run.  [Gc.allocated_bytes] and the minor field of
+   [Gc.counters] are not: on OCaml 5.1 they read minor words as bytes
+   until a minor collection runs. *)
+let words_so_far () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. (major -. promoted)
+
+(* The part of [words_so_far] allocated straight into the major heap
+   (blocks over 256 words, such as a d×d matrix at d ≥ 16). *)
+let major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* [f ()] and the words it allocated, both heaps. *)
 let allocated_words f =
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
+  let before = words_so_far () in
   let r = f () in
-  let after = Gc.allocated_bytes () in
-  (r, int_of_float ((after -. before) /. float_of_int (Sys.word_size / 8)))
+  (r, int_of_float (words_so_far () -. before))
+
+(* The helper's own check, on allocations of known size: 10,000
+   ten-float arrays kept in a list are 14 words each (11 for the array, 3
+   for its cons cell), counted once with no minor collection inside the
+   window and once with one forced halfway; a 100,000-float array goes
+   straight into the major heap.  A count may exceed the known figure
+   only by the few words the counter reads allocate. *)
+let test_allocated_words () =
+  let rec arrays acc k = if k = 0 then acc else arrays (Array.make 10 0.0 :: acc) (k - 1) in
+  let check msg expected words =
+    if words < expected || words > expected + 64 then
+      Alcotest.failf "%s: counted %d words, allocated %d" msg words expected
+  in
+  Gc.minor ();
+  let _, w = allocated_words (fun () -> Sys.opaque_identity (arrays [] 10_000)) in
+  check "no collection inside the window" 140_000 w;
+  let _, w =
+    allocated_words (fun () ->
+        let a = arrays [] 5_000 in
+        Gc.minor ();
+        Sys.opaque_identity (arrays a 5_000))
+  in
+  check "a collection inside the window" 140_000 w;
+  let _, w = allocated_words (fun () -> Sys.opaque_identity (Array.make 100_000 0.0)) in
+  check "straight into the major heap" 100_001 w
 
 (* The first dataset of the projection_reads benchmark workload. *)
 let reads_dataset () = Sider_data.Synth.clustered ~seed:7919 ~n:1024 ~d:16 ~k:8 ()

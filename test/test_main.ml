@@ -16,6 +16,9 @@ let () =
   Sider_obs.Obs.install_from_env ();
   Alcotest.run "sider"
     [
+      ( "helpers",
+        [ Test_helpers.case "allocated_words counts both heaps exactly"
+            Test_helpers.test_allocated_words ] );
       ("vec", Test_vec.suite);
       ("mat", Test_mat.suite);
       ("decomp", Test_decomp.suite);

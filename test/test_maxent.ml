@@ -585,10 +585,12 @@ let test_sample_bits () =
 (* The first round of a session at the [projection_reads] benchmark
    workload's shape (n=1024, d=16): the margin constraints, adding them
    to the solver, the solve and a background sample allocate at most
-   4·n·d words, the same count on a second run.  Each window opens with
-   a minor collection: on OCaml 5.1 one inside the window inflates
-   [Gc.allocated_bytes]. *)
+   4·n·d words, the same count on a second run.  Counted with no
+   telemetry sink, as the other allocation gates here: a live sink's
+   lines (say [SIDER_TRACE=stderr]) print each span's duration, whose
+   text, and so whose allocation, changes from run to run. *)
 let test_first_round_allocation () =
+  with_sink None @@ fun () ->
   let data =
     Sider_data.Dataset.matrix
       (Sider_data.Dataset.standardized
@@ -705,11 +707,8 @@ let test_trace_skips_rolled_back_sweep () =
    `sider api` runs (one domain, the flight recorder on, no sink), the
    fifth-cluster round of an [ica_explore]-shaped session (margin and
    four cluster rounds first, untimed) may allocate at most 256 words
-   per sweep more than the same round with the layer off.  Each window
-   is one sweep, from one record to the next (the solve's start and end
-   close the first and last), opened after a minor collection: a
-   collection inside a window inflates [Gc.allocated_bytes] on OCaml
-   5.1. *)
+   per sweep more than the same round with the layer off, counted over
+   the whole solve. *)
 let test_recorder_sweep_allocation () =
   let module Session = Sider_core.Session in
   let domains = Par.domain_count () in
@@ -741,25 +740,9 @@ let test_recorder_sweep_allocation () =
     Solver.add_constraints (Session.solver session)
       (Constr.cluster ~data:(Session.data session) ~rows:(rows 4) ())
   in
-  let word_bytes = float_of_int (Sys.word_size / 8) in
   let measure s =
-    let words = ref 0 and opened = ref 0.0 in
-    let open_window () =
-      Gc.minor ();
-      opened := Gc.allocated_bytes ()
-    in
-    let close_window () =
-      words :=
-        !words + int_of_float ((Gc.allocated_bytes () -. !opened) /. word_bytes)
-    in
-    open_window ();
-    let report =
-      Solver.solve ~time_cutoff:60.0 ~max_sweeps:500
-        ~trace:(fun _ -> close_window (); open_window ())
-        s
-    in
-    close_window ();
-    (report, !words)
+    allocated_words (fun () ->
+        Solver.solve ~time_cutoff:60.0 ~max_sweeps:500 ~trace:ignore s)
   in
   Obs.set_flight_recorder ~capacity false;
   let off_report, off = measure (fifth ()) in
@@ -862,13 +845,6 @@ let test_relative_entropy_closed_form () =
   ignore (Solver.solve ~lambda_tol:1e-9 ~param_tol:1e-9 s);
   (* Mean along w becomes 2 for both rows: KL = 2 rows x 2^2/2 = 4. *)
   approx ~eps:1e-6 "KL closed form" 4.0 (Solver.relative_entropy s)
-
-(* Words allocated straight into the major heap (blocks over 256 words,
-   such as a d×d matrix at d ≥ 16).  Exact whatever minor collections
-   run in between, unlike [Gc.allocated_bytes] on OCaml 5.1. *)
-let major_words () =
-  let _, promoted, major = Gc.counters () in
-  major -. promoted
 
 (* At [solve_d24]'s shape (its first dataset, n=512, d=24) the first
    cluster round's sweeps allocate no d×d matrix: the rollback snapshot

@@ -510,10 +510,7 @@ let prop_projection_bits_as_row_copies =
    at most 1,280 words: its six fresh 12×12 matrices (149 words each),
    the eigendecomposition's short vectors and the kernels' [Par] fan-outs,
    but no boxed float per matrix entry.  Counted as the difference between
-   fits of 200 and 100 iterations at [tol] 0 (neither stops early),
-   through [Gc.minor_words], which counts every minor allocation whatever
-   collections run in between, plus the words allocated straight into
-   the major heap. *)
+   fits of 200 and 100 iterations at [tol] 0 (neither stops early). *)
 let test_ica_iteration_allocation () =
   let module Par = Sider_par.Par in
   let domains = Par.domain_count () in
@@ -525,21 +522,44 @@ let test_ica_iteration_allocation () =
   in
   let prep = Fastica.prepare x in
   let words iterations =
-    Gc.minor ();
-    let _, promoted0, major0 = Gc.counters () and minor0 = Gc.minor_words () in
-    let fitted =
-      Fastica.fit_prepared ~max_iter:iterations ~tol:0.0
-        (Sider_rand.Rng.create 5) prep
+    let fitted, words =
+      allocated_words (fun () ->
+          Fastica.fit_prepared ~max_iter:iterations ~tol:0.0
+            (Sider_rand.Rng.create 5) prep)
     in
-    let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
     Alcotest.(check int) "iterations" iterations fitted.Fastica.iterations;
     Alcotest.(check int) "components" 12 (Array.length fitted.Fastica.scores);
-    (minor1 -. minor0) +. ((major1 -. promoted1) -. (major0 -. promoted0))
+    float_of_int words
   in
   let per_iteration = (words 200 -. words 100) /. 100.0 in
   if per_iteration > 1280.0 then
     Alcotest.failf "one FastICA iteration allocated %.1f words, at most 1280"
       per_iteration
+
+(* After the fixed point a fit scores every direction over every row:
+   at [ica_explore]'s shape (n=512, m=12) a 1-iteration fit, scoring
+   included, allocates at most 3·n·m words: two n-float arrays a
+   direction (its projections and their standardized copy) and no boxed
+   float per entry.  Boxing each entry took about 140,400. *)
+let test_ica_scoring_allocation () =
+  let module Par = Sider_par.Par in
+  let domains = Par.domain_count () in
+  Par.set_domains 1;
+  Fun.protect ~finally:(fun () -> Par.set_domains domains) @@ fun () ->
+  let x =
+    Sider_data.Dataset.matrix
+      (Sider_data.Synth.clustered ~seed:7919 ~n:512 ~d:12 ~k:6 ())
+  in
+  let n, m = Mat.dims x in
+  let prep = Fastica.prepare x in
+  let fitted, words =
+    allocated_words (fun () ->
+        Fastica.fit_prepared ~max_iter:1 ~tol:0.0 (Sider_rand.Rng.create 5) prep)
+  in
+  Alcotest.(check int) "components" m (Array.length fitted.Fastica.scores);
+  if words > 3 * n * m then
+    Alcotest.failf "a 1-iteration FastICA fit allocated %d words, over 3nm = %d"
+      words (3 * n * m)
 
 let suite =
   [
@@ -572,4 +592,6 @@ let suite =
     prop_projection_bits_as_row_copies;
     case "one fastica iteration allocates at most 1280 words"
       test_ica_iteration_allocation;
+    case "fastica scoring allocates at most 3nm words"
+      test_ica_scoring_allocation;
   ]

@@ -1737,6 +1737,327 @@ let test_access_log_poisoned_channel () =
     (req svc ~body:update_body "POST" ("/sessions/" ^ id ^ "/update"));
   status_is "healthz after poison" 200 (req svc "GET" "/healthz")
 
+(* --- responses: printed and framed in one reused buffer ---------------------- *)
+
+(* The body of GET /projection as the service built it before it printed
+   it in place: a tree of [Session.scatter]'s points, printed by
+   [Json.to_string]. *)
+let reference_projection session =
+  let xl, yl = Session.axis_labels session in
+  let sx, sy = Session.view_scores session in
+  let points =
+    Session.scatter session |> Array.to_list
+    |> List.map (fun (p : Session.point) ->
+        let bx, by = p.background in
+        Json.Obj
+          (("i", Json.Number (float_of_int p.index))
+           :: ("x", Json.Number p.x)
+           :: ("y", Json.Number p.y)
+           :: ("bx", Json.Number bx)
+           :: ("by", Json.Number by)
+           ::
+           (match p.label with
+            | Some l -> [ ("label", Json.String l) ]
+            | None -> [])))
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("method",
+          Json.String (Sider_projection.View.method_name (Session.method_ session)));
+         ("axis_labels", Json.List [ Json.String xl; Json.String yl ]);
+         ("scores", Json.List [ Json.Number sx; Json.Number sy ]);
+         ("points", Json.List points) ])
+
+(* The text [Service.write_projection] leaves in [w], emptied first. *)
+let printed_projection scratch w session =
+  Json.clear w;
+  Service.write_projection scratch w session;
+  Json.contents w
+
+(* A random session: 2 to 300 rows of 2 to 5 columns, PCA or ICA, with
+   or without labels, right after creation or after one round. *)
+let random_projection_session =
+  QCheck.Gen.(
+    let* n = oneof [ int_range 2 12; int_range 2 300 ] in
+    let* d = int_range 2 5 in
+    let* seed = int_range 0 10_000 in
+    let* ica = bool in
+    let* labels = option (array_repeat 3 Test_persist.awkward_string) in
+    let* solved = bool in
+    return (n, d, seed, ica, labels, solved))
+
+let projection_session_of (n, d, seed, ica, labels, solved) =
+  let ds = Synth.gaussian ~seed ~n ~d () in
+  let labels = Option.map (fun l -> Array.init n (fun i -> l.(i mod 3))) labels in
+  let ds =
+    Dataset.create ?labels ~columns:(Dataset.columns ds) (Dataset.matrix ds)
+  in
+  let method_ = if ica then Sider_projection.View.Ica else Sider_projection.View.Pca in
+  let s = Session.create ~seed ~method_ ds in
+  if solved then begin
+    Session.add_margin_constraint s;
+    ignore (Session.update_background ~time_cutoff:1.0 ~max_sweeps:3 s);
+    ignore (Session.recompute_view s)
+  end;
+  s
+
+(* A body larger than any the generator makes, printed first so that a
+   shorter body after it lands in a buffer holding a longer one. *)
+let larger_session =
+  lazy
+    (Session.create ~seed:3
+       (Synth.clustered ~seed:5 ~n:1000 ~d:5 ~k:3 ()))
+
+let prop_projection_matches_tree =
+  qcheck ~count:40 "projection body equals the reference tree, fresh or reused"
+    (QCheck.make random_projection_session) (fun args ->
+      let s = projection_session_of args in
+      let expected = reference_projection s in
+      let fresh = printed_projection (Service.scratch ()) (Json.writer 16) s in
+      let scratch = Service.scratch () and w = Json.writer 16 in
+      let larger = printed_projection scratch w (Lazy.force larger_session) in
+      let reused = printed_projection scratch w s in
+      String.length larger > String.length reused
+      && String.equal fresh expected
+      && String.equal reused expected)
+
+(* [Http.respond] as it was before responses were framed in place: the
+   head built with [Printf] into a [Buffer], the body appended. *)
+let reference_response ?(headers = []) ~status ~content_type ~keep_alive body =
+  let b = Buffer.create (256 + String.length body) in
+  Buffer.add_string b
+    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (Http.reason status));
+  Buffer.add_string b (Printf.sprintf "Content-Type: %s\r\n" content_type);
+  Buffer.add_string b
+    (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
+  List.iter
+    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
+    headers;
+  Buffer.add_string b
+    (if keep_alive then "Connection: keep-alive\r\n\r\n"
+     else "Connection: close\r\n\r\n");
+  Buffer.add_string b body;
+  Buffer.contents b
+
+(* The headers the service sends with a status: its trace id, then
+   [Retry-After] on a 429 or 503. *)
+let service_headers ~trace status =
+  (Http.trace_response_header, trace)
+  :: (if status = 429 || status = 503 then [ ("Retry-After", "1") ] else [])
+
+let long_trace = String.init 128 (fun i -> "abcXYZ019._:-".[i mod 13])
+
+(* Every status the service sends, keep-alive and close, with a fresh
+   trace id and with the longest a client can send, each framed right
+   after a longer response in the same buffer: the bytes written are
+   the reference's, head and body. *)
+let test_framing_matches_reference () =
+  let r, wr = Unix.pipe () in
+  Fun.protect ~finally:(fun () -> Unix.close r; Unix.close wr) @@ fun () ->
+  let w = Json.writer 16 in
+  let check ~headers ~status ~content_type ~keep_alive body =
+    let expected = reference_response ~headers ~status ~content_type ~keep_alive body in
+    Http.start_body w;
+    Json.write_raw w body;
+    check_true "written" (Http.respond ~headers ~status ~content_type ~keep_alive wr w);
+    let got = Bytes.create (String.length expected) in
+    let rec fill k =
+      if k < Bytes.length got then
+        fill (k + Unix.read r got k (Bytes.length got - k))
+    in
+    fill 0;
+    if not (String.equal (Bytes.to_string got) expected) then
+      Alcotest.failf "status %d: framed@ %S@ expected@ %S" status
+        (Bytes.to_string got) expected
+  in
+  let bodies = function
+    | 204 -> [ ("application/json", "") ]
+    | 200 ->
+      [ ("application/json", {|{"id":"s1"}|}); ("text/plain; version=0.0.4", "ok\n") ]
+    | _ -> [ ("application/json", {|{"error":"x","detail":"y \"z\""}|}) ]
+  in
+  List.iter
+    (fun status ->
+      List.iter
+        (fun (content_type, body) ->
+          List.iter
+            (fun keep_alive ->
+              List.iter
+                (fun trace ->
+                  check ~headers:[] ~status:200 ~content_type:"application/json"
+                    ~keep_alive:true (String.make 700 'x');
+                  check ~headers:(service_headers ~trace status) ~status
+                    ~content_type ~keep_alive body)
+                [ Http.fresh_trace_id (); long_trace ])
+            [ true; false ])
+        (bodies status))
+    [ 200; 201; 204; 400; 404; 405; 408; 413; 429; 500; 503 ]
+
+let dataset_body ?(method_ = "pca") ds =
+  Json.to_string
+    (Json.Obj
+       [ ("dataset", Persist.dataset_to_json ds); ("seed", Json.Number 1.0);
+         ("method", Json.String method_) ])
+
+let create_dataset svc ?method_ ds =
+  let r = req svc ~body:(dataset_body ?method_ ds) "POST" "/sessions" in
+  status_is "create" 201 r;
+  Json.to_str (Json.member "id" (json_of r))
+
+let session_of svc id =
+  match Registry.find (Service.registry svc) id with
+  | Some entry -> Registry.session entry
+  | None -> Alcotest.failf "no session %s" id
+
+(* A request carrying its own trace id, so its response's bytes are
+   known in full. *)
+let traced_request ~trace meth path =
+  Printf.sprintf "%s %s HTTP/1.1\r\nHost: x\r\nX-Sider-Trace-Id: %s\r\n\r\n"
+    meth path trace
+
+(* Over one keep-alive connection to a single worker, one request at a
+   time and then all pipelined in one write: a large projection, a
+   small one, a 404, a 204 DELETE and the large projection again each
+   arrive byte for byte as the reference frames them, none with a tail
+   left in the buffer by a longer response before it. *)
+let test_reused_buffer_responses_exact () =
+  let config = { Service.default_config with workers = 1 } in
+  with_service ~config @@ fun svc ->
+  let large =
+    create_dataset svc (Synth.clustered ~seed:11 ~n:300 ~d:4 ~k:3 ())
+  in
+  let small = create_dataset svc ~method_:"ica" (Synth.gaussian ~seed:2 ~n:5 ~d:3 ()) in
+  let doomed =
+    Array.init 2 (fun i -> create_dataset svc (Synth.gaussian ~seed:(4 + i) ~n:6 ~d:2 ()))
+  in
+  let large_body = reference_projection (session_of svc large) in
+  let small_body = reference_projection (session_of svc small) in
+  let ok body = (200, body) in
+  (* Round [r] deletes its own session, so both rounds see a 204. *)
+  let exchange r =
+    [ ("GET", "/sessions/" ^ large ^ "/projection", ok large_body);
+      ("GET", "/sessions/" ^ small ^ "/projection", ok small_body);
+      ( "GET", "/sessions/nope",
+        (404, {|{"error":"not-found","detail":"no session nope"}|}) );
+      ("DELETE", "/sessions/" ^ doomed.(r), (204, ""));
+      ("GET", "/sessions/" ^ large ^ "/projection", ok large_body) ]
+  in
+  let trace r i = Printf.sprintf "r%d-%d" r i in
+  let expected r =
+    List.mapi
+      (fun i (_, _, (status, body)) ->
+        ( status,
+          reference_response ~headers:(service_headers ~trace:(trace r i) status)
+            ~status ~content_type:"application/json" ~keep_alive:true body ))
+      (exchange r)
+  in
+  let requests r =
+    List.mapi
+      (fun i (meth, path, _) -> traced_request ~trace:(trace r i) meth path)
+      (exchange r)
+  in
+  let check what got want =
+    List.iteri
+      (fun i ((s, text), (s', text')) ->
+        if s <> s' || not (String.equal text text') then
+          Alcotest.failf "%s, response %d: status %d, %d bytes; expected %d, %d bytes"
+            what i s (String.length text) s' (String.length text'))
+      (List.combine got want)
+  in
+  with_raw_socket svc @@ fun sock ->
+  check "one at a time"
+    (List.map
+       (fun request ->
+         write_string sock request;
+         List.hd (read_responses sock 1))
+       (requests 0))
+    (expected 0);
+  write_string sock (String.concat "" (requests 1));
+  check "pipelined" (read_responses sock 5) (expected 1)
+
+(* Four workers, four client threads, four sessions of different sizes:
+   each thread reads its own session's projection over its own
+   keep-alive connection, all at once, and always gets its own bytes. *)
+let test_concurrent_projection_reads () =
+  let config = { Service.default_config with workers = 4 } in
+  with_service ~config @@ fun svc ->
+  let sessions =
+    List.map
+      (fun (seed, n) ->
+        let id = create_dataset svc (Synth.clustered ~seed ~n ~d:4 ~k:3 ()) in
+        (id, reference_projection (session_of svc id)))
+      [ (1, 40); (2, 90); (3, 150); (4, 220) ]
+  in
+  let failures = Atomic.make 0 in
+  let reader (id, expected) =
+    let c = Http.client ~port:(Service.port svc) () in
+    Fun.protect ~finally:(fun () -> Http.client_close c) @@ fun () ->
+    for _ = 1 to 25 do
+      match Http.client_request c ~meth:"GET" ("/sessions/" ^ id ^ "/projection") with
+      | Ok r when r.Http.status = 200 && String.equal r.Http.r_body expected -> ()
+      | Ok _ | Error _ -> Atomic.incr failures
+    done
+  in
+  List.iter Thread.join (List.map (Thread.create reader) sessions);
+  Alcotest.(check int) "responses with another session's bytes" 0
+    (Atomic.get failures)
+
+(* At [projection_reads]' shape (n=1024, d=16, a margin-solved PCA
+   session), a warm worker prints and frames a projection response
+   allocating nothing on the major heap and at most 8·n words in all:
+   the axis labels, the head's header list.  Printing a tree into a
+   fresh string and copying it through a [Buffer] took 252,628 words,
+   83,127 of them on the major heap.  The frame is written to /dev/null,
+   which allocates nothing. *)
+let test_projection_response_allocation () =
+  let s = Session.create ~seed:1 (reads_dataset ()) in
+  Session.add_margin_constraint s;
+  ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 s);
+  ignore (Session.recompute_view s);
+  let n, _ = Sider_linalg.Mat.dims (Session.data s) in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+  let scratch = Service.scratch () and w = Json.writer 4096 in
+  let respond () =
+    Http.start_body w;
+    Service.write_projection scratch w s;
+    Http.respond
+      ~headers:(service_headers ~trace:long_trace 200)
+      ~status:200 ~content_type:"application/json" ~keep_alive:true null w
+  in
+  check_true "cold response sent" (respond ());
+  let major_before = major_words () in
+  let sent, words = allocated_words respond in
+  let major = int_of_float (major_words () -. major_before) in
+  check_true "warm response sent" sent;
+  Alcotest.(check int) "words on the major heap" 0 major;
+  if words > 8 * n then
+    Alcotest.failf "a warm projection response allocated %d words, over 8n = %d"
+      words (8 * n)
+
+(* A client that pipelines three large projection reads, takes 100
+   bytes of the first answer and resets the connection: the worker's
+   write fails, and it must close the connection rather than write the
+   next answer into the reset socket, which without SIGPIPE ignored
+   ends the process.  Exactly one write fails, and the service then
+   still answers /healthz. *)
+let test_pipelined_reset_leaves_service_up () =
+  let config = { Service.default_config with workers = 1 } in
+  with_sink (Some Sider_obs.Obs.null_sink) @@ fun () ->
+  with_service ~config @@ fun svc ->
+  let id = create_dataset svc (Synth.clustered ~seed:9 ~n:4000 ~d:4 ~k:3 ()) in
+  let get = Printf.sprintf "GET /sessions/%s/projection HTTP/1.1\r\nHost: x\r\n\r\n" id in
+  let failed_before = Sider_obs.Obs.counter_value "serve.write_failures" in
+  (with_raw_socket svc @@ fun sock ->
+   write_string sock (get ^ get ^ get);
+   let b = Bytes.create 100 in
+   let rec take k = if k < 100 then take (k + Unix.read sock b k (100 - k)) in
+   take 0;
+   Unix.setsockopt_optint sock Unix.SO_LINGER (Some 0));
+  status_is "healthz after the reset" 200 (req svc "GET" "/healthz");
+  Alcotest.(check int) "failed writes" 1
+    (Sider_obs.Obs.counter_value "serve.write_failures" - failed_before)
+
 let suite =
   [
     case "full interaction loop over http" test_lifecycle;
@@ -1798,6 +2119,17 @@ let suite =
       test_access_log_poisoned_channel;
     case "create decode allocates at most 5nd words"
       test_create_decode_allocation;
+    case "warm projection response allocates at most 8n words"
+      test_projection_response_allocation;
+    prop_projection_matches_tree;
+    case "framing matches the reference for every status"
+      test_framing_matches_reference;
+    case "reused buffer: responses byte-exact, one by one and pipelined"
+      test_reused_buffer_responses_exact;
+    slow_case "concurrent projection reads get their own bytes"
+      test_concurrent_projection_reads;
+    slow_case "pipelined reads then a reset leave the service up"
+      test_pipelined_reset_leaves_service_up;
     case "create decode refuses and accepts as the tree did"
       test_create_decode_matches_tree;
   ]
