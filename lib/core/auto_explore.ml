@@ -17,8 +17,12 @@ type result = {
   stopped : [ `Converged | `Max_iterations | `Degraded of Sider_robust.Sider_error.t ];
 }
 
-let mark_clusters ?rng ?(k_max = 6) ?(min_size = 8) ?(sample_cap = 1000)
-    session =
+(* k is chosen up to 6, and clusters under 8 points are dropped. *)
+let k_max = 6
+
+let min_size = 8
+
+let mark_clusters ?rng ?(sample_cap = 1000) session =
   let rng = match rng with Some r -> r | None -> Rng.create 99 in
   let pts = Session.scatter session in
   let n = Array.length pts in
@@ -48,8 +52,8 @@ let mark_clusters ?rng ?(k_max = 6) ?(min_size = 8) ?(sample_cap = 1000)
       else Some (Array.of_list (List.rev members)))
   |> Array.of_list
 
-let run ?(max_iterations = 6) ?(score_threshold = 0.01) ?k_max
-    ?(time_cutoff = 10.0) session =
+let run ?(max_iterations = 6) ?(score_threshold = 0.01) ?(time_cutoff = 10.0)
+    session =
   (* Own deterministic stream, NOT split from the session rng: the session
      stream must advance only through recorded interactions so that
      Persist replay reproduces it exactly. *)
@@ -77,7 +81,7 @@ let run ?(max_iterations = 6) ?(score_threshold = 0.01) ?k_max
         stopped = `Max_iterations }
     else begin
       let a1, a2 = Session.axis_labels ~top:5 session in
-      let selections = mark_clusters ~rng ?k_max session in
+      let selections = mark_clusters ~rng session in
       let class_matches =
         Array.map (fun sel -> Session.class_match session sel) selections
       in

@@ -33,14 +33,14 @@ type result = {
           result reflects the last good state. *)
 }
 
-val mark_clusters : ?rng:Rng.t -> ?k_max:int -> ?min_size:int ->
-  ?sample_cap:int -> Session.t -> int array array
+val mark_clusters : ?rng:Rng.t -> ?sample_cap:int -> Session.t ->
+  int array array
 (** What a user would circle in the current view: k-means clusters of the
-    2-D coordinates (k by silhouette, on at most [sample_cap] (default
-    1000) subsampled points), discarding clusters smaller than [min_size]
-    (default 8). *)
+    2-D coordinates (k ≤ 6 by silhouette, on at most [sample_cap]
+    (default 1000) subsampled points), discarding clusters smaller than
+    8 points. *)
 
-val run : ?max_iterations:int -> ?score_threshold:float -> ?k_max:int ->
+val run : ?max_iterations:int -> ?score_threshold:float ->
   ?time_cutoff:float -> Session.t -> result
 (** Full exploration loop.  Stops when the leading view score drops below
     [score_threshold] (default 0.01, calibrated to the paper's Table I

@@ -27,9 +27,6 @@ val swap_randomizer : ?within:int array array -> Mat.t -> randomizer
     preserves each group's per-column value multiset — the permutation
     analogue of cluster constraints. *)
 
-val sample : randomizer -> Rng.t -> Mat.t
-(** One permutation sample (fresh matrix). *)
-
 val sample_mean_sd : randomizer -> Rng.t -> int ->
   (Mat.t -> float) -> float * float
 (** Monte-Carlo mean and sd of a statistic over [k] permutation samples —

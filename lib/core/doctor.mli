@@ -46,7 +46,5 @@ val fault : check:string -> string -> report
 (** A report consisting of one fault — for callers whose input failed
     before a dataset even existed (e.g. a CSV that does not parse). *)
 
-val severity_label : severity -> string
-
 val to_string : report -> string
 (** Human-readable rendering, one finding per line, verdict last. *)

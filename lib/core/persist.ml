@@ -432,8 +432,6 @@ let session_text session =
         history;
       Json.write_char w ']')
 
-let session_to_json session = Json.of_string (Json.contents (session_text session))
-
 let check_format ~what ~expected j =
   (match Json.member_opt "format" j with
    | Some (Json.String f) when f = expected -> ()

@@ -15,7 +15,10 @@
     files (no checksum) still load.  A document is printed once, from
     the session's matrix into one buffer with no tree built: the
     checksum is taken over the bytes either side of a gap after
-    [version] and written into that gap.
+    [version] and written into that gap.  Loading parses the document
+    into a {!Sider_data.Json.t}, whose re-printed text the checksum is
+    verified against, and decodes the dataset with {!dataset_of_json};
+    the create route reads a dataset at a cursor ({!read_dataset}).
 
     {b Error discipline:} malformed input is reported as a structured
     {!Sider_robust.Sider_error.t} — [Degenerate_data] for bad content
@@ -73,23 +76,6 @@ val read_dataset : Json.cursor -> unit -> Dataset.t
     nothing is checked until the call, so a caller can read the rest of
     its document first and let a later syntax error take precedence. *)
 
-val event_to_json : Session.event -> Json.t
-
-val replay_event : Session.t -> Json.t -> unit
-(** Apply one serialized event to a live session.  Raises
-    [Sider_error.Error] on an unknown or malformed event; a recorded
-    [update] whose re-solve fails is tolerated (the session rolls back,
-    replay continues). *)
-
-val session_to_json : Session.t -> Json.t
-(** Current format version, with checksum: the text {!save} writes,
-    parsed back, so printing it gives those bytes again. *)
-
-val session_of_json : Json.t -> Session.t
-(** Rebuilds the session and replays its interaction log.  Raises
-    [Sider_error.Error] on malformed input, unsupported version or
-    checksum mismatch. *)
-
 val save : string -> Session.t -> unit
 (** Write a session snapshot atomically: the document is written to
     [path ^ ".tmp"], [fsync]ed and renamed over [path], so a crash
@@ -129,7 +115,7 @@ val journal_events : journal -> int
     since the last {!journal_compact} plus any recovered lines.  The
     compaction trigger's growth measure. *)
 
-val journal_base : journal -> int
+val journal_base : journal -> int [@@sider.allow "test-hook"]
 (** Events the sibling snapshot holds on this journal's behalf; [0] for
     an uncompacted journal. *)
 

@@ -29,20 +29,6 @@ let within_radius session ~center:(cx, cy) ~radius =
 let by_class session cls =
   Sider_data.Dataset.class_indices (Session.dataset session) cls
 
-let union a b = of_set (Iset.union (Iset.of_list (Array.to_list a))
-                          (Iset.of_list (Array.to_list b)))
-
-let inter a b = of_set (Iset.inter (Iset.of_list (Array.to_list a))
-                          (Iset.of_list (Array.to_list b)))
-
-let diff a b = of_set (Iset.diff (Iset.of_list (Array.to_list a))
-                         (Iset.of_list (Array.to_list b)))
-
-let complement session a =
-  let n = Sider_data.Dataset.n_rows (Session.dataset session) in
-  let all = Iset.of_list (List.init n Fun.id) in
-  of_set (Iset.diff all (Iset.of_list (Array.to_list a)))
-
 let size = Array.length
 
 type store = (string, t) Hashtbl.t
@@ -52,10 +38,3 @@ let store_create () : store = Hashtbl.create 8
 let save store name sel = Hashtbl.replace store name sel
 
 let load store name = Hashtbl.find_opt store name
-
-let names store =
-  (* Fold order is hash-layout order, but the sort right after makes the
-     result canonical. *)
-  (Hashtbl.fold (fun k _ acc -> k :: acc) store []
-   [@sider.allow "determinism"])
-  |> List.sort compare

@@ -5,8 +5,6 @@
 type t = int array
 (** A selection is a sorted array of distinct row indices. *)
 
-val of_indices : int list -> t
-
 val in_rectangle : Session.t -> xmin:float -> xmax:float -> ymin:float ->
   ymax:float -> t
 (** Rows whose current-view coordinates fall in the rectangle. *)
@@ -16,14 +14,6 @@ val within_radius : Session.t -> center:float * float -> radius:float -> t
 val by_class : Session.t -> string -> t
 (** Rows with the given ground-truth label (the UI's "pre-defined classes"
     shortcut). *)
-
-val union : t -> t -> t
-
-val inter : t -> t -> t
-
-val diff : t -> t -> t
-
-val complement : Session.t -> t -> t
 
 val size : t -> int
 
@@ -35,5 +25,3 @@ val save : store -> string -> t -> unit
 (** Saved groupings, re-usable across iterations (UI feature). *)
 
 val load : store -> string -> t option
-
-val names : store -> string list

@@ -125,11 +125,7 @@ let data t = Dataset.matrix t.std
 
 let solver t = t.solver
 
-let rng t = t.rng
-
 let method_ t = t.method_
-
-let set_method t m = t.method_ <- m
 
 let n_constraints t =
   Array.length (Solver.constraints t.solver) + List.length t.pending
@@ -243,8 +239,8 @@ let update_background ?trace ?(time_cutoff = 10.0) ?max_sweeps t =
     Obs.flight_auto_dump ?trace ~reason ();
     Error e
 
-let update_background_exn ?time_cutoff ?max_sweeps t =
-  match update_background ?time_cutoff ?max_sweeps t with
+let update_background_exn t =
+  match update_background t with
   | Ok report -> report
   | Error e -> Sider_error.raise_ e
 
@@ -343,11 +339,10 @@ let residual_gaussianity t =
   done;
   Ks.test_gaussian pooled
 
-let confidence_ellipses ?(confidence = 0.95) t rows =
+let confidence_ellipses t rows =
   if Array.length rows = 0 then
     invalid_arg "Session.confidence_ellipses: empty selection";
   let m = data t in
   let sel = View.project t.view (Mat.select_rows m rows) in
   let bg = View.project t.view (Mat.select_rows t.sample rows) in
-  ( Ellipse.of_points ~confidence sel,
-    Ellipse.of_points ~confidence bg )
+  (Ellipse.of_points sel, Ellipse.of_points bg)

@@ -18,7 +18,6 @@
     by {!class_match} for retrospective evaluation, as in the paper. *)
 
 open Sider_linalg
-open Sider_rand
 open Sider_data
 open Sider_maxent
 open Sider_projection
@@ -73,8 +72,6 @@ val data : t -> Mat.t
 
 val solver : t -> Solver.t
 
-val rng : t -> Rng.t
-
 val creation_args : t -> int * bool * float * View.method_
 (** [(seed, standardize, jitter, initial method)] — the arguments the
     session was created with, recorded for persistence/replay. *)
@@ -83,10 +80,6 @@ val history : t -> event list
 (** All interactions so far, oldest first. *)
 
 val method_ : t -> View.method_
-
-val set_method : t -> View.method_ -> unit
-(** Change the projection method; takes effect at the next
-    {!recompute_view}. *)
 
 val n_constraints : t -> int
 
@@ -134,10 +127,10 @@ val update_background : ?trace:string -> ?time_cutoff:float ->
     staying 1:1 (a replayed failure rolls back identically, so the
     reconstructed state is unaffected). *)
 
-val update_background_exn : ?time_cutoff:float -> ?max_sweeps:int -> t ->
-  Solver.report
-(** {!update_background} unwrapped: raises [Sider_error.Error] on
-    failure.  For scripts and benchmarks where failure is unexpected. *)
+val update_background_exn : t -> Solver.report
+(** {!update_background} with its defaults, unwrapped: raises
+    [Sider_error.Error] on failure.  For scripts and benchmarks where
+    failure is unexpected. *)
 
 val degradations : t -> Sider_error.t list
 (** Every numerical fault the session has survived, oldest first:
@@ -198,8 +191,8 @@ val residual_gaussianity : t -> float * float
     [d] is small.  (With n·d pooled values the test is extremely powerful,
     so judge by [d] falling over iterations rather than by [p] alone.) *)
 
-val confidence_ellipses : ?confidence:float -> t -> int array ->
+val confidence_ellipses : t -> int array ->
   Sider_stats.Ellipse.t * Sider_stats.Ellipse.t
-(** 95% (default) confidence ellipses of a selection in the current view:
+(** 95% confidence ellipses of a selection in the current view:
     (selection points, their background samples) — the solid and dotted
     blue ellipsoids of the UI. *)

@@ -69,14 +69,17 @@ let genre_profile genre =
    2000 tokens over 100 cells, so Poissonized sampling (count_w ~
    Poisson(len * p_w), then no renormalization) is statistically adequate
    and O(vocab).  Per-document Dirichlet jitter models author variation. *)
-let document rng ~doc_length profile =
+(* Documents of 2000 words on average. *)
+let doc_length = 2000
+
+let document rng profile =
   let alpha = Array.map (fun p -> 60.0 *. float_of_int vocab_size *. p) profile in
   let theta = Sampler.dirichlet rng alpha in
   Array.map
     (fun p -> float_of_int (Sampler.poisson rng ~lambda:(float_of_int doc_length *. p)))
     theta
 
-let generate ?(seed = 11) ?(doc_length = 2000) () =
+let generate ?(seed = 11) () =
   let rng = Rng.create seed in
   let n = Array.fold_left ( + ) 0 genre_sizes in
   let m = Mat.create n vocab_size in
@@ -86,7 +89,7 @@ let generate ?(seed = 11) ?(doc_length = 2000) () =
   Array.iteri
     (fun g size ->
       for _ = 1 to size do
-        Mat.set_row m !r (document rng ~doc_length profiles.(g));
+        Mat.set_row m !r (document rng profiles.(g));
         labels.(!r) <- genres.(g);
         incr r
       done)

@@ -16,16 +16,6 @@
     Word-frequency profiles follow a Zipfian base law with genre tilts;
     counts are drawn as a multinomial over 2000 tokens per document. *)
 
-val genres : string array
-(** [|"prose fiction"; "transcribed conversations"; "broadsheet newspaper";
-     "academic prose"|]. *)
-
-val genre_sizes : int array
-(** Document counts per genre, summing to 1335. *)
-
-val vocabulary : string array
-(** The 100 pseudo-word dimension names ([w001] ... [w100]). *)
-
-val generate : ?seed:int -> ?doc_length:int -> unit -> Dataset.t
-(** The 1335×100 count matrix with genre labels (default document length
-    2000 tokens, matching the paper's preprocessing). *)
+val generate : ?seed:int -> unit -> Dataset.t
+(** The 1335×100 count matrix with genre labels (documents of 2000
+    tokens on average, matching the paper's preprocessing). *)

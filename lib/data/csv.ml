@@ -1,7 +1,9 @@
 open Sider_linalg
 open Sider_robust
 
-let parse_line ?(sep = ',') line =
+let sep = ','
+
+let parse_line line =
   let buf = Buffer.create 32 in
   let fields = ref [] in
   let n = String.length line in
@@ -36,7 +38,7 @@ let parse_line ?(sep = ',') line =
   field 0;
   List.rev !fields
 
-let quote_field ~sep s =
+let quote_field s =
   let needs_quote =
     String.exists (fun c -> c = sep || c = '"' || c = '\n' || c = '\r') s
   in
@@ -70,12 +72,11 @@ let check_duplicate_headers header =
       | None -> Hashtbl.add seen name i)
     header
 
-let of_lines ?(sep = ',') ?label_column ?(name = "csv")
-    ?(constant = `Keep) lines =
+let of_lines ?label_column ~name lines =
   match lines with
   | [] -> reject "Csv: empty input"
   | header :: rows ->
-    let header = parse_line ~sep header |> Array.of_list in
+    let header = parse_line header |> Array.of_list in
     check_duplicate_headers header;
     let label_idx =
       match label_column with
@@ -95,7 +96,7 @@ let of_lines ?(sep = ',') ?label_column ?(name = "csv")
     let rows =
       rows
       |> List.filter (fun l -> String.trim l <> "")
-      |> List.mapi (fun lineno l -> (lineno + 2, parse_line ~sep l))
+      |> List.mapi (fun lineno l -> (lineno + 2, parse_line l))
     in
     let parse_float lineno col s =
       let trimmed = String.trim s in
@@ -131,72 +132,21 @@ let of_lines ?(sep = ',') ?label_column ?(name = "csv")
         | None -> ())
       rows;
     let labels = if label_idx = None then None else Some labels in
-    (* Constant columns have zero variance: standardization maps them to
-       all-zeros and any variance constraint on them is degenerate.
-       Callers choose to keep them (engine jitter handles them), repair
-       by dropping, or reject outright. *)
-    let columns, matrix =
-      match constant with
-      | `Keep -> (columns, matrix)
-      | (`Drop | `Reject) as mode ->
-        let vars = Mat.col_variances matrix in
-        let constant_cols =
-          Array.to_list columns
-          |> List.mapi (fun j c -> (j, c))
-          |> List.filter (fun (j, _) -> n > 0 && vars.(j) = 0.0)
-        in
-        (match mode, constant_cols with
-         | _, [] -> (columns, matrix)
-         | `Reject, (_, c) :: _ ->
-           reject
-             (Printf.sprintf
-                "Csv: column %S is constant (zero variance breaks \
-                 standardization); %d constant column(s) total"
-                c (List.length constant_cols))
-         | `Drop, _ ->
-           let dropped = List.map fst constant_cols in
-           let kept =
-             Array.to_list (Array.mapi (fun j c -> (j, c)) columns)
-             |> List.filter (fun (j, _) -> not (List.mem j dropped))
-           in
-           if kept = [] then
-             reject "Csv: every column is constant; nothing left to keep";
-           let kept_idx = Array.of_list (List.map fst kept) in
-           let columns' = Array.of_list (List.map snd kept) in
-           let matrix' =
-             Mat.init n (Array.length kept_idx) (fun i j ->
-                 Mat.get matrix i kept_idx.(j))
-           in
-           (columns', matrix'))
-    in
     Dataset.create ~name ?labels ~columns matrix
 
-let of_string ?sep ?label_column ?name ?constant text =
-  of_lines ?sep ?label_column ?name ?constant
-    (String.split_on_char '\n' text
-     |> List.map (fun l ->
-         (* Tolerate CRLF input. *)
-         if String.length l > 0 && l.[String.length l - 1] = '\r' then
-           String.sub l 0 (String.length l - 1)
-         else l)
-     |> List.filter (fun l -> l <> ""))
+(* Lines without their CR (CRLF input is tolerated); empty lines are
+   dropped. *)
+let read_file ?label_column path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  String.split_on_char '\n' text
+  |> List.map (fun l ->
+      if String.length l > 0 && l.[String.length l - 1] = '\r' then
+        String.sub l 0 (String.length l - 1)
+      else l)
+  |> List.filter (fun l -> l <> "")
+  |> of_lines ?label_column ~name:(Filename.basename path)
 
-let read_file ?sep ?label_column ?constant path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      of_lines ?sep ?label_column ?constant
-        ~name:(Filename.basename path)
-        (List.rev !lines))
-
-let to_string ?(sep = ',') ds =
+let to_string ds =
   let buf = Buffer.create 4096 in
   let seps = String.make 1 sep in
   let cols = Array.to_list (Dataset.columns ds) in
@@ -206,7 +156,7 @@ let to_string ?(sep = ',') ds =
     | None -> cols
   in
   Buffer.add_string buf
-    (String.concat seps (List.map (quote_field ~sep) cols));
+    (String.concat seps (List.map quote_field cols));
   Buffer.add_char buf '\n';
   let m = Dataset.matrix ds in
   for i = 0 to Dataset.n_rows ds - 1 do
@@ -216,7 +166,7 @@ let to_string ?(sep = ',') ds =
     in
     let fields =
       match Dataset.labels ds with
-      | Some l -> fields @ [ quote_field ~sep l.(i) ]
+      | Some l -> fields @ [ quote_field l.(i) ]
       | None -> fields
     in
     Buffer.add_string buf (String.concat seps fields);
@@ -224,8 +174,5 @@ let to_string ?(sep = ',') ds =
   done;
   Buffer.contents buf
 
-let write_file ?sep path ds =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string ?sep ds))
+let write_file path ds =
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string ds))

@@ -1,6 +1,6 @@
 (** Minimal CSV reader/writer for numeric datasets.
 
-    Supports quoted fields, configurable separators and an optional label
+    Supports comma-separated, quoted fields and an optional label
     column — enough to round-trip every dataset this repository produces
     and to load user data through the CLI.
 
@@ -12,25 +12,11 @@
     indicate a caller bug (unknown label column, ragged rows) still raise
     [Failure]. *)
 
-val parse_line : ?sep:char -> string -> string list
-(** Split one CSV record, honouring double-quoted fields with escaped
-    quotes ([""]). *)
-
-val read_file : ?sep:char -> ?label_column:string ->
-  ?constant:[ `Keep | `Drop | `Reject ] -> string -> Dataset.t
+val read_file : ?label_column:string -> string -> Dataset.t
 (** [read_file path] loads a CSV with a header row.  All columns must be
     numeric except the optional label column named by [label_column].
+    Empty lines are skipped and a CR before a line's LF is dropped.
+    Double-quoted fields may hold commas and escaped quotes ([""]). *)
 
-    [constant] selects the policy for zero-variance columns, which break
-    standardization downstream: [`Keep] (default) leaves them in, [`Drop]
-    silently removes them, [`Reject] raises [Degenerate_data] naming the
-    first offending column. *)
-
-val write_file : ?sep:char -> string -> Dataset.t -> unit
+val write_file : string -> Dataset.t -> unit
 (** Writes header + rows; labels (if any) become a final [class] column. *)
-
-val of_string : ?sep:char -> ?label_column:string -> ?name:string ->
-  ?constant:[ `Keep | `Drop | `Reject ] -> string -> Dataset.t
-(** Parse CSV text directly (used by tests). *)
-
-val to_string : ?sep:char -> Dataset.t -> string

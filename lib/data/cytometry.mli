@@ -15,9 +15,5 @@
       the situation where iterative "tell me what I know" exploration
       helps find the rare populations). *)
 
-val channels : string array
-
-val populations : string array
-
 val generate : ?seed:int -> ?n:int -> unit -> Dataset.t
 (** Default [n] 20,000 events, labelled by population. *)

@@ -27,17 +27,7 @@ let n_cols t = snd (Mat.dims t.matrix)
 
 let columns t = t.columns
 
-let column_index t c =
-  let idx = ref (-1) in
-  Array.iteri (fun i name -> if String.equal name c then idx := i) t.columns;
-  if !idx < 0 then raise Not_found else !idx
-
 let labels t = t.labels
-
-let label t i =
-  match t.labels with
-  | None -> invalid_arg "Dataset.label: dataset has no labels"
-  | Some l -> l.(i)
 
 let classes t =
   match t.labels with
@@ -56,20 +46,12 @@ let class_indices t cls =
     Array.iteri (fun i x -> if String.equal x cls then out := i :: !out) l;
     Array.of_list (List.rev !out)
 
-let row t i = Mat.row t.matrix i
-
 let select_rows t idx =
   {
     t with
     matrix = Mat.select_rows t.matrix idx;
     labels = Option.map (fun l -> Array.map (fun i -> l.(i)) idx) t.labels;
   }
-
-let select_cols t idx =
-  let m = Mat.init (n_rows t) (Array.length idx) (fun i j ->
-      Mat.get t.matrix i idx.(j))
-  in
-  { t with matrix = m; columns = Array.map (fun j -> t.columns.(j)) idx }
 
 let standardized t =
   let m = t.matrix in
@@ -86,31 +68,6 @@ let with_matrix t m =
   if Mat.dims m <> Mat.dims t.matrix then
     invalid_arg "Dataset.with_matrix: shape change not allowed";
   { t with matrix = m }
-
-let one_hot ?(prefix = "cat") ~values t =
-  let n = n_rows t in
-  if Array.length values <> n then
-    invalid_arg "Dataset.one_hot: one value per row required";
-  let distinct =
-    Array.fold_left
-      (fun acc v -> if List.mem v acc then acc else v :: acc)
-      [] values
-    |> List.rev
-    |> Array.of_list
-  in
-  let k = Array.length distinct in
-  let d = n_cols t in
-  let m =
-    Mat.init n (d + k) (fun i j ->
-        if j < d then Mat.get t.matrix i j
-        else if String.equal distinct.(j - d) values.(i) then 1.0
-        else 0.0)
-  in
-  let columns =
-    Array.append t.columns
-      (Array.map (fun v -> prefix ^ "=" ^ v) distinct)
-  in
-  { t with matrix = m; columns }
 
 let describe t =
   let cls = classes t in

@@ -24,25 +24,15 @@ val n_cols : t -> int
 
 val columns : t -> string array
 
-val column_index : t -> string -> int
-(** Raises [Not_found]. *)
-
 val labels : t -> string array option
-
-val label : t -> int -> string
-(** Raises [Invalid_argument] if the dataset has no labels. *)
 
 val classes : t -> string list
 (** Distinct labels in order of first appearance; empty without labels. *)
 
 val class_indices : t -> string -> int array
 
-val row : t -> int -> Vec.t
-
 val select_rows : t -> int array -> t
 (** Sub-dataset with the given rows (labels subset accordingly). *)
-
-val select_cols : t -> int array -> t
 
 val standardized : t -> t
 (** Columns scaled to zero mean, unit variance (constant columns are only
@@ -51,15 +41,6 @@ val standardized : t -> t
 
 val with_matrix : t -> Mat.t -> t
 (** Same metadata, new matrix of identical shape. *)
-
-val one_hot : ?prefix:string -> values:string array -> t -> t
-(** [one_hot ~values t] appends one indicator column per distinct value of
-    [values] (one entry per row).  This is the paper's Sec. VI
-    categorical-data extension in its simplest form: a categorical
-    attribute becomes 0/1 columns whose means and covariances the MaxEnt
-    machinery can constrain like any other real attribute.  Column names
-    are [prefix ^ "=" ^ value] ([prefix] defaults to ["cat"]).  Raises
-    [Invalid_argument] if [values] does not have one entry per row. *)
 
 val describe : t -> string
 (** One-line human summary: name, n, d, classes. *)

@@ -51,7 +51,10 @@ let loadings =
      (* saturation-mean *) [| -0.5; 0.5; 0.6; 0.1; 0.0; 0.1 |];
      (* hue-mean *) [| -0.2; 0.9; 1.1; 0.0; 0.0; 0.0 |] |]
 
-let generate ?(seed = 7) ?(outlier_fraction = 0.02) () =
+(* The share of rows drawn as outliers. *)
+let outlier_fraction = 0.02
+
+let generate ?(seed = 7) () =
   let rng = Rng.create seed in
   let per_class = 330 in
   let n = per_class * Array.length classes in

@@ -19,10 +19,5 @@
     - a small fraction of outlier rows that dominate the view after the
       three cluster constraints are absorbed. *)
 
-val classes : string array
-
-val attribute_names : string array
-(** The 19 attribute names of the UCI dataset. *)
-
-val generate : ?seed:int -> ?outlier_fraction:float -> unit -> Dataset.t
-(** Default [outlier_fraction] 0.02. *)
+val generate : ?seed:int -> unit -> Dataset.t
+(** 2% of the rows are outliers. *)

@@ -1,30 +1,6 @@
 open Sider_linalg
 open Sider_rand
 
-let blobs ?(seed = 1) ?(sd = 0.1) ~centers ~sizes () =
-  let k, d = Mat.dims centers in
-  if Array.length sizes <> k then invalid_arg "Synth.blobs: sizes mismatch";
-  let n = Array.fold_left ( + ) 0 sizes in
-  let rng = Rng.create seed in
-  let m = Mat.create n d in
-  let labels = Array.make n "" in
-  let r = ref 0 in
-  Array.iteri
-    (fun c size ->
-      let center = Mat.row centers c in
-      for _ = 1 to size do
-        let pt =
-          Array.init d (fun j -> center.(j) +. (sd *. Sampler.normal rng))
-        in
-        Mat.set_row m !r pt;
-        labels.(!r) <- Printf.sprintf "c%d" c;
-        incr r
-      done)
-    sizes;
-  Dataset.create ~name:"blobs" ~labels ~columns:(Array.init d (fun j ->
-      Printf.sprintf "X%d" (j + 1)))
-    m
-
 let three_d ?(seed = 1) () =
   let rng = Rng.create seed in
   let centers =

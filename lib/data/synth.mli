@@ -2,8 +2,6 @@
 
     Every generator is deterministic given its [seed]. *)
 
-open Sider_linalg
-
 val three_d : ?seed:int -> unit -> Dataset.t
 (** The 3-D introduction dataset (Fig. 2): 150 points, clusters A and B of
     50 points, C and D of 25 points; C and D share their location in the
@@ -35,9 +33,3 @@ val adversarial : unit -> Dataset.t
 val gaussian : ?seed:int -> n:int -> d:int -> unit -> Dataset.t
 (** Pure [N(0, I)] noise — the null case where no view should show
     structure. *)
-
-val blobs : ?seed:int -> ?sd:float -> centers:Mat.t -> sizes:int array ->
-  unit -> Dataset.t
-(** Generic isotropic Gaussian blobs: row [i] of [centers] is used for
-    [sizes.(i)] points with the given standard deviation; labels are
-    [c0..]. *)

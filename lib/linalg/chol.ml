@@ -75,11 +75,3 @@ let inverse l =
     done
   done;
   inv
-
-let log_det l =
-  let n, _ = Mat.dims l in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. log (Mat.get l i i)
-  done;
-  2.0 *. !acc

@@ -17,6 +17,3 @@ val solve : Mat.t -> Vec.t -> Vec.t
 
 val inverse : Mat.t -> Mat.t
 (** [inverse l] is [(l lᵀ)⁻¹] given the Cholesky factor [l]. *)
-
-val log_det : Mat.t -> float
-(** [log_det l] is [log det (l lᵀ) = 2 Σ log l_ii]. *)

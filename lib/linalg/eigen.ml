@@ -259,10 +259,6 @@ let weighted_outer_sum ~n (va : float array) weight =
   done;
   out
 
-let reconstruct { values; vectors } =
-  let n = Array.length values in
-  weighted_outer_sum ~n vectors.Mat.a (fun k -> values.(k))
-
 let power ?(clamp = 1e-12) { values; vectors } p =
   let n = Array.length values in
   weighted_outer_sum ~n vectors.Mat.a (fun k ->

@@ -24,9 +24,6 @@ val symmetric : Mat.t -> decomposition
     unique up to sign.  Input with a non-finite entry returns without
     raising or looping; the result is then meaningless. *)
 
-val reconstruct : decomposition -> Mat.t
-(** [V diag(values) Vᵀ]. *)
-
 val power : ?clamp:float -> decomposition -> float -> Mat.t
 (** [power dec p] is the symmetric matrix power [V diag(values^p) Vᵀ].
     Eigenvalues are clamped below at [clamp] (default [1e-12]) before

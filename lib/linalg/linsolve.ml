@@ -11,7 +11,6 @@ let lu a =
   if n <> m then invalid_arg "Linsolve.lu: not square";
   let lu = Mat.copy a in
   let perm = Array.init n Fun.id in
-  let sign = ref 1 in
   for k = 0 to n - 1 do
     (* Partial pivoting: find the row with the largest magnitude in col k. *)
     let pivot = ref k in
@@ -27,8 +26,7 @@ let lu a =
       done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(!pivot);
-      perm.(!pivot) <- tmp;
-      sign := - !sign
+      perm.(!pivot) <- tmp
     end;
     let pkk = Mat.get lu k k in
     (* Exact-zero pivot test; bit-exact on purpose. *)
@@ -42,9 +40,9 @@ let lu a =
         done
     done
   done;
-  (lu, perm, !sign)
+  (lu, perm)
 
-let solve_lu (lu, perm, _) b =
+let solve_lu (lu, perm) b =
   let n, _ = Mat.dims lu in
   let y = Array.init n (fun i -> b.(perm.(i))) in
   for i = 0 to n - 1 do
@@ -62,11 +60,6 @@ let solve_lu (lu, perm, _) b =
   done;
   x
 
-let solve a b =
-  if fst (Mat.dims a) <> Array.length b then
-    invalid_arg "Linsolve.solve: dimension mismatch";
-  solve_lu (lu a) b
-
 let inverse a =
   let n, _ = Mat.dims a in
   let fact = lu a in
@@ -78,17 +71,6 @@ let inverse a =
     done
   done;
   inv
-
-let det a =
-  match lu a with
-  | lu, _, sign ->
-    let n, _ = Mat.dims lu in
-    let acc = ref (float_of_int sign) in
-    for i = 0 to n - 1 do
-      acc := !acc *. Mat.get lu i i
-    done;
-    !acc
-  | exception Singular -> 0.0
 
 let woodbury_rank1 sigma lambda w =
   let g = Mat.mv sigma w in

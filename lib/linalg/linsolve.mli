@@ -2,18 +2,8 @@
 
 exception Singular
 
-val lu : Mat.t -> Mat.t * int array * int
-(** [lu a] returns the packed LU factorization (Doolittle, partial
-    pivoting), the permutation as a row-index array, and the sign of the
-    permutation.  Raises {!Singular} if a zero pivot is met. *)
-
-val solve : Mat.t -> Vec.t -> Vec.t
-(** [solve a b] solves [a x = b].  Raises {!Singular}. *)
-
 val inverse : Mat.t -> Mat.t
 (** Raises {!Singular}. *)
-
-val det : Mat.t -> float
 
 val woodbury_rank1 : Mat.t -> float -> Vec.t -> Mat.t
 (** [woodbury_rank1 sigma lambda w] is [(sigma⁻¹ + lambda w wᵀ)⁻¹] computed

@@ -40,14 +40,6 @@ let init rows cols f =
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-let diag v =
-  let n = Array.length v in
-  init n n (fun i j -> if i = j then v.(i) else 0.0)
-
-let diagonal m =
-  if m.rows <> m.cols then invalid_arg "Mat.diagonal: not square";
-  Array.init m.rows (fun i -> m.a.((i * m.cols) + i))
-
 let of_array rows cols a =
   if rows < 0 || cols < 0 || Array.length a <> rows * cols then
     invalid_arg "Mat.of_array: length is not rows * cols";
@@ -80,11 +72,6 @@ let get m i j = m.a.((i * m.cols) + j)
 let set m i j x = m.a.((i * m.cols) + j) <- x
 
 let row m i = Array.sub m.a (i * m.cols) m.cols
-
-let get_row_into m i dst =
-  if Array.length dst <> m.cols then
-    invalid_arg "Mat.get_row_into: bad length";
-  Array.blit m.a (i * m.cols) dst 0 m.cols
 
 (* Dot of [a.(aoff..aoff+len-1)] with [b.(boff..boff+len-1)], unrolled by
    four.  One accumulator, strictly increasing index — the addition order
@@ -199,21 +186,10 @@ let scale_into ~dst s x =
     Array.unsafe_set za i (s *. Array.unsafe_get xa i)
   done
 
-let add x y =
-  check_same "add" x y;
-  let z = create x.rows x.cols in
-  add_into ~dst:z x y;
-  z
-
 let sub x y =
   check_same "sub" x y;
   let z = create x.rows x.cols in
   sub_into ~dst:z x y;
-  z
-
-let scale s x =
-  let z = create x.rows x.cols in
-  scale_into ~dst:z s x;
   z
 
 (* k-blocking keeps a bounded panel of [y] rows hot while it is streamed
@@ -396,14 +372,6 @@ let matmul_tn_into ~dst x y =
         done
       done)
 
-let matmul_tn x y =
-  if x.rows <> y.rows then
-    invalid_arg (Printf.sprintf "Mat.matmul_tn: inner dims (%dx%d)ᵀ*(%dx%d)"
-                   x.rows x.cols y.rows y.cols);
-  let z = create x.cols y.cols in
-  matmul_tn_into ~dst:z x y;
-  z
-
 let mv_into ~dst m v =
   if m.cols <> Array.length v then
     invalid_arg "Mat.mv_into: dimension mismatch";
@@ -421,15 +389,6 @@ let mv m v =
   mv_into ~dst m v;
   dst
 
-let tmv m v =
-  if m.rows <> Array.length v then invalid_arg "Mat.tmv: dimension mismatch";
-  let out = Array.make m.cols 0.0 in
-  for i = 0 to m.rows - 1 do
-    let vi = v.(i) in
-    if vi <> 0.0 then axpy_range out 0 vi m.a (i * m.cols) m.cols
-  done;
-  out
-
 (* Allocation-free [vᵀ m v]: the inner loop reproduces one element of
    [mv m v] (increasing [j]), the outer one the [Vec.dot] fold
    (increasing [i]) — bit-identical to [Vec.dot v (mv m v)]. *)
@@ -444,9 +403,6 @@ let quad_form m v =
     acc := !acc +. (Array.unsafe_get v i *. r)
   done;
   !acc
-
-let outer u v =
-  init (Array.length u) (Array.length v) (fun i j -> u.(i) *. v.(j))
 
 let rank1_update m alpha v =
   if m.rows <> m.cols || m.rows <> Array.length v then
@@ -503,18 +459,6 @@ let is_symmetric ?(eps = 1e-9) m =
       !ok)
 
 let map f m = { m with a = Array.map f m.a }
-
-let map_into ~dst f m =
-  check_dst "map_into" dst m.rows m.cols;
-  let ma = m.a and za = dst.a in
-  (* Elementwise, so rows are trivially independent; the generous
-     per-element work estimate covers transcendental maps (tanh in the
-     FastICA inner loop), which are the ones worth fanning out. *)
-  par_rows ~label:"mat.map" ~work:(m.rows * m.cols * 16) m.rows
-    (fun lo hi ->
-      for i = lo * m.cols to (hi * m.cols) - 1 do
-        Array.unsafe_set za i (f (Array.unsafe_get ma i))
-      done)
 
 let tanh_into ~dst m =
   check_dst "tanh_into" dst m.rows m.cols;
@@ -606,38 +550,5 @@ let covariance m =
   done;
   cov
 
-let gram m = matmul_tn m m
-
-let hcat x y =
-  if x.rows <> y.rows then invalid_arg "Mat.hcat: row mismatch";
-  init x.rows (x.cols + y.cols) (fun i j ->
-      if j < x.cols then get x i j else get y i (j - x.cols))
-
-let vcat x y =
-  if x.cols <> y.cols then invalid_arg "Mat.vcat: column mismatch";
-  init (x.rows + y.rows) x.cols (fun i j ->
-      if i < x.rows then get x i j else get y (i - x.rows) j)
-
 let select_rows m idx =
   init (Array.length idx) m.cols (fun i j -> get m idx.(i) j)
-
-let approx_equal ?(eps = 1e-9) x y =
-  x.rows = y.rows && x.cols = y.cols
-  && (let ok = ref true in
-      Array.iteri
-        (fun i v -> if Float.abs (v -. y.a.(i)) > eps then ok := false)
-        x.a;
-      !ok)
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "@[<h>";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf fmt "  ";
-      Format.fprintf fmt "%10.4g" (get m i j)
-    done;
-    Format.fprintf fmt "@]";
-    if i < m.rows - 1 then Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -22,12 +22,6 @@ val init : int -> int -> (int -> int -> float) -> t
 
 val identity : int -> t
 
-val diag : Vec.t -> t
-(** Square matrix with the given diagonal. *)
-
-val diagonal : t -> Vec.t
-(** Extract the diagonal of a square matrix. *)
-
 val of_array : int -> int -> float array -> t
 (** [of_array r c a] is the [r]×[c] matrix whose rows lie one after
     another in [a], sharing [a]: no copy is made.  Raises
@@ -50,10 +44,6 @@ val set : t -> int -> int -> float -> unit
 
 val row : t -> int -> Vec.t
 
-val get_row_into : t -> int -> Vec.t -> unit
-(** [get_row_into m i dst] copies row [i] into [dst] (length [cols])
-    without allocating. *)
-
 val row_dot : t -> int -> Vec.t -> float
 (** [row_dot m i v] is [Vec.dot (row m i) v] without materializing the
     row. *)
@@ -64,18 +54,10 @@ val set_row : t -> int -> Vec.t -> unit
 
 val transpose : t -> t
 
-val add : t -> t -> t
-
 val sub : t -> t -> t
-
-val scale : float -> t -> t
 
 val add_into : dst:t -> t -> t -> unit
 (** [add_into ~dst x y] writes [x + y] into [dst]; [dst] may alias [x] or
-    [y]. *)
-
-val sub_into : dst:t -> t -> t -> unit
-(** [sub_into ~dst x y] writes [x - y] into [dst]; [dst] may alias [x] or
     [y]. *)
 
 val scale_into : dst:t -> float -> t -> unit
@@ -84,20 +66,12 @@ val scale_into : dst:t -> float -> t -> unit
 
 val matmul : t -> t -> t
 
-val matmul_into : dst:t -> t -> t -> unit
-(** [matmul_into ~dst x y] writes [x y] into [dst] ([dst] must not alias
-    an input). *)
-
 val matmul_nt : t -> t -> t
 (** [matmul_nt x y] is [x yᵀ] without forming the transpose;
     bit-identical to [matmul x (transpose y)]. *)
 
 val matmul_nt_into : dst:t -> t -> t -> unit
 (** In-place form of {!matmul_nt} ([dst] must not alias an input). *)
-
-val matmul_tn : t -> t -> t
-(** [matmul_tn x y] is [xᵀ y] without forming the transpose;
-    bit-identical to [matmul (transpose x) y]. *)
 
 val matmul_tn_into : dst:t -> t -> t -> unit
 (** In-place form of {!matmul_tn} ([dst] must not alias an input). *)
@@ -109,14 +83,8 @@ val mv_into : dst:Vec.t -> t -> Vec.t -> unit
 (** [mv_into ~dst m v] writes [m v] into [dst] (length [rows]; must not
     alias [v]). *)
 
-val tmv : t -> Vec.t -> Vec.t
-(** [tmv m v] is [mᵀ v] without forming the transpose. *)
-
 val quad_form : t -> Vec.t -> float
 (** [quad_form m v] is [vᵀ m v] for a square [m]. *)
-
-val outer : Vec.t -> Vec.t -> t
-(** [outer u v] is [u vᵀ]. *)
 
 val rank1_update : t -> float -> Vec.t -> unit
 (** [rank1_update m alpha v] performs [m <- m + alpha * v vᵀ] in place for
@@ -132,10 +100,6 @@ val symmetrize : t -> t
 val is_symmetric : ?eps:float -> t -> bool
 
 val map : (float -> float) -> t -> t
-
-val map_into : dst:t -> (float -> float) -> t -> unit
-(** [map_into ~dst f m] writes [f] applied elementwise into [dst]; [dst]
-    may alias [m]. *)
 
 val tanh_into : dst:t -> t -> unit
 (** [tanh_into ~dst m] is [map_into ~dst tanh m] with [tanh] called
@@ -154,15 +118,4 @@ val center_cols : t -> t * Vec.t
 val covariance : t -> t
 (** Population covariance (divide by [n]) of the rows of [m]. *)
 
-val gram : t -> t
-(** [gram m] is [mᵀ m]. *)
-
-val hcat : t -> t -> t
-
-val vcat : t -> t -> t
-
 val select_rows : t -> int array -> t
-
-val approx_equal : ?eps:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -1,43 +1,3 @@
-type t = { u : Mat.t; singular : Vec.t; v : Mat.t }
-
-let thin ?(rank_tol = 1e-12) a =
-  let n, d = Mat.dims a in
-  let gram = Mat.gram a in
-  let { Eigen.values; vectors } = Eigen.symmetric gram in
-  let singular = Array.map (fun l -> sqrt (Float.max l 0.0)) values in
-  let smax = if d > 0 then Float.max singular.(0) 0.0 else 0.0 in
-  let u = Mat.create n d in
-  let uk = Array.make n 0.0 in
-  for k = 0 to d - 1 do
-    if singular.(k) > rank_tol *. Float.max smax 1e-300 then begin
-      let vk = Mat.col vectors k in
-      Mat.mv_into ~dst:uk a vk;
-      let inv_s = 1.0 /. singular.(k) in
-      for i = 0 to n - 1 do
-        Mat.set u i k (uk.(i) *. inv_s)
-      done
-    end
-  done;
-  { u; singular; v = vectors }
-
-let reconstruct { u; singular; v } =
-  let n, r = Mat.dims u in
-  let d, _ = Mat.dims v in
-  let out = Mat.create n d in
-  for k = 0 to r - 1 do
-    let s = singular.(k) in
-    (* Exact-zero sparse skips; bit-exact on purpose (see mat.ml). *)
-    if (s <> 0.0) [@sider.allow "float-equality"] then
-      for i = 0 to n - 1 do
-        let uik = Mat.get u i k *. s in
-        if (uik <> 0.0) [@sider.allow "float-equality"] then
-          for j = 0 to d - 1 do
-            Mat.set out i j (Mat.get out i j +. (uik *. Mat.get v j k))
-          done
-      done
-  done;
-  out
-
 let principal_directions a =
   let cov = Mat.covariance a in
   let { Eigen.values; vectors } = Eigen.symmetric cov in

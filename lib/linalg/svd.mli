@@ -1,25 +1,8 @@
-(** Thin singular value decomposition, built on the symmetric eigensolver.
-
-    For an [n×d] matrix with [n ≥ d] (the data-matrix case throughout the
-    paper) we decompose [aᵀa = V S² Vᵀ] and recover [U = a V S⁻¹].  This is
-    adequate for the cluster-constraint SVD (Sec. II-A) where only the
-    right singular vectors (principal directions) matter. *)
-
-type t = {
-  u : Mat.t;          (** [n×r] left singular vectors. *)
-  singular : Vec.t;   (** [r] singular values, decreasing. *)
-  v : Mat.t;          (** [d×r] right singular vectors. *)
-}
-
-val thin : ?rank_tol:float -> Mat.t -> t
-(** [thin a] computes the thin SVD of [a].  Singular values below
-    [rank_tol * max_singular] (default [1e-12]) are kept with their
-    directions (the eigenbasis stays complete with r = d) but their [u]
-    columns are zero — callers using directions only (cluster constraints,
-    PCA) are unaffected. *)
-
-val reconstruct : t -> Mat.t
-(** [u diag(singular) vᵀ]. *)
+(** The right singular vectors of a centered data matrix, from the
+    symmetric eigensolver: for an [n×d] matrix [a], the eigenvectors of
+    its row covariance are the right singular vectors of [a] centered.
+    The paper's cluster constraint (Sec. II-A) uses only these
+    directions. *)
 
 val principal_directions : Mat.t -> Mat.t * Vec.t
 (** [principal_directions a] centers the rows of [a] and returns the

@@ -7,23 +7,13 @@ type t = float array
 
 let create n = Array.make n 0.0
 
-let init = Array.init
-
 let copy = Array.copy
-
-let dim = Array.length
-
-let of_list = Array.of_list
-
-let to_list = Array.to_list
 
 let basis n i =
   if i < 0 || i >= n then invalid_arg "Vec.basis: index out of range";
   let v = create n in
   v.(i) <- 1.0;
   v
-
-let fill v x = Array.fill v 0 (Array.length v) x
 
 let check_dims name a b =
   if Array.length a <> Array.length b then
@@ -64,10 +54,6 @@ let axpy a x y =
     incr i
   done
 
-let mul a b =
-  check_dims "mul" a b;
-  Array.mapi (fun i x -> x *. b.(i)) a
-
 let dot a b =
   check_dims "dot" a b;
   let n = Array.length a in
@@ -90,8 +76,6 @@ let dot a b =
   !acc
 
 let norm2 a = sqrt (dot a a)
-
-let norm_inf a = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 a
 
 let dist2 a b =
   check_dims "dist2" a b;
@@ -132,42 +116,3 @@ let variance ?mean:m a =
 let min a = Array.fold_left Float.min a.(0) a
 
 let max a = Array.fold_left Float.max a.(0) a
-
-let argmax a =
-  let best = ref 0 in
-  for i = 1 to Array.length a - 1 do
-    if a.(i) > a.(!best) then best := i
-  done;
-  !best
-
-let argmin a =
-  let best = ref 0 in
-  for i = 1 to Array.length a - 1 do
-    if a.(i) < a.(!best) then best := i
-  done;
-  !best
-
-let map = Array.map
-
-let map2 f a b =
-  check_dims "map2" a b;
-  Array.mapi (fun i x -> f x b.(i)) a
-
-let iteri = Array.iteri
-
-let fold = Array.fold_left
-
-let approx_equal ?(eps = 1e-9) a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri (fun i x -> if Float.abs (x -. b.(i)) > eps then ok := false) a;
-      !ok)
-
-let pp fmt v =
-  Format.fprintf fmt "[|";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%g" x)
-    v;
-  Format.fprintf fmt "|]"

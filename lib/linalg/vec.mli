@@ -10,20 +10,10 @@ type t = float array
 val create : int -> t
 (** [create n] is a zero vector of length [n]. *)
 
-val init : int -> (int -> float) -> t
-
 val copy : t -> t
-
-val dim : t -> int
-
-val of_list : float list -> t
-
-val to_list : t -> float list
 
 val basis : int -> int -> t
 (** [basis n i] is the [i]-th standard basis vector of length [n]. *)
-
-val fill : t -> float -> unit
 
 val add : t -> t -> t
 
@@ -34,15 +24,10 @@ val scale : float -> t -> t
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] computes [y <- a*x + y] in place. *)
 
-val mul : t -> t -> t
-(** Elementwise product. *)
-
 val dot : t -> t -> float
 
 val norm2 : t -> float
 (** Euclidean norm. *)
-
-val norm_inf : t -> float
 
 val dist2 : t -> t -> float
 (** Euclidean distance. *)
@@ -61,21 +46,3 @@ val variance : ?mean:float -> t -> float
 val min : t -> float
 
 val max : t -> float
-
-val argmax : t -> int
-
-val argmin : t -> int
-
-val map : (float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-
-val iteri : (int -> float -> unit) -> t -> unit
-
-val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
-
-val approx_equal : ?eps:float -> t -> t -> bool
-(** Componentwise comparison with absolute tolerance [eps] (default
-    [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

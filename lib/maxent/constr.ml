@@ -155,8 +155,3 @@ let eval t data =
         let p = Mat.row_dot data r t.w -. t.shift in
         acc +. (p *. p))
       0.0 t.rows
-
-let pp fmt t =
-  Format.fprintf fmt "%s %s |I|=%d target=%g"
-    (match t.kind with Linear -> "lin" | Quadratic -> "quad")
-    t.tag (Array.length t.rows) t.target

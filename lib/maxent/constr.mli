@@ -51,5 +51,3 @@ val two_d : ?tag:string -> data:Mat.t -> rows:int array -> w1:Vec.t ->
 val eval : t -> Mat.t -> float
 (** Value of the constraint function on a concrete data matrix; on the
     observed data this equals [target]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -110,8 +110,3 @@ let apply_quadratic t ~lambda ~delta ~w =
 let proj_mean t w = Vec.dot w t.mean
 
 let proj_var t w = Mat.quad_form t.sigma w
-
-let second_moment t =
-  let out = Mat.copy t.sigma in
-  Mat.rank1_update out 1.0 t.mean;
-  out

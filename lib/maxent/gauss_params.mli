@@ -58,6 +58,3 @@ val proj_mean : t -> Vec.t -> float
 
 val proj_var : t -> Vec.t -> float
 (** [wᵀ Σ w]. *)
-
-val second_moment : t -> Mat.t
-(** [E[x xᵀ] = Σ + m mᵀ] (used by tests against Eq. 6 identities). *)

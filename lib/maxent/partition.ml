@@ -1,5 +1,4 @@
 type t = {
-  n : int;
   class_of_row : int array;
   members : int array array;
   per_constraint : (int * int) array array;
@@ -85,9 +84,7 @@ let of_constraints ~n constraints =
         Array.of_list (List.rev !listed))
       constraints
   in
-  { n; class_of_row = cls; members; per_constraint }
-
-let n_rows t = t.n
+  { class_of_row = cls; members; per_constraint }
 
 let n_classes t = Array.length t.members
 

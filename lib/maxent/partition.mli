@@ -19,8 +19,6 @@ val of_constraints : n:int -> Constr.t array -> t
     constraints the next id assigns.  The solver's sweep order, and so
     its bits, follow this numbering. *)
 
-val n_rows : t -> int
-
 val n_classes : t -> int
 
 val class_of_row : t -> int -> int

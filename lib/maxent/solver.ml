@@ -543,12 +543,12 @@ let sample t rng =
       let ca = chol.Mat.a and mean = p.Gauss_params.mean in
       let rows = Partition.members t.partition cls in
       (* The class's member rows, in ascending order, take consecutive
-         blocks of [d] draws: the draw order of one [Sampler.mvn] per
-         row.  Each output entry is [mean_i + Σ_j chol_ij z_j] with one
-         accumulator over ascending [j], the order of [Mat.mv], so the
-         rows are the bits [Sampler.mvn] gives.  The sum stops at the
-         diagonal: the factor's upper entries are exact zeros, and adding
-         ±0 never changes a sum started at +0.0. *)
+         blocks of [d] draws: the draw order of one [Sampler.normal_vec]
+         per row.  Each output entry is [mean_i + Σ_j chol_ij z_j] with
+         one accumulator over ascending [j], the order of [Mat.mv], so
+         the rows are the bits [Vec.add mean (Mat.mv chol z)] gives.
+         The sum stops at the diagonal: the factor's upper entries are
+         exact zeros, and adding ±0 never changes a sum started at +0.0. *)
       let z = Array.create_float (Array.length rows * d) in
       Rng.fill_normal rng z ~pos:0 ~len:(Array.length z);
       Array.iteri

@@ -116,7 +116,7 @@ val expectation : t -> Constr.t -> float
 (** [E_p[f_c(X, I, w)]] under the current background distribution
     (Eq. 6 left-hand side). *)
 
-val residual : t -> float
+val residual : t -> float [@@sider.allow "test-hook"]
 (** Maximum over constraints of [|expectation − target|] scaled by
     [max(1, |target|)]: a global feasibility measure used by tests. *)
 
@@ -126,7 +126,7 @@ val residual_by_kind : t -> float * float
     class: [sider convergence] calls it from its [trace] callback; the
     solver itself never does. *)
 
-val relative_entropy : t -> float
+val relative_entropy : t -> float [@@sider.allow "test-hook"]
 (** [−S = E_p[log(p(X)/q(X))]]: the Kullback-Leibler divergence of the
     background distribution from the prior (the negated objective of
     Problem 1, Eq. 5).  Closed form per row,
@@ -140,8 +140,9 @@ val sample : t -> Rng.t -> Mat.t
     from [N(m_i, Σ_i)], through one PSD Cholesky factorization of
     [symmetrize Σ] per class.  Each class takes one {!Rng.fill_normal} of
     [size·d] variates, its member rows in ascending order, so the draws
-    and bits are those of one {!Sampler.mvn} per member row, classes in
-    order. *)
+    and bits are those of [mean + L·z] per member row, [z] from
+    {!Sampler.normal_vec} and the product summed as {!Mat.mv} sums it,
+    classes in order. *)
 
-val mean_matrix : t -> Mat.t
+val mean_matrix : t -> Mat.t [@@sider.allow "test-hook"]
 (** The per-row means as an [n×d] matrix. *)

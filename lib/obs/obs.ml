@@ -430,11 +430,9 @@ let resolve_labeled name labels =
     else labeled_name name (List.map (fun (k, _) -> (k, "other")) labels)
   end
 
-let count_labeled ?(by = 1) name labels =
+let count_labeled name labels =
   if !active then
-    locked (fun () ->
-        let r = counter_ref (resolve_labeled name labels) in
-        r := !r + by)
+    locked (fun () -> incr (counter_ref (resolve_labeled name labels)))
 
 let observe_labeled name labels v =
   if !active then
@@ -459,13 +457,12 @@ type hist = {
   mutable h_gen : int;  (* generation [h_acc] was bound under; -1 = unbound *)
 }
 
-let hist_handle name = { h_name = name; h_acc = new_hist_acc 0; h_gen = -1 }
-
 (* A preregistered handle on one labeled series.  The label set is
    fixed at handle creation, so a handle never consults the cardinality
    budget on the hot path — but it is charged against it (below) so
    later dynamic writes see an honest family count. *)
-let labeled_hist name labels = hist_handle (labeled_name name labels)
+let labeled_hist name labels =
+  { h_name = labeled_name name labels; h_acc = new_hist_acc 0; h_gen = -1 }
 
 let hist_rebind h =
   locked (fun () ->
@@ -653,7 +650,7 @@ let value_to_string = function
   | Float f -> Printf.sprintf "%g" f
   | Str s -> s
 
-let stderr_sink ?(channel = stderr) () =
+let stderr_sink () =
   let attrs_to_string = function
     | [] -> ""
     | attrs ->
@@ -665,7 +662,7 @@ let stderr_sink ?(channel = stderr) () =
   {
     on_span =
       (fun s ->
-        Printf.fprintf channel "[trace] %s%-*s %10s%s\n%!"
+        Printf.eprintf "[trace] %s%-*s %10s%s\n%!"
           (String.make (2 * s.depth) ' ')
           (Stdlib.max 1 (40 - (2 * s.depth)))
           s.name
@@ -683,37 +680,37 @@ let stderr_sink ?(channel = stderr) () =
             ([], [], []) (List.rev metrics)
         in
         if counters <> [] then begin
-          Printf.fprintf channel "[metrics] %-44s %12s\n" "counter" "total";
+          Printf.eprintf "[metrics] %-44s %12s\n" "counter" "total";
           List.iter
             (function
               | Counter { name; total } ->
-                Printf.fprintf channel "[metrics] %-44s %12d\n" name total
+                Printf.eprintf "[metrics] %-44s %12d\n" name total
               | _ -> ())
             counters
         end;
         if gauges <> [] then begin
-          Printf.fprintf channel "[metrics] %-44s %12s\n" "gauge" "value";
+          Printf.eprintf "[metrics] %-44s %12s\n" "gauge" "value";
           List.iter
             (function
               | Gauge { name; value } ->
-                Printf.fprintf channel "[metrics] %-44s %12g\n" name value
+                Printf.eprintf "[metrics] %-44s %12g\n" name value
               | _ -> ())
             gauges
         end;
         if hists <> [] then begin
-          Printf.fprintf channel
+          Printf.eprintf
             "[metrics] %-34s %8s %10s %10s %10s %10s %10s\n"
             "histogram" "count" "p50" "p95" "p99" "max" "sum";
           List.iter
             (function
               | Histogram { name; count; sum; p50; p95; p99; max } ->
-                Printf.fprintf channel
+                Printf.eprintf
                   "[metrics] %-34s %8d %10.4g %10.4g %10.4g %10.4g %10.4g\n"
                   name count p50 p95 p99 max sum
               | _ -> ())
             hists
         end;
-        Stdlib.flush channel)
+        Stdlib.flush stderr)
   }
 
 (* Minimal JSON emission: enough to serialize spans and metrics in a form

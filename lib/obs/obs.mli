@@ -77,10 +77,11 @@ val null_sink : sink
     measure the cost of the layer itself, and by long-running services
     that only need the metrics registry live for [/metrics] scrapes). *)
 
-val stderr_sink : ?channel:out_channel -> unit -> sink
-(** Pretty-printer: completed spans as an indented tree (children close
-    before their parent, so the tree reads innermost-first), metrics as
-    aligned tables.  Defaults to [stderr]; every line is flushed. *)
+val stderr_sink : unit -> sink
+(** Pretty-printer to [stderr]: completed spans as an indented tree
+    (children close before their parent, so the tree reads
+    innermost-first), metrics as aligned tables.  Every line is
+    flushed. *)
 
 val json_sink : (string -> unit) -> sink
 (** [json_sink emit] calls [emit] with one self-contained JSON object per
@@ -128,7 +129,7 @@ val span_attr : string -> value -> unit
 (** Attach an attribute to the calling thread's innermost open span
     (no-op when disabled or outside any span). *)
 
-val current_depth : unit -> int
+val current_depth : unit -> int [@@sider.allow "test-hook"]
 (** Number of open spans on the calling thread (0 when disabled). *)
 
 (** {1 Metrics} *)
@@ -165,6 +166,7 @@ val observe : string -> float -> unit
     first-seen top-K tenants plus one [other] bucket. *)
 
 val labeled_name : string -> (string * string) list -> string
+  [@@sider.allow "test-hook"]
 (** Canonical composed name ([labels = []] returns the base name
     unchanged). *)
 
@@ -182,11 +184,11 @@ val json_escape : string -> string
     dumps (backslash, double quote, control characters).  Exposed for
     the service's structured access log. *)
 
-val set_max_label_sets : int -> unit
+val set_max_label_sets : int -> unit [@@sider.allow "test-hook"]
 (** Per-family cardinality budget (clamped to at least 1). *)
 
-val count_labeled : ?by:int -> string -> (string * string) list -> unit
-(** Increment the labeled series' counter, subject to the family's
+val count_labeled : string -> (string * string) list -> unit
+(** Increment the labeled series' counter by one, subject to the family's
     cardinality budget. *)
 
 val observe_labeled : string -> (string * string) list -> float -> unit
@@ -204,13 +206,12 @@ type hist
     discipline: a handle must only be written from the controller
     domain; worker-domain code records through {!observe}. *)
 
-val hist_handle : string -> hist
-(** Make a handle for the named histogram.  Cheap; allocates nothing in
-    the registry until the first {!observe_into} with the layer on. *)
-
 val labeled_hist : string -> (string * string) list -> hist
-(** Handle on one labeled series (label set fixed at creation, charged
-    against the family's cardinality budget on first bind).  The hot
+(** Make a handle for the named histogram's series with these labels
+    ([[]] is the unlabeled histogram).  Cheap; allocates nothing in the
+    registry until the first {!observe_into} with the layer on.  The
+    label set is fixed at creation and charged against the family's
+    cardinality budget on first bind.  The hot
     path never re-encodes labels or consults the budget. *)
 
 val observe_into : hist -> float -> unit
@@ -264,14 +265,14 @@ val set_flight_recorder : ?capacity:int -> bool -> unit
 (** Enable/disable the recorder.  Changing [capacity] (default 256)
     clears the ring. *)
 
-val flight_recorder_enabled : unit -> bool
+val flight_recorder_enabled : unit -> bool [@@sider.allow "test-hook"]
 
 val flight_event : name:string -> detail:string -> unit
 (** Record a discrete event (no-op unless the recorder is on). *)
 
 val flight_stats : unit -> flight_stats
 
-val flight_entries : unit -> string list
+val flight_entries : unit -> string list [@@sider.allow "test-hook"]
 (** Entries currently held in the ring, oldest first, one JSON line per
     entry (spans as in {!json_sink}; events as
     [{"type":"event","at_ns":...,"name":...,"detail":...}]). *)

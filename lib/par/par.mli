@@ -92,8 +92,3 @@ val parallel_reduce_chunks :
 (** Lower-level form: [part lo hi] computes one partial per chunk
     ([\[lo, hi)] as in {!parallel_for_chunks}); partials are merged with
     the same ordered tree.  [None] when [n <= 0]. *)
-
-val shutdown : unit -> unit
-(** Join and discard all worker domains (the pool re-spawns lazily on the
-    next parallel call).  Registered with [at_exit] so worker domains
-    never outlive the program. *)

@@ -26,23 +26,23 @@ let sym_decorrelate w =
   let dec = Eigen.symmetric (Mat.matmul_nt w w) in
   Mat.matmul (Eigen.power dec (-0.5)) w
 
-let prepare_impl ?n_components ?(rank_tol = 1e-9) m =
+(* Components whose internal-whitening eigenvalue is below [rank_tol]
+   relative to the largest are dropped. *)
+let rank_tol = 1e-9
+
+let prepare m =
+  Obs.count "ica.prepare";
   let n, d = Mat.dims m in
   if n < 2 then invalid_arg "Fastica.prepare: need at least two rows" [@sider.allow "error-discipline"];
   let centered, _ = Mat.center_cols m in
   let cov = Mat.covariance m in
   let { Eigen.values; vectors } = Eigen.symmetric cov in
   let lead = Float.max (if d > 0 then values.(0) else 0.0) 0.0 in
-  let usable =
+  let m_comp =
     let c = ref 0 in
     Array.iter (fun v -> if v > rank_tol *. Float.max lead 1e-300 then incr c)
       values;
     !c
-  in
-  let m_comp =
-    match n_components with
-    | None -> usable
-    | Some k -> Stdlib.min k usable
   in
   if m_comp = 0 then
     { src = m; n; d; m_comp; dproj = Mat.create d 0; kernel = None;
@@ -58,10 +58,6 @@ let prepare_impl ?n_components ?(rank_tol = 1e-9) m =
     { src = m; n; d; m_comp; dproj; kernel = Some (Ica_kernel.create z);
       gz = Mat.create m_comp m_comp; eg = Vec.create m_comp }
   end
-
-let prepare ?n_components ?rank_tol m =
-  Obs.count "ica.prepare";
-  prepare_impl ?n_components ?rank_tol m
 
 let fit_prepared_impl ?w0 ?(max_iter = 200) ?(tol = 1e-4) rng prep =
   let { n; d; m_comp; _ } = prep in
@@ -175,8 +171,7 @@ let fit_prepared ?w0 ?max_iter ?tol rng prep =
         Obs.span_attr "converged" (Obs.Bool fitted.converged);
         fitted)
 
-let fit ?n_components ?max_iter ?tol ?rank_tol rng m =
-  fit_prepared ?max_iter ?tol rng (prepare ?n_components ?rank_tol m)
+let fit ?max_iter rng m = fit_prepared ?max_iter rng (prepare m)
 
 let top2 t =
   let _, m = Mat.dims t.directions in

@@ -4,7 +4,7 @@
 
     Symmetric fixed-point iteration on internally PCA-whitened data;
     components are returned as unit directions in the *input* space
-    ordered by decreasing absolute {!Scores.log_cosh_score}, exactly the
+    ordered by decreasing absolute {!Scores.direction_log_cosh}, exactly the
     ordering of the paper's Table I.
 
     The fit is split in two: {!prepare} does the seed-independent work
@@ -30,10 +30,10 @@ type t = {
 type prep
 (** Seed-independent fit state for one data matrix. *)
 
-val prepare : ?n_components:int -> ?rank_tol:float -> Mat.t -> prep
+val prepare : Mat.t -> prep
 (** [prepare m] centers, whitens and binds the sweep kernel for the rows
     of [m].  Components whose internal-whitening eigenvalue is below
-    [rank_tol] (default 1e-9) relative to the largest are dropped.
+    1e-9 relative to the largest are dropped.
     Bumps the [ica.prepare] counter — the one-fit-per-view test pins
     that {!View.of_whitened} calls this once per view.  Raises
     [Invalid_argument] on fewer than two rows. *)
@@ -47,11 +47,9 @@ val fit_prepared : ?w0:Mat.t -> ?max_iter:int -> ?tol:float ->
     [tol] (fixed-point direction change) to 1e-4, matching the R
     fastICA defaults the paper used. *)
 
-val fit : ?n_components:int -> ?max_iter:int -> ?tol:float ->
-  ?rank_tol:float -> Rng.t -> Mat.t -> t
-(** [fit rng m] = {!prepare} then {!fit_prepared}: extracts up to
-    [n_components] (default: all non-degenerate) independent directions
-    from the rows of [m]. *)
+val fit : ?max_iter:int -> Rng.t -> Mat.t -> t
+(** [fit rng m] = {!prepare} then {!fit_prepared}: extracts every
+    non-degenerate independent direction from the rows of [m]. *)
 
 val top2 : t -> Vec.t * Vec.t
 (** The two most non-Gaussian directions.  Raises [Invalid_argument] if

@@ -44,7 +44,7 @@ type t
     buffer, so building [t] once per {!Fastica.prepare} and sweeping
     many times is the intended use. *)
 
-val simd_available : unit -> bool
+val simd_available : unit -> bool [@@sider.allow "test-hook"]
 (** CPU supports AVX2 and FMA (probed once; false on non-x86-64). *)
 
 val create : Mat.t -> t
@@ -52,7 +52,7 @@ val create : Mat.t -> t
     must not mutate [z] afterwards (the SIMD path snapshots it; the
     portable path reads it live). *)
 
-val with_portable : (unit -> 'a) -> 'a
+val with_portable : (unit -> 'a) -> 'a [@@sider.allow "test-hook"]
 (** [with_portable f] runs [f] with every {!create} inside it choosing
     the portable path — the anchor for byte-identity tests.  A test
     hook: production code never calls it. *)

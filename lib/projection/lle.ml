@@ -10,7 +10,10 @@ let k_nearest m i k =
   Array.sort (fun (_, a) (_, b) -> compare a b) dists;
   Array.init k (fun t -> fst dists.(t))
 
-let reconstruction_weights ?(neighbours = 10) ?(ridge = 1e-3) m =
+(* Local ridge, relative to the local Gram trace. *)
+let ridge = 1e-3
+
+let reconstruction_weights ~neighbours m =
   let n, _ = Mat.dims m in
   if neighbours >= n then invalid_arg "Lle: neighbours >= n" [@sider.allow "error-discipline"];
   Array.init n (fun i ->
@@ -39,10 +42,10 @@ let reconstruction_weights ?(neighbours = 10) ?(ridge = 1e-3) m =
       in
       (nbrs, w))
 
-let fit ?(dims = 2) ?(neighbours = 10) ?(ridge = 1e-3) m =
+let fit ?(dims = 2) ?(neighbours = 10) m =
   let n, _ = Mat.dims m in
   if dims >= neighbours + 1 then invalid_arg "Lle: dims >= neighbours + 1" [@sider.allow "error-discipline"];
-  let weights = reconstruction_weights ~neighbours ~ridge m in
+  let weights = reconstruction_weights ~neighbours m in
   (* M = (I − W)ᵀ(I − W), assembled densely. *)
   let w_full = Mat.create n n in
   Array.iteri

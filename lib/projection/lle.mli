@@ -8,13 +8,8 @@
 
 open Sider_linalg
 
-val fit : ?dims:int -> ?neighbours:int -> ?ridge:float -> Mat.t -> Mat.t
+val fit : ?dims:int -> ?neighbours:int -> Mat.t -> Mat.t
 (** [fit m] embeds the rows of [m] into [dims] (default 2) dimensions
-    using [neighbours] (default 10) nearest neighbours and local ridge
-    [ridge] (default 1e-3, relative to the local Gram trace).  Raises
+    using [neighbours] (default 10) nearest neighbours and a local ridge
+    of 1e-3 relative to the local Gram trace.  Raises
     [Invalid_argument] if [neighbours >= n] or [dims >= neighbours+1]. *)
-
-val reconstruction_weights : ?neighbours:int -> ?ridge:float -> Mat.t ->
-  (int array * Vec.t) array
-(** The per-point neighbour indices and reconstruction weights (rows sum
-    to 1) — exposed for tests. *)

@@ -33,16 +33,3 @@ let of_distances ?(dims = 2) dist =
       Mat.get vectors i k *. sqrt lam)
 
 let fit ?dims m = of_distances ?dims (pairwise_distances m)
-
-let stress dist emb =
-  let n, _ = Mat.dims dist in
-  let num = ref 0.0 and den = ref 0.0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let d = Mat.get dist i j in
-      let e = Vec.dist2 (Mat.row emb i) (Mat.row emb j) in
-      num := !num +. ((d -. e) *. (d -. e));
-      den := !den +. (d *. d)
-    done
-  done;
-  if Float.equal !den 0.0 then 0.0 else sqrt (!num /. !den)

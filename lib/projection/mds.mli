@@ -8,16 +8,8 @@
 
 open Sider_linalg
 
-val of_distances : ?dims:int -> Mat.t -> Mat.t
-(** [of_distances d] embeds an [n×n] symmetric distance matrix into
-    [dims] (default 2) dimensions.  Raises [Invalid_argument] if [d] is
-    not square/symmetric.  Negative eigenvalues (non-Euclidean input) are
-    clamped to zero. *)
-
 val fit : ?dims:int -> Mat.t -> Mat.t
-(** [fit m] embeds the rows of the [n×d] data matrix using Euclidean
-    pairwise distances. *)
-
-val stress : Mat.t -> Mat.t -> float
-(** [stress d emb] is Kruskal's stress-1 between the input distances and
-    the embedding distances: √(Σ(d_ij − δ_ij)² / Σ d_ij²). *)
+(** [fit m] embeds the rows of the [n×d] data matrix into [dims]
+    (default 2) dimensions using Euclidean pairwise distances.  Raises
+    [Invalid_argument] unless [1 ≤ dims ≤ n].  Negative eigenvalues are
+    clamped to zero. *)

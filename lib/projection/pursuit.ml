@@ -5,40 +5,28 @@ type index = Mat.t -> Vec.t -> float
 
 let abs_log_cosh m w = Float.abs (Scores.direction_log_cosh m w)
 
-let abs_kurtosis m w =
-  Float.abs (Sider_stats.Descriptive.kurtosis (Mat.mv m w))
-
-type result = {
-  direction : Vec.t;
-  value : float;
-  evaluations : int;
-}
-
 let golden = (sqrt 5.0 -. 1.0) /. 2.0
 
 (* Golden-section maximization of f over [lo, hi]. *)
-let golden_max ~evals f lo hi iterations =
+let golden_max f lo hi iterations =
   let a = ref lo and b = ref hi in
   let x1 = ref (!b -. (golden *. (!b -. !a))) in
   let x2 = ref (!a +. (golden *. (!b -. !a))) in
   let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  evals := !evals + 2;
   for _ = 1 to iterations do
     if !f1 > !f2 then begin
       b := !x2;
       x2 := !x1;
       f2 := !f1;
       x1 := !b -. (golden *. (!b -. !a));
-      f1 := f !x1;
-      incr evals
+      f1 := f !x1
     end
     else begin
       a := !x1;
       x1 := !x2;
       f1 := !f2;
       x2 := !a +. (golden *. (!b -. !a));
-      f2 := f !x2;
-      incr evals
+      f2 := f !x2
     end
   done;
   if !f1 > !f2 then (!x1, !f1) else (!x2, !f2)
@@ -47,11 +35,16 @@ let orthogonal_to w u =
   let v = Vec.sub u (Vec.scale (Vec.dot u w) w) in
   Vec.normalize v
 
-let search_from rng index m ~sweeps ~tol start =
+(* Up to 20 line-search passes from [start], until a pass improves the
+   index by less than 1e-6; the direction reached and its index. *)
+let sweeps = 20
+
+let tol = 1e-6
+
+let search_from rng index m start =
   let _, d = Mat.dims m in
   let w = ref (Vec.normalize start) in
   let best = ref (index m !w) in
-  let evals = ref 1 in
   let improved = ref true in
   let sweep = ref 0 in
   while !improved && !sweep < sweeps do
@@ -66,7 +59,7 @@ let search_from rng index m ~sweeps ~tol start =
             (Vec.add (Vec.scale (cos theta) !w) (Vec.scale (sin theta) u))
         in
         let theta, value =
-          golden_max ~evals f (-.Float.pi /. 2.0) (Float.pi /. 2.0) 24
+          golden_max f (-.Float.pi /. 2.0) (Float.pi /. 2.0) 24
         in
         if value > !best +. tol then begin
           w :=
@@ -78,28 +71,26 @@ let search_from rng index m ~sweeps ~tol start =
       end
     done
   done;
-  ({ direction = !w; value = !best; evaluations = !evals }, !evals)
+  (!w, !best)
 
-let maximize ?(restarts = 5) ?(sweeps = 20) ?(tol = 1e-6) rng index m =
+(* The best of [restarts] searches, the first from the first axis. *)
+let maximize ?(restarts = 5) rng index m =
   let _, d = Mat.dims m in
   if d < 1 then invalid_arg "Pursuit.maximize: empty matrix" [@sider.allow "error-discipline"];
-  let total_evals = ref 0 in
   let best = ref None in
   for r = 0 to Stdlib.max 0 (restarts - 1) do
     let start =
       if r = 0 then Vec.basis d 0 else Sampler.normal_vec rng d
     in
-    let candidate, evals = search_from rng index m ~sweeps ~tol start in
-    total_evals := !total_evals + evals;
+    let ((_, value) as candidate) = search_from rng index m start in
     match !best with
-    | Some b when b.value >= candidate.value -> ()
+    | Some (_, b) when b >= value -> ()
     | _ -> best := Some candidate
   done;
-  let b = Option.get !best in
-  { b with evaluations = !total_evals }
+  fst (Option.get !best)
 
-let top2 ?restarts ?sweeps rng index m =
-  let w1 = (maximize ?restarts ?sweeps rng index m).direction in
+let top2 ?restarts rng index m =
+  let w1 = maximize ?restarts rng index m in
   (* Deflate: search the data projected onto the complement of w1. *)
   let n, d = Mat.dims m in
   let deflated =
@@ -108,5 +99,5 @@ let top2 ?restarts ?sweeps rng index m =
         let along = Vec.dot r w1 in
         Mat.get m i j -. (along *. w1.(j)))
   in
-  let w2 = (maximize ?restarts ?sweeps rng index deflated).direction in
+  let w2 = maximize ?restarts rng index deflated in
   (w1, orthogonal_to w1 w2)

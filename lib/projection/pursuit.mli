@@ -14,27 +14,14 @@ type index = Mat.t -> Vec.t -> float
 (** A projection index: data matrix × unit direction → interestingness. *)
 
 val abs_log_cosh : index
-(** |signed log-cosh negentropy proxy| (see {!Scores.log_cosh_score}). *)
+(** |signed log-cosh negentropy proxy| (see
+    {!Scores.direction_log_cosh}). *)
 
-val abs_kurtosis : index
-(** |excess kurtosis| of the projection — the classic PP index. *)
-
-type result = {
-  direction : Vec.t;     (** Unit direction found. *)
-  value : float;         (** Index value at it. *)
-  evaluations : int;     (** Number of index evaluations spent. *)
-}
-
-val maximize : ?restarts:int -> ?sweeps:int -> ?tol:float -> Rng.t ->
-  index -> Mat.t -> result
-(** [maximize rng index m] runs [restarts] (default 5) random starts;
-    each start performs up to [sweeps] (default 20) passes in which the
-    direction is line-searched along a random orthogonal great circle
-    (golden-section over the rotation angle) until the improvement in one
-    pass falls below [tol] (default 1e-6). *)
-
-val top2 : ?restarts:int -> ?sweeps:int -> Rng.t -> index -> Mat.t ->
-  Vec.t * Vec.t
+val top2 : ?restarts:int -> Rng.t -> index -> Mat.t -> Vec.t * Vec.t
 (** Best direction plus the best direction of the orthogonal complement
     (found by deflation: the second search is projected orthogonal to the
-    first), giving a full 2-D pursuit view. *)
+    first), giving a full 2-D pursuit view.  Each search runs [restarts]
+    (default 5) starts; each start performs up to 20 passes in which the
+    direction is line-searched along a random orthogonal great circle
+    (golden-section over the rotation angle) until the improvement in
+    one pass falls below 1e-6. *)

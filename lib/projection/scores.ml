@@ -5,8 +5,6 @@ let pca_gain sigma2 =
   if sigma2 <= 0.0 then infinity
   else 0.5 *. (sigma2 -. log sigma2 -. 1.0)
 
-let gaussian_log_cosh = Gaussian.log_cosh_moment
-
 (* Inlined, and summed in a loop, so no entry is boxed. *)
 let[@inline] log_cosh_stable x =
   let ax = Float.abs x in
@@ -18,7 +16,7 @@ let log_cosh_score v =
   for i = 0 to Array.length s - 1 do
     acc := !acc +. log_cosh_stable (Array.unsafe_get s i)
   done;
-  (!acc /. float_of_int (Array.length s)) -. gaussian_log_cosh
+  (!acc /. float_of_int (Array.length s)) -. Gaussian.log_cosh_moment
 
 (* [Mat.mv] sums each row's products in [Vec.dot]'s order without
    copying the row. *)

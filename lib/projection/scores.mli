@@ -10,15 +10,9 @@ val pca_gain : float -> float
     divergence from [N(0,σ²)] to [N(0,1)]; zero iff σ² = 1, large for both
     inflated and collapsed variances (footnote 1 of the paper). *)
 
-val gaussian_log_cosh : float
-(** [E[log cosh ν], ν ~ N(0,1)] — the reference value of the log-cosh
-    contrast. *)
-
-val log_cosh_score : Vec.t -> float
-(** Signed FastICA negentropy proxy of a sample:
-    [E[log cosh s] − E[log cosh ν]] where [s] is the standardized input.
-    Zero in expectation for Gaussian input; matches the sign behaviour of
-    the paper's Table I "ICA scores". *)
-
 val direction_log_cosh : Mat.t -> Vec.t -> float
-(** {!log_cosh_score} of the projection of the rows onto the direction. *)
+(** The signed FastICA negentropy proxy of the projection [s] of the
+    rows onto the direction: [E[log cosh s'] − E[log cosh ν]] where [s']
+    is [s] standardized and [ν ~ N(0,1)].  Zero in expectation for
+    Gaussian input; matches the sign behaviour of the paper's Table I
+    "ICA scores". *)

@@ -172,19 +172,3 @@ let fit ?(params = default_params) rng m =
     done
   done;
   emb
-
-let kl_divergence ?(params = default_params) m emb =
-  let p = joint_affinities ~params m in
-  let q, qsum = low_dim_affinities emb in
-  let n, _ = Mat.dims m in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j then begin
-        let pij = Mat.get p i j in
-        let qij = Float.max (Mat.get q i j /. qsum) 1e-300 in
-        acc := !acc +. (pij *. log (pij /. qij))
-      end
-    done
-  done;
-  !acc

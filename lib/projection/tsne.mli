@@ -25,7 +25,3 @@ val default_params : params
 val fit : ?params:params -> Rng.t -> Mat.t -> Mat.t
 (** [fit rng m] embeds the rows of [m].  Raises [Invalid_argument] when
     the perplexity is infeasible ([3·perplexity ≥ n]). *)
-
-val kl_divergence : ?params:params -> Mat.t -> Mat.t -> float
-(** The t-SNE objective value of an embedding (for tests and model
-    comparison): KL(P ‖ Q) of the high- vs low-dimensional affinities. *)

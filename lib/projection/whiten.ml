@@ -4,7 +4,10 @@ open Sider_robust
 module Obs = Sider_obs.Obs
 module Par = Sider_par.Par
 
-let class_transforms ?(clamp = 1e-12) solver =
+(* Eigenvalues of Σ are floored at max(1e-12, 1e-10·λ_max). *)
+let clamp = 1e-12
+
+let class_transforms solver =
   Obs.with_span "whiten.transforms"
     ~attrs:[ ("classes", Obs.Int (Solver.n_classes solver)) ]
   @@ fun () ->
@@ -99,12 +102,12 @@ let whiten_with solver transforms m =
       done);
   out
 
-let whiten ?clamp solver =
+let whiten solver =
   Obs.with_span "whiten" @@ fun () ->
-  whiten_with solver (class_transforms ?clamp solver) (Solver.data solver)
+  whiten_with solver (class_transforms solver) (Solver.data solver)
 
-let whiten_matrix ?clamp solver m =
+let whiten_matrix solver m =
   if Mat.dims m <> Mat.dims (Solver.data solver) then
     invalid_arg "Whiten.whiten_matrix: shape mismatch with solver data" [@sider.allow "error-discipline"];
   Obs.with_span "whiten" @@ fun () ->
-  whiten_with solver (class_transforms ?clamp solver) m
+  whiten_with solver (class_transforms solver) m

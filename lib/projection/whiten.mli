@@ -10,19 +10,17 @@
 open Sider_linalg
 open Sider_maxent
 
-val class_transforms : ?clamp:float -> Solver.t -> Mat.t array
-(** [Σ_c^{-1/2}] per equivalence class, through the floored symmetric
-    square root: eigenvalues of [Σ] are clamped below at
-    [max(clamp, 1e-10·λ_max)] (absolute [clamp] default 1e-12), so both
-    the zero-variance classes of the Fig. 5 adversarial solutions and
-    near-singular Σ from long constraint sessions stay finite instead of
-    raising.  Raises [Sider_robust.Sider_error.Error (Nan_detected _)]
-    if a Σ contains non-finite entries — the only failure mode left. *)
+val whiten : Solver.t -> Mat.t
+(** Whitened version of the solver's data matrix: [Σ_c^{-1/2}] per
+    equivalence class, through the floored symmetric square root.
+    Eigenvalues of [Σ] are clamped below at [max(1e-12, 1e-10·λ_max)],
+    so both the zero-variance classes of the Fig. 5 adversarial
+    solutions and near-singular Σ from long constraint sessions stay
+    finite instead of raising.  Raises
+    [Sider_robust.Sider_error.Error (Nan_detected _)] if a Σ contains
+    non-finite entries — the only failure mode left. *)
 
-val whiten : ?clamp:float -> Solver.t -> Mat.t
-(** Whitened version of the solver's data matrix. *)
-
-val whiten_matrix : ?clamp:float -> Solver.t -> Mat.t -> Mat.t
+val whiten_matrix : Solver.t -> Mat.t -> Mat.t [@@sider.allow "test-hook"]
 (** Apply the same per-row transformations to another matrix of the same
     shape (e.g. a sample of the background distribution; its whitened
     image is approximately unit spherical by construction). *)

@@ -121,5 +121,3 @@ let int t bound =
   draw ()
 
 let bool t = Int64.logand (uint64 t) 1L = 1L
-
-let uniform t lo hi = lo +. ((hi -. lo) *. float t)

@@ -17,9 +17,6 @@ val split : t -> t
 
 val copy : t -> t
 
-val uint64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform in [[0, 1)] with 53-bit resolution. *)
 
@@ -38,6 +35,3 @@ val int : t -> int -> int
     Uses rejection sampling, so the distribution is exact. *)
 
 val bool : t -> bool
-
-val uniform : t -> float -> float -> float
-(** [uniform t lo hi] is uniform in [[lo, hi)]. *)

@@ -5,8 +5,6 @@ let normal rng =
   Rng.fill_normal rng z ~pos:0 ~len:1;
   z.(0)
 
-let gaussian rng ~mean ~sd = mean +. (sd *. normal rng)
-
 let normal_vec rng n =
   let v = Array.create_float n in
   Rng.fill_normal rng v ~pos:0 ~len:n;
@@ -16,10 +14,6 @@ let normal_mat rng r c =
   let m = Mat.create r c in
   Rng.fill_normal rng m.Mat.a ~pos:0 ~len:(r * c);
   m
-
-let exponential rng ~rate =
-  if rate <= 0.0 then invalid_arg "Sampler.exponential: rate must be > 0";
-  -.log (1.0 -. Rng.float rng) /. rate
 
 let poisson rng ~lambda =
   if lambda < 0.0 then invalid_arg "Sampler.poisson: negative lambda";
@@ -54,12 +48,12 @@ let categorical rng weights =
    with Exit -> ());
   !choice
 
-let rec gamma rng ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then
-    invalid_arg "Sampler.gamma: parameters must be > 0";
+(* A Gamma(shape, 1) variate (Marsaglia-Tsang). *)
+let rec gamma rng shape =
+  if shape <= 0.0 then invalid_arg "Sampler.dirichlet: weights must be > 0";
   if shape < 1.0 then begin
     (* Boost to shape+1 and correct (Marsaglia-Tsang trick). *)
-    let g = gamma rng ~shape:(shape +. 1.0) ~scale in
+    let g = gamma rng (shape +. 1.0) in
     g *. (Rng.float rng ** (1.0 /. shape))
   end
   else begin
@@ -78,11 +72,11 @@ let rec gamma rng ~shape ~scale =
         else draw ()
       end
     in
-    scale *. draw ()
+    draw ()
   end
 
 let dirichlet rng alpha =
-  let draws = Array.map (fun a -> gamma rng ~shape:a ~scale:1.0) alpha in
+  let draws = Array.map (gamma rng) alpha in
   let total = Array.fold_left ( +. ) 0.0 draws in
   Array.map (fun g -> g /. total) draws
 
@@ -105,8 +99,3 @@ let sample_without_replacement rng k n =
     pool.(j) <- tmp
   done;
   Array.sub pool 0 k
-
-let mvn rng ~mean ~chol =
-  let d = Array.length mean in
-  let z = normal_vec rng d in
-  Vec.add mean (Mat.mv chol z)

@@ -8,8 +8,6 @@ val normal : Rng.t -> float
     so each draw runs a fresh rejection loop and [split] streams stay
     independent). *)
 
-val gaussian : Rng.t -> mean:float -> sd:float -> float
-
 val normal_vec : Rng.t -> int -> Vec.t
 (** [n] variates from one {!Rng.fill_normal}: the same values as [n]
     calls of {!normal}, and nothing allocated beside the result. *)
@@ -17,8 +15,6 @@ val normal_vec : Rng.t -> int -> Vec.t
 val normal_mat : Rng.t -> int -> int -> Mat.t
 (** An [r]×[c] matrix of variates drawn in row-major order by one
     {!Rng.fill_normal}, the order of [r·c] calls of {!normal}. *)
-
-val exponential : Rng.t -> rate:float -> float
 
 val poisson : Rng.t -> lambda:float -> int
 (** Knuth's method for small lambda, normal approximation above 720 (where
@@ -31,15 +27,9 @@ val categorical : Rng.t -> Vec.t -> int
 val dirichlet : Rng.t -> Vec.t -> Vec.t
 (** Dirichlet variate via Gamma draws (Marsaglia-Tsang). *)
 
-val gamma : Rng.t -> shape:float -> scale:float -> float
-
 val shuffle : Rng.t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
 val sample_without_replacement : Rng.t -> int -> int -> int array
 (** [sample_without_replacement rng k n] draws [k] distinct indices from
     [[0, n)], in random order. *)
-
-val mvn : Rng.t -> mean:Vec.t -> chol:Mat.t -> Vec.t
-(** Multivariate normal variate given the lower Cholesky factor of the
-    covariance: [mean + chol · z], with [z] from {!normal_vec}. *)

@@ -75,27 +75,27 @@ exception Crash_injected
     discard the service instance and recover a fresh one from the data
     directory. *)
 
-val reset : unit -> unit
+val reset : unit -> unit [@@sider.allow "test-hook"]
 (** Disarm everything and clear the fired log. *)
 
-val arm : injection -> unit
+val arm : injection -> unit [@@sider.allow "test-hook"]
 (** Arm for exactly one firing. *)
 
-val arm_counted : int -> injection -> unit
+val arm_counted : int -> injection -> unit [@@sider.allow "test-hook"]
 (** [arm_counted n i] arms [i] to fire [n] times before disarming
     itself; each firing is recorded separately in {!fired}.  Raises
     [Invalid_argument] when [n <= 0]. *)
 
-val arm_persistent : injection -> unit
+val arm_persistent : injection -> unit [@@sider.allow "test-hook"]
 (** Arm [i] to fire every time its polling site matches, until
     {!reset}. *)
 
-val armed : unit -> injection list
+val armed : unit -> injection list [@@sider.allow "test-hook"]
 (** Currently armed injections, one entry per {!arm}/{!arm_counted}/
     {!arm_persistent} call still live (counted arms stay listed until
     their last shot is spent). *)
 
-val fired : unit -> fired list
+val fired : unit -> fired list [@@sider.allow "test-hook"]
 (** Injections that have gone off, oldest first. *)
 
 (** {2 Polling sites (called by instrumented code)} *)
@@ -123,11 +123,12 @@ val crash_compaction_at : path:string -> point:int -> unit
 (** {2 Deterministic pathological inputs} *)
 
 val ill_conditioned_cov : d:int -> log10_kappa:float -> Mat.t
+  [@@sider.allow "test-hook"]
 (** A symmetric positive-definite [d×d] matrix with condition number
     [10^log10_kappa]: geometrically spaced eigenvalues in a fixed
     (seed-free) rotation. *)
 
-val with_nans : Mat.t -> (int * int) list -> Mat.t
+val with_nans : Mat.t -> (int * int) list -> Mat.t [@@sider.allow "test-hook"]
 (** Copy of the matrix with NaN written at each position. *)
 
 val adversarial_rowsets : n:int -> int array list

@@ -1,6 +1,8 @@
 open Sider_linalg
 
-let default_ladder = [| 0.0; 1e-10; 1e-8; 1e-6; 1e-4 |]
+(* The escalating relative diagonal-jitter ladder: 0 (no repair), then
+   1e-10 up to 1e-4. *)
+let ladder = [| 0.0; 1e-10; 1e-8; 1e-6; 1e-4 |]
 
 let finite_vec v =
   let ok = ref true in
@@ -53,7 +55,10 @@ let with_jitter a jitter =
     out
   end
 
-let chol_factor ?(ladder = default_ladder) a =
+(* A strict Cholesky factor of the symmetrized [a], retrying with each
+   rung of the ladder added to the diagonal (scaled by the mean absolute
+   diagonal of [a], so the ladder is meaningful at any scale). *)
+let chol_factor a =
   let n, m = Mat.dims a in
   if n <> m then
     Error (Sider_error.degenerate_data "chol_factor: matrix not square")
@@ -77,11 +82,10 @@ let chol_factor ?(ladder = default_ladder) a =
         else begin
           let jitter = ladder.(k) *. scale in
           match Chol.decompose (with_jitter sym jitter) with
-          | l -> Ok (l, jitter)
+          | l -> Ok l
           | exception Chol.Not_positive_definite -> attempt (k + 1)
         end
       in
       attempt 0
 
-let symmetric_inverse ?ladder a =
-  Result.map (fun (l, _) -> Chol.inverse l) (chol_factor ?ladder a)
+let symmetric_inverse a = Result.map Chol.inverse (chol_factor a)

@@ -7,10 +7,6 @@
 
 open Sider_linalg
 
-val default_ladder : float array
-(** The escalating relative diagonal-jitter ladder tried by
-    {!chol_factor}: [0] (no repair), then [1e-10] up to [1e-4]. *)
-
 val finite_vec : Vec.t -> bool
 (** Every entry finite (no NaN, no ±∞). *)
 
@@ -19,19 +15,12 @@ val finite_mat : Mat.t -> bool
 val first_nonfinite_mat : Mat.t -> (int * int) option
 (** Position of the first non-finite entry in row-major order. *)
 
-val chol_factor :
-  ?ladder:float array -> Mat.t -> (Mat.t * float, Sider_error.t) result
-(** [chol_factor a] attempts a strict Cholesky factorization of the
-    symmetrized [a], retrying with each rung of the jitter ladder added
-    to the diagonal (scaled by the mean absolute diagonal of [a], so the
-    ladder is meaningful at any scale).  Returns the factor [l] with
-    [l lᵀ ≈ a + jitter·s·I] and the absolute jitter that succeeded
-    ([0.0] for a clean factorization).  [Error] is
-    {!Sider_error.Singular_covariance} (indefinite beyond the ladder) or
-    {!Sider_error.Nan_detected} (non-finite input). *)
-
-val symmetric_inverse :
-  ?ladder:float array -> Mat.t -> (Mat.t, Sider_error.t) result
-(** Inverse of a symmetric positive-definite matrix through
-    {!chol_factor} (so near-singular inputs are regularized by the
-    ladder rather than failing). *)
+val symmetric_inverse : Mat.t -> (Mat.t, Sider_error.t) result
+(** Inverse of a symmetric positive-definite matrix through a strict
+    Cholesky factorization of the symmetrized input, retrying with an
+    escalating relative diagonal jitter ([0], then [1e-10] up to [1e-4],
+    scaled by the mean absolute diagonal) so near-singular inputs are
+    regularized rather than failing.  [Error] is
+    {!Sider_error.Singular_covariance} (indefinite beyond the ladder),
+    {!Sider_error.Nan_detected} (non-finite input) or
+    {!Sider_error.Degenerate_data} (not square). *)

@@ -18,23 +18,21 @@ exception Error of t
 let context ?class_index ?constraint_tag ?sweep detail =
   { class_index; constraint_tag; sweep; detail }
 
-let singular_covariance ?class_index ?constraint_tag ?sweep detail =
-  Singular_covariance (context ?class_index ?constraint_tag ?sweep detail)
+let singular_covariance ?class_index ?constraint_tag detail =
+  Singular_covariance (context ?class_index ?constraint_tag detail)
 
-let solver_divergence ?class_index ?constraint_tag ?sweep detail =
-  Solver_divergence (context ?class_index ?constraint_tag ?sweep detail)
+let solver_divergence ?class_index ?sweep detail =
+  Solver_divergence (context ?class_index ?sweep detail)
 
-let non_convergence ?class_index ?constraint_tag ?sweep detail =
-  Non_convergence (context ?class_index ?constraint_tag ?sweep detail)
+let non_convergence detail = Non_convergence (context detail)
 
-let degenerate_data ?class_index ?constraint_tag ?sweep detail =
-  Degenerate_data (context ?class_index ?constraint_tag ?sweep detail)
+let degenerate_data ?constraint_tag detail =
+  Degenerate_data (context ?constraint_tag detail)
 
-let nan_detected ?class_index ?constraint_tag ?sweep detail =
-  Nan_detected (context ?class_index ?constraint_tag ?sweep detail)
+let nan_detected ?class_index ?sweep detail =
+  Nan_detected (context ?class_index ?sweep detail)
 
-let io_failure ?class_index ?constraint_tag ?sweep detail =
-  Io_failure (context ?class_index ?constraint_tag ?sweep detail)
+let io_failure detail = Io_failure (context detail)
 
 let context_of = function
   | Singular_covariance c | Solver_divergence c | Non_convergence c
@@ -66,8 +64,6 @@ let to_string e =
     Buffer.add_string buf c.detail
   end;
   Buffer.contents buf
-
-let pp fmt e = Format.pp_print_string fmt (to_string e)
 
 let raise_ e = raise (Error e)
 

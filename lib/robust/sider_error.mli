@@ -41,27 +41,21 @@ type t =
 exception Error of t
 (** The exception form, for code that cannot return a [result]. *)
 
-val context :
-  ?class_index:int -> ?constraint_tag:string -> ?sweep:int -> string ->
-  context
+(** The constructors take the context fields their callers know; the
+    last argument is the detail. *)
 
 val singular_covariance :
-  ?class_index:int -> ?constraint_tag:string -> ?sweep:int -> string -> t
+  ?class_index:int -> ?constraint_tag:string -> string -> t
 
-val solver_divergence :
-  ?class_index:int -> ?constraint_tag:string -> ?sweep:int -> string -> t
+val solver_divergence : ?class_index:int -> ?sweep:int -> string -> t
 
-val non_convergence :
-  ?class_index:int -> ?constraint_tag:string -> ?sweep:int -> string -> t
+val non_convergence : string -> t
 
-val degenerate_data :
-  ?class_index:int -> ?constraint_tag:string -> ?sweep:int -> string -> t
+val degenerate_data : ?constraint_tag:string -> string -> t
 
-val nan_detected :
-  ?class_index:int -> ?constraint_tag:string -> ?sweep:int -> string -> t
+val nan_detected : ?class_index:int -> ?sweep:int -> string -> t
 
-val io_failure :
-  ?class_index:int -> ?constraint_tag:string -> ?sweep:int -> string -> t
+val io_failure : string -> t
 
 val context_of : t -> context
 
@@ -71,18 +65,12 @@ val label : t -> string
 val to_string : t -> string
 (** One-line diagnostic: label, context fields present, detail. *)
 
-val pp : Format.formatter -> t -> unit
-
 val raise_ : t -> 'a
 (** [raise_ e] raises [Error e]. *)
 
-val of_exn : exn -> t option
-(** Map a known numerical exception to a structured error: [Error e]
-    unwraps to [e]; [Failure]/[Invalid_argument]/[Division_by_zero] become
-    {!Degenerate_data}; [Sys_error] becomes {!Io_failure}.  [None] for
-    exceptions that should propagate (e.g. [Out_of_memory],
-    [Stack_overflow], [Sys.Break]). *)
-
 val protect : (unit -> 'a) -> ('a, t) result
-(** Run a thunk, converting known numerical exceptions (see {!of_exn})
-    into [Error _].  Unknown exceptions propagate. *)
+(** Run a thunk, converting known numerical exceptions into [Error _]:
+    [Error e] unwraps to [e]; [Failure]/[Invalid_argument]/
+    [Division_by_zero] become {!Degenerate_data}; [Sys_error] becomes
+    {!Io_failure}.  Other exceptions (e.g. [Out_of_memory],
+    [Stack_overflow], [Sys.Break]) propagate. *)

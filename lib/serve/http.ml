@@ -169,44 +169,124 @@ let trace_of_request (req : request) =
     if raw = "" then None
     else Some (String.map (fun c -> if trace_char_ok c then c else '_') raw)
 
-(* --- request parsing ------------------------------------------------------- *)
+(* --- reading messages ------------------------------------------------------ *)
 
-let find_crlfcrlf s =
-  let n = String.length s in
+(* Both sides read a message the same way: {!read_head} reads up to the
+   blank line that ends the head, {!read_body} then fills one buffer of
+   the declared length.  Each side keeps only its start-line parse and
+   its own mapping of the failures below. *)
+
+type io_fail =
+  | Io_timeout  (* a read hit [SO_RCVTIMEO] *)
+  | Io_eof of int  (* EOF or a reset, after [pos] bytes of the buffer *)
+  | Io_error of Unix.error
+  | Io_too_large  (* no blank line within [max_header_bytes] *)
+
+let read_into fd b pos len =
+  match Unix.read fd b pos len with
+  | 0 -> Error (Io_eof pos)
+  | k -> Ok k
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    Error Io_timeout
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+    Error (Io_eof pos)
+  | exception Unix.Unix_error (e, _, _) -> Error (Io_error e)
+
+(* The bytes read for one message: [initial] (read past the previous
+   message on this connection), then reads of up to 8 KiB. *)
+type inbuf = { mutable b : Bytes.t; mutable len : int }
+
+let read_more fd ib =
+  if Bytes.length ib.b - ib.len < 8192 then begin
+    let nb = Bytes.create (2 * Bytes.length ib.b + 8192) in
+    Bytes.blit ib.b 0 nb 0 ib.len;
+    ib.b <- nb
+  end;
+  Result.map (fun k -> ib.len <- ib.len + k) (read_into fd ib.b ib.len 8192)
+
+(* The first "\r\n\r\n" at or after [from]. *)
+let find_blank_line b ~from len =
   let rec go i =
-    if i + 3 >= n then None
+    if i + 3 >= len then None
     else if
-      s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
+      Bytes.unsafe_get b i = '\r'
+      && Bytes.unsafe_get b (i + 1) = '\n'
+      && Bytes.unsafe_get b (i + 2) = '\r'
+      && Bytes.unsafe_get b (i + 3) = '\n'
     then Some i
     else go (i + 1)
   in
+  go from
+
+(* Reads until the head is complete and returns the bytes read and the
+   offset of its blank line.  Each read's bytes are searched once (with
+   the three before them, for a blank line split across reads); at most
+   [max_header_bytes] plus one read are held without a blank line. *)
+let read_head ~initial fd =
+  let ib = { b = Bytes.of_string initial; len = String.length initial } in
+  let rec go from =
+    match find_blank_line ib.b ~from ib.len with
+    | Some i -> Ok (ib, i)
+    | None when ib.len > max_header_bytes -> Error Io_too_large
+    | None ->
+      let scanned = max 0 (ib.len - 3) in
+      Result.bind (read_more fd ib) (fun () -> go scanned)
+  in
   go 0
 
-let parse_headers lines =
-  List.fold_left
-    (fun acc line ->
-      match acc with
-      | Error _ -> acc
-      | Ok hs ->
-        (match String.index_opt line ':' with
-         | None -> Error (Malformed ("header without colon: " ^ line))
-         | Some i ->
-           let k = String.lowercase_ascii (String.sub line 0 i) in
-           let v =
-             String.trim (String.sub line (i + 1) (String.length line - i - 1))
-           in
-           Ok ((k, v) :: hs)))
-    (Ok []) lines
-  |> Result.map List.rev
+(* The head's start line and its "name: value" fields, names lowercased
+   and values trimmed. *)
+let parse_head ib head_end =
+  let lines =
+    String.split_on_char '\n' (Bytes.sub_string ib.b 0 head_end)
+    |> List.map (fun l ->
+        match String.index_opt l '\r' with
+        | Some i -> String.sub l 0 i
+        | None -> l)
+  in
+  let field line =
+    match String.index_opt line ':' with
+    | None -> Error ("header without colon: " ^ line)
+    | Some i ->
+      Ok
+        ( String.lowercase_ascii (String.sub line 0 i),
+          String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+  in
+  match lines with
+  | [] -> Error "empty head"
+  | start :: rest ->
+    List.fold_left
+      (fun acc line ->
+        match acc with
+        | Error _ -> acc
+        | Ok hs when line = "" -> Ok hs
+        | Ok hs -> Result.map (fun h -> h :: hs) (field line))
+      (Ok []) rest
+    |> Result.map (fun hs -> (start, List.rev hs))
 
-let split_head_lines head =
-  String.split_on_char '\n' head
-  |> List.map (fun l ->
-      match String.index_opt l '\r' with
-      | Some i -> String.sub l 0 i
-      | None -> l)
+(* [len] body bytes into one buffer of that length: the bytes already
+   read past the head, then reads straight into the rest of it, never
+   past its end.  Also returns the bytes read past the body (the start
+   of a pipelined successor). *)
+let read_body fd ib ~head_end len =
+  let start = head_end + 4 in
+  let have = min len (ib.len - start) in
+  let body = Bytes.create len in
+  Bytes.blit ib.b start body 0 have;
+  let rec fill filled =
+    if filled = len then Ok ()
+    else
+      match read_into fd body filled (len - filled) with
+      | Ok k -> fill (filled + k)
+      | Error e -> Error e
+  in
+  Result.map
+    (fun () ->
+      ( Bytes.unsafe_to_string body,
+        Bytes.sub_string ib.b (start + have) (ib.len - start - have) ))
+    (fill have)
 
-(* A Content-Length value (already trimmed by [parse_headers]): ASCII
+(* A Content-Length value (already trimmed by [parse_head]): ASCII
    digits only.  [int_of_string] alone would also read a sign, [_]
    separators and the 0x/0o/0b/0u prefixes. *)
 let content_length_of v =
@@ -238,94 +318,47 @@ let connection_is_close headers =
 
 let wants_close (req : request) = connection_is_close req.headers
 
-(* Read from [fd] (starting from [initial], bytes already read past the
-   previous message on this connection) until the header block is
-   complete, then exactly the declared body.  The caller is expected to
-   have set [SO_RCVTIMEO]; a timed-out [read] surfaces as [Timeout]
-   (the 408 path), EOF before a complete message as [Closed], and
-   oversized headers/bodies as [Too_large] — a slow or malicious client
-   can cost at most one worker's timeout, never unbounded memory.  On
-   success also returns the leftover bytes beyond the parsed request
-   (the start of a pipelined successor). *)
+(* --- the server's side ----------------------------------------------------- *)
+
+(* One request, starting from [initial].  The caller is expected to have
+   set [SO_RCVTIMEO]; a timed-out read surfaces as [Timeout] (the 408
+   path), EOF or a socket error before a complete message as [Closed],
+   and oversized headers or bodies as [Too_large] — a slow or malicious
+   client can cost at most one worker's timeout, never unbounded memory.
+   On success also returns the bytes read past the request. *)
 let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
-  let chunk = Bytes.create 8192 in
-  let acc = Buffer.create 1024 in
-  Buffer.add_string acc initial;
-  let read_more () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> `Eof
-    | n -> Buffer.add_subbytes acc chunk 0 n; `More
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      `Timeout
-    | exception Unix.Unix_error _ -> `Eof
+  let fail = function
+    | Io_timeout -> Timeout
+    | Io_too_large -> Too_large
+    | Io_eof _ | Io_error _ -> Closed
   in
-  let rec read_head () =
-    match find_crlfcrlf (Buffer.contents acc) with
-    | Some i -> Ok i
-    | None ->
-      if Buffer.length acc > max_header_bytes then Error Too_large
-      else (
-        match read_more () with
-        | `More -> read_head ()
-        | `Timeout -> Error Timeout
-        | `Eof -> Error Closed)
-  in
-  match read_head () with
-  | Error e -> Error e
-  | Ok head_end ->
-    let head = Buffer.sub acc 0 head_end in
-    (match split_head_lines head with
-     | [] -> Error (Malformed "empty request")
-     | request_line :: header_lines ->
-       (match String.split_on_char ' ' request_line with
-        | meth :: target :: _ ->
-          (match parse_headers (List.filter (fun l -> l <> "") header_lines)
-           with
-           | Error e -> Error e
-           | Ok headers ->
-             let path, query =
-               match String.index_opt target '?' with
-               | Some i ->
-                 ( String.sub target 0 i,
-                   String.sub target (i + 1) (String.length target - i - 1) )
-               | None -> (target, "")
-             in
-             (match
-                Result.map (Option.value ~default:0) (content_length headers)
-              with
-              | Error m -> Error (Malformed m)
-              | Ok len when len > max_body -> Error Too_large
-              | Ok len ->
-                (* The body goes into one buffer of its length: the bytes
-                   already read past the head, then reads straight into
-                   the rest of it, never past its end. *)
-                let body_start = head_end + 4 in
-                let have = min len (Buffer.length acc - body_start) in
-                let body = Bytes.create len in
-                Buffer.blit acc body_start body 0 have;
-                let rec read_body filled =
-                  if filled = len then Ok ()
-                  else
-                    match Unix.read fd body filled (len - filled) with
-                    | 0 -> Error Closed
-                    | k -> read_body (filled + k)
-                    | exception
-                        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                      ->
-                      Error Timeout
-                    | exception Unix.Unix_error _ -> Error Closed
-                in
-                Result.map
-                  (fun () ->
-                    let total = body_start + have in
-                    let leftover =
-                      Buffer.sub acc total (Buffer.length acc - total)
-                    in
-                    ( { meth; path; query; headers;
-                        body = Bytes.unsafe_to_string body },
-                      leftover ))
-                  (read_body have)))
-        | _ -> Error (Malformed ("bad request line: " ^ request_line))))
+  match read_head ~initial fd with
+  | Error e -> Error (fail e)
+  | Ok (ib, head_end) ->
+    let parsed =
+      Result.bind (parse_head ib head_end) (fun (line, headers) ->
+          match String.split_on_char ' ' line with
+          | meth :: target :: _ ->
+            Result.map
+              (fun len -> (meth, target, headers, Option.value ~default:0 len))
+              (content_length headers)
+          | _ -> Error ("bad request line: " ^ line))
+    in
+    (match parsed with
+     | Error m -> Error (Malformed m)
+     | Ok (_, _, _, len) when len > max_body -> Error Too_large
+     | Ok (meth, target, headers, len) ->
+       let path, query =
+         match String.index_opt target '?' with
+         | Some i ->
+           ( String.sub target 0 i,
+             String.sub target (i + 1) (String.length target - i - 1) )
+         | None -> (target, "")
+       in
+       (match read_body fd ib ~head_end len with
+        | Error e -> Error (fail e)
+        | Ok (body, leftover) ->
+          Ok ({ meth; path; query; headers; body }, leftover)))
 
 (* --- buffered per-connection reader ---------------------------------------- *)
 
@@ -347,7 +380,7 @@ let read_request_buffered ?max_body r =
     r.r_pending <- "";
     Error e
 
-(* --- client ---------------------------------------------------------------- *)
+(* --- the client's side ----------------------------------------------------- *)
 
 type response = {
   status : int;
@@ -355,106 +388,63 @@ type response = {
   r_body : string;
 }
 
-let header resp k = List.assoc_opt (String.lowercase_ascii k) resp.r_headers
-
 let no_response = "connection closed without a response"
 
-(* Read one response starting from [initial].  Returns the response,
-   whether the server announced [Connection: close], and the leftover
-   bytes beyond this response's body.  A response without a
-   [Content-Length] is drained to EOF (and the connection is done). *)
+(* The status code of a status line: exactly three ASCII digits after
+   the version. *)
+let status_of_line line =
+  match String.split_on_char ' ' line with
+  | _ :: code :: _
+    when String.length code = 3
+         && String.for_all (fun c -> c >= '0' && c <= '9') code ->
+    Ok (int_of_string code)
+  | _ -> Error ("malformed status line: " ^ line)
+
+(* One response, starting from [initial]: the response, whether the
+   server announced [Connection: close], and the bytes read past it.  A
+   response without a [Content-Length] is drained to EOF (and the
+   connection is done).  A reset reads as EOF; EOF before any byte of
+   the response is [no_response], which the idempotent retry keys on. *)
 let read_response_from ~initial fd =
-  let acc = Buffer.create 4096 in
-  Buffer.add_string acc initial;
-  let chunk = Bytes.create 4096 in
-  let read_more () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> `Eof
-    | n -> Buffer.add_subbytes acc chunk 0 n; `More
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      `Eof
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      `Timeout
-    | exception Unix.Unix_error (err, _, _) ->
-      `Err (Unix.error_message err)
+  let fail = function
+    | Io_timeout -> "timeout waiting for response"
+    | Io_too_large -> "response head over 16 KiB"
+    | Io_eof _ -> "truncated response"
+    | Io_error e -> Unix.error_message e
   in
-  let rec read_head () =
-    match find_crlfcrlf (Buffer.contents acc) with
-    | Some i -> Ok i
-    | None ->
-      (match read_more () with
-       | `More -> read_head ()
-       | `Timeout -> Error "timeout waiting for response"
-       | `Err m -> Error m
-       | `Eof ->
-         if Buffer.length acc = 0 then Error no_response
-         else Error "truncated response")
-  in
-  match read_head () with
-  | Error e -> Error e
-  | Ok head_end ->
-    let head = Buffer.sub acc 0 head_end in
-    (match split_head_lines head with
-     | [] -> Error "empty response"
-     | status_line :: header_lines ->
-       let status =
-         match String.split_on_char ' ' status_line with
-         | _ :: code :: _ -> Option.value ~default:0 (int_of_string_opt code)
-         | _ -> 0
+  match read_head ~initial fd with
+  | Error (Io_eof 0) -> Error no_response
+  | Error e -> Error (fail e)
+  | Ok (ib, head_end) ->
+    (match
+       Result.bind (parse_head ib head_end) (fun (line, r_headers) ->
+           Result.bind (status_of_line line) (fun status ->
+               Result.map
+                 (fun len -> (status, r_headers, len))
+                 (content_length r_headers)))
+     with
+     | Error e -> Error e
+     | Ok (status, r_headers, None) ->
+       let rec drain () =
+         match read_more fd ib with
+         | Ok () -> drain ()
+         | Error (Io_eof _) -> Ok ()
+         | Error e -> Error (fail e)
        in
-       let r_headers =
-         match
-           parse_headers (List.filter (fun l -> l <> "") header_lines)
-         with
-         | Ok hs -> hs
-         | Error _ -> []
-       in
-       let body_start = head_end + 4 in
-       (match content_length r_headers with
-        | Error e -> Error e
-        | Ok None ->
-          let rec drain () =
-            match read_more () with
-            | `More -> drain ()
-            | `Eof -> Ok ()
-            | `Timeout -> Error "timeout waiting for response"
-            | `Err m -> Error m
-          in
-          (match drain () with
-           | Error e -> Error e
-           | Ok () ->
-             let raw = Buffer.contents acc in
-             Ok
-               ( { status;
-                   r_headers;
-                   r_body =
-                     String.sub raw body_start (String.length raw - body_start)
-                 },
-                 `Close,
-                 "" ))
-        | Ok (Some len) ->
-          let rec read_body () =
-            if Buffer.length acc - body_start >= len then Ok ()
-            else (
-              match read_more () with
-              | `More -> read_body ()
-              | `Timeout -> Error "timeout waiting for response"
-              | `Err m -> Error m
-              | `Eof -> Error "truncated response")
-          in
-          (match read_body () with
-           | Error e -> Error e
-           | Ok () ->
-             let raw = Buffer.contents acc in
-             let r_body = String.sub raw body_start len in
-             let leftover =
-               String.sub raw (body_start + len)
-                 (String.length raw - body_start - len)
-             in
-             let conn =
-               if connection_is_close r_headers then `Close else `Keep
-             in
-             Ok ({ status; r_headers; r_body }, conn, leftover))))
+       Result.map
+         (fun () ->
+           let start = head_end + 4 in
+           ( { status; r_headers;
+               r_body = Bytes.sub_string ib.b start (ib.len - start) },
+             `Close,
+             "" ))
+         (drain ())
+     | Ok (status, r_headers, Some len) ->
+       (match read_body fd ib ~head_end len with
+        | Error e -> Error (fail e)
+        | Ok (r_body, leftover) ->
+          let conn = if connection_is_close r_headers then `Close else `Keep in
+          Ok ({ status; r_headers; r_body }, conn, leftover)))
 
 type client = {
   c_port : int;

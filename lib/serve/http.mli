@@ -9,7 +9,13 @@
     buffered {!reader} (pipelined bytes survive between requests) and
     the {!client} reuses one socket until either side sends
     [Connection: close].  That is enough for a loopback analysis
-    service and keeps every read bounded. *)
+    service and keeps every read bounded.
+
+    Both sides read a message with the same two readers: the head up to
+    its blank line, at most 16 KiB of it (searching only newly read
+    bytes), then the body into one buffer of its [Content-Length]
+    (ASCII digits only; repeated fields must agree).  Each side keeps
+    its own start-line parse and failure mapping. *)
 
 type request = {
   meth : string;  (** verbatim, e.g. ["POST"] *)
@@ -25,18 +31,12 @@ type read_error =
   | Too_large  (** headers over 16 KiB or body over the configured cap *)
   | Malformed of string  (** unparseable request line, header or length *)
 
-val reason : int -> string
-(** Reason phrase for a status code ("OK", "Too Many Requests", ...). *)
-
 (** {2 Trace context}
 
     Every request through the session service is identified by a trace
     id, echoed on every response as [X-Sider-Trace-Id] (error responses
     included) and threaded through the access log, the span tree and
     any flight-recorder dump the request triggers. *)
-
-val trace_header : string
-(** ["x-sider-trace-id"] — the request header, lowercased as parsed. *)
 
 val trace_response_header : string
 (** ["X-Sider-Trace-Id"] — canonical casing for responses. *)
@@ -117,9 +117,6 @@ type response = {
   r_body : string;
 }
 
-val header : response -> string -> string option
-(** Case-insensitive header lookup. *)
-
 type client
 (** A persistent keep-alive connection to [127.0.0.1:port].  Connects
     lazily on first use; reconnects transparently after the server
@@ -142,8 +139,10 @@ val client_request :
     to keep-alive.  Non-idempotent methods are never retried
     automatically: the server may have durably applied the mutation
     before dying, so the caller decides whether re-sending is safe.
-    [Error] is transport-level only; HTTP error statuses come back as
-    [Ok]. *)
+    [Error] is a transport failure or a response that cannot be read: a
+    status code that is not exactly three ASCII digits, a header without
+    a colon, a bad [Content-Length], or a head over 16 KiB.  HTTP error
+    statuses come back as [Ok]. *)
 
 val client_close : client -> unit
 (** Close the underlying socket (idempotent); the next
@@ -158,6 +157,7 @@ val request :
   string ->
   (response, string) result
 (** Perform one request against [127.0.0.1:port] on a dedicated
-    connection ([Connection: close] requested).  [Error] is
-    transport-level only (connect refused, timeout, connection dropped
-    before a status line); HTTP error statuses come back as [Ok]. *)
+    connection ([Connection: close] requested).  [Error] is as for
+    {!client_request} (connect refused, timeout, connection dropped
+    before a status line, a response that cannot be read); HTTP error
+    statuses come back as [Ok]. *)

@@ -26,14 +26,6 @@ let all =
 let to_string kind =
   fst (List.find (fun (_, k) -> k = kind) all)
 
-let of_string name =
-  match List.assoc_opt (String.lowercase_ascii name) all with
-  | Some k -> Ok k
-  | None ->
-    Error
-      (Printf.sprintf "unknown persona %S (expected %s)" name
-         (String.concat ", " (List.map fst all)))
-
 type api = { call : ?body:string -> meth:string -> string -> (int * string) option }
 
 type outcome = { steps_ok : int; steps_failed : int }

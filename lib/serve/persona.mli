@@ -32,9 +32,6 @@ val all : (string * kind) list
 
 val to_string : kind -> string
 
-val of_string : string -> (kind, string) result
-(** Case-insensitive; [Error] lists the accepted names. *)
-
 type api = { call : ?body:string -> meth:string -> string -> (int * string) option }
 (** One request, retries included; [None] when the caller's retry
     budget was exhausted, [Some (status, body)] otherwise. *)

@@ -17,10 +17,6 @@
       [sider_<name>_count], and a companion gauge [sider_<name>_max]
       (the exposition format has no native max for summaries). *)
 
-val mangle : string -> string
-(** Instrument name → Prometheus metric name: [sider_] prefix, every
-    character outside [[A-Za-z0-9_]] replaced by [_]. *)
-
 val exposition : Sider_obs.Obs.metric list -> string
 (** Pure rendering of a metrics snapshot as Prometheus text exposition
     format 0.0.4, one [# TYPE] comment per family, families in

@@ -70,19 +70,19 @@ type window_stats = {
 type t = {
   latency_target_s : float;
   objective : float;
-  burn_threshold : float;
   m : Mutex.t;
   w5m : window;
   w1h : window;
 }
 
-let create ?(latency_target_s = 0.5) ?(objective = 0.99)
-    ?(burn_threshold = 1.0) () =
+(* A window is burning when its budget burns faster than 1.0×. *)
+let burn_threshold = 1.0
+
+let create ?(latency_target_s = 0.5) ?(objective = 0.99) () =
   let objective = Float.min 0.9999 (Float.max 0.5 objective) in
   {
     latency_target_s;
     objective;
-    burn_threshold = Float.max 0.0 burn_threshold;
     m = Mutex.create ();
     w5m = make_window ~bucket_s:5.0 ~buckets:60;
     w1h = make_window ~bucket_s:60.0 ~buckets:60;
@@ -148,9 +148,9 @@ let snapshot t =
   {
     s_latency_target_s = t.latency_target_s;
     s_objective = t.objective;
-    s_burn_threshold = t.burn_threshold;
+    s_burn_threshold = burn_threshold;
     s_degraded =
-      w5.w_burn > t.burn_threshold && w1.w_burn > t.burn_threshold;
+      w5.w_burn > burn_threshold && w1.w_burn > burn_threshold;
     s_windows = [ w5; w1 ];
   }
 

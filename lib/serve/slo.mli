@@ -22,14 +22,9 @@
 
 type t
 
-val create :
-  ?latency_target_s:float ->
-  ?objective:float ->
-  ?burn_threshold:float ->
-  unit ->
-  t
+val create : ?latency_target_s:float -> ?objective:float -> unit -> t
 (** Defaults: 0.5 s latency target, 0.99 objective (clamped to
-    [0.5, 0.9999]), burn threshold 1.0. *)
+    [0.5, 0.9999]).  The burn threshold is 1.0. *)
 
 val record : t -> status:int -> dur_s:float -> unit
 (** Account one completed request. *)

@@ -8,10 +8,10 @@ type t = {
   radius2 : float;
 }
 
-let of_moments ?(confidence = 0.95) ~mean ~cov () =
+let of_moments ~mean ~cov =
   if Array.length mean <> 2 then invalid_arg "Ellipse.of_moments: need 2-D" [@sider.allow "error-discipline"];
   let { Eigen.values; vectors } = Eigen.symmetric cov in
-  let r2 = Gaussian.chi2_quantile_2d confidence in
+  let r2 = Gaussian.chi2_quantile_2d 0.95 in
   let radius k = sqrt (Float.max values.(k) 0.0 *. r2) in
   {
     center = (mean.(0), mean.(1));
@@ -21,26 +21,17 @@ let of_moments ?(confidence = 0.95) ~mean ~cov () =
     radius2 = radius 1;
   }
 
-let of_points ?confidence pts =
+let of_points pts =
   if Array.length pts = 0 then invalid_arg "Ellipse.of_points: empty" [@sider.allow "error-discipline"];
   let m = Mat.init (Array.length pts) 2 (fun i j ->
       let x, y = pts.(i) in
       if j = 0 then x else y)
   in
-  of_moments ?confidence ~mean:(Mat.col_means m) ~cov:(Mat.covariance m) ()
+  of_moments ~mean:(Mat.col_means m) ~cov:(Mat.covariance m)
 
-let contains t (x, y) =
-  let cx, cy = t.center in
-  let dx = x -. cx and dy = y -. cy in
-  let proj (ax, ay) = (dx *. ax) +. (dy *. ay) in
-  let u = proj t.axis1 and v = proj t.axis2 in
-  let term r p =
-    if Float.equal r 0.0 then (if Float.equal p 0.0 then 0.0 else infinity)
-    else (p /. r) ** 2.0
-  in
-  term t.radius1 u +. term t.radius2 v <= 1.0
+let segments = 64
 
-let polyline ?(segments = 64) t =
+let polyline t =
   let cx, cy = t.center in
   let a1x, a1y = t.axis1 and a2x, a2y = t.axis2 in
   Array.init (segments + 1) (fun i ->

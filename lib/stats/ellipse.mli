@@ -3,8 +3,6 @@
     SIDER draws 95% confidence ellipsoids for the selected points and for
     the corresponding background samples (paper Sec. III, Fig. 7). *)
 
-open Sider_linalg
-
 type t = {
   center : float * float;
   axis1 : float * float;   (** Unit direction of the major axis. *)
@@ -13,16 +11,11 @@ type t = {
   radius2 : float;         (** Half-length along [axis2]. *)
 }
 
-val of_points : ?confidence:float -> (float * float) array -> t
-(** Fit the mean/covariance of the points and return the confidence
-    ellipse at the given level (default 0.95).  Requires at least one
-    point; degenerate covariances give zero radii. *)
+val of_points : (float * float) array -> t
+(** Fit the mean/covariance of the points and return their 95%
+    confidence ellipse.  Requires at least one point; degenerate
+    covariances give zero radii. *)
 
-val of_moments : ?confidence:float -> mean:Vec.t -> cov:Mat.t -> unit -> t
-(** Same from explicit 2-D moments. *)
-
-val contains : t -> float * float -> bool
-
-val polyline : ?segments:int -> t -> (float * float) array
-(** Points on the ellipse boundary, for rendering (default 64 segments,
-    closed: first point repeated at the end). *)
+val polyline : t -> (float * float) array
+(** 65 points on the ellipse boundary, for rendering: 64 segments,
+    closed (the first point repeated at the end). *)

@@ -1,18 +1,9 @@
 (** Univariate Gaussian utilities. *)
 
-val pdf : ?mean:float -> ?sd:float -> float -> float
-
-val log_pdf : ?mean:float -> ?sd:float -> float -> float
-
-val cdf : ?mean:float -> ?sd:float -> float -> float
-(** Via [erf] (Abramowitz-Stegun 7.1.26 rational approximation, absolute
-    error < 1.5e-7, sufficient for confidence bands). *)
-
-val quantile : float -> float
-(** Standard normal quantile (Acklam's rational approximation, relative
-    error < 1.15e-9). Raises [Invalid_argument] outside (0,1). *)
-
-val erf : float -> float
+val cdf : float -> float
+(** The standard normal CDF, via [erf] (Abramowitz-Stegun 7.1.26
+    rational approximation, absolute error < 1.5e-7, sufficient for
+    confidence bands). *)
 
 val log_cosh_moment : float
 (** [E[log cosh X]] for [X ~ N(0,1)], the Gaussian reference value of the

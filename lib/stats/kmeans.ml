@@ -38,7 +38,12 @@ let seed_plus_plus rng ~k data =
   done;
   centroids
 
-let lloyd ~max_iter rng ~k data =
+(* At most 100 Lloyd iterations for each of 4 k-means++ starts. *)
+let max_iter = 100
+
+let restarts = 4
+
+let lloyd rng ~k data =
   let n, d = Mat.dims data in
   let centroids = seed_plus_plus rng ~k data in
   let assignment = Array.make n (-1) in
@@ -85,12 +90,12 @@ let lloyd ~max_iter rng ~k data =
   done;
   { assignment; centroids; inertia = !inertia; iterations = !iter }
 
-let fit ?(max_iter = 100) ?(restarts = 4) rng ~k data =
+let fit rng ~k data =
   let n, _ = Mat.dims data in
   if k <= 0 || k > n then invalid_arg "Kmeans.fit: invalid k" [@sider.allow "error-discipline"];
   let best = ref None in
-  for _ = 1 to Stdlib.max 1 restarts do
-    let r = lloyd ~max_iter rng ~k data in
+  for _ = 1 to restarts do
+    let r = lloyd rng ~k data in
     match !best with
     | Some b when b.inertia <= r.inertia -> ()
     | _ -> best := Some r

@@ -14,15 +14,12 @@ type result = {
   iterations : int;
 }
 
-val fit : ?max_iter:int -> ?restarts:int -> Rng.t -> k:int -> Mat.t -> result
-(** [fit rng ~k data] clusters the rows of [data].  Runs [restarts]
-    (default 4) k-means++ initialisations and keeps the best inertia.
+val fit : Rng.t -> k:int -> Mat.t -> result
+(** [fit rng ~k data] clusters the rows of [data].  Runs 4 k-means++
+    initialisations of at most 100 Lloyd iterations each and keeps the
+    best inertia.
     Raises [Invalid_argument] if [k] exceeds the number of rows or is not
     positive. *)
-
-val silhouette : Mat.t -> int array -> float
-(** Mean silhouette coefficient of an assignment (O(n²); intended for the
-    small 2-D views it is applied to). Returns 0 for a single cluster. *)
 
 val choose_k : ?k_max:int -> Rng.t -> Mat.t -> result
 (** Fit for k = 2..k_max (default 6, capped by row count) and return the

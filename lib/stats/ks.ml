@@ -15,7 +15,7 @@ let statistic ~cdf xs =
     sorted;
   !worst
 
-let statistic_gaussian xs = statistic ~cdf:(fun x -> Gaussian.cdf x) xs
+let statistic_gaussian xs = statistic ~cdf:Gaussian.cdf xs
 
 let p_value ~n d =
   if n <= 0 then invalid_arg "Ks.p_value: n must be positive" [@sider.allow "error-discipline"];

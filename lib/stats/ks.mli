@@ -8,17 +8,8 @@
 
 open Sider_linalg
 
-val statistic : cdf:(float -> float) -> Vec.t -> float
-(** [statistic ~cdf xs] is the KS distance [sup_x |F_n(x) − cdf(x)|].
-    Raises [Invalid_argument] on an empty sample. *)
-
-val statistic_gaussian : Vec.t -> float
-(** KS distance to the standard normal CDF. *)
-
-val p_value : n:int -> float -> float
-(** Asymptotic p-value of a KS distance for sample size [n]
-    (Kolmogorov distribution with the Stephens small-sample
-    correction). *)
-
 val test_gaussian : Vec.t -> float * float
-(** [(d, p)] against the standard normal. *)
+(** [(d, p)] against the standard normal: the KS distance
+    [sup_x |F_n(x) − Φ(x)|] and its asymptotic p-value (Kolmogorov
+    distribution with the Stephens small-sample correction).  Raises
+    [Invalid_argument] on an empty sample. *)

@@ -27,51 +27,3 @@ let best_class_match ~selection ~labels =
   classes
   |> List.map (fun cls -> (cls, jaccard_to_class ~selection ~labels cls))
   |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-let precision_recall ~selection ~truth =
-  let st = Iset.of_list (Array.to_list truth) in
-  let ss = Iset.of_list (Array.to_list selection) in
-  let tp = float_of_int (Iset.cardinal (Iset.inter ss st)) in
-  let precision =
-    if Iset.is_empty ss then 1.0 else tp /. float_of_int (Iset.cardinal ss)
-  in
-  let recall =
-    if Iset.is_empty st then 1.0 else tp /. float_of_int (Iset.cardinal st)
-  in
-  (precision, recall)
-
-let purity ~assignment ~labels =
-  if Array.length assignment <> Array.length labels then
-    invalid_arg "Metrics.purity: length mismatch" [@sider.allow "error-discipline"];
-  let n = Array.length assignment in
-  if n = 0 then 1.0
-  else begin
-    (* For each cluster id, count the majority label. *)
-    let tbl = Hashtbl.create 16 in
-    Array.iteri
-      (fun i c ->
-        let counts =
-          match Hashtbl.find_opt tbl c with
-          | Some counts -> counts
-          | None ->
-            let counts = Hashtbl.create 4 in
-            Hashtbl.add tbl c counts;
-            counts
-        in
-        let l = labels.(i) in
-        Hashtbl.replace counts l
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts l)))
-      assignment;
-    let correct = ref 0 in
-    (* Iteration order is hash-layout order, but an integer sum of per-
-       cluster maxima is order-independent. *)
-    (Hashtbl.iter
-       (fun _ counts ->
-         let best =
-           Hashtbl.fold (fun _ c acc -> Stdlib.max c acc) counts 0
-           [@sider.allow "determinism"]
-         in
-         correct := !correct + best)
-       tbl [@sider.allow "determinism"]);
-    float_of_int !correct /. float_of_int n
-  end

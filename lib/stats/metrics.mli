@@ -8,19 +8,6 @@ val jaccard : int array -> int array -> float
 (** Jaccard index of two index sets (duplicates ignored).  [1.0] when both
     are empty. *)
 
-val jaccard_to_class : selection:int array -> labels:string array ->
-  string -> float
-(** Jaccard index between a selected row set and the set of rows carrying
-    the given label — exactly the "Jaccard-index to class" numbers of the
-    paper's use cases. *)
-
 val best_class_match : selection:int array -> labels:string array ->
   (string * float) list
 (** All classes with their Jaccard index to the selection, best first. *)
-
-val precision_recall : selection:int array -> truth:int array ->
-  float * float
-
-val purity : assignment:int array -> labels:string array -> float
-(** Clustering purity of an integer cluster assignment against string
-    labels. *)

@@ -112,33 +112,3 @@ let render_session ?width ?height ?selection session =
   in
   let a1, a2 = Session.axis_labels ~top:4 session in
   render ?width ?height ~xlabel:a1 ~ylabel:a2 series
-
-let histogram ?(width = 60) ?(bins = 20) ?title values =
-  if Array.length values = 0 then invalid_arg "Ascii_plot.histogram: empty";
-  let lo = Array.fold_left Float.min values.(0) values in
-  let hi = Array.fold_left Float.max values.(0) values in
-  let hi = if hi = lo then lo +. 1.0 else hi in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun v ->
-      let b =
-        int_of_float ((v -. lo) /. (hi -. lo) *. float_of_int bins)
-      in
-      let b = Stdlib.max 0 (Stdlib.min (bins - 1) b) in
-      counts.(b) <- counts.(b) + 1)
-    values;
-  let peak = Array.fold_left Stdlib.max 1 counts in
-  let buf = Buffer.create 1024 in
-  (match title with
-   | Some t ->
-     Buffer.add_string buf t;
-     Buffer.add_char buf '\n'
-   | None -> ());
-  Array.iteri
-    (fun b c ->
-      let x = lo +. ((hi -. lo) *. float_of_int b /. float_of_int bins) in
-      let bar = width * c / peak in
-      Buffer.add_string buf
-        (Printf.sprintf "%10.3g | %s %d\n" x (String.make bar '#') c))
-    counts;
-  Buffer.contents buf

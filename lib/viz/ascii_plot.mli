@@ -21,7 +21,3 @@ val render_session : ?width:int -> ?height:int -> ?selection:int array ->
   Sider_core.Session.t -> string
 (** The standard SIDER scatter: background sample as ['.'], data as ['o'],
     selection (if any) as ['#'], with the paper-style axis labels. *)
-
-val histogram : ?width:int -> ?bins:int -> ?title:string ->
-  float array -> string
-(** Horizontal ASCII histogram (used by examples to show marginals). *)

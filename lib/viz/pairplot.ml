@@ -1,12 +1,13 @@
-open Sider_core
 open Sider_linalg
 
 let default_palette =
   [| "#1f77b4"; "#d62728"; "#2ca02c"; "#9467bd"; "#ff7f0e"; "#8c564b";
      "#e377c2" |]
 
-let render ?(cell = 150) ?(max_points = 500) ?(histograms = true) ?columns
-    ?colors m =
+(* Cells of 150 px. *)
+let cell = 150
+
+let render ?(max_points = 500) ?columns ?colors m =
   let n, d = Mat.dims m in
   let columns =
     match columns with
@@ -47,33 +48,31 @@ let render ?(cell = 150) ?(max_points = 500) ?(histograms = true) ?columns
       pf "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" \
           fill=\"none\" stroke=\"#999\" stroke-width=\"0.7\"/>\n" ox oy c c;
       if row = col then begin
-        if histograms then begin
-          (* Histogram of the column behind the name. *)
-          let bins = 16 in
-          let counts = Array.make bins 0 in
-          Array.iter
-            (fun i ->
-              let x = Mat.get m i col in
-              let b =
-                int_of_float
-                  ((x -. mins.(col)) /. span col *. float_of_int bins)
-              in
-              let b = Stdlib.max 0 (Stdlib.min (bins - 1) b) in
-              counts.(b) <- counts.(b) + 1)
-            idx;
-          let peak = float_of_int (Array.fold_left Stdlib.max 1 counts) in
-          let bw = c /. float_of_int bins in
-          Array.iteri
-            (fun b cnt ->
-              if cnt > 0 then begin
-                let h = 0.82 *. c *. float_of_int cnt /. peak in
-                pf "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" \
-                    height=\"%.1f\" fill=\"#cfcfcf\"/>\n"
-                  (ox +. (float_of_int b *. bw))
-                  (oy +. c -. h) (bw *. 0.9) h
-              end)
-            counts
-        end;
+        (* Histogram of the column behind the name. *)
+        let bins = 16 in
+        let counts = Array.make bins 0 in
+        Array.iter
+          (fun i ->
+            let x = Mat.get m i col in
+            let b =
+              int_of_float
+                ((x -. mins.(col)) /. span col *. float_of_int bins)
+            in
+            let b = Stdlib.max 0 (Stdlib.min (bins - 1) b) in
+            counts.(b) <- counts.(b) + 1)
+          idx;
+        let peak = float_of_int (Array.fold_left Stdlib.max 1 counts) in
+        let bw = c /. float_of_int bins in
+        Array.iteri
+          (fun b cnt ->
+            if cnt > 0 then begin
+              let h = 0.82 *. c *. float_of_int cnt /. peak in
+              pf "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" \
+                  height=\"%.1f\" fill=\"#cfcfcf\"/>\n"
+                (ox +. (float_of_int b *. bw))
+                (oy +. c -. h) (bw *. 0.9) h
+            end)
+          counts;
         pf "<text x=\"%.1f\" y=\"%.1f\" font-size=\"%d\" \
             text-anchor=\"middle\" font-family=\"sans-serif\">%s</text>\n"
           (ox +. (c /. 2.0)) (oy +. (c /. 2.0))
@@ -94,31 +93,6 @@ let render ?(cell = 150) ?(max_points = 500) ?(histograms = true) ?columns
   done;
   pf "</svg>\n";
   Buffer.contents buf
-
-let render_selection ?cell ?(top = 4) session ~selection =
-  let stats = Session.selection_stats session selection in
-  let m = Session.data session in
-  let ds = Session.dataset session in
-  let cols = Sider_data.Dataset.columns ds in
-  let chosen =
-    Array.sub stats 0 (Stdlib.min top (Array.length stats))
-    |> Array.map (fun st ->
-        let name = st.Session.attribute in
-        let rec find j =
-          if String.equal cols.(j) name then j else find (j + 1)
-        in
-        find 0)
-  in
-  let sub =
-    Mat.init (fst (Mat.dims m)) (Array.length chosen) (fun i j ->
-        Mat.get m i chosen.(j))
-  in
-  let selset = Array.to_list selection in
-  let colors =
-    Array.init (fst (Mat.dims m)) (fun i ->
-        if List.mem i selset then "#d62728" else "#000000")
-  in
-  render ?cell ~columns:(Array.map (fun j -> cols.(j)) chosen) ~colors sub
 
 let class_colors labels =
   let seen = ref [] in

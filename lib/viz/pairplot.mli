@@ -4,19 +4,14 @@
 
 open Sider_linalg
 
-val render : ?cell:int -> ?max_points:int -> ?histograms:bool ->
-  ?columns:string array -> ?colors:string array -> Mat.t -> string
-(** [render m] draws the full scatter matrix of the columns of [m]
-    (diagonal cells show the column name, plus the column's histogram
-    when [histograms] is true, the default).  [colors] gives a per-row
+val render : ?max_points:int -> ?columns:string array ->
+  ?colors:string array -> Mat.t -> string
+(** [render m] draws the full scatter matrix of the columns of [m] in
+    150-px cells (diagonal cells show the column name and the column's
+    histogram).  [colors] gives a per-row
     CSS color (e.g. by class); [max_points] (default 500) subsamples rows
     deterministically for legibility, exactly as the paper's Fig. 3 plots
     a 250-point sample. *)
-
-val render_selection : ?cell:int -> ?top:int -> Sider_core.Session.t ->
-  selection:int array -> string
-(** The UI's selection pairplot: the [top] (default 4) attributes whose
-    selection mean differs most from the full data, selection in red. *)
 
 val class_colors : string array -> string array
 (** Map class labels to a stable categorical palette (for coloring

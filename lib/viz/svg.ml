@@ -27,7 +27,11 @@ let layer_points = function
   | Ellipse_outline (_, _, e) ->
     Array.to_list (Sider_stats.Ellipse.polyline e)
 
-let render ?(width = 640) ?(height = 480) ?title ?xlabel ?ylabel layers =
+let width = 640
+
+let height = 480
+
+let render ~xlabel ~ylabel layers =
   let all = List.concat_map layer_points layers in
   let finite =
     List.filter (fun (x, y) -> Float.is_finite x && Float.is_finite y) all
@@ -73,25 +77,13 @@ let render ?(width = 640) ?(height = 480) ?title ?xlabel ?ylabel layers =
         font-family=\"sans-serif\">%.3g</text>\n"
       (ml -. 7.0) (sy fy +. 3.0) fy
   done;
-  (match title with
-   | Some t ->
-     pf "<text x=\"%.1f\" y=\"18\" font-size=\"13\" text-anchor=\"middle\" \
-         font-family=\"sans-serif\">%s</text>\n"
-       (ml +. (pw /. 2.0)) t
-   | None -> ());
-  (match xlabel with
-   | Some l ->
-     pf "<text x=\"%.1f\" y=\"%.1f\" font-size=\"10\" text-anchor=\"middle\" \
-         font-family=\"sans-serif\">%s</text>\n"
-       (ml +. (pw /. 2.0)) (mt +. ph +. 34.0) l
-   | None -> ());
-  (match ylabel with
-   | Some l ->
-     pf "<text x=\"14\" y=\"%.1f\" font-size=\"10\" text-anchor=\"middle\" \
-         font-family=\"sans-serif\" transform=\"rotate(-90 14 %.1f)\">%s\
-         </text>\n"
-       (mt +. (ph /. 2.0)) (mt +. (ph /. 2.0)) l
-   | None -> ());
+  pf "<text x=\"%.1f\" y=\"%.1f\" font-size=\"10\" text-anchor=\"middle\" \
+      font-family=\"sans-serif\">%s</text>\n"
+    (ml +. (pw /. 2.0)) (mt +. ph +. 34.0) xlabel;
+  pf "<text x=\"14\" y=\"%.1f\" font-size=\"10\" text-anchor=\"middle\" \
+      font-family=\"sans-serif\" transform=\"rotate(-90 14 %.1f)\">%s\
+      </text>\n"
+    (mt +. (ph /. 2.0)) (mt +. (ph /. 2.0)) ylabel;
   let draw = function
     | Segments (color, segs) ->
       Array.iter
@@ -125,7 +117,7 @@ let render ?(width = 640) ?(height = 480) ?title ?xlabel ?ylabel layers =
   pf "</svg>\n";
   Buffer.contents buf
 
-let session_figure ?width ?height ?selection ?(ellipses = true) session =
+let session_figure ?selection ?(ellipses = true) session =
   let pts = Session.scatter session in
   let data = Array.map (fun p -> (p.Session.x, p.Session.y)) pts in
   let bg = Session.background_points session in
@@ -156,7 +148,7 @@ let session_figure ?width ?height ?selection ?(ellipses = true) session =
       base @ sel_layers @ ell_layers
   in
   let a1, a2 = Session.axis_labels ~top:5 session in
-  render ?width ?height ~xlabel:a1 ~ylabel:a2 layers
+  render ~xlabel:a1 ~ylabel:a2 layers
 
 let write_file path svg =
   let dir = Filename.dirname path in

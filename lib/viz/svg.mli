@@ -4,31 +4,10 @@
     red, confidence ellipses in blue (solid = selection, dashed =
     background). *)
 
-type style = {
-  fill : string;
-  stroke : string;
-  radius : float;
-  opacity : float;
-}
-
-val data_style : style
-val background_style : style
-val selection_style : style
-
-type layer =
-  | Points of style * (float * float) array
-  | Segments of string * ((float * float) * (float * float)) array
-      (** stroke color, endpoint pairs. *)
-  | Ellipse_outline of string * bool * Sider_stats.Ellipse.t
-      (** color, dashed?, ellipse. *)
-
-val render : ?width:int -> ?height:int -> ?title:string ->
-  ?xlabel:string -> ?ylabel:string -> layer list -> string
-(** A complete SVG document (axes, ticks, title, layers in order). *)
-
-val session_figure : ?width:int -> ?height:int -> ?selection:int array ->
-  ?ellipses:bool -> Sider_core.Session.t -> string
-(** The full SIDER main-scatter figure for the session's current view. *)
+val session_figure : ?selection:int array -> ?ellipses:bool ->
+  Sider_core.Session.t -> string
+(** The full SIDER main-scatter figure for the session's current view, a
+    complete 640×480 SVG document (axes, ticks, axis labels, layers). *)
 
 val write_file : string -> string -> unit
 (** [write_file path svg] (creates parent directory if missing). *)

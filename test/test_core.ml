@@ -20,7 +20,7 @@ let test_create_defaults () =
   let m = Session.data s in
   (* Means are zero up to the default jitter noise. *)
   check_true "standardized engine data"
-    (Vec.norm_inf (Mat.col_means m) < 1e-2);
+    (norm_inf (Mat.col_means m) < 1e-2);
   check_true "original kept" (Dataset.n_rows (Session.dataset s) = 150)
 
 let test_jitter_bounds_variance () =
@@ -110,7 +110,7 @@ let test_update_honours_max_sweeps () =
       Session.add_margin_constraint s;
       ignore (Session.update_background_exn s);
       Session.add_cluster_constraint s cluster;
-      let r = Session.update_background_exn ~max_sweeps:k s in
+      let r = Result.get_ok (Session.update_background ~max_sweeps:k s) in
       check_true
         (Printf.sprintf "max_sweeps %d: ran %d" k r.Sider_maxent.Solver.sweeps)
         (r.Sider_maxent.Solver.sweeps <= k))
@@ -184,8 +184,7 @@ let test_recompute_view_refreshes_sample () =
 let test_set_method () =
   let ds = Synth.three_d () in
   let s = Session.create ds in
-  Session.set_method s View.Ica;
-  ignore (Session.recompute_view s);
+  ignore (Session.recompute_view ~method_:View.Ica s);
   check_true "method switched"
     ((Session.current_view s).View.method_ = View.Ica)
 
@@ -283,17 +282,14 @@ let test_selection_by_class_and_ops () =
   let a = Selection.by_class s "A" in
   let b = Selection.by_class s "B" in
   check_true "A size" (Selection.size a = 50);
-  check_true "disjoint" (Selection.size (Selection.inter a b) = 0);
-  check_true "union" (Selection.size (Selection.union a b) = 100);
-  check_true "diff" (Selection.size (Selection.diff a a) = 0);
-  check_true "complement" (Selection.size (Selection.complement s a) = 100)
+  check_true "B size" (Selection.size b = 50);
+  check_true "disjoint" (Array.for_all (fun i -> not (Array.mem i b)) a)
 
 let test_selection_store () =
   let st = Selection.store_create () in
   Selection.save st "mine" [| 1; 2; 3 |];
   check_true "load" (Selection.load st "mine" = Some [| 1; 2; 3 |]);
-  check_true "missing" (Selection.load st "other" = None);
-  check_true "names" (Selection.names st = [ "mine" ])
+  check_true "missing" (Selection.load st "other" = None)
 
 (* --- Auto_explore ------------------------------------------------------------------ *)
 
@@ -356,10 +352,19 @@ let test_static_ica_view () =
   check_true "ica method" (v.View.method_ = View.Ica);
   check_true "nontrivial score" (Float.abs v.View.axis1.View.score > 0.005)
 
+(* One permutation sample, as the statistic of [sample_mean_sd] sees it. *)
+let one_sample r rng =
+  let seen = ref None in
+  ignore
+    (Baseline.sample_mean_sd r rng 1 (fun m ->
+         seen := Some m;
+         0.0));
+  Option.get !seen
+
 let test_swap_randomizer_preserves_marginals () =
   let data = Mat.init 50 3 (fun i j -> float_of_int ((i * 3) + j)) in
   let r = Baseline.swap_randomizer data in
-  let sample = Baseline.sample r (Sider_rand.Rng.create 3) in
+  let sample = one_sample r (Sider_rand.Rng.create 3) in
   (* Column multisets preserved. *)
   for j = 0 to 2 do
     let a = Mat.col data j and b = Mat.col sample j in
@@ -369,13 +374,13 @@ let test_swap_randomizer_preserves_marginals () =
   done;
   (* But rows shuffled (overwhelmingly likely). *)
   check_true "rows permuted"
-    (not (Mat.approx_equal data sample))
+    (not (mat_approx_equal data sample))
 
 let test_swap_randomizer_groups () =
   let data = Mat.init 10 2 (fun i j -> float_of_int ((i * 2) + j)) in
   let groups = [| Array.init 5 Fun.id; Array.init 5 (fun i -> i + 5) |] in
   let r = Baseline.swap_randomizer ~within:groups data in
-  let sample = Baseline.sample r (Sider_rand.Rng.create 4) in
+  let sample = one_sample r (Sider_rand.Rng.create 4) in
   (* Values never cross the group boundary. *)
   for i = 0 to 4 do
     check_true "first group stays" (Mat.get sample i 0 < 10.0)

@@ -29,7 +29,7 @@ let test_chol_psd () =
   (* Rank-1 PSD matrix: decompose_psd must not raise and must
      reconstruct. *)
   let v = [| 1.0; 2.0; -1.0 |] in
-  let a = Mat.outer v v in
+  let a = Mat.init 3 3 (fun i j -> v.(i) *. v.(j)) in
   let l = Chol.decompose_psd a in
   approx_mat ~eps:1e-9 "PSD reconstruct" a (Mat.matmul l (Mat.transpose l))
 
@@ -45,14 +45,11 @@ let test_chol_inverse () =
   let inv = Chol.inverse (Chol.decompose a) in
   approx_mat ~eps:1e-8 "A A⁻¹ = I" (Mat.identity 4) (Mat.matmul a inv)
 
-let test_chol_logdet () =
-  let a = Mat.diag [| 2.0; 3.0; 4.0 |] in
-  approx ~eps:1e-12 "log det" (log 24.0) (Chol.log_det (Chol.decompose a))
 
 (* --- Eigen ---------------------------------------------------------------- *)
 
 let test_eigen_diag () =
-  let { Eigen.values; vectors } = Eigen.symmetric (Mat.diag [| 1.0; 3.0; 2.0 |]) in
+  let { Eigen.values; vectors } = Eigen.symmetric (diag [| 1.0; 3.0; 2.0 |]) in
   approx_vec "sorted eigenvalues" [| 3.0; 2.0; 1.0 |] values;
   (* Each eigenvector should be ± a basis vector. *)
   approx "v for 3" 1.0 (Float.abs (Mat.get vectors 1 0))
@@ -67,10 +64,14 @@ let test_eigen_known () =
   approx ~eps:1e-10 "eigvec direction" 1.0
     (Float.abs (Vec.dot v0 (Vec.normalize [| 1.0; 1.0 |])))
 
+(* V diag(values) Vᵀ. *)
+let reconstruct { Eigen.values; vectors } =
+  Mat.matmul (Mat.matmul vectors (diag values)) (Mat.transpose vectors)
+
 let test_eigen_reconstruct () =
   let a = random_sym rng 6 in
   let dec = Eigen.symmetric a in
-  approx_mat ~eps:1e-8 "V D Vᵀ = A" a (Eigen.reconstruct dec)
+  approx_mat ~eps:1e-8 "V D Vᵀ = A" a (reconstruct dec)
 
 let test_eigen_orthonormal () =
   let a = random_sym rng 7 in
@@ -89,7 +90,7 @@ let test_eigen_power () =
 
 let test_eigen_power_clamp () =
   (* Singular matrix: negative powers stay finite thanks to clamping. *)
-  let a = Mat.diag [| 1.0; 0.0 |] in
+  let a = diag [| 1.0; 0.0 |] in
   let dec = Eigen.symmetric a in
   let m = Eigen.power ~clamp:1e-6 dec (-0.5) in
   approx "regular direction" 1.0 (Mat.get m 0 0);
@@ -132,7 +133,7 @@ let random_orthogonal d =
 
 let with_spectrum spectrum =
   let q = random_orthogonal (Array.length spectrum) in
-  Mat.symmetrize (Mat.matmul (Mat.matmul q (Mat.diag spectrum)) (Mat.transpose q))
+  Mat.symmetrize (Mat.matmul (Mat.matmul q (diag spectrum)) (Mat.transpose q))
 
 let eigen_input (kind, d) =
   match kind with
@@ -145,7 +146,7 @@ let eigen_input (kind, d) =
            10.0 ** (-8.0 +. (10.0 *. t))))
   | `Zero -> Mat.create d d
   | `Diagonal ->
-    Mat.diag
+    diag
       (Array.map (fun x -> Float.round (2.0 *. x))
          (Sider_rand.Sampler.normal_vec rng d))
   | `Spd -> random_spd rng d
@@ -169,8 +170,8 @@ let prop_eigen_reconstruct =
       let fd = float_of_int d in
       let dec = Eigen.symmetric a in
       let v = dec.Eigen.vectors in
-      let recon = Mat.frobenius (Mat.sub a (Eigen.reconstruct dec)) in
-      let ortho = Mat.frobenius (Mat.sub (Mat.matmul_tn v v) (Mat.identity d)) in
+      let recon = Mat.frobenius (Mat.sub a (reconstruct dec)) in
+      let ortho = Mat.frobenius (Mat.sub (Mat.matmul (Mat.transpose v) v) (Mat.identity d)) in
       let whitens =
         match kind with
         | `Repeated | `Graded | `Spd ->
@@ -219,22 +220,11 @@ let test_eigen_non_finite () =
 
 (* --- SVD ------------------------------------------------------------------ *)
 
-let test_svd_reconstruct () =
-  let a = Sider_rand.Sampler.normal_mat rng 8 4 in
-  let svd = Svd.thin a in
-  approx_mat ~eps:1e-7 "U S Vᵀ = A" a (Svd.reconstruct svd)
-
 let test_svd_orthogonal_v () =
   let a = Sider_rand.Sampler.normal_mat rng 10 5 in
-  let { Svd.v; _ } = Svd.thin a in
+  let v, _ = Svd.principal_directions a in
   approx_mat ~eps:1e-9 "VᵀV = I" (Mat.identity 5)
     (Mat.matmul (Mat.transpose v) v)
-
-let test_svd_singular_values () =
-  (* diag(3,2) stacked on zeros: singular values are 3 and 2. *)
-  let a = Mat.of_arrays [| [| 3.0; 0.0 |]; [| 0.0; 2.0 |]; [| 0.0; 0.0 |] |] in
-  let { Svd.singular; _ } = Svd.thin a in
-  approx_vec ~eps:1e-10 "singular values" [| 3.0; 2.0 |] singular
 
 let test_principal_directions () =
   (* Points spread along (1,1): leading direction should be ±(1,1)/√2. *)
@@ -254,11 +244,10 @@ let test_lu_solve () =
   let a = Mat.of_arrays [| [| 0.0; 2.0 |]; [| 1.0; 1.0 |] |] in
   (* Needs pivoting (zero leading pivot). *)
   approx_vec ~eps:1e-12 "solve with pivoting" [| 1.0; 2.0 |]
-    (Linsolve.solve a [| 4.0; 3.0 |])
+    (Mat.mv (Linsolve.inverse a) [| 4.0; 3.0 |])
 
 let test_lu_inverse_det () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  approx ~eps:1e-12 "det" (-2.0) (Linsolve.det a);
   approx_mat ~eps:1e-12 "inverse"
     (Mat.of_arrays [| [| -2.0; 1.0 |]; [| 1.5; -0.5 |] |])
     (Linsolve.inverse a)
@@ -266,8 +255,7 @@ let test_lu_inverse_det () =
 let test_lu_singular () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
   Alcotest.check_raises "singular" Linsolve.Singular (fun () ->
-      ignore (Linsolve.solve a [| 1.0; 1.0 |]));
-  approx "det singular" 0.0 (Linsolve.det a)
+      ignore (Linsolve.inverse a))
 
 let test_woodbury_identity () =
   (* (Σ⁻¹ + λwwᵀ)⁻¹ computed by Woodbury must equal direct inversion. *)
@@ -296,12 +284,13 @@ let prop_lu_solve_random =
   qcheck ~count:30 "LU solves random systems" QCheck.(int_range 1 8)
     (fun d ->
       let a =
-        Mat.add (Sider_rand.Sampler.normal_mat rng d d)
-          (Mat.scale 3.0 (Mat.identity d))
+        Mat.init d d (fun i j ->
+            Mat.get (Sider_rand.Sampler.normal_mat rng d d) i j
+            +. if i = j then 3.0 else 0.0)
       in
       let x = Sider_rand.Sampler.normal_vec rng d in
       let b = Mat.mv a x in
-      Vec.approx_equal ~eps:1e-6 x (Linsolve.solve a b))
+      vec_approx_equal ~eps:1e-6 x (Mat.mv (Linsolve.inverse a) b))
 
 let prop_woodbury_random =
   qcheck ~count:30 "Woodbury equals direct inversion" QCheck.(int_range 1 6)
@@ -315,7 +304,7 @@ let prop_woodbury_random =
         Mat.rank1_update prec lambda w;
         Linsolve.inverse prec
       in
-      Mat.approx_equal ~eps:1e-5 direct updated)
+      mat_approx_equal ~eps:1e-5 direct updated)
 
 let suite =
   [
@@ -325,7 +314,6 @@ let suite =
     case "cholesky PSD tolerant" test_chol_psd;
     case "cholesky solve" test_chol_solve;
     case "cholesky inverse" test_chol_inverse;
-    case "cholesky log det" test_chol_logdet;
     case "eigen of diagonal" test_eigen_diag;
     case "eigen 2x2 known" test_eigen_known;
     case "eigen reconstructs" test_eigen_reconstruct;
@@ -335,9 +323,7 @@ let suite =
     case "eigen rejects asymmetric" test_eigen_not_symmetric;
     prop_eigen_reconstruct;
     prop_eigen_values_sorted;
-    case "svd reconstructs" test_svd_reconstruct;
     case "svd right vectors orthonormal" test_svd_orthogonal_v;
-    case "svd singular values" test_svd_singular_values;
     case "principal directions" test_principal_directions;
     case "lu solve with pivoting" test_lu_solve;
     case "lu inverse and det" test_lu_inverse_det;

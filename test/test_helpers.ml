@@ -6,17 +6,101 @@ let approx ?(eps = 1e-9) msg a b =
   if Float.abs (a -. b) > eps then
     Alcotest.failf "%s: expected %.12g, got %.12g (eps %g)" msg a b eps
 
+(* Componentwise comparisons with an absolute tolerance, and printers
+   for their failure messages. *)
+let vec_approx_equal ?(eps = 1e-9) (a : Vec.t) (b : Vec.t) =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a b
+
+let mat_approx_equal ?(eps = 1e-9) (x : Mat.t) (y : Mat.t) =
+  Mat.dims x = Mat.dims y && vec_approx_equal ~eps x.a y.a
+
+let pp_vec fmt v =
+  Format.fprintf fmt "[|%s|]"
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%g") v)))
+
+let pp_mat fmt (m : Mat.t) =
+  for i = 0 to m.rows - 1 do
+    Format.fprintf fmt "%a@," pp_vec (Mat.row m i)
+  done
+
+let norm_inf v = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 v
+
+(* The square matrix with diagonal [v]. *)
+let diag v =
+  let n = Array.length v in
+  Mat.init n n (fun i j -> if i = j then v.(i) else 0.0)
+
+(* CSV text through the file reader and writer. *)
+let with_temp_file f =
+  let path = Filename.temp_file "sider_test" ".csv" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let csv_of_string ?label_column text =
+  with_temp_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Sider_data.Csv.read_file ?label_column path)
+
+let csv_to_string ds =
+  with_temp_file (fun path ->
+      Sider_data.Csv.write_file path ds;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* Isotropic Gaussian blobs: row [c] of [centers] gives [sizes.(c)]
+   points with standard deviation [sd], labelled ["c<c>"]. *)
+let blobs ~seed ~sd ~centers ~sizes =
+  let k, d = Mat.dims centers in
+  assert (Array.length sizes = k);
+  let n = Array.fold_left ( + ) 0 sizes in
+  let rng = Sider_rand.Rng.create seed in
+  let m = Mat.create n d in
+  let labels = Array.make n "" in
+  let r = ref 0 in
+  Array.iteri
+    (fun c size ->
+      let center = Mat.row centers c in
+      for _ = 1 to size do
+        Mat.set_row m !r
+          (Array.init d (fun j ->
+               center.(j) +. (sd *. Sider_rand.Sampler.normal rng)));
+        labels.(!r) <- Printf.sprintf "c%d" c;
+        incr r
+      done)
+    sizes;
+  Sider_data.Dataset.create ~name:"blobs" ~labels
+    ~columns:(Array.init d (fun j -> Printf.sprintf "X%d" (j + 1)))
+    m
+
+(* Four points whose mean is [(mx, my)] and whose population covariance
+   is diag(a, b): the input to an ellipse with known moments. *)
+let moment_points (mx, my) a b =
+  let sa = sqrt (2.0 *. a) and sb = sqrt (2.0 *. b) in
+  [| (mx +. sa, my); (mx -. sa, my); (mx, my +. sb); (mx, my -. sb) |]
+
+(* Whether [(x, y)] lies inside or on the ellipse [e]. *)
+let ellipse_contains (e : Sider_stats.Ellipse.t) (x, y) =
+  let cx, cy = e.center in
+  let proj (ax, ay) = ((x -. cx) *. ax) +. ((y -. cy) *. ay) in
+  let term r p =
+    if Float.equal r 0.0 then if Float.equal p 0.0 then 0.0 else infinity
+    else (p /. r) ** 2.0
+  in
+  term e.radius1 (proj e.axis1) +. term e.radius2 (proj e.axis2) <= 1.0
+
 let approx_vec ?(eps = 1e-9) msg a b =
-  if not (Vec.approx_equal ~eps a b) then
+  if not (vec_approx_equal ~eps a b) then
     Alcotest.failf "%s: vectors differ:@ %s vs %s" msg
-      (Format.asprintf "%a" Vec.pp a)
-      (Format.asprintf "%a" Vec.pp b)
+      (Format.asprintf "%a" pp_vec a)
+      (Format.asprintf "%a" pp_vec b)
 
 let approx_mat ?(eps = 1e-9) msg a b =
-  if not (Mat.approx_equal ~eps a b) then
+  if not (mat_approx_equal ~eps a b) then
     Alcotest.failf "%s: matrices differ:@ %s@ vs@ %s" msg
-      (Format.asprintf "%a" Mat.pp a)
-      (Format.asprintf "%a" Mat.pp b)
+      (Format.asprintf "%a" pp_mat a)
+      (Format.asprintf "%a" pp_mat b)
+
+(* Uniform in [lo, hi). *)
+let uniform rng lo hi = lo +. ((hi -. lo) *. Sider_rand.Rng.float rng)
 
 let check_true msg b = Alcotest.(check bool) msg true b
 
@@ -31,9 +115,9 @@ let random_sym rng d =
 
 let random_spd rng d =
   let a = Sider_rand.Sampler.normal_mat rng (d + 2) d in
-  let g = Mat.gram a in
+  let g = Mat.matmul (Mat.transpose a) a in
   (* Add a ridge so the matrix is comfortably positive definite. *)
-  Mat.add g (Mat.scale 0.1 (Mat.identity d))
+  Mat.init d d (fun i j -> Mat.get g i j +. if i = j then 0.1 else 0.0)
 
 (* Words this domain has allocated so far: every minor allocation
    ([Gc.minor_words]) plus the blocks allocated straight into the major

@@ -11,10 +11,8 @@ let test_dims_get () =
 let test_identity_diag () =
   let i3 = Mat.identity 3 in
   approx "trace" 3.0 (Mat.trace i3);
-  approx_vec "diagonal" [| 1.0; 1.0; 1.0 |] (Mat.diagonal i3);
-  let d = Mat.diag [| 2.0; 3.0 |] in
-  approx "d00" 2.0 (Mat.get d 0 0);
-  approx "d01" 0.0 (Mat.get d 0 1)
+  approx "i11" 1.0 (Mat.get i3 1 1);
+  approx "i01" 0.0 (Mat.get i3 0 1)
 
 let test_transpose () =
   let t = Mat.transpose m23 in
@@ -33,14 +31,11 @@ let test_matmul () =
       ignore (Mat.matmul m23 m23))
 
 let test_mv_tmv () =
-  approx_vec "mv" [| 14.0; 32.0 |] (Mat.mv m23 [| 1.0; 2.0; 3.0 |]);
-  approx_vec "tmv" [| 9.0; 12.0; 15.0 |] (Mat.tmv m23 [| 1.0; 2.0 |])
+  approx_vec "mv" [| 14.0; 32.0 |] (Mat.mv m23 [| 1.0; 2.0; 3.0 |])
 
 let test_quad_outer () =
   let s = Mat.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  approx "quad_form" 7.0 (Mat.quad_form s [| 1.0; 1.0 |]);
-  let o = Mat.outer [| 1.0; 2.0 |] [| 3.0; 4.0 |] in
-  approx_mat "outer" (Mat.of_arrays [| [| 3.0; 4.0 |]; [| 6.0; 8.0 |] |]) o
+  approx "quad_form" 7.0 (Mat.quad_form s [| 1.0; 1.0 |])
 
 let test_rank1_update () =
   let m = Mat.identity 2 in
@@ -65,13 +60,6 @@ let test_covariance () =
   check_true "symmetric" (Mat.is_symmetric cov)
 
 let test_cat_select () =
-  let a = Mat.of_arrays [| [| 1.0 |]; [| 2.0 |] |] in
-  let b = Mat.of_arrays [| [| 3.0 |]; [| 4.0 |] |] in
-  approx_mat "hcat" (Mat.of_arrays [| [| 1.0; 3.0 |]; [| 2.0; 4.0 |] |])
-    (Mat.hcat a b);
-  approx_mat "vcat"
-    (Mat.of_arrays [| [| 1.0 |]; [| 2.0 |]; [| 3.0 |]; [| 4.0 |] |])
-    (Mat.vcat a b);
   approx_mat "select_rows" (Mat.of_arrays [| [| 4.0; 5.0; 6.0 |] |])
     (Mat.select_rows m23 [| 1 |])
 
@@ -84,7 +72,8 @@ let test_row_ops () =
   approx_vec "copy untouched" [| 1.0; 2.0; 3.0 |] (Mat.row m23 0)
 
 let test_gram () =
-  let g = Mat.gram m23 in
+  let g = Mat.create 3 3 in
+  Mat.matmul_tn_into ~dst:g m23 m23;
   approx "g00" 17.0 (Mat.get g 0 0);
   approx "g12" 36.0 (Mat.get g 1 2);
   check_true "gram symmetric" (Mat.is_symmetric g)
@@ -102,7 +91,7 @@ let prop_matmul_assoc =
       let a = Sider_rand.Sampler.normal_mat rng d d in
       let b = Sider_rand.Sampler.normal_mat rng d d in
       let c = Sider_rand.Sampler.normal_mat rng d d in
-      Mat.approx_equal ~eps:1e-8
+      mat_approx_equal ~eps:1e-8
         (Mat.matmul (Mat.matmul a b) c)
         (Mat.matmul a (Mat.matmul b c)))
 
@@ -112,7 +101,7 @@ let prop_transpose_product =
     (fun d ->
       let a = Sider_rand.Sampler.normal_mat rng d d in
       let b = Sider_rand.Sampler.normal_mat rng d d in
-      Mat.approx_equal ~eps:1e-9
+      mat_approx_equal ~eps:1e-9
         (Mat.transpose (Mat.matmul a b))
         (Mat.matmul (Mat.transpose b) (Mat.transpose a)))
 

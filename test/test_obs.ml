@@ -301,7 +301,7 @@ let test_labeled_cardinality () =
 (* --- preregistered histogram handles -------------------------------------- *)
 
 let test_hist_handle () =
-  let h = Obs.hist_handle "hh.latency_s" in
+  let h = Obs.labeled_hist "hh.latency_s" [] in
   (* Disabled layer: the handle records nothing and registers nothing. *)
   Obs.observe_into h 9.0;
   with_recording (fun _ ->
@@ -349,7 +349,7 @@ let test_hist_window () =
     Array.init n (fun i -> if i = 0 then 1e3 else Sider_rand.Rng.float rng)
   in
   with_recording (fun _ ->
-      let h = Obs.hist_handle "win.latency_s" in
+      let h = Obs.labeled_hist "win.latency_s" [] in
       Array.iteri
         (fun i v ->
           if i mod 2 = 0 then
@@ -375,7 +375,7 @@ let test_hist_window () =
    count. *)
 let test_hist_memory_bounded () =
   with_recording (fun _ ->
-      let h = Obs.hist_handle "win.heap_s" in
+      let h = Obs.labeled_hist "win.heap_s" [] in
       Obs.observe_into h 0.0;
       let before = (Gc.quick_stat ()).Gc.heap_words in
       for i = 1 to 2_000_000 do

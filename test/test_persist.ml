@@ -218,10 +218,31 @@ let test_history_recorded () =
   check_true "view event"
     (List.exists (function Session.Viewed _ -> true | _ -> false) events)
 
+(* A session's snapshot text, through [Persist.save] on a temp file, and
+   a session loaded from snapshot text through [Persist.load]. *)
+let with_temp_snapshot f =
+  let path = Filename.temp_file "sider_snapshot" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let snapshot_text s =
+  with_temp_snapshot (fun path ->
+      Persist.save path s;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let load_text text =
+  with_temp_snapshot (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Persist.load path)
+
+(* The snapshot as a tree, edited, printed and loaded. *)
+let load_edited s edit =
+  match Json.of_string (snapshot_text s) with
+  | Json.Obj fields -> load_text (Json.to_string (Json.Obj (edit fields)))
+  | _ -> Alcotest.fail "snapshot is not an object"
+
 let test_session_replay_exact () =
   let s = explored_session () in
-  let json = Persist.session_to_json s in
-  let replayed = Persist.session_of_json json in
+  let replayed = load_text (snapshot_text s) in
   (* The replayed session reaches the identical state. *)
   check_true "same constraint count"
     (Session.n_constraints replayed = Session.n_constraints s);
@@ -248,10 +269,10 @@ let test_session_file_roundtrip () =
         (Session.axis_labels replayed = Session.axis_labels s))
 
 let test_session_of_json_rejects_garbage () =
-  (match Persist.session_of_json (Json.Obj [ ("format", Json.String "x") ]) with
+  (match load_text {|{"format":"x"}|} with
    | exception Sider_robust.Sider_error.Error _ -> ()
    | _ -> Alcotest.fail "expected a structured error");
-  match Persist.session_of_json Json.Null with
+  match load_text "null" with
   | exception Sider_robust.Sider_error.Error _ -> ()
   | _ -> Alcotest.fail "expected a structured error"
 
@@ -268,13 +289,13 @@ let index_of_sub text sub =
 
 let test_snapshot_checksum_detects_bitrot () =
   let s = explored_session () in
-  let text = Json.to_string (Persist.session_to_json s) in
+  let text = snapshot_text s in
   (* Flip one character inside the dataset payload (well past the header
      keys) and expect a checksum mismatch, not a crash or silent load. *)
   let i = index_of_sub text "\"data\"" + 20 in
   let corrupted = Bytes.of_string text in
   Bytes.set corrupted i (if Bytes.get corrupted i = '1' then '2' else '1');
-  match Persist.session_of_json (Json.of_string (Bytes.to_string corrupted)) with
+  match load_text (Bytes.to_string corrupted) with
   | exception Sider_robust.Sider_error.Error
       (Sider_robust.Sider_error.Degenerate_data _) -> ()
   | exception e ->
@@ -283,13 +304,7 @@ let test_snapshot_checksum_detects_bitrot () =
 
 let test_snapshot_v2_requires_checksum () =
   let s = explored_session () in
-  let stripped =
-    match Persist.session_to_json s with
-    | Json.Obj fields ->
-      Json.Obj (List.filter (fun (k, _) -> k <> "checksum") fields)
-    | _ -> Alcotest.fail "snapshot is not an object"
-  in
-  match Persist.session_of_json stripped with
+  match load_edited s (List.filter (fun (k, _) -> k <> "checksum")) with
   | exception Sider_robust.Sider_error.Error _ -> ()
   | _ -> Alcotest.fail "v2 snapshot without checksum loaded"
 
@@ -297,19 +312,13 @@ let test_snapshot_v1_still_loads () =
   let s = explored_session () in
   (* A version-1 file has no checksum; replacing the version field and
      dropping the checksum must still load (backwards compatibility). *)
-  let v1 =
-    match Persist.session_to_json s with
-    | Json.Obj fields ->
-      Json.Obj
-        (List.filter_map
-           (fun (k, v) ->
-             if k = "checksum" then None
-             else if k = "version" then Some (k, Json.Number 1.0)
-             else Some (k, v))
-           fields)
-    | _ -> Alcotest.fail "snapshot is not an object"
+  let replayed =
+    load_edited s
+      (List.filter_map (fun (k, v) ->
+           if k = "checksum" then None
+           else if k = "version" then Some (k, Json.Number 1.0)
+           else Some (k, v)))
   in
-  let replayed = Persist.session_of_json v1 in
   check_true "v1 replay matches"
     (Session.axis_labels replayed = Session.axis_labels s)
 
@@ -363,7 +372,7 @@ let prop_session_roundtrip_random_history =
       let ds = Synth.gaussian ~seed:11 ~n:18 ~d:3 () in
       let s = Session.create ~seed:5 ds in
       apply_script s script;
-      let replayed = Persist.session_of_json (Persist.session_to_json s) in
+      let replayed = load_text (snapshot_text s) in
       Session.n_constraints replayed = Session.n_constraints s
       && Session.axis_labels replayed = Session.axis_labels s
       && Session.view_scores replayed = Session.view_scores s
@@ -391,6 +400,36 @@ let reference_fnv64 s =
     s;
   Printf.sprintf "%016Lx" !h
 
+(* An event as the snapshot's history holds it. *)
+let event_json = function
+  | Session.Added_cluster { rows; tag } ->
+    Json.Obj
+      [ ("event", Json.String "cluster"); ("rows", Json.ints rows);
+        ("tag", Json.String tag) ]
+  | Session.Added_two_d { rows; tag } ->
+    Json.Obj
+      [ ("event", Json.String "two_d"); ("rows", Json.ints rows);
+        ("tag", Json.String tag) ]
+  | Session.Added_margin -> Json.Obj [ ("event", Json.String "margin") ]
+  | Session.Added_one_cluster ->
+    Json.Obj [ ("event", Json.String "one_cluster") ]
+  | Session.Updated { time_cutoff; max_sweeps } ->
+    Json.Obj
+      ([ ("event", Json.String "update");
+         ("time_cutoff", Json.Number time_cutoff) ]
+       @
+       match max_sweeps with
+       | Some s -> [ ("max_sweeps", Json.Number (float_of_int s)) ]
+       | None -> [])
+  | Session.Viewed m ->
+    Json.Obj
+      [ ("event", Json.String "view");
+        ("method",
+         Json.String
+           (match m with
+            | Sider_projection.View.Pca -> "pca"
+            | Sider_projection.View.Ica -> "ica")) ]
+
 let reference_checksummed ~format extra s =
   let seed, standardize, jitter, method_ = Session.creation_args s in
   let fields =
@@ -410,7 +449,7 @@ let reference_checksummed ~format extra s =
     if format = "sider-session" then
       fields
       @ [ ("history",
-           Json.List (List.map Persist.event_to_json (Session.history s))) ]
+           Json.List (List.map event_json (Session.history s))) ]
     else fields
   in
   let sum = reference_fnv64 (Json.to_string (Json.Obj fields)) in
@@ -493,7 +532,7 @@ let prop_checksummed_text_matches_reference_tree =
              = reference_checksummed ~format:"sider-journal"
                  [ ("base", Json.Number (float_of_int base)) ]
                  s
-          && Json.to_string (Persist.session_to_json s) = saved))
+          && snapshot_text s = saved))
 
 (* Starting a journal at the projection_reads benchmark's shape prints
    the header straight from the matrix into one buffer sized for it:
@@ -676,7 +715,7 @@ let with_temp_store f =
       List.iter (fun p -> if Sys.file_exists p then Sys.remove p) siblings)
     (fun () -> f path)
 
-let session_bytes s = Json.to_string (Persist.session_to_json s)
+let session_bytes = snapshot_text
 
 let test_journal_compact_roundtrip () =
   let ds = Synth.gaussian ~seed:29 ~n:14 ~d:3 () in

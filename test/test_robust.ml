@@ -33,8 +33,7 @@ let solver_params_finite solver =
 
 let test_error_to_string () =
   let e =
-    Sider_error.nan_detected ~class_index:3 ~constraint_tag:"cluster-1"
-      ~sweep:12 "post-sweep scan"
+    Sider_error.nan_detected ~class_index:3 ~sweep:12 "post-sweep scan"
   in
   let s = Sider_error.to_string e in
   check_true "label" (Sider_error.label e = "nan-detected");
@@ -62,21 +61,21 @@ let test_protect () =
 
 let test_chol_ladder () =
   (* Well-conditioned: first rung (no jitter). *)
-  (match Kernels.chol_factor (Mat.identity 4) with
-   | Ok (_, jitter) -> approx "no jitter needed" 0.0 jitter
+  (match Kernels.symmetric_inverse (Mat.identity 4) with
+   | Ok inv -> approx_mat ~eps:0.0 "no jitter needed" (Mat.identity 4) inv
    | Error _ -> Alcotest.fail "identity must factor");
   (* Ill-conditioned but PD: some rung succeeds, factor is finite. *)
   let cov = Fault.ill_conditioned_cov ~d:5 ~log10_kappa:15.0 in
-  (match Kernels.chol_factor cov with
-   | Ok (l, _) -> check_true "factor finite" (finite_mat l)
+  (match Kernels.symmetric_inverse cov with
+   | Ok inv -> check_true "inverse finite" (finite_mat inv)
    | Error _ -> Alcotest.fail "ladder must rescue ill-conditioned PD");
   (* NaN input: structured Nan_detected, not a crash. *)
-  (match Kernels.chol_factor (Fault.with_nans (Mat.identity 3) [ (1, 1) ]) with
+  (match Kernels.symmetric_inverse (Fault.with_nans (Mat.identity 3) [ (1, 1) ]) with
    | Result.Error e -> check_true "nan" (Sider_error.label e = "nan-detected")
    | Ok _ -> Alcotest.fail "NaN must be rejected");
   (* Negative definite: no rung can fix it. *)
-  let neg = Mat.scale (-1.0) (Mat.identity 3) in
-  match Kernels.chol_factor neg with
+  let neg = diag [| -1.0; -1.0; -1.0 |] in
+  match Kernels.symmetric_inverse neg with
   | Result.Error e ->
     check_true "singular" (Sider_error.label e = "singular-covariance")
   | Ok _ -> Alcotest.fail "negative definite must fail"
@@ -213,25 +212,11 @@ let test_view_ica_fallback () =
   check_true "axis1 finite" (finite_vec v.Sider_projection.View.axis1.direction);
   check_true "axis2 finite" (finite_vec v.Sider_projection.View.axis2.direction)
 
-(* --- CSV degenerate-input policies ---------------------------------------------- *)
-
-let test_csv_constant_policies () =
-  let text = "a,b,c\n1,5,2\n2,5,3\n3,5,4" in
-  let keep = Csv.of_string text in
-  approx "keep: 3 cols" 3.0 (float_of_int (Dataset.n_cols keep));
-  let drop = Csv.of_string ~constant:`Drop text in
-  approx "drop: 2 cols" 2.0 (float_of_int (Dataset.n_cols drop));
-  check_true "dropped the right one"
-    (Dataset.columns drop = [| "a"; "c" |]);
-  (try
-     ignore (Csv.of_string ~constant:`Reject text);
-     Alcotest.fail "expected rejection"
-   with Sider_error.Error e ->
-     check_true "degenerate" (Sider_error.label e = "degenerate-data"))
+(* --- CSV degenerate input ---------------------------------------------- *)
 
 let test_csv_duplicate_headers () =
   try
-    ignore (Csv.of_string "a,b,a\n1,2,3");
+    ignore (csv_of_string "a,b,a\n1,2,3");
     Alcotest.fail "expected rejection"
   with Sider_error.Error e ->
     check_true "degenerate" (Sider_error.label e = "degenerate-data")
@@ -306,7 +291,6 @@ let suite =
     case "sweep failure rolls session back" test_sweep_failure_rolls_back;
     case "adversarial rowsets never crash" test_adversarial_rowsets;
     case "view survives non-converged ICA" test_view_ica_fallback;
-    case "csv constant-column policies" test_csv_constant_policies;
     case "csv duplicate headers rejected" test_csv_duplicate_headers;
     case "doctor: clean dataset healthy" test_doctor_healthy;
     case "doctor: NaN diagnosed, probe skipped" test_doctor_diagnoses_nan;

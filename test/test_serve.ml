@@ -86,11 +86,18 @@ let test_labeled_exposition () =
          && List.assoc_opt "quantile" ls = Some "0.5")
        parsed)
 
+(* The family name [exposition] gives a gauge named [s]. *)
+let mangle s =
+  let text = Serve.exposition [ Obs.Gauge { name = s; value = 1.0 } ] in
+  match String.split_on_char ' ' (List.hd (String.split_on_char '\n' text)) with
+  | [ "#"; "TYPE"; m; "gauge" ] -> m
+  | _ -> Alcotest.failf "no TYPE line in %S" text
+
 let test_mangle_sanitizes =
   qcheck ~count:300 "mangle lands in the Prometheus charset for any bytes"
     QCheck.string
     (fun s ->
-      let m = Serve.mangle s in
+      let m = mangle s in
       String.length m >= 6
       && String.sub m 0 6 = "sider_"
       && String.for_all
@@ -98,7 +105,7 @@ let test_mangle_sanitizes =
              | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
              | _ -> false)
            m
-      && Serve.mangle s = m)
+      && mangle s = m)
 
 (* Tenant ids come off the wire, so the render/parse pair must survive
    the full byte range in a label value. *)

@@ -49,6 +49,10 @@ let req svc ?body meth path =
 
 let json_of (r : Http.response) = Json.of_string r.Http.r_body
 
+(* A response header, looked up case-insensitively. *)
+let header (r : Http.response) k =
+  List.assoc_opt (String.lowercase_ascii k) r.Http.r_headers
+
 let status_is msg expected (r : Http.response) =
   if r.Http.status <> expected then
     Alcotest.failf "%s: expected %d, got %d (%s)" msg expected r.Http.status
@@ -622,7 +626,7 @@ let test_queue_full_sheds_429 () =
   check_true "someone was shed with 429"
     (List.exists (fun r -> r.Http.status = 429) statuses);
   let shed = List.find (fun r -> r.Http.status = 429) statuses in
-  check_true "Retry-After present" (Http.header shed "retry-after" = Some "1");
+  check_true "Retry-After present" (header shed "retry-after" = Some "1");
   check_true "someone was served"
     (List.exists (fun r -> r.Http.status = 200) statuses);
   (* The service recovers once the burst passes. *)
@@ -633,7 +637,7 @@ let test_deadline_expired_sheds_503 () =
   with_service ~config @@ fun svc ->
   let r = req svc "GET" "/healthz" in
   status_is "past deadline" 503 r;
-  check_true "Retry-After present" (Http.header r "retry-after" = Some "1")
+  check_true "Retry-After present" (header r "retry-after" = Some "1")
 
 let test_max_sessions_sheds_429 () =
   let config = { Service.default_config with max_sessions = 1 } in
@@ -957,7 +961,7 @@ let test_keepalive_sequential_requests () =
   let r = creq "GET" "/healthz" in
   status_is "healthz" 200 r;
   check_true "connection kept alive"
-    (Http.header r "connection" = Some "keep-alive");
+    (header r "connection" = Some "keep-alive");
   let r = creq ~body:(create_body ()) "POST" "/sessions" in
   status_is "create over keep-alive" 201 r;
   let id = Json.to_str (Json.member "id" (json_of r)) in
@@ -1032,11 +1036,11 @@ let test_request_cap_rolls_connection () =
   in
   let r1 = creq () in
   status_is "first" 200 r1;
-  check_true "first kept alive" (Http.header r1 "connection" = Some "keep-alive");
+  check_true "first kept alive" (header r1 "connection" = Some "keep-alive");
   let r2 = creq () in
   status_is "second" 200 r2;
   (* The cap is 2: the second response announces the close... *)
-  check_true "cap closes connection" (Http.header r2 "connection" = Some "close");
+  check_true "cap closes connection" (header r2 "connection" = Some "close");
   (* ...and the client transparently reconnects for the third. *)
   let r3 = creq () in
   status_is "third (fresh connection)" 200 r3
@@ -1575,7 +1579,7 @@ let test_trace_links_all_surfaces () =
     status_is "traced update" 200 r;
     Alcotest.(check (option string))
       "trace id echoed on success" (Some trace_ok)
-      (Http.header r "x-sider-trace-id");
+      (header r "x-sider-trace-id");
     (* A 5xx under the same contract: the echo still happens, and the
        failure dumps the flight ring tagged with the id. *)
     Fault.arm (Fault.Journal_fail_append { path_substr = id });
@@ -1586,7 +1590,7 @@ let test_trace_links_all_surfaces () =
     status_is "traced failure" 503 r;
     Alcotest.(check (option string))
       "trace id echoed on error" (Some trace_bad)
-      (Http.header r "x-sider-trace-id");
+      (header r "x-sider-trace-id");
     id
   in
   (* Span tree: the request span carries the trace id and route. *)
@@ -1821,12 +1825,29 @@ let prop_projection_matches_tree =
       && String.equal fresh expected
       && String.equal reused expected)
 
+(* The reason phrase of every status the service sends. *)
+let reason = function
+  | 200 -> "OK"
+  | 201 -> "Created"
+  | 204 -> "No Content"
+  | 400 -> "Bad Request"
+  | 404 -> "Not Found"
+  | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
+  | 409 -> "Conflict"
+  | 413 -> "Content Too Large"
+  | 422 -> "Unprocessable Content"
+  | 429 -> "Too Many Requests"
+  | 500 -> "Internal Server Error"
+  | 503 -> "Service Unavailable"
+  | _ -> "Status"
+
 (* [Http.respond] as it was before responses were framed in place: the
    head built with [Printf] into a [Buffer], the body appended. *)
 let reference_response ?(headers = []) ~status ~content_type ~keep_alive body =
   let b = Buffer.create (256 + String.length body) in
   Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (Http.reason status));
+    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
   Buffer.add_string b (Printf.sprintf "Content-Type: %s\r\n" content_type);
   Buffer.add_string b
     (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
@@ -2058,6 +2079,218 @@ let test_pipelined_reset_leaves_service_up () =
   Alcotest.(check int) "failed writes" 1
     (Sider_obs.Obs.counter_value "serve.write_failures" - failed_before)
 
+(* --- the client's status line and head bound ---------------------------------- *)
+
+(* Status codes are exactly three ASCII digits.  Each spelling below is
+   one [int_of_string] reads as a number (the first four as 200, 200,
+   500 and 500), or a code of the wrong length. *)
+let test_client_rejects_odd_status () =
+  List.iter
+    (fun code ->
+      with_canned_server
+        (Printf.sprintf "HTTP/1.1 %s OK\r\nContent-Length: 2\r\n\r\n{}" code)
+      @@ fun port ->
+      match Http.request ~timeout_s:5.0 ~meth:"GET" ~port "/healthz" with
+      | Error e ->
+        Alcotest.(check string) ("client error for " ^ code)
+          (Printf.sprintf "malformed status line: HTTP/1.1 %s OK" code) e
+      | Ok r ->
+        Alcotest.failf "status %S read as %d" code r.Http.status)
+    [ "2_00"; "+200"; "0x1F4"; "0o764"; "20"; "2000"; "OK" ]
+
+(* A peer that sends 17 KiB of header lines and no blank line, then
+   holds the connection open: the client gives up at the 16 KiB bound
+   with an error of its own, rather than reading on until its timeout. *)
+let test_client_bounds_response_head () =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close lsock with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "loopback socket has no port"
+  in
+  let line = "X-Pad: " ^ String.make 57 'a' ^ "\r\n" in
+  let head =
+    "HTTP/1.1 200 OK\r\n" ^ String.concat "" (List.init 272 (fun _ -> line))
+  in
+  let serve () =
+    match Unix.select [ lsock ] [] [] 5.0 with
+    | [], _, _ -> ()
+    | _ ->
+      let c, _ = Unix.accept lsock in
+      Fun.protect ~finally:(fun () -> Unix.close c) @@ fun () ->
+      ignore (Unix.read c (Bytes.create 4096) 0 4096);
+      write_string c head;
+      (* Hold the connection until the client closes it. *)
+      let b = Bytes.create 4096 in
+      let rec wait () =
+        match Unix.select [ c ] [] [] 10.0 with
+        | [], _, _ -> ()
+        | _ -> (
+          match Unix.read c b 0 4096 with
+          | 0 -> ()
+          | _ -> wait ()
+          | exception Unix.Unix_error _ -> ())
+      in
+      wait ()
+  in
+  let server = Thread.create serve () in
+  Fun.protect ~finally:(fun () -> Thread.join server) @@ fun () ->
+  check_true "17 KiB of header lines" (String.length head > 17 * 1024);
+  match Http.request ~timeout_s:8.0 ~meth:"GET" ~port "/healthz" with
+  | Error e -> Alcotest.(check string) "client error" "response head over 16 KiB" e
+  | Ok r -> Alcotest.failf "unbounded head read as status %d" r.Http.status
+
+(* --- HTTP parser fuzz ------------------------------------------------------------ *)
+
+(* Seeded random and mutated requests against a live service: bad
+   request lines, headers without a colon, odd and repeated
+   Content-Length fields, truncated bodies and random bytes, one to
+   three pipelined per connection, written in random pieces; some
+   connections are reset mid-request.  Every answer must be a
+   well-formed response with a 2xx or 4xx status, the service must
+   answer /healthz afterwards, and the process must hold as many file
+   descriptors as before. *)
+let fuzz_request rng =
+  let pick a = a.(Sider_rand.Rng.int rng (Array.length a)) in
+  let body = pick [| ""; "{}"; "{\"data\":"; create_body () |] in
+  let valid () =
+    pick
+      [| "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+         "GET /sessions HTTP/1.1\r\n\r\n";
+         Printf.sprintf "POST /sessions HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+           (String.length body) body |]
+  in
+  match Sider_rand.Rng.int rng 9 with
+  | 0 -> pick [| "GARBAGE\r\n\r\n"; "GET\r\n\r\n"; " / HTTP/1.1\r\n\r\n";
+                 "\r\n\r\n"; "GET /healthz\r\n\r\n" |]
+  | 1 -> "GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n"
+  | 2 ->
+    Printf.sprintf "POST /sessions HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s"
+      (pick (Array.of_list ("" :: "99999999999" :: odd_content_lengths)))
+      body
+  | 3 ->
+    Printf.sprintf
+      "POST /sessions HTTP/1.1\r\nContent-Length: %d\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) (String.length body + Sider_rand.Rng.int rng 3) body
+  | 4 ->
+    (* Truncated: the body is shorter than declared. *)
+    Printf.sprintf "POST /sessions HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body + 1 + Sider_rand.Rng.int rng 40) body
+  | 5 -> String.init (1 + Sider_rand.Rng.int rng 64) (fun _ ->
+      Char.chr (Sider_rand.Rng.int rng 256))
+  | 6 ->
+    let r = Bytes.of_string (valid ()) in
+    for _ = 0 to Sider_rand.Rng.int rng 4 do
+      Bytes.set r (Sider_rand.Rng.int rng (Bytes.length r))
+        (Char.chr (Sider_rand.Rng.int rng 256))
+    done;
+    Bytes.to_string r
+  | _ -> valid ()
+
+(* Every response in [text], in order; fails on bytes that are not a
+   complete, well-formed response. *)
+let parse_responses text =
+  let n = String.length text in
+  let rec go at acc =
+    if at = n then List.rev acc
+    else
+      let rec blank i =
+        if i + 3 >= n then Alcotest.failf "unterminated head in %S" text
+        else if String.sub text i 4 = "\r\n\r\n" then i
+        else blank (i + 1)
+      in
+      let head_end = blank at in
+      let lines = String.split_on_char '\n' (String.sub text at (head_end - at)) in
+      let status_line = String.trim (List.hd lines) in
+      let status =
+        match String.split_on_char ' ' status_line with
+        | "HTTP/1.1" :: code :: _ :: _ when String.length code = 3 ->
+          int_of_string code
+        | _ -> Alcotest.failf "malformed status line %S" status_line
+      in
+      let clen =
+        List.find_map
+          (fun l ->
+            match String.index_opt l ':' with
+            | Some i when String.lowercase_ascii (String.sub l 0 i) = "content-length" ->
+              int_of_string_opt (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+            | _ -> None)
+          lines
+      in
+      match clen with
+      | None -> Alcotest.failf "response without Content-Length: %S" status_line
+      | Some len when head_end + 4 + len > n ->
+        Alcotest.failf "short body after %S" status_line
+      | Some len -> go (head_end + 4 + len) (status :: acc)
+  in
+  go 0 []
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_http_parser_fuzz () =
+  with_sink (Some Sider_obs.Obs.null_sink) @@ fun () ->
+  with_service @@ fun svc ->
+  status_is "warm" 200 (req svc "GET" "/healthz");
+  let before = open_fds () in
+  let rng = Sider_rand.Rng.create 20260 in
+  let answers = ref 0 in
+  for _ = 1 to 4000 do
+    let text =
+      String.concat ""
+        (List.init (1 + Sider_rand.Rng.int rng 3) (fun _ -> fuzz_request rng))
+    in
+    let reset = Sider_rand.Rng.int rng 6 = 0 in
+    with_raw_socket svc @@ fun sock ->
+    (* In up to four pieces; a reset connection stops partway. *)
+    let stop =
+      if reset then Sider_rand.Rng.int rng (String.length text + 1)
+      else String.length text
+    in
+    let rec send at =
+      if at < stop then begin
+        let k = min (stop - at) (1 + Sider_rand.Rng.int rng (1 + (stop / 2))) in
+        match Unix.write_substring sock text at k with
+        | w -> send (at + w)
+        | exception Unix.Unix_error _ -> ()
+      end
+    in
+    send 0;
+    if reset then Unix.setsockopt_optint sock Unix.SO_LINGER (Some 0)
+    else begin
+      (try Unix.shutdown sock Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+      let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read sock chunk 0 4096 with
+        | 0 -> ()
+        | k -> Buffer.add_subbytes buf chunk 0 k; drain ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+      in
+      drain ();
+      List.iter
+        (fun status ->
+          incr answers;
+          if status >= 500 || status < 200 then
+            Alcotest.failf "status %d for %S" status text)
+        (parse_responses (Buffer.contents buf))
+    end
+  done;
+  check_true "some requests answered" (!answers > 2000);
+  status_is "healthz after the fuzz" 200 (req svc "GET" "/healthz");
+  (* The workers close their ends as they see each EOF or reset. *)
+  let rec settle k =
+    if open_fds () > before && k > 0 then begin
+      Thread.delay 0.01;
+      settle (k - 1)
+    end
+  in
+  settle 200;
+  Alcotest.(check int) "open file descriptors" before (open_fds ())
+
 let suite =
   [
     case "full interaction loop over http" test_lifecycle;
@@ -2132,4 +2365,8 @@ let suite =
       test_pipelined_reset_leaves_service_up;
     case "create decode refuses and accepts as the tree did"
       test_create_decode_matches_tree;
+    case "client refuses a malformed status line" test_client_rejects_odd_status;
+    case "client bounds the response head" test_client_bounds_response_head;
+    case "http parser fuzz: every answer well-formed 2xx/4xx, no fd leaked"
+      test_http_parser_fuzz;
   ]

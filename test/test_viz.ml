@@ -1,6 +1,5 @@
 (* ASCII plots, SVG scatter figures, pairplots. *)
 
-open Sider_linalg
 open Sider_data
 open Sider_core
 open Sider_viz
@@ -76,40 +75,21 @@ let test_ascii_session_render () =
   check_true "data glyph" (has_sub s "o");
   check_true "axis label" (has_sub s "PCA1")
 
-let test_ascii_histogram () =
-  let s =
-    Ascii_plot.histogram ~bins:4 ~title:"h"
-      [| 0.0; 0.1; 0.2; 0.9; 1.0; 1.0; 1.0 |]
-  in
-  check_true "title" (has_sub s "h\n");
-  check_true "bars" (has_sub s "#");
-  check_true "4 bins" (List.length (String.split_on_char '\n' s) >= 5)
-
 (* --- Svg ------------------------------------------------------------------------ *)
 
 let test_svg_well_formed () =
-  let svg =
-    Svg.render ~title:"T" ~xlabel:"X" ~ylabel:"Y"
-      [ Svg.Points (Svg.data_style, [| (0.0, 0.0); (1.0, 2.0) |]) ]
-  in
+  let sess = Session.create (Synth.three_d ()) in
+  let svg = Svg.session_figure sess in
   check_true "svg open" (has_sub svg "<svg xmlns");
   check_true "svg close" (has_sub svg "</svg>");
-  check_true "circles" (count_sub svg "<circle" = 2);
-  check_true "title text" (has_sub svg ">T</text>");
+  check_true "circles" (count_sub svg "<circle" = 300);
+  check_true "axis label text" (has_sub svg ">PCA1");
   check_true "balanced tags"
     (count_sub svg "<text" = count_sub svg "</text>")
 
 let test_svg_layers () =
-  let e =
-    Sider_stats.Ellipse.of_moments ~mean:[| 0.0; 0.0 |]
-      ~cov:(Mat.identity 2) ()
-  in
-  let svg =
-    Svg.render
-      [ Svg.Segments ("#aaa", [| ((0.0, 0.0), (1.0, 1.0)) |]);
-        Svg.Points (Svg.background_style, [| (0.5, 0.5) |]);
-        Svg.Ellipse_outline ("#00f", true, e) ]
-  in
+  let sess = Session.create (Synth.three_d ()) in
+  let svg = Svg.session_figure ~selection:[| 0; 1; 2; 3 |] sess in
   check_true "line" (has_sub svg "<line");
   check_true "dashed ellipse" (has_sub svg "stroke-dasharray");
   check_true "path" (has_sub svg "<path")
@@ -138,7 +118,7 @@ let test_svg_write_file () =
 
 let test_pairplot_grid () =
   let m = Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create 3) 50 3 in
-  let svg = Pairplot.render ~cell:100 m in
+  let svg = Pairplot.render m in
   check_true "3x3 grid of rects" (count_sub svg "<rect" >= 9);
   (* Diagonal cells show the names. *)
   check_true "X1 label" (has_sub svg ">X1</text>");
@@ -157,23 +137,12 @@ let test_pairplot_colors () =
   check_true "red present" (has_sub svg "#ff0000");
   check_true "green present" (has_sub svg "#00ff00")
 
-let test_pairplot_selection () =
-  let ds = Synth.three_d () in
-  let sess = Session.create ds in
-  let svg =
-    Pairplot.render_selection ~top:2 sess
-      ~selection:(Dataset.class_indices ds "A")
-  in
-  check_true "selection red" (has_sub svg "#d62728");
-  check_true "2x2 grid" (count_sub svg "</text>" = 2)
-
 let test_pairplot_histograms () =
   let m = Sider_rand.Sampler.normal_mat (Sider_rand.Rng.create 6) 100 2 in
-  let with_h = Pairplot.render ~histograms:true m in
-  let without = Pairplot.render ~histograms:false m in
-  (* Histogram bars are extra rects on the diagonal. *)
-  check_true "histogram bars present"
-    (count_sub with_h "<rect" > count_sub without "<rect")
+  let svg = Pairplot.render m in
+  (* Histogram bars are rects on the diagonal beside the background and
+     the four cell frames. *)
+  check_true "histogram bars present" (count_sub svg "<rect" > 5)
 
 let test_class_colors () =
   let colors = Pairplot.class_colors [| "a"; "b"; "a"; "c" |] in
@@ -188,7 +157,6 @@ let suite =
     case "ascii degenerate range" test_ascii_degenerate_range;
     case "ascii filters non-finite" test_ascii_nonfinite_filtered;
     case "ascii session render" test_ascii_session_render;
-    case "ascii histogram" test_ascii_histogram;
     case "svg well formed" test_svg_well_formed;
     case "svg layers" test_svg_layers;
     case "svg session figure" test_svg_session_figure;
@@ -196,7 +164,6 @@ let suite =
     case "pairplot grid" test_pairplot_grid;
     case "pairplot subsampling" test_pairplot_subsampling;
     case "pairplot colors" test_pairplot_colors;
-    case "pairplot selection" test_pairplot_selection;
     case "pairplot histogram diagonal" test_pairplot_histograms;
     case "class colors" test_class_colors;
   ]

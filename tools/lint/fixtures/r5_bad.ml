@@ -12,7 +12,7 @@ let power_chain (ms : Mat.t array) (x : Mat.t) =
   !acc
 
 let scaled_sum (ms : Mat.t list) (z : Mat.t) =
-  List.fold_left (fun acc m -> Mat.add acc (Mat.scale 0.5 m)) z ms
+  List.fold_left (fun acc m -> Mat.sub acc (Mat.matmul_nt m m)) z ms
 
 let squash_iterated (m : Mat.t) steps =
   let cur = ref m in

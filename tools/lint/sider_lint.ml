@@ -22,7 +22,7 @@
      explicit tolerance).
    - [obs-hygiene]      (R4) by-name Obs.count / Obs.gauge / Obs.observe
      / Obs.counter_value lookups inside loops are flagged — hot paths
-     must use preregistered handles (Obs.hist_handle / observe_into),
+     must use preregistered handles (Obs.labeled_hist / observe_into),
      per the PR 4 overhead budget.  (R6) the labeled variants
      Obs.count_labeled / Obs.observe_labeled are flagged the same way:
      a labeled by-name call re-resolves the composed series key (label
@@ -34,6 +34,10 @@
      each iteration allocates a fresh matrix the GC must then chase,
      which is exactly the churn the PR 8 fused-kernel work removed from
      the ICA hot path.  Write into a preallocated buffer instead.
+   - [dead-export]      (R11) a [val] in a lib/ interface that no other
+     compilation unit references, or that only test/ references: API the
+     program does not use.  Deliberate test hooks carry
+     [@@sider.allow "test-hook"].
 
    Escapes are explicit and auditable:
 
@@ -66,6 +70,10 @@ let r_lock = "lock-order"
 let r_lsafe = "lock-safety"
 let r_fd = "fd-leak"
 let r_block = "blocking-under-lock"
+
+(* R11, computed over every interface and every reference once the scan
+   is done. *)
+let r_dead = "dead-export"
 
 let all_rules =
   [ r_det; r_dom; r_err; r_flt; r_obs; r_alloc; r_lock; r_lsafe; r_fd;
@@ -183,10 +191,8 @@ let with_allows allows f =
     Fun.protect ~finally:(fun () -> allow_stack := List.tl !allow_stack) f
   end
 
-(* Same extraction without the unknown-id findings: the summary pass
-   (phase 1 of R7-R10) re-reads the attributes the R1-R6 walk already
-   validated, so reporting again would duplicate findings. *)
-let silent_allows (attrs : Parsetree.attributes) : string list =
+(* The ids of every well-formed [sider.allow] payload, unvalidated. *)
+let allow_ids (attrs : Parsetree.attributes) : string list =
   List.concat_map
     (fun (a : Parsetree.attribute) ->
       if a.attr_name.txt <> "sider.allow" then []
@@ -202,9 +208,15 @@ let silent_allows (attrs : Parsetree.attributes) : string list =
                 _;
               };
             ] ->
-          List.filter (fun id -> List.mem id all_rules) (split_rule_ids s)
+          split_rule_ids s
         | _ -> [])
     attrs
+
+(* Same extraction without the unknown-id findings: the summary pass
+   (phase 1 of R7-R10) re-reads the attributes the R1-R6 walk already
+   validated, so reporting again would duplicate findings. *)
+let silent_allows attrs =
+  List.filter (fun id -> List.mem id all_rules) (allow_ids attrs)
 
 (* Flattened view of every allow frame active right now — captured onto
    summary events so phase-2 findings can honor escapes granted at the
@@ -345,7 +357,7 @@ let array_setters =
 let mutex_idents = [ "Mutex.lock"; "Mutex.try_lock"; "Mutex.protect" ]
 
 (* R4: by-name registry lookups (hash + mutex per call); the handle path
-   (Obs.hist_handle / Obs.observe_into) resolves the name once. *)
+   (Obs.labeled_hist / Obs.observe_into) resolves the name once. *)
 let obs_by_name =
   [ "Obs.count"; "Obs.gauge"; "Obs.observe"; "Obs.counter_value" ]
 
@@ -358,8 +370,8 @@ let obs_labeled_by_name = [ "Obs.count_labeled"; "Obs.observe_labeled" ]
    [_into] sibling taking a preallocated [~dst].  The suffix match is
    exact, so e.g. [Mat.matmul_into] itself never matches ["Mat.matmul"]. *)
 let alloc_mat_ops =
-  [ "Mat.matmul"; "Mat.matmul_nt"; "Mat.matmul_tn"; "Mat.mv"; "Mat.add";
-    "Mat.sub"; "Mat.scale"; "Mat.map"; "Mat.copy" ]
+  [ "Mat.matmul"; "Mat.matmul_nt"; "Mat.mv"; "Mat.sub"; "Mat.map";
+    "Mat.copy" ]
 
 (* R4: loop-running higher-order functions — a closure passed here runs
    once per element, so it counts as a loop body. *)
@@ -498,7 +510,7 @@ let check_ident ~loc nm =
     report ~loc ~rule:r_obs
       (Printf.sprintf
          "by-name metric lookup '%s' inside a loop; preregister a handle \
-          (Obs.hist_handle / Obs.observe_into) outside the loop" nm);
+          (Obs.labeled_hist / Obs.observe_into) outside the loop" nm);
   if
     !cur_policy.obs && !loop_depth > 0
     && ends_with_any obs_labeled_by_name nm
@@ -583,12 +595,29 @@ let rec enter_function_spine ctx (e : Typedtree.expression) =
 let is_function_literal (e : Typedtree.expression) =
   match e.exp_desc with Texp_function _ -> true | _ -> false
 
+(* R11: every value reference, keyed "Module.value" after dune's
+   mangling is collapsed ("Sider_linalg__Mat.outer" and
+   "Sider_linalg.Mat.outer" both read "Mat.outer"), with the referring
+   unit and its source file.  No file renames a lib/ module (aliases
+   such as [module Obs = Sider_obs.Obs] keep the name), so the key sees
+   every caller. *)
+let cur_unit = ref ""
+
+let references : (string, string * string) Hashtbl.t = Hashtbl.create 4096
+
+let record_reference p =
+  let key = last2 (norm2 p) in
+  if String.contains key '.' then
+    Hashtbl.add references key (!cur_unit, !cur_file)
+
 let visit_expr sub (e : Typedtree.expression) =
   let allows = allows_of_attributes e.exp_attributes in
   with_allows allows @@ fun () ->
   (* Identifier-level rules (R1 / R3a / R4). *)
   (match e.exp_desc with
-   | Texp_ident (p, _, _) -> check_ident ~loc:e.exp_loc (norm_path p)
+   | Texp_ident (p, _, _) ->
+     record_reference p;
+     check_ident ~loc:e.exp_loc (norm_path p)
    | _ -> ());
   (* R3a: assert false. *)
   (match e.exp_desc with
@@ -1632,12 +1661,35 @@ let lint_structure ~src (str : Typedtree.structure) =
   allow_stack := [ file_level_allows str ];
   linter.structure linter str
 
+(* R11: the [val]s of the scanned lib/ interfaces (every scanned
+   interface in fixture mode), keyed like {!references}. *)
+type export = { ex_key : string; ex_file : string; ex_line : int }
+
+let exports : export list ref = ref []
+
+let is_test_hook attrs = List.mem "test-hook" (allow_ids attrs)
+
+let collect_exports ~src (sg : Typedtree.signature) =
+  if !fixture_mode || String.starts_with ~prefix:"lib/" src then
+    List.iter
+      (fun (item : Typedtree.signature_item) ->
+        match item.sig_desc with
+        | Tsig_value vd when not (is_test_hook vd.val_attributes) ->
+          exports :=
+            { ex_key = !cur_unit ^ "." ^ Ident.name vd.val_id;
+              ex_file = src;
+              ex_line = vd.val_loc.loc_start.pos_lnum }
+            :: !exports
+        | _ -> ())
+      sg.sig_items
+
 let scan_cmt path =
   match Cmt_format.read_cmt path with
   | exception exn ->
     Printf.eprintf "sider-lint: cannot read %s: %s\n" path
       (Printexc.to_string exn)
   | infos -> (
+    cur_unit := collapse_component infos.cmt_modname;
     match (infos.cmt_annots, infos.cmt_sourcefile) with
     | Cmt_format.Implementation str, Some src
       when not (Filename.check_suffix src ".ml-gen") ->
@@ -1645,14 +1697,54 @@ let scan_cmt path =
       if !debug then Printf.eprintf "sider-lint: scanning %s (%s)\n" src path;
       lint_structure ~src str;
       summarize_structure ~src str
+    | Cmt_format.Interface sg, Some src -> collect_exports ~src sg
     | _ -> ())
 
 let rec collect_cmts acc path =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort compare
     |> List.fold_left (fun acc entry -> collect_cmts acc (Filename.concat path entry)) acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
+  else if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti"
+  then path :: acc
   else acc
+
+(* R11 needs every caller in view: it runs in fixture mode, and on a scan
+   whose roots include lib and every directory that may call it. *)
+let whole_tree roots =
+  !fixture_mode
+  || List.for_all
+       (fun d -> List.mem d roots)
+       [ "lib"; "bin"; "bench"; "test"; "examples" ]
+
+let report_r11 () =
+  List.iter
+    (fun ex ->
+      let module_of = List.hd (String.split_on_char '.' ex.ex_key) in
+      let callers =
+        Hashtbl.find_all references ex.ex_key
+        |> List.filter (fun (unit, _) -> unit <> module_of)
+      in
+      let in_test (_, file) = String.starts_with ~prefix:"test/" file in
+      let msg =
+        if callers = [] then
+          Some "no other compilation unit references it"
+        else if List.for_all in_test callers then Some "only test/ references it"
+        else None
+      in
+      Option.iter
+        (fun m ->
+          findings :=
+            { file = ex.ex_file;
+              line = ex.ex_line;
+              rule = r_dead;
+              msg =
+                Printf.sprintf
+                  "exported '%s': %s; drop it from the interface, or mark a \
+                   deliberate test hook [@@sider.allow \"test-hook\"]"
+                  ex.ex_key m }
+            :: !findings)
+        msg)
+    !exports
 
 (* ================================================================== *)
 (* Phase 2: closing the summaries over the call graph                  *)
@@ -2189,6 +2281,7 @@ let rule_descriptions =
     (r_fd, "File-descriptor lifecycle hazard: leak or exception-skippable \
             close");
     (r_block, "Blocking primitive reachable while reg_lock is held");
+    (r_dead, "Exported value no compilation unit outside test/ uses");
   ]
 
 let emit_sarif path sorted =
@@ -2262,6 +2355,7 @@ let () =
   in
   List.iter scan_cmt cmts;
   phase2 ();
+  if whole_tree !roots then report_r11 ();
   let sorted =
     List.sort_uniq
       (fun a b ->
