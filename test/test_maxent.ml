@@ -909,9 +909,9 @@ let suite =
     case "first round allocates at most 4nd words" test_first_round_allocation;
     case "trace gets one record per completed sweep" test_trace_record;
     case "trace skips a rolled-back sweep" test_trace_skips_rolled_back_sweep;
+    case "mean matrix" test_mean_matrix;
     case "recorder on allocates at most 256 words per sweep more"
       test_recorder_sweep_allocation;
-    case "mean matrix" test_mean_matrix;
     case "relative entropy: zero at prior" test_relative_entropy_zero_prior;
     case "relative entropy: monotone in constraints" test_relative_entropy_monotone;
     case "relative entropy: closed form" test_relative_entropy_closed_form;

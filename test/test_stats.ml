@@ -156,13 +156,13 @@ let suite =
     case "standardize" test_standardize;
     case "gaussian cdf" test_cdf;
     case "log cosh moment" test_log_cosh_moment;
-    case "chi-square 2 dof" test_chi2;
     case "jaccard" test_jaccard;
     case "jaccard to class" test_jaccard_to_class;
     case "ellipse isotropic" test_ellipse_isotropic;
     case "ellipse contains" test_ellipse_contains;
     case "ellipse 95% coverage" test_ellipse_coverage;
     case "ellipse polyline" test_ellipse_polyline;
+    case "chi-square 2 dof" test_chi2;
     case "kmeans separates blobs" test_kmeans_obvious;
     case "kmeans invalid k" test_kmeans_invalid_k;
     case "choose_k finds 3" test_choose_k;
