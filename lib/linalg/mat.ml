@@ -463,8 +463,8 @@ let map f m = { m with a = Array.map f m.a }
 let tanh_into ~dst m =
   check_dst "tanh_into" dst m.rows m.cols;
   let ma = m.a and za = dst.a in
-  (* Specialized so [tanh] is a direct (unboxed) call: going through the
-     [map_into] closure boxes every argument and result, which roughly
+  (* Specialized so [tanh] is a direct (unboxed) call: a generic map
+     through a closure boxes every argument and result, which roughly
      doubles the cost of FastICA's dominant kernel. *)
   par_rows ~label:"mat.tanh" ~work:(m.rows * m.cols * 16) m.rows
     (fun lo hi ->

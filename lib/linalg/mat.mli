@@ -7,7 +7,7 @@
     loops; destinations must have the exact result shape and (except for
     the element-wise operations) must not alias an input.
 
-    The heavy kernels ({!matmul}, {!matmul_nt}, {!covariance}, {!gram})
+    The heavy kernels ({!matmul}, {!matmul_nt}, {!covariance})
     fan their independent output rows out across the [Sider_par] domain
     pool when the estimated work is large enough; chunking is a pure
     function of the problem size, so results are bit-identical for any
@@ -74,7 +74,9 @@ val matmul_nt_into : dst:t -> t -> t -> unit
 (** In-place form of {!matmul_nt} ([dst] must not alias an input). *)
 
 val matmul_tn_into : dst:t -> t -> t -> unit
-(** In-place form of {!matmul_tn} ([dst] must not alias an input). *)
+(** [matmul_tn_into ~dst x y] writes [xᵀ y] into [dst] without forming
+    the transpose; bit-identical to [matmul (transpose x) y].  [dst] must
+    not alias an input. *)
 
 val mv : t -> Vec.t -> Vec.t
 (** Matrix-vector product. *)
@@ -102,9 +104,9 @@ val is_symmetric : ?eps:float -> t -> bool
 val map : (float -> float) -> t -> t
 
 val tanh_into : dst:t -> t -> unit
-(** [tanh_into ~dst m] is [map_into ~dst tanh m] with [tanh] called
-    directly (unboxed) — the FastICA inner-loop kernel.  [dst] may alias
-    [m]. *)
+(** [tanh_into ~dst m] writes [tanh] of each entry of [m] into [dst],
+    with [tanh] called directly (unboxed) — the FastICA inner-loop
+    kernel.  [dst] may alias [m]. *)
 
 val col_means : t -> Vec.t
 

@@ -575,11 +575,11 @@ let timed ?(attrs = []) ~hist name f =
 
 (* --- quantiles ------------------------------------------------------------ *)
 
-(* Type-7 quantile on a sorted prefix, matching [Descriptive.quantile].
-   Edge cases are pinned down by the qcheck suite: the empty histogram
-   yields 0.0 (never NaN — a NaN would poison JSON output and the
-   Prometheus exposition), and a single observation is its own quantile
-   at every p. *)
+(* Type-7 quantile on a sorted prefix: linear interpolation between the
+   order statistics either side of [p (len - 1)].  Edge cases are pinned
+   down by the qcheck suite: the empty histogram yields 0.0 (never NaN —
+   a NaN would poison JSON output and the Prometheus exposition), and a
+   single observation is its own quantile at every p. *)
 let quantile_sorted sorted len p =
   if len = 0 then 0.0
   else if len = 1 then sorted.(0)

@@ -14,10 +14,7 @@ let pairwise_distances m =
   d
 
 let of_distances ?(dims = 2) dist =
-  let n, c = Mat.dims dist in
-  if n <> c then invalid_arg "Mds.of_distances: not square" [@sider.allow "error-discipline"];
-  if not (Mat.is_symmetric ~eps:1e-6 dist) then
-    invalid_arg "Mds.of_distances: not symmetric" [@sider.allow "error-discipline"];
+  let n, _ = Mat.dims dist in
   if dims < 1 || dims > n then invalid_arg "Mds.of_distances: bad dims" [@sider.allow "error-discipline"];
   (* B = -J D² J / 2 with J the centering matrix. *)
   let d2 = Mat.map (fun x -> x *. x) dist in

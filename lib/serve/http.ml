@@ -264,25 +264,36 @@ let parse_head ib head_end =
       (Ok []) rest
     |> Result.map (fun hs -> (start, List.rev hs))
 
-(* [len] body bytes into one buffer of that length: the bytes already
-   read past the head, then reads straight into the rest of it, never
-   past its end.  Also returns the bytes read past the body (the start
+(* [len] body bytes: the bytes already read past the head, then reads
+   straight into the rest of the buffer, never past [len].  The buffer
+   starts at the bytes in hand plus [body_step] and doubles, up to [len],
+   as bytes arrive: a peer that declares more than it sends costs what
+   it sends, and a body of up to [body_step] lands in one buffer of
+   exactly [len].  Also returns the bytes read past the body (the start
    of a pipelined successor). *)
+let body_step = 1 lsl 20
+
 let read_body fd ib ~head_end len =
   let start = head_end + 4 in
   let have = min len (ib.len - start) in
-  let body = Bytes.create len in
-  Bytes.blit ib.b start body 0 have;
+  let body = ref (Bytes.create (min len (have + body_step))) in
+  Bytes.blit ib.b start !body 0 have;
   let rec fill filled =
     if filled = len then Ok ()
-    else
-      match read_into fd body filled (len - filled) with
+    else begin
+      if filled = Bytes.length !body then begin
+        let grown = Bytes.create (min len (2 * filled)) in
+        Bytes.blit !body 0 grown 0 filled;
+        body := grown
+      end;
+      match read_into fd !body filled (Bytes.length !body - filled) with
       | Ok k -> fill (filled + k)
       | Error e -> Error e
+    end
   in
   Result.map
     (fun () ->
-      ( Bytes.unsafe_to_string body,
+      ( Bytes.unsafe_to_string !body,
         Bytes.sub_string ib.b (start + have) (ib.len - start - have) ))
     (fill have)
 
@@ -439,6 +450,8 @@ let read_response_from ~initial fd =
              `Close,
              "" ))
          (drain ())
+     | Ok (_, _, Some len) when len > Sys.max_string_length ->
+       Error ("bad content-length: " ^ string_of_int len)
      | Ok (status, r_headers, Some len) ->
        (match read_body fd ib ~head_end len with
         | Error e -> Error (fail e)

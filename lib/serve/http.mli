@@ -14,7 +14,9 @@
     Both sides read a message with the same two readers: the head up to
     its blank line, at most 16 KiB of it (searching only newly read
     bytes), then the body into one buffer of its [Content-Length]
-    (ASCII digits only; repeated fields must agree).  Each side keeps
+    (ASCII digits only; repeated fields must agree).  The body buffer
+    grows with the bytes that arrive past the first megabyte, so a
+    declared length costs only what the peer sends.  Each side keeps
     its own start-line parse and failure mapping. *)
 
 type request = {
@@ -141,8 +143,9 @@ val client_request :
     before dying, so the caller decides whether re-sending is safe.
     [Error] is a transport failure or a response that cannot be read: a
     status code that is not exactly three ASCII digits, a header without
-    a colon, a bad [Content-Length], or a head over 16 KiB.  HTTP error
-    statuses come back as [Ok]. *)
+    a colon, a bad [Content-Length] (one longer than a string can hold
+    included), or a head over 16 KiB.  HTTP error statuses come back as
+    [Ok]. *)
 
 val client_close : client -> unit
 (** Close the underlying socket (idempotent); the next

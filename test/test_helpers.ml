@@ -26,6 +26,13 @@ let pp_mat fmt (m : Mat.t) =
 
 let norm_inf v = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 v
 
+(* The [k]-th central moment of [v] (population: over [n]). *)
+let central_moment v k =
+  let mu = Vec.mean v in
+  let acc = ref 0.0 in
+  Array.iter (fun x -> acc := !acc +. ((x -. mu) ** float_of_int k)) v;
+  !acc /. float_of_int (Array.length v)
+
 (* The square matrix with diagonal [v]. *)
 let diag v =
   let n = Array.length v in

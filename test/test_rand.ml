@@ -70,7 +70,10 @@ let test_normal_moments () =
   let n = 100_000 in
   let xs = Array.init n (fun _ -> Sampler.normal rng) in
   approx ~eps:0.02 "mean 0" 0.0 (Vec.mean xs);
-  approx ~eps:0.03 "variance 1" 1.0 (Vec.variance xs)
+  approx ~eps:0.03 "variance 1" 1.0 (Vec.variance xs);
+  let m2 = central_moment xs 2 in
+  approx ~eps:0.05 "skewness 0" 0.0 (central_moment xs 3 /. (m2 ** 1.5));
+  approx ~eps:0.1 "kurtosis 0" 0.0 ((central_moment xs 4 /. (m2 *. m2)) -. 3.0)
 
 (* 10⁶ variates through calls of lengths 0 to 997 against the scalar
    polar loop: same bits, and the generators end in the same state. *)

@@ -2145,6 +2145,31 @@ let test_client_bounds_response_head () =
   | Error e -> Alcotest.(check string) "client error" "response head over 16 KiB" e
   | Ok r -> Alcotest.failf "unbounded head read as status %d" r.Http.status
 
+(* The client's body buffer grows with the bytes that arrive, not with
+   the declared length: a length no string can hold is refused at once,
+   a declared 10 TB whose bytes never come is a truncated response (not
+   [Out_of_memory] escaping the [result]), and a 3 MiB body, past the
+   first megabyte, arrives whole. *)
+let test_client_body_follows_bytes () =
+  let respond len body =
+    Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s" len body
+  in
+  let get port = Http.request ~timeout_s:5.0 ~meth:"GET" ~port "/healthz" in
+  List.iter
+    (fun (len, expected) ->
+      with_canned_server (respond len "{}") @@ fun port ->
+      match get port with
+      | Error e -> Alcotest.(check string) ("client error for " ^ len) expected e
+      | Ok r ->
+        Alcotest.failf "Content-Length %s read as status %d" len r.Http.status)
+    [ ("999999999999999999", "bad content-length: 999999999999999999");
+      ("10000000000000", "truncated response") ];
+  let big = String.init ((3 * 1024 * 1024) + 17) (fun i -> Char.chr (i land 255)) in
+  with_canned_server (respond (string_of_int (String.length big)) big) @@ fun port ->
+  match get port with
+  | Ok r -> check_true "3 MiB body byte for byte" (String.equal big r.Http.r_body)
+  | Error e -> Alcotest.failf "3 MiB body refused: %s" e
+
 (* --- HTTP parser fuzz ------------------------------------------------------------ *)
 
 (* Seeded random and mutated requests against a live service: bad
@@ -2235,7 +2260,19 @@ let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 let test_http_parser_fuzz () =
   with_sink (Some Sider_obs.Obs.null_sink) @@ fun () ->
   with_service @@ fun svc ->
-  status_is "warm" 200 (req svc "GET" "/healthz");
+  (* Warm up on a connection seen closed at both ends (the worker closes
+     its end before this side reads EOF), so [before] counts no
+     descriptor a worker has yet to close. *)
+  (with_raw_socket svc @@ fun sock ->
+   write_string sock "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+   let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+   let rec drain () =
+     match Unix.read sock chunk 0 4096 with
+     | 0 -> ()
+     | k -> Buffer.add_subbytes buf chunk 0 k; drain ()
+   in
+   drain ();
+   Alcotest.(check (list int)) "warm" [ 200 ] (parse_responses (Buffer.contents buf)));
   let before = open_fds () in
   let rng = Sider_rand.Rng.create 20260 in
   let answers = ref 0 in
@@ -2369,4 +2406,6 @@ let suite =
     case "client bounds the response head" test_client_bounds_response_head;
     case "http parser fuzz: every answer well-formed 2xx/4xx, no fd leaked"
       test_http_parser_fuzz;
+    case "client body grows with the bytes, not the declared length"
+      test_client_body_follows_bytes;
   ]
