@@ -13,13 +13,14 @@
 # workload at quarter size through a real `sider api`, with all its
 # correctness checks: bit-identical replay, converged updates, expected
 # statuses; after the tests, not beside them, because it keeps both CPUs
-# of a 2-vCPU machine busy), and a smoke run of the micro-benchmark
-# harness (sub-10-seconds; proves the harness itself still works, not
-# performance).
+# of a 2-vCPU machine busy), the in-process harness's count gate against
+# the committed bench/baseline.json with its incremental-update,
+# null-sink and labeled-metrics gates (`make bench-diff`, under a
+# second), and the service smoke run.
 
 .PHONY: all build check test lint lint-fixtures lint-sarif verify clean \
-        bench bench-smoke bench-diff bench-scaling service-smoke \
-        bench-service convergence-smoke artifacts-unchanged
+        bench bench-diff bench-scaling service-smoke convergence-smoke \
+        artifacts-unchanged
 
 all: build
 
@@ -61,7 +62,7 @@ verify:
 	  && dune exec bench/main.exe -- -e table1 fig2 fig9 \
 	  && $(MAKE) artifacts-unchanged \
 	  && $(MAKE) convergence-smoke \
-	  && dune build @bench/e2e/smoke && $(MAKE) bench-smoke \
+	  && dune build @bench/e2e/smoke && $(MAKE) bench-diff \
 	  && $(MAKE) service-smoke
 
 # Fails when a tracked paper artifact under _artifacts/bench/ differs
@@ -115,8 +116,6 @@ service-smoke:
 	  --rows 32 --persona mixed --compact-threshold 4 --ttl 0.2 \
 	  --data-dir _artifacts/service-smoke-wal \
 	  --access-log _artifacts/flight/service-smoke-access.jsonl \
-	  --baseline BENCH_pr6.json \
-	  --out _artifacts/BENCH_service_smoke.json \
 	  2> _artifacts/flight/service-smoke.stderr
 	J="$$(ls _artifacts/service-smoke-wal/*.snapshot 2>/dev/null | head -n 1 \
 	      | sed 's/\.snapshot$$/.journal/')"; \
@@ -133,47 +132,19 @@ service-smoke:
 	echo "$$out"; \
 	echo "$$out" | grep -q '^serving http://127\.0\.0\.1:[0-9][0-9]*/metrics '
 
-# Full service load benchmark: 1000 analysts through the journaled
-# session service over keep-alive connections, with TTL eviction and
-# journal compaction live; rewrites the committed BENCH_pr7.json and
-# embeds the delta against the committed keep-alive-less BENCH_pr6.json
-# baseline.  The TTL is shorter than the run's wall clock on purpose:
-# sessions that finish their request burst go idle and are evicted
-# while later analysts are still loading, so the committed result also
-# pins the resident-session bound under eviction.
-bench-service:
-	rm -rf _artifacts/service-bench-wal
-	dune exec bin/sider_cli.exe -- load --sessions 1000 --concurrency 32 \
-	  --ttl 0.8 --compact-threshold 64 \
-	  --data-dir _artifacts/service-bench-wal \
-	  --baseline BENCH_pr6.json --label pr7 --out BENCH_pr7.json
-
-# Full machine-readable benchmark run; rewrites the committed result,
-# including the domain-scaling table, the incremental-update sweep gate
-# and the labeled-metrics overhead gate, and embeds the delta against the
-# newest committed baseline with a scenario table (BENCH_pr8.json).
+# Re-measure every in-process scenario and rewrite the committed
+# baseline, bench/baseline.json: walls, exact work counts and the
+# environment the counts depend on (domain count, OCaml version, AVX2
+# ICA kernel).  Commit it with a change that moves a count on purpose.
 bench:
-	dune exec bench/bench_regress.exe -- --out BENCH_pr9.json --label pr9 \
-	  --scaling --baseline BENCH_pr8.json --baseline BENCH_pr4.json
+	dune exec bench/bench_regress.exe -- --out bench/baseline.json
 
-# Fast sanity pass over every scenario (reduced sizes, 1 run each),
-# checked to still cover the incremental-update and warm-ICA scenarios,
-# the labeled-metrics scenario and the create-path scenarios named after
-# the end-to-end benchmark's per-layer metrics.
-bench-smoke:
-	dune exec bench/bench_regress.exe -- --smoke --out _artifacts/BENCH_smoke.json
-	grep -q session_update_warm_synthetic _artifacts/BENCH_smoke.json
-	grep -q ica_projection_warm _artifacts/BENCH_smoke.json
-	grep -q obs_labels_overhead _artifacts/BENCH_smoke.json
-	grep -q json_parse_create _artifacts/BENCH_smoke.json
-	grep -q json_serialise_projection _artifacts/BENCH_smoke.json
-	grep -q persist_journal_start _artifacts/BENCH_smoke.json
-
-# Re-measure and compare against the committed baseline; exits non-zero
-# when any scenario regresses by more than 25% wall time.
+# The count gate: re-measure and fail when any count differs from the
+# committed baseline (counts whose environment differs are skipped by
+# name), or when the incremental-update, null-sink or labeled-metrics
+# gate fails.  Walls are reported, not compared.
 bench-diff:
-	dune exec bench/bench_regress.exe -- --out _artifacts/BENCH_head.json \
-	  --baseline BENCH_pr9.json
+	dune exec bench/bench_regress.exe -- --baseline bench/baseline.json
 
 # Wall clock of the Sider_par-enabled scenarios at 1, 2 and 4 domains
 # (results are bit-identical at every size; only the time may change).

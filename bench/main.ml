@@ -21,8 +21,7 @@ let experiments =
     "fig7", "BNC use case (Figs. 7-8)", Exp_corpus.run;
     "fig9", "Image Segmentation use case (Fig. 9)", Exp_segmentation.run;
     "related", "static embeddings vs SIDER (Secs. I, V)", Exp_related.run;
-    "ablation", "design-choice ablations", Exp_ablation.run;
-    "micro", "bechamel micro-benchmarks", Exp_micro.run ]
+    "ablation", "design-choice ablations", Exp_ablation.run ]
 
 let aliases =
   [ "fig3", "table1"; "fig4", "table1"; "fig6", "table1"; "fig8", "fig7";

@@ -744,8 +744,8 @@ let api_cmd =
    keep-alive connections (one per thread), retrying on 429/503 shed
    responses with exponential backoff.  Sessions are left alive until
    the end of the run — unless [--ttl] lets the service's janitor evict
-   the idle ones, in which case the report shows how far the resident
-   population was bounded below the tenant count. *)
+   the idle ones, in which case the lifecycle line shows how far the
+   resident population was bounded below the tenant count. *)
 let load_cmd =
   let sessions_t =
     Arg.(value & opt int 1000 & info [ "sessions" ] ~docv:"N"
@@ -766,11 +766,6 @@ let load_cmd =
          & info [ "data-dir" ] ~docv:"DIR"
              ~doc:"Journal directory for the spawned service (enables \
                    write-ahead journaling under load).")
-  in
-  let out_t =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"Write the machine-readable result (JSON) to $(docv).")
   in
   let rows_t =
     Arg.(value & opt int 48 & info [ "rows" ] ~docv:"N"
@@ -808,41 +803,8 @@ let load_cmd =
            ~doc:"Server-side idle keep-alive timeout for the spawned \
                  service.")
   in
-  let baseline_t =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"A previous run's --out JSON; the report prints and \
-                   embeds the p99 delta against it.")
-  in
-  let label_t =
-    Arg.(value & opt string "pr7" & info [ "label" ] ~docv:"LABEL"
-           ~doc:"Label embedded in the result JSON.")
-  in
-  let no_keepalive_t =
-    Arg.(value & flag
-         & info [ "no-keepalive" ]
-             ~doc:"One connection per request (Connection: close), as \
-                   before keep-alive existed — useful as a latency \
-                   baseline.")
-  in
-  let read_baseline path =
-    try
-      let ic = open_in path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let lat = Json.member "latency_s" (Json.of_string s) in
-      Some
-        ( Json.to_float (Json.member "p50" lat),
-          Json.to_float (Json.member "p95" lat),
-          Json.to_float (Json.member "p99" lat) )
-    with _ -> None
-  in
-  let run () sessions concurrency target data_dir out rows seed persona ttl
-      compact keepalive_requests idle_timeout baseline label no_keepalive
-      access_log =
+  let run () sessions concurrency target data_dir rows seed persona ttl
+      compact keepalive_requests idle_timeout access_log =
     if not (Obs.enabled ()) then Obs.set_sink (Some Obs.null_sink);
     let access_oc = open_access_log access_log in
     let own, port =
@@ -898,15 +860,7 @@ let load_cmd =
       (* One persistent connection per analyst thread: latency is
          measured in keep-alive steady state, not dominated by per-
          request connect/teardown. *)
-      let client =
-        if no_keepalive then None
-        else Some (Sider_serve.Http.client ~port ())
-      in
-      let transport ?headers ?body ~meth path =
-        match client with
-        | Some c -> Sider_serve.Http.client_request ?headers ?body c ~meth path
-        | None -> Sider_serve.Http.request ?headers ?body ~meth ~port path
-      in
+      let client = Sider_serve.Http.client ~port () in
       (* One request with shed-aware retry; returns the successful
          response, or None after exhausting the budget.  Every attempt
          of one logical call shares a trace id, so the access log shows
@@ -918,10 +872,10 @@ let load_cmd =
             [ (Sider_serve.Http.trace_response_header, trace) ]
           in
           let t0 = Unix.gettimeofday () in
-          match transport ~headers ?body ~meth path with
+          match Sider_serve.Http.client_request ~headers ?body client ~meth path with
           | Error _ ->
             bump transport_retries;
-            Option.iter Sider_serve.Http.client_close client;
+            Sider_serve.Http.client_close client;
             Thread.delay (0.01 *. float_of_int (1 lsl attempt));
             call ~trace ?body ~meth path (attempt + 1)
           | Ok resp when resp.Sider_serve.Http.status = 429
@@ -969,7 +923,7 @@ let load_cmd =
         end
       in
       Fun.protect
-        ~finally:(fun () -> Option.iter Sider_serve.Http.client_close client)
+        ~finally:(fun () -> Sider_serve.Http.client_close client)
         next_session
     in
     let t0 = Unix.gettimeofday () in
@@ -994,94 +948,15 @@ let load_cmd =
       |> List.filteri (fun i _ -> i < 5)
       |> List.filter (fun (l, _) -> n_req > 0 && l >= p99)
     in
-    (* Lifecycle counters only make sense for the in-process service —
-       against a remote target they would read this process's (empty)
-       registry. *)
-    let lifecycle =
-      match own with
-      | None -> []
-      | Some svc ->
-        let reg = Sider_serve.Service.registry svc in
-        let c name = Json.Number (float_of_int (Obs.counter_value name)) in
-        [ ("lifecycle",
-           Json.Obj
-             [ ("evictions", c "serve.evictions");
-               ("compactions", c "serve.compactions");
-               ("rehydrations", c "serve.rehydrations");
-               ("idle_closed", c "serve.idle_closed");
-               ("resident_sessions",
-                Json.Number
-                  (float_of_int (Sider_serve.Registry.resident_count reg)));
-               ("total_sessions",
-                Json.Number
-                  (float_of_int (Sider_serve.Registry.count reg))) ]) ]
-    in
-    let baseline_fields, baseline_note =
-      match baseline with
-      | None -> ([], "")
-      | Some path ->
-        (match read_baseline path with
-         | None ->
-           ([], Printf.sprintf "baseline %s: missing or unreadable\n" path)
-         | Some (bp50, bp95, bp99) ->
-           let delta = (p99 -. bp99) /. bp99 *. 100.0 in
-           ([ ("baseline",
-               Json.Obj
-                 [ ("file", Json.String path);
-                   ("p50", Json.Number bp50);
-                   ("p95", Json.Number bp95);
-                   ("p99", Json.Number bp99);
-                   ("p99_delta_pct", Json.Number delta) ]) ],
-            Printf.sprintf "baseline %s: p99 %.4fs -> %.4fs (%+.1f%%)\n"
-              path bp99 p99 delta))
-    in
-    let trace_fields =
-      [ ("slowest",
-         Json.List
-           (List.map
-              (fun (l, tr) ->
-                Json.Obj
-                  [ ("trace", Json.String tr); ("latency_s", Json.Number l) ])
-              slowest));
-        ("failed_traces",
-         Json.List (List.rev_map (fun tr -> Json.String tr) !failed_traces))
-      ]
-    in
-    let result =
-      Json.Obj
-        ([ ("schema", Json.String "sider-load/2");
-           ("label", Json.String label);
-           ("persona",
-            Json.String (Sider_serve.Persona.to_string persona));
-           ("keepalive", Json.Bool (not no_keepalive));
-           ("ttl_s", Json.Number ttl);
-           ("compact_events", Json.Number (float_of_int compact));
-           ("sessions", Json.Number (float_of_int sessions));
-           ("concurrency", Json.Number (float_of_int concurrency));
-           ("journaled", Json.Bool (data_dir <> None || target <> None));
-           ("requests_ok", Json.Number (float_of_int n_req));
-           ("shed_429", Json.Number (float_of_int !shed_429));
-           ("shed_503", Json.Number (float_of_int !shed_503));
-           ("transport_retries", Json.Number (float_of_int !transport_retries));
-           ("failures", Json.Number (float_of_int !failures));
-           ("wall_s", Json.Number wall);
-           ("throughput_rps", Json.Number (float_of_int n_req /. wall));
-           ("latency_s",
-            Json.Obj
-              [ ("p50", Json.Number p50); ("p95", Json.Number p95);
-                ("p99", Json.Number p99); ("max", Json.Number mx) ]) ]
-         @ trace_fields @ lifecycle @ baseline_fields)
-    in
     Printf.printf
       "%d sessions via %d threads in %.2fs: %d ok (%.0f rps), %d shed \
        (429), %d shed (503), %d failure(s)\n\
-       persona %s, keep-alive %s\n\
+       persona %s\n\
        latency p50 %.4fs  p95 %.4fs  p99 %.4fs  max %.4fs\n"
       sessions concurrency wall n_req
       (float_of_int n_req /. wall)
       !shed_429 !shed_503 !failures
       (Sider_serve.Persona.to_string persona)
-      (if no_keepalive then "off" else "on")
       p50 p95 p99 mx;
     (match slowest with
      | [] -> ()
@@ -1098,6 +973,9 @@ let load_cmd =
        Printf.printf "failed request trace(s) (%d):%s%s\n" (List.length l)
          (String.concat "" (List.map (fun tr -> " " ^ tr) shown))
          (if List.length l > 10 then " ..." else ""));
+    (* Lifecycle counters only make sense for the in-process service —
+       against a remote target they would read this process's (empty)
+       registry. *)
     (match own with
      | Some svc ->
        Printf.printf
@@ -1109,17 +987,6 @@ let load_cmd =
          (Sider_serve.Registry.resident_count
             (Sider_serve.Service.registry svc))
          (Sider_serve.Registry.count (Sider_serve.Service.registry svc))
-     | None -> ());
-    print_string baseline_note;
-    (match out with
-     | Some path ->
-       let oc = open_out path in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-           output_string oc (Json.to_string result);
-           output_char oc '\n');
-       Printf.printf "wrote %s\n" path
      | None -> ());
     if !failures > 0 then Stdlib.exit 1
   in
@@ -1133,9 +1000,8 @@ let load_cmd =
              any analyst loop failed outright; shed 429/503 responses \
              are retried, not failures.")
     Term.(const run $ obs_setup_t $ sessions_t $ concurrency_t $ target_t
-          $ data_dir_t $ out_t $ rows_t $ seed_t $ persona_t $ ttl_t
-          $ compact_t $ keepalive_requests_t $ idle_timeout_t $ baseline_t
-          $ label_t $ no_keepalive_t $ access_log_t)
+          $ data_dir_t $ rows_t $ seed_t $ persona_t $ ttl_t $ compact_t
+          $ keepalive_requests_t $ idle_timeout_t $ access_log_t)
 
 (* --- top -------------------------------------------------------------------------- *)
 

@@ -46,13 +46,6 @@ let class_indices t cls =
     Array.iteri (fun i x -> if String.equal x cls then out := i :: !out) l;
     Array.of_list (List.rev !out)
 
-let select_rows t idx =
-  {
-    t with
-    matrix = Mat.select_rows t.matrix idx;
-    labels = Option.map (fun l -> Array.map (fun i -> l.(i)) idx) t.labels;
-  }
-
 let standardized t =
   let m = t.matrix in
   let means = Mat.col_means m in

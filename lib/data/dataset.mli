@@ -31,9 +31,6 @@ val classes : t -> string list
 
 val class_indices : t -> string -> int array
 
-val select_rows : t -> int array -> t
-(** Sub-dataset with the given rows (labels subset accordingly). *)
-
 val standardized : t -> t
 (** Columns scaled to zero mean, unit variance (constant columns are only
     centered).  The paper standardizes data before exploration so the

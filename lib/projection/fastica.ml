@@ -171,7 +171,7 @@ let fit_prepared ?w0 ?max_iter ?tol rng prep =
         Obs.span_attr "converged" (Obs.Bool fitted.converged);
         fitted)
 
-let fit ?max_iter rng m = fit_prepared ?max_iter rng (prepare m)
+let fit rng m = fit_prepared rng (prepare m)
 
 let top2 t =
   let _, m = Mat.dims t.directions in

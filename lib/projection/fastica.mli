@@ -47,7 +47,7 @@ val fit_prepared : ?w0:Mat.t -> ?max_iter:int -> ?tol:float ->
     [tol] (fixed-point direction change) to 1e-4, matching the R
     fastICA defaults the paper used. *)
 
-val fit : ?max_iter:int -> Rng.t -> Mat.t -> t
+val fit : Rng.t -> Mat.t -> t
 (** [fit rng m] = {!prepare} then {!fit_prepared}: extracts every
     non-degenerate independent direction from the rows of [m]. *)
 

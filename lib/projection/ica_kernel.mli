@@ -44,7 +44,7 @@ type t
     buffer, so building [t] once per {!Fastica.prepare} and sweeping
     many times is the intended use. *)
 
-val simd_available : unit -> bool [@@sider.allow "test-hook"]
+val simd_available : unit -> bool
 (** CPU supports AVX2 and FMA (probed once; false on non-x86-64). *)
 
 val create : Mat.t -> t

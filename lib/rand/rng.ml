@@ -54,8 +54,6 @@ let uint64 t =
 
 let split t = from_splitmix (ref (uint64 t))
 
-let copy = Array.copy
-
 let float t =
   (* Top 53 bits scaled to [0,1). *)
   let bits = Int64.shift_right_logical (uint64 t) 11 in

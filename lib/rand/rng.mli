@@ -15,8 +15,6 @@ val split : t -> t
     advances [t]).  Used to hand substreams to subsystems without coupling
     their consumption patterns. *)
 
-val copy : t -> t
-
 val float : t -> float
 (** Uniform in [[0, 1)] with 53-bit resolution. *)
 

@@ -30,13 +30,6 @@ let test_dataset_validation () =
         (Dataset.create ~labels:[| "x" |] ~columns:[| "a"; "b" |]
            (Mat.identity 2)))
 
-let test_dataset_select () =
-  let ds = sample_ds () in
-  let sub = Dataset.select_rows ds [| 0; 2 |] in
-  approx "2 rows" 2.0 (float_of_int (Dataset.n_rows sub));
-  check_true "labels follow" (Dataset.labels sub = Some [| "a"; "a" |]);
-  approx "values" 30.0 (Mat.get (Dataset.matrix sub) 1 1)
-
 let test_dataset_standardized () =
   let ds = Dataset.standardized (sample_ds ()) in
   let m = Dataset.matrix ds in
@@ -455,7 +448,6 @@ let suite =
   [
     case "dataset basics" test_dataset_basic;
     case "dataset validation" test_dataset_validation;
-    case "dataset row/col selection" test_dataset_select;
     case "dataset standardization" test_dataset_standardized;
     case "constant column standardization" test_dataset_standardized_constant;
     case "csv line parsing" test_csv_parse_line;

@@ -14,13 +14,6 @@ let test_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   check_true "different seeds differ" (not (Float.equal (Rng.float a) (Rng.float b)))
 
-let test_copy_independent () =
-  let a = Rng.create 7 in
-  let b = Rng.copy a in
-  let x = Rng.float a in
-  let y = Rng.float b in
-  check_true "copy replays" (Float.equal x y)
-
 let test_split_independent () =
   let a = Rng.create 7 in
   let b = Rng.split a in
@@ -197,7 +190,6 @@ let suite =
   [
     case "determinism" test_determinism;
     case "seed sensitivity" test_seed_sensitivity;
-    case "copy replays stream" test_copy_independent;
     case "split diverges" test_split_independent;
     case "float in range" test_float_range;
     case "uniform mean" test_float_mean;
