@@ -32,7 +32,9 @@ type t = {
   mutable pending : Constr.t list;      (* queued, not yet solved *)
   mutable tags : string list;           (* insertion order, distinct *)
   mutable view : View.t;
-  mutable sample : Mat.t;               (* cached background sample *)
+  mutable labels : string * string;     (* the view's default axis labels *)
+  sample : Mat.t;                       (* cached background sample *)
+  white : Mat.t;                        (* whitening buffer of every view *)
   mutable history : event list;         (* newest first *)
   mutable degradations : Sider_error.t list; (* newest first *)
   (* Last ICA unmixing matrix, fed back as the next fit's [?ica_w0]: a
@@ -50,10 +52,17 @@ let push_tag t tag =
 let fresh_view t ?method_ () =
   let method_ = Option.value ~default:t.method_ method_ in
   let view =
-    View.of_solver ~rng:(Rng.split t.rng) ?ica_w0:t.ica_w ~method_ t.solver
+    View.of_solver ~rng:(Rng.split t.rng) ?ica_w0:t.ica_w ~dst:t.white
+      ~method_ t.solver
   in
   (match view.View.unmixing with Some w -> t.ica_w <- Some w | None -> ());
   view
+
+let view_labels ?top std (view : View.t) =
+  let columns = Dataset.columns std in
+  let name = View.method_name view.View.method_ in
+  ( View.axis_label ?top ~columns ~prefix:(name ^ "1") view.View.axis1,
+    View.axis_label ?top ~columns ~prefix:(name ^ "2") view.View.axis2 )
 
 let degrade t e =
   t.degradations <- e :: t.degradations;
@@ -102,11 +111,13 @@ let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
     end
   in
   let solver = Solver.create (Dataset.matrix std) [] in
-  let view = View.of_solver ~rng:(Rng.split rng) ~method_ solver in
+  let white = Mat.create n d in
+  let view = View.of_solver ~rng:(Rng.split rng) ~dst:white ~method_ solver in
   let sample = Solver.sample solver rng in
   let t =
     { dataset = ds; std; rng; method_; solver; pending = []; tags = []; view;
-      sample; history = []; degradations = [];
+      labels = view_labels std view; sample; white; history = [];
+      degradations = [];
       ica_w = view.View.unmixing;
       creation_args = (seed, standardize, jitter, method_) }
   in
@@ -244,15 +255,14 @@ let update_background_exn t =
   | Ok report -> report
   | Error e -> Sider_error.raise_ e
 
-let refresh_sample t = t.sample <- Solver.sample t.solver t.rng
-
 let recompute_view ?method_ t =
   Obs.with_span "session.recompute_view" @@ fun () ->
   (match method_ with Some m -> t.method_ <- m | None -> ());
   record t (Viewed t.method_);
   t.view <- fresh_view t ();
+  t.labels <- view_labels t.std t.view;
   degrade_view t;
-  refresh_sample t;
+  Solver.sample_into ~dst:t.sample t.solver t.rng;
   t.view
 
 let current_view t = t.view
@@ -280,10 +290,7 @@ let background_points t = View.project t.view t.sample
 let background_sample t = t.sample
 
 let axis_labels ?top t =
-  let columns = Dataset.columns t.std in
-  let name = View.method_name t.view.View.method_ in
-  ( View.axis_label ?top ~columns ~prefix:(name ^ "1") t.view.View.axis1,
-    View.axis_label ?top ~columns ~prefix:(name ^ "2") t.view.View.axis2 )
+  match top with None -> t.labels | Some _ -> view_labels ?top t.std t.view
 
 let view_scores t =
   (t.view.View.axis1.View.score, t.view.View.axis2.View.score)
@@ -329,7 +336,8 @@ let class_match t rows =
   | Some labels -> Metrics.best_class_match ~selection:rows ~labels
 
 let residual_gaussianity t =
-  let y = Sider_projection.Whiten.whiten t.solver in
+  let y = t.white in
+  Sider_projection.Whiten.whiten_into ~dst:y t.solver;
   let n, d = Mat.dims y in
   let pooled = Array.make (n * d) 0.0 in
   for i = 0 to n - 1 do

@@ -140,7 +140,10 @@ val degradations : t -> Sider_error.t list
 val recompute_view : ?method_:View.method_ -> t -> View.t
 (** Whiten against the current background distribution and find the most
     informative projection; refreshes the cached background sample and the
-    per-point pairing. *)
+    per-point pairing.  The data is whitened into a buffer the session
+    owns and the sample is redrawn into its own matrix, so a view
+    allocates no [n×d] matrix.  When whitening raises (a non-finite Σ),
+    the view, its labels and the sample stay as they were. *)
 
 val current_view : t -> View.t
 
@@ -157,11 +160,14 @@ val background_points : t -> (float * float) array
 
 val background_sample : t -> Mat.t
 (** The cached background sample: one row per data row, the sample
-    paired with that row.  Drawn by {!create} and redrawn by
-    {!recompute_view}; not to be modified. *)
+    paired with that row.  Drawn by {!create} and redrawn in place by
+    {!recompute_view}: the same matrix for the session's life, so copy
+    it to keep one view's sample.  Not to be modified. *)
 
 val axis_labels : ?top:int -> t -> string * string
-(** Paper-style axis labels of the current view. *)
+(** Paper-style axis labels of the current view.  Without [top], the
+    labels with every term, built once when the view is set; with
+    [top], built on each call ({!View.axis_label}). *)
 
 val view_scores : t -> float * float
 

@@ -21,9 +21,9 @@ type t = { rows : int; cols : int; a : float array }
    bit-identical either way: bodies write disjoint output rows. *)
 let par_work_min = 1 lsl 16
 
-let par_rows ?label ~work n body =
+let par_rows ?chunk ?label ~work n body =
   let min = if work >= par_work_min then 1 else Stdlib.max_int in
-  Par.parallel_for_chunks ~min ?label ~n body
+  Par.parallel_for_chunks ?chunk ~min ?label ~n body
 
 let create rows cols =
   if rows < 0 || cols < 0 then invalid_arg "Mat.create: negative dimension";
@@ -519,23 +519,32 @@ let center_cols m =
    increasing [i] with the same zero-skip as the single-pass loop —
    bit-identical for any domain count. *)
 let covariance m =
-  let centered, _ = center_cols m in
+  let means = col_means m in
   let cov = create m.cols m.cols in
-  let ca = centered.a and cova = cov.a in
+  let ma = m.a and cova = cov.a in
   let rows = m.rows and cols = m.cols in
-  (* Same i-outer trick as [matmul_tn_into]: stream the centered matrix
-     row by row, accumulating the upper triangle of the chunk; per-entry
-     order stays increasing-i, so the result is bit-identical.  The lower
-     triangle is mirrored afterwards — exact because x·y = y·x in IEEE
-     and both triangles would accumulate in the same row order. *)
-  par_rows ~label:"mat.covariance" ~work:(rows * cols * cols / 2) cols
+  (* Same i-outer trick as [matmul_tn_into]: stream the rows one by one,
+     accumulating the upper triangle of the chunk; per-entry order stays
+     increasing-i, so the result is bit-identical.  Each row is centred
+     into a d-float scratch, entries [lo, cols) being all the chunk
+     reads: the floats [center_cols] would store, without an n×d copy.
+     Every chunk centres its rows again, so chunks span 8 output rows:
+     one row each would double the subtractions to one per product.
+     The lower triangle is mirrored afterwards — exact because
+     x·y = y·x in IEEE and both triangles would accumulate in the same
+     row order. *)
+  par_rows ~chunk:8 ~label:"mat.covariance" ~work:(rows * cols * cols / 2) cols
     (fun lo hi ->
+      let x = Array.create_float cols in
       for i = 0 to rows - 1 do
         let off = i * cols in
+        for j = lo to cols - 1 do
+          Array.unsafe_set x j
+            (Array.unsafe_get ma (off + j) -. Array.unsafe_get means j)
+        done;
         for j = lo to hi - 1 do
-          let xj = Array.unsafe_get ca (off + j) in
-          if xj <> 0.0 then
-            axpy_range cova ((j * cols) + j) xj ca (off + j) (cols - j)
+          let xj = Array.unsafe_get x j in
+          if xj <> 0.0 then axpy_range cova ((j * cols) + j) xj x j (cols - j)
         done
       done);
   for j = 1 to cols - 1 do
@@ -551,4 +560,6 @@ let covariance m =
   cov
 
 let select_rows m idx =
-  init (Array.length idx) m.cols (fun i j -> get m idx.(i) j)
+  let s = create (Array.length idx) m.cols in
+  Array.iteri (fun i r -> Array.blit m.a (r * m.cols) s.a (i * m.cols) m.cols) idx;
+  s

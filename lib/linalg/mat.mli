@@ -118,6 +118,8 @@ val center_cols : t -> t * Vec.t
     and the means. *)
 
 val covariance : t -> t
-(** Population covariance (divide by [n]) of the rows of [m]. *)
+(** Population covariance (divide by [n]) of the rows of [m]: the
+    entries of [center_cols m] summed over the rows in order, each row
+    centred into a [cols]-float scratch rather than an [n×d] copy. *)
 
 val select_rows : t -> int array -> t

@@ -40,13 +40,24 @@ let check_rows data rows =
       if r < 0 || r >= n then invalid_arg "Constr: row index out of range" [@sider.allow "error-discipline"])
     rows
 
+(* A checked, sorted, duplicate-free copy the constraints may share:
+   [rows] is never written after construction. *)
+let owned_rows data rows =
+  check_rows data rows;
+  normalize_rows rows
+
+(* [m̂_I]: per column, a sum over [rows] in order from 0.0, read from the
+   flat array (a cross-module [Mat.get] boxes every cell), then scaled
+   by [1/|I|] as [Vec.scale] scales. *)
 let mean_over data rows =
   let _, d = Mat.dims data in
+  let a = data.Mat.a in
   let m = Vec.create d in
   Array.iter
     (fun r ->
+      let off = r * d in
       for j = 0 to d - 1 do
-        m.(j) <- m.(j) +. Mat.get data r j
+        Array.unsafe_set m j (Array.unsafe_get m j +. Array.unsafe_get a (off + j))
       done)
     rows;
   Vec.scale (1.0 /. float_of_int (Array.length rows)) m
@@ -62,23 +73,33 @@ let target_sum rows term =
   done;
   !acc
 
-let linear ?(tag = "lin") ~data ~rows ~w () =
-  check_rows data rows;
-  let rows = normalize_rows rows in
+(* The builders below take [rows] from [owned_rows] and a [w] the
+   constraint may keep. *)
+let linear_of ~tag ~data ~rows ~w =
   let target = target_sum rows (fun r -> Mat.row_dot data r w) in
-  { kind = Linear; rows; w = Vec.copy w; target; shift = 0.0; tag }
+  { kind = Linear; rows; w; target; shift = 0.0; tag }
 
-let quadratic ?(tag = "quad") ~data ~rows ~w () =
-  check_rows data rows;
-  let rows = normalize_rows rows in
-  let m_hat = mean_over data rows in
+let quadratic_of ~tag ~data ~rows ~m_hat ~w =
   let shift = Vec.dot m_hat w in
   let target =
     target_sum rows (fun r ->
         let p = Mat.row_dot data r w -. shift in
         p *. p)
   in
-  { kind = Quadratic; rows; w = Vec.copy w; target; shift; tag }
+  { kind = Quadratic; rows; w; target; shift; tag }
+
+let linear ?(tag = "lin") ~data ~rows ~w () =
+  linear_of ~tag ~data ~rows:(owned_rows data rows) ~w:(Vec.copy w)
+
+let quadratic ?(tag = "quad") ~data ~rows ~w () =
+  let rows = owned_rows data rows in
+  quadratic_of ~tag ~data ~rows ~m_hat:(mean_over data rows) ~w:(Vec.copy w)
+
+(* The linear and the quadratic constraint along [w], sharing [rows],
+   [m_hat] and [w] itself: what [linear] and [quadratic] build, bit for
+   bit, without a copy of either array per constraint. *)
+let pair ~tag ~data ~rows ~m_hat w =
+  [ linear_of ~tag ~data ~rows ~w; quadratic_of ~tag ~data ~rows ~m_hat ~w ]
 
 let margin ?(tag = "margin") data =
   let n, d = Mat.dims data in
@@ -119,27 +140,24 @@ let margin ?(tag = "margin") data =
              shift = shifts.(j); tag } ]))
 
 let cluster ?(tag = "cluster") ~data ~rows () =
-  check_rows data rows;
-  let rows = normalize_rows rows in
-  let sub = Mat.select_rows data rows in
-  let directions, _ = Svd.principal_directions sub in
+  let rows = owned_rows data rows in
+  let directions, _ = Svd.principal_directions (Mat.select_rows data rows) in
+  let m_hat = mean_over data rows in
   let _, d = Mat.dims data in
   List.concat
     (List.init d (fun k ->
-         let w = Mat.col directions k in
-         let tag = Printf.sprintf "%s:pc%d" tag k in
-         [ linear ~tag ~data ~rows ~w ();
-           quadratic ~tag ~data ~rows ~w () ]))
+         pair ~tag:(Printf.sprintf "%s:pc%d" tag k) ~data ~rows ~m_hat
+           (Mat.col directions k)))
 
 let one_cluster ?(tag = "1-cluster") data =
   let n, _ = Mat.dims data in
   cluster ~tag ~data ~rows:(Array.init n Fun.id) ()
 
 let two_d ?(tag = "2d") ~data ~rows ~w1 ~w2 () =
-  [ linear ~tag:(tag ^ ":ax1") ~data ~rows ~w:w1 ();
-    quadratic ~tag:(tag ^ ":ax1") ~data ~rows ~w:w1 ();
-    linear ~tag:(tag ^ ":ax2") ~data ~rows ~w:w2 ();
-    quadratic ~tag:(tag ^ ":ax2") ~data ~rows ~w:w2 () ]
+  let rows = owned_rows data rows in
+  let m_hat = mean_over data rows in
+  pair ~tag:(tag ^ ":ax1") ~data ~rows ~m_hat (Vec.copy w1)
+  @ pair ~tag:(tag ^ ":ax2") ~data ~rows ~m_hat (Vec.copy w2)
 
 let eval t data =
   match t.kind with

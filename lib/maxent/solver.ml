@@ -533,40 +533,52 @@ let relative_entropy t =
 
 (* --- sampling ------------------------------------------------------------ *)
 
-let sample t rng =
+let sample_into ~dst t rng =
   let n, d = Mat.dims t.data in
-  let out = Mat.create n d in
-  let oa = out.Mat.a in
+  if Mat.dims dst <> (n, d) then
+    invalid_arg "Solver.sample_into: shape mismatch with solver data" [@sider.allow "error-discipline"];
+  (* Every factor first, so nothing that can fail runs once [dst] is
+     being written. *)
+  let factors =
+    Array.map
+      (fun p -> (Chol.decompose_psd (Mat.symmetrize p.Gauss_params.sigma)).Mat.a)
+      t.classes
+  in
+  let oa = dst.Mat.a in
   Array.iteri
     (fun cls p ->
-      let chol = Chol.decompose_psd (Mat.symmetrize p.Gauss_params.sigma) in
-      let ca = chol.Mat.a and mean = p.Gauss_params.mean in
-      let rows = Partition.members t.partition cls in
+      let ca = factors.(cls) and mean = p.Gauss_params.mean in
       (* The class's member rows, in ascending order, take consecutive
          blocks of [d] draws: the draw order of one [Sampler.normal_vec]
-         per row.  Each output entry is [mean_i + Σ_j chol_ij z_j] with
-         one accumulator over ascending [j], the order of [Mat.mv], so
+         per row.  A row's draws [z] go straight into the row, and entry
+         [i] becomes [mean_i + Σ_j chol_ij z_j] for [i] descending: it
+         reads only [z_0 .. z_i], which no later [i] has overwritten.
+         One accumulator over ascending [j], the order of [Mat.mv], so
          the rows are the bits [Vec.add mean (Mat.mv chol z)] gives.
          The sum stops at the diagonal: the factor's upper entries are
          exact zeros, and adding ±0 never changes a sum started at +0.0. *)
-      let z = Array.create_float (Array.length rows * d) in
-      Rng.fill_normal rng z ~pos:0 ~len:(Array.length z);
-      Array.iteri
-        (fun k r ->
-          let zoff = k * d and roff = r * d in
-          for i = 0 to d - 1 do
+      Array.iter
+        (fun r ->
+          let roff = r * d in
+          Rng.fill_normal rng oa ~pos:roff ~len:d;
+          for i = d - 1 downto 0 do
             let coff = i * d in
             let acc = ref 0.0 in
             for j = 0 to i do
               acc :=
                 !acc
                 +. (Array.unsafe_get ca (coff + j)
-                    *. Array.unsafe_get z (zoff + j))
+                    *. Array.unsafe_get oa (roff + j))
             done;
             Array.unsafe_set oa (roff + i) (Array.unsafe_get mean i +. !acc)
           done)
-        rows)
-    t.classes;
+        (Partition.members t.partition cls))
+    t.classes
+
+let sample t rng =
+  let n, d = Mat.dims t.data in
+  let out = Mat.create n d in
+  sample_into ~dst:out t rng;
   out
 
 let mean_matrix t =

@@ -135,14 +135,20 @@ val relative_entropy : t -> float [@@sider.allow "test-hook"]
     constraints accumulate — each additional constraint set can only
     move the MaxEnt solution further from the prior. *)
 
-val sample : t -> Rng.t -> Mat.t
-(** One dataset drawn from the background distribution: row [i] is drawn
-    from [N(m_i, Σ_i)], through one PSD Cholesky factorization of
-    [symmetrize Σ] per class.  Each class takes one {!Rng.fill_normal} of
-    [size·d] variates, its member rows in ascending order, so the draws
+val sample_into : dst:Mat.t -> t -> Rng.t -> unit
+(** Overwrite [dst] (the data's shape) with one dataset drawn from the
+    background distribution: row [i] is drawn from [N(m_i, Σ_i)],
+    through one PSD Cholesky factorization of [symmetrize Σ] per class,
+    every class factored before [dst] is written.  Classes in order,
+    each class's member rows in ascending order, each row takes its [d]
+    variates from {!Rng.fill_normal} straight into the row, so the draws
     and bits are those of [mean + L·z] per member row, [z] from
-    {!Sampler.normal_vec} and the product summed as {!Mat.mv} sums it,
-    classes in order. *)
+    {!Sampler.normal_vec} and the product summed as {!Mat.mv} sums it.
+    Allocates the [k] factors, nothing of size [n].  Raises
+    [Invalid_argument] on a shape mismatch. *)
+
+val sample : t -> Rng.t -> Mat.t
+(** {!sample_into} a fresh matrix. *)
 
 val mean_matrix : t -> Mat.t [@@sider.allow "test-hook"]
 (** The per-row means as an [n×d] matrix. *)

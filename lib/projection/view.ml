@@ -77,8 +77,9 @@ let of_whitened ?rng ?ica_max_iter ?ica_w0 ~method_ y =
         y
     end
 
-let of_solver ?rng ?ica_w0 ~method_ solver =
-  of_whitened ?rng ?ica_w0 ~method_ (Whiten.whiten solver)
+let of_solver ?rng ?ica_w0 ~dst ~method_ solver =
+  Whiten.whiten_into ~dst solver;
+  of_whitened ?rng ?ica_w0 ~method_ dst
 
 (* [Mat.row_dot] adds the terms in [Vec.dot]'s order without copying
    the row. *)

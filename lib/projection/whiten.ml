@@ -41,14 +41,13 @@ let class_transforms solver =
       out.(c) <- Eigen.power ~clamp:floor_ dec (-0.5));
   out
 
-let whiten_with solver transforms m =
+let whiten_with ~dst solver transforms m =
   let n, d = Mat.dims m in
   Obs.with_span "whiten.apply"
     ~attrs:[ ("rows", Obs.Int n); ("cols", Obs.Int d) ]
   @@ fun () ->
-  let out = Mat.create n d in
   let part = Solver.partition solver in
-  let ma = m.Mat.a and oa = out.Mat.a in
+  let ma = m.Mat.a and oa = dst.Mat.a in
   (* Rows are independent.  The centering is fused into the transform's
      dot products — each (x_rj − m_j) is recomputed per use, which yields
      the same float as subtracting once into a scratch vector, so the
@@ -99,15 +98,27 @@ let whiten_with solver transforms m =
           done;
           Array.unsafe_set oa (roff + i) !acc
         done
-      done);
-  out
+      done)
+
+(* The transforms come first: a Σ that raises leaves [dst] untouched. *)
+let whiten_into ~dst solver =
+  let data = Solver.data solver in
+  if Mat.dims dst <> Mat.dims data then
+    invalid_arg "Whiten.whiten_into: shape mismatch with solver data" [@sider.allow "error-discipline"];
+  Obs.with_span "whiten" @@ fun () ->
+  whiten_with ~dst solver (class_transforms solver) data
 
 let whiten solver =
-  Obs.with_span "whiten" @@ fun () ->
-  whiten_with solver (class_transforms solver) (Solver.data solver)
+  let n, d = Mat.dims (Solver.data solver) in
+  let out = Mat.create n d in
+  whiten_into ~dst:out solver;
+  out
 
 let whiten_matrix solver m =
-  if Mat.dims m <> Mat.dims (Solver.data solver) then
+  let n, d = Mat.dims m in
+  if (n, d) <> Mat.dims (Solver.data solver) then
     invalid_arg "Whiten.whiten_matrix: shape mismatch with solver data" [@sider.allow "error-discipline"];
   Obs.with_span "whiten" @@ fun () ->
-  whiten_with solver (class_transforms solver) m
+  let out = Mat.create n d in
+  whiten_with ~dst:out solver (class_transforms solver) m;
+  out

@@ -20,6 +20,12 @@ val whiten : Solver.t -> Mat.t
     [Sider_robust.Sider_error.Error (Nan_detected _)] if a Σ contains
     non-finite entries — the only failure mode left. *)
 
+val whiten_into : dst:Mat.t -> Solver.t -> unit
+(** {!whiten} into [dst], the data's shape, which must not be the
+    solver's data.  Every class's transform is computed before [dst] is
+    written, so a Σ that raises leaves [dst] as it was.  Raises
+    [Invalid_argument] on a shape mismatch. *)
+
 val whiten_matrix : Solver.t -> Mat.t -> Mat.t [@@sider.allow "test-hook"]
 (** Apply the same per-row transformations to another matrix of the same
     shape (e.g. a sample of the background distribution; its whitened

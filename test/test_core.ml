@@ -244,7 +244,15 @@ let test_axis_labels () =
   check_true "pca prefix"
     (String.length a1 > 4 && String.sub a1 0 4 = "PCA1");
   check_true "axis2 prefix"
-    (String.length a2 > 4 && String.sub a2 0 4 = "PCA2")
+    (String.length a2 > 4 && String.sub a2 0 4 = "PCA2");
+  (* The labels kept for the view are the ones built with every term. *)
+  check_true "kept labels are the full labels"
+    (Session.axis_labels s = Session.axis_labels ~top:3 s);
+  ignore (Session.recompute_view ~method_:View.Ica s);
+  let a1, _ = Session.axis_labels s in
+  check_true "relabelled with the view" (String.sub a1 0 4 = "ICA1");
+  check_true "kept labels follow the view"
+    (Session.axis_labels s = Session.axis_labels ~top:3 s)
 
 (* --- Selection ------------------------------------------------------------------ *)
 
@@ -399,6 +407,89 @@ let test_swap_mean_sd () =
   check_true "mean within data range" (mean >= 0.0 && mean <= 30.0);
   check_true "sd positive" (sd > 0.0)
 
+(* --- A write round's memory ----------------------------------------------------- *)
+
+(* A session at [projection_reads]' shape (n=1024, d=16, k=8), margin
+   solved and viewed as the benchmark preloads it, then write rounds as
+   the service's routes run them: a cluster constraint on the next
+   ground-truth class, an update of at most 500 sweeps, a PCA view.
+   Counted at one domain, so the [SIDER_DOMAINS=2] leg counts the same,
+   after two warm rounds; the third is counted. *)
+let write_round s rows =
+  Session.add_cluster_constraint s rows;
+  ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 s);
+  ignore (Session.recompute_view ~method_:View.Pca s)
+
+let with_warm_reads_session f =
+  let module Par = Sider_par.Par in
+  let domains = Par.domain_count () in
+  Par.set_domains 1;
+  Fun.protect ~finally:(fun () -> Par.set_domains domains) @@ fun () ->
+  let ds = reads_dataset () in
+  let rows c = Dataset.class_indices ds (List.nth (Dataset.classes ds) c) in
+  let s = Session.create ~seed:1 ds in
+  Session.add_margin_constraint s;
+  ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 s);
+  ignore (Session.recompute_view ~method_:View.Pca s);
+  write_round s (rows 0);
+  write_round s (rows 1);
+  f s (rows 2)
+
+(* The round puts fewer than n·d words on the major heap (6,790 when
+   written): the view whitens into the session's buffer, the covariance
+   centres one row at a time and the sample is refilled in place.  Four
+   fresh n×d matrices a view (the whitened data, the covariance's
+   centred copy, the sample and its draws) put 74,382 words there.
+   Counted with no telemetry sink. *)
+let test_write_round_major_heap () =
+  with_sink None @@ fun () ->
+  with_warm_reads_session @@ fun s rows ->
+  let n, d = Mat.dims (Session.data s) in
+  let before = major_words () in
+  write_round s rows;
+  let major = int_of_float (major_words () -. before) in
+  if major >= n * d then
+    Alcotest.failf "a warm write round put %d words on the major heap, nd = %d"
+      major (n * d)
+
+(* The round grows what the session keeps by 1,855 words when written:
+   among them the history's copy of the 128 rows and the one row set
+   its 32 constraints share.  One more private copy of the row set
+   fails the gate; a copy per constraint grew a round by 6,126. *)
+let test_write_round_keeps_one_row_set () =
+  with_warm_reads_session @@ fun s rows ->
+  let before = Obj.reachable_words (Obj.repr s) in
+  write_round s rows;
+  let growth = Obj.reachable_words (Obj.repr s) - before in
+  let bound = 1855 + Array.length rows + 1 in
+  if growth >= bound then
+    Alcotest.failf "a write round grew the session by %d words, at most %d"
+      growth (bound - 1)
+
+(* A view whose whitening raises (a class's Σ poisoned with NaN) leaves
+   the session's view, its labels and the background sample exactly as
+   they were. *)
+let test_failed_view_keeps_view_and_sample () =
+  let s = Session.create ~seed:5 (Synth.three_d ()) in
+  Session.add_cluster_constraint s (Array.init 30 Fun.id);
+  ignore (Session.update_background_exn s);
+  ignore (Session.recompute_view s);
+  let view = Session.current_view s and labels = Session.axis_labels s in
+  let sample = Mat.copy (Session.background_sample s) in
+  let sigma =
+    (Sider_maxent.Solver.class_params (Session.solver s) 0)
+      .Sider_maxent.Gauss_params.sigma
+  in
+  Mat.set sigma 0 0 Float.nan;
+  (match Session.recompute_view s with
+   | _ -> Alcotest.fail "a view over a NaN Σ did not raise"
+   | exception Sider_robust.Sider_error.Error e ->
+     Alcotest.(check string) "error" "nan-detected"
+       (Sider_robust.Sider_error.label e));
+  check_true "view kept" (Session.current_view s == view);
+  check_true "labels kept" (Session.axis_labels s = labels);
+  check_bits "sample kept" sample.Mat.a (Session.background_sample s).Mat.a
+
 let suite =
   [
     case "session defaults" test_create_defaults;
@@ -431,4 +522,9 @@ let suite =
     case "swap randomizer marginals" test_swap_randomizer_preserves_marginals;
     case "swap randomizer groups" test_swap_randomizer_groups;
     case "swap mean/sd statistic" test_swap_mean_sd;
+    case "warm write round puts under nd words on the major heap"
+      test_write_round_major_heap;
+    case "write round keeps one row set per cluster"
+      test_write_round_keeps_one_row_set;
+    case "failed view keeps view and sample" test_failed_view_keeps_view_and_sample;
   ]

@@ -527,6 +527,100 @@ let prop_covariance_symmetric_halving =
       mat_approx_equal ~eps:1e-12 cov reference
       && bits_equal_mat cov (Mat.transpose cov))
 
+(* --- in-place sample and covariance against the forms they replaced -------- *)
+
+(* [Solver.sample] as it was: per class a factor and one
+   [Rng.fill_normal] of [size·d] draws into a buffer of its own, then
+   [mean + L·z] per member row, classes in order. *)
+let reference_sample solver rng =
+  let n, d = Mat.dims (Solver.data solver) in
+  let out = Mat.create n d in
+  for cls = 0 to Solver.n_classes solver - 1 do
+    let p = Solver.class_params solver cls in
+    let chol = Chol.decompose_psd (Mat.symmetrize p.Gauss_params.sigma) in
+    let rows = Partition.members (Solver.partition solver) cls in
+    let z = Array.create_float (Array.length rows * d) in
+    Sider_rand.Rng.fill_normal rng z ~pos:0 ~len:(Array.length z);
+    Array.iteri
+      (fun k r ->
+        for i = 0 to d - 1 do
+          let acc = ref 0.0 in
+          for j = 0 to i do
+            acc := !acc +. (Mat.get chol i j *. z.((k * d) + j))
+          done;
+          Mat.set out r i (p.Gauss_params.mean.(i) +. !acc)
+        done)
+      rows
+  done;
+  out
+
+(* [Mat.covariance] as it was: a centred copy of the matrix, the upper
+   triangle summed over the rows in order with zero entries skipped,
+   mirrored, then scaled by [1/n]. *)
+let reference_covariance m =
+  let n, d = Mat.dims m in
+  let centered, _ = Mat.center_cols m in
+  let cov = Array.make (d * d) 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to d - 1 do
+      let xj = Mat.get centered i j in
+      if not (Float.equal xj 0.0) then
+        for k = j to d - 1 do
+          cov.((j * d) + k) <- cov.((j * d) + k) +. (xj *. Mat.get centered i k)
+        done
+    done
+  done;
+  for j = 1 to d - 1 do
+    for k = 0 to j - 1 do
+      cov.((j * d) + k) <- cov.((k * d) + j)
+    done
+  done;
+  let s = 1.0 /. float_of_int n in
+  Mat.of_array d d (Array.map (fun x -> s *. x) cov)
+
+(* After every step of a random history (margin, cluster, 2-D and
+   1-cluster constraints, each followed by an update and a view, so the
+   classes and their sizes change from view to view), [sample_into]
+   refills one dirty buffer with the bits and the draws of the old
+   sample from an identically seeded generator, and [Mat.covariance]
+   gives the old bits on that sample, on the whitened data and on the
+   sample with a constant column (whose centred entries are exact zeros,
+   so the zero-skip is taken).  A 600×16 matrix with a constant column
+   is large enough for the covariance to fan out over the domain pool. *)
+let prop_in_place_sample_and_covariance =
+  let module Session = Sider_core.Session in
+  let module Rng = Sider_rand.Rng in
+  let gen = QCheck.(list_of_size (Gen.int_range 1 6) (pair small_nat small_nat)) in
+  qcheck ~count:25 "in-place sample and covariance keep the old bits" gen
+    (fun script ->
+      let s = Session.create ~seed:3 (Sider_data.Synth.clustered ~seed:17 ~n:40 ~d:4 ~k:3 ()) in
+      let n, d = Mat.dims (Session.data s) in
+      let dirty = Mat.init n d (fun i j -> if (i + j) mod 3 = 0 then Float.nan else 1e300) in
+      let same_cov m = bits_equal_mat (Mat.covariance m) (reference_covariance m) in
+      let large = Sider_rand.Sampler.normal_mat (Rng.create 29) 600 16 in
+      for i = 0 to 599 do Mat.set large i 3 2.5 done;
+      same_cov large
+      && List.for_all
+        (fun (code, pick) ->
+          let rows () = Array.init (2 + (pick mod 9)) (fun i -> ((i * 5) + pick) mod n) in
+          (match code mod 4 with
+           | 0 -> Session.add_margin_constraint s
+           | 1 -> Session.add_cluster_constraint s (rows ())
+           | 2 -> Session.add_two_d_constraint s (rows ())
+           | _ -> Session.add_one_cluster_constraint s);
+          ignore (Session.update_background ~time_cutoff:1.0 ~max_sweeps:4 s);
+          ignore (Session.recompute_view s);
+          let solver = Session.solver s in
+          let a = Rng.create pick and b = Rng.create pick in
+          Solver.sample_into ~dst:dirty solver a;
+          let constant = Mat.copy dirty in
+          for i = 0 to n - 1 do Mat.set constant i 0 1.0 done;
+          bits_equal_mat dirty (reference_sample solver b)
+          && Float.equal (Rng.float a) (Rng.float b)
+          && same_cov dirty && same_cov constant
+          && same_cov (Sider_projection.Whiten.whiten solver))
+        script)
+
 let suite =
   [
     prop_partition_is_partition;
@@ -547,4 +641,5 @@ let suite =
     prop_matmul_nt_tn_match_transpose;
     prop_mv_tmv_match_naive;
     prop_covariance_symmetric_halving;
+    prop_in_place_sample_and_covariance;
   ]
