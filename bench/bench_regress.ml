@@ -356,10 +356,10 @@ let json_serialise_projection () =
   Session.add_margin_constraint session;
   ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 session);
   ignore (Session.recompute_view session);
-  let scratch = Sider_serve.Service.scratch () and w = Json.writer 4096 in
+  let w = Json.writer 4096 in
   let print () =
     Json.clear w;
-    Sider_serve.Service.write_projection scratch w session
+    Sider_serve.Service.write_projection w session
   in
   print ();
   let r = timed print (fun () -> [ ("bytes", Json.length w) ]) in

@@ -23,6 +23,13 @@ type point = {
   background : float * float;
 }
 
+type coordinates = {
+  data_x : float array;
+  data_y : float array;
+  sample_x : float array;
+  sample_y : float array;
+}
+
 type t = {
   dataset : Dataset.t;
   std : Dataset.t;
@@ -33,8 +40,7 @@ type t = {
   mutable tags : string list;           (* insertion order, distinct *)
   mutable view : View.t;
   mutable labels : string * string;     (* the view's default axis labels *)
-  sample : Mat.t;                       (* cached background sample *)
-  white : Mat.t;                        (* whitening buffer of every view *)
+  coords : coordinates;                 (* the view's, rewritten per view *)
   mutable history : event list;         (* newest first *)
   mutable degradations : Sider_error.t list; (* newest first *)
   (* Last ICA unmixing matrix, fed back as the next fit's [?ica_w0]: a
@@ -48,15 +54,6 @@ type t = {
 
 let push_tag t tag =
   if not (List.mem tag t.tags) then t.tags <- t.tags @ [ tag ]
-
-let fresh_view t ?method_ () =
-  let method_ = Option.value ~default:t.method_ method_ in
-  let view =
-    View.of_solver ~rng:(Rng.split t.rng) ?ica_w0:t.ica_w ~dst:t.white
-      ~method_ t.solver
-  in
-  (match view.View.unmixing with Some w -> t.ica_w <- Some w | None -> ());
-  view
 
 let view_labels ?top std (view : View.t) =
   let columns = Dataset.columns std in
@@ -72,6 +69,19 @@ let degrade t e =
 (* Every view the session shows, the create view included, records its
    degradation (FastICA did not converge, or fell back to PCA). *)
 let degrade_view t = Option.iter (degrade t) t.view.View.degraded
+
+(* The view's coordinates: a fresh background sample drawn from the
+   session's generator, seen through the view's two directions, then the
+   data.  The sampler factors every class before it writes, and nothing
+   after it can raise. *)
+let project_view t (view : View.t) =
+  let w1 = view.View.axis1.View.direction
+  and w2 = view.View.axis2.View.direction
+  and c = t.coords in
+  Solver.sample_projected t.solver t.rng ~w1 ~w2 ~dst1:c.sample_x
+    ~dst2:c.sample_y;
+  Mat.mv_into ~dst:c.data_x (Dataset.matrix t.std) w1;
+  Mat.mv_into ~dst:c.data_y (Dataset.matrix t.std) w2
 
 let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
     ?(method_ = View.Pca) ds =
@@ -111,16 +121,19 @@ let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
     end
   in
   let solver = Solver.create (Dataset.matrix std) [] in
-  let white = Mat.create n d in
-  let view = View.of_solver ~rng:(Rng.split rng) ~dst:white ~method_ solver in
-  let sample = Solver.sample solver rng in
+  let view = View.of_solver ~rng:(Rng.split rng) ~method_ solver in
+  let coords =
+    { data_x = Array.create_float n; data_y = Array.create_float n;
+      sample_x = Array.create_float n; sample_y = Array.create_float n }
+  in
   let t =
     { dataset = ds; std; rng; method_; solver; pending = []; tags = []; view;
-      labels = view_labels std view; sample; white; history = [];
+      labels = view_labels std view; coords; history = [];
       degradations = [];
       ica_w = view.View.unmixing;
       creation_args = (seed, standardize, jitter, method_) }
   in
+  project_view t view;
   degrade_view t;
   t
 
@@ -255,39 +268,47 @@ let update_background_exn t =
   | Ok report -> report
   | Error e -> Sider_error.raise_ e
 
+(* Every step that can raise (whitening's Σ check, the sampler's
+   factors) runs before the session's method, view, labels or
+   coordinates are written. *)
 let recompute_view ?method_ t =
   Obs.with_span "session.recompute_view" @@ fun () ->
-  (match method_ with Some m -> t.method_ <- m | None -> ());
-  record t (Viewed t.method_);
-  t.view <- fresh_view t ();
-  t.labels <- view_labels t.std t.view;
+  let method_ = Option.value ~default:t.method_ method_ in
+  record t (Viewed method_);
+  let view =
+    View.of_solver ~rng:(Rng.split t.rng) ?ica_w0:t.ica_w ~method_ t.solver
+  in
+  project_view t view;
+  t.method_ <- method_;
+  t.view <- view;
+  t.labels <- view_labels t.std view;
+  (match view.View.unmixing with Some w -> t.ica_w <- Some w | None -> ());
   degrade_view t;
-  Solver.sample_into ~dst:t.sample t.solver t.rng;
-  t.view
+  view
 
 let current_view t = t.view
 
+let coordinates t = t.coords
+
 let scatter t =
-  let m = data t in
-  let coords = View.project t.view m in
-  let bg = View.project t.view t.sample in
+  let c = t.coords in
   Array.mapi
-    (fun i (x, y) ->
+    (fun i x ->
       {
         index = i;
         x;
-        y;
+        y = c.data_y.(i);
         label =
           (match Dataset.labels t.std with
            | Some l -> Some l.(i)
            | None -> None);
-        background = bg.(i);
+        background = (c.sample_x.(i), c.sample_y.(i));
       })
-    coords
+    c.data_x
 
-let background_points t = View.project t.view t.sample
-
-let background_sample t = t.sample
+let background_points t =
+  let c = t.coords in
+  Array.mapi (fun i bx -> (bx, c.sample_y.(i))) c.sample_x
 
 let axis_labels ?top t =
   match top with None -> t.labels | Some _ -> view_labels ?top t.std t.view
@@ -335,22 +356,14 @@ let class_match t rows =
   | None -> []
   | Some labels -> Metrics.best_class_match ~selection:rows ~labels
 
+(* The buffer's row-major array is the pooled sample; [Ks] sorts a copy. *)
 let residual_gaussianity t =
-  let y = t.white in
-  Sider_projection.Whiten.whiten_into ~dst:y t.solver;
-  let n, d = Mat.dims y in
-  let pooled = Array.make (n * d) 0.0 in
-  for i = 0 to n - 1 do
-    for j = 0 to d - 1 do
-      pooled.((i * d) + j) <- Mat.get y i j
-    done
-  done;
-  Ks.test_gaussian pooled
+  Whiten.with_whitened t.solver (fun y -> Ks.test_gaussian y.Mat.a)
 
 let confidence_ellipses t rows =
   if Array.length rows = 0 then
     invalid_arg "Session.confidence_ellipses: empty selection";
-  let m = data t in
-  let sel = View.project t.view (Mat.select_rows m rows) in
-  let bg = View.project t.view (Mat.select_rows t.sample rows) in
+  let c = t.coords in
+  let sel = Array.map (fun r -> (c.data_x.(r), c.data_y.(r))) rows in
+  let bg = Array.map (fun r -> (c.sample_x.(r), c.sample_y.(r))) rows in
   (Ellipse.of_points sel, Ellipse.of_points bg)

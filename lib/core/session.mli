@@ -2,9 +2,15 @@
 
     A session owns a dataset (standardized on entry, so the spherical
     Gaussian prior of Eq. 1 is meaningful), the growing constraint set,
-    the MaxEnt solver state, the current most-informative 2-D view and a
-    cached sample of the background distribution.  Every interaction of
-    the paper's UI is a function here:
+    the MaxEnt solver state, the current most-informative 2-D view and
+    that view's coordinates: every data row and its paired background
+    sample on both axes ({!coordinates}).  Its only [n×d] matrices are
+    the dataset it was created from, which journals and snapshots print,
+    and the jittered working copy the solver reads; a view whitens into
+    a buffer the process lends it ({!Sider_projection.Whiten.with_whitened})
+    and draws its background sample one row at a time, keeping only the
+    row's two coordinates.  Every interaction of the paper's UI is a
+    function here:
 
     - look at the current view ({!current_view}, {!scatter});
     - select points ({!Selection});
@@ -44,6 +50,15 @@ type point = {
                                   background sample (the gray point the
                                   UI connects with a line). *)
 }
+
+type coordinates = {
+  data_x : float array;    (** Row [i] of {!data} on the first axis. *)
+  data_y : float array;    (** ... and on the second. *)
+  sample_x : float array;  (** Row [i]'s paired background sample on the
+                               first axis. *)
+  sample_y : float array;  (** ... and on the second. *)
+}
+(** The current view's coordinates, one entry per data row. *)
 
 val create : ?seed:int -> ?standardize:bool -> ?jitter:float ->
   ?method_:View.method_ -> Dataset.t -> t
@@ -139,30 +154,32 @@ val degradations : t -> Sider_error.t list
 
 val recompute_view : ?method_:View.method_ -> t -> View.t
 (** Whiten against the current background distribution and find the most
-    informative projection; refreshes the cached background sample and the
-    per-point pairing.  The data is whitened into a buffer the session
-    owns and the sample is redrawn into its own matrix, so a view
-    allocates no [n×d] matrix.  When whitening raises (a non-finite Σ),
-    the view, its labels and the sample stay as they were. *)
+    informative projection; draws a fresh background sample and rewrites
+    the {!coordinates} in place.  The data is whitened into the
+    process's lent buffer and the sample is drawn row by row
+    ({!Solver.sample_projected}), so a view allocates no [n×d] matrix.
+    Every step that can raise (a non-finite Σ when whitening, a class's
+    factor when sampling) runs first: when one raises, the method, the
+    view, its labels and the coordinates stay as they were.  The view
+    is recorded in {!history} either way. *)
 
 val current_view : t -> View.t
 
+val coordinates : t -> coordinates
+(** The current view's coordinates: the dot products of row [i] of
+    {!data}, and of the background sample drawn with the view, with the
+    view's two axis directions, each summed as {!Mat.row_dot} sums it.
+    Computed once per view by {!create} and {!recompute_view}, in place:
+    the same arrays for the session's life, so copy them to keep one
+    view's.  Not to be modified.  The service prints its projection
+    responses from them, without building a point array. *)
+
 val scatter : t -> point array
-(** The current scatter plot: data coordinates, paired background-sample
-    coordinates, labels.  Point [i]'s coordinates are the dot products
-    of row [i] of {!data} and of {!background_sample} with the view's
-    two axis directions, summed as {!Mat.row_dot} sums them.  The
-    service prints its projection responses from those matrices in the
-    same order ({!Mat.mv_into}), without building this array. *)
+(** The current scatter plot: {!coordinates} as one point per row, with
+    its label. *)
 
 val background_points : t -> (float * float) array
-(** Projections of the cached background sample. *)
-
-val background_sample : t -> Mat.t
-(** The cached background sample: one row per data row, the sample
-    paired with that row.  Drawn by {!create} and redrawn in place by
-    {!recompute_view}: the same matrix for the session's life, so copy
-    it to keep one view's sample.  Not to be modified. *)
+(** The background sample's coordinates ([sample_x], [sample_y]). *)
 
 val axis_labels : ?top:int -> t -> string * string
 (** Paper-style axis labels of the current view.  Without [top], the
@@ -195,10 +212,12 @@ val residual_gaussianity : t -> float * float
     the paper's stopping condition: if the background distribution
     explains the data, the whitened data is a unit spherical Gaussian and
     [d] is small.  (With n·d pooled values the test is extremely powerful,
-    so judge by [d] falling over iterations rather than by [p] alone.) *)
+    so judge by [d] falling over iterations rather than by [p] alone.)
+    The data is whitened into the process's lent buffer. *)
 
 val confidence_ellipses : t -> int array ->
   Sider_stats.Ellipse.t * Sider_stats.Ellipse.t
 (** 95% confidence ellipses of a selection in the current view:
     (selection points, their background samples) — the solid and dotted
-    blue ellipsoids of the UI. *)
+    blue ellipsoids of the UI, from the {!coordinates} of the selected
+    rows. *)

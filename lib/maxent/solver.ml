@@ -533,34 +533,32 @@ let relative_entropy t =
 
 (* --- sampling ------------------------------------------------------------ *)
 
-let sample_into ~dst t rng =
-  let n, d = Mat.dims t.data in
-  if Mat.dims dst <> (n, d) then
-    invalid_arg "Solver.sample_into: shape mismatch with solver data" [@sider.allow "error-discipline"];
-  (* Every factor first, so nothing that can fail runs once [dst] is
-     being written. *)
+(* The one draw loop of [sample] and [sample_projected].  Every class is
+   factored first, so nothing that can fail runs once a row is drawn.
+   Classes in order, each class's member rows in ascending order, take
+   consecutive blocks of [d] draws: the draw order of one
+   [Sampler.normal_vec] per row.  Row [r]'s draws [z] go into [buf] at
+   [r * stride], and entry [i] becomes [mean_i + Σ_j chol_ij z_j] for [i]
+   descending: it reads only [z_0 .. z_i], which no later [i] has
+   overwritten.  One accumulator over ascending [j], the order of
+   [Mat.mv], so the row is the bits [Vec.add mean (Mat.mv chol z)]
+   gives.  The sum stops at the diagonal: the factor's upper entries are
+   exact zeros, and adding ±0 never changes a sum started at +0.0.
+   [drawn r] runs once row [r] is in place. *)
+let draw_rows t rng buf ~stride ~drawn =
+  let _, d = Mat.dims t.data in
   let factors =
     Array.map
       (fun p -> (Chol.decompose_psd (Mat.symmetrize p.Gauss_params.sigma)).Mat.a)
       t.classes
   in
-  let oa = dst.Mat.a in
   Array.iteri
     (fun cls p ->
       let ca = factors.(cls) and mean = p.Gauss_params.mean in
-      (* The class's member rows, in ascending order, take consecutive
-         blocks of [d] draws: the draw order of one [Sampler.normal_vec]
-         per row.  A row's draws [z] go straight into the row, and entry
-         [i] becomes [mean_i + Σ_j chol_ij z_j] for [i] descending: it
-         reads only [z_0 .. z_i], which no later [i] has overwritten.
-         One accumulator over ascending [j], the order of [Mat.mv], so
-         the rows are the bits [Vec.add mean (Mat.mv chol z)] gives.
-         The sum stops at the diagonal: the factor's upper entries are
-         exact zeros, and adding ±0 never changes a sum started at +0.0. *)
       Array.iter
         (fun r ->
-          let roff = r * d in
-          Rng.fill_normal rng oa ~pos:roff ~len:d;
+          let roff = r * stride in
+          Rng.fill_normal rng buf ~pos:roff ~len:d;
           for i = d - 1 downto 0 do
             let coff = i * d in
             let acc = ref 0.0 in
@@ -568,18 +566,40 @@ let sample_into ~dst t rng =
               acc :=
                 !acc
                 +. (Array.unsafe_get ca (coff + j)
-                    *. Array.unsafe_get oa (roff + j))
+                    *. Array.unsafe_get buf (roff + j))
             done;
-            Array.unsafe_set oa (roff + i) (Array.unsafe_get mean i +. !acc)
-          done)
+            Array.unsafe_set buf (roff + i) (Array.unsafe_get mean i +. !acc)
+          done;
+          drawn r)
         (Partition.members t.partition cls))
     t.classes
 
 let sample t rng =
   let n, d = Mat.dims t.data in
   let out = Mat.create n d in
-  sample_into ~dst:out t rng;
+  draw_rows t rng out.Mat.a ~stride:d ~drawn:ignore;
   out
+
+(* Each row is drawn into one d-float scratch and leaves only its two
+   dot products, each summed over ascending [j] from +0.0 as
+   [Mat.mv_into] sums a row. *)
+let sample_projected t rng ~w1 ~w2 ~dst1 ~dst2 =
+  let n, d = Mat.dims t.data in
+  if
+    Array.length w1 <> d || Array.length w2 <> d
+    || Array.length dst1 <> n || Array.length dst2 <> n
+  then
+    invalid_arg "Solver.sample_projected: shape mismatch with solver data" [@sider.allow "error-discipline"];
+  let z = Array.create_float d in
+  draw_rows t rng z ~stride:0 ~drawn:(fun r ->
+      let acc1 = ref 0.0 and acc2 = ref 0.0 in
+      for j = 0 to d - 1 do
+        let zj = Array.unsafe_get z j in
+        acc1 := !acc1 +. (zj *. Array.unsafe_get w1 j);
+        acc2 := !acc2 +. (zj *. Array.unsafe_get w2 j)
+      done;
+      Array.unsafe_set dst1 r !acc1;
+      Array.unsafe_set dst2 r !acc2)
 
 let mean_matrix t =
   let n, d = Mat.dims t.data in

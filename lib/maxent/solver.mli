@@ -135,20 +135,27 @@ val relative_entropy : t -> float [@@sider.allow "test-hook"]
     constraints accumulate — each additional constraint set can only
     move the MaxEnt solution further from the prior. *)
 
-val sample_into : dst:Mat.t -> t -> Rng.t -> unit
-(** Overwrite [dst] (the data's shape) with one dataset drawn from the
-    background distribution: row [i] is drawn from [N(m_i, Σ_i)],
-    through one PSD Cholesky factorization of [symmetrize Σ] per class,
-    every class factored before [dst] is written.  Classes in order,
-    each class's member rows in ascending order, each row takes its [d]
-    variates from {!Rng.fill_normal} straight into the row, so the draws
-    and bits are those of [mean + L·z] per member row, [z] from
-    {!Sampler.normal_vec} and the product summed as {!Mat.mv} sums it.
-    Allocates the [k] factors, nothing of size [n].  Raises
-    [Invalid_argument] on a shape mismatch. *)
-
 val sample : t -> Rng.t -> Mat.t
-(** {!sample_into} a fresh matrix. *)
+(** One dataset drawn from the background distribution: row [i] is
+    drawn from [N(m_i, Σ_i)], through one PSD Cholesky factorization of
+    [symmetrize Σ] per class, every class factored before a row is
+    drawn.  Classes in order, each class's member rows in ascending
+    order, each row takes its [d] variates from {!Rng.fill_normal}, so
+    the draws and bits are those of [mean + L·z] per member row, [z]
+    from {!Sampler.normal_vec} and the product summed as {!Mat.mv} sums
+    it. *)
+
+val sample_projected : t -> Rng.t -> w1:Vec.t -> w2:Vec.t ->
+  dst1:Vec.t -> dst2:Vec.t -> unit
+(** The rows {!sample} would draw from the same generator, seen only
+    through two directions: [dst1.(i)] and [dst2.(i)] are row [i]'s dot
+    products with [w1] and [w2], summed as {!Mat.mv_into} sums a row,
+    and the generator is left where {!sample} leaves it.  Each row is
+    drawn into one [d]-float scratch, so nothing of size [n×d] is
+    allocated and no float is boxed per row.  Every class is factored
+    before [dst1] or [dst2] is written, so a factor that raises leaves
+    them as they were.  Raises [Invalid_argument] when a direction is
+    not of length [d] or a destination not of length [n]. *)
 
 val mean_matrix : t -> Mat.t [@@sider.allow "test-hook"]
 (** The per-row means as an [n×d] matrix. *)

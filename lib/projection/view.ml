@@ -77,9 +77,8 @@ let of_whitened ?rng ?ica_max_iter ?ica_w0 ~method_ y =
         y
     end
 
-let of_solver ?rng ?ica_w0 ~dst ~method_ solver =
-  Whiten.whiten_into ~dst solver;
-  of_whitened ?rng ?ica_w0 ~method_ dst
+let of_solver ?rng ?ica_w0 ~method_ solver =
+  Whiten.with_whitened solver (fun y -> of_whitened ?rng ?ica_w0 ~method_ y)
 
 (* [Mat.row_dot] adds the terms in [Vec.dot]'s order without copying
    the row. *)

@@ -51,12 +51,12 @@ val of_whitened : ?rng:Rng.t -> ?ica_max_iter:int -> ?ica_w0:Mat.t ->
     for tests forcing non-convergence).  Raises [Invalid_argument] when
     fewer than two usable directions exist even for PCA (d < 2). *)
 
-val of_solver : ?rng:Rng.t -> ?ica_w0:Mat.t -> dst:Mat.t ->
-  method_:method_ -> Solver.t -> t
+val of_solver : ?rng:Rng.t -> ?ica_w0:Mat.t -> method_:method_ ->
+  Solver.t -> t
 (** Whiten the solver's data with respect to its background distribution
-    into [dst] ({!Whiten.whiten_into}), then find the view of [dst] —
-    one full step of the paper's pipeline.  The view keeps no reference
-    to [dst], so one buffer serves every view of the same data. *)
+    into the process's lent buffer ({!Whiten.with_whitened}), then find
+    the view of it — one full step of the paper's pipeline.  The view
+    keeps no reference to the buffer. *)
 
 val project : t -> Mat.t -> (float * float) array
 (** Coordinates of each row of a matrix in the view. *)

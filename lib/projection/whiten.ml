@@ -102,17 +102,31 @@ let whiten_with ~dst solver transforms m =
 
 (* The transforms come first: a Σ that raises leaves [dst] untouched. *)
 let whiten_into ~dst solver =
-  let data = Solver.data solver in
-  if Mat.dims dst <> Mat.dims data then
-    invalid_arg "Whiten.whiten_into: shape mismatch with solver data" [@sider.allow "error-discipline"];
   Obs.with_span "whiten" @@ fun () ->
-  whiten_with ~dst solver (class_transforms solver) data
+  whiten_with ~dst solver (class_transforms solver) (Solver.data solver)
 
 let whiten solver =
   let n, d = Mat.dims (Solver.data solver) in
   let out = Mat.create n d in
   whiten_into ~dst:out solver;
   out
+
+(* The slot holds the buffer while no view has it.  Taking it empties
+   the slot, so two views never share one; a view that finds it empty
+   or of another shape whitens into a fresh matrix and puts that back,
+   and the slot keeps the last one returned. *)
+let lent : Mat.t option Atomic.t = Atomic.make None
+
+let with_whitened solver f =
+  let n, d = Mat.dims (Solver.data solver) in
+  let y =
+    match Atomic.exchange lent None with
+    | Some y when Mat.dims y = (n, d) -> y
+    | _ -> Mat.create n d
+  in
+  Fun.protect ~finally:(fun () -> Atomic.set lent (Some y)) @@ fun () ->
+  whiten_into ~dst:y solver;
+  f y
 
 let whiten_matrix solver m =
   let n, d = Mat.dims m in

@@ -20,11 +20,16 @@ val whiten : Solver.t -> Mat.t
     [Sider_robust.Sider_error.Error (Nan_detected _)] if a Σ contains
     non-finite entries — the only failure mode left. *)
 
-val whiten_into : dst:Mat.t -> Solver.t -> unit
-(** {!whiten} into [dst], the data's shape, which must not be the
-    solver's data.  Every class's transform is computed before [dst] is
-    written, so a Σ that raises leaves [dst] as it was.  Raises
-    [Invalid_argument] on a shape mismatch. *)
+val with_whitened : Solver.t -> (Mat.t -> 'a) -> 'a
+(** [with_whitened solver f] is [f] of {!whiten}'s matrix, whitened into
+    a buffer the process lends to one caller at a time.  The caller
+    takes the buffer with [Atomic.exchange] and returns it when [f]
+    returns or raises; a caller that finds it held by another, or of
+    another shape, whitens into a fresh matrix and returns that one, so
+    the process keeps one buffer, of the last shape whitened.  A Σ that
+    raises does so before the buffer is written, and [f] is not called.
+    [f] must not keep the matrix or return it: the next caller
+    overwrites it. *)
 
 val whiten_matrix : Solver.t -> Mat.t -> Mat.t [@@sider.allow "test-hook"]
 (** Apply the same per-row transformations to another matrix of the same

@@ -214,38 +214,14 @@ let report_json (r : Sider_maxent.Solver.report) =
 
 (* --- projection bodies -------------------------------------------------------- *)
 
-type scratch = {
-  mutable x : float array;
-  mutable y : float array;
-  mutable bx : float array;
-  mutable by : float array;
-}
-
-let scratch () = { x = [||]; y = [||]; bx = [||]; by = [||] }
-
 (* The fields [Json.to_string] would print for the tree of the view's
-   method, axis labels and scores and of every point, in that order:
-   the coordinates come from [Mat.mv_into], which sums each row as
-   [Session.scatter]'s [Mat.row_dot] does, into the scratch, and every
-   number is printed from there, so no float is boxed and no point
-   record, tree or string is built. *)
-let write_projection sc w session =
-  let data = Session.data session
-  and sample = Session.background_sample session in
-  let n, _ = Mat.dims data in
-  if Array.length sc.x <> n then begin
-    sc.x <- Array.create_float n;
-    sc.y <- Array.create_float n;
-    sc.bx <- Array.create_float n;
-    sc.by <- Array.create_float n
-  end;
-  let view = Session.current_view session in
-  let a1 = view.View.axis1.View.direction
-  and a2 = view.View.axis2.View.direction in
-  Mat.mv_into ~dst:sc.x data a1;
-  Mat.mv_into ~dst:sc.y data a2;
-  Mat.mv_into ~dst:sc.bx sample a1;
-  Mat.mv_into ~dst:sc.by sample a2;
+   method, axis labels and scores and of every point, in that order.
+   Every number is printed from the session's coordinate arrays, which
+   the view computed once, so no float is boxed and no point record,
+   tree or string is built. *)
+let write_projection w session =
+  let c = Session.coordinates session in
+  let n = Array.length c.Session.data_x in
   let xl, yl = Session.axis_labels session in
   let sx, sy = Session.view_scores session in
   Json.write_raw w "{\"method\":";
@@ -264,13 +240,13 @@ let write_projection sc w session =
     Json.write_raw w (if i = 0 then "{\"i\":" else ",{\"i\":");
     Json.write_int w i;
     Json.write_raw w ",\"x\":";
-    Json.write_number_at w sc.x i;
+    Json.write_number_at w c.Session.data_x i;
     Json.write_raw w ",\"y\":";
-    Json.write_number_at w sc.y i;
+    Json.write_number_at w c.Session.data_y i;
     Json.write_raw w ",\"bx\":";
-    Json.write_number_at w sc.bx i;
+    Json.write_number_at w c.Session.sample_x i;
     Json.write_raw w ",\"by\":";
-    Json.write_number_at w sc.by i;
+    Json.write_number_at w c.Session.sample_y i;
     (match labels with
      | Some l ->
        Json.write_raw w ",\"label\":";
@@ -280,26 +256,25 @@ let write_projection sc w session =
   done;
   Json.write_raw w "]}"
 
-(* A worker's response buffer and projection scratch, kept for its whole
-   life, so a warm response allocates neither.  Between responses it
-   keeps at most [retained_bytes] of each: a larger response's buffer
-   or scratch is dropped right after it, and the next one grows a fresh
-   buffer from [initial_bytes].  A fixed constant, not an option: it
-   only bounds what an idle worker holds (a projection body is about
-   124 bytes a row, so 1 MiB keeps sessions up to about 8,000 rows
-   warm), and no load changes what the service sends. *)
-type out = { mutable w : Json.writer; mutable sc : scratch }
+(* A worker's response buffer, kept for its whole life, so a warm
+   response allocates none.  Between responses it keeps at most
+   [retained_bytes]: a larger response's buffer is dropped right after
+   it, and the next one grows a fresh buffer from [initial_bytes].  A
+   fixed constant, not an option: it only bounds what an idle worker
+   holds (a projection body is about 124 bytes a row, so 1 MiB keeps
+   sessions up to about 8,000 rows warm), and no load changes what the
+   service sends. *)
+type out = { mutable w : Json.writer }
 
 let initial_bytes = 4096
 
 let retained_bytes = 1 lsl 20
 
-let out () = { w = Json.writer initial_bytes; sc = scratch () }
+let out () = { w = Json.writer initial_bytes }
 
 let release out =
   if Json.capacity out.w > retained_bytes then
-    out.w <- Json.writer initial_bytes;
-  if 4 * 8 * Array.length out.sc.x > retained_bytes then out.sc <- scratch ()
+    out.w <- Json.writer initial_bytes
 
 (* --- request context -------------------------------------------------------- *)
 
@@ -502,7 +477,7 @@ let handle_view t ctx out (req : Http.request) id =
   journal_event ctx entry (Session.Viewed m);
   let t0 = Obs.now_ns () in
   ignore (Session.recompute_view ~method_:m s);
-  write_projection out.sc out.w s;
+  write_projection out.w s;
   Obs.observe_into stage_project (Int64.to_float (ns_span t0) /. 1e9);
   crash_poll req.path;
   Registry.maybe_compact t.registry entry;
@@ -587,7 +562,7 @@ let route t ctx out (req : Http.request) ~deadline_at =
     with_entry t id (fun entry ->
         let s = Registry.session ~trace:ctx.rc_trace entry in
         let t0 = Obs.now_ns () in
-        write_projection out.sc w s;
+        write_projection w s;
         Obs.observe_into stage_project (Int64.to_float (ns_span t0) /. 1e9);
         (200, json))
   | _, ("sessions" :: _ | [ "healthz" ] | [ "metrics" ] | [ "slo" ]) ->

@@ -181,21 +181,15 @@ val decode_create : string -> create
 
 (** {2 Projection bodies} *)
 
-type scratch
-(** The coordinates a projection body is printed from: one array per
-    axis for the points and one for their background samples, kept
-    while the row count stays the same. *)
-
-val scratch : unit -> scratch
-
-val write_projection :
-  scratch -> Sider_data.Json.writer -> Sider_core.Session.t -> unit
+val write_projection : Sider_data.Json.writer -> Sider_core.Session.t -> unit
 (** Print the body of [POST /sessions/:id/view] and [GET
     /sessions/:id/projection] into the writer: the current view's
     method, axis labels and scores, then every point with its index,
     coordinates, paired background sample and label (when the dataset
-    has labels).  The coordinates are computed into the scratch as
-    {!Sider_core.Session.scatter} computes them, so the text is byte for
-    byte what [Json.to_string] prints for the tree of those fields.  No
-    tree, point array or string of the body is built: with a warm writer
-    and scratch, only the axis labels allocate. *)
+    has labels).  The numbers are read from
+    {!Sider_core.Session.coordinates}, which the view computed once, so
+    the text is byte for byte what [Json.to_string] prints for the tree
+    of {!Sider_core.Session.scatter}'s fields, and a read projects
+    nothing.  No tree, point array or string of the body is built: with
+    a warm writer it allocates a few words and none per point (15 at
+    n=1024). *)

@@ -71,7 +71,12 @@ let test_scatter_pairs_background () =
   check_true "labels carried" (pts.(0).Session.label = Some "A");
   let bg = Session.background_points s in
   check_true "paired background" (Array.length bg = 150);
-  approx "pairing consistent" (fst pts.(3).Session.background) (fst bg.(3))
+  approx "pairing consistent" (fst pts.(3).Session.background) (fst bg.(3));
+  let rows = View.project (Session.current_view s) (Session.data s) in
+  check_bits "data x as projected rows" (Array.map fst rows)
+    (Array.map (fun p -> p.Session.x) pts);
+  check_bits "data y as projected rows" (Array.map snd rows)
+    (Array.map (fun p -> p.Session.y) pts)
 
 let test_add_constraints_counts () =
   let s, _, _ = x5_session () in
@@ -420,11 +425,14 @@ let write_round s rows =
   ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 s);
   ignore (Session.recompute_view ~method_:View.Pca s)
 
-let with_warm_reads_session f =
+let with_one_domain f =
   let module Par = Sider_par.Par in
   let domains = Par.domain_count () in
   Par.set_domains 1;
-  Fun.protect ~finally:(fun () -> Par.set_domains domains) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Par.set_domains domains) f
+
+let with_warm_reads_session f =
+  with_one_domain @@ fun () ->
   let ds = reads_dataset () in
   let rows c = Dataset.class_indices ds (List.nth (Dataset.classes ds) c) in
   let s = Session.create ~seed:1 ds in
@@ -466,29 +474,150 @@ let test_write_round_keeps_one_row_set () =
     Alcotest.failf "a write round grew the session by %d words, at most %d"
       growth (bound - 1)
 
+(* A session at [projection_reads]' shape, created, margin solved and
+   viewed as the benchmark preloads it, keeps two n×d matrices (the
+   dataset and the jittered working copy) and its view's 4n coordinates:
+   44,714 words when written.  Keeping the whole background sample and
+   a whitening buffer of its own, it kept 73,388 (4.48·nd). *)
+let test_resident_session_words () =
+  with_one_domain @@ fun () ->
+  let s = Session.create ~seed:1 (reads_dataset ()) in
+  Session.add_margin_constraint s;
+  ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 s);
+  ignore (Session.recompute_view ~method_:View.Pca s);
+  let n, d = Mat.dims (Session.data s) in
+  let words = Obj.reachable_words (Obj.repr s) in
+  if words >= 3 * n * d then
+    Alcotest.failf "a resident session keeps %d words, 3nd = %d" words
+      (3 * n * d)
+
+(* The printed projection of a session's current view. *)
+let printed_projection s =
+  let w = Json.writer 4096 in
+  Sider_serve.Service.write_projection w s;
+  Json.contents w
+
+(* Every view borrows the process's one whitening buffer.  Two
+   systhreads run write rounds at once: one on a session of one shape,
+   the other on a session of that shape and one of another.  After its
+   first round, which leaves the buffer at its shape, the first holds
+   the buffer (through [Whiten.with_whitened], as a view does) while the
+   second runs all its rounds, and then runs the rest of its own.  The
+   held buffer must still hold the first session's whitened data, and
+   every projection either thread prints must be the bytes a sequential
+   run prints.  Then a view that raises must give the buffer back, so
+   the next view of its shape, counted at one domain, puts no n×d
+   matrix on the major heap. *)
+let test_lent_whitening_buffer () =
+  let datasets =
+    [| Synth.clustered ~seed:11 ~n:400 ~d:8 ~k:4 ();
+       Synth.clustered ~seed:12 ~n:400 ~d:8 ~k:4 ();
+       Synth.clustered ~seed:13 ~n:150 ~d:5 ~k:4 () |]
+  in
+  let methods = [| View.Ica; View.Pca; View.Ica |] in
+  let sessions () =
+    Array.mapi
+      (fun i ds -> Session.create ~seed:(i + 1) ~method_:methods.(i) ds)
+      datasets
+  in
+  (* Round 0 marks the margin, round r > 0 the class c(r-1). *)
+  let round s i r =
+    (if r = 0 then Session.add_margin_constraint s
+     else
+       Session.add_cluster_constraint s
+         (Dataset.class_indices datasets.(i) (Printf.sprintf "c%d" (r - 1))));
+    ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:50 s);
+    ignore (Session.recompute_view s);
+    printed_projection s
+  in
+  let run ?(rounds = [ 0; 1; 2; 3 ]) ss mine =
+    List.concat_map (fun r -> List.map (fun i -> round ss.(i) i r) mine) rounds
+  in
+  let sequential =
+    let ss = sessions () in
+    [| run ss [ 0 ]; run ss [ 1; 2 ] |]
+  in
+  let ss = sessions () in
+  let got = [| []; [] |] and intact = ref false in
+  let held = Atomic.make false and done_ = Atomic.make false in
+  let wait flag = while not (Atomic.get flag) do Thread.delay 0.001 done in
+  (* Each thread raises its flag on the way out too, so one that fails
+     does not leave the other waiting. *)
+  let first () =
+    Fun.protect ~finally:(fun () -> Atomic.set held true) @@ fun () ->
+    let printed = run ~rounds:[ 0 ] ss [ 0 ] in
+    let solver = Session.solver ss.(0) in
+    Whiten.with_whitened solver (fun y ->
+        Atomic.set held true;
+        wait done_;
+        intact := Array.for_all2 same_bits y.Mat.a (Whiten.whiten solver).Mat.a);
+    got.(0) <- printed @ run ~rounds:[ 1; 2; 3 ] ss [ 0 ]
+  in
+  let second () =
+    Fun.protect ~finally:(fun () -> Atomic.set done_ true) @@ fun () ->
+    wait held;
+    got.(1) <- run ss [ 1; 2 ]
+  in
+  List.iter Thread.join [ Thread.create first (); Thread.create second () ];
+  check_true "the held buffer kept its whitened data" !intact;
+  Array.iteri
+    (fun k expected ->
+      check_true (Printf.sprintf "thread %d printed the sequential bytes" k)
+        (List.equal String.equal expected got.(k)))
+    sequential;
+  with_one_domain @@ fun () ->
+  let s = ss.(1) and poisoned = ss.(0) in
+  let n, d = Mat.dims (Session.data s) in
+  ignore (Session.recompute_view s);
+  let sigma =
+    (Sider_maxent.Solver.class_params (Session.solver poisoned) 0)
+      .Sider_maxent.Gauss_params.sigma
+  in
+  Mat.set sigma 0 0 Float.nan;
+  (match Session.recompute_view poisoned with
+   | _ -> Alcotest.fail "a view over a NaN Σ did not raise"
+   | exception Sider_robust.Sider_error.Error _ -> ());
+  let before = major_words () in
+  ignore (Session.recompute_view s);
+  let major = int_of_float (major_words () -. before) in
+  if major >= n * d then
+    Alcotest.failf "the view after a failed one put %d words on the major \
+                    heap, nd = %d" major (n * d)
+
 (* A view whose whitening raises (a class's Σ poisoned with NaN) leaves
-   the session's view, its labels and the background sample exactly as
-   they were. *)
+   the session's method, view, labels and coordinates exactly as they
+   were, so a projection printed after it is the one printed before,
+   whose "method" names the shown view's. *)
 let test_failed_view_keeps_view_and_sample () =
   let s = Session.create ~seed:5 (Synth.three_d ()) in
   Session.add_cluster_constraint s (Array.init 30 Fun.id);
   ignore (Session.update_background_exn s);
   ignore (Session.recompute_view s);
   let view = Session.current_view s and labels = Session.axis_labels s in
-  let sample = Mat.copy (Session.background_sample s) in
+  let coordinates () =
+    let c = Session.coordinates s in
+    [| c.data_x; c.data_y; c.sample_x; c.sample_y |]
+  in
+  let kept = Array.map Array.copy (coordinates ()) in
+  let before = printed_projection s in
   let sigma =
     (Sider_maxent.Solver.class_params (Session.solver s) 0)
       .Sider_maxent.Gauss_params.sigma
   in
   Mat.set sigma 0 0 Float.nan;
-  (match Session.recompute_view s with
+  (match Session.recompute_view ~method_:View.Ica s with
    | _ -> Alcotest.fail "a view over a NaN Σ did not raise"
    | exception Sider_robust.Sider_error.Error e ->
      Alcotest.(check string) "error" "nan-detected"
        (Sider_robust.Sider_error.label e));
+  check_true "method kept" (Session.method_ s = View.Pca);
   check_true "view kept" (Session.current_view s == view);
   check_true "labels kept" (Session.axis_labels s = labels);
-  check_bits "sample kept" sample.Mat.a (Session.background_sample s).Mat.a
+  Array.iter2 (check_bits "coordinates kept") kept (coordinates ());
+  let after = printed_projection s in
+  Alcotest.(check string) "printed method" "PCA"
+    (Json.to_str (Json.member "method" (Json.of_string after)));
+  check_true "printed projection kept" (String.equal before after)
 
 let suite =
   [
@@ -527,4 +656,7 @@ let suite =
     case "write round keeps one row set per cluster"
       test_write_round_keeps_one_row_set;
     case "failed view keeps view and sample" test_failed_view_keeps_view_and_sample;
+    case "resident session keeps under 3nd words" test_resident_session_words;
+    case "lent whitening buffer: concurrent rounds print sequential bytes"
+      test_lent_whitening_buffer;
   ]

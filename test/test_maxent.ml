@@ -576,8 +576,8 @@ let test_sample_bits () =
 (* The first round of a session at the [projection_reads] benchmark
    workload's shape (n=1024, d=16): the margin constraints, adding them
    to the solver, the solve and a background sample allocate at most
-   4·n·d words, the same count on a second run: 33,269 when written,
-   20,495 of them the sample, which is one n×d matrix and a factor per
+   4·n·d words, the same count on a second run: 33,267 when written,
+   20,493 of them the sample, which is one n×d matrix and a factor per
    class (the draws go straight into its rows).  Counted with no
    telemetry sink, as the other allocation gates here: a live sink's
    lines (say [SIDER_TRACE=stderr]) print each span's duration, whose

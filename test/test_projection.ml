@@ -470,7 +470,7 @@ let test_view_of_solver_picks_structure () =
         else Sider_rand.Sampler.normal r)
   in
   let s = Solver.create data [] in
-  let v = View.of_solver ~dst:(Mat.create n 3) ~method_:View.Pca s in
+  let v = View.of_solver ~method_:View.Pca s in
   check_true "axis1 loads on X3"
     (Float.abs v.View.axis1.View.direction.(2) > 0.95)
 

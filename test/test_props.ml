@@ -580,13 +580,15 @@ let reference_covariance m =
 
 (* After every step of a random history (margin, cluster, 2-D and
    1-cluster constraints, each followed by an update and a view, so the
-   classes and their sizes change from view to view), [sample_into]
-   refills one dirty buffer with the bits and the draws of the old
-   sample from an identically seeded generator, and [Mat.covariance]
-   gives the old bits on that sample, on the whitened data and on the
-   sample with a constant column (whose centred entries are exact zeros,
-   so the zero-skip is taken).  A 600×16 matrix with a constant column
-   is large enough for the covariance to fan out over the domain pool. *)
+   classes and their sizes change from view to view), three identically
+   seeded generators draw: [Solver.sample] gives the bits of the old
+   sample, [sample_projected] writes into two dirty arrays exactly
+   [Mat.mv_into] of that sample on the view's two axes, and all three
+   generators end in the same state.  [Mat.covariance] gives the old
+   bits on the sample, on the whitened data and on the sample with a
+   constant column (whose centred entries are exact zeros, so the
+   zero-skip is taken).  A 600×16 matrix with a constant column is large
+   enough for the covariance to fan out over the domain pool. *)
 let prop_in_place_sample_and_covariance =
   let module Session = Sider_core.Session in
   let module Rng = Sider_rand.Rng in
@@ -594,8 +596,7 @@ let prop_in_place_sample_and_covariance =
   qcheck ~count:25 "in-place sample and covariance keep the old bits" gen
     (fun script ->
       let s = Session.create ~seed:3 (Sider_data.Synth.clustered ~seed:17 ~n:40 ~d:4 ~k:3 ()) in
-      let n, d = Mat.dims (Session.data s) in
-      let dirty = Mat.init n d (fun i j -> if (i + j) mod 3 = 0 then Float.nan else 1e300) in
+      let n, _ = Mat.dims (Session.data s) in
       let same_cov m = bits_equal_mat (Mat.covariance m) (reference_covariance m) in
       let large = Sider_rand.Sampler.normal_mat (Rng.create 29) 600 16 in
       for i = 0 to 599 do Mat.set large i 3 2.5 done;
@@ -609,15 +610,28 @@ let prop_in_place_sample_and_covariance =
            | 2 -> Session.add_two_d_constraint s (rows ())
            | _ -> Session.add_one_cluster_constraint s);
           ignore (Session.update_background ~time_cutoff:1.0 ~max_sweeps:4 s);
-          ignore (Session.recompute_view s);
+          let view = Session.recompute_view s in
+          let module View = Sider_projection.View in
+          let w1 = view.View.axis1.View.direction
+          and w2 = view.View.axis2.View.direction in
           let solver = Session.solver s in
-          let a = Rng.create pick and b = Rng.create pick in
-          Solver.sample_into ~dst:dirty solver a;
-          let constant = Mat.copy dirty in
+          let a = Rng.create pick and b = Rng.create pick and c = Rng.create pick in
+          let sample = Solver.sample solver a in
+          let projected w =
+            let dst = Array.create_float n in
+            Mat.mv_into ~dst sample w;
+            dst
+          in
+          let dst1 = Array.make n Float.nan and dst2 = Array.make n 1e300 in
+          Solver.sample_projected solver c ~w1 ~w2 ~dst1 ~dst2;
+          let constant = Mat.copy sample in
           for i = 0 to n - 1 do Mat.set constant i 0 1.0 done;
-          bits_equal_mat dirty (reference_sample solver b)
-          && Float.equal (Rng.float a) (Rng.float b)
-          && same_cov dirty && same_cov constant
+          let next = Rng.float a in
+          bits_equal_mat sample (reference_sample solver b)
+          && bits_equal_vec dst1 (projected w1)
+          && bits_equal_vec dst2 (projected w2)
+          && Float.equal next (Rng.float b) && Float.equal next (Rng.float c)
+          && same_cov sample && same_cov constant
           && same_cov (Sider_projection.Whiten.whiten solver))
         script)
 

@@ -1773,9 +1773,9 @@ let reference_projection session =
          ("points", Json.List points) ])
 
 (* The text [Service.write_projection] leaves in [w], emptied first. *)
-let printed_projection scratch w session =
+let printed_projection w session =
   Json.clear w;
-  Service.write_projection scratch w session;
+  Service.write_projection w session;
   Json.contents w
 
 (* A random session: 2 to 300 rows of 2 to 5 columns, PCA or ICA, with
@@ -1817,10 +1817,10 @@ let prop_projection_matches_tree =
     (QCheck.make random_projection_session) (fun args ->
       let s = projection_session_of args in
       let expected = reference_projection s in
-      let fresh = printed_projection (Service.scratch ()) (Json.writer 16) s in
-      let scratch = Service.scratch () and w = Json.writer 16 in
-      let larger = printed_projection scratch w (Lazy.force larger_session) in
-      let reused = printed_projection scratch w s in
+      let fresh = printed_projection (Json.writer 16) s in
+      let w = Json.writer 16 in
+      let larger = printed_projection w (Lazy.force larger_session) in
+      let reused = printed_projection w s in
       String.length larger > String.length reused
       && String.equal fresh expected
       && String.equal reused expected)
@@ -2038,10 +2038,10 @@ let test_projection_response_allocation () =
   ignore (Session.recompute_view s);
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
-  let scratch = Service.scratch () and w = Json.writer 4096 in
+  let w = Json.writer 4096 in
   let respond () =
     Http.start_body w;
-    Service.write_projection scratch w s;
+    Service.write_projection w s;
     Http.respond
       ~headers:(service_headers ~trace:long_trace 200)
       ~status:200 ~content_type:"application/json" ~keep_alive:true null w
