@@ -93,14 +93,25 @@ let dataset_to_json ds =
 
 (* A dataset as a decoder reads it, before anything is checked: the
    small fields as trees, the first of each key kept (as [Json.member]
-   finds it), and the data rows straight into one row-major float array.
-   [validate] then refuses bad content with the error the tree accessors
-   always gave, whichever decoder filled it. *)
+   finds it), and the data rows' cells in blocks of [block] floats, small
+   enough for the minor heap.  [validate] then refuses bad content with
+   the error the tree accessors always gave, whichever decoder filled it,
+   and copies the cells into one array of exactly their number, so a
+   decode leaves no larger array behind.  Of the rows' widths it keeps
+   row 0's and the first that differs from it: all it takes to find the
+   first row of the wrong width. *)
+let block = 256
+
 type rows = {
-  mutable cells : float array;  (* the first [len] are the cells read *)
-  mutable len : int;
-  mutable ends : int array;  (* [len] at the end of each of the [n] rows *)
-  mutable n : int;
+  mutable full : float array list;  (* filled blocks, newest first *)
+  mutable cur : float array;  (* the block being filled: [fill] cells *)
+  mutable fill : int;
+  mutable len : int;  (* cells read *)
+  mutable n : int;  (* rows read *)
+  mutable row_start : int;  (* [len] when the current row began *)
+  mutable width0 : int;  (* row 0's cells *)
+  mutable odd_row : int;  (* first row whose width is not row 0's, or -1 *)
+  mutable odd_width : int;
   mutable bad_row : int;  (* first row that is not a list of numbers, or -1 *)
   mutable bad_msg : string;
 }
@@ -118,21 +129,20 @@ let no_fields () =
     data = `Missing }
 
 let no_rows () =
-  { cells = [||]; len = 0; ends = [||]; n = 0; bad_row = -1; bad_msg = "" }
+  { full = []; cur = [||]; fill = 0; len = 0; n = 0; row_start = 0;
+    width0 = 0; odd_row = -1; odd_width = 0; bad_row = -1; bad_msg = "" }
 
-(* [a] with room for more than [used] entries, doubled when full. *)
-let room a used fill =
-  if used < Array.length a then a
-  else begin
-    let b = Array.make (max 256 (2 * used)) fill in
-    Array.blit a 0 b 0 used;
-    b
+(* Makes room for the next cell, which then goes to [r.cur.(r.fill)]. *)
+let reserve r =
+  if r.fill = Array.length r.cur then begin
+    if r.fill > 0 then r.full <- r.cur :: r.full;
+    r.cur <- Array.create_float block;
+    r.fill <- 0
   end
 
-(* Makes room for the next cell, whose index is then [r.len]. *)
-let reserve r = r.cells <- room r.cells r.len 0.0
-
-let cell_read r = r.len <- r.len + 1
+let cell_read r =
+  r.fill <- r.fill + 1;
+  r.len <- r.len + 1
 
 let bad r msg =
   if r.bad_row < 0 then begin
@@ -141,13 +151,46 @@ let bad r msg =
   end
 
 let end_row r =
-  r.ends <- room r.ends r.n 0;
-  r.ends.(r.n) <- r.len;
-  r.n <- r.n + 1
+  let width = r.len - r.row_start in
+  if r.n = 0 then r.width0 <- width
+  else if r.odd_row < 0 && width <> r.width0 then begin
+    r.odd_row <- r.n;
+    r.odd_width <- width
+  end;
+  r.n <- r.n + 1;
+  r.row_start <- r.len
+
+(* The cells read, in one array of exactly their number. *)
+let cells r =
+  let a = Array.create_float r.len in
+  let pos = r.len - r.fill in
+  Array.blit r.cur 0 a pos r.fill;
+  ignore
+    (List.fold_left
+       (fun pos b ->
+         let pos = pos - block in
+         Array.blit b 0 a pos block;
+         pos)
+       pos r.full);
+  a
 
 let not_a_list = "Json.to_list: not a list"
 
 let not_a_number = "Json.to_float: not a number"
+
+(* Labels name a few classes many times over: equal labels share one
+   string. *)
+let shared_strings j =
+  let seen = Hashtbl.create 16 in
+  Json.to_list j
+  |> List.map (fun x ->
+      let l = Json.to_str x in
+      match Hashtbl.find_opt seen l with
+      | Some shared -> shared
+      | None ->
+        Hashtbl.add seen l l;
+        l)
+  |> Array.of_list
 
 let validate f =
   parsing "dataset" @@ fun () ->
@@ -159,7 +202,7 @@ let validate f =
   let labels =
     match required f.labels with
     | Json.Null -> None
-    | l -> Some (strings l)
+    | l -> Some (shared_strings l)
   in
   let r =
     match f.data with
@@ -168,17 +211,16 @@ let validate f =
     | `Rows r -> r
   in
   let d = Array.length columns in
-  (* Row by row, as [Json.to_floats] then the width check met them. *)
-  for i = 0 to r.n - 1 do
-    if i = r.bad_row then invalid_arg r.bad_msg;
-    let width = r.ends.(i) - if i = 0 then 0 else r.ends.(i - 1) in
-    if width <> d then
-      corrupt "dataset: row %d has %d cells, expected %d" i width d
-  done;
-  let cells =
-    if r.len = Array.length r.cells then r.cells else Array.sub r.cells 0 r.len
-  in
-  Dataset.create ~name ?labels ~columns (Mat.of_array r.n d cells)
+  (* The first row that [Json.to_floats] then the width check refuse,
+     row by row in order. *)
+  let wrong = if r.n = 0 then -1 else if r.width0 <> d then 0 else r.odd_row in
+  if r.bad_row >= 0 && (wrong < 0 || r.bad_row <= wrong) then
+    invalid_arg r.bad_msg;
+  if wrong >= 0 then
+    corrupt "dataset: row %d has %d cells, expected %d" wrong
+      (if wrong = 0 then r.width0 else r.odd_width)
+      d;
+  Dataset.create ~name ?labels ~columns (Mat.of_array r.n d (cells r))
 
 let dataset_of_json j =
   let f = no_fields () in
@@ -201,7 +243,7 @@ let dataset_of_json j =
                    (function
                      | Json.Number x ->
                        reserve r;
-                       r.cells.(r.len) <- x;
+                       r.cur.(r.fill) <- x;
                        cell_read r
                      | _ -> bad r not_a_number)
                    cells
@@ -222,7 +264,7 @@ let read_rows c =
       match Json.peek c with
       | `Number ->
         reserve r;
-        Json.read_number_into c r.cells r.len;
+        Json.read_number_into c r.cur r.fill;
         cell_read r
       | _ ->
         ignore (Json.read_value c);
@@ -336,27 +378,102 @@ let replay_event session j =
 
 let format_version = 2
 
-let write_strings w a =
-  Json.write_char w '[';
+(* A checksummed document goes straight to its file through one small
+   buffer: [format] and [version], the checksum's gap, the fields the
+   caller prints, the closing brace.  The buffer fits the minor heap (256
+   words, a byte of them the string's padding), so a document of any
+   size puts nothing on the major heap, and it is written out once half
+   full, between rows, labels and events, so an item of up to 1 KiB
+   never grows it.  FNV-1a is accumulated over the bytes as they leave,
+   skipping the gap, so it is taken over the document without its
+   [checksum] field, which is what [verify_checksum] re-prints.  Its 16
+   digits are then written back into the gap, before the caller's fsync:
+   a crash before that leaves the placeholder, a document recovery
+   refuses, as it refuses a torn one. *)
+type out = {
+  fd : Unix.file_descr;
+  w : Json.writer;
+  mutable sent : int;  (* bytes written to [fd] *)
+  mutable hash : int64;  (* over the bytes sent, less the gap *)
+  mutable gap : int;  (* the gap's offset in the file *)
+  mutable stop : int;  (* the document's end: a newline after it is not hashed *)
+}
+
+let buffer_bytes = 2040
+
+let flush_bytes = 1020
+
+let checksum_gap = ",\"checksum\":\"0000000000000000\""
+
+let write_all fd b len =
+  let sent = ref 0 in
+  while !sent < len do
+    sent := !sent + Unix.write fd b !sent (len - !sent)
+  done
+
+(* Hashes the bytes at file offsets [lo, hi), which the buffer holds. *)
+let hash_range o b lo hi =
+  if lo < hi then o.hash <- fnv64_bytes o.hash b (lo - o.sent) (hi - lo)
+
+let flush o =
+  let b = Json.bytes o.w and n = Json.length o.w in
+  let lo = o.sent and hi = min (o.sent + n) o.stop in
+  hash_range o b lo (min hi o.gap);
+  hash_range o b (max lo (o.gap + String.length checksum_gap)) hi;
+  write_all o.fd b n;
+  o.sent <- o.sent + n;
+  Json.clear o.w
+
+let tick o = if Json.length o.w >= flush_bytes then flush o
+
+(* Streams a document into [fd], a file opened for it and empty, then
+   writes its checksum into the gap; [newline] follows the closing
+   brace.  [path] names the file for the fault hook. *)
+let stream_document ~path ?(newline = false) fd format fields =
+  let o =
+    { fd; w = Json.writer buffer_bytes; sent = 0; hash = fnv_offset; gap = 0;
+      stop = max_int }
+  in
+  Json.write_raw o.w "{\"format\":";
+  Json.write_string o.w format;
+  Json.write_raw o.w ",\"version\":";
+  Json.write_number o.w (float_of_int format_version);
+  o.gap <- Json.length o.w;
+  Json.write_raw o.w checksum_gap;
+  fields o;
+  Json.write_char o.w '}';
+  o.stop <- o.sent + Json.length o.w;
+  if newline then Json.write_char o.w '\n';
+  flush o;
+  Fault.crash_before_checksum ~path;
+  ignore
+    (Unix.lseek fd (o.gap + String.length checksum_gap - 17) Unix.SEEK_SET);
+  write_all fd (Bytes.unsafe_of_string (hex64 o.hash)) 16;
+  ignore (Unix.lseek fd 0 Unix.SEEK_END)
+
+let write_strings o a =
+  Json.write_char o.w '[';
   Array.iteri
     (fun i x ->
-      if i > 0 then Json.write_char w ',';
-      Json.write_string w x)
+      if i > 0 then Json.write_char o.w ',';
+      Json.write_string o.w x;
+      tick o)
     a;
-  Json.write_char w ']'
+  Json.write_char o.w ']'
 
 (* The bytes of [dataset_to_json], printed from the matrix. *)
-let write_dataset w ds =
+let write_dataset o ds =
+  let w = o.w in
   let m = Dataset.matrix ds in
   let n, d = Mat.dims m in
   Json.write_raw w "{\"name\":";
   Json.write_string w (Dataset.name ds);
   Json.write_raw w ",\"columns\":";
-  write_strings w (Dataset.columns ds);
+  write_strings o (Dataset.columns ds);
   Json.write_raw w ",\"labels\":";
   (match Dataset.labels ds with
    | None -> Json.write_raw w "null"
-   | Some l -> write_strings w l);
+   | Some l -> write_strings o l);
   Json.write_raw w ",\"rows\":";
   Json.write_number w (float_of_int n);
   Json.write_raw w ",\"cols\":";
@@ -364,13 +481,15 @@ let write_dataset w ds =
   Json.write_raw w ",\"data\":[";
   for i = 0 to n - 1 do
     if i > 0 then Json.write_char w ',';
-    Json.write_floats w m.Mat.a (i * d) d
+    Json.write_floats w m.Mat.a (i * d) d;
+    tick o
   done;
   Json.write_raw w "]}"
 
 (* The arguments [Session.create] is replayed from, as fields that
    follow others in an object. *)
-let write_creation w session =
+let write_creation o session =
+  let w = o.w in
   let seed, standardize, jitter, method_ = Session.creation_args session in
   Json.write_raw w ",\"seed\":";
   Json.write_number w (float_of_int seed);
@@ -381,56 +500,28 @@ let write_creation w session =
   Json.write_raw w ",\"method\":";
   Json.write w (method_to_json method_);
   Json.write_raw w ",\"dataset\":";
-  write_dataset w (Session.dataset session)
+  write_dataset o (Session.dataset session)
 
-(* Room for a dataset's text: at most 24 bytes a number (the longest
-   [%.17g]) plus its comma, 4 a row, and the strings; escapes beyond
-   that grow the writer. *)
-let text_size ds =
-  let n, d = Mat.dims (Dataset.matrix ds) in
-  let strings = Array.fold_left (fun k x -> k + String.length x + 3) 0 in
-  1024 + (25 * n * d) + (4 * n)
-  + String.length (Dataset.name ds)
-  + strings (Dataset.columns ds)
-  + Option.fold ~none:0 ~some:strings (Dataset.labels ds)
+(* A snapshot's fields: the creation arguments, then every event. *)
+let snapshot_fields session o =
+  write_creation o session;
+  Json.write_raw o.w ",\"history\":[";
+  List.iteri
+    (fun i e ->
+      if i > 0 then Json.write_char o.w ',';
+      Json.write o.w (event_to_json e);
+      tick o)
+    (Session.history session);
+  Json.write_char o.w ']'
 
-(* A document printed once, straight into one writer: [format] and
-   [version], the checksum's gap, the fields [rest] writes, the closing
-   brace.  The checksum is FNV-1a over the bytes either side of the gap,
-   that is over the document without its [checksum] field, which is what
-   [verify_checksum] re-prints; its digits then fill the gap in place. *)
-let checksum_gap = ",\"checksum\":\"0000000000000000\""
-
-let checksummed ~size format rest =
-  let w = Json.writer size in
-  Json.write_raw w "{\"format\":";
-  Json.write_string w format;
-  Json.write_raw w ",\"version\":";
-  Json.write_number w (float_of_int format_version);
-  let gap = Json.length w in
-  Json.write_raw w checksum_gap;
-  rest w;
-  Json.write_char w '}';
-  let b = Json.bytes w and n = Json.length w in
-  let after = gap + String.length checksum_gap in
-  let h = fnv64_bytes (fnv64_bytes fnv_offset b 0 gap) b after (n - after) in
-  Bytes.blit_string (hex64 h) 0 b (after - 17) 16;
-  w
-
-let session_text session =
-  let history = Session.history session in
-  checksummed
-    ~size:(text_size (Session.dataset session) + (64 * List.length history))
-    "sider-session"
-    (fun w ->
-      write_creation w session;
-      Json.write_raw w ",\"history\":[";
-      List.iteri
-        (fun i e ->
-          if i > 0 then Json.write_char w ',';
-          Json.write w (event_to_json e))
-        history;
-      Json.write_char w ']')
+(* A journal header's fields: the events a sibling snapshot stands for,
+   when there are any, then the creation arguments. *)
+let header_fields ~base session o =
+  if base <> 0 then begin
+    Json.write_raw o.w ",\"base\":";
+    Json.write_number o.w (float_of_int base)
+  end;
+  write_creation o session
 
 let check_format ~what ~expected j =
   (match Json.member_opt "format" j with
@@ -477,22 +568,15 @@ let session_of_json j =
 
 (* --- atomic file IO ---------------------------------------------------------- *)
 
-(* The writer's text, in one [write] unless the kernel takes less. *)
-let write_all fd w =
-  let b = Json.bytes w and n = Json.length w in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write fd b !sent (n - !sent)
-  done
-
-(* Write [w]'s text to [path] (truncating) and fsync before returning. *)
-let write_fsync path w =
+(* Streams a document into [path] (truncating) and fsyncs before
+   returning. *)
+let write_fsync path print =
   try
     let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        write_all fd w;
+        print fd;
         Unix.fsync fd)
   with Unix.Unix_error (err, _, _) ->
     io_fail "Persist: write %s: %s" path (Unix.error_message err)
@@ -501,16 +585,21 @@ let rename_into tmp path =
   try Sys.rename tmp path with
   | Sys_error msg -> io_fail "Persist: rename over %s failed: %s" path msg
 
+let snapshot_to ~path session fd =
+  stream_document ~path fd "sider-session" (snapshot_fields session)
+
+let header_to ~path ~base session fd =
+  stream_document ~path ~newline:true fd "sider-journal"
+    (header_fields ~base session)
+
 (* tmp + fsync + rename: a crash at any point leaves either the old
    complete file or the new complete file, never a torn one.  The tmp
    file lives in the destination directory so the rename cannot cross a
    filesystem boundary. *)
-let save_atomic path data =
+let save path session =
   let tmp = path ^ ".tmp" in
-  write_fsync tmp data;
+  write_fsync tmp (snapshot_to ~path:tmp session);
   rename_into tmp path
-
-let save path session = save_atomic path (session_text session)
 
 let read_file path =
   try
@@ -571,29 +660,15 @@ let snapshot_path path =
     Filename.chop_suffix path ".journal" ^ ".snapshot"
   else path ^ ".snapshot"
 
-(* The header line, its newline included. *)
-let journal_header ?(base = 0) session =
-  let w =
-    checksummed ~size:(text_size (Session.dataset session)) "sider-journal"
-      (fun w ->
-        if base <> 0 then begin
-          Json.write_raw w ",\"base\":";
-          Json.write_number w (float_of_int base)
-        end;
-        write_creation w session)
-  in
-  Json.write_char w '\n';
-  w
-
-(* Appends [w]'s text, a whole line, and fsyncs. *)
-let journal_write j w =
+(* Runs [print] on the journal's descriptor and fsyncs. *)
+let journal_write j print =
   match j.j_fd with
   | None -> io_fail "Persist.journal %s: already closed" j.j_path
   | Some fd ->
     if Fault.journal_append_should_fail ~path:j.j_path then
       io_fail "Persist.journal %s: injected append failure" j.j_path;
     (try
-       write_all fd w;
+       print fd;
        Unix.fsync fd
      with Unix.Unix_error (err, _, _) ->
        io_fail "Persist.journal %s: append failed: %s" j.j_path
@@ -603,20 +678,8 @@ let journal_append j event =
   let w = Json.writer 256 in
   Json.write w (event_to_json event);
   Json.write_char w '\n';
-  journal_write j w;
+  journal_write j (fun fd -> write_all fd (Json.bytes w) (Json.length w));
   j.j_events <- j.j_events + 1
-
-let journal_start path session =
-  let fd =
-    try Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 with
-    | Unix.Unix_error (err, _, _) ->
-      io_fail "Persist.journal %s: cannot create: %s" path
-        (Unix.error_message err)
-  in
-  let j = { j_path = path; j_fd = Some fd; j_events = 0; j_base = 0 } in
-  journal_write j (journal_header session);
-  List.iter (journal_append j) (Session.history session);
-  j
 
 let journal_close j =
   match j.j_fd with
@@ -628,6 +691,24 @@ let journal_close j =
        journals in bursts, and a redundant fsync per close contends with
        request-path syncs. *)
     (try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* A start that fails, the header's write-back included, leaves the
+   descriptor closed. *)
+let journal_start path session =
+  let fd =
+    try Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 with
+    | Unix.Unix_error (err, _, _) ->
+      io_fail "Persist.journal %s: cannot create: %s" path
+        (Unix.error_message err)
+  in
+  let j = { j_path = path; j_fd = Some fd; j_events = 0; j_base = 0 } in
+  (try
+     journal_write j (header_to ~path ~base:0 session);
+     List.iter (journal_append j) (Session.history session)
+   with e ->
+     journal_close j;
+     raise e);
+  j
 
 let journal_events j = j.j_events
 
@@ -796,13 +877,13 @@ let journal_compact j session =
   let snap = snapshot_path path in
   Fault.crash_compaction_at ~path ~point:0;
   let snap_tmp = snap ^ ".tmp" in
-  write_fsync snap_tmp (session_text session);
+  write_fsync snap_tmp (snapshot_to ~path:snap_tmp session);
   Fault.crash_compaction_at ~path ~point:1;
   rename_into snap_tmp snap;
   Fault.crash_compaction_at ~path ~point:2;
   let base = List.length (Session.history session) in
   let jrn_tmp = path ^ ".compact.tmp" in
-  write_fsync jrn_tmp (journal_header ~base session);
+  write_fsync jrn_tmp (header_to ~path:jrn_tmp ~base session);
   Fault.crash_compaction_at ~path ~point:3;
   (* From here the old descriptor must receive no further appends: close
      it before the rename publishes the fresh journal, and leave the

@@ -12,10 +12,15 @@
     are serialized with full precision.  Documents carry a [format]
     tag, a [version] number and (since version 2) an FNV-1a 64-bit
     [checksum] of the rest of the document, verified on load.  Version 1
-    files (no checksum) still load.  A document is printed once, from
-    the session's matrix into one buffer with no tree built: the
-    checksum is taken over the bytes either side of a gap after
-    [version] and written into that gap.  Loading parses the document
+    files (no checksum) still load.  A document is streamed once, from
+    the session's matrix to its file through one buffer small enough for
+    the minor heap, with no tree built and nothing on the major heap: the
+    checksum is accumulated over the bytes as they leave, skipping a gap
+    after [version] that holds placeholder digits, and once the last
+    byte is written its 16 digits are written back into the gap, before
+    the file is fsynced.  A crash in between leaves a document whose
+    checksum does not match, refused on load as a torn one is.  Loading
+    parses the document
     into a {!Sider_data.Json.t}, whose re-printed text the checksum is
     verified against, and decodes the dataset with {!dataset_of_json};
     the create route reads a dataset at a cursor ({!read_dataset}).
@@ -65,11 +70,15 @@ val dataset_to_json : Dataset.t -> Json.t
 
 val dataset_of_json : Json.t -> Dataset.t
 (** Raises [Sider_error.Error] on malformed input.  The first of a
-    repeated key counts; [rows] and [cols] are not read. *)
+    repeated key counts; [rows] and [cols] are not read.  Equal labels
+    share one string. *)
 
 val read_dataset : Json.cursor -> unit -> Dataset.t
-(** [read_dataset c] reads the dataset value at the cursor, its data
-    rows straight into one float array, and returns its validation.
+(** [read_dataset c] reads the dataset value at the cursor, its cells
+    into blocks small enough for the minor heap, and returns its
+    validation, which copies them into one matrix of exactly n·d cells
+    (the [rows] and [cols] fields are not read, so they size nothing)
+    and shares one string among equal labels.
     Calling that gives the dataset {!dataset_of_json} gives for the same
     value's tree, or raises the same error, since both share one
     validation.  A syntax error raises [Json.Parse_error] from the read;
@@ -96,9 +105,13 @@ type journal
     each journal with its session's lock. *)
 
 val journal_start : string -> Session.t -> journal
-(** Create (or truncate) a journal at [path]: header line plus one line
-    per event already in the session's history, fsynced.  Raises
-    [Sider_error.Error] on IO failure. *)
+(** Create (or truncate) a journal at [path]: the header line, streamed
+    and its checksum written back, then one line per event already in
+    the session's history, each fsynced.  Raises [Sider_error.Error] on
+    IO failure, leaving no descriptor open.  An armed
+    {!Sider_robust.Fault.Checksum_crash} raises
+    {!Sider_robust.Fault.Crash_injected} between the header's last byte
+    and its checksum. *)
 
 val journal_append : journal -> Session.event -> unit
 (** Append one event line and [fsync].  Returns only once the record is

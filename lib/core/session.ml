@@ -92,32 +92,50 @@ let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
     invalid_arg (Printf.sprintf "Session.create: non-finite jitter %g" jitter);
   let m = Dataset.matrix ds in
   let n, d = Mat.dims m in
-  for i = 0 to n - 1 do
-    for j = 0 to d - 1 do
-      if not (Float.is_finite (Mat.get m i j)) then
-        invalid_arg
-          (Printf.sprintf
-             "Session.create: non-finite value at row %d, column %S" i
-             (Dataset.columns ds).(j))
-    done
+  let a = m.Mat.a in
+  for k = 0 to (n * d) - 1 do
+    if not (Float.is_finite (Array.unsafe_get a k)) then
+      invalid_arg
+        (Printf.sprintf
+           "Session.create: non-finite value at row %d, column %S" (k / d)
+           (Dataset.columns ds).(k mod d))
   done;
-  let std = if standardize then Dataset.standardized ds else ds in
   let rng = Rng.create seed in
-  (* Noise floor on the engine's working copy (the paper's Sec. II-A.2
-     replicate-with-noise device): keeps exactly-degenerate directions —
-     constant columns, collinear attributes, tiny selections — from
-     having literally zero variance, which would make their background
-     variance collapse to the solver's multiplier cap and their
-     informativeness score infinite. *)
+  (* The engine's working copy, written in one pass.  Each cell is
+     standardized as [Dataset.standardized] computes it, then gets the
+     noise floor (the paper's Sec. II-A.2 replicate-with-noise device):
+     z drawn row-major into the copy first, then [x +. (jitter *. z)] per
+     cell.  The floor keeps exactly-degenerate directions — constant
+     columns, collinear attributes, tiny selections — from having
+     literally zero variance, which would make their background variance
+     collapse to the solver's multiplier cap and their informativeness
+     score infinite.  Journals on disk replay to the same data only
+     while these draws and operations stay as they are. *)
   let std =
-    if jitter <= 0.0 then std
+    if jitter <= 0.0 && not standardize then ds
     else begin
-      (* Row-major draws, [x + jitter·z] per cell: journals on disk
-         replay to the same data only while both stay as they are. *)
-      let noise = Sampler.normal_mat (Rng.split rng) n d in
-      Mat.scale_into ~dst:noise jitter noise;
-      Mat.add_into ~dst:noise (Dataset.matrix std) noise;
-      Dataset.with_matrix std noise
+      let w =
+        if jitter > 0.0 then Sampler.normal_mat (Rng.split rng) n d
+        else Mat.create n d
+      in
+      let wa = w.Mat.a in
+      let means = Mat.col_means m in
+      let sds = Array.map sqrt (Mat.col_variances m) in
+      for i = 0 to n - 1 do
+        for j = 0 to d - 1 do
+          let k = (i * d) + j in
+          let x =
+            if not standardize then Array.unsafe_get a k
+            else begin
+              let centered = Array.unsafe_get a k -. means.(j) in
+              if Float.equal sds.(j) 0.0 then centered else centered /. sds.(j)
+            end
+          in
+          Array.unsafe_set wa k
+            (if jitter > 0.0 then x +. (jitter *. Array.unsafe_get wa k) else x)
+        done
+      done;
+      Dataset.with_matrix ds w
     end
   in
   let solver = Solver.create (Dataset.matrix std) [] in

@@ -75,6 +75,15 @@ val create : ?seed:int -> ?standardize:bool -> ?jitter:float ->
     being informative once the background distribution has absorbed
     them.
 
+    The working copy is one n×d matrix written in one pass: the noise's
+    normal draws go into it row-major, then each cell becomes the
+    standardized cell plus [jitter] times its draw, the floats
+    {!Dataset.standardized} and a separate noise matrix gave, so
+    journals replay to the same data.  It shares the dataset's name,
+    column names and labels; without standardizing and jitter it is the
+    dataset's own matrix.  The session keeps the dataset and the copy,
+    and nothing else of the data's size but its view's coordinates.
+
     Raises [Invalid_argument] if [jitter] is NaN or infinite, or if the
     data contains NaN or infinite values (naming the first offending
     row/column). *)

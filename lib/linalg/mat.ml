@@ -163,27 +163,12 @@ let check_dst name dst rows cols =
     invalid_arg (Printf.sprintf "Mat.%s: dst is %dx%d, need %dx%d"
                    name dst.rows dst.cols rows cols)
 
-let add_into ~dst x y =
-  check_same "add_into" x y;
-  check_dst "add_into" dst x.rows x.cols;
-  let xa = x.a and ya = y.a and za = dst.a in
-  for i = 0 to Array.length xa - 1 do
-    Array.unsafe_set za i (Array.unsafe_get xa i +. Array.unsafe_get ya i)
-  done
-
 let sub_into ~dst x y =
   check_same "sub_into" x y;
   check_dst "sub_into" dst x.rows x.cols;
   let xa = x.a and ya = y.a and za = dst.a in
   for i = 0 to Array.length xa - 1 do
     Array.unsafe_set za i (Array.unsafe_get xa i -. Array.unsafe_get ya i)
-  done
-
-let scale_into ~dst s x =
-  check_dst "scale_into" dst x.rows x.cols;
-  let xa = x.a and za = dst.a in
-  for i = 0 to Array.length xa - 1 do
-    Array.unsafe_set za i (s *. Array.unsafe_get xa i)
   done
 
 let sub x y =
@@ -227,6 +212,29 @@ let matmul_into ~dst x y =
           done
         done;
         kb := khi
+      done)
+
+(* Each row centred as it is read: the term [x_ik − mean_k] is the
+   float a centred copy of [x] holds, and each entry sums in increasing
+   [k] with [matmul_into]'s zero skip, so the floats are those [matmul]
+   gives that copy.  Rows are independent, so they fan out. *)
+let matmul_centred_into ~dst ~stride x mean y =
+  if x.cols <> y.rows || Array.length mean <> x.cols || stride < y.cols
+     || (x.rows > 0 && Array.length dst < ((x.rows - 1) * stride) + y.cols)
+  then invalid_arg "Mat.matmul_centred_into: dimension mismatch";
+  if Array.length dst > 0 && (dst == x.a || dst == y.a) then
+    invalid_arg "Mat.matmul_centred_into: dst aliases an input";
+  let xa = x.a and ya = y.a in
+  let xc = x.cols and yc = y.cols in
+  par_rows ~label:"mat.matmul_centred" ~work:(x.rows * xc * yc) x.rows
+    (fun lo hi ->
+      for i = lo to hi - 1 do
+        let xoff = i * xc and zoff = i * stride in
+        Array.fill dst zoff yc 0.0;
+        for k = 0 to xc - 1 do
+          let xik = Array.unsafe_get xa (xoff + k) -. Array.unsafe_get mean k in
+          if xik <> 0.0 then axpy_range dst zoff xik ya (k * yc) yc
+        done
       done)
 
 let matmul x y =
@@ -500,34 +508,43 @@ let col_variances m =
   let n = float_of_int m.rows in
   Array.map (fun s -> s /. n) vars
 
-let center_cols m =
-  let means = col_means m in
-  let c = create m.rows m.cols in
-  let ma = m.a and ca = c.a in
-  for i = 0 to m.rows - 1 do
-    let off = i * m.cols in
-    for j = 0 to m.cols - 1 do
-      Array.unsafe_set ca (off + j)
-        (Array.unsafe_get ma (off + j) -. Array.unsafe_get means j)
-    done
-  done;
-  (c, means)
-
 (* Accumulated output-row-at-a-time: row [j] of the covariance depends
    only on column [j] against every column, so the [j]-ranges fan out
    across domains while each entry still sums over the data rows in
    increasing [i] with the same zero-skip as the single-pass loop —
-   bit-identical for any domain count. *)
-let covariance m =
-  let means = col_means m in
-  let cov = create m.cols m.cols in
-  let ma = m.a and cova = cov.a in
-  let rows = m.rows and cols = m.cols in
+   bit-identical for any domain count.  [rows] picks the data rows, in
+   their order, by offset: the means are summed over them as
+   [col_means] sums a matrix's rows, so a selection gives the floats of
+   its copy without the copy. *)
+let covariance ?rows:sel m =
+  let rows = match sel with Some r -> Array.length r | None -> m.rows in
+  if rows = 0 then invalid_arg "Mat.col_means: empty matrix";
+  Option.iter
+    (Array.iter (fun r ->
+         if r < 0 || r >= m.rows then
+           invalid_arg "Mat.covariance: row index out of range"))
+    sel;
+  let cols = m.cols in
+  let off i = match sel with Some r -> r.(i) * cols | None -> i * cols in
+  let ma = m.a in
+  let means = Array.make cols 0.0 in
+  for i = 0 to rows - 1 do
+    let o = off i in
+    for j = 0 to cols - 1 do
+      means.(j) <- means.(j) +. ma.(o + j)
+    done
+  done;
+  let fn = float_of_int rows in
+  for j = 0 to cols - 1 do
+    means.(j) <- means.(j) /. fn
+  done;
+  let cov = create cols cols in
+  let cova = cov.a in
   (* Same i-outer trick as [matmul_tn_into]: stream the rows one by one,
      accumulating the upper triangle of the chunk; per-entry order stays
      increasing-i, so the result is bit-identical.  Each row is centred
      into a d-float scratch, entries [lo, cols) being all the chunk
-     reads: the floats [center_cols] would store, without an n×d copy.
+     reads: the floats a centred copy would store, without an n×d copy.
      Every chunk centres its rows again, so chunks span 8 output rows:
      one row each would double the subtractions to one per product.
      The lower triangle is mirrored afterwards — exact because
@@ -537,10 +554,10 @@ let covariance m =
     (fun lo hi ->
       let x = Array.create_float cols in
       for i = 0 to rows - 1 do
-        let off = i * cols in
+        let o = off i in
         for j = lo to cols - 1 do
           Array.unsafe_set x j
-            (Array.unsafe_get ma (off + j) -. Array.unsafe_get means j)
+            (Array.unsafe_get ma (o + j) -. Array.unsafe_get means j)
         done;
         for j = lo to hi - 1 do
           let xj = Array.unsafe_get x j in

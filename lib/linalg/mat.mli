@@ -56,15 +56,16 @@ val transpose : t -> t
 
 val sub : t -> t -> t
 
-val add_into : dst:t -> t -> t -> unit
-(** [add_into ~dst x y] writes [x + y] into [dst]; [dst] may alias [x] or
-    [y]. *)
-
-val scale_into : dst:t -> float -> t -> unit
-(** [scale_into ~dst s x] writes [s * x] into [dst]; [dst] may alias
-    [x]. *)
-
 val matmul : t -> t -> t
+
+val matmul_centred_into :
+  dst:float array -> stride:int -> t -> float array -> t -> unit
+(** [matmul_centred_into ~dst ~stride x mean y] writes row [i] of
+    [(x − 1·meanᵀ) y] to [dst] from [i * stride], for every row: the
+    floats {!matmul} gives for [y] and the copy of [x] with [mean]
+    subtracted from every row, without that copy.  The [stride − y.cols]
+    entries after each row are left as they are.  [dst] must not alias
+    an input. *)
 
 val matmul_nt : t -> t -> t
 (** [matmul_nt x y] is [x yᵀ] without forming the transpose;
@@ -113,13 +114,12 @@ val col_means : t -> Vec.t
 val col_variances : t -> Vec.t
 (** Population variances per column. *)
 
-val center_cols : t -> t * Vec.t
-(** [center_cols m] subtracts the column means; returns the centered matrix
-    and the means. *)
-
-val covariance : t -> t
-(** Population covariance (divide by [n]) of the rows of [m]: the
-    entries of [center_cols m] summed over the rows in order, each row
-    centred into a [cols]-float scratch rather than an [n×d] copy. *)
+val covariance : ?rows:int array -> t -> t
+(** Population covariance (divide by [n]) of the rows of [m], or of the
+    rows [rows] picks, in that order: the floats [covariance (select_rows
+    m rows)] gives, without the copy.  The products of the centred
+    entries are summed over the rows in order, each row centred into a
+    [cols]-float scratch rather than an [n×d] copy.  Raises
+    [Invalid_argument] on no rows or an index out of range. *)
 
 val select_rows : t -> int array -> t

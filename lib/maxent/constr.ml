@@ -141,7 +141,7 @@ let margin ?(tag = "margin") data =
 
 let cluster ?(tag = "cluster") ~data ~rows () =
   let rows = owned_rows data rows in
-  let directions, _ = Svd.principal_directions (Mat.select_rows data rows) in
+  let directions, _ = Svd.principal_directions ~rows data in
   let m_hat = mean_over data rows in
   let _, d = Mat.dims data in
   List.concat

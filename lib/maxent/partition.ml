@@ -11,15 +11,32 @@ let of_constraints ~n constraints =
      fresh id.  A class it covers whole keeps its id, so every id in use
      names a non-empty class and ids stay below [n].  [hits.(k)] counts
      the constraint's rows in class [k] until the class's first covered
-     row decides where they all go ([dest.(k)]) and resets it to 0. *)
+     row decides where they all go ([dest.(k)]) and resets it to 0.
+     The three work arrays are indexed by class, so they hold room for
+     the ids a constraint can reach: each class splits at most once a
+     constraint, so [2·next] (at most [n]), doubled when short. *)
   let cls = Array.make n 0 in
-  let size = Array.make n 0 in
-  size.(0) <- n;
-  let hits = Array.make n 0 in
-  let dest = Array.make n 0 in
+  let size = ref [||] and hits = ref [||] and dest = ref [||] in
+  let room want =
+    if Array.length !size < want then begin
+      let len = min n (max want (2 * Array.length !size)) in
+      let grow a =
+        let b = Array.make len 0 in
+        Array.blit a 0 b 0 (Array.length a);
+        b
+      in
+      size := grow !size;
+      hits := grow !hits;
+      dest := grow !dest
+    end
+  in
+  room (min n 8);
+  !size.(0) <- n;
   let next = ref 1 in
   Array.iter
     (fun (constr : Constr.t) ->
+      room (min n (2 * !next));
+      let size = !size and hits = !hits and dest = !dest in
       let rows = constr.Constr.rows in
       for i = 0 to Array.length rows - 1 do
         let k = cls.(rows.(i)) in
@@ -41,6 +58,7 @@ let of_constraints ~n constraints =
         cls.(r) <- dest.(k)
       done)
     constraints;
+  let size = !size in
   (* Splits leave both parts non-empty, so every id below [next] names
      a class.  Renumber them by first row: rows share an id exactly when
      the same constraints cover them, so this is the numbering a row scan

@@ -34,7 +34,6 @@ let prepare m =
   Obs.count "ica.prepare";
   let n, d = Mat.dims m in
   if n < 2 then invalid_arg "Fastica.prepare: need at least two rows" [@sider.allow "error-discipline"];
-  let centered, _ = Mat.center_cols m in
   let cov = Mat.covariance m in
   let { Eigen.values; vectors } = Eigen.symmetric cov in
   let lead = Float.max (if d > 0 then values.(0) else 0.0) 0.0 in
@@ -48,14 +47,19 @@ let prepare m =
     { src = m; n; d; m_comp; dproj = Mat.create d 0; kernel = None;
       gz = Mat.create 0 0; eg = [||] }
   else begin
-    (* Internal whitening: z = D^{-1/2} Vᵀ (x − mean), per row.  Everything
-       here depends only on the data, not the seed, so one [prep] serves
-       every fit of the same data. *)
+    (* Internal whitening: z = D^{-1/2} Vᵀ (x − mean), per row, centred
+       as the product reads it and written straight into the kernel.
+       Everything here depends only on the data, not the seed, so one
+       [prep] serves every fit of the same data. *)
     let dproj = Mat.init d m_comp (fun i j ->
         Mat.get vectors i j /. sqrt values.(j))
     in
-    let z = Mat.matmul centered dproj in          (* n × m_comp *)
-    { src = m; n; d; m_comp; dproj; kernel = Some (Ica_kernel.create z);
+    let mean = Mat.col_means m in
+    let kernel =
+      Ica_kernel.create ~n ~m:m_comp (fun dst stride ->
+          Mat.matmul_centred_into ~dst ~stride m mean dproj)
+    in
+    { src = m; n; d; m_comp; dproj; kernel = Some kernel;
       gz = Mat.create m_comp m_comp; eg = Vec.create m_comp }
   end
 
@@ -133,9 +137,10 @@ let fit_prepared_impl ?w0 ?(max_iter = 200) ?(tol = 1e-4) rng prep =
            else Array.unsafe_get da k /. norms.(j))
       done
     done;
+    let scratch = Array.create_float n in
     let scores =
       Array.init m_comp (fun j ->
-          Scores.direction_log_cosh prep.src (Mat.col dirs j))
+          Scores.direction_log_cosh ~scratch prep.src (Mat.col dirs j))
     in
     (* Order by decreasing |score| (Table I ordering).  [unmixing] stays
        in fit order: it is the warm-start state, not a display artifact. *)

@@ -26,49 +26,52 @@ let with_portable f =
   Fun.protect ~finally:(fun () -> pinned := saved) f
 
 type path =
-  | Portable of { g : Mat.t }  (* n × m: the scores, then tanh in place *)
+  | Portable of { z : Mat.t; g : Mat.t }
+      (* z, then the n × m scores and tanh in place *)
   | Simd of {
       mpad : int;
-      zpad : float array;   (* n × mpad, zero-padded columns *)
+      zpad : float array;   (* n × mpad: z, its columns zero-padded *)
       wt : float array;     (* m × mpad: wt.(f*mpad + k) = w.(k,f) *)
       parts : (float array * float array) array;
       (* One (gᵀz, E[g']) partial per chunk, m × mpad and mpad: the
          stubs overwrite them on every sweep. *)
     }
 
-type t = { z : Mat.t; n : int; m : int; path : path }
+type t = { n : int; m : int; path : path }
 
 (* The SIMD row-block size: boundaries depend only on n, so per-chunk
    partials combine identically for every domain count. *)
 let simd_chunk = 256
 
-let create z =
-  let n, m = Mat.dims z in
+(* z is written once, by [fill], straight into the layout its path
+   sweeps. *)
+let create ~n ~m fill =
   if (not !pinned) && simd_available () && m >= 1
      && m <= max_simd_components && n >= 1
   then begin
     let mpad = 4 * ((m + 3) / 4) in
-    let za = z.Mat.a in
     let zpad = Array.make (n * mpad) 0.0 in
-    for i = 0 to n - 1 do
-      Array.blit za (i * m) zpad (i * mpad) m
-    done;
+    fill zpad mpad;
     let parts =
       Array.init ((n + simd_chunk - 1) / simd_chunk) (fun _ ->
           (Array.make (m * mpad) 0.0, Array.make mpad 0.0))
     in
-    { z; n; m;
+    { n; m;
       path = Simd { mpad; zpad; wt = Array.make (m * mpad) 0.0; parts } }
   end
-  else { z; n; m; path = Portable { g = Mat.create n m } }
+  else begin
+    let z = Mat.create n m in
+    fill z.Mat.a m;
+    { n; m; path = Portable { z; g = Mat.create n m } }
+  end
 
 (* The three-pass pipeline on Mat's kernels, each bit-identical for any
    domain count: scores into [g], tanh over them in place, then gᵀz.
    The E[g'] sums run serially in increasing row order. *)
-let sweep_portable t ~w ~gz ~(eg : Vec.t) g =
-  Mat.matmul_nt_into ~dst:g t.z w;
+let sweep_portable t ~w ~gz ~(eg : Vec.t) ~z ~g =
+  Mat.matmul_nt_into ~dst:g z w;
   Mat.tanh_into ~dst:g g;
-  Mat.matmul_tn_into ~dst:gz g t.z;
+  Mat.matmul_tn_into ~dst:gz g z;
   let m = t.m and ga = g.Mat.a in
   Array.fill eg 0 m 0.0;
   for i = 0 to t.n - 1 do
@@ -129,6 +132,6 @@ let sweep t ~w ~gz ~eg =
   if gr <> t.m || gc <> t.m || Array.length eg < t.m then
     invalid_arg "Ica_kernel.sweep: output dims" [@sider.allow "error-discipline"];
   match t.path with
-  | Portable { g } -> sweep_portable t ~w ~gz ~eg g
+  | Portable { z; g } -> sweep_portable t ~w ~gz ~eg ~z ~g
   | Simd { mpad; zpad; wt; parts } ->
     sweep_simd t ~w ~gz ~eg ~mpad ~zpad ~wt ~parts

@@ -39,18 +39,21 @@
 open Sider_linalg
 
 type t
-(** Sweep state bound to one data matrix: the SIMD path keeps a padded
-    copy of [z] and its per-chunk partials, the portable path an n×m
-    buffer, so building [t] once per {!Fastica.prepare} and sweeping
-    many times is the intended use. *)
+(** Sweep state bound to one data matrix: the SIMD path keeps [z] with
+    its columns zero-padded to a multiple of four and its per-chunk
+    partials, the portable path [z] and an n×m buffer, so building [t]
+    once per {!Fastica.prepare} and sweeping many times is the intended
+    use. *)
 
 val simd_available : unit -> bool
 (** CPU supports AVX2 and FMA (probed once; false on non-x86-64). *)
 
-val create : Mat.t -> t
-(** [create z] binds a kernel to the whitened matrix [z].  The caller
-    must not mutate [z] afterwards (the SIMD path snapshots it; the
-    portable path reads it live). *)
+val create : n:int -> m:int -> (float array -> int -> unit) -> t
+(** [create ~n ~m fill] binds a kernel to the n×m whitened matrix [z]
+    that [fill dst stride] writes into the kernel's own storage, row [i]
+    at [dst.(i * stride)], entries [m] to [stride − 1] of each row left
+    zero.  So [z] is built once, in the layout its path sweeps, with no
+    copy. *)
 
 val with_portable : (unit -> 'a) -> 'a [@@sider.allow "test-hook"]
 (** [with_portable f] runs [f] with every {!create} inside it choosing

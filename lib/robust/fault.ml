@@ -9,6 +9,7 @@ type injection =
   | Svc_truncate_request of { path_substr : string }
   | Svc_crash_after_journal of { path_substr : string }
   | Compact_crash of { path_substr : string; point : int }
+  | Checksum_crash of { path_substr : string }
 
 type fired = { injection : injection; at_sweep : int }
 
@@ -124,6 +125,12 @@ let should_crash_after_journal ~path =
 let crash_compaction_at ~path ~point =
   consume_for_path ~path (function
     | Compact_crash c when c.point = point -> Some c.path_substr
+    | _ -> None)
+  |> Option.iter (fun _ -> raise Crash_injected)
+
+let crash_before_checksum ~path =
+  consume_for_path ~path (function
+    | Checksum_crash c -> Some c.path_substr
     | _ -> None)
   |> Option.iter (fun _ -> raise Crash_injected)
 

@@ -64,6 +64,12 @@ type injection =
           rewritten, 3 = journal tmp written but not renamed.  Recovery
           from the on-disk state must reproduce the session at every
           point. *)
+  | Checksum_crash of { path_substr : string }
+      (** Raise {!Crash_injected} once a checksummed document (a journal
+          header, a snapshot) has been written to a matching path, before
+          its checksum is written back into its gap: the file then holds
+          the whole document with a placeholder checksum, which recovery
+          must refuse as it refuses a torn one. *)
 
 type fired = { injection : injection; at_sweep : int }
 (** [at_sweep] is 0 for service-level injections. *)
@@ -119,6 +125,10 @@ val should_crash_after_journal : path:string -> bool
 val crash_compaction_at : path:string -> point:int -> unit
 (** Consume a [Compact_crash] matching this journal path {e and} fault
     point, raising {!Crash_injected}; no-op otherwise. *)
+
+val crash_before_checksum : path:string -> unit
+(** Consume a [Checksum_crash] matching this file path, raising
+    {!Crash_injected}; no-op otherwise. *)
 
 (** {2 Deterministic pathological inputs} *)
 

@@ -192,17 +192,41 @@ let read_into fd b pos len =
     Error (Io_eof pos)
   | exception Unix.Unix_error (e, _, _) -> Error (Io_error e)
 
-(* The bytes read for one message: [initial] (read past the previous
-   message on this connection), then reads of up to 8 KiB. *)
-type inbuf = { mutable b : Bytes.t; mutable len : int }
+(* The bytes in hand for one connection: the head being read, and
+   after a message the bytes read past it (a pipelined successor), moved
+   to the front.  One buffer serves a reader for its life: a worker's
+   for every request it reads, a client's for every response.  Reads
+   are of [read_step] bytes; the buffer starts at one read and grows to
+   at most [max_header_bytes] plus one, what a head may fill before it
+   is refused. *)
+type read_buffer = { mutable b : Bytes.t; mutable len : int }
 
-let read_more fd ib =
-  if Bytes.length ib.b - ib.len < 8192 then begin
-    let nb = Bytes.create (2 * Bytes.length ib.b + 8192) in
+let read_step = 8192
+
+let buffer_limit = max_header_bytes + read_step
+
+let read_buffer () = { b = Bytes.create read_step; len = 0 }
+
+(* Makes room for [n] more bytes: doubled, up to [buffer_limit], or
+   to exactly the bytes in hand plus [n] past it. *)
+let reserve ib n =
+  if Bytes.length ib.b - ib.len < n then begin
+    let nb =
+      Bytes.create
+        (max (ib.len + n) (min (2 * Bytes.length ib.b) buffer_limit))
+    in
     Bytes.blit ib.b 0 nb 0 ib.len;
     ib.b <- nb
-  end;
-  Result.map (fun k -> ib.len <- ib.len + k) (read_into fd ib.b ib.len 8192)
+  end
+
+let read_more fd ib =
+  reserve ib read_step;
+  Result.map (fun k -> ib.len <- ib.len + k) (read_into fd ib.b ib.len read_step)
+
+(* Drops the first [k] bytes, moving the rest to the front. *)
+let consume ib k =
+  Bytes.blit ib.b k ib.b 0 (ib.len - k);
+  ib.len <- ib.len - k
 
 (* The first "\r\n\r\n" at or after [from]. *)
 let find_blank_line b ~from len =
@@ -218,15 +242,15 @@ let find_blank_line b ~from len =
   in
   go from
 
-(* Reads until the head is complete and returns the bytes read and the
-   offset of its blank line.  Each read's bytes are searched once (with
-   the three before them, for a blank line split across reads); at most
-   [max_header_bytes] plus one read are held without a blank line. *)
-let read_head ~initial fd =
-  let ib = { b = Bytes.of_string initial; len = String.length initial } in
+(* Reads until the head, which starts at the buffer's first byte, is
+   complete and returns the offset of its blank line.  Each read's bytes
+   are searched once (with the three before them, for a blank line split
+   across reads); at most [max_header_bytes] plus one read are held
+   without a blank line. *)
+let read_head fd ib =
   let rec go from =
     match find_blank_line ib.b ~from ib.len with
-    | Some i -> Ok (ib, i)
+    | Some i -> Ok i
     | None when ib.len > max_header_bytes -> Error Io_too_large
     | None ->
       let scanned = max 0 (ib.len - 3) in
@@ -265,12 +289,12 @@ let parse_head ib head_end =
     |> Result.map (fun hs -> (start, List.rev hs))
 
 (* [len] body bytes: the bytes already read past the head, then reads
-   straight into the rest of the buffer, never past [len].  The buffer
-   starts at the bytes in hand plus [body_step] and doubles, up to [len],
-   as bytes arrive: a peer that declares more than it sends costs what
-   it sends, and a body of up to [body_step] lands in one buffer of
-   exactly [len].  Also returns the bytes read past the body (the start
-   of a pipelined successor). *)
+   straight into the rest of the body, never past [len].  The body
+   starts at the bytes in hand plus [body_step] and doubles, up to
+   [len], as bytes arrive: a peer that declares more than it sends costs
+   what it sends, and a body of up to [body_step] lands in one buffer of
+   exactly [len].  The read buffer is left holding the bytes read past
+   the body (the start of a pipelined successor). *)
 let body_step = 1 lsl 20
 
 let read_body fd ib ~head_end len =
@@ -278,8 +302,9 @@ let read_body fd ib ~head_end len =
   let have = min len (ib.len - start) in
   let body = ref (Bytes.create (min len (have + body_step))) in
   Bytes.blit ib.b start !body 0 have;
+  consume ib (start + have);
   let rec fill filled =
-    if filled = len then Ok ()
+    if filled = len then Ok (Bytes.unsafe_to_string !body)
     else begin
       if filled = Bytes.length !body then begin
         let grown = Bytes.create (min len (2 * filled)) in
@@ -291,11 +316,7 @@ let read_body fd ib ~head_end len =
       | Error e -> Error e
     end
   in
-  Result.map
-    (fun () ->
-      ( Bytes.unsafe_to_string !body,
-        Bytes.sub_string ib.b (start + have) (ib.len - start - have) ))
-    (fill have)
+  fill have
 
 (* A Content-Length value (already trimmed by [parse_head]): ASCII
    digits only.  [int_of_string] alone would also read a sign, [_]
@@ -331,21 +352,22 @@ let wants_close (req : request) = connection_is_close req.headers
 
 (* --- the server's side ----------------------------------------------------- *)
 
-(* One request, starting from [initial].  The caller is expected to have
-   set [SO_RCVTIMEO]; a timed-out read surfaces as [Timeout] (the 408
-   path), EOF or a socket error before a complete message as [Closed],
-   and oversized headers or bodies as [Too_large] — a slow or malicious
-   client can cost at most one worker's timeout, never unbounded memory.
-   On success also returns the bytes read past the request. *)
-let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
+(* One request, starting from the bytes in [ib].  The caller is
+   expected to have set [SO_RCVTIMEO]; a timed-out read surfaces as
+   [Timeout] (the 408 path), EOF or a socket error before a complete
+   message as [Closed], and oversized headers or bodies as [Too_large] —
+   a slow or malicious client can cost at most one worker's timeout,
+   never unbounded memory.  On success [ib] holds the bytes read past
+   the request. *)
+let read_request_from ~max_body fd ib =
   let fail = function
     | Io_timeout -> Timeout
     | Io_too_large -> Too_large
     | Io_eof _ | Io_error _ -> Closed
   in
-  match read_head ~initial fd with
+  match read_head fd ib with
   | Error e -> Error (fail e)
-  | Ok (ib, head_end) ->
+  | Ok head_end ->
     let parsed =
       Result.bind (parse_head ib head_end) (fun (line, headers) ->
           match String.split_on_char ' ' line with
@@ -368,11 +390,12 @@ let read_request_from ?(max_body = 8 * 1024 * 1024) ~initial fd =
        in
        (match read_body fd ib ~head_end len with
         | Error e -> Error (fail e)
-        | Ok (body, leftover) ->
-          Ok ({ meth; path; query; headers; body }, leftover)))
+        | Ok body -> Ok { meth; path; query; headers; body }))
 
 (* --- buffered per-connection reader ---------------------------------------- *)
 
+(* A connection keeps only the bytes read past its last request; the
+   worker serving it reads into its own buffer. *)
 type reader = {
   r_fd : Unix.file_descr;
   mutable r_pending : string;
@@ -382,14 +405,19 @@ let reader fd = { r_fd = fd; r_pending = "" }
 
 let reader_has_pending r = r.r_pending <> ""
 
-let read_request_buffered ?max_body r =
-  match read_request_from ?max_body ~initial:r.r_pending r.r_fd with
-  | Ok (req, leftover) ->
-    r.r_pending <- leftover;
-    Ok req
-  | Error e ->
-    r.r_pending <- "";
-    Error e
+let read_request_buffered ?(max_body = 8 * 1024 * 1024) ib r =
+  let pending = String.length r.r_pending in
+  ib.len <- 0;
+  reserve ib pending;
+  Bytes.blit_string r.r_pending 0 ib.b 0 pending;
+  ib.len <- pending;
+  let result = read_request_from ~max_body r.r_fd ib in
+  r.r_pending <-
+    (match result with
+     | Ok _ when ib.len > 0 -> Bytes.sub_string ib.b 0 ib.len
+     | _ -> "");
+  ib.len <- 0;
+  result
 
 (* --- the client's side ----------------------------------------------------- *)
 
@@ -411,22 +439,23 @@ let status_of_line line =
     Ok (int_of_string code)
   | _ -> Error ("malformed status line: " ^ line)
 
-(* One response, starting from [initial]: the response, whether the
-   server announced [Connection: close], and the bytes read past it.  A
-   response without a [Content-Length] is drained to EOF (and the
-   connection is done).  A reset reads as EOF; EOF before any byte of
-   the response is [no_response], which the idempotent retry keys on. *)
-let read_response_from ~initial fd =
+(* One response, starting from the bytes in [ib]: the response and
+   whether the server announced [Connection: close]; [ib] is left
+   holding the bytes read past it.  A response without a
+   [Content-Length] is drained to EOF (and the connection is done).  A
+   reset reads as EOF; EOF before any byte of the response is
+   [no_response], which the idempotent retry keys on. *)
+let read_response_from fd ib =
   let fail = function
     | Io_timeout -> "timeout waiting for response"
     | Io_too_large -> "response head over 16 KiB"
     | Io_eof _ -> "truncated response"
     | Io_error e -> Unix.error_message e
   in
-  match read_head ~initial fd with
+  match read_head fd ib with
   | Error (Io_eof 0) -> Error no_response
   | Error e -> Error (fail e)
-  | Ok (ib, head_end) ->
+  | Ok head_end ->
     (match
        Result.bind (parse_head ib head_end) (fun (line, r_headers) ->
            Result.bind (status_of_line line) (fun status ->
@@ -436,45 +465,49 @@ let read_response_from ~initial fd =
      with
      | Error e -> Error e
      | Ok (status, r_headers, None) ->
+       let start = head_end + 4 in
+       let body = Buffer.create (max 64 (ib.len - start)) in
+       Buffer.add_subbytes body ib.b start (ib.len - start);
+       ib.len <- 0;
        let rec drain () =
-         match read_more fd ib with
-         | Ok () -> drain ()
+         match read_into fd ib.b 0 (Bytes.length ib.b) with
+         | Ok k ->
+           Buffer.add_subbytes body ib.b 0 k;
+           drain ()
          | Error (Io_eof _) -> Ok ()
          | Error e -> Error (fail e)
        in
        Result.map
-         (fun () ->
-           let start = head_end + 4 in
-           ( { status; r_headers;
-               r_body = Bytes.sub_string ib.b start (ib.len - start) },
-             `Close,
-             "" ))
+         (fun () -> ({ status; r_headers; r_body = Buffer.contents body }, `Close))
          (drain ())
      | Ok (_, _, Some len) when len > Sys.max_string_length ->
        Error ("bad content-length: " ^ string_of_int len)
      | Ok (status, r_headers, Some len) ->
        (match read_body fd ib ~head_end len with
         | Error e -> Error (fail e)
-        | Ok (r_body, leftover) ->
+        | Ok r_body ->
           let conn = if connection_is_close r_headers then `Close else `Keep in
-          Ok ({ status; r_headers; r_body }, conn, leftover)))
+          Ok ({ status; r_headers; r_body }, conn)))
 
+(* A client reads every response into one buffer, which keeps the bytes
+   read past the last response between requests. *)
 type client = {
   c_port : int;
   c_timeout_s : float;
   mutable c_sock : Unix.file_descr option;
-  mutable c_pending : string;
+  c_buf : read_buffer;
 }
 
 let client ?(timeout_s = 30.0) ~port () =
-  { c_port = port; c_timeout_s = timeout_s; c_sock = None; c_pending = "" }
+  { c_port = port; c_timeout_s = timeout_s; c_sock = None;
+    c_buf = read_buffer () }
 
 let client_close c =
   (match c.c_sock with
    | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
    | None -> ());
   c.c_sock <- None;
-  c.c_pending <- ""
+  c.c_buf.len <- 0
 
 (* Returns the live socket plus whether it was opened just now (a fresh
    socket cannot be a stale keep-alive connection, so failures on it
@@ -491,7 +524,7 @@ let client_sock c =
      with
      | () ->
        c.c_sock <- Some sock;
-       c.c_pending <- "";
+       c.c_buf.len <- 0;
        Ok (sock, true)
      | exception Unix.Unix_error (err, _, _) ->
        (try Unix.close sock with Unix.Unix_error _ -> ());
@@ -529,7 +562,7 @@ let client_request ?(headers = []) ?body c ~meth path =
     | Error e -> Error e
     | Ok (fd, fresh) ->
       send_request ~headers ?body ~meth fd path;
-      (match read_response_from ~initial:c.c_pending fd with
+      (match read_response_from fd c.c_buf with
        | Error e when String.equal e no_response && (not fresh) && can_retry ->
          (* Stale keep-alive connection: retry once on a fresh socket
             (a genuinely dead server fails the retry's connect
@@ -541,10 +574,8 @@ let client_request ?(headers = []) ?body c ~meth path =
        | Error e ->
          client_close c;
          Error e
-       | Ok (resp, conn, leftover) ->
-         (match conn with
-          | `Close -> client_close c
-          | `Keep -> c.c_pending <- leftover);
+       | Ok (resp, conn) ->
+         if conn = `Close then client_close c;
          Ok resp)
   in
   attempt ~can_retry:(idempotent meth)

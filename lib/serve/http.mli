@@ -89,9 +89,18 @@ val respond :
 
 (** {2 Buffered connection reader}
 
-    One {!reader} per live connection: bytes read beyond the current
-    request (a pipelined successor) are kept in the reader and consumed
-    by the next {!read_request_buffered} instead of being lost. *)
+    A request head is read into a {!read_buffer} its reader owns: each
+    worker keeps one for its life and reads every request it serves
+    into it, so a warm request's read allocates nothing on the major
+    heap.  The buffer starts at 8 KiB and grows to at most the 16 KiB
+    head limit plus one 8 KiB read.  One {!reader} per live connection
+    keeps only the bytes read past its last request (a pipelined
+    successor), for the next {!read_request_buffered}, whichever worker
+    makes it. *)
+
+type read_buffer
+
+val read_buffer : unit -> read_buffer
 
 type reader
 
@@ -103,13 +112,16 @@ val reader_has_pending : reader -> bool
     served again immediately rather than parked as idle. *)
 
 val read_request_buffered :
-  ?max_body:int -> reader -> (request, read_error) result
-(** Read one full request, starting with the bytes a previous call left
-    in the reader's buffer.  Bounded: at most 16 KiB of headers and
-    [max_body] (default 8 MiB) of body are ever buffered.  The caller
-    should set [SO_RCVTIMEO] on the socket so a stalled client surfaces
-    as [Timeout] rather than hanging a worker.  On error the buffer is
-    discarded (the connection is about to be closed). *)
+  ?max_body:int -> read_buffer -> reader -> (request, read_error) result
+(** Read one full request into the buffer, starting with the bytes a
+    previous call left in the reader.  Bounded: at most 16 KiB of
+    headers and [max_body] (default 8 MiB) of body are ever buffered;
+    the body is read into a string of its own.  The caller should set
+    [SO_RCVTIMEO] on the socket so a stalled client surfaces as
+    [Timeout] rather than hanging a worker.  On error the pending bytes
+    are discarded (the connection is about to be closed).  The buffer
+    holds nothing between calls, so one serves any number of readers,
+    one call at a time. *)
 
 (** {2 Client} *)
 
@@ -123,7 +135,9 @@ type client
 (** A persistent keep-alive connection to [127.0.0.1:port].  Connects
     lazily on first use; reconnects transparently after the server
     closes the connection (request cap, idle timeout, [Connection:
-    close]).  Not thread-safe — one client per driving thread. *)
+    close]).  Reads every response head with the server's reader, into
+    one {!read_buffer} of its own.  Not thread-safe — one client per
+    driving thread. *)
 
 val client : ?timeout_s:float -> port:int -> unit -> client
 

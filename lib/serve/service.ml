@@ -256,21 +256,24 @@ let write_projection w session =
   done;
   Json.write_raw w "]}"
 
-(* A worker's response buffer, kept for its whole life, so a warm
-   response allocates none.  Between responses it keeps at most
+(* A worker's read buffer and response buffer, kept for its whole life,
+   so a warm request reads and answers with neither.  The read buffer
+   holds a request head, at most 24 KiB (the head limit plus one read);
+   a connection keeps only what it pipelined past its last request.
+   Between responses the response buffer keeps at most
    [retained_bytes]: a larger response's buffer is dropped right after
    it, and the next one grows a fresh buffer from [initial_bytes].  A
    fixed constant, not an option: it only bounds what an idle worker
    holds (a projection body is about 124 bytes a row, so 1 MiB keeps
    sessions up to about 8,000 rows warm), and no load changes what the
    service sends. *)
-type out = { mutable w : Json.writer }
+type out = { mutable w : Json.writer; rb : Http.read_buffer }
 
 let initial_bytes = 4096
 
 let retained_bytes = 1 lsl 20
 
-let out () = { w = Json.writer initial_bytes }
+let out () = { w = Json.writer initial_bytes; rb = Http.read_buffer () }
 
 let release out =
   if Json.capacity out.w > retained_bytes then
@@ -683,7 +686,8 @@ let serve_one t out conn =
     `Close)
   else (
     match
-      Http.read_request_buffered ~max_body:t.config.max_body conn.c_reader
+      Http.read_request_buffered ~max_body:t.config.max_body out.rb
+        conn.c_reader
     with
     | Error Http.Timeout ->
       Obs.count "serve.read_timeouts";

@@ -46,6 +46,116 @@ let test_chol_inverse () =
   approx_mat ~eps:1e-8 "A A⁻¹ = I" (Mat.identity 4) (Mat.matmul a inv)
 
 
+(* The factor, solve and inverse as they were written before they read
+   the flat arrays: the same loops through [Mat.get] and [Mat.set]. *)
+module Chol_reference = struct
+  let decompose_gen ~psd ~jitter a =
+    let n, _ = Mat.dims a in
+    let l = Mat.create n n in
+    for i = 0 to n - 1 do
+      for j = 0 to i do
+        let acc = ref (Mat.get a i j) in
+        for k = 0 to j - 1 do
+          acc := !acc -. (Mat.get l i k *. Mat.get l j k)
+        done;
+        if i = j then begin
+          if !acc > jitter then Mat.set l i i (sqrt !acc)
+          else if psd then Mat.set l i i 0.0
+          else raise Chol.Not_positive_definite
+        end
+        else begin
+          let ljj = Mat.get l j j in
+          if Float.equal ljj 0.0 then Mat.set l i j 0.0
+          else Mat.set l i j (!acc /. ljj)
+        end
+      done
+    done;
+    l
+
+  let solve l b =
+    let n, _ = Mat.dims l in
+    let y = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      let acc = ref b.(i) in
+      for k = 0 to i - 1 do
+        acc := !acc -. (Mat.get l i k *. y.(k))
+      done;
+      let lii = Mat.get l i i in
+      y.(i) <- (if Float.equal lii 0.0 then 0.0 else !acc /. lii)
+    done;
+    let x = Array.make n 0.0 in
+    for i = n - 1 downto 0 do
+      let acc = ref y.(i) in
+      for k = i + 1 to n - 1 do
+        acc := !acc -. (Mat.get l k i *. x.(k))
+      done;
+      let lii = Mat.get l i i in
+      x.(i) <- (if Float.equal lii 0.0 then 0.0 else !acc /. lii)
+    done;
+    x
+
+  let inverse l =
+    let n, _ = Mat.dims l in
+    let inv = Mat.create n n in
+    for j = 0 to n - 1 do
+      let x = solve l (Vec.basis n j) in
+      for i = 0 to n - 1 do
+        Mat.set inv i j x.(i)
+      done
+    done;
+    inv
+end
+
+(* Positive definite, rank-deficient (semi-definite, with exact zeros
+   from a zero column), and indefinite inputs, up to 12×12. *)
+let chol_case_gen =
+  QCheck.(triple (int_range 1 12) (int_range 0 2) (int_range 0 10_000))
+
+let chol_input (d, kind, seed) =
+  let r = Sider_rand.Rng.create (7700 + seed) in
+  match kind with
+  | 0 -> random_spd r d
+  | 1 ->
+    let k = max 1 (d / 2) in
+    let b = Sider_rand.Sampler.normal_mat r d k in
+    let b = Mat.init d k (fun i j -> if i = d - 1 then 0.0 else Mat.get b i j) in
+    Mat.matmul b (Mat.transpose b)
+  | _ -> random_sym r d
+
+let chol_outcome f = match f () with l -> Some l | exception Chol.Not_positive_definite -> None
+
+let same_mat a b = Array.for_all2 same_bits a.Mat.a b.Mat.a
+
+let prop_chol_matches_reference =
+  qcheck ~count:200 "cholesky over flat arrays keeps the old bits"
+    chol_case_gen (fun ((d, _, seed) as case) ->
+      let a = chol_input case in
+      let b = Sider_rand.Sampler.normal_vec (Sider_rand.Rng.create seed) d in
+      let factors_agree psd jitter =
+        match
+          ( chol_outcome (fun () ->
+                if psd then Chol.decompose_psd ~jitter a else Chol.decompose a),
+            chol_outcome (fun () -> Chol_reference.decompose_gen ~psd ~jitter a) )
+        with
+        | None, None -> true
+        | Some l, Some l_ref ->
+          same_mat l l_ref
+          && Array.for_all2 same_bits (Chol.solve l b) (Chol_reference.solve l b)
+          && same_mat (Chol.inverse l) (Chol_reference.inverse l)
+        | _ -> false
+      in
+      factors_agree false 0.0 && factors_agree true 1e-12)
+
+(* A 24×24 factor allocates its result and a few words besides: 577
+   words are the result's array, and reading through [Mat.get] and
+   [Mat.set] boxed a float a call, 11,548 words. *)
+let test_chol_allocation () =
+  let a = random_spd (Sider_rand.Rng.create 5) 24 in
+  ignore (Chol.decompose_psd a);
+  let _, words = allocated_words (fun () -> Chol.decompose_psd a) in
+  if words > (24 * 24) + 64 then
+    Alcotest.failf "a 24x24 factor allocated %d words, over 640" words
+
 (* --- Eigen ---------------------------------------------------------------- *)
 
 let test_eigen_diag () =
@@ -314,6 +424,8 @@ let suite =
     case "cholesky PSD tolerant" test_chol_psd;
     case "cholesky solve" test_chol_solve;
     case "cholesky inverse" test_chol_inverse;
+    prop_chol_matches_reference;
+    case "cholesky factor allocates its result alone" test_chol_allocation;
     case "eigen of diagonal" test_eigen_diag;
     case "eigen 2x2 known" test_eigen_known;
     case "eigen reconstructs" test_eigen_reconstruct;

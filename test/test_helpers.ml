@@ -173,6 +173,21 @@ let test_allocated_words () =
   let _, w = allocated_words (fun () -> Sys.opaque_identity (Array.make 100_000 0.0)) in
   check "straight into the major heap" 100_001 w
 
+(* A copy of [m] with its column means subtracted, and the means. *)
+let center_cols m =
+  let n, d = Mat.dims m in
+  let means = Mat.col_means m in
+  (Mat.init n d (fun i j -> Mat.get m i j -. means.(j)), means)
+
+(* An ICA kernel over the matrix [z], copied row by row into the
+   kernel's layout. *)
+let ica_kernel z =
+  let n, m = Mat.dims z in
+  Sider_projection.Ica_kernel.create ~n ~m (fun dst stride ->
+      for i = 0 to n - 1 do
+        Array.blit z.Mat.a (i * m) dst (i * stride) m
+      done)
+
 (* The first dataset of the projection_reads benchmark workload. *)
 let reads_dataset () = Sider_data.Synth.clustered ~seed:7919 ~n:1024 ~d:16 ~k:8 ()
 

@@ -46,7 +46,7 @@ let test_rank1_update () =
 let test_col_stats () =
   approx_vec "col means" [| 2.5; 3.5; 4.5 |] (Mat.col_means m23);
   approx_vec "col vars" [| 2.25; 2.25; 2.25 |] (Mat.col_variances m23);
-  let centered, means = Mat.center_cols m23 in
+  let centered, means = center_cols m23 in
   approx_vec "returned means" [| 2.5; 3.5; 4.5 |] means;
   approx_vec "centered col means" [| 0.0; 0.0; 0.0 |] (Mat.col_means centered)
 

@@ -192,7 +192,7 @@ let test_ica_sweep_bits_stable () =
       let w = Sider_rand.Sampler.normal_mat r m m in
       let sweep_at d =
         with_domains d (fun () ->
-            let k = Sider_projection.Ica_kernel.create z in
+            let k = Test_helpers.ica_kernel z in
             let gz = Mat.create m m and eg = Array.make m 0.0 in
             Sider_projection.Ica_kernel.sweep k ~w ~gz ~eg;
             (gz, eg))
@@ -225,7 +225,7 @@ let test_ica_wide_sweep_is_unfused () =
       let gz, eg =
         with_domains d (fun () ->
             Test_projection.kernel_sweep
-              (Sider_projection.Ica_kernel.create z) z w)
+              (Test_helpers.ica_kernel z) z w)
       in
       check_bits_mat (Printf.sprintf "wide sweep gz domains=%d" d) gz_u gz;
       check_bits_vec (Printf.sprintf "wide sweep eg domains=%d" d) eg_u eg)
@@ -326,7 +326,7 @@ let test_ica_sweep_matches_model () =
       Mat.set z (n - 1) (m - 1) 0.0;
       Mat.set z 3 0 40.0;
       Mat.set z 300 (m - 1) Float.nan;
-      let kernel = Sider_projection.Ica_kernel.create z in
+      let kernel = Test_helpers.ica_kernel z in
       List.iteri
         (fun wi w ->
           let gz_m, eg_m = simd_model_sweep z w in

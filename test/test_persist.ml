@@ -534,19 +534,70 @@ let prop_checksummed_text_matches_reference_tree =
                  s
           && snapshot_text s = saved))
 
-(* Starting a journal at the projection_reads benchmark's shape prints
-   the header straight from the matrix into one buffer sized for it:
-   at most 4·n·d words.  Printing it from a tree takes about 28·n·d. *)
+(* Starting a journal at the projection_reads benchmark's shape streams
+   the header from the matrix to the file through one buffer on the
+   minor heap: 1,182 words when written, none on the major heap, gated
+   at n·d/8 and 0.  Printing it into one buffer sized for the whole text
+   took 52,621 (3.2·n·d), all but 126 on the major heap, and from a
+   tree about 28·n·d. *)
 let test_journal_start_allocation () =
   let ds = reads_dataset () in
   let n = Dataset.n_rows ds and d = Dataset.n_cols ds in
   let s = Session.create ~seed:1 ds in
   with_temp_journal @@ fun path ->
+  let before = major_words () in
   let j, words = allocated_words (fun () -> Persist.journal_start path s) in
+  let major = int_of_float (major_words () -. before) in
   Persist.journal_close j;
-  if words > 4 * n * d then
-    Alcotest.failf "journal_start allocated %d words, over 4nd = %d" words
-      (4 * n * d)
+  if words > n * d / 8 then
+    Alcotest.failf "journal_start allocated %d words, over nd/8 = %d" words
+      (n * d / 8);
+  if major > 0 then
+    Alcotest.failf "journal_start put %d words on the major heap" major
+
+(* A header streams out before its checksum is known, and the checksum's
+   digits are written back into their gap before the fsync.  A crash
+   between the header's last byte and that write-back leaves the whole
+   line with a placeholder checksum, which recovery must refuse, as it
+   refuses a torn header.  The header here spans many buffers. *)
+let test_header_crash_before_checksum () =
+  let module Fault = Sider_robust.Fault in
+  let s = Session.create ~seed:1 (reads_dataset ()) in
+  let refused what path =
+    match Persist.journal_load path with
+    | Error (Sider_robust.Sider_error.Degenerate_data _) -> ()
+    | Error e ->
+      Alcotest.failf "%s: expected Degenerate_data, got %s" what
+        (Sider_robust.Sider_error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: recovery accepted the journal" what
+  in
+  with_temp_journal @@ fun path ->
+  Fault.reset ();
+  Fault.(arm (Checksum_crash { path_substr = "" }));
+  (match Persist.journal_start path s with
+   | _ -> Alcotest.fail "the armed start returned a journal"
+   | exception Fault.Crash_injected -> ());
+  Fault.reset ();
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let header = String.length text - 1 in
+  check_true "the whole header line is on disk"
+    (header > 65536 && String.index text '\n' = header);
+  refused "placeholder checksum" path;
+  (* The same start, unarmed, gives the bytes that differ only in the
+     checksum's digits, and a journal that loads. *)
+  let j = Persist.journal_start path s in
+  Persist.journal_close j;
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  check_true "the same length" (String.length good = String.length text);
+  let differ = ref 0 in
+  String.iteri (fun i c -> if c <> text.[i] then incr differ) good;
+  check_true "at most the 16 digits differ" (!differ <= 16);
+  (match Persist.journal_load path with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "load: %s" (Sider_robust.Sider_error.to_string e));
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub good 0 (header / 2)));
+  refused "torn header" path
 
 let test_journal_roundtrip () =
   let s = explored_session () in
@@ -1015,4 +1066,6 @@ let suite =
     prop_journal_compaction_crash_random_history;
     case "journal start allocates at most 4nd words"
       test_journal_start_allocation;
+    case "a crash before the header's checksum leaves a refused journal"
+      test_header_crash_before_checksum;
   ]

@@ -318,7 +318,7 @@ let kernel_sweep kernel z w =
   Ica_kernel.sweep kernel ~w ~gz ~eg;
   (gz, eg)
 
-let portable_kernel z = Ica_kernel.with_portable (fun () -> Ica_kernel.create z)
+let portable_kernel z = Ica_kernel.with_portable (fun () -> ica_kernel z)
 
 let kernel_shapes =
   [ (137, 5, 3); (256, 8, 4); (61, 3, 5); (700, 11, 6); (517, 12, 7);
@@ -359,7 +359,7 @@ let test_ica_kernel_simd_close () =
         let z = random_mat r n m 1.5 in
         let w = random_mat r m m 1.0 in
         let gz_r, eg_r = kernel_sweep (portable_kernel z) z w in
-        let kernel = Ica_kernel.create z in
+        let kernel = ica_kernel z in
         let gz_s, eg_s = kernel_sweep kernel z w in
         (* Polynomial tanh at ~1e-15 relative error plus chunked partial
            sums: entries of an n-term sum agree to ~1e-12 of its scale. *)

@@ -515,7 +515,7 @@ let prop_covariance_symmetric_halving =
       let rng = Sider_rand.Rng.create (9876 + seed) in
       let m = Sider_rand.Sampler.normal_mat rng r k in
       let cov = Mat.covariance m in
-      let centered, _ = Mat.center_cols m in
+      let centered, _ = center_cols m in
       let reference =
         Mat.init k k (fun a b ->
             let acc = ref 0.0 in
@@ -559,7 +559,7 @@ let reference_sample solver rng =
    mirrored, then scaled by [1/n]. *)
 let reference_covariance m =
   let n, d = Mat.dims m in
-  let centered, _ = Mat.center_cols m in
+  let centered, _ = center_cols m in
   let cov = Array.make (d * d) 0.0 in
   for i = 0 to n - 1 do
     for j = 0 to d - 1 do

@@ -203,8 +203,12 @@ let test_deep_nesting_refused () =
   ignore (create_session svc)
 
 (* Decoding a create body at the projection_reads benchmark's shape
-   reads the rows straight into one float array: at most 5·n·d words.
-   Parsing the body to a tree and decoding that takes 12.9·n·d. *)
+   reads the rows straight into float blocks small enough for the minor
+   heap and copies them into one array of exactly n·d cells: at most
+   5·n·d words in all, and under n·d + 2·n on the major heap (17,410
+   when written: the cells and the shared labels' array).  Gathering
+   the cells in a doubling array put 34,825 words there; parsing the
+   body to a tree and decoding that allocates 12.9·n·d. *)
 let test_create_decode_allocation () =
   let ds = reads_dataset () in
   let n = Dataset.n_rows ds and d = Dataset.n_cols ds in
@@ -213,12 +217,70 @@ let test_create_decode_allocation () =
     Printf.sprintf {|{"dataset":%s,"method":"pca","seed":1}|}
       (Json.to_string (Persist.dataset_to_json ds))
   in
+  let before = major_words () in
   let c, words = allocated_words (fun () -> Service.decode_create body) in
+  let major = int_of_float (major_words () -. before) in
   check_true "decoded the shape"
     (Dataset.n_rows c.Service.dataset = n && Dataset.n_cols c.Service.dataset = d);
   if words > 5 * n * d then
     Alcotest.failf "decoding a create body allocated %d words, over 5nd = %d"
-      words (5 * n * d)
+      words (5 * n * d);
+  if major >= (n * d) + (2 * n) then
+    Alcotest.failf
+      "decoding a create body put %d words on the major heap, nd + 2n = %d"
+      major ((n * d) + (2 * n))
+
+(* A worker reads every request head into the one buffer it keeps, and a
+   connection keeps only what it pipelined: once the buffer is warm, a
+   keep-alive request's read puts nothing on the major heap.  A fresh
+   8 KiB buffer a read put 1,025 words there.  Each request is read
+   alone, then two arrive in one write and the second is read from what
+   the first left pending. *)
+let test_warm_read_major_heap () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  let rb = Http.read_buffer () and r = Http.reader b in
+  let get = "GET /sessions/s1/projection HTTP/1.1\r\nHost: x\r\n\r\n" in
+  let post =
+    Printf.sprintf
+      "POST /sessions/s1/constraints HTTP/1.1\r\nHost: x\r\n\
+       Content-Length: %d\r\n\r\n%s"
+      (String.length cluster_body) cluster_body
+  in
+  let send text = ignore (Unix.write_substring a text 0 (String.length text)) in
+  let projection = "/sessions/s1/projection"
+  and constraints = "/sessions/s1/constraints" in
+  (* Reads one request, which must be for [path]; returns the words its
+     read put on the major heap. *)
+  let read path =
+    let before = major_words () in
+    let got = Http.read_request_buffered rb r in
+    let major = int_of_float (major_words () -. before) in
+    (match got with
+     | Ok req when req.Http.path = path -> ()
+     | Ok req -> Alcotest.failf "read %s, expected %s" req.Http.path path
+     | Error _ -> Alcotest.failf "%s: the request did not read" path);
+    major
+  in
+  send get;
+  ignore (read projection);
+  List.iter
+    (fun (what, text, paths) ->
+      send text;
+      List.iter
+        (fun path ->
+          let major = read path in
+          if major > 0 then
+            Alcotest.failf "%s, %s: %d words on the major heap" what path major)
+        paths)
+    [ ("get", get, [ projection ]);
+      ("post", post, [ constraints ]);
+      ("pipelined", get ^ post, [ projection; constraints ]) ];
+  check_true "nothing left pending" (not (Http.reader_has_pending r))
 
 (* --- create bodies: cursor decode against the tree ------------------------------ *)
 
@@ -2390,6 +2452,8 @@ let suite =
       test_create_decode_allocation;
     case "warm projection response allocates at most 64 words"
       test_projection_response_allocation;
+    case "warm keep-alive read puts nothing on the major heap"
+      test_warm_read_major_heap;
     prop_projection_matches_tree;
     case "framing matches the reference for every status"
       test_framing_matches_reference;

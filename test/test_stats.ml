@@ -8,7 +8,8 @@ open Test_helpers
 (* --- Descriptive ---------------------------------------------------------- *)
 
 let test_standardize () =
-  let s = Descriptive.standardize [| 2.0; 4.0; 6.0 |] in
+  let s = [| 2.0; 4.0; 6.0 |] in
+  Descriptive.standardize_into ~dst:s s;
   approx ~eps:1e-12 "mean 0" 0.0 (Vec.mean s);
   approx ~eps:1e-12 "var 1" 1.0 (Vec.variance s)
 
