@@ -1,10 +1,9 @@
 # Developer entry points.  `make verify` is the tier-1 gate every PR must
 # keep green: a full type-check of every target, the repo invariant
 # linter (tools/lint/, zero unannotated findings), the test suite (plus
-# a multi-domain smoke pass — results must be bit-identical, see
-# lib/par/ — and a pass with a live stderr tracing sink, which must not
-# move any numeric either), the view-driven paper experiments Table I,
-# Fig. 2 and Fig. 9 (about 1 s; bench/main.exe exits 1 when Table I's
+# a pass with a live stderr tracing sink, which must not move any
+# numeric), the view-driven paper experiments Table I, Fig. 2 and
+# Fig. 9 (about 1 s; bench/main.exe exits 1 when Table I's
 # score-decay check fails; then every tracked file they rewrite under
 # _artifacts/bench/ must come out byte for byte as committed, a check
 # skipped outside a git checkout), `sider convergence three_d` (its table must
@@ -19,7 +18,7 @@
 # second), and the service smoke run.
 
 .PHONY: all build check test lint lint-fixtures lint-sarif verify clean \
-        bench bench-diff bench-scaling service-smoke convergence-smoke \
+        bench bench-diff service-smoke convergence-smoke \
         artifacts-unchanged
 
 all: build
@@ -57,7 +56,6 @@ lint-sarif:
 
 verify:
 	dune build @check && $(MAKE) lint && dune runtest \
-	  && SIDER_DOMAINS=2 dune runtest --force \
 	  && SIDER_TRACE=stderr dune runtest --force \
 	  && dune exec bench/main.exe -- -e table1 fig2 fig9 \
 	  && $(MAKE) artifacts-unchanged \
@@ -134,8 +132,8 @@ service-smoke:
 
 # Re-measure every in-process scenario and rewrite the committed
 # baseline, bench/baseline.json: walls, exact work counts and the
-# environment the counts depend on (domain count, OCaml version, AVX2
-# ICA kernel).  Commit it with a change that moves a count on purpose.
+# environment the counts depend on (OCaml version, AVX2 ICA kernel).
+# Commit it with a change that moves a count on purpose.
 bench:
 	dune exec bench/bench_regress.exe -- --out bench/baseline.json
 
@@ -145,12 +143,6 @@ bench:
 # gate fails.  Walls are reported, not compared.
 bench-diff:
 	dune exec bench/bench_regress.exe -- --baseline bench/baseline.json
-
-# Wall clock of the Sider_par-enabled scenarios at 1, 2 and 4 domains
-# (results are bit-identical at every size; only the time may change).
-bench-scaling:
-	dune exec bench/bench_regress.exe -- --scaling \
-	  --out _artifacts/BENCH_scaling.json
 
 clean:
 	dune clean

@@ -11,12 +11,10 @@
    path (JSON parse, projection print, journal start).  It writes one
    JSON document per invocation:
 
-     { "schema": "sider-bench/4", "domains": 1, "ocaml_version": "...",
-       "ica_simd": true,
+     { "schema": "sider-bench/5", "ocaml_version": "...", "ica_simd": true,
        "scenarios": [ { "name": ..., "counts": { "sweeps": ..., ... },
                         "runs": ..., "wall_s": ..., "wall_min_s": ... },
-                      ... ],
-       "scaling": [ { "name": ..., "domains": ..., "wall_s": ... } ] }
+                      ... ] }
 
    [wall_s] is the median of the timed section over --runs repetitions
    and [wall_min_s] the fastest.  [counts] is the work the timed section
@@ -24,17 +22,14 @@
    [iterations], the [bytes] a codec scenario prints, and [words], the
    words it allocated (minor words plus the words allocated straight into
    the major heap, as [Test_helpers.allocated_words] counts them).  Each
-   scenario runs once before its counted runs, so one-off set-up (the
-   first parallel call's worker state) is not counted, and every count
-   must repeat exactly over the counted runs (exit 1 otherwise).
+   scenario runs once before its counted runs, so one-off set-up is not
+   counted, and every count must repeat exactly over the counted runs
+   (exit 1 otherwise).
 
-   [words] is recorded at one domain only: the counters see this domain's
-   allocations, and with workers this domain's share of the chunks
-   changes from run to run.  It also depends on the OCaml version and,
-   where FastICA runs, on whether its AVX2 kernel ran; [iterations]
-   depends on the kernel, whose bits differ from the portable path's.
-   The document records the domain count, the OCaml version and the
-   kernel.
+   [words] depends on the OCaml version and, where FastICA runs, on
+   whether its AVX2 kernel ran; [iterations] depends on the kernel,
+   whose bits differ from the portable path's.  The document records the
+   OCaml version and the kernel.
 
    Every run enforces three gates and the codec checks (exit 1 on a
    failure):
@@ -56,15 +51,12 @@
                        or count is on one side only.  A count whose
                        environment differs from the baseline's is
                        skipped and named.  Walls are not compared.
-     --runs N          repetitions per scenario (default 3)
-     --scaling         also time the Sider_par-enabled scenarios at 1, 2
-                       and 4 domains and record a "scaling" section *)
+     --runs N          repetitions per scenario (default 3) *)
 
 open Sider_data
 open Sider_maxent
 open Sider_projection
 open Sider_core
-module Par = Sider_par.Par
 
 type run = {
   wall : float;
@@ -97,9 +89,7 @@ let timed f counts =
   let r = f () in
   let wall = Unix.gettimeofday () -. t0 in
   let words = int_of_float (words_so_far () -. w0) in
-  { wall;
-    counts =
-      counts r @ (if Par.domain_count () = 1 then [ ("words", words) ] else []) }
+  { wall; counts = counts r @ [ ("words", words) ] }
 
 let solver_counts solver (r : Solver.report) =
   [ ("sweeps", r.sweeps); ("updates", r.updates);
@@ -485,24 +475,23 @@ let measure ~runs sc =
 (* --- the environment the counts depend on ---------------------------------- *)
 
 let environment () =
-  [ ("domains", Json.Number (float_of_int (Par.domain_count ())));
-    ("ocaml_version", Json.String Sys.ocaml_version);
+  [ ("ocaml_version", Json.String Sys.ocaml_version);
     ("ica_simd", Json.Bool (Ica_kernel.simd_available ())) ]
 
 (* The environment fields count [key] of scenario [name] depends on. *)
 let depends_on name key =
   match key with
   | "words" ->
-    "domains" :: "ocaml_version"
+    "ocaml_version"
     :: (if List.mem name ica_scenarios then [ "ica_simd" ] else [])
   | "iterations" -> [ "ica_simd" ]
   | _ -> []
 
 (* --- JSON in / out --------------------------------------------------------- *)
 
-let schema = "sider-bench/4"
+let schema = "sider-bench/5"
 
-let to_json ~env ~scaling measured =
+let to_json ~env measured =
   let num i = Json.Number (float_of_int i) in
   let scenario_json m =
     Json.Obj
@@ -514,22 +503,10 @@ let to_json ~env ~scaling measured =
   in
   Json.Obj
     ((("schema", Json.String schema) :: env)
-     @ [ ("scenarios", Json.List (List.map scenario_json measured)) ]
-     @
-     match scaling with
-     | [] -> []
-     | rows ->
-       [ ("scaling",
-          Json.List
-            (List.map
-               (fun (name, domains, wall) ->
-                 Json.Obj
-                   [ ("name", Json.String name); ("domains", num domains);
-                     ("wall_s", Json.Number wall) ])
-               rows)) ])
+     @ [ ("scenarios", Json.List (List.map scenario_json measured)) ])
 
-(* [doc] as text, one field and one scenario or scaling row per line, so
-   a diff of the committed baseline shows which scenario moved. *)
+(* [doc] as text, one field and one scenario per line, so a diff of the
+   committed baseline shows which scenario moved. *)
 let layout doc =
   let value = function
     | Json.List rows ->
@@ -665,49 +642,19 @@ let count_gate ~env measured path =
 
 (* --- driver ---------------------------------------------------------------- *)
 
-(* Domain-scaling sweep: the three projection/session scenarios that
-   fan out through [Sider_par], each at 1, 2 and 4 domains.  Results are
-   deterministic for any domain count, so the sweep is purely about
-   wall clock. *)
-let scaling_names =
-  [ "session_update_synthetic"; "whiten_pca"; "ica_projection" ]
-
-let scaling_domain_counts = [ 1; 2; 4 ]
-
-let run_scaling () =
-  let restore = Par.domain_count () in
-  let rows =
-    List.concat_map
-      (fun name ->
-        let sc = List.find (fun sc -> sc.name = name) scenarios in
-        List.map
-          (fun d ->
-            Par.set_domains d;
-            let r = sc.run () in
-            Printf.printf "  %-30s domains=%d %.4fs\n%!" sc.name d r.wall;
-            (name, d, r.wall))
-          scaling_domain_counts)
-      scaling_names
-  in
-  Par.set_domains restore;
-  rows
-
 let () =
   let out = ref "_artifacts/bench_regress.json" in
   let baseline = ref None in
   let runs = ref 3 in
-  let scaling = ref false in
   let specs =
     [ ("--out", Arg.Set_string out, "PATH output JSON path");
       ("--baseline", Arg.String (fun p -> baseline := Some p),
        "PATH a previous output; exit 1 when a count differs from it");
-      ("--runs", Arg.Set_int runs, "N repetitions per scenario (default 3)");
-      ("--scaling", Arg.Set scaling,
-       " also run the par-enabled scenarios at 1/2/4 domains") ]
+      ("--runs", Arg.Set_int runs, "N repetitions per scenario (default 3)") ]
   in
   Arg.parse specs
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench_regress [--out PATH] [--baseline PATH] [--runs N] [--scaling]";
+    "bench_regress [--out PATH] [--baseline PATH] [--runs N]";
   let runs = Stdlib.max 1 !runs in
   let env = environment () in
   Printf.printf "bench_regress: %d scenarios, %d run(s) each, %s\n%!"
@@ -723,14 +670,7 @@ let () =
         m)
       scenarios
   in
-  let scaling_rows =
-    if !scaling then begin
-      Printf.printf "  domain scaling:\n%!";
-      run_scaling ()
-    end
-    else []
-  in
-  Bench_common.write_file !out (layout (to_json ~env ~scaling:scaling_rows measured));
+  Bench_common.write_file !out (layout (to_json ~env measured));
   Printf.printf "  wrote %s\n%!" !out;
   let incremental = incremental_gate measured in
   let null_sink =

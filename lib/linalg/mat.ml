@@ -11,19 +11,7 @@
      [matmul]) on paths too hot for [Float.equal]'s C call. *)
 [@@@sider.allow "error-discipline, float-equality"]
 
-module Par = Sider_par.Par
-
 type t = { rows : int; cols : int; a : float array }
-
-(* Fan a row-range body out across the domain pool when the estimated
-   flop count justifies the scheduling cost; below the threshold (or with
-   a single-domain pool) the same chunked body runs inline.  Results are
-   bit-identical either way: bodies write disjoint output rows. *)
-let par_work_min = 1 lsl 16
-
-let par_rows ?chunk ?label ~work n body =
-  let min = if work >= par_work_min then 1 else Stdlib.max_int in
-  Par.parallel_for_chunks ?chunk ~min ?label ~n body
 
 let create rows cols =
   if rows < 0 || cols < 0 then invalid_arg "Mat.create: negative dimension";
@@ -178,7 +166,7 @@ let sub x y =
   z
 
 (* k-blocking keeps a bounded panel of [y] rows hot while it is streamed
-   against a chunk of [x] rows; block order never changes the per-entry
+   against every row of [x]; block order never changes the per-entry
    accumulation order (increasing [k]), so results are identical to the
    unblocked loop. *)
 let kblock = 64
@@ -199,25 +187,24 @@ let matmul_into ~dst x y =
      this toolchain, so the bounds checks would not be elided).  The
      [xik <> 0.0] skip must be kept for exact reproducibility: skipping a
      zero row-entry is not FP-neutral when [y] holds NaN or infinities. *)
-  par_rows ~label:"mat.matmul" ~work:(x.rows * xc * yc) x.rows (fun lo hi ->
-      Array.fill za (lo * yc) ((hi - lo) * yc) 0.0;
-      let kb = ref 0 in
-      while !kb < xc do
-        let khi = Stdlib.min xc (!kb + kblock) in
-        for i = lo to hi - 1 do
-          let xoff = i * xc and zoff = i * yc in
-          for k = !kb to khi - 1 do
-            let xik = Array.unsafe_get xa (xoff + k) in
-            if xik <> 0.0 then axpy_range za zoff xik ya (k * yc) yc
-          done
-        done;
-        kb := khi
-      done)
+  Array.fill za 0 (x.rows * yc) 0.0;
+  let kb = ref 0 in
+  while !kb < xc do
+    let khi = Stdlib.min xc (!kb + kblock) in
+    for i = 0 to x.rows - 1 do
+      let xoff = i * xc and zoff = i * yc in
+      for k = !kb to khi - 1 do
+        let xik = Array.unsafe_get xa (xoff + k) in
+        if xik <> 0.0 then axpy_range za zoff xik ya (k * yc) yc
+      done
+    done;
+    kb := khi
+  done
 
 (* Each row centred as it is read: the term [x_ik − mean_k] is the
    float a centred copy of [x] holds, and each entry sums in increasing
    [k] with [matmul_into]'s zero skip, so the floats are those [matmul]
-   gives that copy.  Rows are independent, so they fan out. *)
+   gives that copy. *)
 let matmul_centred_into ~dst ~stride x mean y =
   if x.cols <> y.rows || Array.length mean <> x.cols || stride < y.cols
      || (x.rows > 0 && Array.length dst < ((x.rows - 1) * stride) + y.cols)
@@ -226,16 +213,14 @@ let matmul_centred_into ~dst ~stride x mean y =
     invalid_arg "Mat.matmul_centred_into: dst aliases an input";
   let xa = x.a and ya = y.a in
   let xc = x.cols and yc = y.cols in
-  par_rows ~label:"mat.matmul_centred" ~work:(x.rows * xc * yc) x.rows
-    (fun lo hi ->
-      for i = lo to hi - 1 do
-        let xoff = i * xc and zoff = i * stride in
-        Array.fill dst zoff yc 0.0;
-        for k = 0 to xc - 1 do
-          let xik = Array.unsafe_get xa (xoff + k) -. Array.unsafe_get mean k in
-          if xik <> 0.0 then axpy_range dst zoff xik ya (k * yc) yc
-        done
-      done)
+  for i = 0 to x.rows - 1 do
+    let xoff = i * xc and zoff = i * stride in
+    Array.fill dst zoff yc 0.0;
+    for k = 0 to xc - 1 do
+      let xik = Array.unsafe_get xa (xoff + k) -. Array.unsafe_get mean k in
+      if xik <> 0.0 then axpy_range dst zoff xik ya (k * yc) yc
+    done
+  done
 
 let matmul x y =
   if x.cols <> y.rows then
@@ -264,46 +249,44 @@ let matmul_nt_into ~dst x y =
      the row is streamed once per four [y] rows instead of once per one.
      Each accumulator still sums in increasing [k] with the per-[xik]
      zero-skip, so every entry is bit-identical to the unblocked loop. *)
-  par_rows ~label:"mat.matmul_nt" ~work:(x.rows * xc * yr) x.rows
-    (fun lo hi ->
-      for i = lo to hi - 1 do
-        let xoff = i * xc and zoff = i * yr in
-        let j = ref 0 in
-        while !j + 3 < yr do
-          let j0 = !j in
-          let y0 = j0 * xc
-          and y1 = (j0 + 1) * xc
-          and y2 = (j0 + 2) * xc
-          and y3 = (j0 + 3) * xc in
-          let a0 = ref 0.0 and a1 = ref 0.0 in
-          let a2 = ref 0.0 and a3 = ref 0.0 in
-          for k = 0 to xc - 1 do
-            let xik = Array.unsafe_get xa (xoff + k) in
-            if xik <> 0.0 then begin
-              a0 := !a0 +. (xik *. Array.unsafe_get ya (y0 + k));
-              a1 := !a1 +. (xik *. Array.unsafe_get ya (y1 + k));
-              a2 := !a2 +. (xik *. Array.unsafe_get ya (y2 + k));
-              a3 := !a3 +. (xik *. Array.unsafe_get ya (y3 + k))
-            end
-          done;
-          Array.unsafe_set za (zoff + j0) !a0;
-          Array.unsafe_set za (zoff + j0 + 1) !a1;
-          Array.unsafe_set za (zoff + j0 + 2) !a2;
-          Array.unsafe_set za (zoff + j0 + 3) !a3;
-          j := j0 + 4
-        done;
-        while !j < yr do
-          let yoff = !j * xc in
-          let acc = ref 0.0 in
-          for k = 0 to xc - 1 do
-            let xik = Array.unsafe_get xa (xoff + k) in
-            if xik <> 0.0 then
-              acc := !acc +. (xik *. Array.unsafe_get ya (yoff + k))
-          done;
-          Array.unsafe_set za (zoff + !j) !acc;
-          incr j
-        done
-      done)
+  for i = 0 to x.rows - 1 do
+    let xoff = i * xc and zoff = i * yr in
+    let j = ref 0 in
+    while !j + 3 < yr do
+      let j0 = !j in
+      let y0 = j0 * xc
+      and y1 = (j0 + 1) * xc
+      and y2 = (j0 + 2) * xc
+      and y3 = (j0 + 3) * xc in
+      let a0 = ref 0.0 and a1 = ref 0.0 in
+      let a2 = ref 0.0 and a3 = ref 0.0 in
+      for k = 0 to xc - 1 do
+        let xik = Array.unsafe_get xa (xoff + k) in
+        if xik <> 0.0 then begin
+          a0 := !a0 +. (xik *. Array.unsafe_get ya (y0 + k));
+          a1 := !a1 +. (xik *. Array.unsafe_get ya (y1 + k));
+          a2 := !a2 +. (xik *. Array.unsafe_get ya (y2 + k));
+          a3 := !a3 +. (xik *. Array.unsafe_get ya (y3 + k))
+        end
+      done;
+      Array.unsafe_set za (zoff + j0) !a0;
+      Array.unsafe_set za (zoff + j0 + 1) !a1;
+      Array.unsafe_set za (zoff + j0 + 2) !a2;
+      Array.unsafe_set za (zoff + j0 + 3) !a3;
+      j := j0 + 4
+    done;
+    while !j < yr do
+      let yoff = !j * xc in
+      let acc = ref 0.0 in
+      for k = 0 to xc - 1 do
+        let xik = Array.unsafe_get xa (xoff + k) in
+        if xik <> 0.0 then
+          acc := !acc +. (xik *. Array.unsafe_get ya (yoff + k))
+      done;
+      Array.unsafe_set za (zoff + !j) !acc;
+      incr j
+    done
+  done
 
 let matmul_nt x y =
   if x.cols <> y.cols then
@@ -314,9 +297,9 @@ let matmul_nt x y =
   z
 
 (* [xᵀ y] without forming the transpose: output row [j] depends only on
-   column [j] of [x], so rows fan out independently; each entry sums over
-   the data rows in increasing [i] with the usual zero-skip —
-   bit-identical to [matmul (transpose x) y]. *)
+   column [j] of [x]; each entry sums over the data rows in increasing
+   [i] with the usual zero-skip — bit-identical to
+   [matmul (transpose x) y]. *)
 let matmul_tn_into ~dst x y =
   if x.rows <> y.rows then
     invalid_arg (Printf.sprintf "Mat.matmul_tn_into: inner dims (%dx%d)ᵀ*(%dx%d)"
@@ -328,57 +311,56 @@ let matmul_tn_into ~dst x y =
     invalid_arg "Mat.matmul_tn_into: dst aliases an input";
   let xa = x.a and ya = y.a and za = dst.a in
   let rows = x.rows and xc = x.cols and yc = y.cols in
-  (* i-outer within each chunk of output rows: every input row is read
-     once, contiguously, while each output entry still accumulates in
-     increasing row order — bit-identical to the j-outer formulation but
-     without the strided column walk over [x].  Output rows are register-
-     blocked by four: when all four coefficients are non-zero (the dense
-     common case) one pass over the [y] row feeds four accumulator rows;
-     a zero in the block falls back to the per-row skipped axpy.  Each
-     destination slot still sees exactly one read-modify-write per input
-     row, in increasing [i], so the result is bit-identical either way. *)
-  par_rows ~label:"mat.matmul_tn" ~work:(rows * xc * yc) xc (fun lo hi ->
-      Array.fill za (lo * yc) ((hi - lo) * yc) 0.0;
-      for i = 0 to rows - 1 do
-        let xoff = i * xc and yoff = i * yc in
-        let j = ref lo in
-        while !j + 3 < hi do
-          let j0 = !j in
-          let x0 = Array.unsafe_get xa (xoff + j0)
-          and x1 = Array.unsafe_get xa (xoff + j0 + 1)
-          and x2 = Array.unsafe_get xa (xoff + j0 + 2)
-          and x3 = Array.unsafe_get xa (xoff + j0 + 3) in
-          if x0 <> 0.0 && x1 <> 0.0 && x2 <> 0.0 && x3 <> 0.0 then begin
-            let d0 = j0 * yc
-            and d1 = (j0 + 1) * yc
-            and d2 = (j0 + 2) * yc
-            and d3 = (j0 + 3) * yc in
-            for c = 0 to yc - 1 do
-              let yv = Array.unsafe_get ya (yoff + c) in
-              Array.unsafe_set za (d0 + c)
-                (Array.unsafe_get za (d0 + c) +. (x0 *. yv));
-              Array.unsafe_set za (d1 + c)
-                (Array.unsafe_get za (d1 + c) +. (x1 *. yv));
-              Array.unsafe_set za (d2 + c)
-                (Array.unsafe_get za (d2 + c) +. (x2 *. yv));
-              Array.unsafe_set za (d3 + c)
-                (Array.unsafe_get za (d3 + c) +. (x3 *. yv))
-            done
-          end
-          else begin
-            if x0 <> 0.0 then axpy_range za (j0 * yc) x0 ya yoff yc;
-            if x1 <> 0.0 then axpy_range za ((j0 + 1) * yc) x1 ya yoff yc;
-            if x2 <> 0.0 then axpy_range za ((j0 + 2) * yc) x2 ya yoff yc;
-            if x3 <> 0.0 then axpy_range za ((j0 + 3) * yc) x3 ya yoff yc
-          end;
-          j := j0 + 4
-        done;
-        while !j < hi do
-          let xij = Array.unsafe_get xa (xoff + !j) in
-          if xij <> 0.0 then axpy_range za (!j * yc) xij ya yoff yc;
-          incr j
+  (* i-outer: every input row is read once, contiguously, while each
+     output entry still accumulates in increasing row order —
+     bit-identical to the j-outer formulation but without the strided
+     column walk over [x].  Output rows are register-blocked by four:
+     when all four coefficients are non-zero (the dense common case) one
+     pass over the [y] row feeds four accumulator rows; a zero in the
+     block falls back to the per-row skipped axpy.  Each destination
+     slot still sees exactly one read-modify-write per input row, in
+     increasing [i], so the result is bit-identical either way. *)
+  Array.fill za 0 (xc * yc) 0.0;
+  for i = 0 to rows - 1 do
+    let xoff = i * xc and yoff = i * yc in
+    let j = ref 0 in
+    while !j + 3 < xc do
+      let j0 = !j in
+      let x0 = Array.unsafe_get xa (xoff + j0)
+      and x1 = Array.unsafe_get xa (xoff + j0 + 1)
+      and x2 = Array.unsafe_get xa (xoff + j0 + 2)
+      and x3 = Array.unsafe_get xa (xoff + j0 + 3) in
+      if x0 <> 0.0 && x1 <> 0.0 && x2 <> 0.0 && x3 <> 0.0 then begin
+        let d0 = j0 * yc
+        and d1 = (j0 + 1) * yc
+        and d2 = (j0 + 2) * yc
+        and d3 = (j0 + 3) * yc in
+        for c = 0 to yc - 1 do
+          let yv = Array.unsafe_get ya (yoff + c) in
+          Array.unsafe_set za (d0 + c)
+            (Array.unsafe_get za (d0 + c) +. (x0 *. yv));
+          Array.unsafe_set za (d1 + c)
+            (Array.unsafe_get za (d1 + c) +. (x1 *. yv));
+          Array.unsafe_set za (d2 + c)
+            (Array.unsafe_get za (d2 + c) +. (x2 *. yv));
+          Array.unsafe_set za (d3 + c)
+            (Array.unsafe_get za (d3 + c) +. (x3 *. yv))
         done
-      done)
+      end
+      else begin
+        if x0 <> 0.0 then axpy_range za (j0 * yc) x0 ya yoff yc;
+        if x1 <> 0.0 then axpy_range za ((j0 + 1) * yc) x1 ya yoff yc;
+        if x2 <> 0.0 then axpy_range za ((j0 + 2) * yc) x2 ya yoff yc;
+        if x3 <> 0.0 then axpy_range za ((j0 + 3) * yc) x3 ya yoff yc
+      end;
+      j := j0 + 4
+    done;
+    while !j < xc do
+      let xij = Array.unsafe_get xa (xoff + !j) in
+      if xij <> 0.0 then axpy_range za (!j * yc) xij ya yoff yc;
+      incr j
+    done
+  done
 
 let mv_into ~dst m v =
   if m.cols <> Array.length v then
@@ -474,11 +456,9 @@ let tanh_into ~dst m =
   (* Specialized so [tanh] is a direct (unboxed) call: a generic map
      through a closure boxes every argument and result, which roughly
      doubles the cost of FastICA's dominant kernel. *)
-  par_rows ~label:"mat.tanh" ~work:(m.rows * m.cols * 16) m.rows
-    (fun lo hi ->
-      for i = lo * m.cols to (hi * m.cols) - 1 do
-        Array.unsafe_set za i (tanh (Array.unsafe_get ma i))
-      done)
+  for i = 0 to (m.rows * m.cols) - 1 do
+    Array.unsafe_set za i (tanh (Array.unsafe_get ma i))
+  done
 
 let col_means m =
   if m.rows = 0 then invalid_arg "Mat.col_means: empty matrix";
@@ -508,11 +488,10 @@ let col_variances m =
   let n = float_of_int m.rows in
   Array.map (fun s -> s /. n) vars
 
-(* Accumulated output-row-at-a-time: row [j] of the covariance depends
-   only on column [j] against every column, so the [j]-ranges fan out
-   across domains while each entry still sums over the data rows in
-   increasing [i] with the same zero-skip as the single-pass loop —
-   bit-identical for any domain count.  [rows] picks the data rows, in
+(* Accumulated a block of output rows at a time: row [j] of the
+   covariance depends only on column [j] against every column, and each
+   entry sums over the data rows in increasing [i] with the same
+   zero-skip as the single-pass loop.  [rows] picks the data rows, in
    their order, by offset: the means are summed over them as
    [col_means] sums a matrix's rows, so a selection gives the floats of
    its copy without the copy. *)
@@ -541,29 +520,31 @@ let covariance ?rows:sel m =
   let cov = create cols cols in
   let cova = cov.a in
   (* Same i-outer trick as [matmul_tn_into]: stream the rows one by one,
-     accumulating the upper triangle of the chunk; per-entry order stays
+     accumulating the upper triangle of the block; per-entry order stays
      increasing-i, so the result is bit-identical.  Each row is centred
-     into a d-float scratch, entries [lo, cols) being all the chunk
+     into a d-float scratch, entries [lo, cols) being all the block
      reads: the floats a centred copy would store, without an n×d copy.
-     Every chunk centres its rows again, so chunks span 8 output rows:
+     Every block centres its rows again, so blocks span 8 output rows:
      one row each would double the subtractions to one per product.
      The lower triangle is mirrored afterwards — exact because
      x·y = y·x in IEEE and both triangles would accumulate in the same
      row order. *)
-  par_rows ~chunk:8 ~label:"mat.covariance" ~work:(rows * cols * cols / 2) cols
-    (fun lo hi ->
-      let x = Array.create_float cols in
-      for i = 0 to rows - 1 do
-        let o = off i in
-        for j = lo to cols - 1 do
-          Array.unsafe_set x j
-            (Array.unsafe_get ma (o + j) -. Array.unsafe_get means j)
-        done;
-        for j = lo to hi - 1 do
-          let xj = Array.unsafe_get x j in
-          if xj <> 0.0 then axpy_range cova ((j * cols) + j) xj x j (cols - j)
-        done
-      done);
+  let x = Array.create_float cols in
+  for b = 0 to ((cols + 7) / 8) - 1 do
+    let lo = 8 * b in
+    let hi = Stdlib.min cols (lo + 8) in
+    for i = 0 to rows - 1 do
+      let o = off i in
+      for j = lo to cols - 1 do
+        Array.unsafe_set x j
+          (Array.unsafe_get ma (o + j) -. Array.unsafe_get means j)
+      done;
+      for j = lo to hi - 1 do
+        let xj = Array.unsafe_get x j in
+        if xj <> 0.0 then axpy_range cova ((j * cols) + j) xj x j (cols - j)
+      done
+    done
+  done;
   for j = 1 to cols - 1 do
     for k = 0 to j - 1 do
       Array.unsafe_set cova ((j * cols) + k)

@@ -7,11 +7,9 @@
     loops; destinations must have the exact result shape and (except for
     the element-wise operations) must not alias an input.
 
-    The heavy kernels ({!matmul}, {!matmul_nt}, {!covariance})
-    fan their independent output rows out across the [Sider_par] domain
-    pool when the estimated work is large enough; chunking is a pure
-    function of the problem size, so results are bit-identical for any
-    domain count (see [Sider_par.Par]). *)
+    The kernels run on the caller's domain.  Their blocking and register
+    tiling never change the order in which an entry accumulates, so the
+    floats do not depend on them. *)
 
 type t = private { rows : int; cols : int; a : float array }
 

@@ -2,14 +2,6 @@ open Sider_linalg
 open Sider_rand
 open Sider_robust
 module Obs = Sider_obs.Obs
-module Par = Sider_par.Par
-
-(* Per-equivalence-class applies fan out across the domain pool: classes
-   are disjoint state, so bodies touch disjoint [Gauss_params.t] values
-   and the result is bit-identical for any domain count.  One class per
-   chunk ([~chunk:1]): class updates are O(d²) each and the class count
-   is small. *)
-let par_classes_min = 2
 
 (* Bound on a single multiplier change.  The root search reaches it only
    when a constraint's target variance is exactly zero (the singular
@@ -174,20 +166,15 @@ let update_linear t idx ~damp =
   if !denom <= 0.0 then (0.0, 0.0, [])
   else begin
     let lambda = damp *. (constr.Constr.target -. !v_cur) /. !denom in
-    let dparam =
-      Par.parallel_reduce ~chunk:1 ~min:par_classes_min
-        ~label:"solver.apply_linear" ~n:(Array.length groups) ~init:0.0
-        ~step:(fun acc i ->
-          let cls, _ = groups.(i) in
-          let p = t.classes.(cls) in
-          let acc =
-            Float.max acc (Float.abs (lambda *. Gauss_params.proj_var p w))
-          in
-          Gauss_params.apply_linear p ~lambda ~w;
-          acc)
-        ~combine:Float.max ()
-    in
-    (lambda, dparam, [])
+    let dparam = ref 0.0 in
+    Array.iter
+      (fun (cls, _) ->
+        let p = t.classes.(cls) in
+        dparam :=
+          Float.max !dparam (Float.abs (lambda *. Gauss_params.proj_var p w));
+        Gauss_params.apply_linear p ~lambda ~w)
+      groups;
+    (lambda, !dparam, [])
   end
 
 (* Quadratic constraint: after adding λwwᵀ to Σ⁻¹ and λδw to θ₁, the
@@ -207,13 +194,13 @@ let update_quadratic t idx ~damp ~tally =
   let cs = Array.make k 0.0
   and es = Array.make k 0.0
   and cnts = Array.make k 0.0 in
-  Par.parallel_for ~chunk:1 ~min:par_classes_min ~label:"solver.quad_scan"
-    ~n:k (fun i ->
-      let cls, cnt = groups.(i) in
+  Array.iteri
+    (fun i (cls, cnt) ->
       let p = t.classes.(cls) in
       cs.(i) <- Gauss_params.proj_var p w;
       es.(i) <- Gauss_params.proj_mean p w;
-      cnts.(i) <- float_of_int cnt);
+      cnts.(i) <- float_of_int cnt)
+    groups;
   let c_max = Array.fold_left Float.max 0.0 cs in
   let v lambda =
     let acc = ref 0.0 in
@@ -266,54 +253,35 @@ let update_quadratic t idx ~damp ~tally =
     let lambda = damp *. lambda in
     if Float.equal lambda 0.0 then (0.0, 0.0, [])
     else begin
-      (* Per-chunk partials are (max |Δparam|, reversed fault list,
-         Woodbury fast/recompute/frozen counts); the ordered tree combine
-         prepends higher-index chunks, reproducing exactly the reversed
-         order the sequential fold built. *)
-      let apply_range lo hi =
-        let dp = ref 0.0 and faults = ref [] in
-        let fast = ref 0 and recompute = ref 0 and frozen = ref 0 in
-        for i = lo to hi - 1 do
-          let cls, _ = groups.(i) in
-          let p = t.classes.(cls) in
-          let denom = 1.0 +. (lambda *. cs.(i)) in
-          let dsd = sqrt (cs.(i) /. denom) -. sqrt cs.(i) in
-          let dmean = lambda *. (delta -. es.(i)) *. cs.(i) /. denom in
-          dp := Float.max !dp (Float.max (Float.abs dsd) (Float.abs dmean));
-          match Gauss_params.apply_quadratic p ~lambda ~delta ~w with
-          | `Sherman_morrison -> incr fast
-          | `Recomputed ->
-            incr recompute;
-            faults :=
-              Sider_error.singular_covariance ~class_index:cls
-                ~constraint_tag:constr.Constr.tag
-                "rank-1 update lost positive definiteness; recomputed Σ \
-                 in full"
-              :: !faults
-          | `Frozen ->
-            incr frozen;
-            faults :=
-              Sider_error.singular_covariance ~class_index:cls
-                ~constraint_tag:constr.Constr.tag
-                "rank-1 update and full recompute both failed; class \
-                 frozen for this update"
-              :: !faults
-        done;
-        (!dp, !faults, !fast, !recompute, !frozen)
-      in
-      match
-        Par.parallel_reduce_chunks ~chunk:1 ~min:par_classes_min
-          ~label:"solver.apply_quadratic" ~n:k ~part:apply_range
-          ~combine:(fun (d1, f1, a1, r1, z1) (d2, f2, a2, r2, z2) ->
-            (Float.max d1 d2, f2 @ f1, a1 + a2, r1 + r2, z1 + z2))
-          ()
-      with
-      | None -> (lambda, 0.0, [])
-      | Some (dparam, faults, fast, recompute, frozen) ->
-        tally.fast <- tally.fast + fast;
-        tally.recompute <- tally.recompute + recompute;
-        tally.frozen <- tally.frozen + frozen;
-        (lambda, dparam, faults)
+      (* Faults are consed as the classes go: the list is newest first. *)
+      let dp = ref 0.0 and faults = ref [] in
+      for i = 0 to k - 1 do
+        let cls, _ = groups.(i) in
+        let p = t.classes.(cls) in
+        let denom = 1.0 +. (lambda *. cs.(i)) in
+        let dsd = sqrt (cs.(i) /. denom) -. sqrt cs.(i) in
+        let dmean = lambda *. (delta -. es.(i)) *. cs.(i) /. denom in
+        dp := Float.max !dp (Float.max (Float.abs dsd) (Float.abs dmean));
+        match Gauss_params.apply_quadratic p ~lambda ~delta ~w with
+        | `Sherman_morrison -> tally.fast <- tally.fast + 1
+        | `Recomputed ->
+          tally.recompute <- tally.recompute + 1;
+          faults :=
+            Sider_error.singular_covariance ~class_index:cls
+              ~constraint_tag:constr.Constr.tag
+              "rank-1 update lost positive definiteness; recomputed Σ \
+               in full"
+            :: !faults
+        | `Frozen ->
+          tally.frozen <- tally.frozen + 1;
+          faults :=
+            Sider_error.singular_covariance ~class_index:cls
+              ~constraint_tag:constr.Constr.tag
+              "rank-1 update and full recompute both failed; class \
+               frozen for this update"
+            :: !faults
+      done;
+      (lambda, !dp, !faults)
     end
   end
 

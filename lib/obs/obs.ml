@@ -159,10 +159,10 @@ let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 let family_sets : (string, int) Hashtbl.t = Hashtbl.create 16
 
 (* The metrics registry is shared across threads and domains: the
-   service's request threads record concurrently, and [Sider_par]'s
-   workers observe [par.chunk_wall_s] from worker domains.  Every
-   registry access is taken under this mutex once the [active] fast path
-   has passed; with the layer off nothing locks. *)
+   service's request threads record concurrently, and a program may
+   record from domains of its own.  Every registry access is taken under
+   this mutex once the [active] fast path has passed; with the layer off
+   nothing locks. *)
 let registry_m = Mutex.create ()
 
 let locked f =

@@ -8,7 +8,7 @@
     no clock is consulted and no allocation beyond argument evaluation
     happens, so instrumented code paths are numerically and behaviourally
     identical to uninstrumented ones (the determinism test in
-    [test/test_obs.ml] asserts this for the solver, at 1 and 2 domains).
+    [test/test_obs.ml] asserts this for the solver).
     The [sider] CLI turns the flight recorder on for every subcommand,
     so in the CLI and the session service the layer is on: what it
     records is paid for on every request.  Per-iteration records of a
@@ -34,8 +34,9 @@
     domain serve concurrently nest only under their own thread's open
     spans.  The sink's callbacks only ever run on the {e controller}
     domain (the one that called {!set_sink}): a span completed on any
-    other domain, say inside a body fanned out by [Sider_par], goes to
-    the flight recorder only. *)
+    other domain goes to the flight recorder only.  The library itself
+    runs on one domain; the guarantees hold for a program that spawns
+    more. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 (** Attribute values attached to spans. *)

@@ -13,25 +13,23 @@
 
     {ul
     {- [simd] — AVX2+FMA C stubs that never materialise [s] or [g]
-       beyond a 32-row block, with a polynomial [tanh] (~1e-15 relative
-       error).  One register-tiled kernel serves every width: scores
-       four rows at a time, [tanh] down each column of the block, then
-       [gᵀz] in 4×8 register tiles over the block's rows.  Each output
-       entry gets the same fused operations in the same row order
-       whatever the tiling, and a test replays that arithmetic in OCaml
-       ([Float.fma] for each fused instruction) and compares bits at
-       every width from 1 to 64.  Chosen by {!create} when the CPU
-       supports AVX2 and FMA and there are at most 64 components.
-       Deterministic — including across [SIDER_DOMAINS] — because the
-       per-chunk partial sums (256 rows each, buffers allocated by
-       {!create}) are combined over a chunk grid that depends only on
-       [n] ({!Sider_par} discipline), but {e not} bit-identical to the
-       portable path.}
+       beyond a row block (32 rows up to 64 components, 16 KiB of [g]
+       above), with a polynomial [tanh] (~1e-15 relative error).  One
+       register-tiled kernel serves every width: scores four rows at a
+       time, [tanh] down each column of the block, then [gᵀz] in 4×8
+       register tiles over the block's rows.  Each output entry gets the
+       same fused operations in the same row order whatever the tiling,
+       and a test replays that arithmetic in OCaml ([Float.fma] for each
+       fused instruction) and compares bits at widths 1 to 72, 100 and
+       128.  Chosen by {!create} for every width when the CPU supports
+       AVX2 and FMA.  Rows go in chunks of 256, each summed into a
+       partial of its own (buffers allocated by {!create}); the partials
+       add up over an ordered tree whose shape depends on [n] alone.
+       Deterministic, but {e not} bit-identical to the portable path.}
     {- [portable] — [Mat.matmul_nt_into], [Mat.tanh_into] and
        [Mat.matmul_tn_into] into one n×m buffer allocated by {!create},
-       then the [eg] sums in increasing row order.  Bit-identical for any
-       domain count.  It serves CPUs without AVX2/FMA, views with more
-       than 64 components, and {!with_portable}.}}
+       then the [eg] sums in increasing row order.  It serves CPUs
+       without AVX2/FMA and {!with_portable}.}}
 
     The ICA goldens run under {!with_portable}, so they hold on every
     CPU. *)
@@ -62,5 +60,5 @@ val with_portable : (unit -> 'a) -> 'a [@@sider.allow "test-hook"]
 
 val sweep : t -> w:Mat.t -> gz:Mat.t -> eg:Vec.t -> unit
 (** [sweep t ~w ~gz ~eg] overwrites [gz] (m×m) and [eg] (length m) with
-    the quantities above.  [w] must be m×m.  On one domain it allocates
-    only the fan-out's few words, not its outputs. *)
+    the quantities above.  [w] must be m×m.  It allocates only the few
+    words of its shape checks. *)

@@ -7,14 +7,14 @@
    sider_ica_simd_available (ica_simd_probe.c).
 
    One register-tiled kernel serves every padded width.  Rows go in
-   blocks of BLOCK_ROWS.  For each block it computes the scores of four
-   rows at a time (eight independent FMA chains per pass over the
-   features), runs tanh over the block column by column (independent
-   polynomial chains, with the E[g'] lane sums carried across the
-   block's rows in increasing order), and keeps the block's g in a small
-   stack buffer.  It then sweeps gT z tile by tile: each 4x8 tile of gz
-   is loaded into registers, takes one FMA per row of the block in
-   increasing row order, and is stored back.
+   blocks, as many as the caller's g scratch holds at this width.  For
+   each block it computes the scores of four rows at a time (eight
+   independent FMA chains per pass over the features), runs tanh over
+   the block column by column (independent polynomial chains, with the
+   E[g'] lane sums carried across the block's rows in increasing order),
+   and keeps the block's g in the scratch.  It then sweeps gT z tile by
+   tile: each 4x8 tile of gz is loaded into registers, takes one FMA per
+   row of the block in increasing row order, and is stored back.
 
    Numeric contract: every score, g, E[g'] lane and gT z entry gets the
    same fused instructions on the same operands in the same order as a
@@ -22,35 +22,32 @@
    zero, E[g'] += fnmadd(g, g, 1) and gz += g z (fused) with rows in
    increasing order.  Blocking and tiling only change which entries are
    in flight together, so the result does not depend on them.  A test
-   (test_par.ml, "ica sweep matches the model of its AVX2 arithmetic")
-   replays this arithmetic in OCaml, one Float.fma per instruction, and
-   compares bits at every width from 1 to 64.  The kernel is NOT
-   bit-identical to the portable path: tanh is evaluated by a polynomial
-   (max relative error ~1e-15 against libm, measured exhaustively over
-   the argument distribution of the contrast function) and the row sums
-   use fused multiply-adds.  Cross-domain determinism is owned by the
-   OCaml side, which combines per-chunk partials over a chunk grid that
-   is a pure function of n (see Ica_kernel).
+   (test_projection.ml, "ica sweep matches the model of its AVX2
+   arithmetic") replays this arithmetic in OCaml, one Float.fma per
+   instruction, and compares bits at widths 1 to 72, 100 and 128.  The
+   kernel is NOT bit-identical to the portable path: tanh is evaluated
+   by a polynomial (max relative error ~1e-15 against libm, measured
+   exhaustively over the argument distribution of the contrast
+   function) and the row sums use fused multiply-adds.  The OCaml side
+   sweeps 256-row chunks into partials of their own and adds them up
+   over an ordered tree (see Ica_kernel).
 
    Layouts (all plain OCaml float arrays, i.e. flat double buffers):
      zp  : n x mpad, row i at i*mpad, columns >= m zero-padded
      wt  : m x mpad, wt[f*mpad + k] = w[k][f] (component k, feature f),
            lanes k >= m zero-padded
+     g   : scratch, a whole number of mpad-wide rows: the block size
      gz  : m x mpad, OVERWRITTEN with sum_i g[i][k] * z[i][f] over
            rows [lo, hi); columns >= m are zero
      egp : mpad, OVERWRITTEN with sum_i (1 - g[i][k]^2) over [lo, hi)
-   mpad is 4*ceil(m/4), at most 64 (see Ica_kernel.create). */
+   mpad is 4*ceil(m/4) (see Ica_kernel.create).  OCaml float arrays are
+   only word aligned, so every vector access is unaligned. */
 
 #include <caml/mlvalues.h>
 #include <string.h>
 #include <immintrin.h>
 
 #define INLINE static inline __attribute__((always_inline))
-
-/* Rows per block: the block's g (BLOCK_ROWS x mpad doubles, 16 KiB at
-   mpad = 64) and z rows stay in L1 while every gz tile streams them. */
-#define BLOCK_ROWS 32
-#define MAX_PAD 64
 
 /* tanh(x) = em / (em + 2) with em = expm1(2|x|') for x <= 0, sign
    restored at the end (|x|' = min(2|x|, 40) saturates where tanh is
@@ -152,15 +149,15 @@ INLINE void gz_tiles(double *gz, const double *g, const double *z, long mpad,
   if (c < mpad) gz_tile(gz, g, z, mpad, rows, k0, c, KR, 1);
 }
 
-static void sweep(const double *zp, const double *wt, double *gz,
-                  double *egp, long lo, long hi, long m, long mpad)
+static void sweep(const double *zp, const double *wt, double *g,
+                  long block, double *gz, double *egp, long lo, long hi,
+                  long m, long mpad)
 {
-  double g[BLOCK_ROWS * MAX_PAD] __attribute__((aligned(32)));
   const __m256d one = _mm256_set1_pd(1.0);
   memset(gz, 0, sizeof(double) * (size_t)(m * mpad));
   memset(egp, 0, sizeof(double) * (size_t)mpad);
-  for (long b = lo; b < hi; b += BLOCK_ROWS) {
-    long rows = hi - b < BLOCK_ROWS ? hi - b : BLOCK_ROWS;
+  for (long b = lo; b < hi; b += block) {
+    long rows = hi - b < block ? hi - b : block;
     const double *z = zp + b * mpad;
     long r = 0;
     for (; r + 4 <= rows; r += 4)
@@ -174,8 +171,8 @@ static void sweep(const double *zp, const double *wt, double *gz,
     for (long j = 0; j < mpad; j += 4) {
       __m256d eg = _mm256_loadu_pd(egp + j);
       for (long i = 0; i < rows; i++) {
-        __m256d gv = tanh4(_mm256_load_pd(g + i * mpad + j));
-        _mm256_store_pd(g + i * mpad + j, gv);
+        __m256d gv = tanh4(_mm256_loadu_pd(g + i * mpad + j));
+        _mm256_storeu_pd(g + i * mpad + j, gv);
         eg = _mm256_add_pd(eg, _mm256_fnmadd_pd(gv, gv, one));
       }
       _mm256_storeu_pd(egp + j, eg);
@@ -191,13 +188,15 @@ static void sweep(const double *zp, const double *wt, double *gz,
   }
 }
 
-CAMLprim value sider_ica_sweep_simd(value vz, value vwt, value vgz,
-                                    value vegp, value vlo, value vhi,
-                                    value vm, value vmpad)
+CAMLprim value sider_ica_sweep_simd(value vz, value vwt, value vg,
+                                    value vgz, value vegp, value vlo,
+                                    value vhi, value vm, value vmpad)
 {
+  long mpad = Long_val(vmpad);
   sweep((const double *)Bp_val(vz), (const double *)Bp_val(vwt),
+        (double *)Bp_val(vg), (long)(Wosize_val(vg) / Double_wosize) / mpad,
         (double *)Bp_val(vgz), (double *)Bp_val(vegp), Long_val(vlo),
-        Long_val(vhi), Long_val(vm), Long_val(vmpad));
+        Long_val(vhi), Long_val(vm), mpad);
   return Val_unit;
 }
 
@@ -205,5 +204,5 @@ CAMLprim value sider_ica_sweep_simd_bc(value *argv, int argn)
 {
   (void)argn;
   return sider_ica_sweep_simd(argv[0], argv[1], argv[2], argv[3], argv[4],
-                              argv[5], argv[6], argv[7]);
+                              argv[5], argv[6], argv[7], argv[8]);
 }

@@ -418,21 +418,13 @@ let test_swap_mean_sd () =
    solved and viewed as the benchmark preloads it, then write rounds as
    the service's routes run them: a cluster constraint on the next
    ground-truth class, an update of at most 500 sweeps, a PCA view.
-   Counted at one domain, so the [SIDER_DOMAINS=2] leg counts the same,
-   after two warm rounds; the third is counted. *)
+   Counted after two warm rounds; the third is counted. *)
 let write_round s rows =
   Session.add_cluster_constraint s rows;
   ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 s);
   ignore (Session.recompute_view ~method_:View.Pca s)
 
-let with_one_domain f =
-  let module Par = Sider_par.Par in
-  let domains = Par.domain_count () in
-  Par.set_domains 1;
-  Fun.protect ~finally:(fun () -> Par.set_domains domains) f
-
 let with_warm_reads_session f =
-  with_one_domain @@ fun () ->
   let ds = reads_dataset () in
   let rows c = Dataset.class_indices ds (List.nth (Dataset.classes ds) c) in
   let s = Session.create ~seed:1 ds in
@@ -486,7 +478,6 @@ let test_write_round_keeps_one_row_set () =
    44,714; keeping the whole background sample and a whitening buffer of
    its own, 73,388 (4.48·nd). *)
 let test_resident_session_words () =
-  with_one_domain @@ fun () ->
   let ds =
     Persist.read_dataset
       (Json.cursor (Json.to_string (Persist.dataset_to_json (reads_dataset ()))))
@@ -503,17 +494,16 @@ let test_resident_session_words () =
     Alcotest.failf "a resident session keeps %d words, 2.625nd = %d" words
       bound
 
-(* A warm ICA view at [ica_explore]'s shape (n=512, d=12, one domain)
-   puts under 2.5·n·d words on the major heap on either kernel path:
-   z is built once in the kernel's layout, centred as the product reads
-   it, and the directions are scored through one n-float scratch.  When
-   written: 6,658 on the AVX2 path (z padded), 12,803 on the portable
-   one (z and its score buffer).  A centred copy of the whitened data,
-   z and the kernel's copy of it and two n-floats per component put
-   30,747 there (5·n·d). *)
+(* A warm ICA view at [ica_explore]'s shape (n=512, d=12) puts under
+   2.5·n·d words on the major heap on either kernel path: z is built
+   once in the kernel's layout, centred as the product reads it, and the
+   directions are scored through one n-float scratch.  When written:
+   7,043 on the AVX2 path (z padded, and the sweep's 32-row block),
+   12,803 on the portable one (z and its score buffer).  A centred copy
+   of the whitened data, z and the kernel's copy of it and two n-floats
+   per component put 30,747 there (5·n·d). *)
 let test_warm_ica_view_major_heap () =
   with_sink None @@ fun () ->
-  with_one_domain @@ fun () ->
   let view () =
     let s =
       Session.create ~seed:1 ~method_:View.Ica
@@ -548,8 +538,7 @@ let printed_projection s =
    held buffer must still hold the first session's whitened data, and
    every projection either thread prints must be the bytes a sequential
    run prints.  Then a view that raises must give the buffer back, so
-   the next view of its shape, counted at one domain, puts no n×d
-   matrix on the major heap. *)
+   the next view of its shape puts no n×d matrix on the major heap. *)
 let test_lent_whitening_buffer () =
   let datasets =
     [| Synth.clustered ~seed:11 ~n:400 ~d:8 ~k:4 ();
@@ -607,7 +596,6 @@ let test_lent_whitening_buffer () =
       check_true (Printf.sprintf "thread %d printed the sequential bytes" k)
         (List.equal String.equal expected got.(k)))
     sequential;
-  with_one_domain @@ fun () ->
   let s = ss.(1) and poisoned = ss.(0) in
   let n, d = Mat.dims (Session.data s) in
   ignore (Session.recompute_view s);

@@ -198,12 +198,12 @@ let test_pca_projection () =
 
 let test_ica_projection () =
   (* Pinned to the portable kernel: its results are bit-identical on
-     every CPU and domain count, so the fixture never needs per-machine
-     variants.  (The SIMD kernel is deterministic too, but its tanh
-     differs from libm by ~1e-15, and FastICA's tol = 1e-4 resolves the
-     directions only to about 3e-3, far coarser than this file's 1e-6.
-     SIMD correctness is pinned by test_projection's closeness tests and
-     test_par's cross-domain bit-stability instead.) *)
+     every CPU, so the fixture never needs per-machine variants.  (The
+     SIMD kernel is deterministic too, but its tanh differs from libm by
+     ~1e-15, and FastICA's tol = 1e-4 resolves the directions only to
+     about 3e-3, far coarser than this file's 1e-6.  SIMD correctness is
+     pinned by test_projection's closeness tests and its bit-for-bit
+     model of the AVX2 arithmetic instead.) *)
   Ica_kernel.with_portable @@ fun () ->
   run_fixture ~file:"ica.json"
     ~compute:(fun () ->
@@ -226,8 +226,7 @@ let test_ica_projection () =
 (* The sweep's byte-identity contract, pinned down to the bit: the
    portable kernel's gz/eg must match both the three-pass
    pipeline (live, every run) and the recorded fixture (cross-version).
-   The whole suite re-runs under SIDER_DOMAINS=2, which re-checks this
-   fixture at two domains.  The input is seeded standard-normal data of
+   The input is seeded standard-normal data of
    the whitened fixture's shape, so the pin covers the sweep alone, not
    the solver, eigensolver and whitening upstream of it. *)
 let test_ica_kernel_bits () =

@@ -37,7 +37,6 @@ let () =
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
       ("service", Test_service.suite);
-      ("par", Test_par.suite);
       ("golden", Test_golden.suite);
       ( "sink",
         [ Test_helpers.case "SIDER_TRACE's sink outlives every suite"

@@ -576,9 +576,9 @@ let test_sample_bits () =
 (* The first round of a session at the [projection_reads] benchmark
    workload's shape (n=1024, d=16): the margin constraints, adding them
    to the solver, the solve and a background sample allocate at most
-   4·n·d words, the same count on a second run: 33,267 when written,
-   20,493 of them the sample, which is one n×d matrix and a factor per
-   class (the draws go straight into its rows).  Counted with no
+   4·n·d words, the same count on a second run: 26,222 when last
+   measured, 16,989 of them the sample, which is one n×d matrix and a
+   factor per class (the draws go straight into its rows).  Counted with no
    telemetry sink, as the other allocation gates here: a live sink's
    lines (say [SIDER_TRACE=stderr]) print each span's duration, whose
    text, and so whose allocation, changes from run to run. *)
@@ -613,7 +613,6 @@ let test_first_round_allocation () =
 (* --- Solver: the per-sweep record ------------------------------------------ *)
 
 module Obs = Sider_obs.Obs
-module Par = Sider_par.Par
 
 (* Run [f] with a recording sink. *)
 let with_recording f = with_sink (Some (Obs.recording_sink ()).Obs.rec_sink) f
@@ -697,22 +696,18 @@ let test_trace_skips_rolled_back_sweep () =
     (List.rev !numbers)
 
 (* Telemetry costs a service solve per sweep, not per update.  Run as
-   `sider api` runs (one domain, the flight recorder on, no sink), the
+   `sider api` runs (the flight recorder on, no sink), the
    fifth-cluster round of an [ica_explore]-shaped session (margin and
    four cluster rounds first, untimed) may allocate at most 256 words
    per sweep more than the same round with the layer off, counted over
    the whole solve. *)
 let test_recorder_sweep_allocation () =
   let module Session = Sider_core.Session in
-  let domains = Par.domain_count () in
   let recorder = Obs.flight_recorder_enabled () in
   let capacity = (Obs.flight_stats ()).Obs.fr_capacity in
-  Par.set_domains 1;
   with_sink None @@ fun () ->
   Fun.protect
-    ~finally:(fun () ->
-      Obs.set_flight_recorder ~capacity recorder;
-      Par.set_domains domains)
+    ~finally:(fun () -> Obs.set_flight_recorder ~capacity recorder)
   @@ fun () ->
   let ds = Sider_data.Synth.clustered ~seed:7919 ~n:512 ~d:12 ~k:6 () in
   let session = Session.create ~seed:1 ds in

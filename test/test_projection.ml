@@ -377,6 +377,137 @@ let test_ica_kernel_simd_close () =
         done)
       kernel_shapes
 
+(* Above 64 components the portable path, which CPUs without AVX2 and
+   the goldens run, still reproduces the three-pass pipeline bit for
+   bit; the planted zeros exercise the GEMM kernels' skip branches. *)
+let test_ica_wide_sweep_is_unfused () =
+  let n = 300 and m = 65 in
+  let r = Sider_rand.Rng.create 43 in
+  let z = random_mat r n m 1.0 in
+  Mat.set z 0 0 0.0;
+  Mat.set z 7 (m - 1) 0.0;
+  Mat.set z (n - 1) 31 0.0;
+  let w = random_mat r m m 1.0 in
+  let gz_u, eg_u = unfused_sweep z w in
+  let gz, eg = kernel_sweep (portable_kernel z) z w in
+  check_bits "wide sweep gz" gz_u.Mat.a gz.Mat.a;
+  check_bits "wide sweep eg" eg_u eg
+
+(* --- a model of the AVX2 sweep ------------------------------------------- *)
+
+(* The arithmetic of [ica_simd_stubs.c], one lane at a time: each
+   [Float.fma] is one of the kernel's fused instructions, in the order
+   the kernel runs them.  [simd_model_tanh] is [tanh4]: the doubled
+   |x| clamped at 40 the way [_mm256_min_pd] clamps (the second operand
+   unless the first is smaller, so NaN becomes 40), the magic-number
+   round to k, the two-part ln 2 reduction, the degree-12 Horner
+   polynomial for e^r − 1, 2^k by exponent insertion, and the sign
+   put back by a bitwise or. *)
+let simd_model_magic = 6755399441055744.0 (* 2^52 + 2^51 *)
+
+let simd_model_coeffs =
+  [| 1.0 /. 479001600.0; 1.0 /. 39916800.0; 1.0 /. 3628800.0;
+     1.0 /. 362880.0; 1.0 /. 40320.0; 1.0 /. 5040.0; 1.0 /. 720.0;
+     1.0 /. 120.0; 1.0 /. 24.0; 1.0 /. 6.0; 0.5; 1.0 |]
+
+let simd_model_tanh x =
+  let sign = Int64.logand (Int64.bits_of_float x) Int64.min_int in
+  let a = Float.abs x *. 2.0 in
+  let y = if a < 40.0 then a else 40.0 in
+  let t = Float.fma y 1.4426950408889634074 simd_model_magic in
+  let kd = t -. simd_model_magic in
+  let r = Float.fma (-.kd) 6.93147180369123816490e-01 y in
+  let r = Float.fma (-.kd) 1.90821492927058770002e-10 r in
+  let p = ref simd_model_coeffs.(0) in
+  for i = 1 to 11 do
+    p := Float.fma !p r simd_model_coeffs.(i)
+  done;
+  let p = !p *. r in
+  let k =
+    Int64.sub (Int64.bits_of_float t) (Int64.bits_of_float simd_model_magic)
+  in
+  let twok = Int64.float_of_bits (Int64.shift_left (Int64.add k 1023L) 52) in
+  let em = Float.fma twok p (twok -. 1.0) in
+  let th = em /. (em +. 2.0) in
+  Int64.float_of_bits (Int64.logor (Int64.bits_of_float th) sign)
+
+(* One 256-row chunk, as the kernel sweeps it: per row the scores as an
+   FMA chain over the features in increasing order from zero, then
+   E[g'] += (1 − g²) with the 1 − g² fused, then every gᵀz entry
+   += g·z fused.  Rows go in increasing order. *)
+let simd_model_chunk z w lo hi =
+  let _, m = Mat.dims z in
+  let za = z.Mat.a and wa = w.Mat.a in
+  let gz = Array.make (m * m) 0.0 and eg = Array.make m 0.0 in
+  let g = Array.make m 0.0 in
+  for i = lo to hi - 1 do
+    for k = 0 to m - 1 do
+      let s = ref 0.0 in
+      for f = 0 to m - 1 do
+        s := Float.fma za.((i * m) + f) wa.((k * m) + f) !s
+      done;
+      g.(k) <- simd_model_tanh !s;
+      eg.(k) <- eg.(k) +. Float.fma (-.g.(k)) g.(k) 1.0
+    done;
+    for k = 0 to m - 1 do
+      for f = 0 to m - 1 do
+        gz.((k * m) + f) <- Float.fma g.(k) za.((i * m) + f) gz.((k * m) + f)
+      done
+    done
+  done;
+  (gz, eg)
+
+(* The chunk partials add up over an ordered binary tree, split
+   left-heavy, each entry by one plain addition. *)
+let rec simd_model_tree parts lo hi =
+  if hi - lo = 1 then parts.(lo)
+  else begin
+    let mid = lo + ((hi - lo + 1) / 2) in
+    let g1, e1 = simd_model_tree parts lo mid in
+    let g2, e2 = simd_model_tree parts mid hi in
+    (Array.map2 ( +. ) g1 g2, Array.map2 ( +. ) e1 e2)
+  end
+
+let simd_model_sweep z w =
+  let n, m = Mat.dims z in
+  let chunks = (n + 255) / 256 in
+  let parts =
+    Array.init chunks (fun c ->
+        simd_model_chunk z w (256 * c) (Stdlib.min n (256 * (c + 1))))
+  in
+  let gz, eg = simd_model_tree parts 0 chunks in
+  (Mat.of_array m m gz, eg)
+
+(* Widths 1 to 72 and 100 and 128, at a ragged n over three or four
+   chunks, reach every tile shape and several row-block sizes, with a
+   few inputs that reach tanh4's special cases: exact zeros, a score
+   past the clamp, and a NaN row (the clamp sends it to ±1).  One
+   kernel per width sweeps twice, with two w, so partials it reuses
+   from sweep to sweep must not carry anything over. *)
+let test_ica_sweep_matches_model () =
+  if Ica_kernel.simd_available () then
+    List.iter
+      (fun m ->
+        let n = 517 + (3 * m) in
+        let r = Sider_rand.Rng.create (1000 + m) in
+        let z = random_mat r n m 1.5 in
+        let w1 = Sider_rand.Sampler.normal_mat r m m in
+        let w2 = Sider_rand.Sampler.normal_mat r m m in
+        Mat.set z 0 0 0.0;
+        Mat.set z (n - 1) (m - 1) 0.0;
+        Mat.set z 3 0 40.0;
+        Mat.set z 300 (m - 1) Float.nan;
+        let kernel = ica_kernel z in
+        List.iteri
+          (fun wi w ->
+            let gz_m, eg_m = simd_model_sweep z w in
+            let gz, eg = kernel_sweep kernel z w in
+            let tag = Printf.sprintf "m=%d n=%d w%d" m n (wi + 1) in
+            check_bits ("model gz " ^ tag) gz_m.Mat.a gz.Mat.a;
+            check_bits ("model eg " ^ tag) eg_m eg)
+          [ w1; w2 ])
+      (List.init 72 (fun i -> i + 1) @ [ 100; 128 ])
+
 let with_obs_recording f =
   let r = Sider_obs.Obs.recording_sink () in
   Sider_obs.Obs.reset ();
@@ -506,15 +637,11 @@ let prop_projection_bits_as_row_copies =
       && same (Scores.direction_log_cosh m w1) (log_cosh_score x1))
 
 (* One FastICA iteration at [ica_explore]'s shape (n=512, m=12) allocates
-   at most 1,280 words: its six fresh 12×12 matrices (149 words each),
-   the eigendecomposition's short vectors and the kernels' [Par] fan-outs,
-   but no boxed float per matrix entry.  Counted as the difference between
+   at most 1,280 words: its six fresh 12×12 matrices (149 words each)
+   and the eigendecomposition's short vectors, but no boxed float per
+   matrix entry.  Counted as the difference between
    fits of 200 and 100 iterations at [tol] 0 (neither stops early). *)
 let test_ica_iteration_allocation () =
-  let module Par = Sider_par.Par in
-  let domains = Par.domain_count () in
-  Par.set_domains 1;
-  Fun.protect ~finally:(fun () -> Par.set_domains domains) @@ fun () ->
   let x =
     Sider_data.Dataset.matrix
       (Sider_data.Synth.clustered ~seed:7919 ~n:512 ~d:12 ~k:6 ())
@@ -541,10 +668,6 @@ let test_ica_iteration_allocation () =
    direction (its projections and their standardized copy) and no boxed
    float per entry.  Boxing each entry took about 140,400. *)
 let test_ica_scoring_allocation () =
-  let module Par = Sider_par.Par in
-  let domains = Par.domain_count () in
-  Par.set_domains 1;
-  Fun.protect ~finally:(fun () -> Par.set_domains domains) @@ fun () ->
   let x =
     Sider_data.Dataset.matrix
       (Sider_data.Synth.clustered ~seed:7919 ~n:512 ~d:12 ~k:6 ())
@@ -585,6 +708,10 @@ let suite =
     case "ica kernel: fused reference is bit-identical to unfused pipeline"
       test_ica_kernel_reference_bit_identical;
     case "ica kernel: simd agrees with reference" test_ica_kernel_simd_close;
+    case "ica sweep above 64 components: portable is the unfused pipeline"
+      test_ica_wide_sweep_is_unfused;
+    case "ica sweep matches the model of its AVX2 arithmetic"
+      test_ica_sweep_matches_model;
     case "ica view runs one fastica fit" test_ica_view_one_fit;
     case "ica warm w0 roundtrip" test_ica_warm_w0_roundtrip;
     prop_projection_bits_as_row_copies;

@@ -587,8 +587,8 @@ let reference_covariance m =
    generators end in the same state.  [Mat.covariance] gives the old
    bits on the sample, on the whitened data and on the sample with a
    constant column (whose centred entries are exact zeros, so the
-   zero-skip is taken).  A 600×16 matrix with a constant column is large
-   enough for the covariance to fan out over the domain pool. *)
+   zero-skip is taken).  A 600×16 matrix with a constant column spans
+   two of the covariance's 8-row blocks. *)
 let prop_in_place_sample_and_covariance =
   let module Session = Sider_core.Session in
   let module Rng = Sider_rand.Rng in

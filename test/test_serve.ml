@@ -12,7 +12,7 @@ module Service = Sider_serve.Service
 let test_exposition_grammar () =
   let metrics =
     [ Obs.Counter { name = "solver.updates"; total = 12 };
-      Obs.Gauge { name = "par.domains"; value = 2.0 };
+      Obs.Gauge { name = "serve.resident_sessions"; value = 2.0 };
       Obs.Histogram
         { name = "session.update_s"; count = 3; sum = 0.6; p50 = 0.1;
           p95 = 0.3; p99 = 0.305; max = 0.31 } ]
@@ -25,8 +25,8 @@ let test_exposition_grammar () =
     "counter, gauge and summary render exactly"
     [ "# TYPE sider_solver_updates_total counter";
       "sider_solver_updates_total 12";
-      "# TYPE sider_par_domains gauge";
-      "sider_par_domains 2";
+      "# TYPE sider_serve_resident_sessions gauge";
+      "sider_serve_resident_sessions 2";
       "# TYPE sider_session_update_s summary";
       "sider_session_update_s{quantile=\"0.5\"} 0.1";
       "sider_session_update_s{quantile=\"0.95\"} 0.3";

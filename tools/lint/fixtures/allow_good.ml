@@ -13,12 +13,10 @@ let[@sider.allow "determinism"] stamp () = Unix.gettimeofday ()
 (* Expression-level escapes. *)
 let tolerant_equal (a : float) (b : float) = (a = b) [@sider.allow "float-equality"]
 
-let counted_total (xs : float array) =
-  let acc = ref 0.0 in
-  (Sider_par.Par.parallel_for ~n:(Array.length xs) (fun i ->
-       acc := !acc +. xs.(i)))
-  [@sider.allow "domain-safety"];
-  !acc
+let squares (ms : Sider_linalg.Mat.t array) =
+  Array.map
+    (fun m -> (Sider_linalg.Mat.matmul m m) [@sider.allow "alloc-in-hot-loop"])
+    ms
 
 let observe_slow (xs : float array) =
   Array.iter

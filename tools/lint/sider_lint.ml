@@ -1,19 +1,15 @@
 (* sider-lint: typed-AST static analysis for the sider reproduction.
 
-   The two hardest guarantees of this codebase — bit-identical solver
-   results at any domain count, and structured-error discipline in the
-   numerical kernels — are enforced dynamically by the test suite
-   (SIDER_DOMAINS=2 replays, fault injection).  This tool proves the
-   cheap-to-prove half statically, at build time, by walking the .cmt
-   typed ASTs that dune already emits and enforcing four rule families:
+   The hardest guarantees of this codebase — deterministic results and
+   structured-error discipline in the numerical kernels — are enforced
+   dynamically by the test suite (goldens, fault injection).  This tool
+   proves the cheap-to-prove half statically, at build time, by walking
+   the .cmt typed ASTs that dune already emits and enforcing these rule
+   families:
 
    - [determinism]      (R1) ambient-nondeterminism primitives (wall
      clock, global PRNG, hash-order Hashtbl folds, environment reads)
      are banned outside lib/obs, lib/serve, bench/ and bin/.
-   - [domain-safety]    (R2) closures passed to Par.parallel_for{,_chunks}
-     / parallel_reduce{,_chunks} must not write captured mutable state,
-     unless it is Atomic, Mutex-guarded, Domain.DLS, or an array cell
-     indexed by the loop variable (heuristic write-race detector).
    - [error-discipline] (R3a) in lib/linalg, lib/maxent, lib/stats and
      lib/projection, raises must go through Sider_robust.Sider_error:
      bare failwith / invalid_arg / assert false are flagged.
@@ -58,7 +54,6 @@ let sarif_out : string option ref = ref None
 (* ------------------------------------------------------------------ *)
 
 let r_det = "determinism"
-let r_dom = "domain-safety"
 let r_err = "error-discipline"
 let r_flt = "float-equality"
 let r_obs = "obs-hygiene"
@@ -76,8 +71,7 @@ let r_block = "blocking-under-lock"
 let r_dead = "dead-export"
 
 let all_rules =
-  [ r_det; r_dom; r_err; r_flt; r_obs; r_alloc; r_lock; r_lsafe; r_fd;
-    r_block ]
+  [ r_det; r_err; r_flt; r_obs; r_alloc; r_lock; r_lsafe; r_fd; r_block ]
 
 (* ------------------------------------------------------------------ *)
 (* Findings                                                            *)
@@ -92,9 +86,9 @@ let files_scanned = ref 0
 (* Per-directory policy                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Which rule families apply to a source file.  [domain-safety] applies
-   everywhere.  In [--fixture-mode] every rule applies to every file, so
-   the fixture suite can exercise each rule from a single directory. *)
+(* Which rule families apply to a source file.  In [--fixture-mode]
+   every rule applies to every file, so the fixture suite can exercise
+   each rule from a single directory. *)
 type policy = { det : bool; err : bool; obs : bool; alloc : bool }
 
 let starts_with_any prefixes s =
@@ -251,8 +245,8 @@ let lock_annotation (attrs : Parsetree.attributes) : string option =
 (* [Path.name] on idents resolved through the default [Stdlib] open
    yields "Stdlib.Random.int"; strip the prefix so match tables read
    naturally.  Module aliases keep their alias name in the path (e.g.
-   [module Par = Sider_par.Par] callers yield "Par.parallel_for"), which
-   the suffix matches below are written for. *)
+   [module Obs = Sider_obs.Obs] callers yield "Obs.count"), which the
+   suffix matches below are written for. *)
 let norm_path p =
   let n = Path.name p in
   match String.index_opt n '(' with
@@ -323,39 +317,6 @@ let is_global_random nm =
 (* R1: hash-layout-dependent iteration. *)
 let hashtbl_iteration = [ "Hashtbl.fold"; "Hashtbl.iter"; "Hashtbl.hash" ]
 
-(* R2: the deterministic fan-out entry points of lib/par. *)
-let par_entries =
-  [ "Par.parallel_for"; "Par.parallel_for_chunks"; "Par.parallel_reduce";
-    "Par.parallel_reduce_chunks" ]
-
-let is_par_entry nm = ends_with_any par_entries nm
-
-(* R2: stdlib mutators whose first argument is the mutated structure. *)
-let hashtbl_mutators =
-  [ "Hashtbl.add"; "Hashtbl.replace"; "Hashtbl.remove"; "Hashtbl.reset";
-    "Hashtbl.clear"; "Hashtbl.filter_map_inplace" ]
-
-let buffer_mutators =
-  [ "Buffer.clear"; "Buffer.reset"; "Buffer.truncate" ]
-
-let is_buffer_mutator nm =
-  ends_with_any buffer_mutators nm
-  || String.starts_with ~prefix:"Buffer.add_" nm
-  || (match String.index_opt nm '.' with
-      | Some _ -> String.ends_with ~suffix:".Buffer.add_channel" nm
-      | None -> false)
-
-(* R2: indexed writes — safe iff the index depends on the loop variable
-   (or anything else bound inside the closure). *)
-let array_setters =
-  [ "Array.set"; "Array.unsafe_set"; "Float.Array.set"; "Float.Array.unsafe_set";
-    "Bytes.set"; "Bytes.unsafe_set"; "Bigarray.Array1.set"; "Bigarray.Array2.set";
-    "Bigarray.Array3.set"; "Bigarray.Genarray.set"; "Array1.set"; "Array2.set";
-    "Array3.set"; "Genarray.set" ]
-
-(* R2: a closure that takes a Mutex is assumed to guard its writes. *)
-let mutex_idents = [ "Mutex.lock"; "Mutex.try_lock"; "Mutex.protect" ]
-
 (* R4: by-name registry lookups (hash + mutex per call); the handle path
    (Obs.labeled_hist / Obs.observe_into) resolves the name once. *)
 let obs_by_name =
@@ -382,7 +343,7 @@ let loop_hofs =
     "Seq.iter"; "Seq.map"; "String.iter"; "String.iteri"; "Hashtbl.iter";
     "Hashtbl.fold"; "Queue.iter" ]
 
-let is_loop_hof nm = ends_with_any loop_hofs nm || is_par_entry nm
+let is_loop_hof nm = ends_with_any loop_hofs nm
 
 (* ------------------------------------------------------------------ *)
 (* Type tests                                                          *)
@@ -397,82 +358,8 @@ let is_float_type ty =
 (* Traversal state                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type par_ctx = {
-  locals : (string, unit) Hashtbl.t;
-      (* Ident.unique_name of everything bound inside the closure: the
-         loop parameter(s) and any let / match / fun / for binders.
-         Anything not in here is captured from the enclosing scope. *)
-  label : string; (* entry point name, for messages *)
-}
-
 let cur_policy = ref { det = false; err = false; obs = false; alloc = false }
-let par_context : par_ctx option ref = ref None
 let loop_depth = ref 0
-
-let add_local ctx id = Hashtbl.replace ctx.locals (Ident.unique_name id) ()
-
-let add_pattern_locals ctx pat =
-  List.iter (add_local ctx) (Typedtree.pat_bound_idents pat)
-
-(* Head identifier of an access path: [x], [x.f], [x.f.g] all answer [x];
-   anything more complex answers [None] and is left alone (the linter
-   only flags writes it can attribute to a definite captured binding). *)
-let rec head_path (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Texp_ident (p, _, _) -> Some p
-  | Texp_field (e', _, _) -> head_path e'
-  | _ -> None
-
-let path_captured ctx = function
-  | Path.Pident id -> not (Hashtbl.mem ctx.locals (Ident.unique_name id))
-  | _ -> true (* dotted path: module-level state, by definition captured *)
-
-let expr_captured ctx e =
-  match head_path e with
-  | Some p -> if path_captured ctx p then Some (Path.last p) else None
-  | None -> None
-
-(* Does [e] mention any binding local to the closure?  Used to accept
-   captured-array writes whose index is derived from the loop variable. *)
-let mentions_local ctx (e : Typedtree.expression) =
-  let found = ref false in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub ex ->
-          (match ex.Typedtree.exp_desc with
-           | Texp_ident (Path.Pident id, _, _)
-             when Hashtbl.mem ctx.locals (Ident.unique_name id) ->
-             found := true
-           | _ -> ());
-          Tast_iterator.default_iterator.expr sub ex);
-    }
-  in
-  it.expr it e;
-  !found
-
-(* Mutex heuristic: if the closure body manipulates a Mutex anywhere, its
-   writes are assumed to be lock-protected and R2 stands down for the
-   whole closure.  Coarse, but locks inside deterministic fan-outs are
-   rare enough that a human already reviews them. *)
-let uses_mutex (e : Typedtree.expression) =
-  let found = ref false in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub ex ->
-          (match ex.Typedtree.exp_desc with
-           | Texp_ident (p, _, _) when ends_with_any mutex_idents (norm_path p)
-             ->
-             found := true
-           | _ -> ());
-          Tast_iterator.default_iterator.expr sub ex);
-    }
-  in
-  it.expr it e;
-  !found
 
 (* ------------------------------------------------------------------ *)
 (* Rule bodies                                                         *)
@@ -527,70 +414,9 @@ let check_ident ~loc nm =
          "allocating '%s' inside a loop in a hot numerical module; write \
           into a preallocated buffer with its '_into' sibling" nm)
 
-(* R2 write checks, active only inside a Par closure. *)
-let check_par_write ctx (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
-    let nm = norm_path p in
-    let explicit = List.filter_map (fun (_, a) -> a) args in
-    let flag_first what =
-      match explicit with
-      | first :: _ -> (
-        match expr_captured ctx first with
-        | Some name ->
-          report ~loc:e.exp_loc ~rule:r_dom
-            (Printf.sprintf
-               "%s '%s' captured by a %s closure; use Atomic, a Mutex, \
-                Domain.DLS, or per-index disjoint writes" what name ctx.label)
-        | None -> ())
-      | [] -> ()
-    in
-    if nm = ":=" then flag_first "assignment to ref"
-    else if nm = "incr" || nm = "decr" then flag_first "increment of ref"
-    else if ends_with_any hashtbl_mutators nm then flag_first "mutation of Hashtbl"
-    else if is_buffer_mutator nm then flag_first "mutation of Buffer"
-    else if ends_with_any array_setters nm then begin
-      (* a.(i) <- v: safe when the index depends on something bound in
-         the closure (the loop variable or a derivation of it). *)
-      match explicit with
-      | arr :: rest when List.length rest >= 2 -> (
-        let indices = List.filteri (fun i _ -> i < List.length rest - 1) rest in
-        match expr_captured ctx arr with
-        | Some name when not (List.exists (mentions_local ctx) indices) ->
-          report ~loc:e.exp_loc ~rule:r_dom
-            (Printf.sprintf
-               "write to captured array '%s' at a loop-invariant index \
-                inside a %s closure; every iteration races on the same cell"
-               name ctx.label)
-        | _ -> ())
-      | _ -> ()
-    end
-  | Texp_setfield (target, _, lbl, _) -> (
-    match expr_captured ctx target with
-    | Some name ->
-      report ~loc:e.exp_loc ~rule:r_dom
-        (Printf.sprintf
-           "mutation of field '%s' of captured '%s' inside a %s closure; \
-            use Atomic, a Mutex, Domain.DLS, or per-index disjoint state"
-           lbl.lbl_name name ctx.label)
-    | None -> ())
-  | _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* The iterator                                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Peel the curried [fun a -> fun b -> body] spine of a closure literal,
-   registering every parameter as closure-local, and answer the body. *)
-let rec enter_function_spine ctx (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Texp_function { param; cases; _ } ->
-    add_local ctx param;
-    List.iter (fun c -> add_pattern_locals ctx c.Typedtree.c_lhs) cases;
-    (match cases with
-     | [ { c_lhs = _; c_guard = None; c_rhs; _ } ] -> enter_function_spine ctx c_rhs
-     | _ -> ())
-  | _ -> ()
 
 let is_function_literal (e : Typedtree.expression) =
   match e.exp_desc with Texp_function _ -> true | _ -> false
@@ -646,26 +472,7 @@ let visit_expr sub (e : Typedtree.expression) =
               "polymorphic '%s' on float operands (NaN hazard); use \
                Float.equal or an explicit tolerance" nm)
    | _ -> ());
-  (* R2: writes inside a Par closure. *)
-  (match !par_context with
-   | Some ctx ->
-     (* Track closure-local binders before descending, so scoping is an
-        over-approximation (fine for suppressing false positives). *)
-     (match e.exp_desc with
-      | Texp_let (_, vbs, _) ->
-        List.iter (fun vb -> add_pattern_locals ctx vb.Typedtree.vb_pat) vbs
-      | Texp_match (_, cases, _) ->
-        List.iter (fun c -> add_pattern_locals ctx c.Typedtree.c_lhs) cases
-      | Texp_try (_, cases) ->
-        List.iter (fun c -> add_pattern_locals ctx c.Typedtree.c_lhs) cases
-      | Texp_function { param; cases; _ } ->
-        add_local ctx param;
-        List.iter (fun c -> add_pattern_locals ctx c.Typedtree.c_lhs) cases
-      | Texp_for (id, _, _, _, _, _) -> add_local ctx id
-      | _ -> ());
-     check_par_write ctx e
-   | None -> ());
-  (* Structured descent for loop context and Par-closure entry. *)
+  (* Structured descent for loop context. *)
   match e.exp_desc with
   | Texp_while (cond, body) ->
     sub.Tast_iterator.expr sub cond;
@@ -678,39 +485,6 @@ let visit_expr sub (e : Typedtree.expression) =
     incr loop_depth;
     Fun.protect ~finally:(fun () -> decr loop_depth) (fun () ->
         sub.Tast_iterator.expr sub body)
-  | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fn), args)
-    when is_par_entry (norm_path p) ->
-    (* Each function-literal argument is a parallel body: lint it with a
-       fresh capture context (and as a loop body for R4). *)
-    sub.Tast_iterator.expr sub fn;
-    List.iter
-      (fun (_, arg) ->
-        match arg with
-        | Some a when is_function_literal a ->
-          let ctx =
-            { locals = Hashtbl.create 32; label = Path.last p }
-          in
-          enter_function_spine ctx a;
-          if not (uses_mutex a) then begin
-            let saved = !par_context in
-            par_context := Some ctx;
-            incr loop_depth;
-            Fun.protect
-              ~finally:(fun () ->
-                par_context := saved;
-                decr loop_depth)
-              (fun () -> sub.Tast_iterator.expr sub a)
-          end
-          else begin
-            (* Mutex-guarded: still visit for the other rules. *)
-            incr loop_depth;
-            Fun.protect
-              ~finally:(fun () -> decr loop_depth)
-              (fun () -> sub.Tast_iterator.expr sub a)
-          end
-        | Some a -> sub.Tast_iterator.expr sub a
-        | None -> ())
-      args
   | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fn), args)
     when is_loop_hof (norm_path p) ->
     sub.Tast_iterator.expr sub fn;
@@ -850,7 +624,7 @@ let place (loc : Location.t) =
   (file, pos.Lexing.pos_lnum)
 
 (* Directories where every lock acquisition must carry [@sider.lock]. *)
-let must_annotate_dirs = [ "lib/serve/"; "lib/obs/"; "lib/par/" ]
+let must_annotate_dirs = [ "lib/serve/"; "lib/obs/" ]
 
 let must_annotate file =
   !fixture_mode || starts_with_any must_annotate_dirs file
@@ -1656,7 +1430,6 @@ let file_level_allows (str : Typedtree.structure) =
 let lint_structure ~src (str : Typedtree.structure) =
   cur_file := src;
   cur_policy := policy_of_file src;
-  par_context := None;
   loop_depth := 0;
   allow_stack := [ file_level_allows str ];
   linter.structure linter str
@@ -2269,7 +2042,6 @@ let json_escape s =
 let rule_descriptions =
   [
     (r_det, "Wall-clock / global-RNG / environment use inside deterministic core code");
-    (r_dom, "Domain-unsafe shared-state access inside a parallel region");
     (r_err, "Raw exception raised where Sider_error is required");
     (r_flt, "Float equality comparison in numeric code");
     (r_obs, "Unlabeled observability counter or histogram update");
