@@ -91,13 +91,18 @@ convergence-smoke:
 	      want " ]" > "/dev/stderr"; exit 1 } }'
 
 # End-to-end smoke of the session service: boot it in-process with
-# write-ahead journaling on, the compaction threshold forced low (so
-# the smoke exercises snapshot+journal recovery, not just journals), a
-# short TTL (so eviction/rehydration runs under real load), drive a
-# small concurrent mixed-persona load through the full HTTP loop
-# (create → constrain → update → projection), then doctor-verify one
-# of the journals it wrote (exit 2 on corruption) — the journal picked
-# has a sibling snapshot, so this also proves snapshot-aware replay.
+# write-ahead journaling on, the compaction threshold forced low and a
+# short TTL, drive a small concurrent mixed-persona load through the
+# full HTTP loop (create → constrain → update → projection), and fail
+# unless its lifecycle line reports at least one compaction: each one
+# reads its session's dataset back from the journal header.  Then
+# doctor-verify a journal that has a sibling snapshot (exit 2 on
+# corruption; the leg fails when no journal has one), which proves
+# snapshot-aware replay.  `sider load` never revisits a session, so
+# nothing here rehydrates, and the e2e smoke's service_churn leg runs
+# 1 s of arrivals where a revisit needs a session at least 2 s old:
+# the tier-1 `service` tests "ttl evicts and rehydrates" and
+# "eviction/rehydration race" cover rehydration.
 # The run writes the structured JSON access log next to the flight
 # dumps; the final leg pulls a trace id back out of it and greps the
 # whole _artifacts/flight/ directory with `doctor --trace`, proving the
@@ -110,14 +115,19 @@ convergence-smoke:
 service-smoke:
 	mkdir -p _artifacts/flight
 	rm -rf _artifacts/service-smoke-wal
-	dune exec bin/sider_cli.exe -- load --sessions 24 --concurrency 8 \
+	out="$$(dune exec bin/sider_cli.exe -- load --sessions 24 --concurrency 8 \
 	  --rows 32 --persona mixed --compact-threshold 4 --ttl 0.2 \
 	  --data-dir _artifacts/service-smoke-wal \
 	  --access-log _artifacts/flight/service-smoke-access.jsonl \
-	  2> _artifacts/flight/service-smoke.stderr
+	  2> _artifacts/flight/service-smoke.stderr)" || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | awk '$$1 == "lifecycle:" && $$4 >= 1 { ok = 1 } \
+	  END { if (!ok) { print "service-smoke: no compaction reported" \
+	    > "/dev/stderr"; exit 1 } }'
 	J="$$(ls _artifacts/service-smoke-wal/*.snapshot 2>/dev/null | head -n 1 \
 	      | sed 's/\.snapshot$$/.journal/')"; \
-	[ -n "$$J" ] || J="$$(ls _artifacts/service-smoke-wal/*.journal | head -n 1)"; \
+	[ -n "$$J" ] || { echo "service-smoke: no compacted journal" >&2; \
+	  exit 1; }; \
 	dune exec bin/sider_cli.exe -- doctor --snapshot "$$J" \
 	  2>> _artifacts/flight/service-smoke.stderr
 	T="$$(sed -n 's/.*"trace":"\([^"]*\)".*/\1/p' \

@@ -487,8 +487,9 @@ let write_dataset o ds =
   Json.write_raw w "]}"
 
 (* The arguments [Session.create] is replayed from, as fields that
-   follow others in an object. *)
-let write_creation o session =
+   follow others in an object; [ds] is the session's dataset, which the
+   caller has read once for all the documents it prints. *)
+let write_creation o ds session =
   let w = o.w in
   let seed, standardize, jitter, method_ = Session.creation_args session in
   Json.write_raw w ",\"seed\":";
@@ -500,11 +501,11 @@ let write_creation o session =
   Json.write_raw w ",\"method\":";
   Json.write w (method_to_json method_);
   Json.write_raw w ",\"dataset\":";
-  write_dataset o (Session.dataset session)
+  write_dataset o ds
 
 (* A snapshot's fields: the creation arguments, then every event. *)
-let snapshot_fields session o =
-  write_creation o session;
+let snapshot_fields ds session o =
+  write_creation o ds session;
   Json.write_raw o.w ",\"history\":[";
   List.iteri
     (fun i e ->
@@ -516,12 +517,12 @@ let snapshot_fields session o =
 
 (* A journal header's fields: the events a sibling snapshot stands for,
    when there are any, then the creation arguments. *)
-let header_fields ~base session o =
+let header_fields ~base ds session o =
   if base <> 0 then begin
     Json.write_raw o.w ",\"base\":";
     Json.write_number o.w (float_of_int base)
   end;
-  write_creation o session
+  write_creation o ds session
 
 let check_format ~what ~expected j =
   (match Json.member_opt "format" j with
@@ -585,20 +586,21 @@ let rename_into tmp path =
   try Sys.rename tmp path with
   | Sys_error msg -> io_fail "Persist: rename over %s failed: %s" path msg
 
-let snapshot_to ~path session fd =
-  stream_document ~path fd "sider-session" (snapshot_fields session)
+let snapshot_to ~path ds session fd =
+  stream_document ~path fd "sider-session" (snapshot_fields ds session)
 
-let header_to ~path ~base session fd =
+let header_to ~path ~base ds session fd =
   stream_document ~path ~newline:true fd "sider-journal"
-    (header_fields ~base session)
+    (header_fields ~base ds session)
 
 (* tmp + fsync + rename: a crash at any point leaves either the old
    complete file or the new complete file, never a torn one.  The tmp
    file lives in the destination directory so the rename cannot cross a
    filesystem boundary. *)
 let save path session =
+  let ds = Session.dataset session in
   let tmp = path ^ ".tmp" in
-  write_fsync tmp (snapshot_to ~path:tmp session);
+  write_fsync tmp (snapshot_to ~path:tmp ds session);
   rename_into tmp path
 
 let read_file path =
@@ -692,9 +694,45 @@ let journal_close j =
        request-path syncs. *)
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* A journal's header line, parsed and checked as recovery checks it:
+   a newline ends it, it parses, and its format, version and checksum
+   hold. *)
+let parse_header path (line, terminated) =
+  if not terminated then corrupt "journal %s: truncated header" path;
+  let header =
+    try Json.of_string line with
+    | Json.Parse_error msg -> corrupt "journal %s: header: %s" path msg
+  in
+  check_format ~what:(Printf.sprintf "journal %s" path)
+    ~expected:"sider-journal" header;
+  header
+
+(* The dataset of the journal at [path], read back from its header line
+   whenever it is called: the line it holds then, which compaction
+   rewrites with the same dataset. *)
+let header_dataset path () =
+  let line =
+    try
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let line = input_line ic in
+          (line, pos_in ic > String.length line))
+    with
+    | Sys_error msg -> io_fail "Persist: cannot read %s: %s" path msg
+    | End_of_file -> corrupt "journal %s: empty file" path
+  in
+  let header = parse_header path line in
+  parsing (Printf.sprintf "journal %s" path) (fun () ->
+      dataset_of_json (Json.member "dataset" header))
+
 (* A start that fails, the header's write-back included, leaves the
    descriptor closed. *)
 let journal_start path session =
+  (* Read before the file is truncated: a released session reads its
+     dataset back from its journal, which may be this one. *)
+  let ds = Session.dataset session in
   let fd =
     try Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 with
     | Unix.Unix_error (err, _, _) ->
@@ -703,11 +741,12 @@ let journal_start path session =
   in
   let j = { j_path = path; j_fd = Some fd; j_events = 0; j_base = 0 } in
   (try
-     journal_write j (header_to ~path ~base:0 session);
+     journal_write j (header_to ~path ~base:0 ds session);
      List.iter (journal_append j) (Session.history session)
    with e ->
      journal_close j;
      raise e);
+  Session.release_dataset session (header_dataset path);
   j
 
 let journal_events j = j.j_events
@@ -737,15 +776,8 @@ let journal_scan path =
   let text = read_file path in
   match journal_lines text with
   | [] -> corrupt "journal %s: empty file" path
-  | (header_line, header_terminated) :: events ->
-    if not header_terminated then
-      corrupt "journal %s: truncated header" path;
-    let header =
-      try Json.of_string header_line with
-      | Json.Parse_error msg -> corrupt "journal %s: header: %s" path msg
-    in
-    check_format ~what:(Printf.sprintf "journal %s" path)
-      ~expected:"sider-journal" header;
+  | ((header_line, _) as first) :: events ->
+    let header = parse_header path first in
     let base =
       match Json.member_opt "base" header with
       | None -> 0
@@ -853,6 +885,7 @@ let journal_reopen path =
          (try Unix.close fd with Unix.Unix_error _ -> ());
          io_fail "Persist.journal %s: cannot truncate tail: %s" path
            (Unix.error_message err));
+      Session.release_dataset session (header_dataset path);
       (session, { j_path = path; j_fd = Some fd; j_events = lines; j_base = base }))
 
 (* Compaction rewrites journal state as snapshot-plus-empty-journal with
@@ -874,16 +907,28 @@ let journal_compact j session =
    | None -> io_fail "Persist.journal %s: already closed" j.j_path
    | Some _ -> ());
   let path = j.j_path in
+  (* The dataset is read once, before any file is opened, and both
+     documents print from it.  A released session reads it back from
+     this journal's header: one that no longer reads back (a byte of it
+     changed on disk) fails here and closes the handle, so the next
+     append fails rather than acknowledge an event recovery would
+     refuse. *)
+  let ds =
+    try Session.dataset session with
+    | e ->
+      journal_close j;
+      raise e
+  in
   let snap = snapshot_path path in
   Fault.crash_compaction_at ~path ~point:0;
   let snap_tmp = snap ^ ".tmp" in
-  write_fsync snap_tmp (snapshot_to ~path:snap_tmp session);
+  write_fsync snap_tmp (snapshot_to ~path:snap_tmp ds session);
   Fault.crash_compaction_at ~path ~point:1;
   rename_into snap_tmp snap;
   Fault.crash_compaction_at ~path ~point:2;
   let base = List.length (Session.history session) in
   let jrn_tmp = path ^ ".compact.tmp" in
-  write_fsync jrn_tmp (header_to ~path:jrn_tmp ~base session);
+  write_fsync jrn_tmp (header_to ~path:jrn_tmp ~base ds session);
   Fault.crash_compaction_at ~path ~point:3;
   (* From here the old descriptor must receive no further appends: close
      it before the rename publishes the fresh journal, and leave the

@@ -89,8 +89,11 @@ val save : string -> Session.t -> unit
 (** Write a session snapshot atomically: the document is written to
     [path ^ ".tmp"], [fsync]ed and renamed over [path], so a crash
     mid-save leaves either the previous snapshot or the new one intact,
-    never a torn file.  Raises [Sider_error.Error] ([Io_failure]) on
-    filesystem faults. *)
+    never a torn file.  The session's dataset is read once, first
+    ({!Session.dataset}: for a journaled session, back from its journal's
+    header).  Raises [Sider_error.Error]: [Io_failure] on filesystem
+    faults, and what the read-back raises when the header no longer
+    reads back. *)
 
 val load : string -> Session.t
 (** Read and replay a snapshot.  Raises [Sider_error.Error]. *)
@@ -107,11 +110,16 @@ type journal
 val journal_start : string -> Session.t -> journal
 (** Create (or truncate) a journal at [path]: the header line, streamed
     and its checksum written back, then one line per event already in
-    the session's history, each fsynced.  Raises [Sider_error.Error] on
-    IO failure, leaving no descriptor open.  An armed
-    {!Sider_robust.Fault.Checksum_crash} raises
-    {!Sider_robust.Fault.Crash_injected} between the header's last byte
-    and its checksum. *)
+    the session's history, each fsynced.  The session's dataset is read
+    before the file is opened.  Once all of it is durable the session
+    releases its dataset ({!Session.release_dataset}): from then on
+    {!Session.dataset} reads it back from the header of the journal at
+    [path], parsed and checked as {!journal_load} checks it, and raises
+    [Sider_error.Error] if that header no longer reads back.  Raises
+    [Sider_error.Error] on IO failure, leaving no descriptor open and
+    the dataset kept.  An armed {!Sider_robust.Fault.Checksum_crash}
+    raises {!Sider_robust.Fault.Crash_injected} between the header's
+    last byte and its checksum. *)
 
 val journal_append : journal -> Session.event -> unit
 (** Append one event line and [fsync].  Returns only once the record is
@@ -146,8 +154,13 @@ val journal_compact : journal -> Session.t -> unit
     by the snapshot and recovery skips them.  On failure after the
     journal rename the handle is left closed (appends raise rather
     than write to an unlinked file).  [session] must be the state the
-    journal reflects; callers hold the per-session lock.  Raises
-    [Sider_error.Error] ([Io_failure]) on filesystem faults. *)
+    journal reflects; callers hold the per-session lock.  The session's
+    dataset is read once, before any file is opened, and both documents
+    print from it; when that read fails (a released session whose
+    header no longer reads back) nothing is written and the handle is
+    left closed, so the next append fails rather than extend a journal
+    recovery would refuse.  Raises [Sider_error.Error]: [Io_failure] on
+    filesystem faults, and what the read-back raises. *)
 
 val journal_load : string -> (Session.t * int, Sider_error.t) result
 (** Replay a journal: rebuild the base state (from the sibling snapshot
@@ -157,9 +170,12 @@ val journal_load : string -> (Session.t * int, Sider_error.t) result
     line is dropped; any other defect — missing or corrupt header,
     checksum mismatch, unparseable interior line, unknown event, a
     base with no sibling snapshot — is a structured error.  Never
-    raises. *)
+    raises.  The session keeps its dataset: nothing holds the file's
+    header for it. *)
 
 val journal_reopen : string -> (Session.t * journal, Sider_error.t) result
 (** {!journal_load}, then reopen the file for appending (truncating a
     dropped in-flight tail first so the next append starts on a clean
-    record boundary).  The recovery path of the session service. *)
+    record boundary), and release the session's dataset as
+    {!journal_start} does: its header holds it.  The recovery path of
+    the session service. *)

@@ -27,7 +27,12 @@ let within_radius session ~center:(cx, cy) ~radius =
   |> of_indices
 
 let by_class session cls =
-  Sider_data.Dataset.class_indices (Session.dataset session) cls
+  match Session.labels session with
+  | None -> [||]
+  | Some labels ->
+    List.init (Array.length labels) Fun.id
+    |> List.filter (fun i -> String.equal labels.(i) cls)
+    |> Array.of_list
 
 let size = Array.length
 

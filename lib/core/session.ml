@@ -31,7 +31,7 @@ type coordinates = {
 }
 
 type t = {
-  dataset : Dataset.t;
+  mutable dataset : unit -> Dataset.t;  (* the original, kept or read back *)
   std : Dataset.t;
   rng : Rng.t;
   mutable method_ : View.method_;
@@ -145,7 +145,8 @@ let create ?(seed = 2018) ?(standardize = true) ?(jitter = 1e-3)
       sample_x = Array.create_float n; sample_y = Array.create_float n }
   in
   let t =
-    { dataset = ds; std; rng; method_; solver; pending = []; tags = []; view;
+    { dataset = (fun () -> ds); std; rng; method_; solver; pending = [];
+      tags = []; view;
       labels = view_labels std view; coords; history = [];
       degradations = [];
       ica_w = view.View.unmixing;
@@ -161,7 +162,11 @@ let creation_args t = t.creation_args
 
 let history t = List.rev t.history
 
-let dataset t = t.dataset
+let dataset t = t.dataset ()
+
+let release_dataset t read_back = t.dataset <- read_back
+
+let labels t = Dataset.labels t.std
 
 let data t = Dataset.matrix t.std
 
@@ -316,10 +321,7 @@ let scatter t =
         index = i;
         x;
         y = c.data_y.(i);
-        label =
-          (match Dataset.labels t.std with
-           | Some l -> Some l.(i)
-           | None -> None);
+        label = (match labels t with Some l -> Some l.(i) | None -> None);
         background = (c.sample_x.(i), c.sample_y.(i));
       })
     c.data_x
@@ -370,7 +372,7 @@ let selection_stats t rows =
   stats
 
 let class_match t rows =
-  match Dataset.labels t.std with
+  match labels t with
   | None -> []
   | Some labels -> Metrics.best_class_match ~selection:rows ~labels
 

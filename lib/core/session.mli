@@ -4,11 +4,12 @@
     Gaussian prior of Eq. 1 is meaningful), the growing constraint set,
     the MaxEnt solver state, the current most-informative 2-D view and
     that view's coordinates: every data row and its paired background
-    sample on both axes ({!coordinates}).  Its only [n×d] matrices are
-    the dataset it was created from, which journals and snapshots print,
-    and the jittered working copy the solver reads; a view whitens into
-    a buffer the process lends it ({!Sider_projection.Whiten.with_whitened})
-    and draws its background sample one row at a time, keeping only the
+    sample on both axes ({!coordinates}).  Its only [n×d] matrix is the
+    jittered working copy the solver reads, and, until a journal holds
+    it ({!release_dataset}), the dataset it was created from, which
+    journals and snapshots print; a view whitens into a buffer the
+    process lends it ({!Sider_projection.Whiten.with_whitened}) and
+    draws its background sample one row at a time, keeping only the
     row's two coordinates.  Every interaction of the paper's UI is a
     function here:
 
@@ -81,15 +82,30 @@ val create : ?seed:int -> ?standardize:bool -> ?jitter:float ->
     {!Dataset.standardized} and a separate noise matrix gave, so
     journals replay to the same data.  It shares the dataset's name,
     column names and labels; without standardizing and jitter it is the
-    dataset's own matrix.  The session keeps the dataset and the copy,
-    and nothing else of the data's size but its view's coordinates.
+    dataset's own matrix.  The session keeps the dataset (until
+    {!release_dataset}) and the copy, and nothing else of the data's
+    size but its view's coordinates.
 
     Raises [Invalid_argument] if [jitter] is NaN or infinite, or if the
     data contains NaN or infinite values (naming the first offending
     row/column). *)
 
 val dataset : t -> Dataset.t
-(** The original dataset. *)
+(** The original dataset: the one {!create} was given or, once
+    {!release_dataset} has run, the one its read-back returns, read
+    afresh on each call.  Only persistence needs it: the engine, the
+    views and {!labels} read the working copy.  A read-back that fails
+    raises what it raises ({!Persist}'s raises [Sider_error.Error]). *)
+
+val release_dataset : t -> (unit -> Dataset.t) -> unit
+(** [release_dataset t read_back] drops the session's reference to its
+    original dataset: from then on {!dataset} calls [read_back], which
+    must return a dataset equal to it, cell for cell.  {!Persist} calls
+    it once a journal header holds the dataset durably, so a journaled
+    session keeps one [n×d] matrix, the working copy. *)
+
+val labels : t -> string array option
+(** The dataset's row labels, which the working copy shares. *)
 
 val data : t -> Mat.t
 (** The (standardized) matrix the engine works on. *)

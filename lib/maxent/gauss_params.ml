@@ -5,19 +5,18 @@ type t = {
   mutable theta1 : Vec.t;
   mutable sigma : Mat.t;
   mutable mean : Vec.t;
-  scratch_g : Vec.t;
-  mutable scratch_sigma : Mat.t;
 }
 
+type scratch = { g : Vec.t; mutable sigma_prev : Mat.t }
+
+let scratch d = { g = Vec.create d; sigma_prev = Mat.create d d }
+
 let initial d =
-  { theta1 = Vec.create d; sigma = Mat.identity d; mean = Vec.create d;
-    scratch_g = Vec.create d; scratch_sigma = Mat.create d d }
+  { theta1 = Vec.create d; sigma = Mat.identity d; mean = Vec.create d }
 
 let copy t =
-  let d = Array.length t.mean in
   { theta1 = Vec.copy t.theta1; sigma = Mat.copy t.sigma;
-    mean = Vec.copy t.mean;
-    scratch_g = Vec.create d; scratch_sigma = Mat.create d d }
+    mean = Vec.copy t.mean }
 
 (* [Mat.copy_into] checks the shapes, so it goes first. *)
 let copy_into ~dst t =
@@ -26,8 +25,8 @@ let copy_into ~dst t =
   Array.blit t.theta1 0 dst.theta1 0 d;
   Array.blit t.mean 0 dst.mean 0 d
 
-let apply_linear t ~lambda ~w =
-  let g = t.scratch_g in
+let apply_linear ~scratch t ~lambda ~w =
+  let g = scratch.g in
   Mat.mv_into ~dst:g t.sigma w;
   Vec.axpy lambda w t.theta1;
   Vec.axpy lambda g t.mean
@@ -48,17 +47,18 @@ let diag_healthy sigma =
    from scratch through the guarded (jitter-laddered) factorization,
    instead of trusting the Sherman-Morrison increment.  [t.theta1] must
    already hold θ₁'. *)
-let recompute_full t ~lambda ~delta ~w ~sigma_prev =
+let recompute_full ~scratch t ~lambda ~delta ~w =
   (* On failure the whole update is undone — Σ, θ₁ and m keep their
-     pre-update values, so the class state stays self-consistent.
-     [sigma_prev] is the reusable [scratch_sigma] buffer, so restoring is
-     a pointer swap: the (possibly corrupted) Σ buffer becomes the next
+     pre-update values, so the class state stays self-consistent.  The
+     pre-update Σ is in the scratch's [sigma_prev], so restoring is a
+     pointer swap: the (possibly corrupted) Σ buffer becomes the next
      scratch. *)
+  let sigma_prev = scratch.sigma_prev in
   let frozen () =
     if t.sigma != sigma_prev then begin
       let corrupt = t.sigma in
       t.sigma <- sigma_prev;
-      t.scratch_sigma <- corrupt
+      scratch.sigma_prev <- corrupt
     end;
     Vec.axpy (-.lambda *. delta) w t.theta1;
     `Frozen
@@ -74,20 +74,19 @@ let recompute_full t ~lambda ~delta ~w ~sigma_prev =
        Mat.mv_into ~dst:t.mean t.sigma t.theta1;
        `Recomputed)
 
-let apply_quadratic t ~lambda ~delta ~w =
-  let g = t.scratch_g in
+let apply_quadratic ~scratch t ~lambda ~delta ~w =
+  let g = scratch.g in
   Mat.mv_into ~dst:g t.sigma w;
   let c = Vec.dot w g in
   let denom = 1.0 +. (lambda *. c) in
   (* Snapshot Σ into the reusable scratch (no per-update allocation). *)
-  let sigma_prev = t.scratch_sigma in
-  Mat.copy_into ~dst:sigma_prev t.sigma;
+  Mat.copy_into ~dst:scratch.sigma_prev t.sigma;
   if denom <= 0.0 then begin
     (* Indefinite in the Woodbury form: skip the O(d²) path entirely and
        let the guarded full recompute decide (its jitter ladder can
        still produce a valid posterior for λ slightly past −1/c). *)
     Vec.axpy (lambda *. delta) w t.theta1;
-    recompute_full t ~lambda ~delta ~w ~sigma_prev
+    recompute_full ~scratch t ~lambda ~delta ~w
   end
   else begin
     (* Σ ← Σ − (λ/denom) g gᵀ  (Sherman-Morrison). *)
@@ -104,7 +103,7 @@ let apply_quadratic t ~lambda ~delta ~w =
       (* Positive definiteness lost to cancellation: fall back to the
          full recompute from the pre-update Σ (which also restores it on
          failure). *)
-      recompute_full t ~lambda ~delta ~w ~sigma_prev
+      recompute_full ~scratch t ~lambda ~delta ~w
   end
 
 let proj_mean t w = Vec.dot w t.mean

@@ -13,12 +13,16 @@ type t = {
   mutable theta1 : Vec.t;   (** Natural parameter [Σ⁻¹m]. *)
   mutable sigma : Mat.t;    (** Dual covariance [Σ]. *)
   mutable mean : Vec.t;     (** Dual mean [m = Σ θ₁]. *)
-  scratch_g : Vec.t;
-  (** Internal reusable buffer for [Σw]; not part of the class state. *)
-  mutable scratch_sigma : Mat.t;
-  (** Internal reusable pre-update [Σ] snapshot for Woodbury rollback;
-      not part of the class state. *)
 }
+
+type scratch
+(** The buffers one update works in: [Σw] and the pre-update [Σ] a
+    failed Woodbury update is rolled back to.  Not class state: the
+    updates run one at a time, so a solver keeps one for all its
+    classes. *)
+
+val scratch : int -> scratch
+(** A scratch for classes of dimension [d]. *)
 
 val initial : int -> t
 (** The prior [N(0, I_d)] (Eq. 1): [θ₁ = 0], [Σ = I], [m = 0]. *)
@@ -30,11 +34,11 @@ val copy_into : dst:t -> t -> unit
     [t]'s, in [dst]'s own buffers.  Raises [Invalid_argument] when the
     dimensions differ. *)
 
-val apply_linear : t -> lambda:float -> w:Vec.t -> unit
+val apply_linear : scratch:scratch -> t -> lambda:float -> w:Vec.t -> unit
 (** Add [λ w] to [θ₁]; [Σ] is unchanged and [m] shifts by [λ Σ w]. *)
 
 val apply_quadratic :
-  t -> lambda:float -> delta:float -> w:Vec.t ->
+  scratch:scratch -> t -> lambda:float -> delta:float -> w:Vec.t ->
   [ `Sherman_morrison | `Recomputed | `Frozen ]
 (** Add [λ δ w] to [θ₁] and [λ w wᵀ] to [Σ⁻¹].  [Σ] is updated in place by
     the rank-1 Woodbury formula and [m] by the induced O(d) correction;

@@ -17,6 +17,7 @@ type t = {
   constraints : Constr.t array;
   partition : Partition.t;
   classes : Gauss_params.t array;
+  scratch : Gauss_params.scratch;  (* every class update's, one at a time *)
   data_sd : float;
 }
 
@@ -53,7 +54,8 @@ let build data constraints init_params =
     Array.init (Partition.n_classes partition) (fun c ->
         init_params ~cls:c ~representative:(Partition.members partition c).(0) ~d)
   in
-  { data; constraints; partition; classes; data_sd = overall_sd data }
+  { data; constraints; partition; classes; scratch = Gauss_params.scratch d;
+    data_sd = overall_sd data }
 
 let create data constraints =
   build data constraints (fun ~cls:_ ~representative:_ ~d ->
@@ -172,7 +174,7 @@ let update_linear t idx ~damp =
         let p = t.classes.(cls) in
         dparam :=
           Float.max !dparam (Float.abs (lambda *. Gauss_params.proj_var p w));
-        Gauss_params.apply_linear p ~lambda ~w)
+        Gauss_params.apply_linear ~scratch:t.scratch p ~lambda ~w)
       groups;
     (lambda, !dparam, [])
   end
@@ -262,7 +264,9 @@ let update_quadratic t idx ~damp ~tally =
         let dsd = sqrt (cs.(i) /. denom) -. sqrt cs.(i) in
         let dmean = lambda *. (delta -. es.(i)) *. cs.(i) /. denom in
         dp := Float.max !dp (Float.max (Float.abs dsd) (Float.abs dmean));
-        match Gauss_params.apply_quadratic p ~lambda ~delta ~w with
+        match
+          Gauss_params.apply_quadratic ~scratch:t.scratch p ~lambda ~delta ~w
+        with
         | `Sherman_morrison -> tally.fast <- tally.fast + 1
         | `Recomputed ->
           tally.recompute <- tally.recompute + 1;

@@ -235,7 +235,7 @@ let write_projection w session =
   Json.write_char w ',';
   Json.write_number w sy;
   Json.write_raw w "],\"points\":[";
-  let labels = Dataset.labels (Session.dataset session) in
+  let labels = Session.labels session in
   for i = 0 to n - 1 do
     Json.write_raw w (if i = 0 then "{\"i\":" else ",{\"i\":");
     Json.write_int w i;

@@ -494,6 +494,37 @@ let test_resident_session_words () =
     Alcotest.failf "a resident session keeps %d words, 2.625nd = %d" words
       bound
 
+(* The same session as the service keeps it: its create body decoded
+   as the create route decodes it, created, then journaled, which
+   releases the original dataset because the journal's header holds it
+   ({!Session.release_dataset}), margin solved and viewed.  It keeps one
+   n×d matrix, the working copy: 26,303 words when written, gated at
+   1.75·nd.  Keeping the original beside the copy, as a session did
+   before its journal released it, kept 42,682. *)
+let test_journaled_session_words () =
+  let body =
+    Json.to_string
+      (Json.Obj
+         [ ("dataset", Persist.dataset_to_json (reads_dataset ()));
+           ("seed", Json.Number 1.0) ])
+  in
+  let { Sider_serve.Service.dataset; seed; standardize; jitter; method_ } =
+    Sider_serve.Service.decode_create body
+  in
+  let s = Session.create ~seed ~standardize ~jitter ~method_ dataset in
+  let path = Filename.temp_file "sider_resident" ".journal" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Persist.journal_close (Persist.journal_start path s);
+  Session.add_margin_constraint s;
+  ignore (Session.update_background ~time_cutoff:60.0 ~max_sweeps:500 s);
+  ignore (Session.recompute_view ~method_:View.Pca s);
+  let n, d = Mat.dims (Session.data s) in
+  let words = Obj.reachable_words (Obj.repr s) in
+  let bound = 7 * n * d / 4 in
+  if words >= bound then
+    Alcotest.failf "a journaled session keeps %d words, 1.75nd = %d" words
+      bound
+
 (* A warm ICA view at [ica_explore]'s shape (n=512, d=12) puts under
    2.5·n·d words on the major heap on either kernel path: z is built
    once in the kernel's layout, centred as the product reads it, and the
@@ -691,4 +722,6 @@ let suite =
       test_warm_ica_view_major_heap;
     case "lent whitening buffer: concurrent rounds print sequential bytes"
       test_lent_whitening_buffer;
+    case "journaled session keeps under 1.75nd words"
+      test_journaled_session_words;
   ]

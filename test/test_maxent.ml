@@ -272,7 +272,8 @@ let test_initial_params () =
 
 let test_apply_linear () =
   let p = Gauss_params.initial 2 in
-  Gauss_params.apply_linear p ~lambda:0.5 ~w:[| 1.0; 0.0 |];
+  Gauss_params.apply_linear ~scratch:(Gauss_params.scratch 2) p ~lambda:0.5
+    ~w:[| 1.0; 0.0 |];
   approx_vec "theta1 shifted" [| 0.5; 0.0 |] p.Gauss_params.theta1;
   approx_vec "mean = Σθ" [| 0.5; 0.0 |] p.Gauss_params.mean;
   approx_mat "sigma unchanged" (Mat.identity 2) p.Gauss_params.sigma
@@ -281,11 +282,12 @@ let test_apply_quadratic_matches_direct () =
   (* The O(d²) in-place update must equal recomputing the duals from the
      natural parameters by direct matrix inversion. *)
   let d = 5 in
-  let p = Gauss_params.initial d in
+  let p = Gauss_params.initial d and scratch = Gauss_params.scratch d in
   (* Give it a non-trivial starting state. *)
-  Gauss_params.apply_linear p ~lambda:0.7 ~w:(Sider_rand.Sampler.normal_vec rng d);
+  Gauss_params.apply_linear ~scratch p ~lambda:0.7
+    ~w:(Sider_rand.Sampler.normal_vec rng d);
   ignore
-    (Gauss_params.apply_quadratic p ~lambda:0.9 ~delta:0.2
+    (Gauss_params.apply_quadratic ~scratch p ~lambda:0.9 ~delta:0.2
        ~w:(Vec.normalize (Sider_rand.Sampler.normal_vec rng d)));
   let w = Vec.normalize (Sider_rand.Sampler.normal_vec rng d) in
   let lambda = 1.3 and delta = -0.4 in
@@ -296,7 +298,7 @@ let test_apply_quadratic_matches_direct () =
   Vec.axpy (lambda *. delta) w theta1';
   let sigma_direct = Linsolve.inverse prec in
   let mean_direct = Mat.mv sigma_direct theta1' in
-  ignore (Gauss_params.apply_quadratic p ~lambda ~delta ~w);
+  ignore (Gauss_params.apply_quadratic ~scratch p ~lambda ~delta ~w);
   approx_mat ~eps:1e-8 "sigma" sigma_direct p.Gauss_params.sigma;
   approx_vec ~eps:1e-8 "mean" mean_direct p.Gauss_params.mean;
   approx_vec ~eps:1e-12 "theta1" theta1' p.Gauss_params.theta1
@@ -307,13 +309,36 @@ let test_apply_quadratic_indefinite () =
      parameters finite rather than raising or emitting NaN. *)
   let p = Gauss_params.initial 2 in
   let outcome =
-    Gauss_params.apply_quadratic p ~lambda:(-1.0) ~delta:0.0
-      ~w:[| 1.0; 0.0 |]
+    Gauss_params.apply_quadratic ~scratch:(Gauss_params.scratch 2) p
+      ~lambda:(-1.0) ~delta:0.0 ~w:[| 1.0; 0.0 |]
   in
   check_true "not Sherman-Morrison" (outcome <> `Sherman_morrison);
   check_true "sigma finite"
     (Array.for_all Float.is_finite p.Gauss_params.sigma.Mat.a);
   check_true "mean finite" (Array.for_all Float.is_finite p.Gauss_params.mean)
+
+(* One scratch serves every class, one update at a time.  A frozen
+   update restores its class's Σ by taking the scratch's pre-update
+   copy and handing the scratch its own buffer, so the next class's
+   update, which refills the scratch, must leave the frozen class's Σ
+   as it was. *)
+let test_frozen_update_keeps_sigma_from_shared_scratch () =
+  let scratch = Gauss_params.scratch 2 in
+  let other = Gauss_params.initial 2 and frozen = Gauss_params.initial 2 in
+  check_true "other: Sherman-Morrison"
+    (Gauss_params.apply_quadratic ~scratch other ~lambda:1.0 ~delta:0.0
+       ~w:[| 1.0; 0.0 |]
+     = `Sherman_morrison);
+  check_true "frozen: past the indefinite bound"
+    (Gauss_params.apply_quadratic ~scratch frozen ~lambda:(-2.0) ~delta:0.0
+       ~w:[| 1.0; 0.0 |]
+     = `Frozen);
+  approx_mat "frozen keeps its Σ" (Mat.identity 2) frozen.Gauss_params.sigma;
+  ignore
+    (Gauss_params.apply_quadratic ~scratch other ~lambda:1.0 ~delta:0.0
+       ~w:[| 0.0; 1.0 |]);
+  approx_mat "still after the next class's update" (Mat.identity 2)
+    frozen.Gauss_params.sigma
 
 (* --- Solver: paper's adversarial cases --------------------------------------- *)
 
@@ -917,4 +942,6 @@ let suite =
     prop_sigma_stays_symmetric_psd;
     case "sweeps at d=24 allocate no d x d matrix"
       test_sweep_major_allocation;
+    case "frozen update keeps its sigma when the scratch serves the next class"
+      test_frozen_update_keeps_sigma_from_shared_scratch;
   ]

@@ -1024,6 +1024,95 @@ let prop_journal_compaction_crash_random_history =
         Persist.journal_close j2;
         session_bytes recovered = session_bytes s)
 
+(* --- a released session's documents --------------------------------------------- *)
+
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+let copy_file src dst =
+  Out_channel.with_open_bin dst (fun oc -> output_string oc (read_text src))
+
+let ok what = function
+  | Ok v -> v
+  | Error e ->
+    Alcotest.failf "%s: %s" what (Sider_robust.Sider_error.to_string e)
+
+(* [s], journaled at [path] through [j] and so released, must save and
+   compact to the bytes of its unreleased twin: the session
+   [journal_load] rebuilds from a copy of the store, whose documents
+   print the dataset it holds.  Then, read back from the compacted
+   journal's header, it must save to those bytes again. *)
+let check_twin_bytes what path j s =
+  with_temp_store @@ fun twin_path ->
+  copy_file path twin_path;
+  if Sys.file_exists (Persist.snapshot_path path) then
+    copy_file (Persist.snapshot_path path) (Persist.snapshot_path twin_path);
+  let twin, _ = ok what (Persist.journal_load twin_path) in
+  let _, twin_j = ok what (Persist.journal_reopen twin_path) in
+  Fun.protect ~finally:(fun () -> Persist.journal_close twin_j) @@ fun () ->
+  let same part a b = check_true (what ^ ": " ^ part) (String.equal a b) in
+  same "saved" (snapshot_text twin) (snapshot_text s);
+  Persist.journal_compact twin_j twin;
+  Persist.journal_compact j s;
+  same "compacted snapshot"
+    (read_text (Persist.snapshot_path twin_path))
+    (read_text (Persist.snapshot_path path));
+  same "compacted journal" (read_text twin_path) (read_text path);
+  same "saved after compaction" (snapshot_text twin) (snapshot_text s)
+
+let test_released_session_writes_twin_bytes () =
+  (* Journaled here, with a dataset without labels. *)
+  (let s = Session.create ~seed:3 (Synth.gaussian ~seed:5 ~n:14 ~d:3 ()) in
+   with_temp_store @@ fun path ->
+   let j = Persist.journal_start path s in
+   Fun.protect ~finally:(fun () -> Persist.journal_close j) @@ fun () ->
+   check_true "no labels" (Session.labels s = None);
+   Persist.journal_append j Session.Added_margin;
+   Session.add_margin_constraint s;
+   Persist.journal_append j
+     (Session.Updated { time_cutoff = 10.0; max_sweeps = Some 20 });
+   ignore (Session.update_background ~time_cutoff:10.0 ~max_sweeps:20 s);
+   Persist.journal_append j (Session.Viewed Sider_projection.View.Ica);
+   ignore (Session.recompute_view ~method_:Sider_projection.View.Ica s);
+   check_twin_bytes "labels null" path j s);
+  (* Reopened from the store an earlier build wrote: a journal whose
+     header carries a base, beside its snapshot. *)
+  (with_temp_store @@ fun path ->
+   let golden = Test_golden.golden_dir () in
+   copy_file (Filename.concat golden "compat.journal") path;
+   copy_file (Filename.concat golden "compat.snapshot")
+     (Persist.snapshot_path path);
+   let s, j = ok "compat" (Persist.journal_reopen path) in
+   Fun.protect ~finally:(fun () -> Persist.journal_close j) @@ fun () ->
+   check_twin_bytes "compat" path j s);
+  (* Evicted past its TTL, then rehydrated, by the service's registry. *)
+  let module Registry = Sider_serve.Registry in
+  let dir = Filename.temp_file "sider_released" "" in
+  Sys.remove dir;
+  let reg = Registry.create ~data_dir:dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Registry.close reg;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let created = Session.create ~seed:4 (reads_dataset ()) in
+  let entry =
+    match Registry.add reg created with
+    | Ok entry -> entry
+    | Error _ -> Alcotest.fail "the registry refused the session"
+  in
+  Option.iter
+    (fun j -> Persist.journal_append j Session.Added_margin)
+    entry.Registry.journal;
+  Session.add_margin_constraint created;
+  Unix.sleepf 0.01;
+  check_true "evicted" (Registry.evict_idle reg ~ttl_s:0.001 = 1);
+  let s = Registry.session entry in
+  check_true "rehydrated" (s != created);
+  match (entry.Registry.journal, entry.Registry.j_path) with
+  | Some j, Some path -> check_twin_bytes "rehydrated" path j s
+  | _ -> Alcotest.fail "the rehydrated entry has no journal"
+
 let suite =
   [
     case "json printing" test_json_print_basic;
@@ -1068,4 +1157,6 @@ let suite =
       test_journal_start_allocation;
     case "a crash before the header's checksum leaves a refused journal"
       test_header_crash_before_checksum;
+    case "released session saves and compacts to its twin's bytes"
+      test_released_session_writes_twin_bytes;
   ]

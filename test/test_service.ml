@@ -1552,6 +1552,64 @@ let test_compaction_through_service () =
   status_is "projection after compacted recovery" 200
     (req svc2 "GET" ("/sessions/" ^ id ^ "/projection"))
 
+(* A session's journal header changes on disk after the start released
+   its dataset: one digit of the data.  Reads and writes never read the
+   dataset, so a projection read and a write round answer the bytes an
+   intact twin answers.  The next compaction reads the header back and
+   refuses it: a compaction failure is counted, the journal is closed
+   (the next write is a 503), and no snapshot or temporary file is
+   written. *)
+let test_changed_header_fails_next_compaction () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir)
+  @@ fun () ->
+  with_sink (Some Sider_obs.Obs.null_sink) @@ fun () ->
+  let config = { Service.default_config with compact_events = 4 } in
+  with_service ~data_dir:dir ~config @@ fun svc ->
+  let changed = create_session svc and twin = create_session svc in
+  let path = Filename.concat dir (changed ^ ".journal") in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let rec data_at i =
+    if String.sub text i 8 = {|"data":[|} then i else data_at (i + 1)
+  in
+  let digit = String.index_from text (data_at 0) '3' in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (String.mapi (fun i c -> if i = digit then '4' else c) text));
+  let projection id =
+    let r = req svc "GET" ("/sessions/" ^ id ^ "/projection") in
+    status_is "projection" 200 r;
+    r.Http.r_body
+  in
+  let constrain id =
+    req svc ~body:cluster_body "POST" ("/sessions/" ^ id ^ "/constraints")
+  in
+  let round id =
+    status_is "constraint" 200 (constrain id);
+    status_is "update" 200
+      (req svc ~body:update_body "POST" ("/sessions/" ^ id ^ "/update"));
+    let r = req svc ~body:{|{"method":"pca"}|} "POST" ("/sessions/" ^ id ^ "/view") in
+    status_is "view" 200 r;
+    r.Http.r_body
+  in
+  check_true "projection read" (projection changed = projection twin);
+  check_true "write round" (round changed = round twin);
+  check_true "projection after the round" (projection changed = projection twin);
+  let failures () = Sider_obs.Obs.counter_value "serve.compaction_failures" in
+  let before = failures () in
+  (* The fourth event reaches the threshold: the twin compacts... *)
+  status_is "the twin's fourth event" 200 (constrain twin);
+  check_true "the twin compacted"
+    (Sys.file_exists (Filename.concat dir (twin ^ ".snapshot")));
+  (* ...and the changed journal's compaction fails after its ack. *)
+  status_is "the fourth event" 200 (constrain changed);
+  Alcotest.(check int) "compaction failures" 1 (failures () - before);
+  status_is "the next write" 503 (constrain changed);
+  check_true "no snapshot or temporary file"
+    (Array.for_all
+       (fun f -> f = changed ^ ".journal" || String.starts_with ~prefix:twin f)
+       (Sys.readdir dir))
+
 (* --- multi-shot fault arms ---------------------------------------------------------- *)
 
 let test_counted_arm_fires_n_times () =
@@ -2471,4 +2529,6 @@ let suite =
       test_http_parser_fuzz;
     case "client body grows with the bytes, not the declared length"
       test_client_body_follows_bytes;
+    case "a changed header fails the next compaction, not a read or write"
+      test_changed_header_fails_next_compaction;
   ]
