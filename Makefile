@@ -102,7 +102,12 @@ convergence-smoke:
 # nothing here rehydrates, and the e2e smoke's service_churn leg runs
 # 1 s of arrivals where a revisit needs a session at least 2 s old:
 # the tier-1 `service` tests "ttl evicts and rehydrates" and
-# "eviction/rehydration race" cover rehydration.
+# "eviction/rehydration race" cover rehydration.  The in-process load
+# ends before its 0.2 s TTL passes, so a second leg runs the TTL sweep
+# in a real binary: `sider api --ttl 0.2` as its own process, driven
+# over its port by `sider load`; once the TTL has passed, `sider top`
+# must report at least one evicted session, and SIGINT must drain the
+# service to exit 0.
 # The run writes the structured JSON access log next to the flight
 # dumps; the final leg pulls a trace id back out of it and greps the
 # whole _artifacts/flight/ directory with `doctor --trace`, proving the
@@ -134,6 +139,26 @@ service-smoke:
 	      _artifacts/flight/service-smoke-access.jsonl | head -n 1)"; \
 	[ -n "$$T" ] || { echo "service-smoke: empty access log" >&2; exit 1; }; \
 	dune exec bin/sider_cli.exe -- doctor --trace "$$T" _artifacts/flight
+	rm -rf _artifacts/service-smoke-ttl
+	dune build bin/sider_cli.exe
+	S=_build/default/bin/sider_cli.exe; A=_artifacts/flight/service-smoke-api.out; \
+	$$S api --port 0 --data-dir _artifacts/service-smoke-ttl --ttl 0.2 \
+	  > $$A 2>> _artifacts/flight/service-smoke.stderr & pid=$$!; \
+	for i in $$(seq 100); do \
+	  P="$$(sed -n 's|^session API on http://127\.0\.0\.1:\([0-9]*\) .*|\1|p' $$A)"; \
+	  [ -n "$$P" ] && break; sleep 0.1; done; \
+	[ -n "$$P" ] || { echo "service-smoke: no api banner" >&2; kill $$pid; \
+	  exit 1; }; \
+	$$S load --port $$P --sessions 8 --concurrency 4 --rows 32 \
+	  || { kill $$pid; exit 1; }; \
+	sleep 0.6; \
+	top="$$($$S top --port $$P --count 1)"; echo "$$top"; \
+	kill -INT $$pid; wait $$pid; code=$$?; \
+	echo "$$top" | awk '$$1 == "sessions:" && $$4 >= 1 { ok = 1 } \
+	  END { exit !ok }' \
+	  || { echo "service-smoke: no eviction reported" >&2; exit 1; }; \
+	[ $$code -eq 0 ] || { echo "service-smoke: api exited $$code" >&2; \
+	  exit 1; }
 	out="$$(dune exec bin/sider_cli.exe -- serve three_d --metrics-port 0 \
 	        --rounds 1 2>> _artifacts/flight/service-smoke.stderr)" \
 	  || exit 1; \

@@ -743,7 +743,7 @@ let api_cmd =
    update -> projection) against the session API over persistent
    keep-alive connections (one per thread), retrying on 429/503 shed
    responses with exponential backoff.  Sessions are left alive until
-   the end of the run — unless [--ttl] lets the service's janitor evict
+   the end of the run — unless [--ttl] lets the service's TTL sweep evict
    the idle ones, in which case the lifecycle line shows how far the
    resident population was bounded below the tenant count. *)
 let load_cmd =

@@ -341,38 +341,30 @@ let event_to_json = function
   | Session.Viewed m ->
     Json.Obj [ ("event", Json.String "view"); ("method", method_to_json m) ]
 
-let replay_event session j =
-  parsing "event" @@ fun () ->
+let event_of_json j =
   match Json.to_str (Json.member "event" j) with
   | "cluster" ->
-    Session.add_cluster_constraint
-      ~tag:(Json.to_str (Json.member "tag" j))
-      session
-      (Json.to_ints (Json.member "rows" j))
+    let rows = Json.to_ints (Json.member "rows" j) in
+    Session.Added_cluster { rows; tag = Json.to_str (Json.member "tag" j) }
   | "two_d" ->
-    Session.add_two_d_constraint
-      ~tag:(Json.to_str (Json.member "tag" j))
-      session
-      (Json.to_ints (Json.member "rows" j))
-  | "margin" -> Session.add_margin_constraint session
-  | "one_cluster" -> Session.add_one_cluster_constraint session
+    let rows = Json.to_ints (Json.member "rows" j) in
+    Session.Added_two_d { rows; tag = Json.to_str (Json.member "tag" j) }
+  | "margin" -> Session.Added_margin
+  | "one_cluster" -> Session.Added_one_cluster
   | "update" ->
     let time_cutoff = Json.to_float (Json.member "time_cutoff" j) in
     let max_sweeps = Option.map Json.to_int (Json.member_opt "max_sweeps" j) in
-    (* An update is recorded whether or not its solve succeeded (the
-       history entry is what keeps journal lines and history 1:1), and
-       [update_background] records the attempt again here regardless of
-       outcome.  A replayed failure has already rolled the session back
-       to its checkpoint — keep replaying the remaining events on that
-       state rather than aborting the load. *)
-    (match Session.update_background ~time_cutoff ?max_sweeps session with
-     | Ok _ | Error _ -> ())
-  | "view" ->
-    ignore
-      (Session.recompute_view
-         ~method_:(method_of_json (Json.member "method" j))
-         session)
+    Session.Updated { time_cutoff; max_sweeps }
+  | "view" -> Session.Viewed (method_of_json (Json.member "method" j))
   | other -> corrupt "unknown event %S" other
+
+(* An update is recorded whether or not its solve succeeded (the history
+   entry is what keeps journal lines and history 1:1), and replaying it
+   records the attempt again regardless of outcome.  A replayed failure
+   has already rolled the session back to its checkpoint: the remaining
+   events replay on that state rather than aborting the load. *)
+let replay_event session j =
+  parsing "event" @@ fun () -> Session.apply session (event_of_json j)
 
 (* --- session snapshots ------------------------------------------------------- *)
 

@@ -179,11 +179,13 @@ let n_constraints t =
 
 let constraint_tags t = t.tags
 
+let default_tag t = function
+  | `Cluster -> Printf.sprintf "cluster%d" (List.length t.tags + 1)
+  | `Two_d -> Printf.sprintf "2d%d" (List.length t.tags + 1)
+
 let add_cluster_constraint ?tag t rows =
   let tag =
-    match tag with
-    | Some tag -> tag
-    | None -> Printf.sprintf "cluster%d" (List.length t.tags + 1)
+    match tag with Some tag -> tag | None -> default_tag t `Cluster
   in
   push_tag t tag;
   record t (Added_cluster { rows = Array.copy rows; tag });
@@ -191,11 +193,7 @@ let add_cluster_constraint ?tag t rows =
     t.pending @ Constr.cluster ~tag ~data:(data t) ~rows ()
 
 let add_two_d_constraint ?tag t rows =
-  let tag =
-    match tag with
-    | Some tag -> tag
-    | None -> Printf.sprintf "2d%d" (List.length t.tags + 1)
-  in
+  let tag = match tag with Some tag -> tag | None -> default_tag t `Two_d in
   push_tag t tag;
   record t (Added_two_d { rows = Array.copy rows; tag });
   t.pending <-
@@ -308,6 +306,16 @@ let recompute_view ?method_ t =
   (match view.View.unmixing with Some w -> t.ica_w <- Some w | None -> ());
   degrade_view t;
   view
+
+let apply t = function
+  | Added_cluster { rows; tag } -> add_cluster_constraint ~tag t rows
+  | Added_two_d { rows; tag } -> add_two_d_constraint ~tag t rows
+  | Added_margin -> add_margin_constraint t
+  | Added_one_cluster -> add_one_cluster_constraint t
+  | Updated { time_cutoff; max_sweeps } ->
+    (match update_background ~time_cutoff ?max_sweeps t with
+     | Ok _ | Error _ -> ())
+  | Viewed method_ -> ignore (recompute_view ~method_ t)
 
 let current_view t = t.view
 

@@ -126,13 +126,20 @@ val n_constraints : t -> int
 val constraint_tags : t -> string list
 (** Distinct provenance tags, in insertion order. *)
 
+val default_tag : t -> [ `Cluster | `Two_d ] -> string
+(** The tag the next cluster or 2-D constraint added without one gets:
+    ["cluster<k>"] or ["2d<k>"], [k] one past the number of tags so far.
+    A caller that records the event before applying it (the service
+    journals it) reads the tag here, so the two agree. *)
+
 val add_cluster_constraint : ?tag:string -> t -> int array -> unit
 (** Declare "these rows form a cluster" (2d constraints from the cluster
-    SVD).  Constraints are queued; call {!update_background} to re-solve. *)
+    SVD).  Constraints are queued; call {!update_background} to re-solve.
+    The tag defaults to {!default_tag}. *)
 
 val add_two_d_constraint : ?tag:string -> t -> int array -> unit
 (** Declare the selection's mean and variance along the two axes of the
-    *current view* (4 constraints). *)
+    *current view* (4 constraints).  The tag defaults to {!default_tag}. *)
 
 val add_margin_constraint : t -> unit
 (** Column means and variances of the full data (2d constraints). *)
@@ -187,6 +194,14 @@ val recompute_view : ?method_:View.method_ -> t -> View.t
     factor when sampling) runs first: when one raises, the method, the
     view, its labels and the coordinates stay as they were.  The view
     is recorded in {!history} either way. *)
+
+val apply : t -> event -> unit
+(** Apply one event as {!history} records it: add the constraint, run
+    {!update_background} with the event's arguments (an [Error] leaves
+    the session rolled back and the failure in {!degradations}, and is
+    not raised), or {!recompute_view}.  Journal replay applies every
+    event through it, and the service each constraint event it has
+    journaled. *)
 
 val current_view : t -> View.t
 

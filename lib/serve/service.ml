@@ -6,18 +6,20 @@
 
    Request lifecycle:
 
-     accept thread --[bounded queue or 429]--> worker
+     poller --[bounded queue or 429]--> worker
        worker: deadline check -> read (408/413/400) -> fault polls
                -> route -> validate -> journal append (fsync)
                -> apply to session -> crash poll -> acknowledge
                -> maybe compact journal
        then: pipelined bytes pending -> serve next request in-worker
-             otherwise -> park connection with the idle watcher
-     watcher: select over parked connections + a self-pipe; a readable
-              connection re-enters the worker queue immediately, one
-              idle past [idle_timeout_s] is closed
-     janitor: sweeps the registry, evicting sessions idle past
-              [session_ttl_s] (journal kept; rehydrated on next touch)
+             otherwise -> hand the connection back to the poller
+     poller: one select over the listening socket, a self-pipe and the
+             parked connections, until the nearest idle expiry or TTL
+             sweep; a new connection is queued (or shed with 429), a
+             readable parked one re-enters the worker queue at once,
+             one idle past [idle_timeout_s] is closed, and each sweep
+             evicts sessions idle past [session_ttl_s] (journal kept;
+             rehydrated on next touch)
 
    The journal-before-apply order is the crash-recovery invariant: a
    client that received 2xx is guaranteed the event is durable, and a
@@ -50,8 +52,6 @@ type config = {
   session_ttl_s : float;
   compact_events : int;
   access_log : out_channel option;
-  slo_latency_target_s : float;
-  slo_objective : float;
 }
 
 let default_config =
@@ -68,9 +68,7 @@ let default_config =
     idle_timeout_s = 5.0;
     session_ttl_s = 0.0;
     compact_events = 1024;
-    access_log = None;
-    slo_latency_target_s = 0.5;
-    slo_objective = 0.99 }
+    access_log = None }
 
 (* Service time base: [Obs.now_ns] (wall-rebased, non-decreasing), so
    durations and deadlines survive wall-clock steps.  One clock for
@@ -98,15 +96,12 @@ type t = {
   queue : conn Queue.t;
   q_lock : Mutex.t;
   q_nonempty : Condition.t;
-  idle_lock : Mutex.t;
-  mutable idle : (conn * float) list;  (* parked with park time *)
-  wake_r : Unix.file_descr;  (* watcher self-pipe *)
+  handed_back : conn list Atomic.t;  (* kept alive, not yet polled *)
+  wake_r : Unix.file_descr;  (* the poller's self-pipe *)
   wake_w : Unix.file_descr;
   mutable stopping : bool;
-  mutable accept_thread : Thread.t option;
+  mutable poller : Thread.t option;
   mutable worker_threads : Thread.t list;
-  mutable watcher_thread : Thread.t option;
-  mutable janitor_thread : Thread.t option;
 }
 
 let registry t = t.registry
@@ -335,11 +330,6 @@ let with_entry t id f =
 let crash_poll path =
   if Fault.should_crash_after_journal ~path then raise Fault.Crash_injected
 
-(* The default tags Session would assign — computed here so the
-   journaled event carries the exact tag the in-memory apply records. *)
-let default_tag session prefix =
-  Printf.sprintf "%s%d" prefix (List.length (Session.constraint_tags session) + 1)
-
 type create = {
   dataset : Dataset.t;
   seed : int;
@@ -414,29 +404,22 @@ let handle_constraint t ctx w (req : Http.request) id =
   let ctype = opt_member j "type" Json.to_str "cluster" in
   with_entry t id @@ fun entry ->
   let s = Registry.session ~trace:ctx.rc_trace entry in
+  (* The journaled event carries the tag the session will record. *)
+  let tag kind = opt_member j "tag" Json.to_str (Session.default_tag s kind) in
   let event =
     match ctype with
     | "cluster" ->
       let rows = rows_field j s in
-      let tag = opt_member j "tag" Json.to_str (default_tag s "cluster") in
-      Session.Added_cluster { rows; tag }
+      Session.Added_cluster { rows; tag = tag `Cluster }
     | "two_d" ->
       let rows = rows_field j s in
-      let tag = opt_member j "tag" Json.to_str (default_tag s "2d") in
-      Session.Added_two_d { rows; tag }
+      Session.Added_two_d { rows; tag = tag `Two_d }
     | "margin" -> Session.Added_margin
     | "one_cluster" -> Session.Added_one_cluster
     | other -> bad "unknown constraint type %S" other
   in
   journal_event ctx entry event;
-  (match event with
-   | Session.Added_cluster { rows; tag } ->
-     Session.add_cluster_constraint ~tag s rows
-   | Session.Added_two_d { rows; tag } ->
-     Session.add_two_d_constraint ~tag s rows
-   | Session.Added_margin -> Session.add_margin_constraint s
-   | Session.Added_one_cluster -> Session.add_one_cluster_constraint s
-   | Session.Updated _ | Session.Viewed _ -> assert false);
+  Session.apply s event;
   crash_poll req.path;
   Registry.maybe_compact t.registry entry;
   tree w 200 (session_summary entry)
@@ -661,7 +644,7 @@ let finish t ~t0 ~queue_s ~ctx ~route ~meth ~path ~status ~slo =
 (* Serve one request from [conn], its response printed and framed in
    [out]; [`Keep] means the connection stays open for another request
    (the caller decides whether to serve it now — pipelined bytes
-   pending — or park it with the watcher).  A response whose write
+   pending — or hand it back to the poller).  A response whose write
    failed closes the connection: the peer is gone, and answering the
    requests it pipelined would only write into a reset socket. *)
 let serve_one t out conn =
@@ -760,54 +743,29 @@ let serve_one t out conn =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let wake_watcher t =
+let wake_poller t =
   try ignore (Unix.write_substring t.wake_w "x" 0 1)
   with Unix.Unix_error _ -> ()
 
-(* The watcher multiplexes parked connections with [Unix.select], which
-   fails with EINVAL once any fd reaches FD_SETSIZE (1024).  Cap the
-   parked population well below that so parking itself can never push
-   the watcher over the edge; past the cap the oldest parked connection
-   is closed (it was idle anyway — the client reconnects). *)
-let max_parked = 512
-
-let park_idle t conn =
-  let victim =
-    Mutex.lock t.idle_lock [@sider.lock "idle_lock"];
-    let v =
-      if List.length t.idle < max_parked then None
-      else (
-        let oldest =
-          List.fold_left
-            (fun acc ((_, since) as p) ->
-              match acc with
-              | Some (_, s) when s <= since -> acc
-              | _ -> Some p)
-            None t.idle
-        in
-        match oldest with
-        | None -> None
-        | Some (c, _) ->
-          t.idle <- List.filter (fun (c', _) -> c' != c) t.idle;
-          Some c)
-    in
-    t.idle <- (conn, now_s ()) :: t.idle;
-    Mutex.unlock t.idle_lock;
-    v
-  in
-  (match victim with
-   | Some c ->
-     close_quietly c.c_fd;
-     Obs.count "serve.parked_overflow_closed"
-   | None -> ());
-  wake_watcher t
-
-let enqueue_conn t conn =
+(* Queue [conn] for a worker, unless the queue already holds [cap]
+   connections. *)
+let enqueue ?(cap = max_int) t conn =
   conn.c_enqueued_at <- now_s ();
   Mutex.lock t.q_lock [@sider.lock "q_lock"];
-  Queue.push conn t.queue;
-  Condition.signal t.q_nonempty;
-  Mutex.unlock t.q_lock
+  let ok = Queue.length t.queue < cap in
+  if ok then (
+    Queue.push conn t.queue;
+    Condition.signal t.q_nonempty);
+  Mutex.unlock t.q_lock;
+  ok
+
+(* A worker hands a quiet keep-alive connection back to the poller
+   without a lock: it pushes the connection onto [handed_back], then
+   writes the wake byte. *)
+let rec hand_back t conn =
+  let l = Atomic.get t.handed_back in
+  if Atomic.compare_and_set t.handed_back l (conn :: l) then wake_poller t
+  else hand_back t conn
 
 let rec worker_loop t out =
   (* Fun.protect: Queue.pop raises Empty if the queue is drained behind
@@ -828,8 +786,8 @@ let rec worker_loop t out =
   | Some conn ->
     (* Keep-alive inner loop: requests already buffered (pipelined) are
        served back-to-back on this worker; once the connection has no
-       bytes waiting it is parked with the watcher so the worker frees
-       up for other connections instead of blocking in [read]. *)
+       bytes waiting it goes back to the poller, so the worker frees up
+       for other connections instead of blocking in [read]. *)
     let rec serve () =
       let next = serve_one t out conn in
       release out;
@@ -839,7 +797,7 @@ let rec worker_loop t out =
         if Http.reader_has_pending conn.c_reader then (
           conn.c_enqueued_at <- now_s ();
           serve ())
-        else park_idle t conn
+        else hand_back t conn
     in
     (try serve () with
      | Fault.Crash_injected ->
@@ -856,126 +814,119 @@ let rec worker_loop t out =
        close_quietly conn.c_fd);
     worker_loop t out
 
-(* The idle watcher multiplexes every parked keep-alive connection over
-   one [select]: a readable connection re-enters the worker queue at
-   once (the self-pipe keeps latency at wake-up, not poll-interval,
-   scale), one silent past [idle_timeout_s] is closed.  Workers
-   therefore only ever block reading a request that has started
-   arriving. *)
-let rec watcher_loop t =
-  let parked =
-    Mutex.lock t.idle_lock [@sider.lock "idle_lock"];
-    let l = t.idle in
-    Mutex.unlock t.idle_lock;
-    l
-  in
-  let timeout =
-    match parked with
-    | [] -> -1.0 (* nothing parked: sleep until woken *)
-    | _ ->
-      let next =
-        List.fold_left
-          (fun acc (_, since) ->
-            Float.min acc (since +. t.config.idle_timeout_s))
-          Float.infinity parked
-      in
-      Float.max 0.01 (next -. now_s ())
-  in
-  let fds = t.wake_r :: List.map (fun (c, _) -> c.c_fd) parked in
-  let readable, overflowed =
-    match Unix.select fds [] [] timeout with
-    | r, _, _ -> (r, false)
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) ->
-      ([], false)
-    | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
-      (* A parked fd's numeric value crossed FD_SETSIZE (possible even
-         under [max_parked] when the process holds many other
-         descriptors): [select] cannot watch this set at all.  Recycle
-         it — close every parked connection rather than silently
-         stranding them behind a dead watcher. *)
-      ([], true)
-  in
-  if overflowed then (
-    Mutex.lock t.idle_lock [@sider.lock "idle_lock"];
-    let stranded = t.idle in
-    t.idle <- [];
-    Mutex.unlock t.idle_lock;
-    List.iter (fun (c, _) -> close_quietly c.c_fd) stranded;
-    (match List.length stranded with
-     | 0 -> ()
-     | n -> Obs.count ~by:n "serve.parked_overflow_closed"));
-  if List.mem t.wake_r readable then (
-    let buf = Bytes.create 64 in
-    try ignore (Unix.read t.wake_r buf 0 64) with Unix.Unix_error _ -> ());
-  if t.stopping then (
-    Mutex.lock t.idle_lock [@sider.lock "idle_lock"];
-    let rest = t.idle in
-    t.idle <- [];
-    Mutex.unlock t.idle_lock;
-    List.iter (fun (c, _) -> close_quietly c.c_fd) rest)
-  else (
-    let now = now_s () in
-    let ready, expired =
-      Mutex.lock t.idle_lock [@sider.lock "idle_lock"];
-      let ready, keep =
-        List.partition (fun (c, _) -> List.mem c.c_fd readable) t.idle
-      in
-      let expired, keep =
-        List.partition
-          (fun (_, since) -> now -. since >= t.config.idle_timeout_s)
-          keep
-      in
-      t.idle <- keep;
-      Mutex.unlock t.idle_lock;
-      (ready, expired)
-    in
-    List.iter (fun (c, _) -> enqueue_conn t c) ready;
-    List.iter (fun (c, _) -> close_quietly c.c_fd) expired;
-    (match List.length expired with
-     | 0 -> ()
-     | n -> Obs.count ~by:n "serve.idle_closed");
-    watcher_loop t)
-
-(* Evict sessions idle past the TTL.  Sweep cadence is a fraction of
-   the TTL (bounded to stay responsive to [stop]). *)
-let rec janitor_loop t =
-  if t.stopping then ()
-  else (
-    let ttl = t.config.session_ttl_s in
-    Thread.delay (Float.max 0.02 (Float.min 0.5 (ttl /. 4.0)));
-    if not t.stopping then ignore (Registry.evict_idle t.registry ~ttl_s:ttl);
-    janitor_loop t)
-
-(* [w]: the accept thread's own response buffer, for its 429s. *)
-let rec accept_loop t w =
+(* Accept every connection waiting on the (non-blocking) listening
+   socket: queue it, or shed it with a 429 from the poller's own buffer
+   [w] when the queue is full. *)
+let rec accept_pending t w =
   match Unix.accept t.sock with
-  | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-  | exception Unix.Unix_error _ -> if t.stopping then () else accept_loop t w
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+    accept_pending t w
+  | exception Unix.Unix_error _ -> () (* EAGAIN: none left *)
   | fd, _ ->
+    (* Blocking, as accept(2) asks portable code to set explicitly
+       (BSD copies the listener's O_NONBLOCK): the 408 is the receive
+       timeout firing. *)
+    Unix.clear_nonblock fd;
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.read_timeout_s;
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.read_timeout_s;
-    let enqueued_at = now_s () in
     let conn =
       { c_fd = fd; c_reader = Http.reader fd; c_served = 0;
-        c_enqueued_at = enqueued_at }
+        c_enqueued_at = 0.0 }
     in
-    let accepted =
-      Mutex.lock t.q_lock [@sider.lock "q_lock"];
-      let ok =
-        (not t.stopping) && Queue.length t.queue < t.config.queue_capacity
-      in
-      if ok then (
-        Queue.push conn t.queue;
-        Condition.signal t.q_nonempty);
-      Mutex.unlock t.q_lock;
-      ok
-    in
-    if not accepted then (
+    if not (enqueue ~cap:t.config.queue_capacity t conn) then (
       Obs.count "serve.rejected_queue_full";
       respond_text ~trace:(Http.fresh_trace_id ()) w fd 429
         (err_body "overloaded" "request queue full");
       close_quietly fd);
-    if t.stopping then () else accept_loop t w
+    accept_pending t w
+
+(* [select] fails with EINVAL once any fd it watches reaches FD_SETSIZE
+   (1024).  Cap the parked population well below that so parking itself
+   can never push the poller over the edge; past the cap the oldest
+   parked connections are closed (they were idle anyway — the client
+   reconnects). *)
+let max_parked = 512
+
+let close_parked ?counter parked =
+  List.iter (fun (c, _) -> close_quietly c.c_fd) parked;
+  match (counter, List.length parked) with
+  | Some name, n when n > 0 -> Obs.count ~by:n name
+  | _ -> ()
+
+(* After the wake bytes are drained, one exchange takes every connection
+   the workers handed back: one pushed after it wrote its byte after the
+   drain, so the next [select] wakes for it.  [parked] is newest first,
+   with park times. *)
+let absorb t buf parked =
+  (try ignore (Unix.read t.wake_r buf 0 (Bytes.length buf))
+   with Unix.Unix_error _ -> ());
+  let now = now_s () in
+  let parked =
+    List.fold_left
+      (fun acc c -> (c, now) :: acc)
+      parked (Atomic.exchange t.handed_back [])
+  in
+  if List.length parked <= max_parked then parked
+  else (
+    close_parked ~counter:"serve.parked_overflow_closed"
+      (List.filteri (fun i _ -> i >= max_parked) parked);
+    List.filteri (fun i _ -> i < max_parked) parked)
+
+(* The poller owns every socket no worker is serving: the listening
+   socket, the self-pipe and the parked keep-alive connections.  One
+   [select] waits on all of them until the nearest idle expiry or TTL
+   sweep (every [min(0.5, ttl/4)] seconds).  A readable parked
+   connection re-enters the worker queue at once, one silent past
+   [idle_timeout_s] is closed, so workers only ever block reading a
+   request that has started arriving.  [w] is the buffer of its 429s.
+   No lock is held across [select], [accept], a 429 or a close. *)
+let poll_loop t w =
+  let idle = t.config.idle_timeout_s and ttl = t.config.session_ttl_s in
+  let sweep_every = Float.max 0.02 (Float.min 0.5 (ttl /. 4.0)) in
+  let buf = Bytes.create 64 in
+  let rec loop parked next_sweep =
+    let until =
+      List.fold_left
+        (fun acc (_, since) -> Float.min acc (since +. idle))
+        next_sweep parked
+    in
+    let timeout =
+      if Float.is_finite until then Float.max 0.01 (until -. now_s ())
+      else -1.0 (* nothing to time out: sleep until woken *)
+    in
+    let fds = t.sock :: t.wake_r :: List.map (fun (c, _) -> c.c_fd) parked in
+    match Unix.select fds [] [] timeout with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop parked next_sweep
+    | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+      (* A parked fd's numeric value crossed FD_SETSIZE (possible even
+         under [max_parked] when the process holds many other
+         descriptors; [start] checked the listening socket and the
+         pipe): [select] cannot watch this set at all.  Recycle it —
+         close every parked connection rather than strand them. *)
+      close_parked ~counter:"serve.parked_overflow_closed" parked;
+      loop [] next_sweep
+    | readable, _, _ ->
+      let parked =
+        if List.mem t.wake_r readable then absorb t buf parked else parked
+      in
+      if t.stopping then close_parked parked
+      else (
+        if List.mem t.sock readable then accept_pending t w;
+        let now = now_s () in
+        let ready, parked =
+          List.partition (fun (c, _) -> List.mem c.c_fd readable) parked
+        in
+        let expired, parked =
+          List.partition (fun (_, since) -> now -. since >= idle) parked
+        in
+        List.iter (fun (c, _) -> ignore (enqueue t c)) ready;
+        close_parked ~counter:"serve.idle_closed" expired;
+        if now < next_sweep then loop parked next_sweep
+        else (
+          ignore (Registry.evict_idle t.registry ~ttl_s:ttl);
+          loop parked (now_s () +. sweep_every)))
+  in
+  loop [] (if ttl > 0.0 then now_s () +. sweep_every else Float.infinity)
 
 let start ?(config = default_config) () =
   (* A peer that resets its connection makes the next write to it raise
@@ -989,48 +940,46 @@ let start ?(config = default_config) () =
   in
   let recovery_failures = Registry.recover registry in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  let wake_r, wake_w = Unix.pipe () in
   (try
+     Unix.setsockopt sock Unix.SO_REUSEADDR true;
      Unix.bind sock
        (Unix.ADDR_INET (Unix.inet_addr_of_string config.addr, config.port));
-     Unix.listen sock 128
-   with e -> close_quietly sock; raise e);
+     Unix.listen sock 128;
+     Unix.set_nonblock sock;
+     (* EINVAL when a descriptor is past FD_SETSIZE: the poller could
+        never watch its own socket. *)
+     ignore (Unix.select [ sock; wake_r ] [] [] 0.0)
+   with e ->
+     List.iter close_quietly [ sock; wake_r; wake_w ];
+     Registry.close registry;
+     raise e);
   let bound_port =
     match Unix.getsockname sock with
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> config.port
   in
-  let wake_r, wake_w = Unix.pipe () in
   let t =
     { config;
       registry;
       recovery_failures;
-      slo =
-        Slo.create ~latency_target_s:config.slo_latency_target_s
-          ~objective:config.slo_objective ();
+      slo = Slo.create ();
       access_m = Mutex.create ();
       sock;
       bound_port;
       queue = Queue.create ();
       q_lock = Mutex.create ();
       q_nonempty = Condition.create ();
-      idle_lock = Mutex.create ();
-      idle = [];
+      handed_back = Atomic.make [];
       wake_r;
       wake_w;
       stopping = false;
-      accept_thread = None;
-      worker_threads = [];
-      watcher_thread = None;
-      janitor_thread = None }
+      poller = None;
+      worker_threads = [] }
   in
   t.worker_threads <-
     List.init config.workers (fun _ -> Thread.create (worker_loop t) (out ()));
-  t.watcher_thread <- Some (Thread.create watcher_loop t);
-  if config.session_ttl_s > 0.0 then
-    t.janitor_thread <- Some (Thread.create janitor_loop t);
-  t.accept_thread <-
-    Some (Thread.create (accept_loop t) (Json.writer initial_bytes));
+  t.poller <- Some (Thread.create (poll_loop t) (Json.writer initial_bytes));
   t
 
 let stop t =
@@ -1039,33 +988,24 @@ let stop t =
     t.stopping <- true;
     Condition.broadcast t.q_nonempty;
     Mutex.unlock t.q_lock;
-    (* [shutdown] (not just [close]) wakes the thread blocked in
-       [accept]: on Linux a close alone leaves it blocked forever. *)
-    (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
+    (* The poller wakes, closes every parked connection and exits; after
+       it nothing accepts or re-queues a connection. *)
+    wake_poller t;
+    Option.iter Thread.join t.poller;
+    t.poller <- None;
     close_quietly t.sock;
-    t.accept_thread <- None;
     (* Workers drain whatever was already queued, then exit: accepted
        requests are finished, new connections are refused and every
        response carries [Connection: close]. *)
     List.iter Thread.join t.worker_threads;
     t.worker_threads <- [];
-    (* The watcher wakes, closes every parked connection and exits. *)
-    wake_watcher t;
-    (match t.watcher_thread with Some th -> Thread.join th | None -> ());
-    t.watcher_thread <- None;
-    (* A worker may have parked a connection after the watcher's final
-       sweep, and the watcher may have re-enqueued one after the
-       workers drained — close both leftovers. *)
-    List.iter (fun (c, _) -> close_quietly c.c_fd) t.idle;
-    t.idle <- [];
-    Queue.iter (fun c -> close_quietly c.c_fd) t.queue;
-    Queue.clear t.queue;
+    (* A worker may have handed a connection back after the poller's
+       last look. *)
+    List.iter
+      (fun c -> close_quietly c.c_fd)
+      (Atomic.exchange t.handed_back []);
     close_quietly t.wake_r;
     close_quietly t.wake_w;
-    (match t.janitor_thread with Some th -> Thread.join th | None -> ());
-    t.janitor_thread <- None;
     (match t.config.access_log with
      | Some oc -> (try flush oc with Sys_error _ -> ())
      | None -> ());

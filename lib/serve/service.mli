@@ -38,8 +38,8 @@
 
     Every response carries an [X-Sider-Trace-Id] header — the sanitized
     client-supplied value when the request sent one, a fresh server id
-    otherwise (error responses included, down to 429 shed from the
-    accept thread).  The id is attached to the [serve.request] span,
+    otherwise (error responses included, down to a 429 shed by the
+    poller).  The id is attached to the [serve.request] span,
     the journal/solve spans beneath it, the access-log line and any
     flight-recorder dump the request triggers, so one grep connects all
     four views of a slow or failed request.  With [access_log] set, one
@@ -50,7 +50,7 @@
     {2 Failure model}
 
     - Full request queue → immediate [429] + [Retry-After] from the
-      accept thread (load shedding, never unbounded queueing).
+      poller as it accepts (load shedding, never unbounded queueing).
     - Session capacity reached → [429].
     - Request older than the deadline (queue wait included) → [503].
     - Stalled client → [408] after [read_timeout_s]; oversized request
@@ -73,18 +73,26 @@
 
     Each worker prints every response into one buffer of its own, kept
     for the worker's life (up to 1 MiB between responses), and frames
-    it there ({!Http.respond}); the accept thread's 429s use a buffer
-    of their own.  Parked connections hold none.
+    it there ({!Http.respond}); the poller's 429s use a buffer of their
+    own.  Parked connections hold none.
+
+    Besides the workers the service runs one thread, the poller.  It
+    owns every socket no worker is serving: one [select] over the
+    listening socket, a self-pipe and the parked connections accepts
+    new connections (queued, or shed with 429), hands readable parked
+    ones back to the worker queue, closes parked ones idle past
+    [idle_timeout_s] and, with [session_ttl_s > 0], sweeps the registry
+    for idle sessions.  A worker hands a connection back to it without
+    a lock.
 
     Connections are HTTP/1.1 keep-alive: a worker serves
     [Content-Length]-delimited requests in a loop, honouring a client's
-    [Connection: close], capping requests per connection at
-    [keepalive_requests] (the final response says [Connection: close])
-    and parking quiet connections with an idle watcher that closes them
-    after [idle_timeout_s].  Pipelined requests already buffered are
-    served back-to-back; a parked connection re-enters the worker queue
-    the moment bytes arrive, so workers never block waiting for a
-    request that has not started.
+    [Connection: close] and capping requests per connection at
+    [keepalive_requests] (the final response says [Connection: close]);
+    a quiet connection goes back to the poller.  Pipelined requests
+    already buffered are served back-to-back; a parked connection
+    re-enters the worker queue the moment bytes arrive, so workers never
+    block waiting for a request that has not started.
 
     {2 Durability}
 
@@ -95,8 +103,8 @@
     unacknowledged request.  A journal that outgrows [compact_events]
     lines is folded into a sibling snapshot right after the
     acknowledging append ({!Sider_core.Persist.journal_compact} —
-    crash-safe at every step).  With [session_ttl_s > 0] a janitor
-    thread evicts sessions idle past the TTL (resident state dropped,
+    crash-safe at every step).  With [session_ttl_s > 0] the poller
+    evicts sessions idle past the TTL (resident state dropped,
     journal kept) and the next request on the tenant rehydrates it
     transparently; at [max_sessions] resident capacity, creation evicts
     the least-recently-used idle tenant before answering 429.  The
@@ -129,12 +137,6 @@ type config = {
       (** structured JSON access log, one line per response, flushed
           per line; the channel stays owned by the caller (default
           [None]) *)
-  slo_latency_target_s : float;
-      (** latency SLO: responses slower than this burn budget
-          (default 0.5) *)
-  slo_objective : float;
-      (** SLO objective for both availability and latency, e.g. 0.99
-          (default; clamped to [0.5, 0.9999]) *)
 }
 
 val default_config : config
@@ -143,9 +145,10 @@ type t
 
 val start : ?config:config -> unit -> t
 (** Bind, recover journaled sessions from [data_dir], spawn the worker
-    pool and the accept loop.  Sets SIGPIPE to be ignored in the whole
+    pool and the poller.  Sets SIGPIPE to be ignored in the whole
     process (see the failure model above).  Raises [Unix.Unix_error] if
-    the bind fails. *)
+    the bind fails, or if the listening socket or the poller's pipe
+    gets a descriptor past what [select] can watch (FD_SETSIZE, 1024). *)
 
 val port : t -> int
 
@@ -156,8 +159,9 @@ val recovery_failures : t -> (string * Sider_error.t) list
     starts anyway with the healthy tenants. *)
 
 val stop : t -> unit
-(** Graceful drain: stop accepting, finish every queued request, join
-    all threads, close every journal.  Idempotent. *)
+(** Graceful drain: stop accepting, close every parked connection,
+    finish every queued request, join all threads, close every journal.
+    Idempotent. *)
 
 type create = {
   dataset : Sider_data.Dataset.t;

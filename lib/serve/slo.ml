@@ -67,22 +67,19 @@ type window_stats = {
   w_burn : float;  (* max of the two *)
 }
 
-type t = {
-  latency_target_s : float;
-  objective : float;
-  m : Mutex.t;
-  w5m : window;
-  w1h : window;
-}
+type t = { m : Mutex.t; w5m : window; w1h : window }
+
+(* Responses slower than this burn the latency budget. *)
+let latency_target_s = 0.5
+
+(* The objective of both SLOs, availability and latency. *)
+let objective = 0.99
 
 (* A window is burning when its budget burns faster than 1.0×. *)
 let burn_threshold = 1.0
 
-let create ?(latency_target_s = 0.5) ?(objective = 0.99) () =
-  let objective = Float.min 0.9999 (Float.max 0.5 objective) in
+let create () =
   {
-    latency_target_s;
-    objective;
     m = Mutex.create ();
     w5m = make_window ~bucket_s:5.0 ~buckets:60;
     w1h = make_window ~bucket_s:60.0 ~buckets:60;
@@ -93,7 +90,7 @@ let now_s () = Int64.to_float (Obs.now_ns ()) /. 1e9
 let record t ~status ~dur_s =
   let now_s = now_s () in
   let is_err = status >= 500 in
-  let is_slow = dur_s > t.latency_target_s in
+  let is_slow = dur_s > latency_target_s in
   Mutex.lock t.m [@sider.lock "slo_m"];
   List.iter
     (fun w ->
@@ -104,7 +101,7 @@ let record t ~status ~dur_s =
     [ t.w5m; t.w1h ];
   Mutex.unlock t.m
 
-let window_stats t name w ~now_s =
+let window_stats name w ~now_s =
   (* Advance first so stale buckets do not count. *)
   ignore (advance w ~now_s);
   let total = ref 0 and errors = ref 0 and slow = ref 0 in
@@ -114,7 +111,7 @@ let window_stats t name w ~now_s =
       errors := !errors + b.errors;
       slow := !slow + b.slow)
     w.buckets;
-  let allowance = 1.0 -. t.objective in
+  let allowance = 1.0 -. objective in
   let frac bad =
     if !total = 0 then 0.0 else float_of_int bad /. float_of_int !total
   in
@@ -132,9 +129,6 @@ let window_stats t name w ~now_s =
   }
 
 type snapshot = {
-  s_latency_target_s : float;
-  s_objective : float;
-  s_burn_threshold : float;
   s_degraded : bool;
   s_windows : window_stats list;  (* short window first *)
 }
@@ -142,13 +136,10 @@ type snapshot = {
 let snapshot t =
   let now_s = now_s () in
   Mutex.lock t.m [@sider.lock "slo_m"];
-  let w5 = window_stats t "5m" t.w5m ~now_s in
-  let w1 = window_stats t "1h" t.w1h ~now_s in
+  let w5 = window_stats "5m" t.w5m ~now_s in
+  let w1 = window_stats "1h" t.w1h ~now_s in
   Mutex.unlock t.m;
   {
-    s_latency_target_s = t.latency_target_s;
-    s_objective = t.objective;
-    s_burn_threshold = burn_threshold;
     s_degraded =
       w5.w_burn > burn_threshold && w1.w_burn > burn_threshold;
     s_windows = [ w5; w1 ];
@@ -170,8 +161,8 @@ let snapshot_to_json s =
   Printf.sprintf
     "{\"objective\":%s,\"latency_target_s\":%s,\"burn_threshold\":%s,\
      \"degraded\":%b,\"windows\":[%s]}"
-    (json_float s.s_objective)
-    (json_float s.s_latency_target_s)
-    (json_float s.s_burn_threshold)
+    (json_float objective)
+    (json_float latency_target_s)
+    (json_float burn_threshold)
     s.s_degraded
     (String.concat "," (List.map window_to_json s.s_windows))

@@ -10,9 +10,11 @@
     — the rate at which the error budget is being spent, where 1.0 is
     exactly sustainable.  Each window reports the worse of its
     availability burn (5xx fraction) and latency burn (fraction of
-    responses over [latency_target_s]); the SLO is {e degraded} only
-    when both windows burn above [burn_threshold] (short window: the
-    problem is happening now; long window: it is sustained).
+    responses over the 0.5 s latency target); the objective of both is
+    0.99.  The SLO is {e degraded} only when both windows burn above
+    1.0 (short window: the problem is happening now; long window: it is
+    sustained).  Target, objective and threshold are constants: no
+    caller tunes them.
 
     The service surfaces the state on [/slo] (full JSON snapshot), on
     [/healthz] (503 with a degraded body when {!degraded}) and as the
@@ -22,9 +24,7 @@
 
 type t
 
-val create : ?latency_target_s:float -> ?objective:float -> unit -> t
-(** Defaults: 0.5 s latency target, 0.99 objective (clamped to
-    [0.5, 0.9999]).  The burn threshold is 1.0. *)
+val create : unit -> t
 
 val record : t -> status:int -> dur_s:float -> unit
 (** Account one completed request. *)
@@ -41,9 +41,6 @@ type window_stats = {
 }
 
 type snapshot = {
-  s_latency_target_s : float;
-  s_objective : float;
-  s_burn_threshold : float;
   s_degraded : bool;
   s_windows : window_stats list;  (** short window first *)
 }
@@ -53,4 +50,5 @@ val snapshot : t -> snapshot
 val degraded : t -> bool
 
 val snapshot_to_json : snapshot -> string
-(** One JSON object; the [/slo] response body. *)
+(** One JSON object, the [/slo] response body: the objective, the
+    latency target and the burn threshold, then the snapshot. *)

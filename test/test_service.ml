@@ -663,7 +663,7 @@ let test_queue_full_sheds_429 () =
   in
   with_service ~config @@ fun svc ->
   (* Hold the single worker busy, fill the one queue slot, then expect
-     an immediate 429 with Retry-After from the accept thread. *)
+     an immediate 429 with Retry-After from the poller. *)
   Fault.arm (Fault.Svc_delay_request { path_substr = "/healthz"; ms = 1200 });
   let results = Array.make 3 None in
   let fire i =
@@ -1056,7 +1056,7 @@ let test_idle_timeout_closes_connection () =
   (match read_responses sock 1 with
    | [ (200, _) ] -> ()
    | _ -> Alcotest.fail "healthz over keep-alive failed");
-  (* Parked past the idle timeout: the watcher must close the
+  (* Parked past the idle timeout: the poller must close the
      connection (EOF on our side), not leak it. *)
   let buf = Bytes.create 16 in
   check_true "idle connection closed by server"
@@ -1339,7 +1339,7 @@ let test_ttl_evicts_and_rehydrates () =
   let live_count = constraints_of (List.hd ids) in
   check_true "constraint applied" (live_count > 0);
   check_true "all resident after activity" (Registry.resident_count reg = 3);
-  (* The janitor must evict all three once they idle past the TTL... *)
+  (* The TTL sweep must evict all three once they idle past the TTL... *)
   check_true "all evicted after TTL"
     (wait_until (fun () -> Registry.resident_count reg = 0));
   check_true "tenants still registered" (Registry.count reg = 3);
@@ -1377,7 +1377,7 @@ let[@sider.allow "determinism"] test_eviction_rehydration_race () =
         let events = Json.to_int (Json.member "events" (json_of r)) in
         if events <> 0 then
           Alcotest.failf "partial session observed: %d event(s)" events;
-        if !k mod 7 = 0 then Thread.delay 0.08 (* let the janitor run *)
+        if !k mod 7 = 0 then Thread.delay 0.08 (* let the TTL sweep run *)
       done
     with e -> errors.(t) <- Some (Printexc.to_string e)
   in
@@ -1477,11 +1477,11 @@ let test_recover_bounds_resident_sessions () =
     (fun id -> status_is "tenant reachable" 200 (req svc2 "GET" ("/sessions/" ^ id)))
     ids
 
-(* The watcher multiplexes parked keep-alive connections over [select],
+(* The poller multiplexes parked keep-alive connections over [select],
    which cannot watch fds at or above FD_SETSIZE (1024).  Open more
    connections than the parked cap (512): the oldest parked connection
    must be recycled (closed) rather than the overflow killing the
-   watcher and stranding every parked client. *)
+   poller and stranding every parked client. *)
 let test_parked_connections_bounded () =
   with_service @@ fun svc ->
   let n = 540 in
@@ -1514,7 +1514,7 @@ let test_parked_connections_bounded () =
      | _ -> false
      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
        true);
-  (* The watcher survived: fresh connections are still served and
+  (* The poller survived: fresh connections are still served and
      parked connections still get idle management. *)
   status_is "service healthy past the cap" 200 (req svc "GET" "/healthz")
 
@@ -2447,6 +2447,84 @@ let test_http_parser_fuzz () =
   settle 200;
   Alcotest.(check int) "open file descriptors" before (open_fds ())
 
+(* --- threads and the stop path ---------------------------------------------------- *)
+
+let threads () = Array.length (Sys.readdir "/proc/self/task")
+
+(* [count ()] once it has settled: two reads 20 ms apart agree, so no
+   thread an earlier test joined is still on its way out. *)
+let settled count =
+  let rec go k last =
+    Thread.delay 0.02;
+    let now = count () in
+    if now = last || k = 0 then now else go (k - 1) now
+  in
+  go 50 (count ())
+
+(* [count ()] once it reads [want], or what it reads after two seconds:
+   a joined thread can linger in /proc/self/task for a moment. *)
+let settle_to want count =
+  let rec go k =
+    let now = count () in
+    if now = want || k = 0 then now
+    else (
+      Thread.delay 0.01;
+      go (k - 1))
+  in
+  go 200
+
+let test_start_and_stop_threads () =
+  Fault.reset ();
+  (* The runtime starts its tick thread with the first thread created:
+     have it running before the baseline. *)
+  Thread.join (Thread.create ignore ());
+  let threads_before = settled threads in
+  let fds_before = open_fds () in
+  let config =
+    { Service.default_config with workers = 2; session_ttl_s = 60.0 }
+  in
+  let svc = Service.start ~config () in
+  let added = threads () - threads_before in
+  Fun.protect ~finally:(fun () -> Service.stop svc) (fun () ->
+      Alcotest.(check int) "start adds the poller and 2 workers" 3 added;
+      with_raw_socket svc @@ fun sock ->
+      write_string sock "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+      (match read_responses sock 1 with
+       | [ (200, _) ] -> ()
+       | _ -> Alcotest.fail "healthz over keep-alive failed");
+      (* The connection is parked (or on its way back to the poller):
+         stop must close it. *)
+      Service.stop svc;
+      let buf = Bytes.create 16 in
+      check_true "parked connection reads EOF at stop"
+        (Unix.read sock buf 0 16 = 0));
+  Alcotest.(check int) "threads after stop" threads_before
+    (settle_to threads_before threads);
+  Alcotest.(check int) "open file descriptors after stop" fds_before
+    (settle_to fds_before open_fds)
+
+(* The poller selects on the listening socket and its pipe, and
+   [select] cannot watch a descriptor at or past FD_SETSIZE (1024): a
+   service that would get one refuses to start, and leaks nothing,
+   rather than run a poller that can never accept. *)
+let test_start_refuses_unwatchable_fds () =
+  let before = open_fds () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  (* Past 1024 dups every descriptor below 1024 is taken. *)
+  let held = ref [ null ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close !held)
+    (fun () ->
+      for _ = 1 to 1100 do
+        held := Unix.dup null :: !held
+      done;
+      match Service.start () with
+      | svc ->
+        Service.stop svc;
+        Alcotest.fail "started on descriptors select cannot watch"
+      | exception Unix.Unix_error (Unix.EINVAL, _, _) -> ());
+  Alcotest.(check int) "open file descriptors" before (open_fds ())
+
 let suite =
   [
     case "full interaction loop over http" test_lifecycle;
@@ -2527,6 +2605,10 @@ let suite =
     case "client bounds the response head" test_client_bounds_response_head;
     case "http parser fuzz: every answer well-formed 2xx/4xx, no fd leaked"
       test_http_parser_fuzz;
+    case "start adds the poller and workers; stop returns threads and fds"
+      test_start_and_stop_threads;
+    case "start refuses descriptors select cannot watch"
+      test_start_refuses_unwatchable_fds;
     case "client body grows with the bytes, not the declared length"
       test_client_body_follows_bytes;
     case "a changed header fails the next compaction, not a read or write"
