@@ -321,14 +321,25 @@ let codec_check name ok =
     exit 1
   end
 
-(* Decode a session-create body (about 329 KB) as the service does, the
-   rows read straight into one float array; the decoded dataset must
-   re-print to the body's exact dataset bytes. *)
+(* Decode a session-create body (about 329 KB) as the service does: its
+   bytes arrive [Http.read_step] at a time into a window of that size,
+   as a worker reads them into its buffer, and the rows go from there
+   straight into one float array.  The decoded dataset must re-print to
+   the body's exact dataset bytes. *)
 let json_parse_create () =
   let dataset = Json.to_string (Persist.dataset_to_json (reads_dataset ())) in
   let body = Printf.sprintf {|{"dataset":%s,"method":"pca","seed":1}|} dataset in
+  let window = Bytes.create Sider_serve.Http.read_step in
+  let source () =
+    let at = ref 0 in
+    Json.source window 0 0 (fun b off n ->
+        let k = min n (String.length body - !at) in
+        Bytes.blit_string body !at b off k;
+        at := !at + k;
+        k)
+  in
   timed
-    (fun () -> Sider_serve.Service.decode_create body)
+    (fun () -> Sider_serve.Service.read_create (source ()))
     (fun create ->
       codec_check "json_parse_create: re-printed dataset differs"
         (String.equal
@@ -426,7 +437,7 @@ let scenarios =
       descr = "session update + per-request labeled writes, null sink";
       run = obs_labels_overhead };
     { name = "json_parse_create";
-      descr = "decode a projection_reads session-create body";
+      descr = "decode a projection_reads session-create body as it arrives";
       run = json_parse_create };
     { name = "json_serialise_projection";
       descr = "serialise a projection_reads projection body";

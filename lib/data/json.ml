@@ -366,41 +366,91 @@ let write_string = escape_into
 
 (* --- parsing ---------------------------------------------------------------- *)
 
-(* Index-based: the parser reads [src] in place, allocating only the
-   values it returns.  [depth] counts the arrays and objects open at
-   [pos]; [num] is where a number lands before [read_value] boxes it. *)
+(* Index-based: the parser reads a window of its source in place,
+   allocating only the values it returns.  The window is [src]'s bytes
+   [pos, len); [base] is the source position of [src]'s first byte, so a
+   message's position is [base + pos] whichever window the byte sits in.
+   A string's cursor has the whole string as its window and [ended]
+   set.  A refillable cursor moves the bytes it still needs to the front
+   of [src] and asks [read] for more after them ([refill]); [ended] is
+   set once [read] returns 0.  [depth] counts the arrays and objects
+   open at [pos]; [num] is where a number lands before [read_value]
+   boxes it. *)
 type cursor = {
-  src : string;
+  src : Bytes.t;
   mutable pos : int;
+  mutable len : int;
+  mutable base : int;
+  mutable ended : bool;
+  read : Bytes.t -> int -> int -> int;
   mutable depth : int;
   num : float array;
 }
 
-let cursor src = { src; pos = 0; depth = 0; num = [| 0.0 |] }
+(* The string is only read: a cursor with [ended] set never writes its
+   window. *)
+let cursor s =
+  { src = Bytes.unsafe_of_string s; pos = 0; len = String.length s; base = 0;
+    ended = true; read = (fun _ _ _ -> 0); depth = 0; num = [| 0.0 |] }
 
-let fail st msg =
-  raise (Parse_error (msg ^ " at position " ^ string_of_int st.pos))
+(* A window holds the most the cursor needs in view at once, the five
+   bytes of "false", with room to spare. *)
+let min_window = 16
+
+let source b pos len read =
+  if Bytes.length b < min_window || pos < 0 || len < 0 || pos > Bytes.length b - len
+  then invalid_arg "Json.source: window too small or range out of bounds";
+  { src = b; pos; len = pos + len; base = -pos; ended = false; read; depth = 0;
+    num = [| 0.0 |] }
+
+let fail_at at msg =
+  raise (Parse_error (msg ^ " at position " ^ string_of_int at))
+
+let fail st msg = fail_at (st.base + st.pos) msg
+
+(* Moves the window's bytes from [keep] on (where the token being read
+   starts, or [pos]) to the front of [src] and reads more after them;
+   false, with [ended] set, at the end of the source.  The caller
+   leaves room: [keep > 0] or a window short of [src]'s length. *)
+let refill st keep =
+  if st.ended then false
+  else begin
+    let kept = st.len - keep in
+    Bytes.blit st.src keep st.src 0 kept;
+    st.base <- st.base + keep;
+    st.pos <- st.pos - keep;
+    st.len <- kept;
+    let k = st.read st.src kept (Bytes.length st.src - kept) in
+    if k > 0 then st.len <- kept + k else st.ended <- true;
+    k > 0
+  end
+
+(* [n] bytes are in the window at [pos], unless the source ends first. *)
+let rec ensure st n = st.pos + n <= st.len || (refill st st.pos && ensure st n)
 
 (* Deepest nesting of arrays and objects a cursor accepts.  The repo
    writes at most 4 levels; the bound keeps the parser's recursion, and
    so its stack, small whatever a request body holds. *)
 let max_depth = 512
 
-(* [at st c]: the next character is [c]. *)
-let at st c = st.pos < String.length st.src && String.unsafe_get st.src st.pos = c
+(* [at st c]: the next character is [c].  Every caller has just skipped
+   whitespace, which leaves a byte in the window unless the source has
+   ended. *)
+let at st c = st.pos < st.len && Bytes.unsafe_get st.src st.pos = c
 
-let skip_ws st =
+let rec skip_ws st =
   let src = st.src in
   let i = ref st.pos in
   while
-    !i < String.length src
-    && (match String.unsafe_get src !i with
+    !i < st.len
+    && (match Bytes.unsafe_get src !i with
         | ' ' | '\t' | '\n' | '\r' -> true
         | _ -> false)
   do
     incr i
   done;
-  st.pos <- !i
+  st.pos <- !i;
+  if !i = st.len && refill st !i then skip_ws st
 
 let expect st c =
   if at st c then st.pos <- st.pos + 1
@@ -409,9 +459,9 @@ let expect st c =
 let parse_literal st word value =
   let n = String.length word in
   let rec matches k =
-    k = n || (String.unsafe_get st.src (st.pos + k) = word.[k] && matches (k + 1))
+    k = n || (Bytes.unsafe_get st.src (st.pos + k) = word.[k] && matches (k + 1))
   in
-  if st.pos + n <= String.length st.src && matches 0 then begin
+  if ensure st n && matches 0 then begin
     st.pos <- st.pos + n;
     value
   end
@@ -420,12 +470,11 @@ let parse_literal st word value =
 (* The four hex digits of a \u escape at [st.pos], and nothing else:
    RFC 8259 has no sign, no [_] and no shorter form. *)
 let hex4 st =
-  let src = st.src in
-  if st.pos + 4 > String.length src then fail st "bad \\u escape";
+  if not (ensure st 4) then fail st "bad \\u escape";
   let code = ref 0 in
   for i = st.pos to st.pos + 3 do
     let d =
-      match src.[i] with
+      match Bytes.unsafe_get st.src i with
       | '0' .. '9' as c -> Char.code c - Char.code '0'
       | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
       | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
@@ -438,13 +487,12 @@ let hex4 st =
 
 (* One escape sequence; [st.pos] is just past the backslash. *)
 let parse_escape st buf =
-  let src = st.src in
-  if st.pos >= String.length src then fail st "bad escape";
+  if not (ensure st 1) then fail st "bad escape";
   let simple c =
     Buffer.add_char buf c;
     st.pos <- st.pos + 1
   in
-  match src.[st.pos] with
+  match Bytes.unsafe_get st.src st.pos with
   | '"' -> simple '"'
   | '\\' -> simple '\\'
   | '/' -> simple '/'
@@ -455,18 +503,16 @@ let parse_escape st buf =
   | 'f' -> simple '\012'
   | 'u' ->
     st.pos <- st.pos + 1;
-    let start = st.pos in
-    let unpaired () =
-      st.pos <- start;
-      fail st "bad \\u escape"
-    in
+    let start = st.base + st.pos in
+    let unpaired () = fail_at start "bad \\u escape" in
     let code = hex4 st in
     let code =
       if code >= 0xDC00 && code <= 0xDFFF then unpaired ()
       else if code < 0xD800 || code > 0xDBFF then code
       else if
-        st.pos + 2 <= String.length src
-        && src.[st.pos] = '\\' && src.[st.pos + 1] = 'u'
+        ensure st 2
+        && Bytes.unsafe_get st.src st.pos = '\\'
+        && Bytes.unsafe_get st.src (st.pos + 1) = 'u'
       then begin
         (* A high surrogate: the low half must follow at once. *)
         st.pos <- st.pos + 2;
@@ -479,34 +525,33 @@ let parse_escape st buf =
     Buffer.add_utf_8_uchar buf (Uchar.of_int code)
   | _ -> fail st "bad escape"
 
-(* The index of the first '"' or '\\' in [src] at or after [i], or the
-   length of [src]. *)
-let rec string_stop src i =
-  if i < String.length src
-     && (let c = String.unsafe_get src i in c <> '"' && c <> '\\')
-  then string_stop src (i + 1)
+(* The index of the first '"' or '\\' in [src] at or after [i], or
+   [len]. *)
+let rec string_stop src len i =
+  if i < len && (let c = Bytes.unsafe_get src i in c <> '"' && c <> '\\')
+  then string_stop src len (i + 1)
   else i
 
-(* A string with no escapes is one [String.sub] of the source; otherwise
-   the runs between escapes are copied whole into a buffer. *)
+(* A string that ends in the window with no escapes is one sub-string
+   of it; otherwise the runs between escapes and refills are copied
+   whole into a buffer. *)
 let parse_string_raw st =
   expect st '"';
-  let src = st.src in
-  let len = String.length src in
   let start = st.pos in
-  let i = string_stop src start in
-  if i < len && String.unsafe_get src i = '"' then begin
+  let i = string_stop st.src st.len start in
+  if i < st.len && Bytes.unsafe_get st.src i = '"' then begin
     st.pos <- i + 1;
-    String.sub src start (i - start)
+    Bytes.sub_string st.src start (i - start)
   end
   else begin
     let buf = Buffer.create (i - start + 16) in
     let rec go from =
-      let i = string_stop src from in
-      Buffer.add_substring buf src from (i - from);
+      let i = string_stop st.src st.len from in
+      Buffer.add_subbytes buf st.src from (i - from);
       st.pos <- i;
-      if i >= len then fail st "unterminated string"
-      else if String.unsafe_get src i = '"' then st.pos <- i + 1
+      if i >= st.len then
+        if refill st i then go st.pos else fail st "unterminated string"
+      else if Bytes.unsafe_get st.src i = '"' then st.pos <- i + 1
       else begin
         st.pos <- i + 1;
         parse_escape st buf;
@@ -523,19 +568,21 @@ let is_num_char = function
 
 let is_digit c = c >= '0' && c <= '9'
 
+(* The index just past the run of number characters at [i]. *)
+let rec token_end src len i =
+  if i < len && is_num_char (Bytes.unsafe_get src i) then token_end src len (i + 1)
+  else i
+
 (* The token is the longest run of number characters, read by
    [float_of_string_opt]; that fixes which tokens are accepted
-   ([+1], [.5] and [1.] among them) and the bits each gives. *)
+   ([+1], [.5] and [1.] among them) and the bits each gives.  The token
+   is whole in the window. *)
 let parse_number_token st =
-  let src = st.src in
   let start = st.pos in
-  let i = ref start in
-  while !i < String.length src && is_num_char (String.unsafe_get src !i) do
-    incr i
-  done;
-  st.pos <- !i;
-  if !i = start then fail st "expected number";
-  match float_of_string_opt (String.sub src start (!i - start)) with
+  let i = token_end st.src st.len start in
+  st.pos <- i;
+  if i = start then fail st "expected number";
+  match float_of_string_opt (Bytes.sub_string st.src start (i - start)) with
   | Some f -> f
   | None -> fail st "malformed number"
 
@@ -547,23 +594,22 @@ let max_sig_digits = 18
 let product_margin = 0x1p-90
 
 (* A token -?d+(.d+)?([eE][+-]?d+)? with at most [max_sig_digits]
-   significant digits, read in place into [dst.(k)].  Returns false,
-   leaving [st.pos] and [dst] alone, when the token has another form or
-   the result is not proved equal to [float_of_string_opt]'s; see
-   [read_number_into].  Storing into a float array, not returning the
+   significant digits at [src.[pos]], read in place into [dst.(k)]:
+   returns the index just past it.  Returns -1, leaving [dst] alone,
+   when the token has another form or the result is not proved equal to
+   [float_of_string_opt]'s; see [read_number_into].  [len] ends the
+   bytes it may read.  Storing into a float array, not returning the
    float, keeps it unboxed. *)
-let fast_number st dst k =
-  let src = st.src in
-  let len = String.length src in
-  let i = ref st.pos in
-  let neg = !i < len && String.unsafe_get src !i = '-' in
+let fast_number src pos len dst k =
+  let i = ref pos in
+  let neg = !i < len && Bytes.unsafe_get src !i = '-' in
   if neg then incr i;
   (* Significant digits accumulate in [m] (leading zeros skipped); each
      fraction digit lowers the decimal exponent. *)
   let m = ref 0 and nd = ref 0 and dexp = ref 0 and ok = ref true in
   let int_start = !i in
-  while !i < len && is_digit (String.unsafe_get src !i) do
-    let d = Char.code (String.unsafe_get src !i) - 48 in
+  while !i < len && is_digit (Bytes.unsafe_get src !i) do
+    let d = Char.code (Bytes.unsafe_get src !i) - 48 in
     if !m > 0 || d > 0 then begin
       if !nd < max_sig_digits then m := (!m * 10) + d else ok := false;
       incr nd
@@ -571,11 +617,11 @@ let fast_number st dst k =
     incr i
   done;
   if !i = int_start then ok := false;
-  if !ok && !i < len && String.unsafe_get src !i = '.' then begin
+  if !ok && !i < len && Bytes.unsafe_get src !i = '.' then begin
     incr i;
     let frac_start = !i in
-    while !i < len && is_digit (String.unsafe_get src !i) do
-      let d = Char.code (String.unsafe_get src !i) - 48 in
+    while !i < len && is_digit (Bytes.unsafe_get src !i) do
+      let d = Char.code (Bytes.unsafe_get src !i) - 48 in
       if !m > 0 || d > 0 then begin
         if !nd < max_sig_digits then m := (!m * 10) + d else ok := false;
         incr nd
@@ -586,22 +632,21 @@ let fast_number st dst k =
     if !i = frac_start then ok := false
   end;
   if !ok && !i < len
-     && (let c = String.unsafe_get src !i in c = 'e' || c = 'E')
+     && (let c = Bytes.unsafe_get src !i in c = 'e' || c = 'E')
   then begin
     incr i;
-    let eneg = !i < len && String.unsafe_get src !i = '-' in
-    if !i < len && (eneg || String.unsafe_get src !i = '+') then incr i;
+    let eneg = !i < len && Bytes.unsafe_get src !i = '-' in
+    if !i < len && (eneg || Bytes.unsafe_get src !i = '+') then incr i;
     let exp_start = !i and ex = ref 0 in
-    while !i < len && is_digit (String.unsafe_get src !i) do
+    while !i < len && is_digit (Bytes.unsafe_get src !i) do
       if !ex < 100_000 then
-        ex := (!ex * 10) + Char.code (String.unsafe_get src !i) - 48;
+        ex := (!ex * 10) + Char.code (Bytes.unsafe_get src !i) - 48;
       incr i
     done;
     if !i = exp_start || !ex >= 100_000 then ok := false;
     dexp := if eneg then !dexp - !ex else !dexp + !ex
   end;
-  if (not !ok) || (!i < len && is_num_char (String.unsafe_get src !i)) then
-    false
+  if (not !ok) || (!i < len && is_num_char (Bytes.unsafe_get src !i)) then -1
   else begin
     let m = !m and e10 = !dexp in
     let v =
@@ -638,13 +683,44 @@ let fast_number st dst k =
         else hi
       end
     in
-    if Float.is_nan v then false
+    if Float.is_nan v then -1
     else begin
-      st.pos <- !i;
       Array.unsafe_set dst k (if neg then -.v else v);
-      true
+      !i
     end
   end
+
+(* Refills until the number token at [pos] ends inside the window or
+   the source ends, scanning on from [from]: false when the token
+   fills the whole window and goes on. *)
+let rec complete_token st from =
+  let i = token_end st.src st.len from in
+  if i < st.len || st.ended then true
+  else if st.pos = 0 && st.len = Bytes.length st.src then false
+  else begin
+    let scanned = i - st.pos in
+    ignore (refill st st.pos);
+    complete_token st (st.pos + scanned)
+  end
+
+(* A number token longer than the window: its bytes are gathered and
+   read as a string's cursor reads them. *)
+let spilled_number st dst k =
+  let start = st.base + st.pos in
+  let b = Buffer.create 256 in
+  let rec gather () =
+    let i = token_end st.src st.len st.pos in
+    Buffer.add_subbytes b st.src st.pos (i - st.pos);
+    st.pos <- i;
+    if i = st.len && refill st i then gather ()
+  in
+  gather ();
+  let token = Buffer.contents b in
+  let n = String.length token in
+  if fast_number (Bytes.unsafe_of_string token) 0 n dst k <> n then
+    match float_of_string_opt token with
+    | Some f -> dst.(k) <- f
+    | None -> fail_at (start + n) "malformed number"
 
 (* --- cursor ------------------------------------------------------------------ *)
 
@@ -656,8 +732,8 @@ let fast_number st dst k =
 
 let peek st =
   skip_ws st;
-  if st.pos >= String.length st.src then fail st "unexpected end of input";
-  match String.unsafe_get st.src st.pos with
+  if st.pos >= st.len then fail st "unexpected end of input";
+  match Bytes.unsafe_get st.src st.pos with
   | 'n' -> `Null
   | 't' | 'f' -> `Bool
   | '"' -> `String
@@ -665,12 +741,38 @@ let peek st =
   | '{' -> `Obj
   | _ -> `Number
 
+(* Only blanks are left: JSON's whitespace and the form feed, the bytes
+   [String.trim] drops.  A form feed is no JSON whitespace, so when
+   anything else follows it the value's parse would stop at it with
+   "expected number"; that error is raised here, at its position. *)
+let blank st =
+  skip_ws st;
+  if st.pos >= st.len then true
+  else if Bytes.unsafe_get st.src st.pos <> '\012' then false
+  else begin
+    let at = st.base + st.pos in
+    let rec rest () =
+      while
+        st.pos < st.len
+        && (match Bytes.unsafe_get st.src st.pos with
+            | ' ' | '\t' | '\n' | '\r' | '\012' -> true
+            | _ -> false)
+      do
+        st.pos <- st.pos + 1
+      done;
+      if st.pos < st.len then fail_at at "expected number"
+      else if refill st st.pos then rest ()
+      else true
+    in
+    rest ()
+  end
+
 (* Steps into the array or object at the cursor: true when an element
    follows, false when it closes at once (it is then left). *)
 let start st opening closing =
   skip_ws st;
   if not (at st opening) then
-    if st.pos >= String.length st.src then fail st "unexpected end of input"
+    if st.pos >= st.len then fail st "unexpected end of input"
     else fail st ("expected '" ^ Char.escaped opening ^ "'");
   if st.depth = max_depth then
     fail st ("nesting deeper than " ^ string_of_int max_depth);
@@ -724,13 +826,23 @@ let read_object st field =
 
 (* The fast reader when it can decide, [float_of_string_opt] on the
    token otherwise: the same accepted tokens and the same bits.  The
-   token starts at [st.pos]. *)
+   token starts at [st.pos]; the fast reader's answer stands when it
+   stopped inside the window, or at the end of the source.  Otherwise
+   the token is first made whole in the window, or gathered when it is
+   longer. *)
 let number_at st dst k =
-  if not (fast_number st dst k) then dst.(k) <- parse_number_token st
+  let i = fast_number st.src st.pos st.len dst k in
+  if i >= 0 && (i < st.len || st.ended) then st.pos <- i
+  else if st.ended then dst.(k) <- parse_number_token st
+  else if complete_token st st.pos then begin
+    let i = fast_number st.src st.pos st.len dst k in
+    if i >= 0 then st.pos <- i else dst.(k) <- parse_number_token st
+  end
+  else spilled_number st dst k
 
 let read_number_into st dst k =
   skip_ws st;
-  if st.pos >= String.length st.src then fail st "unexpected end of input";
+  if st.pos >= st.len then fail st "unexpected end of input";
   number_at st dst k
 
 let rec read_value st =
@@ -767,7 +879,7 @@ let rec read_value st =
 
 let finish st =
   skip_ws st;
-  if st.pos <> String.length st.src then fail st "trailing content"
+  if st.pos <> st.len then fail st "trailing content"
 
 let of_string src =
   let st = cursor src in

@@ -2,12 +2,14 @@
     the build environment), used to persist analysis sessions.
 
     Full RFC 8259 value model; the printer emits compact one-line output;
-    the parser accepts arbitrary whitespace, escapes (including [\uXXXX]
-    for BMP code points) and scientific-notation numbers.
+    the parser accepts arbitrary whitespace, escapes (including [\uXXXX],
+    and surrogate pairs for code points past the BMP) and
+    scientific-notation numbers.
 
     Besides the tree ({!of_string}, {!to_string}) the parser is exposed
     as a {!cursor} and the printer as a {!writer}, so a large document
-    can be read or written without building its tree.  There is one
+    can be read or written without building its tree, and read as its
+    bytes arrive ({!source}) without a string of it.  There is one
     grammar: {!of_string} is itself a client of the cursor, so a
     document gets the same value, the same {!Parse_error} message and
     position and the same depth bound whichever way it is read. *)
@@ -45,15 +47,43 @@ val of_string : string -> t
 
 (** {2 Cursor}
 
-    A position in a source string, read one value at a time.  Every
-    reading call first skips whitespace and raises {!Parse_error}
-    exactly where {!of_string} would on the same text.  After an
-    exception the cursor is not reusable. *)
+    A position in a source, read one value at a time.  The source is a
+    string ({!cursor}) or bytes that arrive as they are read
+    ({!source}); either way every reading call first skips whitespace
+    and raises {!Parse_error} exactly where {!of_string} would on the
+    same text: the same message at the same position, counted from the
+    source's first byte.  A token split between two reads gives the
+    same bits or the same error as it does whole, a token longer than
+    the window included.  After an exception the cursor is not
+    reusable. *)
 
 type cursor
 
 val cursor : string -> cursor
-(** A cursor at the start of the source. *)
+(** A cursor at the start of the string.  It reads the string in place
+    and never writes it: {!of_string} is this cursor's {!read_value}
+    then {!finish}. *)
+
+val source : Bytes.t -> int -> int -> (Bytes.t -> int -> int -> int) -> cursor
+(** [source b pos len read] reads [b]'s [len] bytes from [pos] first,
+    then what [read b off n] puts at [b]'s [off], at most [n] bytes,
+    returning how many; 0 ends the source, and [read] is not called
+    again.  [b] is the cursor's window for its life: it moves the bytes
+    it still needs (at most the token being read) to the front of [b]
+    before it asks for more, so nothing else may live in [b]'s first
+    [pos + len] bytes, and it never grows [b] (a token longer than [b]
+    is gathered in a buffer of its own).  An exception [read] raises
+    passes through the reading call.  Raises [Invalid_argument] when
+    [b] holds fewer than 16 bytes or the range is not in [b]. *)
+
+val blank : cursor -> bool
+(** Only blanks are left before the end of the source: the bytes
+    [String.trim] drops, JSON's whitespace and the form feed.  The
+    JSON whitespace it skips is consumed; when it is [false] the cursor
+    is at the first other byte, and the next value is read from there.
+    A form feed is no JSON whitespace: when one is followed by anything
+    other than blanks, this raises the {!Parse_error} reading a value
+    would raise at it (["expected number"]). *)
 
 val peek : cursor -> [ `Null | `Bool | `Number | `String | `List | `Obj ]
 (** The kind of the value at the cursor, from its first character;

@@ -1,6 +1,7 @@
 (* Minimal HTTP/1.1 message layer shared by the metrics endpoint, the
    session service and the load generator: request parsing with hard
-   limits and receive-timeout awareness, responses framed in place in
+   limits and receive-timeout awareness, request bodies decoded from the
+   worker's read buffer as they arrive, responses framed in place in
    the buffer their body was printed into, and a small blocking client.  Connections are persistent (keep-alive) on both
    sides: the server reads Content-Length-delimited requests in a loop
    through a buffered [reader] (so pipelined bytes are never lost
@@ -12,19 +13,44 @@ module Json = Sider_data.Json
 
 let max_header_bytes = 16 * 1024
 
+type read_error =
+  | Timeout
+  | Closed
+  | Too_large
+  | Length_required
+  | Malformed of string
+
+(* The bytes in hand for one connection: the head being read, and
+   after a message the bytes read past it (a pipelined successor), moved
+   to the front.  One buffer serves a reader for its life: a worker's
+   for every request it reads, a client's for every response.  Reads
+   are of [read_step] bytes; the buffer starts at one read and grows to
+   at most [max_header_bytes] plus one, what a head may fill before it
+   is refused. *)
+type read_buffer = { mutable b : Bytes.t; mutable len : int }
+
+(* A request's body, read as it is decoded.  The [bd_in_hand] bytes that
+   came with the head are [bd_ib.b]'s from [bd_start]; [bd_unread]
+   declared bytes are still on the socket.  The decoder is shown the
+   first [bd_shown] of the [bd_len] declared (half of them under the
+   truncation fault). *)
+type body = {
+  bd_fd : Unix.file_descr;
+  bd_ib : read_buffer;
+  bd_start : int;
+  bd_in_hand : int;
+  bd_len : int;
+  mutable bd_shown : int;
+  mutable bd_unread : int;
+}
+
 type request = {
   meth : string;
   path : string;
   query : string;
   headers : (string * string) list;
-  body : string;
+  body : body;
 }
-
-type read_error =
-  | Timeout
-  | Closed
-  | Too_large
-  | Malformed of string
 
 let reason = function
   | 200 -> "OK"
@@ -35,6 +61,7 @@ let reason = function
   | 405 -> "Method Not Allowed"
   | 408 -> "Request Timeout"
   | 409 -> "Conflict"
+  | 411 -> "Length Required"
   | 413 -> "Content Too Large"
   | 422 -> "Unprocessable Content"
   | 429 -> "Too Many Requests"
@@ -171,10 +198,11 @@ let trace_of_request (req : request) =
 
 (* --- reading messages ------------------------------------------------------ *)
 
-(* Both sides read a message the same way: {!read_head} reads up to the
-   blank line that ends the head, {!read_body} then fills one buffer of
-   the declared length.  Each side keeps only its start-line parse and
-   its own mapping of the failures below. *)
+(* Both sides read a head the same way: {!read_head} reads up to the
+   blank line that ends it, and each side keeps only its start-line
+   parse and its own mapping of the failures below.  A response's body
+   is then read into one string ({!read_body}); a request's is read as
+   the route decodes it, from the worker's buffer ({!body_cursor}). *)
 
 type io_fail =
   | Io_timeout  (* a read hit [SO_RCVTIMEO] *)
@@ -191,15 +219,6 @@ let read_into fd b pos len =
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     Error (Io_eof pos)
   | exception Unix.Unix_error (e, _, _) -> Error (Io_error e)
-
-(* The bytes in hand for one connection: the head being read, and
-   after a message the bytes read past it (a pipelined successor), moved
-   to the front.  One buffer serves a reader for its life: a worker's
-   for every request it reads, a client's for every response.  Reads
-   are of [read_step] bytes; the buffer starts at one read and grows to
-   at most [max_header_bytes] plus one, what a head may fill before it
-   is refused. *)
-type read_buffer = { mutable b : Bytes.t; mutable len : int }
 
 let read_step = 8192
 
@@ -288,13 +307,13 @@ let parse_head ib head_end =
       (Ok []) rest
     |> Result.map (fun hs -> (start, List.rev hs))
 
-(* [len] body bytes: the bytes already read past the head, then reads
-   straight into the rest of the body, never past [len].  The body
-   starts at the bytes in hand plus [body_step] and doubles, up to
-   [len], as bytes arrive: a peer that declares more than it sends costs
-   what it sends, and a body of up to [body_step] lands in one buffer of
-   exactly [len].  The read buffer is left holding the bytes read past
-   the body (the start of a pipelined successor). *)
+(* [len] body bytes, for the client: the bytes already read past the
+   head, then reads straight into the rest of the body, never past
+   [len].  The body starts at the bytes in hand plus [body_step] and
+   doubles, up to [len], as bytes arrive: a peer that declares more than
+   it sends costs what it sends, and a body of up to [body_step] lands
+   in one buffer of exactly [len].  The read buffer is left holding the
+   bytes read past the body (the start of a pipelined successor). *)
 let body_step = 1 lsl 20
 
 let read_body fd ib ~head_end len =
@@ -352,45 +371,107 @@ let wants_close (req : request) = connection_is_close req.headers
 
 (* --- the server's side ----------------------------------------------------- *)
 
-(* One request, starting from the bytes in [ib].  The caller is
-   expected to have set [SO_RCVTIMEO]; a timed-out read surfaces as
-   [Timeout] (the 408 path), EOF or a socket error before a complete
-   message as [Closed], and oversized headers or bodies as [Too_large] —
-   a slow or malicious client can cost at most one worker's timeout,
-   never unbounded memory.  On success [ib] holds the bytes read past
-   the request. *)
+let read_error_of = function
+  | Io_timeout -> Timeout
+  | Io_too_large -> Too_large
+  | Io_eof _ | Io_error _ -> Closed
+
+let continue_line = Bytes.of_string "HTTP/1.1 100 Continue\r\n\r\n"
+
+let expects_continue headers =
+  match List.assoc_opt "expect" headers with
+  | Some v -> String.lowercase_ascii v = "100-continue"
+  | None -> false
+
+(* One request's head, starting from the bytes in [ib]; its body stays
+   in [ib] and on the socket.  The caller is expected to have set
+   [SO_RCVTIMEO]; a timed-out read surfaces as [Timeout] (the 408
+   path), EOF or a socket error before a complete head as [Closed], and
+   oversized headers or bodies as [Too_large] — a slow or malicious
+   client can cost at most one worker's timeout, never unbounded memory.
+   A [Transfer-Encoding] field, which this server does not decode, is
+   [Length_required] whatever else the head says: read as a body of
+   [Content-Length], its chunks would run as the next request.  A
+   client that sent [Expect: 100-continue] and has not sent its body
+   is told to send it once the head is accepted. *)
 let read_request_from ~max_body fd ib =
-  let fail = function
-    | Io_timeout -> Timeout
-    | Io_too_large -> Too_large
-    | Io_eof _ | Io_error _ -> Closed
-  in
   match read_head fd ib with
-  | Error e -> Error (fail e)
+  | Error e -> Error (read_error_of e)
   | Ok head_end ->
     let parsed =
       Result.bind (parse_head ib head_end) (fun (line, headers) ->
           match String.split_on_char ' ' line with
-          | meth :: target :: _ ->
-            Result.map
-              (fun len -> (meth, target, headers, Option.value ~default:0 len))
-              (content_length headers)
+          | meth :: target :: _ -> Ok (meth, target, headers)
           | _ -> Error ("bad request line: " ^ line))
     in
     (match parsed with
      | Error m -> Error (Malformed m)
-     | Ok (_, _, _, len) when len > max_body -> Error Too_large
-     | Ok (meth, target, headers, len) ->
-       let path, query =
-         match String.index_opt target '?' with
-         | Some i ->
-           ( String.sub target 0 i,
-             String.sub target (i + 1) (String.length target - i - 1) )
-         | None -> (target, "")
-       in
-       (match read_body fd ib ~head_end len with
-        | Error e -> Error (fail e)
-        | Ok body -> Ok { meth; path; query; headers; body }))
+     | Ok (_, _, headers) when List.mem_assoc "transfer-encoding" headers ->
+       Error Length_required
+     | Ok (meth, target, headers) ->
+       (match content_length headers with
+        | Error m -> Error (Malformed m)
+        | Ok (Some len) when len > max_body -> Error Too_large
+        | Ok len ->
+          let len = Option.value ~default:0 len in
+          let start = head_end + 4 in
+          let in_hand = min len (ib.len - start) in
+          if in_hand < len && expects_continue headers
+             && not (write_all fd continue_line 0 (Bytes.length continue_line))
+          then Error Closed
+          else begin
+            let path, query =
+              match String.index_opt target '?' with
+              | Some i ->
+                ( String.sub target 0 i,
+                  String.sub target (i + 1) (String.length target - i - 1) )
+              | None -> (target, "")
+            in
+            let body =
+              { bd_fd = fd; bd_ib = ib; bd_start = start; bd_in_hand = in_hand;
+                bd_len = len; bd_shown = len; bd_unread = len - in_hand }
+            in
+            Ok { meth; path; query; headers; body }
+          end))
+
+(* --- request bodies --------------------------------------------------------- *)
+
+exception Read_failed of read_error
+
+(* The shown bytes come from the buffer first, then from the socket
+   into the same buffer, at most the shown bytes still unread: the
+   declared ones less those hidden at the end. *)
+let body_cursor (req : request) =
+  let bd = req.body in
+  let read b off n =
+    let want = min n (bd.bd_unread - (bd.bd_len - bd.bd_shown)) in
+    if want <= 0 then 0
+    else
+      match read_into bd.bd_fd b off want with
+      | Ok k ->
+        bd.bd_unread <- bd.bd_unread - k;
+        k
+      | Error e -> raise (Read_failed (read_error_of e))
+  in
+  Json.source bd.bd_ib.b bd.bd_start (min bd.bd_in_hand bd.bd_shown) read
+
+let truncate_body (req : request) = req.body.bd_shown <- req.body.bd_len / 2
+
+(* Reads and drops the declared bytes still on the socket, into the
+   buffer the body was decoded from: by now nothing else lives there. *)
+let finish_body (req : request) =
+  let bd = req.body in
+  let b = bd.bd_ib.b in
+  let rec go () =
+    if bd.bd_unread = 0 then Ok ()
+    else
+      match read_into bd.bd_fd b 0 (min bd.bd_unread (Bytes.length b)) with
+      | Ok k ->
+        bd.bd_unread <- bd.bd_unread - k;
+        go ()
+      | Error e -> Error (read_error_of e)
+  in
+  go ()
 
 (* --- buffered per-connection reader ---------------------------------------- *)
 
@@ -405,6 +486,9 @@ let reader fd = { r_fd = fd; r_pending = "" }
 
 let reader_has_pending r = r.r_pending <> ""
 
+(* The bytes past a body that came whole with its head are the next
+   request's: they go to the reader at once, so the body's decoder owns
+   the buffer. *)
 let read_request_buffered ?(max_body = 8 * 1024 * 1024) ib r =
   let pending = String.length r.r_pending in
   ib.len <- 0;
@@ -414,8 +498,10 @@ let read_request_buffered ?(max_body = 8 * 1024 * 1024) ib r =
   let result = read_request_from ~max_body r.r_fd ib in
   r.r_pending <-
     (match result with
-     | Ok _ when ib.len > 0 -> Bytes.sub_string ib.b 0 ib.len
-     | _ -> "");
+     | Ok req ->
+       let rest = req.body.bd_start + req.body.bd_in_hand in
+       if rest < ib.len then Bytes.sub_string ib.b rest (ib.len - rest) else ""
+     | Error _ -> "");
   ib.len <- 0;
   result
 

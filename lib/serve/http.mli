@@ -1,36 +1,49 @@
 (** Minimal HTTP/1.1 message layer for the session service: request
-    parsing with hard limits, responses framed in place in the buffer
-    their body was printed into, and a small blocking client used by
-    the tests and the load generator.
+    parsing with hard limits, request bodies decoded as they arrive,
+    responses framed in place in the buffer their body was printed into,
+    and a small blocking client used by the tests and the load
+    generator.
 
     The protocol subset is deliberately narrow — [Content-Length]
-    bodies only, no chunked encoding — but connections are persistent:
-    the server loops Content-Length-delimited requests through a
-    buffered {!reader} (pipelined bytes survive between requests) and
-    the {!client} reuses one socket until either side sends
-    [Connection: close].  That is enough for a loopback analysis
-    service and keeps every read bounded.
+    bodies only, no chunked encoding: a request that carries a
+    [Transfer-Encoding] field is refused ({!Length_required}, 411)
+    rather than misread — but connections are persistent: the server
+    loops Content-Length-delimited requests through a buffered
+    {!reader} (pipelined bytes survive between requests) and the
+    {!client} reuses one socket until either side sends [Connection:
+    close].  That is enough for a loopback analysis service and keeps
+    every read bounded.
 
-    Both sides read a message with the same two readers: the head up to
-    its blank line, at most 16 KiB of it (searching only newly read
-    bytes), then the body into one buffer of its [Content-Length]
-    (ASCII digits only; repeated fields must agree).  The body buffer
-    grows with the bytes that arrive past the first megabyte, so a
-    declared length costs only what the peer sends.  Each side keeps
-    its own start-line parse and failure mapping. *)
+    Both sides read a head with the same reader: up to its blank line,
+    at most 16 KiB of it (searching only newly read bytes), with a
+    [Content-Length] of ASCII digits only (repeated fields must agree).
+    A request's body is then decoded straight from the worker's read
+    buffer as its bytes arrive ({!body_cursor}), never read past its
+    declared length and never copied into a string of its own.  The
+    client reads a response's body into one string, grown with the
+    bytes that arrive past the first megabyte, so a declared length
+    costs only what the peer sends.  Each side keeps its own start-line
+    parse and failure mapping. *)
+
+type body
+(** A request's body: the bytes that came with its head, in the
+    worker's read buffer, and the rest of its declared length, still on
+    the socket. *)
 
 type request = {
   meth : string;  (** verbatim, e.g. ["POST"] *)
   path : string;  (** request target up to [?] *)
   query : string;  (** raw query string, [""] if absent *)
   headers : (string * string) list;  (** keys lowercased, values trimmed *)
-  body : string;
+  body : body;
 }
 
 type read_error =
   | Timeout  (** a socket read hit [SO_RCVTIMEO] — answer 408 *)
   | Closed  (** EOF or connection error before a complete request *)
   | Too_large  (** headers over 16 KiB or body over the configured cap *)
+  | Length_required
+      (** a [Transfer-Encoding] field — answer 411 and close *)
   | Malformed of string  (** unparseable request line, header or length *)
 
 (** {2 Trace context}
@@ -92,15 +105,18 @@ val respond :
     A request head is read into a {!read_buffer} its reader owns: each
     worker keeps one for its life and reads every request it serves
     into it, so a warm request's read allocates nothing on the major
-    heap.  The buffer starts at 8 KiB and grows to at most the 16 KiB
-    head limit plus one 8 KiB read.  One {!reader} per live connection
-    keeps only the bytes read past its last request (a pipelined
-    successor), for the next {!read_request_buffered}, whichever worker
-    makes it. *)
+    heap.  The buffer starts at {!read_step} (8 KiB) and grows to at
+    most the 16 KiB head limit plus one read.  One {!reader} per live
+    connection keeps only the bytes read past its last request (a
+    pipelined successor), for the next {!read_request_buffered},
+    whichever worker makes it. *)
 
 type read_buffer
 
 val read_buffer : unit -> read_buffer
+
+val read_step : int
+(** The bytes one socket read asks for: 8192. *)
 
 type reader
 
@@ -113,15 +129,44 @@ val reader_has_pending : reader -> bool
 
 val read_request_buffered :
   ?max_body:int -> read_buffer -> reader -> (request, read_error) result
-(** Read one full request into the buffer, starting with the bytes a
-    previous call left in the reader.  Bounded: at most 16 KiB of
-    headers and [max_body] (default 8 MiB) of body are ever buffered;
-    the body is read into a string of its own.  The caller should set
-    [SO_RCVTIMEO] on the socket so a stalled client surfaces as
-    [Timeout] rather than hanging a worker.  On error the pending bytes
-    are discarded (the connection is about to be closed).  The buffer
-    holds nothing between calls, so one serves any number of readers,
-    one call at a time. *)
+(** Read one request's head into the buffer, starting with the bytes a
+    previous call left in the reader; that request must have been
+    finished ({!finish_body}).  The body is not read here: the buffer
+    holds the bytes of it that came with the head until the request is
+    finished, and {!body_cursor} decodes from there.  Bounded: at most
+    16 KiB of headers, and a body over [max_body] (default 8 MiB) is
+    [Too_large] before any of it is read.  A head with a
+    [Transfer-Encoding] field is [Length_required].  When
+    the head is accepted, asks for [Expect: 100-continue] and its body
+    has not all arrived, [HTTP/1.1 100 Continue] is written before
+    anything of the body is read.  The caller should set [SO_RCVTIMEO]
+    on the socket so a stalled client surfaces as [Timeout] rather than
+    hanging a worker.  On error the pending bytes are discarded (the
+    connection is about to be closed).  Between requests the buffer
+    holds nothing, so one serves any number of readers, one request at
+    a time. *)
+
+exception Read_failed of read_error
+(** A read of a request's body failed: [Timeout] or [Closed]. *)
+
+val body_cursor : request -> Sider_data.Json.cursor
+(** A cursor over the request's body ({!Sider_data.Json.source}): the
+    bytes that came with the head, then socket reads into the same
+    read buffer as the decoder needs them, never past the declared
+    length.  Positions in its messages count from the body's first
+    byte.  A failed read raises {!Read_failed} from the reading call.
+    Take one per request, before anything else reads the buffer. *)
+
+val truncate_body : request -> unit
+(** The [Svc_truncate_request] fault: the cursor taken after this call
+    ends at half the declared length.  The rest is still drained. *)
+
+val finish_body : request -> (unit, read_error) result
+(** Read and drop what the body still has on the socket, so the
+    connection is at the next request and the buffer is free.  [Error]
+    when a read fails: the connection must be closed.  Once it is [Ok],
+    calling it again reads nothing.  After {!Read_failed} the
+    connection is closed, not finished. *)
 
 (** {2 Client} *)
 

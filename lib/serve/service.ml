@@ -150,8 +150,17 @@ let body_of_error e =
 
 (* --- request-body helpers -------------------------------------------------- *)
 
+(* The body's tree, read from the worker's buffer as it arrives: a
+   blank body is an empty object, otherwise the value then only
+   whitespace, as [Json.of_string] reads it. *)
 let body_json (req : Http.request) =
-  if String.trim req.body = "" then Json.Obj [] else Json.of_string req.body
+  let c = Http.body_cursor req in
+  if Json.blank c then Json.Obj []
+  else begin
+    let v = Json.read_value c in
+    Json.finish c;
+    v
+  end
 
 let opt_member j key conv default =
   match Json.member_opt key j with Some v -> conv v | None -> default
@@ -345,9 +354,8 @@ type create = {
    is the 400 [malformed-json] a tree parse gives; the checks then run
    in the order they always have: the dataset, its size, then seed,
    standardize, jitter and method. *)
-let decode_create body =
-  if String.trim body = "" then bad "missing required field \"dataset\"";
-  let c = Json.cursor body in
+let read_create c =
+  if Json.blank c then bad "missing required field \"dataset\"";
   let dataset = ref None in
   let seed = ref None and standardize = ref None in
   let jitter = ref None and method_ = ref None in
@@ -386,8 +394,12 @@ let decode_create body =
   let method_ = method_of_name (field method_ Json.to_str "pca") in
   { dataset = ds; seed; standardize; jitter; method_ }
 
+let decode_create body = read_create (Json.cursor body)
+
 let handle_create t ctx w (req : Http.request) =
-  let { dataset; seed; standardize; jitter; method_ } = decode_create req.body in
+  let { dataset; seed; standardize; jitter; method_ } =
+    read_create (Http.body_cursor req)
+  in
   let session = Session.create ~seed ~standardize ~jitter ~method_ dataset in
   match Registry.add t.registry session with
   | Error `Full ->
@@ -662,6 +674,26 @@ let serve_one t out conn =
     finish t ~t0 ~queue_s ~ctx:(make_ctx trace) ~route ~meth:"-" ~path:"-"
       ~status ~slo:(status >= 500)
   in
+  (* A read that failed, of the head or of the body, answers in place of
+     whatever the route printed, and the connection closes. *)
+  let refuse e =
+    (match e with
+     | Http.Timeout ->
+       Obs.count "serve.read_timeouts";
+       early ~route:"read" ~status:408
+         (err_body "request-timeout" "client too slow")
+     | Http.Closed -> ()
+     | Http.Too_large ->
+       early ~route:"read" ~status:413
+         (err_body "too-large" "request exceeds limits")
+     | Http.Length_required ->
+       early ~route:"read" ~status:411
+         (err_body "length-required"
+            "Transfer-Encoding is not supported; send Content-Length")
+     | Http.Malformed m ->
+       early ~route:"read" ~status:400 (err_body "malformed-request" m));
+    `Close
+  in
   if t0 > deadline_at then (
     Obs.count "serve.deadline_expired";
     early ~route:"queue" ~status:503
@@ -672,19 +704,7 @@ let serve_one t out conn =
       Http.read_request_buffered ~max_body:t.config.max_body out.rb
         conn.c_reader
     with
-    | Error Http.Timeout ->
-      Obs.count "serve.read_timeouts";
-      early ~route:"read" ~status:408
-        (err_body "request-timeout" "client too slow");
-      `Close
-    | Error Http.Closed -> `Close
-    | Error Http.Too_large ->
-      early ~route:"read" ~status:413
-        (err_body "too-large" "request exceeds limits");
-      `Close
-    | Error (Http.Malformed m) ->
-      early ~route:"read" ~status:400 (err_body "malformed-request" m);
-      `Close
+    | Error e -> refuse e
     | Ok req ->
       let req =
         match Fault.request_fault ~path:req.path with
@@ -693,11 +713,8 @@ let serve_one t out conn =
           Thread.delay (float_of_int ms /. 1000.0);
           Some req
         | Some `Truncate ->
-          Some
-            { req with
-              Http.body =
-                String.sub req.Http.body 0 (String.length req.Http.body / 2)
-            }
+          Http.truncate_body req;
+          Some req
         | None -> Some req
       in
       (match req with
@@ -712,7 +729,7 @@ let serve_one t out conn =
          let ctx = make_ctx trace in
          ctx.rc_tenant <- tenant_of_path req.Http.path;
          Http.start_body out.w;
-         let ((status, _) as reply) =
+         let routed () =
            Obs.with_span "serve.request"
              ~attrs:
                [ ("trace", Obs.Str trace); ("route", Obs.Str route) ]
@@ -721,23 +738,41 @@ let serve_one t out conn =
            Obs.span_attr "status" (Obs.Int status);
            r
          in
-         conn.c_served <- conn.c_served + 1;
-         let keep =
-           (not (Http.wants_close req))
-           && conn.c_served < t.config.keepalive_requests
-           && not t.stopping
+         (* A POST route reads its body as it decodes it, before it
+            changes anything, and what it left is drained before the
+            response goes out.  No other route reads one: its body is
+            drained first, so one that never comes is a 408 before a
+            DELETE runs. *)
+         let reply =
+           match
+             if req.Http.meth = "POST" then Ok () else Http.finish_body req
+           with
+           | Error e -> Error e
+           | Ok () ->
+             (match routed () with
+              | r -> Result.map (fun () -> r) (Http.finish_body req)
+              | exception Http.Read_failed e -> Error e)
          in
-         (* A degraded health check must not itself trigger a flight
-            dump — probes poll it every few seconds. *)
-         let sent =
-           respond_status ~keep_alive:keep ~trace
-             ~flight_on_5xx:(route <> "healthz") out.w conn.c_fd reply
-         in
-         if not sent then Obs.count "serve.write_failures";
-         finish t ~t0 ~queue_s ~ctx ~route ~meth:req.Http.meth
-           ~path:req.Http.path ~status
-           ~slo:(not (observability_route route));
-         if keep && sent then `Keep else `Close))
+         match reply with
+         | Error e -> refuse e
+         | Ok ((status, _) as reply) ->
+           conn.c_served <- conn.c_served + 1;
+           let keep =
+             (not (Http.wants_close req))
+             && conn.c_served < t.config.keepalive_requests
+             && not t.stopping
+           in
+           (* A degraded health check must not itself trigger a flight
+              dump — probes poll it every few seconds. *)
+           let sent =
+             respond_status ~keep_alive:keep ~trace
+               ~flight_on_5xx:(route <> "healthz") out.w conn.c_fd reply
+           in
+           if not sent then Obs.count "serve.write_failures";
+           finish t ~t0 ~queue_s ~ctx ~route ~meth:req.Http.meth
+             ~path:req.Http.path ~status
+             ~slo:(not (observability_route route));
+           if keep && sent then `Keep else `Close))
 
 (* --- threads --------------------------------------------------------------- *)
 

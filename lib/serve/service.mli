@@ -53,9 +53,11 @@
       poller as it accepts (load shedding, never unbounded queueing).
     - Session capacity reached → [429].
     - Request older than the deadline (queue wait included) → [503].
-    - Stalled client → [408] after [read_timeout_s]; oversized request
-      → [413]; malformed HTTP or JSON, bad rows, unknown types → [400]
-      with a structured body [{"error", "detail"}].
+    - Stalled client → [408] after [read_timeout_s], its body's reads
+      included; oversized request → [413]; a [Transfer-Encoding] field
+      → [411] and a close, before anything is routed; malformed HTTP or
+      JSON, bad rows, unknown types → [400] with a structured body
+      [{"error", "detail"}].
     - Structured engine errors map by variant: [Degenerate_data] → 400,
       [Io_failure] → 503, numerical failures ([Singular_covariance],
       [Solver_divergence], [Non_convergence], [Nan_detected]) → 422.
@@ -71,10 +73,17 @@
 
     {2 Connections}
 
-    Each worker prints every response into one buffer of its own, kept
-    for the worker's life (up to 1 MiB between responses), and frames
-    it there ({!Http.respond}); the poller's 429s use a buffer of their
-    own.  Parked connections hold none.
+    Each worker reads every request into one buffer of its own and
+    decodes the body from there as its bytes arrive
+    ({!Http.body_cursor}); a POST route reads its body before it
+    changes anything, and what it leaves of the declared length is
+    drained before the response (any other request's body before it is
+    routed), so no string of a body is made.  A client that sent
+    [Expect: 100-continue] is told to send its body once the head is
+    accepted.  Each worker prints every response into one buffer of its
+    own, kept for the worker's life (up to 1 MiB between responses), and
+    frames it there ({!Http.respond}); the poller's 429s use a buffer of
+    their own.  Parked connections hold none.
 
     Besides the workers the service runs one thread, the poller.  It
     owns every socket no worker is serving: one [select] over the
@@ -172,16 +181,23 @@ type create = {
 }
 (** The arguments of [POST /sessions]. *)
 
-val decode_create : string -> create
-(** Decode a [POST /sessions] body without building its tree: the
-    dataset's rows are read straight into one float array
-    ({!Sider_core.Persist.read_dataset}).  A body the route accepts gives
-    the dataset {!Sider_core.Persist.dataset_of_json} gives for its
-    [dataset] member, bit for bit.  A refused body raises what the
-    route maps to its 400: [Json.Parse_error] for a syntax error
-    anywhere in the body, which takes precedence over every other check,
-    then the dataset's [Sider_error.Error], then the route's own
+val read_create : Sider_data.Json.cursor -> create
+(** Decode a [POST /sessions] body at the cursor without building its
+    tree: the dataset's rows are read straight into one float array
+    ({!Sider_core.Persist.read_dataset}).  The route runs it on the
+    request's body as the bytes arrive ({!Http.body_cursor}), so no
+    string of the body exists.  A body the route accepts gives the
+    dataset {!Sider_core.Persist.dataset_of_json} gives for its
+    [dataset] member, bit for bit.  A blank body (only the bytes
+    [String.trim] drops) is a missing dataset.  A refused body raises
+    what the route maps to its 400: [Json.Parse_error] for a syntax
+    error anywhere in the body, which takes precedence over every other
+    check, then the dataset's [Sider_error.Error], then the route's own
     refusals in field order. *)
+
+val decode_create : string -> create [@@sider.allow "test-hook"]
+(** {!read_create} over a string's cursor: the same decode, error for
+    error. *)
 
 (** {2 Projection bodies} *)
 

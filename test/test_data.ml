@@ -444,6 +444,110 @@ let test_json_depth_bound () =
       "nesting deeper than 512 at position 2560" msg
   | _ -> Alcotest.fail "nested objects accepted"
 
+(* --- JSON read as it arrives ------------------------------------------------- *)
+
+(* JSON texts with the tokens a split can land inside: numbers of every
+   shape (and runs longer than any window), strings with every escape,
+   [\u] surrogate pairs and broken ones, literals, nesting and random
+   whitespace, then cut short, spliced with a stray byte, put after
+   blanks with a form feed among them, or left whole. *)
+let json_text =
+  let open QCheck.Gen in
+  let ws = oneofl [ ""; ""; " "; "\n\t"; "\r\n  " ] in
+  let string_piece =
+    oneofl
+      [ "a"; "Zz"; "\xc3\xa9"; "\\\""; "\\\\"; "\\/"; "\\n"; "\\b"; "\\f";
+        "\\t"; "\\u00e9"; "\\u20AC"; "\\ud83d\\ude00"; "\\ud83d"; "\\ude00";
+        "\\ud83dx"; "\\ud83d\\u0041"; "\\u12G4"; "\\u12"; "\\x";
+        String.make 40 'w' ]
+  in
+  let str =
+    map (fun parts -> "\"" ^ String.concat "" parts ^ "\"")
+      (list_size (int_bound 5) string_piece)
+  in
+  let long_number =
+    map2
+      (fun k shape ->
+        match shape with
+        | 0 -> "1" ^ String.make k '0'
+        | 1 -> "-0." ^ String.make k '0' ^ "25e3"
+        | 2 -> String.make k '7' ^ "e-300"
+        | _ -> "1." ^ String.make k '5' ^ "x")
+      (int_range 10 150) (int_bound 3)
+  in
+  let number =
+    frequency
+      [ (4, decimal_text); (1, long_number);
+        (1, oneofl [ "1e999"; "+1"; ".5"; "1."; "-"; "1e"; "--1"; "1.5.2"; "0x10" ]) ]
+  in
+  let scalar =
+    frequency
+      [ (1, oneofl [ "null"; "true"; "false"; "nul"; "fals"; "tru" ]);
+        (3, number); (3, str) ]
+  in
+  let wrap items opening closing =
+    map2 (fun a b -> opening ^ a ^ String.concat "," items ^ b ^ closing) ws ws
+  in
+  let rec value depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [ (3, scalar);
+          (1, list_size (int_bound 4) (value (depth - 1)) >>= fun items ->
+              wrap items "[" "]");
+          (1, list_size (int_bound 4) (pair str (value (depth - 1))) >>= fun fields ->
+              wrap (List.map (fun (k, v) -> k ^ ":" ^ v) fields) "{" "}") ]
+  in
+  let text = map3 (fun a v b -> a ^ v ^ b) ws (value 3) ws in
+  text >>= fun t ->
+  let n = String.length t in
+  frequency
+    [ (3, return t);
+      (1, map (fun k -> String.sub t 0 (k mod (n + 1))) nat);
+      (1, map (fun b -> b ^ t) (oneofl [ "\012"; " \012\n"; "\r\012\012 " ]));
+      (1, map2 (fun k c -> let k = k mod (n + 1) in
+                 String.sub t 0 k ^ String.make 1 c ^ String.sub t k (n - k))
+            nat (oneofl [ '"'; '\\'; ','; ']'; '}'; 'e'; '-'; ' '; '\012'; 'x' ])) ]
+
+let rec same_tree a b =
+  match (a, b) with
+  | Json.Number x, Json.Number y -> same_bits x y
+  | Json.List xs, Json.List ys -> List.equal same_tree xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, v) (k', v') -> String.equal k k' && same_tree v v') xs ys
+  | _ -> a = b
+
+(* A text read through windows of 16 to 80 bytes, in pieces cut
+   anywhere (one byte at a time in a quarter of the cases), gives the
+   tree [Json.of_string] gives, bit for bit, or raises its message at
+   its position; and [Json.blank] finds a blank text where
+   [String.trim] finds an empty one (both read as [Null] here). *)
+let test_json_pieces_read_as_whole =
+  qcheck ~count:3000 "json read in pieces reads as the whole text"
+    (QCheck.make
+       ~print:(fun (t, w, p) ->
+         Printf.sprintf "%S, window %d, pieces [%s]" t w
+           (String.concat ";" (Array.to_list (Array.map string_of_int p))))
+       QCheck.Gen.(
+         triple json_text (int_range 16 80)
+           (oneof [ return [| 1 |]; array_size (int_range 1 6) (int_range 1 40) ])))
+    (fun (text, window, pieces) ->
+      let outcome f = match f () with v -> Ok v | exception Json.Parse_error m -> Error m in
+      let whole () = if String.trim text = "" then Json.Null else Json.of_string text in
+      let streamed () =
+        let c = piecewise_cursor ~window ~pieces text in
+        if Json.blank c then Json.Null
+        else begin
+          let v = Json.read_value c in
+          Json.finish c;
+          v
+        end
+      in
+      match (outcome whole, outcome streamed) with
+      | Ok a, Ok b -> same_tree a b
+      | Error a, Error b -> String.equal a b
+      | _ -> false)
+
 let suite =
   [
     case "dataset basics" test_dataset_basic;
@@ -476,4 +580,5 @@ let suite =
     test_json_numbers_random_decimals;
     case "json to_int refuses integers beyond 2^53" test_json_to_int_range;
     case "json nesting depth is bounded" test_json_depth_bound;
+    test_json_pieces_read_as_whole;
   ]

@@ -188,6 +188,25 @@ let ica_kernel z =
         Array.blit z.Mat.a (i * m) dst (i * stride) m
       done)
 
+(* A cursor over [text] whose bytes arrive as a socket's do: into a
+   window of [window] bytes, each read giving the next piece of the
+   sizes in [pieces] (cycled), or what is left of it, or what the window
+   has room for, whichever is least. *)
+let piecewise_cursor ~window ~pieces text =
+  let at = ref 0 and next = ref 0 and left = ref 0 in
+  let read b off n =
+    if !left = 0 then begin
+      left := pieces.(!next mod Array.length pieces);
+      incr next
+    end;
+    let k = min n (min !left (String.length text - !at)) in
+    Bytes.blit_string text !at b off k;
+    at := !at + k;
+    left := !left - k;
+    k
+  in
+  Sider_data.Json.source (Bytes.create window) 0 0 read
+
 (* The first dataset of the projection_reads benchmark workload. *)
 let reads_dataset () = Sider_data.Synth.clustered ~seed:7919 ~n:1024 ~d:16 ~k:8 ()
 

@@ -610,6 +610,63 @@ let same_dataset (a : Dataset.t) (b : Dataset.t) =
   && Sider_linalg.Mat.dims (Dataset.matrix a) = Sider_linalg.Mat.dims (Dataset.matrix b)
   && Array.for_all2 same_bits (cells a) (cells b)
 
+(* The same body as a worker meets it: a POST over a socket, written in
+   [Http.read_step] pieces, read and decoded as its bytes arrive.  The
+   rows go from the reads straight into the decoder's blocks, so reading
+   and decoding put on the major heap only what the decode keeps (the
+   cells and the shared labels' array, 17,410 words), at most nd + 2n.
+   Reading the body into a string of its length first put its 329,354
+   bytes there as well: 58,581 words. *)
+let test_streamed_create_major_heap () =
+  let ds = reads_dataset () in
+  let n = Dataset.n_rows ds and d = Dataset.n_cols ds in
+  let body =
+    Printf.sprintf {|{"dataset":%s,"method":"pca","seed":1}|}
+      (Json.to_string (Persist.dataset_to_json ds))
+  in
+  let text =
+    Printf.sprintf "POST /sessions HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  (* As [Service.start] does: a write to a closed peer fails with
+     EPIPE, so a failed read below ends the writer, not the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let write () =
+    let rec go at =
+      if at < String.length text then
+        go (at + Unix.write_substring a text at (min Http.read_step (String.length text - at)))
+    in
+    try go 0 with Unix.Unix_error _ -> ()
+  in
+  let writer = Thread.create write () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.shutdown b Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      Thread.join writer;
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  let rb = Http.read_buffer () and r = Http.reader b in
+  let before = major_words () in
+  let c =
+    match Http.read_request_buffered rb r with
+    | Error _ -> Alcotest.fail "the request did not read"
+    | Ok req ->
+      let c = Service.read_create (Http.body_cursor req) in
+      if Http.finish_body req <> Ok () then Alcotest.fail "the body did not finish";
+      c
+  in
+  let major = int_of_float (major_words () -. before) in
+  check_true "decoded the shape"
+    (Dataset.n_rows c.Service.dataset = n && Dataset.n_cols c.Service.dataset = d);
+  check_true "decoded the dataset's bits" (same_dataset ds c.Service.dataset);
+  check_true "nothing left pending" (not (Http.reader_has_pending r));
+  if major > (n * d) + (2 * n) then
+    Alcotest.failf
+      "reading and decoding a create body put %d words on the major heap, nd + 2n = %d"
+      major ((n * d) + (2 * n))
+
 (* Every body gets the status, error label and detail the tree path
    gave, over HTTP; an accepted one decodes to the bits of
    [Persist.dataset_of_json] on its tree, and to the same arguments. *)
@@ -654,6 +711,51 @@ let test_create_decode_matches_tree () =
   List.iter
     (fun k -> check_true ("some " ^ k) (Hashtbl.mem tally k))
     [ "accepted"; "malformed-json"; "degenerate-data"; "bad-request" ]
+
+(* What a decode ends in, as comparable text: the arguments' bits or the
+   exception with its message. *)
+let create_outcome f =
+  match f () with
+  | (c : Service.create) ->
+    let cells = (Dataset.matrix c.dataset).Sider_linalg.Mat.a in
+    Ok (c, Array.map Int64.bits_of_float cells)
+  | exception Json.Parse_error m -> Error ("malformed-json: " ^ m)
+  | exception Sider_robust.Sider_error.Error e ->
+    Error
+      (Sider_robust.Sider_error.label e ^ ": "
+       ^ (Sider_robust.Sider_error.context_of e).Sider_robust.Sider_error.detail)
+  | exception e -> Error (Printexc.to_string e)
+
+(* A create body read as it arrives, cut anywhere (one byte a read in a
+   quarter of the cases) and through windows of 16 to 80 bytes, decodes
+   to the bits and arguments the whole-string decode gives, or raises
+   its error with the same text and position. *)
+let prop_streamed_create_matches_string =
+  qcheck ~count:400 "create decode: a body read in pieces decodes as the whole"
+    (QCheck.make
+       ~print:(fun (seed, window, pieces) ->
+         Printf.sprintf "%S, window %d, pieces [%s]"
+           (Body_gen.generate (Random.State.make [| seed |]))
+           window
+           (String.concat ";" (Array.to_list (Array.map string_of_int pieces))))
+       QCheck.Gen.(
+         triple (int_bound 1_000_000) (int_range 16 80)
+           (oneof [ return [| 1 |]; array_size (int_range 1 6) (int_range 1 40) ])))
+    (fun (seed, window, pieces) ->
+      let body = Body_gen.generate (Random.State.make [| seed |]) in
+      match
+        ( create_outcome (fun () -> Service.decode_create body),
+          create_outcome (fun () ->
+              Service.read_create (piecewise_cursor ~window ~pieces body)) )
+      with
+      | Ok (a, abits), Ok (b, bbits) ->
+        same_dataset a.Service.dataset b.Service.dataset
+        && abits = bbits && a.Service.seed = b.Service.seed
+        && a.Service.standardize = b.Service.standardize
+        && same_bits a.Service.jitter b.Service.jitter
+        && a.Service.method_ = b.Service.method_
+      | Error a, Error b -> String.equal a b
+      | _ -> false)
 
 (* --- overload handling ----------------------------------------------------------- *)
 
@@ -2376,6 +2478,76 @@ let parse_responses text =
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
+(* Every byte the peer sends until it closes; a read that times out
+   fails the test. *)
+let read_to_eof sock =
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read sock chunk 0 4096 with
+    | 0 -> Buffer.contents buf
+    | k ->
+      Buffer.add_subbytes buf chunk 0 k;
+      go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.failf "no EOF within the receive timeout after %S"
+        (Buffer.contents buf)
+  in
+  go ()
+
+(* A body sent with Transfer-Encoding is not read as Content-Length
+   bytes: here its "chunks" are a whole GET, which a server that read
+   no body would run as the next request (400 for the empty create, then
+   200 for the GET).  One 411, then the connection closes, and nothing
+   is created. *)
+let test_transfer_encoding_refused () =
+  with_service @@ fun svc ->
+  (with_raw_socket svc @@ fun sock ->
+   write_string sock
+     "POST /sessions HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
+      GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+   Alcotest.(check (list int)) "one 411, then EOF" [ 411 ]
+     (parse_responses (read_to_eof sock)));
+  check_true "no session created"
+    (Json.to_int (Json.member "count" (json_of (req svc "GET" "/sessions"))) = 0)
+
+(* A client that sends [Expect: 100-continue] waits for the interim
+   response before it sends its body (curl waits 1 s for bodies over
+   1 MiB).  The service answers it once the head is accepted, then
+   reads the body; a body over [max_body] gets its 413 and no 100. *)
+let test_expect_continue () =
+  let head len =
+    Printf.sprintf
+      "POST /sessions HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n\
+       Content-Length: %d\r\n\r\n" len
+  in
+  let interim = "HTTP/1.1 100 Continue\r\n\r\n" in
+  let config = { Service.default_config with max_body = 4096 } in
+  with_service ~config @@ fun svc ->
+  (with_raw_socket svc @@ fun sock ->
+   let body = create_body () in
+   write_string sock (head (String.length body));
+   Unix.setsockopt_float sock Unix.SO_RCVTIMEO 2.0;
+   let got = Bytes.create (String.length interim) in
+   let rec fill at =
+     if at < Bytes.length got then
+       match Unix.read sock got at (Bytes.length got - at) with
+       | 0 -> Alcotest.fail "closed before 100 Continue"
+       | k -> fill (at + k)
+       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+         Alcotest.fail "no 100 Continue within 2 s of the head"
+   in
+   fill 0;
+   Alcotest.(check string) "interim response" interim (Bytes.to_string got);
+   write_string sock body;
+   match read_responses sock 1 with
+   | [ (status, _) ] -> Alcotest.(check int) "then the create" 201 status
+   | _ -> Alcotest.fail "no response to the body");
+  with_raw_socket svc @@ fun sock ->
+  write_string sock (head 8192);
+  match read_responses sock 1 with
+  | [ (status, _) ] -> Alcotest.(check int) "over max_body" 413 status
+  | _ -> Alcotest.fail "no response to an over-limit head"
+
 let test_http_parser_fuzz () =
   with_sink (Some Sider_obs.Obs.null_sink) @@ fun () ->
   with_service @@ fun svc ->
@@ -2601,6 +2773,13 @@ let suite =
       test_pipelined_reset_leaves_service_up;
     case "create decode refuses and accepts as the tree did"
       test_create_decode_matches_tree;
+    prop_streamed_create_matches_string;
+    case "streamed create puts at most nd + 2n words on the major heap"
+      test_streamed_create_major_heap;
+    case "Transfer-Encoding is a 411 and a close, before routing"
+      test_transfer_encoding_refused;
+    case "Expect: 100-continue is answered before the body"
+      test_expect_continue;
     case "client refuses a malformed status line" test_client_rejects_odd_status;
     case "client bounds the response head" test_client_bounds_response_head;
     case "http parser fuzz: every answer well-formed 2xx/4xx, no fd leaked"
