@@ -1,8 +1,9 @@
 # Developer entry points.  `make verify` is the tier-1 gate every PR must
-# keep green: a full type-check of every target, the repo invariant
-# linter (tools/lint/, zero unannotated findings), the test suite (plus
-# a pass with a live stderr tracing sink, which must not move any
-# numeric), the view-driven paper experiments Table I, Fig. 2 and
+# keep green: a full type-check of every target, the test suite (whose
+# @runtest alias includes the repo invariant linter, tools/lint/, over
+# the whole tree: zero unannotated findings; plus a pass with a live
+# stderr tracing sink, which must not move any numeric), the
+# view-driven paper experiments Table I, Fig. 2 and
 # Fig. 9 (about 1 s; bench/main.exe exits 1 when Table I's
 # score-decay check fails; then every tracked file they rewrite under
 # _artifacts/bench/ must come out byte for byte as committed, a check
@@ -55,7 +56,7 @@ lint-sarif:
 	    lib bin bench test examples
 
 verify:
-	dune build @check && $(MAKE) lint && dune runtest \
+	dune build @check && dune runtest \
 	  && SIDER_TRACE=stderr dune runtest --force \
 	  && dune exec bench/main.exe -- -e table1 fig2 fig9 \
 	  && $(MAKE) artifacts-unchanged \

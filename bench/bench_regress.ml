@@ -279,10 +279,10 @@ let obs_overhead mode () =
 (* Labeled-metrics overhead: the session_update_synthetic workload with
    the per-request labeled writes the service issues in [serve_one] —
    the route/status latency histogram, the per-tenant counter and a
-   stage observation through a preregistered handle — inside the timed
-   section, under the null sink.  The comparison row is
-   obs_overhead_null_sink (same workload, unlabeled instrumentation
-   only); the labeled-metrics gate holds the delta within 5%. *)
+   stage observation — inside the timed section, under the null sink.
+   The comparison row is obs_overhead_null_sink (same workload,
+   unlabeled instrumentation only); the labeled-metrics gate holds the
+   delta within 5%. *)
 let obs_labels_overhead () =
   let module Obs = Sider_obs.Obs in
   Obs.set_sink (Some Obs.null_sink);
@@ -292,19 +292,16 @@ let obs_labels_overhead () =
       Obs.reset ())
     (fun () ->
       let _, session = synthetic_session () in
-      let stage_solve =
-        Obs.labeled_hist "serve.stage_s" [ ("stage", "solve") ]
-      in
       timed
         (fun () ->
           let t0 = Obs.now_ns () in
           let r = update session in
           let dur = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9 in
-          Obs.observe_into stage_solve dur;
-          Obs.observe_labeled "serve.request_s"
-            [ ("route", "update"); ("status", "200") ]
-            dur;
-          Obs.count_labeled "serve.tenant_requests" [ ("tenant", "bench") ];
+          Obs.observe ~labels:[ ("stage", "solve") ] "serve.stage_s" dur;
+          Obs.observe
+            ~labels:[ ("route", "update"); ("status", "200") ]
+            "serve.request_s" dur;
+          Obs.count ~labels:[ ("tenant", "bench") ] "serve.tenant_requests";
           r)
         (session_counts session))
 

@@ -406,11 +406,11 @@ let doctor_cmd =
 (* --- trace ------------------------------------------------------------------------ *)
 
 (* Replays a canonical two-round feedback session with the stderr
-   tracing sink installed: every solver sweep, constraint update,
-   whitening and projection fit prints as an indented span (children
-   close before their parent), and the run ends with the metrics tables
-   (per-kind update histograms, Woodbury fast-path counters, end-to-end
-   update latency).  Spans go to stderr so stdout stays scriptable. *)
+   tracing sink installed: every solver sweep, whitening and projection
+   fit prints as an indented span (children close before their parent),
+   and the run ends with the metrics tables (the solver's update and
+   Woodbury fast-path counters, the end-to-end update latency histogram,
+   GC gauges).  Spans go to stderr so stdout stays scriptable. *)
 let trace_cmd =
   let cutoff_t =
     Arg.(value & opt float 10.0 & info [ "time-cutoff" ] ~docv:"SECONDS"
@@ -451,8 +451,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Replay a margin + 1-cluster feedback session with the \
-             tracing sink enabled: nested spans with per-constraint \
-             timings and a metrics summary on stderr.")
+             tracing sink enabled: nested spans with per-sweep timings \
+             and a metrics summary on stderr.")
     Term.(const run $ obs_setup_t $ dataset_t $ seed_t $ label_column_t
           $ method_t $ cutoff_t)
 

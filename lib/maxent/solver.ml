@@ -149,45 +149,69 @@ type tally = {
   mutable frozen : int;
 }
 
+(* The largest |λ| and parameter change of one sweep's updates; an
+   update that takes no step leaves them as they are.  All floats, so
+   OCaml stores the record flat and an update folds its step in without
+   allocating. *)
+type steps = { mutable max_dl : float; mutable max_dp : float }
+
+let[@inline] record_step steps ~lambda ~dparam =
+  steps.max_dl <- Float.max steps.max_dl (Float.abs lambda);
+  steps.max_dp <- Float.max steps.max_dp dparam
+
 (* Linear constraint (Eq. 9): the mean along w shifts by λ wᵀΣw per row,
    Σ unchanged, so λ = (v̂ − ṽ) / Σ_i wᵀΣ_i w.  [damp] scales the step
    (1.0 = the exact Eq. 9 step): the solver halves it while recovering
-   from a numerically failed sweep. *)
-let update_linear t idx ~damp =
+   from a numerically failed sweep.  Plain loops over local refs, so no
+   float is boxed but those crossing into [Gauss_params]. *)
+let update_linear t idx ~damp ~steps =
   let constr = t.constraints.(idx) in
   let w = constr.Constr.w in
   let groups = Partition.classes_of_constraint t.partition idx in
   let v_cur = ref 0.0 and denom = ref 0.0 in
-  Array.iter
-    (fun (cls, cnt) ->
-      let p = t.classes.(cls) in
-      let fcnt = float_of_int cnt in
-      v_cur := !v_cur +. (fcnt *. Gauss_params.proj_mean p w);
-      denom := !denom +. (fcnt *. Gauss_params.proj_var p w))
-    groups;
-  if !denom <= 0.0 then (0.0, 0.0, [])
+  for i = 0 to Array.length groups - 1 do
+    let cls, cnt = groups.(i) in
+    let p = t.classes.(cls) in
+    let fcnt = float_of_int cnt in
+    v_cur := !v_cur +. (fcnt *. Gauss_params.proj_mean p w);
+    denom := !denom +. (fcnt *. Gauss_params.proj_var p w)
+  done;
+  if !denom <= 0.0 then ()
   else begin
     let lambda = damp *. (constr.Constr.target -. !v_cur) /. !denom in
     let dparam = ref 0.0 in
-    Array.iter
-      (fun (cls, _) ->
-        let p = t.classes.(cls) in
-        dparam :=
-          Float.max !dparam (Float.abs (lambda *. Gauss_params.proj_var p w));
-        Gauss_params.apply_linear ~scratch:t.scratch p ~lambda ~w)
-      groups;
-    (lambda, !dparam, [])
+    for i = 0 to Array.length groups - 1 do
+      let cls, _ = groups.(i) in
+      let p = t.classes.(cls) in
+      dparam :=
+        Float.max !dparam (Float.abs (lambda *. Gauss_params.proj_var p w));
+      Gauss_params.apply_linear ~scratch:t.scratch p ~lambda ~w
+    done;
+    record_step steps ~lambda ~dparam:!dparam
   end
+
+(* The quadratic update's expectation at λ (below), summed over its
+   classes.  Inlined at each call, so the bisection boxes no float. *)
+let[@inline] quadratic_v ~cs ~es ~cnts ~delta lambda =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length cs - 1 do
+    let denom = 1.0 +. (lambda *. cs.(i)) in
+    let q = es.(i) -. delta in
+    acc :=
+      !acc +. (cnts.(i) *. ((cs.(i) /. denom) +. (q *. q /. (denom *. denom))))
+  done;
+  !acc
 
 (* Quadratic constraint: after adding λwwᵀ to Σ⁻¹ and λδw to θ₁, the
    expectation becomes (per class, derivation in DESIGN.md)
      v(λ) = Σ cnt [ c/(1+λc) + (e−δ)²/(1+λc)² ],
    with c = wᵀΣw and e = wᵀm frozen at their pre-update values.  v is
    strictly decreasing on (−1/max c, ∞) with range (0, ∞), so the root of
-   v(λ) = v̂ is unique; we locate it by bracketed bisection with Newton
-   acceleration.  The Woodbury outcome of each class apply is added to
-   [tally], the running counts of the sweep. *)
-let update_quadratic t idx ~damp ~tally =
+   v(λ) = v̂ is unique; we bracket it (doubling outward from 1/max c when
+   it is positive) and bisect the bracket.  The Woodbury outcome of each
+   class apply is added to [tally], the running counts of the sweep.
+   Returns the faults of the class applies, newest first. *)
+let update_quadratic t idx ~damp ~tally ~steps =
   let constr = t.constraints.(idx) in
   let w = constr.Constr.w in
   let delta = constr.Constr.shift in
@@ -196,28 +220,21 @@ let update_quadratic t idx ~damp ~tally =
   let cs = Array.make k 0.0
   and es = Array.make k 0.0
   and cnts = Array.make k 0.0 in
-  Array.iteri
-    (fun i (cls, cnt) ->
-      let p = t.classes.(cls) in
-      cs.(i) <- Gauss_params.proj_var p w;
-      es.(i) <- Gauss_params.proj_mean p w;
-      cnts.(i) <- float_of_int cnt)
-    groups;
-  let c_max = Array.fold_left Float.max 0.0 cs in
-  let v lambda =
-    let acc = ref 0.0 in
-    for i = 0 to k - 1 do
-      let denom = 1.0 +. (lambda *. cs.(i)) in
-      let q = es.(i) -. delta in
-      acc := !acc +. (cnts.(i) *. ((cs.(i) /. denom) +. (q *. q /. (denom *. denom))))
-    done;
-    !acc
-  in
+  let c_max = ref 0.0 in
+  for i = 0 to k - 1 do
+    let cls, cnt = groups.(i) in
+    let p = t.classes.(cls) in
+    cs.(i) <- Gauss_params.proj_var p w;
+    es.(i) <- Gauss_params.proj_mean p w;
+    cnts.(i) <- float_of_int cnt;
+    c_max := Float.max !c_max cs.(i)
+  done;
+  let c_max = !c_max in
   let v_hat = Float.max constr.Constr.target 0.0 in
-  if c_max <= 0.0 then (0.0, 0.0, []) (* direction already degenerate: frozen *)
+  if c_max <= 0.0 then [] (* direction already degenerate: frozen *)
   else begin
     let lo = -1.0 /. c_max in
-    let v0 = v 0.0 in
+    let v0 = quadratic_v ~cs ~es ~cnts ~delta 0.0 in
     let lambda =
       if Float.abs (v0 -. v_hat) <= 1e-14 *. Float.max 1.0 v_hat then 0.0
       else begin
@@ -227,7 +244,9 @@ let update_quadratic t idx ~damp ~tally =
           (* Root is at positive λ: expand b upward. *)
           a := 0.0;
           b := 1.0 /. c_max;
-          while v !b > v_hat && !b < lambda_cap do
+          while
+            quadratic_v ~cs ~es ~cnts ~delta !b > v_hat && !b < lambda_cap
+          do
             b := !b *. 2.0
           done;
           if !b > lambda_cap then b := lambda_cap
@@ -237,14 +256,14 @@ let update_quadratic t idx ~damp ~tally =
           a := lo *. (1.0 -. 1e-12);
           b := 0.0
         end;
-        (* Bisection with a Newton refinement step each iteration. *)
+        (* Bisection: halve the bracket until it is 1e-14 wide, relative. *)
         let x = ref (0.5 *. (!a +. !b)) in
         let iter = ref 0 in
         while !iter < 200 && (!b -. !a) > 1e-14 *. (1.0 +. Float.abs !x) do
           incr iter;
           x := 0.5 *. (!a +. !b);
-          let vx = v !x in
-          if vx > v_hat then a := !x else b := !x
+          if quadratic_v ~cs ~es ~cnts ~delta !x > v_hat then a := !x
+          else b := !x
         done;
         0.5 *. (!a +. !b)
       end
@@ -253,7 +272,7 @@ let update_quadratic t idx ~damp ~tally =
        to the feasible interval (−1/max c, ∞), a damped step can never
        leave it. *)
     let lambda = damp *. lambda in
-    if Float.equal lambda 0.0 then (0.0, 0.0, [])
+    if Float.equal lambda 0.0 then []
     else begin
       (* Faults are consed as the classes go: the list is newest first. *)
       let dp = ref 0.0 and faults = ref [] in
@@ -285,7 +304,8 @@ let update_quadratic t idx ~damp ~tally =
                frozen for this update"
             :: !faults
       done;
-      (lambda, !dp, !faults)
+      record_step steps ~lambda ~dparam:!dp;
+      !faults
     end
   end
 
@@ -309,13 +329,16 @@ let first_bad_class t =
 let restore_classes t snapshot =
   Array.iteri (fun cls p -> t.classes.(cls) <- Gauss_params.copy p) snapshot
 
-(* One constraint update.  It records no telemetry: a constraint update
-   is hundreds per solve, each ~10 µs of useful work, so the solver
-   records at sweep granularity only — see [solve_body]. *)
-let run_update t idx (constr : Constr.t) ~damp ~tally =
+(* One constraint update: its step goes into [steps], and it returns
+   its faults.  It records no telemetry: a constraint update is hundreds
+   per solve, each ~10 µs of useful work, so the solver records at sweep
+   granularity only — see [solve_body]. *)
+let run_update t idx (constr : Constr.t) ~damp ~tally ~steps =
   match constr.Constr.kind with
-  | Constr.Linear -> update_linear t idx ~damp
-  | Constr.Quadratic -> update_quadratic t idx ~damp ~tally
+  | Constr.Linear ->
+    update_linear t idx ~damp ~steps;
+    []
+  | Constr.Quadratic -> update_quadratic t idx ~damp ~tally ~steps
 
 (* A sweep's Woodbury outcomes into the [gauss.woodbury.*] counters, once
    per sweep; a zero count leaves its counter untouched (and unmade). *)
@@ -327,8 +350,7 @@ let count_woodbury tally =
 
 (* Wall clock off the process-epoch monotonic base in lib/obs — the one
    sanctioned clock, so cutoff and [elapsed] agree with the telemetry
-   timeline and stay meaningful when sweeps fan out across domains
-   (CPU time used to multiply by the domain count). *)
+   timeline. *)
 let now_s () = Int64.to_float (Obs.now_ns ()) *. 1e-9
 
 (* Iterative scaling: full sweeps over every constraint, starting from
@@ -387,15 +409,13 @@ let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
     Array.iteri
       (fun cls p -> Gauss_params.copy_into ~dst:snapshot.(cls) p)
       t.classes;
-    let max_dl = ref 0.0 and max_dp = ref 0.0 in
+    let steps = { max_dl = 0.0; max_dp = 0.0 } in
     let tally = { fast = 0; recompute = 0; frozen = 0 } in
     Array.iteri
       (fun idx constr ->
-        let dl, dp, faults = run_update t idx constr ~damp:!damp ~tally in
+        let faults = run_update t idx constr ~damp:!damp ~tally ~steps in
         incr updates;
-        List.iter degrade faults;
-        max_dl := Float.max !max_dl (Float.abs dl);
-        max_dp := Float.max !max_dp dp)
+        List.iter degrade faults)
       t.constraints;
     (Obs.count ~by:(Array.length t.constraints) "solver.updates")
     [@sider.allow "obs-hygiene"];
@@ -432,19 +452,20 @@ let solve_body ~max_sweeps ~lambda_tol ~param_tol ~time_cutoff ~trace t =
          stop := true
        end
      | None ->
-       last_dlambda := !max_dl;
-       last_dparam := !max_dp;
+       last_dlambda := steps.max_dl;
+       last_dparam := steps.max_dp;
        (match trace with
         | Some f ->
-          f { sweep; updates = !updates; max_dlambda = !max_dl;
-              max_dparam = !max_dp; woodbury_fast = tally.fast;
+          f { sweep; updates = !updates; max_dlambda = steps.max_dl;
+              max_dparam = steps.max_dp; woodbury_fast = tally.fast;
               woodbury_recompute = tally.recompute;
               woodbury_frozen = tally.frozen }
         | None -> ());
        (* A clean sweep earns the step size back (symmetric to the
           halving on failure, capped at the exact step). *)
        if !damp < 1.0 then damp := Float.min 1.0 (!damp *. 2.0);
-       if !max_dl <= lambda_tol || !max_dp <= param_tol *. t.data_sd then
+       if steps.max_dl <= lambda_tol || steps.max_dp <= param_tol *. t.data_sd
+       then
          converged := true)
   done;
   {

@@ -265,15 +265,10 @@ let sink_installed () = !current_sink <> None
 let current_depth () =
   match find_stack (self_id ()) with Some s -> List.length !s | None -> 0
 
-(* Bumped (under the registry mutex) every time the registry is cleared,
-   so preregistered instrument handles notice and rebind lazily. *)
-let registry_gen = ref 0
-
 let reset () =
   locked (fun () ->
       Hashtbl.reset registry;
-      Hashtbl.reset family_sets;
-      incr registry_gen);
+      Hashtbl.reset family_sets);
   clear_stacks ()
 
 (* --- metrics -------------------------------------------------------------- *)
@@ -286,12 +281,6 @@ let counter_ref name =
     let r = ref 0 in
     Hashtbl.add registry name (I_counter r);
     r
-
-let count ?(by = 1) name =
-  if !active then
-    locked (fun () ->
-        let r = counter_ref name in
-        r := !r + by)
 
 let counter_value name =
   locked (fun () ->
@@ -321,16 +310,13 @@ let hist_push_locked name v =
   in
   hist_push h v
 
-let observe name v =
-  if !active then locked (fun () -> hist_push_locked name v)
-
 (* --- labeled metrics ------------------------------------------------------- *)
 
 (* Labels are encoded into the registry key itself as the canonical
    suffix [base{k="v",...}] — keys sorted, values escaped exactly as the
    Prometheus exposition format escapes label values (backslash, quote,
    newline).  A labeled series is therefore just another named
-   instrument: the [metric] shape, snapshots, sinks and handles all work
+   instrument: the [metric] shape, snapshots and sinks all work
    unchanged, and [split_labeled] is the exact inverse the exposition
    layer (and `sider top`) uses to recover the label set.
 
@@ -430,68 +416,19 @@ let resolve_labeled name labels =
     else labeled_name name (List.map (fun (k, _) -> (k, "other")) labels)
   end
 
-let count_labeled name labels =
+(* Every write takes [registry_m] and hashes its series key; a labeled
+   one composes that key first (a sort, an escape and a buffer: 60–75
+   words).  So a site records once per sweep or request, never per
+   row or per constraint update (the obs-hygiene lint rule). *)
+let count ?(by = 1) ?(labels = []) name =
   if !active then
-    locked (fun () -> incr (counter_ref (resolve_labeled name labels)))
+    locked (fun () ->
+        let r = counter_ref (resolve_labeled name labels) in
+        r := !r + by)
 
-let observe_labeled name labels v =
+let observe ?(labels = []) name v =
   if !active then
     locked (fun () -> hist_push_locked (resolve_labeled name labels) v)
-
-(* --- preregistered histogram handles -------------------------------------- *)
-
-(* [observe] pays a mutex acquisition plus a hashtable lookup per call —
-   fine for coarse events, too heavy for a per-constraint-update site
-   that fires hundreds of times per solve.  A handle caches the bound
-   accumulator and pushes without the registry mutex.  This is sound
-   under the layer's writer discipline: handles are only ever written
-   from the controller domain (worker domains go through [observe]),
-   and concurrent readers are either same-domain systhreads (serialized
-   by the runtime lock at safepoints, and [hist_push] reaches none
-   once it starts changing the accumulator) or take a snapshot under
-   the registry mutex after the controller is quiescent. *)
-
-type hist = {
-  h_name : string;
-  mutable h_acc : hist_acc;
-  mutable h_gen : int;  (* generation [h_acc] was bound under; -1 = unbound *)
-}
-
-(* A preregistered handle on one labeled series.  The label set is
-   fixed at handle creation, so a handle never consults the cardinality
-   budget on the hot path — but it is charged against it (below) so
-   later dynamic writes see an honest family count. *)
-let labeled_hist name labels =
-  { h_name = labeled_name name labels; h_acc = new_hist_acc 0; h_gen = -1 }
-
-let hist_rebind h =
-  locked (fun () ->
-      let acc =
-        match Hashtbl.find_opt registry h.h_name with
-        | Some (I_hist a) -> a
-        | Some _ ->
-          invalid_arg (Printf.sprintf "Obs: %S is not a histogram" h.h_name)
-        | None ->
-          (match String.index_opt h.h_name '{' with
-           | Some b ->
-             let base = String.sub h.h_name 0 b in
-             let seen =
-               Option.value ~default:0 (Hashtbl.find_opt family_sets base)
-             in
-             Hashtbl.replace family_sets base (seen + 1)
-           | None -> ());
-          let a = new_hist_acc 16 in
-          Hashtbl.add registry h.h_name (I_hist a);
-          a
-      in
-      h.h_acc <- acc;
-      h.h_gen <- !registry_gen)
-
-let observe_into h v =
-  if !active then begin
-    if h.h_gen <> !registry_gen then hist_rebind h;
-    hist_push h.h_acc v
-  end
 
 (* --- GC telemetry --------------------------------------------------------- *)
 
@@ -545,8 +482,8 @@ let finish_span ~id ~stack ~hist fr =
 (* Shared body of [with_span] / [timed]: one clock read on open, one on
    close (the histogram sample reuses the span's own duration), and a
    hand-rolled unwind instead of [Fun.protect] — this path runs per
-   constraint update, so closure and exception-wrapper allocations are
-   worth avoiding. *)
+   solver sweep, so closure and exception-wrapper allocations are worth
+   avoiding. *)
 let with_span_core ~attrs ~hist name f =
   let id = self_id () in
   let stack = open_stack id in

@@ -135,8 +135,9 @@ val current_depth : unit -> int [@@sider.allow "test-hook"]
 
 (** {1 Metrics} *)
 
-val count : ?by:int -> string -> unit
-(** Increment a counter (default [by:1]). *)
+val count : ?by:int -> ?labels:(string * string) list -> string -> unit
+(** Increment a counter (default [by:1]); with [labels], the labeled
+    series of that counter (below). *)
 
 val counter_value : string -> int
 (** Current total of a counter (0 when absent — e.g. layer disabled). *)
@@ -144,10 +145,17 @@ val counter_value : string -> int
 val gauge : string -> float -> unit
 (** Set a gauge to its latest value. *)
 
-val observe : string -> float -> unit
-(** Record one observation into a histogram: it joins the window of the
-    newest 1024 samples (overwriting the oldest once the window is full)
-    and the running [count], [sum] and [max]. *)
+val observe : ?labels:(string * string) list -> string -> float -> unit
+(** Record one observation into a histogram (with [labels], its labeled
+    series): it joins the window of the newest 1024 samples (overwriting
+    the oldest once the window is full) and the running [count], [sum]
+    and [max].
+
+    Every write, {!count}'s too, takes the registry mutex and looks its
+    series up by name; a labeled write first composes the series name
+    (60–75 words).  That is fine once per sweep or request and too
+    heavy per row: the [obs-hygiene] lint rule flags a write inside a
+    loop. *)
 
 (** {2 Labeled metrics}
 
@@ -157,7 +165,7 @@ val observe : string -> float -> unit
     format escapes label values (backslash, double quote, newline).
     {!split_labeled} is the exact inverse of {!labeled_name}; the
     exposition layer uses the pair to render proper labeled families,
-    and everything else (snapshots, sinks, handles) works unchanged.
+    and everything else (snapshots, sinks) works unchanged.
 
     Cardinality is bounded {e per family}: the first
     [max_label_sets] (default 32) distinct label sets observed for a
@@ -187,37 +195,6 @@ val json_escape : string -> string
 
 val set_max_label_sets : int -> unit [@@sider.allow "test-hook"]
 (** Per-family cardinality budget (clamped to at least 1). *)
-
-val count_labeled : string -> (string * string) list -> unit
-(** Increment the labeled series' counter by one, subject to the family's
-    cardinality budget. *)
-
-val observe_labeled : string -> (string * string) list -> float -> unit
-(** Record one observation into the labeled series' histogram, subject
-    to the family's cardinality budget.  Pays the registry mutex plus a
-    key allocation per call — fine per request, too heavy per row; loops
-    must preregister a {!labeled_hist} handle instead (the [obs-hygiene]
-    lint rule enforces this). *)
-
-type hist
-(** Preregistered histogram handle: the name is resolved (and the
-    histogram created) lazily on first use, then cached so the hot path
-    skips the registry mutex and hashtable lookup {!observe} pays per
-    call.  Handles survive {!reset} — they rebind on next use.  Writer
-    discipline: a handle must only be written from the controller
-    domain; worker-domain code records through {!observe}. *)
-
-val labeled_hist : string -> (string * string) list -> hist
-(** Make a handle for the named histogram's series with these labels
-    ([[]] is the unlabeled histogram).  Cheap; allocates nothing in the
-    registry until the first {!observe_into} with the layer on.  The
-    label set is fixed at creation and charged against the family's
-    cardinality budget on first bind.  The hot
-    path never re-encodes labels or consults the budget. *)
-
-val observe_into : hist -> float -> unit
-(** Record one observation through a handle, into the same window and
-    totals as {!observe} (no-op while disabled). *)
 
 val timed : ?attrs:(string * value) list -> hist:string -> string ->
   (unit -> 'a) -> 'a

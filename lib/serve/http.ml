@@ -616,21 +616,29 @@ let client_sock c =
        (try Unix.close sock with Unix.Unix_error _ -> ());
        Error (Printf.sprintf "connect: %s" (Unix.error_message err)))
 
+(* The head, then one [Bytes] of exactly head + body: a create's body is
+   copied once, and the request goes out in one write.  Neither side sets
+   [TCP_NODELAY], so a second, small write could wait on the peer's
+   delayed ACK. *)
 let send_request ~headers ?body ~meth fd path =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
+  let head = Buffer.create 256 in
+  Buffer.add_string head
     (Printf.sprintf "%s %s HTTP/1.1\r\nHost: localhost\r\n" meth path);
   List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
+    (fun (k, v) -> Buffer.add_string head (Printf.sprintf "%s: %s\r\n" k v))
     headers;
   (match body with
    | Some body ->
-     Buffer.add_string b
+     Buffer.add_string head
        (Printf.sprintf "Content-Length: %d\r\n" (String.length body))
    | None -> ());
-  Buffer.add_string b "\r\n";
-  (match body with Some body -> Buffer.add_string b body | None -> ());
-  ignore (write_all fd (Buffer.to_bytes b) 0 (Buffer.length b))
+  Buffer.add_string head "\r\n";
+  let body = Option.value body ~default:"" in
+  let hl = Buffer.length head and bl = String.length body in
+  let msg = Bytes.create (hl + bl) in
+  Buffer.blit head 0 msg 0 hl;
+  Bytes.blit_string body 0 msg hl bl;
+  ignore (write_all fd msg 0 (hl + bl))
 
 (* Methods safe to re-send automatically.  A reused connection that
    closes without a response usually means the server idle-closed it

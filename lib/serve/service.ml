@@ -285,14 +285,6 @@ let release out =
 
 (* --- request context -------------------------------------------------------- *)
 
-(* Pipeline-stage histograms, labeled by stage.  Preregistered handles:
-   the per-request path must never do by-name labeled lookups in a loop
-   (obs-hygiene R6), and handles skip the registry probe entirely. *)
-let stage_queue = Obs.labeled_hist "serve.stage_s" [ ("stage", "queue") ]
-let stage_journal = Obs.labeled_hist "serve.stage_s" [ ("stage", "journal") ]
-let stage_solve = Obs.labeled_hist "serve.stage_s" [ ("stage", "solve") ]
-let stage_project = Obs.labeled_hist "serve.stage_s" [ ("stage", "project") ]
-
 (* Per-request observability state, threaded from [serve_one] through
    the route handlers and back into the access-log line. *)
 type req_ctx = {
@@ -317,7 +309,8 @@ let journal_event ctx (entry : Registry.entry) event =
     Persist.journal_append j event;
     let dt = ns_span t0 in
     ctx.rc_journal_ns <- Int64.add ctx.rc_journal_ns dt;
-    Obs.observe_into stage_journal (Int64.to_float dt /. 1e9)
+    Obs.observe ~labels:[ ("stage", "journal") ] "serve.stage_s"
+      (Int64.to_float dt /. 1e9)
 
 (* Run [f] with the per-session lock held; 404 if the id is unknown or
    the entry lost a race with DELETE.  Touches the entry (resetting its
@@ -457,7 +450,8 @@ let handle_update t ctx w (req : Http.request) id ~deadline_at =
   let result =
     Session.update_background ~trace:ctx.rc_trace ~time_cutoff ?max_sweeps s
   in
-  Obs.observe_into stage_solve (Int64.to_float (ns_span t0) /. 1e9);
+  Obs.observe ~labels:[ ("stage", "solve") ] "serve.stage_s"
+    (Int64.to_float (ns_span t0) /. 1e9);
   (match result with
    | Ok (r : Sider_maxent.Solver.report) -> ctx.rc_sweeps <- r.sweeps
    | Error _ -> ());
@@ -476,7 +470,8 @@ let handle_view t ctx out (req : Http.request) id =
   let t0 = Obs.now_ns () in
   ignore (Session.recompute_view ~method_:m s);
   write_projection out.w s;
-  Obs.observe_into stage_project (Int64.to_float (ns_span t0) /. 1e9);
+  Obs.observe ~labels:[ ("stage", "project") ] "serve.stage_s"
+    (Int64.to_float (ns_span t0) /. 1e9);
   crash_poll req.path;
   Registry.maybe_compact t.registry entry;
   (200, json)
@@ -561,7 +556,8 @@ let route t ctx out (req : Http.request) ~deadline_at =
         let s = Registry.session ~trace:ctx.rc_trace entry in
         let t0 = Obs.now_ns () in
         write_projection w s;
-        Obs.observe_into stage_project (Int64.to_float (ns_span t0) /. 1e9);
+        Obs.observe ~labels:[ ("stage", "project") ] "serve.stage_s"
+          (Int64.to_float (ns_span t0) /. 1e9);
         (200, json))
   | _, ("sessions" :: _ | [ "healthz" ] | [ "metrics" ] | [ "slo" ]) ->
     text w 405 json (err_body "method-not-allowed" (req.meth ^ " " ^ req.path))
@@ -646,10 +642,10 @@ let access_log_line t ctx ~route ~meth ~path ~status ~dur_s ~queue_s =
    access log. *)
 let finish t ~t0 ~queue_s ~ctx ~route ~meth ~path ~status ~slo =
   let dur_s = now_s () -. t0 in
-  Obs.observe_labeled "serve.request_s"
-    [ ("route", route); ("status", string_of_int status) ]
-    dur_s;
-  Obs.count_labeled "serve.tenant_requests" [ ("tenant", ctx.rc_tenant) ];
+  Obs.observe
+    ~labels:[ ("route", route); ("status", string_of_int status) ]
+    "serve.request_s" dur_s;
+  Obs.count ~labels:[ ("tenant", ctx.rc_tenant) ] "serve.tenant_requests";
   if slo then Slo.record t.slo ~status ~dur_s;
   access_log_line t ctx ~route ~meth ~path ~status ~dur_s ~queue_s
 
@@ -663,7 +659,7 @@ let serve_one t out conn =
   Obs.count "serve.requests";
   let t0 = now_s () in
   let queue_s = Float.max 0.0 (t0 -. conn.c_enqueued_at) in
-  Obs.observe_into stage_queue queue_s;
+  Obs.observe ~labels:[ ("stage", "queue") ] "serve.stage_s" queue_s;
   let deadline_at = conn.c_enqueued_at +. t.config.deadline_s in
   (* Responses emitted before a request parses still carry a (fresh)
      trace id and still produce an access-log line; the read errors are

@@ -273,8 +273,9 @@ let test_labeled_cardinality () =
       Obs.set_max_label_sets 4;
       Fun.protect ~finally:(fun () -> Obs.set_max_label_sets 32) @@ fun () ->
       for i = 1 to 100 do
-        (Obs.count_labeled "fam.requests"
-           [ ("tenant", Printf.sprintf "t%02d" i) ]
+        (Obs.count
+           ~labels:[ ("tenant", Printf.sprintf "t%02d" i) ]
+           "fam.requests"
          [@sider.allow "obs-hygiene"])
       done;
       let series =
@@ -293,37 +294,87 @@ let test_labeled_cardinality () =
          Alcotest.(check int) "overflow absorbs the tail" 96 total
        | None -> Alcotest.fail "overflow bucket missing");
       (* First-seen tenants keep their own series and keep counting. *)
-      Obs.count_labeled "fam.requests" [ ("tenant", "t01") ];
+      Obs.count ~labels:[ ("tenant", "t01") ] "fam.requests";
       Alcotest.(check int) "established series still addressable" 2
         (Obs.counter_value
            (Obs.labeled_name "fam.requests" [ ("tenant", "t01") ])))
 
-(* --- preregistered histogram handles -------------------------------------- *)
+(* --- one series key --------------------------------------------------------- *)
 
-let test_hist_handle () =
-  let h = Obs.labeled_hist "hh.latency_s" [] in
-  (* Disabled layer: the handle records nothing and registers nothing. *)
-  Obs.observe_into h 9.0;
+(* A labeled write lands on the series its composed name names, the
+   same one a by-name write of that name reaches; a reset forgets the
+   series and the family's budget with it. *)
+let test_labeled_series_key () =
+  let labels = [ ("stage", "solve") ] in
+  let key = Obs.labeled_name "hh.latency_s" labels in
+  (* Disabled layer: nothing is recorded and nothing registered. *)
+  Obs.observe ~labels "hh.latency_s" 9.0;
   with_recording (fun _ ->
       Alcotest.(check bool) "no registration while disabled" true
-        (find_hist "hh.latency_s" (Obs.metrics_snapshot ()) = None);
-      (* Handle pushes and name-based observes land in one histogram. *)
-      Obs.observe_into h 0.25;
-      Obs.observe "hh.latency_s" 0.75;
-      (match find_hist "hh.latency_s" (Obs.metrics_snapshot ()) with
+        (find_hist key (Obs.metrics_snapshot ()) = None);
+      Obs.observe ~labels "hh.latency_s" 0.25;
+      Obs.observe key 0.75;
+      (match find_hist key (Obs.metrics_snapshot ()) with
        | Some (count, sum, _, _, _) ->
          Alcotest.(check int) "merged count" 2 count;
          approx "merged sum" 1.0 sum
-       | None -> Alcotest.fail "handle histogram missing");
-      (* A reset orphans the cached accumulator; the handle must rebind
-         instead of writing into the dead one. *)
+       | None -> Alcotest.fail "labeled histogram missing");
+      Obs.observe ~labels:[] "hh.plain_s" 1.0;
+      check_true "empty labels write the base name"
+        (find_hist "hh.plain_s" (Obs.metrics_snapshot ()) <> None);
+      Obs.set_max_label_sets 1;
+      Fun.protect ~finally:(fun () -> Obs.set_max_label_sets 32) @@ fun () ->
       Obs.reset ();
-      Obs.observe_into h 0.5;
-      match find_hist "hh.latency_s" (Obs.metrics_snapshot ()) with
-      | Some (count, sum, _, _, _) ->
-        Alcotest.(check int) "count after reset" 1 count;
-        approx "sum after reset" 0.5 sum
-      | None -> Alcotest.fail "handle did not rebind after reset")
+      Obs.observe ~labels:[ ("stage", "queue") ] "hh.latency_s" 0.5;
+      Obs.observe ~labels "hh.latency_s" 0.5;
+      let other = Obs.labeled_name "hh.latency_s" [ ("stage", "other") ] in
+      let snapshot = Obs.metrics_snapshot () in
+      Alcotest.(check bool) "the old series is gone" true
+        (find_hist key snapshot = None);
+      match
+        ( find_hist
+            (Obs.labeled_name "hh.latency_s" [ ("stage", "queue") ])
+            snapshot,
+          find_hist other snapshot )
+      with
+      | Some (1, _, _, _, _), Some (1, _, _, _, _) -> ()
+      | _ ->
+        Alcotest.fail
+          "after a reset the first label set is the family's own series")
+
+(* Every write takes the registry mutex, from any thread on any domain:
+   two domains and two systhreads writing one labeled series lose
+   nothing.  The values are integers, so the sum is exact in any
+   order. *)
+let test_concurrent_labeled_writes () =
+  with_recording (fun _ ->
+      let labels = [ ("stage", "solve") ] in
+      let per_writer = 10_000 in
+      let writer base () =
+        for i = 1 to per_writer do
+          (Obs.observe ~labels "cw.latency_s" (float_of_int (base + i))
+           [@sider.allow "obs-hygiene"]);
+          (Obs.count ~labels "cw.writes" [@sider.allow "obs-hygiene"])
+        done
+      in
+      let d1 = Domain.spawn (writer 0) in
+      let d2 = Domain.spawn (writer per_writer) in
+      let t1 = Thread.create (writer (2 * per_writer)) () in
+      let t2 = Thread.create (writer (3 * per_writer)) () in
+      Domain.join d1;
+      Domain.join d2;
+      Thread.join t1;
+      Thread.join t2;
+      let n = 4 * per_writer in
+      let snapshot = Obs.metrics_snapshot () in
+      (match find_hist (Obs.labeled_name "cw.latency_s" labels) snapshot with
+       | Some (count, sum, _, _, max) ->
+         Alcotest.(check int) "every observation counted" n count;
+         approx ~eps:0.0 "exact sum" (float_of_int (n * (n + 1) / 2)) sum;
+         approx ~eps:0.0 "max" (float_of_int n) max
+       | None -> Alcotest.fail "concurrent histogram missing");
+      Alcotest.(check int) "every count counted" n
+        (Obs.counter_value (Obs.labeled_name "cw.writes" labels)))
 
 (* --- bounded telemetry memory --------------------------------------------- *)
 
@@ -337,8 +388,7 @@ let hist_fields name metrics =
     metrics
 
 (* A histogram's quantiles cover its newest 1024 samples; count, sum and
-   max cover every observation.  The writes alternate between the
-   by-name path and a handle, which share one accumulator. *)
+   max cover every observation. *)
 let test_hist_window () =
   let window = 1024 in
   let n = (10 * window) + 7 in
@@ -349,12 +399,8 @@ let test_hist_window () =
     Array.init n (fun i -> if i = 0 then 1e3 else Sider_rand.Rng.float rng)
   in
   with_recording (fun _ ->
-      let h = Obs.labeled_hist "win.latency_s" [] in
-      Array.iteri
-        (fun i v ->
-          if i mod 2 = 0 then
-            (Obs.observe "win.latency_s" v [@sider.allow "obs-hygiene"])
-          else Obs.observe_into h v)
+      Array.iter
+        (fun v -> (Obs.observe "win.latency_s" v [@sider.allow "obs-hygiene"]))
         values;
       match hist_fields "win.latency_s" (Obs.metrics_snapshot ()) with
       | None -> Alcotest.fail "windowed histogram missing"
@@ -375,11 +421,11 @@ let test_hist_window () =
    count. *)
 let test_hist_memory_bounded () =
   with_recording (fun _ ->
-      let h = Obs.labeled_hist "win.heap_s" [] in
-      Obs.observe_into h 0.0;
+      Obs.observe "win.heap_s" 0.0;
       let before = (Gc.quick_stat ()).Gc.heap_words in
       for i = 1 to 2_000_000 do
-        Obs.observe_into h (float_of_int i)
+        (Obs.observe "win.heap_s" (float_of_int i)
+         [@sider.allow "obs-hygiene"])
       done;
       let grown = (Gc.quick_stat ()).Gc.heap_words - before in
       if grown >= 256 * 1024 then
@@ -633,8 +679,8 @@ let suite =
       test_label_escape;
     case "labeled families keep first-K series plus an overflow bucket"
       test_labeled_cardinality;
-    case "histogram handles merge with named observes and survive reset"
-      test_hist_handle;
+    case "labeled writes share the composed key and start over on reset"
+      test_labeled_series_key;
     case "histogram quantiles cover the newest 1024, totals every sample"
       test_hist_window;
     case "2M histogram observations leave the heap size flat"
@@ -652,4 +698,6 @@ let suite =
       test_off_controller_spans;
     case "solver is bit-deterministic with and without sinks"
       test_solver_determinism;
+    case "two domains and two threads write one labeled series exactly"
+      test_concurrent_labeled_writes;
   ]

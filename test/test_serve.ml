@@ -195,10 +195,10 @@ let test_live_scrape () =
   run_update session;
   (* Labeled families alongside the solver's plain instruments: the
      scrape below must render and re-parse them. *)
-  Obs.count_labeled "serve.tenant_requests" [ ("tenant", "scrape-test") ];
-  Obs.observe_labeled "serve.request_s"
-    [ ("route", "update"); ("status", "200") ]
-    0.05;
+  Obs.count ~labels:[ ("tenant", "scrape-test") ] "serve.tenant_requests";
+  Obs.observe
+    ~labels:[ ("route", "update"); ("status", "200") ]
+    "serve.request_s" 0.05;
   let server = Service.start () in
   Fun.protect ~finally:(fun () -> Service.stop server) @@ fun () ->
   let port = Service.port server in

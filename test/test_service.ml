@@ -96,6 +96,53 @@ let test_lifecycle () =
   status_is "delete" 204 (req svc "DELETE" ("/sessions/" ^ id));
   status_is "gone" 404 (req svc "GET" ("/sessions/" ^ id))
 
+(* The stage series the end-to-end benchmark reads from /metrics
+   ([Service.queue_s] ... [Service.project_s]): every request observes
+   its queue wait, a journaled constraint, update and view their journal
+   append, the update its solve, and the view and the projection GET
+   their print. *)
+let test_stage_series () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Sider_obs.Obs.reset ();
+  Fun.protect ~finally:Sider_obs.Obs.reset @@ fun () ->
+  with_sink (Some Sider_obs.Obs.null_sink) @@ fun () ->
+  with_service ~data_dir:dir @@ fun svc ->
+  let id = create_session svc in
+  let session path = "/sessions/" ^ id ^ path in
+  status_is "constraint" 200
+    (req svc ~body:cluster_body "POST" (session "/constraints"));
+  status_is "update" 200 (req svc ~body:update_body "POST" (session "/update"));
+  status_is "view" 200
+    (req svc ~body:{|{"method":"pca"}|} "POST" (session "/view"));
+  status_is "projection" 200 (req svc "GET" (session "/projection"));
+  let r = req svc "GET" "/metrics" in
+  status_is "metrics" 200 r;
+  let samples =
+    String.split_on_char '\n' r.Http.r_body
+    |> List.filter_map Serve.parse_sample
+  in
+  let sample name stage =
+    match
+      List.find_opt
+        (fun (n, ls, _) -> n = name && ls = [ ("stage", stage) ])
+        samples
+    with
+    | Some (_, _, v) -> v
+    | None -> Alcotest.failf "%s{stage=%S} missing from /metrics" name stage
+  in
+  List.iter
+    (fun (stage, count) ->
+      Alcotest.(check (float 0.0)) (stage ^ " count") (float_of_int count)
+        (sample "sider_serve_stage_s_count" stage);
+      let sum = sample "sider_serve_stage_s_sum" stage in
+      check_true (stage ^ " sum is a finite non-negative time")
+        (Float.is_finite sum && sum >= 0.0))
+    (* Six requests wait in the queue: the five above and the scrape. *)
+    [ ("queue", 6); ("journal", 3); ("solve", 1); ("project", 2) ];
+  check_true "the solve took time"
+    (sample "sider_serve_stage_s_sum" "solve" > 0.0)
+
 (* --- validation and error mapping ------------------------------------------------ *)
 
 let test_error_mapping () =
@@ -666,6 +713,84 @@ let test_streamed_create_major_heap () =
     Alcotest.failf
       "reading and decoding a create body put %d words on the major heap, nd + 2n = %d"
       major ((n * d) + (2 * n))
+
+(* A warm client create allocates about one copy of its body: the
+   request goes out as one [Bytes] of exactly head + body.  The server is
+   a thread of this domain that reads into one preallocated buffer and
+   answers a fixed 201, so nothing it does in the window is counted. *)
+let test_client_create_words () =
+  let body =
+    Printf.sprintf {|{"dataset":%s,"method":"pca","seed":1}|}
+      (Json.to_string (Persist.dataset_to_json (reads_dataset ())))
+  in
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close lsock with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "loopback socket has no port"
+  in
+  let buf = Bytes.create 65536 in
+  let answer =
+    Bytes.of_string "HTTP/1.1 201 Created\r\nContent-Length: 2\r\n\r\n{}"
+  in
+  (* Reads up to the blank line that ends a request's head, then the
+     body's length past it. *)
+  let read_request c =
+    let crlf = ref 0 and left = ref max_int in
+    while !left > 0 do
+      let k = Unix.read c buf 0 (Bytes.length buf) in
+      if k = 0 then raise End_of_file;
+      if !left = max_int then begin
+        let i = ref 0 in
+        while !left = max_int && !i < k do
+          let ch = Bytes.get buf !i in
+          crlf :=
+            if ch = (if !crlf land 1 = 0 then '\r' else '\n') then !crlf + 1
+            else if ch = '\r' then 1
+            else 0;
+          incr i;
+          if !crlf = 4 then left := String.length body - (k - !i)
+        done
+      end
+      else left := !left - k
+    done
+  in
+  let serve () =
+    match Unix.select [ lsock ] [] [] 10.0 with
+    | [], _, _ -> ()
+    | _ ->
+      let c, _ = Unix.accept lsock in
+      Fun.protect ~finally:(fun () -> Unix.close c) @@ fun () ->
+      Unix.setsockopt_float c Unix.SO_RCVTIMEO 10.0;
+      (try
+         for _ = 1 to 2 do
+           read_request c;
+           ignore (Unix.write c answer 0 (Bytes.length answer))
+         done
+       with End_of_file | Unix.Unix_error _ -> ())
+  in
+  let server = Thread.create serve () in
+  Fun.protect ~finally:(fun () -> Thread.join server) @@ fun () ->
+  let c = Http.client ~timeout_s:10.0 ~port () in
+  Fun.protect ~finally:(fun () -> Http.client_close c) @@ fun () ->
+  let send () = Http.client_request ~body c ~meth:"POST" "/sessions" in
+  let created what = function
+    | Ok r -> Alcotest.(check int) what 201 r.Http.status
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  created "first create" (send ());
+  let r, words = allocated_words send in
+  created "warm create" r;
+  let body_words = String.length body / 8 in
+  if words > body_words + 1024 then
+    Alcotest.failf
+      "a warm create of a %d-byte body allocated %d words; one copy is %d"
+      (String.length body) words body_words
 
 (* Every body gets the status, error label and detail the tree path
    gave, over HTTP; an accepted one decodes to the bits of
@@ -2792,4 +2917,8 @@ let suite =
       test_client_body_follows_bytes;
     case "a changed header fails the next compaction, not a read or write"
       test_changed_header_fails_next_compaction;
+    case "warm client create allocates about one copy of its body"
+      test_client_create_words;
+    case "/metrics carries the stage series each request implies"
+      test_stage_series;
   ]

@@ -1,13 +1,15 @@
-(* [obs-hygiene] negative fixture: a preregistered handle inside the
-   loop, by-name lookups only outside loops — must stay silent. *)
+(* [obs-hygiene] negative fixture: the loop tallies locally and the
+   writes, labeled or not, happen once after it — must stay silent. *)
 
-let row_hist = Sider_obs.Obs.labeled_hist "fixture.row" []
-
-let observe_per_row (xs : float array) =
+let observe_per_batch (xs : float array) =
+  let total = ref 0.0 in
   for i = 0 to Array.length xs - 1 do
-    Sider_obs.Obs.observe_into row_hist xs.(i)
-  done
+    total := !total +. xs.(i)
+  done;
+  Sider_obs.Obs.observe "fixture.batch_sum" !total;
+  Sider_obs.Obs.count ~by:(Array.length xs) "fixture.rows"
 
-let summarize total =
+let summarize id total =
   Sider_obs.Obs.gauge "fixture.total" total;
-  Sider_obs.Obs.count "fixture.batches"
+  Sider_obs.Obs.count ~labels:[ ("tenant", id) ] "fixture.batches";
+  Sider_obs.Obs.observe ~labels:[ ("tenant", id) ] "fixture.batch_s" 0.1

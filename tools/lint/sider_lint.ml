@@ -16,14 +16,12 @@
    - [float-equality]   (R3b) in the same directories, polymorphic =/<>
      on float operands is flagged (NaN hazard; use Float.equal or an
      explicit tolerance).
-   - [obs-hygiene]      (R4) by-name Obs.count / Obs.gauge / Obs.observe
-     / Obs.counter_value lookups inside loops are flagged — hot paths
-     must use preregistered handles (Obs.labeled_hist / observe_into),
-     per the PR 4 overhead budget.  (R6) the labeled variants
-     Obs.count_labeled / Obs.observe_labeled are flagged the same way:
-     a labeled by-name call re-resolves the composed series key (label
-     sort + escape + hash + mutex) per iteration, so loops must
-     preregister an Obs.labeled_hist handle instead.
+   - [obs-hygiene]      (R4) Obs.count / Obs.gauge / Obs.observe /
+     Obs.counter_value calls inside loops are flagged, labeled or not:
+     each takes the registry mutex and hashes its series name, and a
+     labeled one first sorts and escapes its labels to compose that
+     name.  Record once per sweep or request, outside the loop, as the
+     solver's Woodbury tally does.
    - [alloc-in-hot-loop] (R5) in lib/linalg, lib/maxent and
      lib/projection, allocating Mat operations (matmul / add / map /
      ... — anything with an [_into] sibling) inside a loop are flagged:
@@ -207,7 +205,7 @@ let allow_ids (attrs : Parsetree.attributes) : string list =
     attrs
 
 (* Same extraction without the unknown-id findings: the summary pass
-   (phase 1 of R7-R10) re-reads the attributes the R1-R6 walk already
+   (phase 1 of R7-R10) re-reads the attributes the R1-R5 walk already
    validated, so reporting again would duplicate findings. *)
 let silent_allows attrs =
   List.filter (fun id -> List.mem id all_rules) (allow_ids attrs)
@@ -317,15 +315,10 @@ let is_global_random nm =
 (* R1: hash-layout-dependent iteration. *)
 let hashtbl_iteration = [ "Hashtbl.fold"; "Hashtbl.iter"; "Hashtbl.hash" ]
 
-(* R4: by-name registry lookups (hash + mutex per call); the handle path
-   (Obs.labeled_hist / Obs.observe_into) resolves the name once. *)
+(* R4: by-name registry calls, labeled or not (mutex + hash per call,
+   plus composing the series key when labeled). *)
 let obs_by_name =
   [ "Obs.count"; "Obs.gauge"; "Obs.observe"; "Obs.counter_value" ]
-
-(* R6: labeled by-name lookups are worse — each call sorts and escapes
-   the label list to rebuild the composed series key before the hash +
-   mutex.  [Obs.labeled_hist] resolves all of that once. *)
-let obs_labeled_by_name = [ "Obs.count_labeled"; "Obs.observe_labeled" ]
 
 (* R5: Mat operations that allocate their result and have an in-place
    [_into] sibling taking a preallocated [~dst].  The suffix match is
@@ -396,17 +389,8 @@ let check_ident ~loc nm =
   if !cur_policy.obs && !loop_depth > 0 && ends_with_any obs_by_name nm then
     report ~loc ~rule:r_obs
       (Printf.sprintf
-         "by-name metric lookup '%s' inside a loop; preregister a handle \
-          (Obs.labeled_hist / Obs.observe_into) outside the loop" nm);
-  if
-    !cur_policy.obs && !loop_depth > 0
-    && ends_with_any obs_labeled_by_name nm
-  then
-    report ~loc ~rule:r_obs
-      (Printf.sprintf
-         "by-name labeled metric lookup '%s' inside a loop; preregister \
-          a labeled handle (Obs.labeled_hist / Obs.observe_into) outside \
-          the loop" nm);
+         "by-name metric lookup '%s' inside a loop; record once per sweep \
+          or request, outside the loop" nm);
   if !cur_policy.alloc && !loop_depth > 0 && ends_with_any alloc_mat_ops nm
   then
     report ~loc ~rule:r_alloc
@@ -2044,7 +2028,7 @@ let rule_descriptions =
     (r_det, "Wall-clock / global-RNG / environment use inside deterministic core code");
     (r_err, "Raw exception raised where Sider_error is required");
     (r_flt, "Float equality comparison in numeric code");
-    (r_obs, "Unlabeled observability counter or histogram update");
+    (r_obs, "By-name metric write inside a loop");
     (r_alloc, "Matrix allocation inside a hot loop");
     (r_lock, "Lock-order hazard: acquisition-graph cycle or missing \
               [@sider.lock] annotation");
