@@ -15,11 +15,12 @@
 # statuses; after the tests, not beside them, because it keeps both CPUs
 # of a 2-vCPU machine busy), the in-process harness's count gate against
 # the committed bench/baseline.json with its incremental-update,
-# null-sink and labeled-metrics gates (`make bench-diff`, under a
-# second), and the service smoke run.
+# null-sink and labeled-metrics gates (`make bench-diff`, about a
+# second), the error smoke (a NaN cell: one diagnostic line, exit 2) and
+# the service smoke run.
 
 .PHONY: all build check test lint lint-fixtures lint-sarif verify clean \
-        bench bench-diff service-smoke convergence-smoke \
+        bench bench-diff error-smoke service-smoke convergence-smoke \
         artifacts-unchanged
 
 all: build
@@ -62,7 +63,7 @@ verify:
 	  && $(MAKE) artifacts-unchanged \
 	  && $(MAKE) convergence-smoke \
 	  && dune build @bench/e2e/smoke && $(MAKE) bench-diff \
-	  && $(MAKE) service-smoke
+	  && $(MAKE) error-smoke && $(MAKE) service-smoke
 
 # Fails when a tracked paper artifact under _artifacts/bench/ differs
 # from the index, as it does after `-e table1 fig2 fig9` when a change
@@ -91,80 +92,66 @@ convergence-smoke:
 	    print "convergence-smoke: table sweeps [" got " ] for reported [" \
 	      want " ]" > "/dev/stderr"; exit 1 } }'
 
-# End-to-end smoke of the session service: boot it in-process with
-# write-ahead journaling on, the compaction threshold forced low and a
-# short TTL, drive a small concurrent mixed-persona load through the
-# full HTTP loop (create → constrain → update → projection), and fail
-# unless its lifecycle line reports at least one compaction: each one
-# reads its session's dataset back from the journal header.  Then
-# doctor-verify a journal that has a sibling snapshot (exit 2 on
-# corruption; the leg fails when no journal has one), which proves
-# snapshot-aware replay.  `sider load` never revisits a session, so
-# nothing here rehydrates, and the e2e smoke's service_churn leg runs
-# 1 s of arrivals where a revisit needs a session at least 2 s old:
-# the tier-1 `service` tests "ttl evicts and rehydrates" and
-# "eviction/rehydration race" cover rehydration.  The in-process load
-# ends before its 0.2 s TTL passes, so a second leg runs the TTL sweep
-# in a real binary: `sider api --ttl 0.2` as its own process, driven
-# over its port by `sider load`; once the TTL has passed, `sider top`
-# must report at least one evicted session, and SIGINT must drain the
-# service to exit 0.
-# The run writes the structured JSON access log next to the flight
-# dumps; the final leg pulls a trace id back out of it and greps the
-# whole _artifacts/flight/ directory with `doctor --trace`, proving the
-# id round-trips from generator to log to the correlation tool.  Last,
-# one `sider serve` round on an ephemeral port must exit 0 after
-# printing its /metrics banner (the command starts and stops a session
-# service around its feedback loop).
-# stderr — including any crash-forensics flight-recorder dumps — lands
-# in _artifacts/flight/, which CI uploads as an artifact on failure.
+# A CSV with a NaN cell is a data fault: `sider view` must report it in
+# one `sider: ...` line and exit 2, not die on an uncaught exception.
+error-smoke:
+	dune build bin/sider_cli.exe
+	mkdir -p _artifacts
+	printf 'a,b\n1,2\n3,nan\n' > _artifacts/error-smoke.csv
+	_build/default/bin/sider_cli.exe view _artifacts/error-smoke.csv \
+	  2> _artifacts/error-smoke.err; code=$$?; cat _artifacts/error-smoke.err; \
+	[ $$code -eq 2 ] && ! grep -q 'Fatal error' _artifacts/error-smoke.err \
+	  || { echo "error-smoke: exit $$code, want a diagnostic and 2" >&2; \
+	       exit 1; }
+
+# End-to-end smoke of the session service: one `sider api` process with
+# write-ahead journaling, the compaction threshold forced low, a 0.2 s
+# TTL and a JSON access log, driven over its port by a small concurrent
+# mixed-persona `sider load` (create → constrain → update → projection).
+# It fails unless the load's lifecycle line reports a compaction (each
+# reads its session's dataset back from the journal header); unless
+# `doctor --snapshot` replays a journal that has a sibling snapshot
+# (snapshot-aware replay); unless `doctor --trace` finds the access
+# log's first `sider load` trace id in _artifacts/flight/; unless `sider
+# top`, once the TTL has passed, reports an evicted session; and unless
+# SIGINT drains the service to exit 0.  `sider load` never revisits a
+# session, so nothing here rehydrates: the tier-1 `service` tests "ttl
+# evicts and rehydrates" and "eviction/rehydration race" cover it.
+# stderr, with any crash-forensics flight-recorder dumps, lands in
+# _artifacts/flight/, which CI uploads as an artifact on failure.
 service-smoke:
+	dune build bin/sider_cli.exe
 	mkdir -p _artifacts/flight
 	rm -rf _artifacts/service-smoke-wal
-	out="$$(dune exec bin/sider_cli.exe -- load --sessions 24 --concurrency 8 \
-	  --rows 32 --persona mixed --compact-threshold 4 --ttl 0.2 \
-	  --data-dir _artifacts/service-smoke-wal \
-	  --access-log _artifacts/flight/service-smoke-access.jsonl \
-	  2> _artifacts/flight/service-smoke.stderr)" || exit 1; \
-	echo "$$out"; \
-	echo "$$out" | awk '$$1 == "lifecycle:" && $$4 >= 1 { ok = 1 } \
-	  END { if (!ok) { print "service-smoke: no compaction reported" \
-	    > "/dev/stderr"; exit 1 } }'
-	J="$$(ls _artifacts/service-smoke-wal/*.snapshot 2>/dev/null | head -n 1 \
-	      | sed 's/\.snapshot$$/.journal/')"; \
-	[ -n "$$J" ] || { echo "service-smoke: no compacted journal" >&2; \
-	  exit 1; }; \
-	dune exec bin/sider_cli.exe -- doctor --snapshot "$$J" \
-	  2>> _artifacts/flight/service-smoke.stderr
-	T="$$(sed -n 's/.*"trace":"\([^"]*\)".*/\1/p' \
-	      _artifacts/flight/service-smoke-access.jsonl | head -n 1)"; \
-	[ -n "$$T" ] || { echo "service-smoke: empty access log" >&2; exit 1; }; \
-	dune exec bin/sider_cli.exe -- doctor --trace "$$T" _artifacts/flight
-	rm -rf _artifacts/service-smoke-ttl
-	dune build bin/sider_cli.exe
-	S=_build/default/bin/sider_cli.exe; A=_artifacts/flight/service-smoke-api.out; \
-	$$S api --port 0 --data-dir _artifacts/service-smoke-ttl --ttl 0.2 \
-	  > $$A 2>> _artifacts/flight/service-smoke.stderr & pid=$$!; \
+	S=_build/default/bin/sider_cli.exe; F=_artifacts/flight; \
+	W=_artifacts/service-smoke-wal; A=$$F/service-smoke-api.out; \
+	$$S api --port 0 --data-dir $$W --ttl 0.2 --compact-threshold 4 \
+	  --access-log $$F/service-smoke-access.jsonl \
+	  > $$A 2>> $$F/service-smoke.stderr & pid=$$!; \
+	fail () { echo "service-smoke: $$1" >&2; kill $$pid 2>/dev/null; exit 1; }; \
 	for i in $$(seq 100); do \
 	  P="$$(sed -n 's|^session API on http://127\.0\.0\.1:\([0-9]*\) .*|\1|p' $$A)"; \
 	  [ -n "$$P" ] && break; sleep 0.1; done; \
-	[ -n "$$P" ] || { echo "service-smoke: no api banner" >&2; kill $$pid; \
-	  exit 1; }; \
-	$$S load --port $$P --sessions 8 --concurrency 4 --rows 32 \
-	  || { kill $$pid; exit 1; }; \
+	[ -n "$$P" ] || fail "no api banner"; \
+	out="$$($$S load --port $$P --sessions 24 --concurrency 8 --rows 32 \
+	  --persona mixed 2>> $$F/service-smoke.stderr)" || fail "load failed"; \
+	echo "$$out"; \
+	echo "$$out" | awk '$$1 == "lifecycle:" && $$4 >= 1 { ok = 1 } \
+	  END { exit !ok }' || fail "no compaction reported"; \
+	J="$$(ls $$W/*.snapshot 2>/dev/null | head -n 1 | sed 's/\.snapshot$$/.journal/')"; \
+	[ -n "$$J" ] || fail "no compacted journal"; \
+	$$S doctor --snapshot "$$J" 2>> $$F/service-smoke.stderr \
+	  || fail "doctor --snapshot $$J"; \
+	T="$$(sed -n 's/.*"trace":"\(load-[^"]*\)".*/\1/p' \
+	      $$F/service-smoke-access.jsonl | head -n 1)"; \
+	[ -n "$$T" ] || fail "no load trace in the access log"; \
+	$$S doctor --trace "$$T" $$F || fail "doctor --trace $$T"; \
 	sleep 0.6; \
 	top="$$($$S top --port $$P --count 1)"; echo "$$top"; \
-	kill -INT $$pid; wait $$pid; code=$$?; \
 	echo "$$top" | awk '$$1 == "sessions:" && $$4 >= 1 { ok = 1 } \
-	  END { exit !ok }' \
-	  || { echo "service-smoke: no eviction reported" >&2; exit 1; }; \
-	[ $$code -eq 0 ] || { echo "service-smoke: api exited $$code" >&2; \
-	  exit 1; }
-	out="$$(dune exec bin/sider_cli.exe -- serve three_d --metrics-port 0 \
-	        --rounds 1 2>> _artifacts/flight/service-smoke.stderr)" \
-	  || exit 1; \
-	echo "$$out"; \
-	echo "$$out" | grep -q '^serving http://127\.0\.0\.1:[0-9][0-9]*/metrics '
+	  END { exit !ok }' || fail "no eviction reported"; \
+	kill -INT $$pid; wait $$pid; code=$$?; \
+	[ $$code -eq 0 ] || fail "api exited $$code"
 
 # Re-measure every in-process scenario and rewrite the committed
 # baseline, bench/baseline.json: walls, exact work counts and the

@@ -10,9 +10,9 @@
      runtime      run a single OPTIM/ICA timing cell (Table II)
      trace        replay a session with the observability stderr sink on
      convergence  plot the solver's per-sweep convergence
-     serve        run feedback rounds with a Prometheus /metrics endpoint
-     api          run the multi-tenant session service (JSON API + WAL)
-     load         drive concurrent analysts against the session API
+     api          run the multi-tenant session service (JSON API + WAL,
+                  Prometheus /metrics); the one command that hosts it
+     load         drive concurrent analysts against a running session API
      top          poll a session API's /metrics and render a dashboard
 
    Datasets are built-in generators (three_d, x5, corpus, segmentation,
@@ -83,25 +83,6 @@ let trace_json_t =
        & info [ "trace-json" ] ~docv:"FILE" ~doc)
 
 let obs_setup_t = Term.(const setup_trace_json $ trace_json_t)
-
-(* [--access-log FILE] for the service-running subcommands (api, load):
-   one structured JSON line per request.  The channel is opened here and
-   closed by the subcommand after the service drains. *)
-let access_log_t =
-  let doc =
-    "Write a structured JSON access log to $(docv): one line per \
-     request with trace id, tenant, route, status, duration, queue \
-     wait, journal fsync time and the update's solver sweeps."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "access-log" ] ~docv:"FILE" ~doc)
-
-let open_access_log = Option.map open_out
-
-let close_access_log oc =
-  match oc with
-  | Some oc -> (try close_out oc with Sys_error _ -> ())
-  | None -> ()
 
 let seed_t =
   let doc = "Random seed (controls generators, sampling and FastICA)." in
@@ -585,58 +566,6 @@ let convergence_cmd =
     Term.(const run $ obs_setup_t $ dataset_t $ seed_t $ label_column_t
           $ cutoff_t)
 
-(* --- serve ------------------------------------------------------------------------ *)
-
-let serve_cmd =
-  let port_t =
-    Arg.(value & opt int 9100 & info [ "metrics-port" ] ~docv:"PORT"
-           ~doc:"TCP port for the Prometheus text exposition endpoint \
-                 (GET /metrics, GET /healthz); 0 picks an ephemeral port.")
-  in
-  let rounds_t =
-    Arg.(value & opt int 0 & info [ "rounds" ] ~docv:"N"
-           ~doc:"Feedback rounds to run before exiting; 0 (default) runs \
-                 until interrupted.")
-  in
-  let run () dataset seed label_column method_ port rounds =
-    let ds = load_dataset ~seed ~label_column dataset in
-    (* /metrics serves the registry, which only fills while the layer is
-       active; a null sink turns recording on without trace output
-       (unless --trace-json / SIDER_TRACE already installed one). *)
-    if not (Obs.enabled ()) then Obs.set_sink (Some Obs.null_sink);
-    let svc =
-      Sider_serve.Service.start
-        ~config:{ Sider_serve.Service.default_config with port } ()
-    in
-    Fun.protect ~finally:(fun () -> Sider_serve.Service.stop svc)
-    @@ fun () ->
-    Printf.printf
-      "serving http://127.0.0.1:%d/metrics (liveness on /healthz)\n%!"
-      (Sider_serve.Service.port svc);
-    print_endline (Dataset.describe ds);
-    let round = ref 0 in
-    while rounds = 0 || !round < rounds do
-      incr round;
-      let session = Session.create ~seed:(seed + !round) ~method_ ds in
-      Session.add_margin_constraint session;
-      ignore (Session.update_background session);
-      ignore (Session.recompute_view session);
-      Session.add_one_cluster_constraint session;
-      ignore (Session.update_background session);
-      ignore (Session.recompute_view session);
-      (* One registry lookup per 0.5 s serve round — not a hot loop. *)
-      Obs.count "serve.rounds" [@sider.allow "obs-hygiene"];
-      Printf.printf "round %d done\n%!" !round;
-      if rounds = 0 || !round < rounds then Unix.sleepf 0.5
-    done
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run continuous feedback rounds on a dataset while exposing \
-             the live metrics registry as a Prometheus text endpoint.")
-    Term.(const run $ obs_setup_t $ dataset_t $ seed_t $ label_column_t
-          $ method_t $ port_t $ rounds_t)
-
 (* --- api -------------------------------------------------------------------------- *)
 
 let api_cmd =
@@ -689,10 +618,18 @@ let api_cmd =
            ~doc:"Close parked keep-alive connections idle beyond \
                  $(docv).")
   in
+  let access_log_t =
+    Arg.(value & opt (some string) None
+         & info [ "access-log" ] ~docv:"FILE"
+             ~doc:"Write a structured JSON access log to $(docv): one line \
+                   per request with trace id, tenant, route, status, \
+                   duration, queue wait, journal fsync time and the \
+                   update's solver sweeps.")
+  in
   let run () port data_dir workers queue max_sessions deadline ttl compact
       keepalive idle_timeout access_log =
     if not (Obs.enabled ()) then Obs.set_sink (Some Obs.null_sink);
-    let access_oc = open_access_log access_log in
+    let access_oc = Option.map open_out access_log in
     let config =
       { Sider_serve.Service.default_config with
         port; data_dir; workers; queue_capacity = queue; max_sessions;
@@ -721,7 +658,7 @@ let api_cmd =
     done;
     Printf.printf "draining...\n%!";
     Sider_serve.Service.stop svc;
-    close_access_log access_oc;
+    Option.iter (fun oc -> try close_out oc with Sys_error _ -> ()) access_oc;
     Printf.printf "stopped\n%!"
   in
   Cmd.v
@@ -736,15 +673,46 @@ let api_cmd =
           $ queue_t $ max_sessions_t $ deadline_t $ ttl_t $ compact_t
           $ keepalive_t $ idle_timeout_t $ access_log_t)
 
+(* --- a running service's state ------------------------------------------------ *)
+
+(* GET [path] from the session API on 127.0.0.1:[port]: the body of a
+   200, or why not.  `sider load` and `sider top` read a service only
+   through this and [scrape]. *)
+let fetch ~port path =
+  match Sider_serve.Http.request ~meth:"GET" ~port path with
+  | Ok resp when resp.Sider_serve.Http.status = 200 ->
+    Ok resp.Sider_serve.Http.r_body
+  | Ok resp ->
+    Error (Printf.sprintf "GET %s: HTTP %d" path resp.Sider_serve.Http.status)
+  | Error e -> Error (Printf.sprintf "GET %s: %s" path e)
+
+(* The service's /metrics, parsed back with [Serve.parse_sample], the
+   contract a real scraper uses. *)
+let scrape ~port =
+  Result.map
+    (fun body ->
+      String.split_on_char '\n' body
+      |> List.filter_map Sider_serve.Serve.parse_sample)
+    (fetch ~port "/metrics")
+
+(* An unlabeled sample's value in a scrape; 0 for a series the service
+   has not recorded yet. *)
+let sample samples name =
+  match
+    List.find_opt (fun (n, labels, _) -> n = name && labels = []) samples
+  with
+  | Some (_, _, v) -> v
+  | None -> 0.0
+
 (* --- load ------------------------------------------------------------------------- *)
 
 (* Closed-loop load generator: [--concurrency] analyst threads drive
    [--sessions] persona-shaped interaction loops (create -> constrain ->
-   update -> projection) against the session API over persistent
-   keep-alive connections (one per thread), retrying on 429/503 shed
-   responses with exponential backoff.  Sessions are left alive until
-   the end of the run — unless [--ttl] lets the service's TTL sweep evict
-   the idle ones, in which case the lifecycle line shows how far the
+   update -> projection) against the session API on [--port] over
+   persistent keep-alive connections (one per thread), retrying on
+   429/503 shed responses with exponential backoff.  Sessions are left
+   alive until the end of the run, unless the service's own TTL sweep
+   evicts the idle ones: the lifecycle line then shows how far the
    resident population was bounded below the tenant count. *)
 let load_cmd =
   let sessions_t =
@@ -755,17 +723,9 @@ let load_cmd =
     Arg.(value & opt int 32 & info [ "concurrency" ] ~docv:"N"
            ~doc:"Concurrent analyst threads.")
   in
-  let target_t =
-    Arg.(value & opt (some int) None
-         & info [ "port" ] ~docv:"PORT"
-             ~doc:"Target an already-running service; default spawns one \
-                   in-process.")
-  in
-  let data_dir_t =
-    Arg.(value & opt (some string) None
-         & info [ "data-dir" ] ~docv:"DIR"
-             ~doc:"Journal directory for the spawned service (enables \
-                   write-ahead journaling under load).")
+  let port_t =
+    Arg.(value & opt int 9101 & info [ "port" ] ~docv:"PORT"
+           ~doc:"Port of the running session API to drive.")
   in
   let rows_t =
     Arg.(value & opt int 48 & info [ "rows" ] ~docv:"N"
@@ -783,55 +743,20 @@ let load_cmd =
                    (pathological row sets, constraint spam, starved \
                    cutoffs) or $(b,mixed).")
   in
-  let ttl_t =
-    Arg.(value & opt float 0.0 & info [ "ttl" ] ~docv:"SECONDS"
-           ~doc:"Session TTL for the spawned service (idle sessions \
-                 evicted, journals kept).  0 disables.")
-  in
-  let compact_t =
-    Arg.(value & opt int 1024 & info [ "compact-threshold" ] ~docv:"N"
-           ~doc:"Journal compaction threshold for the spawned service; \
-                 0 disables.")
-  in
-  let keepalive_requests_t =
-    Arg.(value & opt int 1000 & info [ "keepalive-requests" ] ~docv:"N"
-           ~doc:"Server-side requests-per-connection cap for the \
-                 spawned service.")
-  in
-  let idle_timeout_t =
-    Arg.(value & opt float 5.0 & info [ "idle-timeout" ] ~docv:"SECONDS"
-           ~doc:"Server-side idle keep-alive timeout for the spawned \
-                 service.")
-  in
-  let run () sessions concurrency target data_dir rows seed persona ttl
-      compact keepalive_requests idle_timeout access_log =
-    if not (Obs.enabled ()) then Obs.set_sink (Some Obs.null_sink);
-    let access_oc = open_access_log access_log in
-    let own, port =
-      match target with
-      | Some p -> (None, p)
-      | None ->
-        let config =
-          { Sider_serve.Service.default_config with
-            port = 0; data_dir;
-            max_sessions = sessions + 16;
-            queue_capacity = 2 * concurrency;
-            workers = 8;
-            deadline_s = 60.0;
-            session_ttl_s = ttl;
-            compact_events = compact;
-            keepalive_requests;
-            idle_timeout_s = idle_timeout;
-            access_log = access_oc }
-        in
-        let svc = Sider_serve.Service.start ~config () in
-        (Some svc, Sider_serve.Service.port svc)
+  let run () sessions concurrency port rows seed persona =
+    (* Eviction, compaction and rehydration totals, from the target's
+       /metrics: the lifecycle line reports their rise over the run. *)
+    let service_error e =
+      failwith (Printf.sprintf "session API on 127.0.0.1:%d: %s" port e)
     in
-    Fun.protect
-      ~finally:(fun () ->
-        (match own with Some svc -> Sider_serve.Service.stop svc | None -> ());
-        close_access_log access_oc)
-    @@ fun () ->
+    let lifecycle_counters () =
+      match scrape ~port with
+      | Ok samples ->
+        let total name = sample samples ("sider_serve_" ^ name ^ "_total") in
+        (total "evictions", total "compactions", total "rehydrations")
+      | Error e -> service_error e
+    in
+    let before = lifecycle_counters () in
     let ds = Synth.gaussian ~seed ~n:rows ~d:4 () in
     let create_body =
       Json.to_string
@@ -845,7 +770,6 @@ let load_cmd =
     let shed_429 = ref 0 in
     let shed_503 = ref 0 in
     let failures = ref 0 in
-    let transport_retries = ref 0 in
     let failed_traces = ref [] in
     let record lat trace =
       Mutex.lock lock; latencies := (lat, trace) :: !latencies; Mutex.unlock lock
@@ -874,7 +798,6 @@ let load_cmd =
           let t0 = Unix.gettimeofday () in
           match Sider_serve.Http.client_request ~headers ?body client ~meth path with
           | Error _ ->
-            bump transport_retries;
             Sider_serve.Http.client_close client;
             Thread.delay (0.01 *. float_of_int (1 lsl attempt));
             call ~trace ?body ~meth path (attempt + 1)
@@ -973,42 +896,35 @@ let load_cmd =
        Printf.printf "failed request trace(s) (%d):%s%s\n" (List.length l)
          (String.concat "" (List.map (fun tr -> " " ^ tr) shown))
          (if List.length l > 10 then " ..." else ""));
-    (* Lifecycle counters only make sense for the in-process service —
-       against a remote target they would read this process's (empty)
-       registry. *)
-    (match own with
-     | Some svc ->
-       Printf.printf
-         "lifecycle: %d eviction(s), %d compaction(s), %d rehydration(s), \
-          %d/%d session(s) resident\n"
-         (Obs.counter_value "serve.evictions")
-         (Obs.counter_value "serve.compactions")
-         (Obs.counter_value "serve.rehydrations")
-         (Sider_serve.Registry.resident_count
-            (Sider_serve.Service.registry svc))
-         (Sider_serve.Registry.count (Sider_serve.Service.registry svc))
-     | None -> ());
+    let (e0, c0, r0), (e1, c1, r1) = (before, lifecycle_counters ()) in
+    let table =
+      match fetch ~port "/sessions" with
+      | Ok body -> Json.of_string body
+      | Error e -> service_error e
+    in
+    let field name = Json.to_int (Json.member name table) in
+    Printf.printf
+      "lifecycle: %.0f eviction(s), %.0f compaction(s), %.0f \
+       rehydration(s), %d/%d session(s) resident\n"
+      (e1 -. e0) (c1 -. c0) (r1 -. r0) (field "resident") (field "count");
     if !failures > 0 then Stdlib.exit 1
   in
   Cmd.v
     (Cmd.info "load"
-       ~doc:"Drive concurrent analyst sessions against the session API \
-             (spawning one in-process unless $(b,--port) targets an \
-             existing service) over keep-alive connections and report \
-             throughput, latency quantiles and lifecycle counters \
-             (evictions, compactions, resident sessions).  Exits 1 if \
-             any analyst loop failed outright; shed 429/503 responses \
-             are retried, not failures.")
-    Term.(const run $ obs_setup_t $ sessions_t $ concurrency_t $ target_t
-          $ data_dir_t $ rows_t $ seed_t $ persona_t $ ttl_t $ compact_t
-          $ keepalive_requests_t $ idle_timeout_t $ access_log_t)
+       ~doc:"Drive concurrent analyst sessions against a running session \
+             API ($(b,sider api)) over keep-alive connections and report \
+             throughput, latency quantiles and the service's lifecycle \
+             over the run (evictions, compactions, rehydrations, resident \
+             sessions).  Exits 1 if any analyst loop failed outright; \
+             shed 429/503 responses are retried, not failures.")
+    Term.(const run $ obs_setup_t $ sessions_t $ concurrency_t $ port_t
+          $ rows_t $ seed_t $ persona_t)
 
 (* --- top -------------------------------------------------------------------------- *)
 
-(* Live service dashboard: poll /metrics and render the labeled request
-   families as a per-route/status latency table, plus session lifecycle
-   and SLO burn.  Everything is parsed back out of the exposition text
-   with [Serve.parse_sample] — the same contract a real scraper uses. *)
+(* Live service dashboard: poll /metrics through [scrape] and render the
+   labeled request families as a per-route/status latency table, plus
+   session lifecycle and SLO burn. *)
 type top_row = {
   mutable tr_count : float;
   mutable tr_p50 : float;
@@ -1031,19 +947,6 @@ let top_cmd =
                  interrupted.")
   in
   let run () port interval count =
-    let scrape () =
-      match Sider_serve.Http.request ~meth:"GET" ~port "/metrics" with
-      | Ok resp when resp.Sider_serve.Http.status = 200 ->
-        Some
-          (String.split_on_char '\n' resp.Sider_serve.Http.r_body
-           |> List.filter_map Sider_serve.Serve.parse_sample)
-      | Ok resp ->
-        Printf.eprintf "scrape: HTTP %d\n%!" resp.Sider_serve.Http.status;
-        None
-      | Error e ->
-        Printf.eprintf "scrape: %s\n%!" e;
-        None
-    in
     let render i samples =
       let rows : (string * string, top_row) Hashtbl.t = Hashtbl.create 16 in
       let row route status =
@@ -1057,7 +960,6 @@ let top_cmd =
           Hashtbl.replace rows (route, status) r;
           r
       in
-      let scalar = Hashtbl.create 16 in
       List.iter
         (fun (name, labels, v) ->
           let l k = List.assoc_opt k labels in
@@ -1076,9 +978,9 @@ let top_cmd =
             (match (l "route", l "status") with
              | Some r, Some s -> (row r s).tr_count <- v
              | _ -> ())
-          | _ -> if labels = [] then Hashtbl.replace scalar name v)
+          | _ -> ())
         samples;
-      let g name = Option.value ~default:0.0 (Hashtbl.find_opt scalar name) in
+      let g = sample samples in
       Printf.printf "-- scrape %d @ 127.0.0.1:%d --\n" i port;
       Printf.printf "%-12s %-7s %9s %9s %9s %9s\n" "route" "status"
         "count" "p50_ms" "p95_ms" "p99_ms";
@@ -1103,7 +1005,9 @@ let top_cmd =
     let i = ref 0 in
     while count = 0 || !i < count do
       incr i;
-      (match scrape () with Some s -> render !i s | None -> ());
+      (match scrape ~port with
+       | Ok samples -> render !i samples
+       | Error e -> Printf.eprintf "scrape: %s\n%!" e);
       if count = 0 || !i < count then Unix.sleepf interval
     done
   in
@@ -1120,11 +1024,12 @@ let main =
     (Cmd.info "sider" ~version:"1.0.0" ~doc)
     [ datasets_cmd; view_cmd; explore_cmd; repl_cmd; replay_cmd;
       export_cmd; runtime_cmd; doctor_cmd; trace_cmd; convergence_cmd;
-      serve_cmd; api_cmd; load_cmd; top_cmd ]
+      api_cmd; load_cmd; top_cmd ]
 
-(* Structured engine errors become one-line diagnostics with distinct
-   exit codes instead of an OCaml backtrace: 2 for a diagnosed numerical
-   or data fault, 1 for everything else. *)
+(* Every exception [Sider_error.protect] maps becomes a one-line
+   diagnostic instead of an OCaml backtrace: [Failure] (a bad argument
+   or input) exits 1, the rest (a structured engine error, a rejected
+   value, a filesystem error) are diagnosed faults and exit 2. *)
 let () =
   (* Production telemetry defaults: honour SIDER_TRACE, keep the
      crash-forensics ring on (auto-dumping new entries to stderr whenever
@@ -1140,10 +1045,12 @@ let () =
         trace_json_out := None;
         (try Stdlib.flush oc; close_out oc with _ -> ())
       | None -> ());
-  try exit (Cmd.eval ~catch:false main) with
-  | Sider_robust.Sider_error.Error e ->
+  match
+    Sider_robust.Sider_error.protect (fun () ->
+        try Cmd.eval ~catch:false main
+        with Failure msg -> Printf.eprintf "sider: %s\n" msg; 1)
+  with
+  | Ok code -> exit code
+  | Error e ->
     Printf.eprintf "sider: %s\n" (Sider_robust.Sider_error.to_string e);
     exit 2
-  | Failure msg ->
-    Printf.eprintf "sider: %s\n" msg;
-    exit 1

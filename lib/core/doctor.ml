@@ -266,24 +266,37 @@ let read_store path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let header_findings ~what j acc =
-  let acc =
+  let version, acc =
     match Json.member_opt "version" j with
-    | Some v ->
-      { check = "version"; severity = Info;
-        message = Printf.sprintf "%s format version %d" what
-            (int_of_float (Json.to_float v)) }
-      :: acc
+    | Some (Json.Number v) when Float.is_integer v ->
+      ( Some (int_of_float v),
+        { check = "version"; severity = Info;
+          message = Printf.sprintf "%s format version %.0f" what v }
+        :: acc )
+    | Some _ ->
+      ( None,
+        { check = "version"; severity = Fault;
+          message = what ^ " version field is not an integer" }
+        :: acc )
     | None ->
-      { check = "version"; severity = Fault;
-        message = what ^ " has no version field" }
-      :: acc
+      ( None,
+        { check = "version"; severity = Fault;
+          message = what ^ " has no version field" }
+        :: acc )
   in
-  match Json.member_opt "checksum" j with
-  | Some _ ->
+  match (Json.member_opt "checksum" j, version) with
+  | Some _, _ ->
     { check = "checksum"; severity = Info;
       message = "checksum present (verified during replay)" }
     :: acc
-  | None ->
+  | None, Some v when v >= 2 ->
+    (* Recovery refuses it: only version-1 files may lack a checksum. *)
+    { check = "checksum"; severity = Fault;
+      message =
+        Printf.sprintf "%s: version %d document without its checksum field"
+          what v }
+    :: acc
+  | None, _ ->
     { check = "checksum"; severity = Warning;
       message =
         "no checksum field (version-1 file): bit rot would go undetected" }

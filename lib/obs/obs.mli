@@ -139,7 +139,7 @@ val count : ?by:int -> ?labels:(string * string) list -> string -> unit
 (** Increment a counter (default [by:1]); with [labels], the labeled
     series of that counter (below). *)
 
-val counter_value : string -> int
+val counter_value : string -> int [@@sider.allow "test-hook"]
 (** Current total of a counter (0 when absent — e.g. layer disabled). *)
 
 val gauge : string -> float -> unit

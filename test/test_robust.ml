@@ -246,6 +246,86 @@ let test_doctor_diagnoses_nan () =
     (not
        (List.exists (fun f -> f.Doctor.check = "probe") report.Doctor.findings))
 
+(* --- Doctor.check_store ------------------------------------------------------ *)
+
+(* [f path] over a closed journal of a session's creation and margin
+   round; the journal and any sibling snapshot are removed after.
+   [compact] folds the journal into a snapshot first. *)
+let with_store ?(compact = false) f =
+  let path = Filename.temp_file "sider_doctor" ".journal" in
+  let snap = Persist.snapshot_path path in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; snap ])
+    (fun () ->
+      let s = Session.create ~seed:7 (small_dataset ()) in
+      let j = Persist.journal_start path s in
+      Session.add_margin_constraint s;
+      ignore (Session.update_background s);
+      List.iter (Persist.journal_append j) (Session.history s);
+      if compact then Persist.journal_compact j s;
+      Persist.journal_close j;
+      f path)
+
+let finding report check severity =
+  List.exists
+    (fun f -> f.Doctor.check = check && f.Doctor.severity = severity)
+    report.Doctor.findings
+
+let rewrite path edit =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (edit text))
+
+let test_store_healthy () =
+  with_store @@ fun path ->
+  let report = Doctor.check_store path in
+  check_true "healthy" report.Doctor.healthy;
+  check_true "replayed" (finding report "replay" Doctor.Info)
+
+let test_store_compacted () =
+  with_store ~compact:true @@ fun path ->
+  let report = Doctor.check_store path in
+  check_true "healthy" report.Doctor.healthy;
+  check_true "sibling snapshot noted" (finding report "snapshot" Doctor.Info)
+
+let test_store_unterminated_tail () =
+  with_store @@ fun path ->
+  rewrite path (fun text -> text ^ "{\"type\":\"upd");
+  let report = Doctor.check_store path in
+  check_true "still healthy" report.Doctor.healthy;
+  check_true "tail warned" (finding report "tail" Doctor.Warning)
+
+let test_store_flipped_checksum () =
+  with_store @@ fun path ->
+  rewrite path (fun text ->
+      let key = "\"checksum\":\"" in
+      let rec find i =
+        if String.sub text i (String.length key) = key then i + String.length key
+        else find (i + 1)
+      in
+      let at = find 0 in
+      let b = Bytes.of_string text in
+      Bytes.set b at (if text.[at] = '0' then '1' else '0');
+      Bytes.to_string b);
+  let report = Doctor.check_store path in
+  check_true "diagnosed" (not report.Doctor.healthy);
+  check_true "replay fault" (finding report "replay" Doctor.Fault)
+
+(* A version that is not a number is a finding, not an exception. *)
+let test_store_string_version () =
+  let path = Filename.temp_file "sider_doctor" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  rewrite path (fun _ ->
+      {|{"format":"sider-session","version":"2","checksum":"0000000000000000"}|});
+  let report = Doctor.check_store path in
+  check_true "diagnosed" (not report.Doctor.healthy);
+  check_true "version fault" (finding report "version" Doctor.Fault)
+
+let test_store_missing () =
+  let report = Doctor.check_store "/nonexistent/sider-doctor.journal" in
+  check_true "diagnosed" (not report.Doctor.healthy);
+  check_true "store fault" (finding report "store" Doctor.Fault)
+
 (* --- Multi-shot fault arms ------------------------------------------------------ *)
 
 (* Regression: a counted arm must fire exactly [n] times and then
@@ -294,5 +374,15 @@ let suite =
     case "csv duplicate headers rejected" test_csv_duplicate_headers;
     case "doctor: clean dataset healthy" test_doctor_healthy;
     case "doctor: NaN diagnosed, probe skipped" test_doctor_diagnoses_nan;
+    case "doctor store: healthy journal" test_store_healthy;
+    case "doctor store: compacted journal and its snapshot"
+      test_store_compacted;
+    case "doctor store: unterminated tail warns, stays healthy"
+      test_store_unterminated_tail;
+    case "doctor store: flipped checksum digit is a fault"
+      test_store_flipped_checksum;
+    case "doctor store: string version is a fault, not a raise"
+      test_store_string_version;
+    case "doctor store: missing file is a fault" test_store_missing;
     case "counted and persistent arms" test_counted_and_persistent_arms;
   ]
