@@ -111,7 +111,9 @@ error-smoke:
 # It fails unless the load's lifecycle line reports a compaction (each
 # reads its session's dataset back from the journal header); unless
 # `doctor --snapshot` replays a journal that has a sibling snapshot
-# (snapshot-aware replay); unless `doctor --trace` finds the access
+# (snapshot-aware replay) and the stores every build must keep loading,
+# test/golden/compat.journal, compat.snapshot and compat_final.json;
+# unless `doctor --trace` finds the access
 # log's first `sider load` trace id in _artifacts/flight/; unless `sider
 # top`, once the TTL has passed, reports an evicted session; and unless
 # SIGINT drains the service to exit 0.  `sider load` never revisits a
@@ -142,6 +144,9 @@ service-smoke:
 	[ -n "$$J" ] || fail "no compacted journal"; \
 	$$S doctor --snapshot "$$J" 2>> $$F/service-smoke.stderr \
 	  || fail "doctor --snapshot $$J"; \
+	for g in compat.journal compat.snapshot compat_final.json; do \
+	  $$S doctor --snapshot test/golden/$$g 2>> $$F/service-smoke.stderr \
+	    || fail "doctor --snapshot test/golden/$$g"; done; \
 	T="$$(sed -n 's/.*"trace":"\(load-[^"]*\)".*/\1/p' \
 	      $$F/service-smoke-access.jsonl | head -n 1)"; \
 	[ -n "$$T" ] || fail "no load trace in the access log"; \

@@ -716,7 +716,7 @@ let sample samples name =
    resident population was bounded below the tenant count. *)
 let load_cmd =
   let sessions_t =
-    Arg.(value & opt int 1000 & info [ "sessions" ] ~docv:"N"
+    Arg.(value & opt int 100 & info [ "sessions" ] ~docv:"N"
            ~doc:"Analyst sessions to drive.")
   in
   let concurrency_t =

@@ -254,163 +254,47 @@ let check_telemetry acc =
   :: acc
 
 (* Persistence-store integrity: is this snapshot / journal something a
-   boot-time recovery would actually accept?  Replaying through Persist
-   exercises the same version check, checksum verification and event
-   decoding the service's recovery path uses, so a healthy verdict here
-   means "this file restores". *)
-
-let read_store path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let header_findings ~what j acc =
-  let version, acc =
-    match Json.member_opt "version" j with
-    | Some (Json.Number v) when Float.is_integer v ->
-      ( Some (int_of_float v),
-        { check = "version"; severity = Info;
-          message = Printf.sprintf "%s format version %.0f" what v }
-        :: acc )
-    | Some _ ->
-      ( None,
-        { check = "version"; severity = Fault;
-          message = what ^ " version field is not an integer" }
-        :: acc )
-    | None ->
-      ( None,
-        { check = "version"; severity = Fault;
-          message = what ^ " has no version field" }
-        :: acc )
-  in
-  match (Json.member_opt "checksum" j, version) with
-  | Some _, _ ->
-    { check = "checksum"; severity = Info;
-      message = "checksum present (verified during replay)" }
-    :: acc
-  | None, Some v when v >= 2 ->
-    (* Recovery refuses it: only version-1 files may lack a checksum. *)
-    { check = "checksum"; severity = Fault;
-      message =
-        Printf.sprintf "%s: version %d document without its checksum field"
-          what v }
-    :: acc
-  | None, _ ->
-    { check = "checksum"; severity = Warning;
-      message =
-        "no checksum field (version-1 file): bit rot would go undetected" }
-    :: acc
-
+   boot-time recovery would accept?  [Persist.inspect] reads it once
+   with the scan recovery runs and reports what that scan saw; the
+   verdict is recovery's own, so healthy here means "this file
+   restores". *)
 let check_store path =
-  if not (Sys.file_exists path) then
-    fault ~check:"store" (Printf.sprintf "no such file: %s" path)
-  else
-    match Sider_error.protect (fun () -> read_store path) with
-    | Error e -> fault ~check:"store" (Sider_error.to_string e)
-    | Ok text ->
-      (* One JSON document is a snapshot; JSON lines with a
-         ["sider-journal"] header is a journal.  A header-only journal
-         parses whole too, so decide by the format tag. *)
-      let first_doc =
-        let first_line =
-          match String.index_opt text '\n' with
-          | Some i -> String.sub text 0 i
-          | None -> text
-        in
-        match Json.of_string first_line with
-        | j -> Some j
-        | exception Json.Parse_error _ ->
-          (match Json.of_string text with
-           | j -> Some j
-           | exception Json.Parse_error _ -> None)
-      in
-      let kind =
-        match first_doc with
-        | Some j ->
-          (match Json.member_opt "format" j with
-           | Some (Json.String "sider-journal") -> `Journal
-           | _ -> `Snapshot)
-        | None -> `Snapshot
-      in
-      let acc =
-        [ { check = "store"; severity = Info;
-            message =
-              Printf.sprintf "%s: %d bytes, %s" (Filename.basename path)
-                (String.length text)
-                (match kind with
-                 | `Journal -> "write-ahead journal"
-                 | `Snapshot -> "session snapshot") } ]
-      in
-      (match kind with
-       | `Snapshot ->
-         let acc =
-           match first_doc with
-           | Some j -> header_findings ~what:"snapshot" j acc
-           | None -> acc
-         in
-         (match Persist.load_result path with
-          | Ok session ->
-            finalize
-              ({ check = "replay"; severity = Info;
-                 message =
-                   Printf.sprintf
-                     "replayed cleanly: %d event(s), %d constraint(s)"
-                     (List.length (Session.history session))
-                     (Session.n_constraints session) }
-               :: acc)
-          | Error e ->
-            finalize
-              ({ check = "replay"; severity = Fault;
-                 message = Sider_error.to_string e }
-               :: acc))
-       | `Journal ->
-         let acc =
-           match first_doc with
-           | Some j -> header_findings ~what:"journal" j acc
-           | None -> acc
-         in
-         let acc =
-           if text <> "" && text.[String.length text - 1] <> '\n' then
-             { check = "tail"; severity = Warning;
-               message =
-                 "unterminated final line (interrupted in-flight append): \
-                  recovery drops it" }
-             :: acc
-           else acc
-         in
-         (* A compacted journal carries a sibling snapshot; replay below
-            restores it first and skips the events it already holds. *)
-         let acc =
-           let snap = Persist.snapshot_path path in
-           if Sys.file_exists snap then
-             { check = "snapshot"; severity = Info;
-               message =
-                 Printf.sprintf
-                   "sibling snapshot %s (%d bytes): compacted journal"
-                   (Filename.basename snap)
-                   (match (Unix.stat snap).Unix.st_size with
-                    | n -> n
-                    | exception Unix.Unix_error _ -> 0) }
-             :: acc
-           else acc
-         in
-         (match Persist.journal_load path with
-          | Ok (session, applied) ->
-            finalize
-              ({ check = "replay"; severity = Info;
-                 message =
-                   Printf.sprintf
-                     "replayed cleanly: %d event(s) applied, %d \
-                      constraint(s)"
-                     applied
-                     (Session.n_constraints session) }
-               :: acc)
-          | Error e ->
-            finalize
-              ({ check = "replay"; severity = Fault;
-                 message = Sider_error.to_string e }
-               :: acc)))
+  match Persist.inspect path with
+  | Error e -> fault ~check:"store" (Sider_error.to_string e)
+  | Ok { Persist.kind; bytes; recovery } ->
+    let finding check severity message = { check; severity; message } in
+    let findings =
+      match recovery with
+      | Error e -> [ finding "replay" Fault (Sider_error.to_string e) ]
+      | Ok { Persist.session; version; restored; dropped; sibling } ->
+        (if dropped = 0 then []
+         else
+           [ finding "tail" Warning
+               (Printf.sprintf
+                  "%d byte(s) after the last intact record (an interrupted \
+                   append): recovery drops them"
+                  dropped) ])
+        @ (match sibling with
+           | None -> []
+           | Some (snap, bytes) ->
+             [ finding "snapshot" Info
+                 (Printf.sprintf
+                    "sibling snapshot %s (%d bytes): compacted journal"
+                    (Filename.basename snap) bytes) ])
+        @ [ finding "replay" Info
+              (Printf.sprintf
+                 "replayed cleanly: format version %d, %d event(s) \
+                  restored, %d constraint(s)"
+                 version restored (Session.n_constraints session)) ]
+    in
+    finalize
+      (List.rev
+         (finding "store" Info
+            (Printf.sprintf "%s: %d bytes, %s" (Filename.basename path) bytes
+               (match kind with
+                | `Journal -> "write-ahead journal"
+                | `Snapshot -> "session snapshot"))
+          :: findings))
 
 let check_dataset ?(deep = true) ?(seed = 2018) ds =
   let acc = [] in

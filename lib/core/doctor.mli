@@ -35,12 +35,13 @@ val check_dataset : ?deep:bool -> ?seed:int -> Dataset.t -> report
     flight recorder's capacity / written / dropped statistics. *)
 
 val check_store : string -> report
-(** Validate a persistence artifact — a session snapshot or a
-    write-ahead journal (see {!Persist}) — the way boot-time recovery
-    would: format/version fields, checksum, and a full replay.  An
-    unterminated final journal line is a [Warning] (recovery drops it);
-    a missing file, unsupported version, checksum mismatch or
-    unreplayable content is a [Fault].  Never raises. *)
+(** Judge a persistence artifact — a session snapshot or a write-ahead
+    journal — by recovery's own verdict: {!Persist.inspect} reads it
+    once with the scan recovery runs, and this renders what that scan
+    saw (kind, length, format version, events restored, sibling
+    snapshot).  Healthy exactly when recovery restores the file; its
+    error otherwise is the one [Fault].  Bytes recovery drops after the
+    last intact record (a torn append) are a [Warning].  Never raises. *)
 
 val fault : check:string -> string -> report
 (** A report consisting of one fault — for callers whose input failed

@@ -539,7 +539,8 @@ let check_format ~what ~expected j =
      corrupt "%s: version %d document without its checksum field" what
        version
    | _ -> ());
-  verify_checksum ~what j
+  verify_checksum ~what j;
+  version
 
 let create_session_of_json ~what j =
   parsing what @@ fun () ->
@@ -551,13 +552,14 @@ let create_session_of_json ~what j =
     ~method_:(method_of_json (Json.member "method" j))
     ds
 
+(* A snapshot's session and its format version. *)
 let session_of_json j =
-  check_format ~what:"snapshot" ~expected:"sider-session" j;
+  let version = check_format ~what:"snapshot" ~expected:"sider-session" j in
   let session = create_session_of_json ~what:"snapshot" j in
   List.iter
     (replay_event session)
     (parsing "snapshot" (fun () -> Json.to_list (Json.member "history" j)));
-  session
+  (session, version)
 
 (* --- atomic file IO ---------------------------------------------------------- *)
 
@@ -595,23 +597,55 @@ let save path session =
   write_fsync tmp (snapshot_to ~path:tmp ds session);
   rename_into tmp path
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        really_input_string ic len)
-  with Sys_error msg -> io_fail "Persist: cannot read %s: %s" path msg
+(* --- reading stored files ------------------------------------------------------ *)
 
-let load path =
-  let text = read_file path in
-  let j =
-    try Json.of_string text with
-    | Json.Parse_error msg -> corrupt "snapshot %s: %s" path msg
+(* Every stored file is read through [next_line]: a snapshot, a journal,
+   a journal's header read back, and either kind as [inspect] judges
+   it.  A file is closed before its lines are parsed, so no channel's
+   buffer outlives the read into a replay. *)
+
+let cannot_read path msg = io_fail "Persist: cannot read %s: %s" path msg
+
+let reading path f =
+  match open_in_bin path with
+  | exception Sys_error msg -> cannot_read path msg
+  | ic -> Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+
+(* The next line of [ic] and whether a newline ended it; [None] at the
+   end of the file. *)
+let next_line path ic =
+  let start = pos_in ic in
+  match input_line ic with
+  | line -> Some (line, pos_in ic - start > String.length line)
+  | exception End_of_file -> None
+  | exception Sys_error msg -> cannot_read path msg
+
+let read_lines path =
+  reading path (fun ic ->
+      let rec go acc =
+        match next_line path ic with
+        | None -> List.rev acc
+        | Some line -> go (line :: acc)
+      in
+      go [])
+
+let length lines =
+  List.fold_left (fun n (l, nl) -> n + String.length l + Bool.to_int nl) 0 lines
+
+(* A snapshot from its file's lines: one, unless it was edited by hand. *)
+let snapshot_of path lines =
+  let text =
+    match lines with
+    | [ (line, false) ] -> line
+    | _ ->
+      String.concat ""
+        (List.map (fun (l, nl) -> if nl then l ^ "\n" else l) lines)
   in
-  session_of_json j
+  match Json.of_string text with
+  | j -> session_of_json j
+  | exception Json.Parse_error msg -> corrupt "snapshot %s: %s" path msg
+
+let load path = fst (snapshot_of path (read_lines path))
 
 let load_result path = Sider_error.protect (fun () -> load path)
 
@@ -686,36 +720,29 @@ let journal_close j =
        request-path syncs. *)
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-(* A journal's header line, parsed and checked as recovery checks it:
-   a newline ends it, it parses, and its format, version and checksum
-   hold. *)
-let parse_header path (line, terminated) =
-  if not terminated then corrupt "journal %s: truncated header" path;
-  let header =
-    try Json.of_string line with
-    | Json.Parse_error msg -> corrupt "journal %s: header: %s" path msg
-  in
-  check_format ~what:(Printf.sprintf "journal %s" path)
-    ~expected:"sider-journal" header;
-  header
+(* A journal's header, the first of its lines, checked as recovery
+   checks it: a newline ends it, it parses, and its format, version and
+   checksum hold.  Returns it and its version. *)
+let parse_header path lines =
+  match lines with
+  | [] -> corrupt "journal %s: empty file" path
+  | (_, false) :: _ -> corrupt "journal %s: truncated header" path
+  | (line, true) :: _ ->
+    let header =
+      try Json.of_string line with
+      | Json.Parse_error msg -> corrupt "journal %s: header: %s" path msg
+    in
+    ( header,
+      check_format ~what:(Printf.sprintf "journal %s" path)
+        ~expected:"sider-journal" header )
 
 (* The dataset of the journal at [path], read back from its header line
    whenever it is called: the line it holds then, which compaction
    rewrites with the same dataset. *)
 let header_dataset path () =
-  let line =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let line = input_line ic in
-          (line, pos_in ic > String.length line))
-    with
-    | Sys_error msg -> io_fail "Persist: cannot read %s: %s" path msg
-    | End_of_file -> corrupt "journal %s: empty file" path
+  let header, _ =
+    parse_header path (Option.to_list (reading path (next_line path)))
   in
-  let header = parse_header path line in
   parsing (Printf.sprintf "journal %s" path) (fun () ->
       dataset_of_json (Json.member "dataset" header))
 
@@ -745,125 +772,98 @@ let journal_events j = j.j_events
 
 let journal_base j = j.j_base
 
-(* Split journal text into (line, terminated) pairs. *)
-let journal_lines text =
-  let rec go acc start =
-    if start >= String.length text then List.rev acc
-    else
-      match String.index_from_opt text start '\n' with
-      | Some i ->
-        go ((String.sub text start (i - start), true) :: acc) (i + 1)
-      | None ->
-        List.rev
-          ((String.sub text start (String.length text - start), false) :: acc)
-  in
-  go [] 0
+type recovered = {
+  session : Session.t;
+  version : int;
+  restored : int;
+  dropped : int;
+  sibling : (string * int) option;
+}
 
-(* Core recovery scan.  Returns the session, the total number of events
-   restored (snapshot + journal), the number of intact event lines in
-   the journal file, the byte offset of the end of the last intact
-   record (so a reopen can truncate the dropped tail before appending)
-   and the header's [base]. *)
-let journal_scan path =
-  let text = read_file path in
-  match journal_lines text with
-  | [] -> corrupt "journal %s: empty file" path
-  | ((header_line, _) as first) :: events ->
-    let header = parse_header path first in
-    let base =
-      match Json.member_opt "base" header with
-      | None -> 0
-      | Some b ->
-        parsing (Printf.sprintf "journal %s" path) (fun () -> Json.to_int b)
-    in
-    let snap = snapshot_path path in
-    let snapshot =
-      if Sys.file_exists snap then begin
-        let sj =
-          try Json.of_string (read_file snap) with
-          | Json.Parse_error msg -> corrupt "snapshot %s: %s" snap msg
-        in
-        Some (session_of_json sj)
-      end
-      else None
-    in
-    let session, skip =
-      match snapshot with
-      | None ->
-        if base > 0 then
-          corrupt
-            "journal %s: header base is %d but sibling snapshot %s is \
-             missing"
-            path base snap;
-        ( create_session_of_json ~what:(Printf.sprintf "journal %s" path)
-            header,
-          0 )
-      | Some s ->
-        let sn = List.length (Session.history s) in
-        if sn < base then
-          corrupt
-            "journal %s: sibling snapshot %s holds %d event(s) but the \
-             journal base is %d"
-            path snap sn base;
-        (s, sn - base)
-    in
-    let applied = ref (List.length (Session.history session)) in
-    let lines = ref 0 in
-    let to_skip = ref skip in
-    let good_len = ref (String.length header_line + 1) in
-    let rec replay = function
-      | [] -> ()
-      | (line, terminated) :: rest ->
-        let last = rest = [] in
-        if line = "" && last then ()
-        else begin
-          match
-            (* An unterminated tail is the append a crash interrupted:
-               the client was never acknowledged, dropping it is the
-               contract.  A terminated line must parse and replay. *)
-            if terminated then Some (Json.of_string line)
-            else (try Some (Json.of_string line) with _ -> None)
-          with
-          | None -> ()  (* unterminated, unparseable: dropped tail *)
-          | exception Json.Parse_error msg ->
-            corrupt "journal %s: event %d: %s" path (!lines + 1) msg
-          | Some j ->
-            if terminated then begin
-              (* Leading lines the sibling snapshot already captures are
-                 validated and kept on disk but not replayed — a crash
-                 between the compaction renames leaves the old journal
-                 next to the new snapshot, and replaying them would
-                 double-apply. *)
-              if !to_skip > 0 then decr to_skip
-              else begin
-                replay_event session j;
-                incr applied
-              end;
-              incr lines;
-              good_len := !good_len + String.length line + 1;
-              replay rest
-            end
-            (* A parseable but unterminated final line still lacks the
-               newline the append writes before acknowledging: treat it
-               as in-flight and drop it. *)
-        end
-    in
-    replay events;
-    if !to_skip > 0 then
-      corrupt
-        "journal %s: sibling snapshot %s is %d event(s) ahead of the \
-         journal contents"
-        path snap !to_skip;
-    (session, !applied, !lines, !good_len, base)
+(* Core recovery scan, over the journal's lines.  Returns what it
+   restored, the number of intact event lines in the journal file, the
+   byte offset of the end of the last intact record (so a reopen can
+   truncate the dropped tail before appending) and the header's
+   [base]. *)
+let journal_scan path lines =
+  let header, version = parse_header path lines in
+  let base =
+    match Json.member_opt "base" header with
+    | None -> 0
+    | Some b ->
+      parsing (Printf.sprintf "journal %s" path) (fun () -> Json.to_int b)
+  in
+  let snap = snapshot_path path in
+  let sibling =
+    if not (Sys.file_exists snap) then None
+    else
+      let lines = read_lines snap in
+      Some (length lines, fst (snapshot_of snap lines))
+  in
+  let session, skip =
+    match sibling with
+    | None ->
+      if base > 0 then
+        corrupt
+          "journal %s: header base is %d but sibling snapshot %s is \
+           missing"
+          path base snap;
+      ( create_session_of_json ~what:(Printf.sprintf "journal %s" path)
+          header,
+        0 )
+    | Some (_, s) ->
+      let sn = List.length (Session.history s) in
+      if sn < base then
+        corrupt
+          "journal %s: sibling snapshot %s holds %d event(s) but the \
+           journal base is %d"
+          path snap sn base;
+      (s, sn - base)
+  in
+  let applied = ref (List.length (Session.history session)) in
+  let intact = ref 0 and to_skip = ref skip in
+  let rec replay good_len = function
+    (* An unterminated tail is the append a crash interrupted: the
+       client was never acknowledged, dropping it is the contract, even
+       when it parses.  So is an empty final line.  A terminated line
+       must parse and replay. *)
+    | (line, true) :: rest when not (line = "" && rest = []) ->
+      let j =
+        try Json.of_string line with
+        | Json.Parse_error msg ->
+          corrupt "journal %s: event %d: %s" path (!intact + 1) msg
+      in
+      (* Leading lines the sibling snapshot already captures are
+         validated and kept on disk but not replayed — a crash between
+         the compaction renames leaves the old journal next to the new
+         snapshot, and replaying them would double-apply. *)
+      if !to_skip > 0 then decr to_skip
+      else begin
+        replay_event session j;
+        incr applied
+      end;
+      incr intact;
+      replay (good_len + String.length line + 1) rest
+    | dropped -> (good_len, length dropped)
+  in
+  let good_len, dropped = replay (length [ List.hd lines ]) (List.tl lines) in
+  if !to_skip > 0 then
+    corrupt
+      "journal %s: sibling snapshot %s is %d event(s) ahead of the \
+       journal contents"
+      path snap !to_skip;
+  ( { session; version; restored = !applied; dropped;
+      sibling = Option.map (fun (bytes, _) -> (snap, bytes)) sibling },
+    (!intact, good_len, base) )
 
 let journal_load path =
   Sider_error.protect (fun () ->
-      let session, applied, _, _, _ = journal_scan path in
-      (session, applied))
+      let r = fst (journal_scan path (read_lines path)) in
+      (r.session, r.restored))
 
 let journal_reopen path =
   Sider_error.protect (fun () ->
-      let session, _, lines, good_len, base = journal_scan path in
+      let r, (lines, good_len, base) = journal_scan path (read_lines path) in
       let fd =
         try Unix.openfile path [ O_WRONLY ] 0o644 with
         | Unix.Unix_error (err, _, _) ->
@@ -877,8 +877,38 @@ let journal_reopen path =
          (try Unix.close fd with Unix.Unix_error _ -> ());
          io_fail "Persist.journal %s: cannot truncate tail: %s" path
            (Unix.error_message err));
-      Session.release_dataset session (header_dataset path);
-      (session, { j_path = path; j_fd = Some fd; j_events = lines; j_base = base }))
+      Session.release_dataset r.session (header_dataset path);
+      ( r.session,
+        { j_path = path; j_fd = Some fd; j_events = lines; j_base = base } ))
+
+type store = {
+  kind : [ `Journal | `Snapshot ];
+  bytes : int;
+  recovery : (recovered, Sider_error.t) result;
+}
+
+(* The first line's format tag picks the scan [journal_load] or [load]
+   runs, over the lines read once. *)
+let inspect path =
+  Sider_error.protect @@ fun () ->
+  let lines = read_lines path in
+  let tag (line, _) = Json.member_opt "format" (Json.of_string line) in
+  let kind =
+    match Option.bind (List.nth_opt lines 0) tag with
+    | Some (Json.String "sider-journal") -> `Journal
+    | _ | (exception Json.Parse_error _) -> `Snapshot
+  in
+  let recovery =
+    Sider_error.protect (fun () ->
+        match kind with
+        | `Journal -> fst (journal_scan path lines)
+        | `Snapshot ->
+          let session, version = snapshot_of path lines in
+          { session; version;
+            restored = List.length (Session.history session); dropped = 0;
+            sibling = None })
+  in
+  { kind; bytes = length lines; recovery }
 
 (* Compaction rewrites journal state as snapshot-plus-empty-journal with
    two atomic renames, snapshot first.  Every crash point leaves a

@@ -99,6 +99,7 @@ val load : string -> Session.t
 (** Read and replay a snapshot.  Raises [Sider_error.Error]. *)
 
 val load_result : string -> (Session.t, Sider_error.t) result
+  [@@sider.allow "test-hook"]
 (** {!load} as a [result]. *)
 
 (** {2 Journal} *)
@@ -163,6 +164,7 @@ val journal_compact : journal -> Session.t -> unit
     filesystem faults, and what the read-back raises. *)
 
 val journal_load : string -> (Session.t * int, Sider_error.t) result
+  [@@sider.allow "test-hook"]
 (** Replay a journal: rebuild the base state (from the sibling snapshot
     when one exists, else the header), apply every intact event line
     not already covered by the snapshot; returns the session and the
@@ -179,3 +181,26 @@ val journal_reopen : string -> (Session.t * journal, Sider_error.t) result
     record boundary), and release the session's dataset as
     {!journal_start} does: its header holds it.  The recovery path of
     the session service. *)
+
+(** {2 Inspection} *)
+
+type recovered = {
+  session : Session.t;
+  version : int;  (** The format version. *)
+  restored : int;  (** Events restored, a sibling snapshot's included. *)
+  dropped : int;  (** Bytes after the last intact record: a torn append. *)
+  sibling : (string * int) option;  (** A sibling snapshot, its length. *)
+}
+
+type store = {
+  kind : [ `Journal | `Snapshot ];  (** By the first line's [format]. *)
+  bytes : int;  (** The file's length. *)
+  recovery : (recovered, Sider_error.t) result;
+}
+
+val inspect : string -> (store, Sider_error.t) result
+(** The store read once and judged by the scan {!journal_load} (a
+    journal) or {!load_result} (a snapshot) runs: [recovery] is [Ok]
+    exactly when that returns [Ok].  [sider doctor --snapshot] renders
+    this and no other judgement.  [Error] when the file cannot be
+    opened.  Never raises. *)

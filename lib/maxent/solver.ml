@@ -117,16 +117,6 @@ let expectation t constr =
         Gauss_params.proj_var p w +. (q *. q))
     0.0 constr.Constr.rows
 
-let residual t =
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun idx (constr : Constr.t) ->
-      let v = expectation_idx t idx in
-      let scale = Float.max 1.0 (Float.abs constr.Constr.target) in
-      worst := Float.max !worst (Float.abs (v -. constr.Constr.target) /. scale))
-    t.constraints;
-  !worst
-
 let residual_by_kind t =
   let worst_l = ref 0.0 and worst_q = ref 0.0 in
   Array.iteri
@@ -139,6 +129,10 @@ let residual_by_kind t =
       | Constr.Quadratic -> worst_q := Float.max !worst_q r)
     t.constraints;
   (!worst_l, !worst_q)
+
+let residual t =
+  let l, q = residual_by_kind t in
+  Float.max l q
 
 (* --- one constraint update ---------------------------------------------- *)
 

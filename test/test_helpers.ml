@@ -235,6 +235,16 @@ let rec polar_normal rng =
   if s >= 1.0 || s = 0.0 then polar_normal rng
   else u *. sqrt (-2.0 *. log s /. s)
 
+(* FNV-1a 64 over [s] in hex, as [Persist] checksums a document printed
+   without its checksum field. *)
+let reference_fnv64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Fails on the first entry whose bits differ. *)

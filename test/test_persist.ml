@@ -389,17 +389,6 @@ let with_temp_journal f =
 
 (* --- one-pass checksummed text against the tree it replaced -------------------- *)
 
-(* The checksummed tree as it was built before documents were printed
-   once: fields hashed byte by byte over their printed text without the
-   checksum, the checksum inserted after "version", the tree printed. *)
-let reference_fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
-
 (* An event as the snapshot's history holds it. *)
 let event_json = function
   | Session.Added_cluster { rows; tag } ->
@@ -430,6 +419,9 @@ let event_json = function
             | Sider_projection.View.Pca -> "pca"
             | Sider_projection.View.Ica -> "ica")) ]
 
+(* The checksummed tree as it was built before documents were printed
+   once: fields hashed byte by byte over their printed text without the
+   checksum, the checksum inserted after "version", the tree printed. *)
 let reference_checksummed ~format extra s =
   let seed, standardize, jitter, method_ = Session.creation_args s in
   let fields =

@@ -295,18 +295,20 @@ let test_store_unterminated_tail () =
   check_true "still healthy" report.Doctor.healthy;
   check_true "tail warned" (finding report "tail" Doctor.Warning)
 
+(* A recorded checksum with its first digit changed, not re-recorded. *)
+let flip_checksum doc =
+  let key = "\"checksum\":\"" in
+  let rec find i =
+    if String.sub doc i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let at = find 0 in
+  String.mapi (fun i c -> if i = at then (if c = '0' then '1' else '0') else c)
+    doc
+
 let test_store_flipped_checksum () =
   with_store @@ fun path ->
-  rewrite path (fun text ->
-      let key = "\"checksum\":\"" in
-      let rec find i =
-        if String.sub text i (String.length key) = key then i + String.length key
-        else find (i + 1)
-      in
-      let at = find 0 in
-      let b = Bytes.of_string text in
-      Bytes.set b at (if text.[at] = '0' then '1' else '0');
-      Bytes.to_string b);
+  rewrite path flip_checksum;
   let report = Doctor.check_store path in
   check_true "diagnosed" (not report.Doctor.healthy);
   check_true "replay fault" (finding report "replay" Doctor.Fault)
@@ -319,12 +321,94 @@ let test_store_string_version () =
       {|{"format":"sider-session","version":"2","checksum":"0000000000000000"}|});
   let report = Doctor.check_store path in
   check_true "diagnosed" (not report.Doctor.healthy);
-  check_true "version fault" (finding report "version" Doctor.Fault)
+  check_true "recovery's refusal" (finding report "replay" Doctor.Fault)
 
 let test_store_missing () =
   let report = Doctor.check_store "/nonexistent/sider-doctor.journal" in
   check_true "diagnosed" (not report.Doctor.healthy);
   check_true "store fault" (finding report "store" Doctor.Fault)
+
+let set_field key v = List.map (fun (k, x) -> (k, if k = key then v else x))
+
+let drop_field key = List.filter (fun (k, _) -> k <> key)
+
+(* The document [doc] with its fields edited, and the checksum, if the
+   edit kept one, recorded again over the result: each edit breaks the
+   rule it names and not the checksum. *)
+let edit_document f doc =
+  match Json.of_string doc with
+  | Json.Obj fields ->
+    let fields = f fields in
+    let body = Json.to_string (Json.Obj (drop_field "checksum" fields)) in
+    Json.to_string
+      (Json.Obj
+         (set_field "checksum" (Json.String (reference_fnv64 body)) fields))
+  | _ -> Alcotest.fail "not a document"
+
+(* Acked => restored is checked by recovery; the doctor is how an
+   operator asks it.  Over stores mutated against each format rule, and
+   a journal cut at every byte, the doctor must call a store healthy
+   exactly when recovery loads it. *)
+let test_store_agreement () =
+  let s = Session.create ~seed:4 (Synth.gaussian ~seed:13 ~n:14 ~d:3 ()) in
+  Session.add_margin_constraint s;
+  ignore (Session.update_background ~time_cutoff:1.0 ~max_sweeps:3 s);
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let jpath = Filename.temp_file "sider_agree" ".journal" in
+  let spath = Filename.temp_file "sider_agree" ".json" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ jpath; spath ])
+  @@ fun () ->
+  Persist.save spath s;
+  Persist.journal_close (Persist.journal_start jpath s);
+  let snapshot = read spath and journal = read jpath in
+  let cut = String.index journal '\n' in
+  let header = String.sub journal 0 cut
+  and events = String.sub journal cut (String.length journal - cut) in
+  let agree what kind text =
+    let path = match kind with `Journal -> jpath | `Snapshot -> spath in
+    write path text;
+    let healthy = (Doctor.check_store path).Doctor.healthy in
+    let loads =
+      match kind with
+      | `Journal -> Result.is_ok (Persist.journal_load path)
+      | `Snapshot -> Result.is_ok (Persist.load_result path)
+    in
+    if healthy <> loads then
+      Alcotest.failf "%s: doctor says %s, recovery %s" what
+        (if healthy then "healthy" else "diagnosed")
+        (if loads then "loads it" else "refuses it");
+    loads
+  in
+  let mutations =
+    [ ("intact", Fun.id, true);
+      ("no version", edit_document (drop_field "version"), true);
+      ("string version", edit_document (set_field "version" (Json.String "2")),
+       false);
+      ("version 2.5", edit_document (set_field "version" (Json.Number 2.5)),
+       false);
+      ("version 0", edit_document (set_field "version" (Json.Number 0.)), false);
+      ("version 3", edit_document (set_field "version" (Json.Number 3.)), false);
+      ("no checksum", edit_document (drop_field "checksum"), false);
+      ("flipped checksum digit", flip_checksum, false) ]
+  in
+  List.iter
+    (fun (what, mutate, expected) ->
+      check_true ("snapshot, " ^ what)
+        (agree ("snapshot, " ^ what) `Snapshot (mutate snapshot) = expected);
+      check_true ("journal, " ^ what)
+        (agree ("journal, " ^ what) `Journal (mutate header ^ events)
+         = expected))
+    mutations;
+  check_true "journal, header without its newline"
+    (not (agree "header without its newline" `Journal header));
+  for len = 0 to String.length journal do
+    ignore
+      (agree (Printf.sprintf "journal cut at %d" len) `Journal
+         (String.sub journal 0 len))
+  done
 
 (* --- Multi-shot fault arms ------------------------------------------------------ *)
 
@@ -384,5 +468,7 @@ let suite =
     case "doctor store: string version is a fault, not a raise"
       test_store_string_version;
     case "doctor store: missing file is a fault" test_store_missing;
+    case "doctor store: healthy exactly when recovery loads the store"
+      test_store_agreement;
     case "counted and persistent arms" test_counted_and_persistent_arms;
   ]
